@@ -12,8 +12,11 @@ Termination is classified against fixed guards, checked on each converged
 candidate before it is accepted.  A candidate that trips a guard is not
 appended, so a finished branch is always a valid prefix.  Precedence when
 several guards trip at once: vortex proximity, then boundary contact, then
-norm blowup.  Exhausted step budgets and unrecoverable Newton failures are
-reported through the same classification.
+norm blowup.  A step whose corrector fails (no convergence, a guard
+violation, a failed layer solve or a non-finite entry at a trial point) is
+retried at half the arclength step; once the step falls below ds_min the
+branch ends as a Newton failure.  Exhausted step budgets and unrecoverable
+Newton failures are reported through the same classification.
 
 Determinant signs come from a pivoted factorization and are recorded as 0
 when the smallest singular value drops below 1e-12 of the largest; parity
@@ -30,7 +33,9 @@ from scipy.linalg import LinAlgError, solve
 
 from .errors import (
     DegenerateStrip,
+    LinearSolveFailure,
     NewtonFailure,
+    NonFiniteEntry,
     SingularBorderedSystem,
     VortexTooClose,
 )
@@ -89,6 +94,8 @@ class ContinuationSettings:
             raise ValueError("newton_tol must be positive")
         if self.newton_max < 1 or self.max_steps < 1:
             raise ValueError("iteration and step caps must be at least 1")
+        if not 0 < self.norm_cap < np.inf:
+            raise ValueError("norm_cap must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -409,7 +416,8 @@ class ContinuationEngine:
                 state, strength, iterations, prep, norm = (
                     self._arclength_correct(base, tang, ds, jac)
                 )
-            except (NewtonFailure, VortexTooClose, DegenerateStrip) as exc:
+            except (NewtonFailure, VortexTooClose, DegenerateStrip,
+                    LinearSolveFailure, NonFiniteEntry) as exc:
                 vortex_block |= isinstance(exc, VortexTooClose)
                 boundary_block |= isinstance(exc, DegenerateStrip)
                 ds *= 0.5

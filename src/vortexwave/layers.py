@@ -18,9 +18,17 @@ zero-Dirichlet gauge on the rigid wall.  The gauge fixes the additive constant
 of the stream function and gives the k = 0 Dirichlet-to-Neumann multiplier
 the value 1/d on a flat strip.
 
-The assembled operator is dense; one LU factorization per geometry is shared
-by every trace solve, the Dirichlet-to-Neumann matrix, interior point
-evaluation, and the directional shape derivatives used by the Jacobian.
+Two solve paths share one operator.  A single trace solve, the only solve
+a residual needs, runs GMRES (Saad & Schultz 1986) on the matrix-free apply,
+right-preconditioned by the flat strip at the layer's mean thickness; the
+flat strip separates into one Chebyshev boundary-value problem per cosine
+mode.  The multi-column and transposed solves behind the Jacobian (the
+Dirichlet-to-Neumann matrix, the interior-derivative row functional and the
+directional shape derivatives) back-substitute through one dense LU
+factorization per geometry, made the first time one of them runs.  Trace
+solves on small operators, and any that GMRES does not converge, take the
+LU path too.
+
 The factorized operator carries its Dirichlet rows scaled to the largest
 diagonal entry of the interior rows (the Dirichlet entries of every
 right-hand side are scaled to match), so that partial pivoting keeps those
@@ -31,7 +39,7 @@ off-diagonal roundoff that grew with the resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -42,6 +50,23 @@ from .spectral import CollocationGrid, EvenField
 
 #: shape-derivative step is SHAPE_STEP * depth / max(1, |direction|_inf)
 SHAPE_STEP = 1e-6
+
+#: unknown count nx * mt below which a trace solve factors the operator
+#: instead of running GMRES.  On 2 x86 cores with OpenBLAS one GMRES solve
+#: costs as much as assembly plus LU near 290 unknowns (16x16); a prepare
+#: whose Jacobian follows pays for both, so the switch sits higher, where
+#: GMRES costs 0.3 of the LU (561 unknowns, 32x16)
+KRYLOV_MIN_UNKNOWNS = 500
+
+#: Krylov vectors a trace solve may build before it falls back to LU
+KRYLOV_MAX = 40
+
+#: GMRES stopping rule on the relative residual estimate: converged below
+#: KRYLOV_TOL, or below KRYLOV_FLOOR once one vector cuts the estimate by
+#: less than the factor KRYLOV_STALL (stagnation at roundoff)
+KRYLOV_TOL = 1e-14
+KRYLOV_FLOOR = 1e-12
+KRYLOV_STALL = 0.5
 
 #: the strip counts as degenerate once min |h| falls below this fraction of depth
 GAP_FLOOR_FRACTION = 0.02
@@ -145,32 +170,57 @@ def _profiles(grid: CollocationGrid, eta_half, side: str, depth: float):
 
 
 class LayerOperators:
-    """Factorized mapped-Laplace operator for one layer geometry."""
+    """Mapped-Laplace operator for one layer geometry.
+
+    Construction keeps only the variable-coefficient profiles.  The dense
+    operator is assembled and LU-factored the first time a multi-column or
+    transposed solve needs it (`dno_matrix`, `shape_batch`,
+    `interior_dy_row`), and the factors are then shared by all of them.  A
+    trace solve (`solve`) runs right-preconditioned GMRES on the matrix-free
+    apply instead, so a residual evaluation factors nothing; it takes the LU
+    path when the operator has fewer than KRYLOV_MIN_UNKNOWNS unknowns or
+    when GMRES does not converge within KRYLOV_MAX vectors.
+    """
 
     def __init__(self, geometry: LayerGeometry, m_vertical: int):
         if m_vertical < 8:
             raise ValueError("vertical resolution must be at least 8")
         self.geometry = geometry
         self.m_vertical = int(m_vertical)
-        grid = geometry.grid
-        nx = grid.n_modes + 1
+        nx = geometry.grid.n_modes + 1
         mt = self.m_vertical + 1
         _, tau, d_tau, d_tau2, _ = _vertical(self.m_vertical)
         one_plus = 1.0 + tau
 
         q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(
-            grid, geometry._eta_half, geometry.side, geometry.depth
+            geometry.grid, geometry._eta_half, geometry.side, geometry.depth
         )
-        c_mixed = np.outer(q_mixed, one_plus)
-        c_tt = np.outer(q_tt_quad, one_plus**2) + q_tt_flat[:, None]
-        c_t = np.outer(q_t, one_plus)
+        rows = np.arange(nx) * mt
+        self._interface_rows = rows
+        self._replaced_rows = np.concatenate([rows, rows + mt - 1])
+        self._one_plus = one_plus
+        self._q_mixed = q_mixed
+        self._c_mixed = np.outer(q_mixed, one_plus)
+        self._c_tt = np.outer(q_tt_quad, one_plus**2) + q_tt_flat[:, None]
+        self._c_t = np.outer(q_t, one_plus)
+        self._d_tau = d_tau
+        self._d_tau2 = d_tau2
+        self._dno_matrix = None
+
+    @cached_property
+    def _factors(self):
+        """(LU factors, Dirichlet-row scale) of the assembled operator."""
+        grid = self.geometry.grid
+        nx = grid.n_modes + 1
+        mt = self.m_vertical + 1
+        one_plus, d_tau = self._one_plus, self._d_tau
 
         # column-major assembly: entry [(x,i),(k,j)] lives at at4[k,j,x,i],
         # so the reshaped transpose view hands LAPACK a Fortran-ordered
         # operator it can factorize fully in place
         at4 = np.empty((nx, mt, nx, mt))
         np.multiply(
-            (q_mixed[:, None] * grid.half_d1).T[:, None, :, None],
+            (self._q_mixed[:, None] * grid.half_d1).T[:, None, :, None],
             (one_plus[:, None] * d_tau).T[None, :, None, :],
             out=at4,
         )
@@ -179,35 +229,44 @@ class LayerOperators:
         at4[:, idx, :, idx] += dxx_t
         for j in range(nx):
             at4[j, :, j, :] += (
-                c_tt[j][:, None] * d_tau2 + c_t[j][:, None] * d_tau
+                self._c_tt[j][:, None] * self._d_tau2
+                + self._c_t[j][:, None] * d_tau
             ).T
         arr_t = at4.reshape(nx * mt, nx * mt)
 
-        rows = np.arange(nx) * mt
-        replaced = np.concatenate([rows, rows + mt - 1])  # Dirichlet rows
+        replaced = self._replaced_rows
         arr_t[:, replaced] = 0.0
         # Dirichlet rows carry the interior rows' scale, so that partial
         # pivoting does not lose them to roundoff; right-hand sides are
         # scaled to match in the solves below
         scale = float(np.max(np.abs(np.diagonal(arr_t))))
         arr_t[replaced, replaced] = scale
-        self._interface_rows = rows
-        self._replaced_rows = replaced
-        self._dirichlet_scale = scale
-        self._one_plus = one_plus
-        self._c_mixed = c_mixed
-        self._c_tt = c_tt
-        self._c_t = c_t
-        self._d_tau = d_tau
-        self._d_tau2 = d_tau2
         try:
-            self._lu = sla.lu_factor(arr_t.T, overwrite_a=True,
-                                     check_finite=False)
+            lu = sla.lu_factor(arr_t.T, overwrite_a=True, check_finite=False)
         except (ValueError, sla.LinAlgError) as exc:
             raise LinearSolveFailure(f"layer operator factorization failed: {exc}")
-        if not np.all(np.isfinite(self._lu[0])):
+        if not np.all(np.isfinite(lu[0])):
             raise LinearSolveFailure("layer operator factorization produced non-finite entries")
-        self._dno_matrix = None
+        return lu, scale
+
+    @cached_property
+    def _flat_inverses(self) -> np.ndarray:
+        """Per-cosine-mode inverses of the flat strip at the mean thickness.
+
+        On a flat strip of thickness h the mapped operator is
+        u_xx + u_tautau / h^2, which the cosine transform in x splits into
+        one Chebyshev boundary-value problem per mode k, with the same
+        identity Dirichlet rows as the full operator.
+        """
+        geom = self.geometry
+        sign = 1.0 if geom.side == "lower" else -1.0
+        h = geom.eta.coeffs[0] + sign * geom.depth
+        k2 = geom.grid.wavenumbers**2
+        mt = self.m_vertical + 1
+        blocks = self._d_tau2 / (h * h) - k2[:, None, None] * np.eye(mt)
+        blocks[:, [0, -1], :] = 0.0
+        blocks[:, 0, 0] = blocks[:, -1, -1] = 1.0
+        return np.linalg.inv(blocks)
 
     # -- solves -------------------------------------------------------------
 
@@ -233,34 +292,71 @@ class LayerOperators:
         ]
         return out[:, 0] if vec else out
 
-    def _apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-free transpose apply of the row-replaced operator."""
+    def _flat_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Apply the flat-strip preconditioner to one right-hand side."""
         grid = self.geometry.grid
-        nx = grid.n_modes + 1
-        mt = self.m_vertical + 1
-        w = v.copy()
-        w[self._replaced_rows] = 0.0
-        w = w.reshape(nx, mt)
-        out = grid.half_d2.T @ w
-        out += (self._c_tt * w) @ self._d_tau2
-        out += (self._c_t * w) @ self._d_tau
-        out += grid.half_d1.T @ ((self._c_mixed * w) @ self._d_tau)
-        out = out.reshape(-1)
-        out[self._replaced_rows] += v[self._replaced_rows]
-        return out
+        r = grid._cos_inv @ rhs.reshape(grid.n_modes + 1, -1)
+        u = np.einsum("kij,kj->ki", self._flat_inverses, r)
+        return (grid._cos_mat @ u).reshape(-1)
+
+    def _krylov_solve(self, rhs: np.ndarray) -> np.ndarray | None:
+        """Right-preconditioned GMRES; None when it does not converge.
+
+        The stop reads the Arnoldi estimate of the relative residual.  The
+        true residual of an iterate floors near 1e-10 at 64x32, where the
+        interior rows reach ~2e5 against unit Dirichlet rows, while the
+        estimate keeps falling with the error until it, too, stagnates at
+        roundoff.  So GMRES stops below KRYLOV_TOL, or once the estimate
+        falls by less than KRYLOV_STALL in one vector below KRYLOV_FLOOR.
+        """
+        beta = float(np.linalg.norm(rhs))
+        if beta == 0.0:
+            return np.zeros_like(rhs)
+        basis = np.empty((KRYLOV_MAX + 1, rhs.size))
+        hess = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
+        cs = np.empty(KRYLOV_MAX)
+        sn = np.empty(KRYLOV_MAX)
+        g = np.zeros(KRYLOV_MAX + 1)
+        g[0] = beta
+        basis[0] = rhs / beta
+        previous = 1.0
+        for j in range(KRYLOV_MAX):
+            w = self._apply(self._flat_solve(basis[j]))
+            for i in range(j + 1):  # modified Gram-Schmidt
+                hess[i, j] = basis[i] @ w
+                w -= hess[i, j] * basis[i]
+            norm_w = float(np.linalg.norm(w))
+            hess[j + 1, j] = norm_w
+            for i in range(j):  # earlier Givens rotations
+                hess[i, j], hess[i + 1, j] = (
+                    cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
+                    -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j],
+                )
+            rad = np.hypot(hess[j, j], hess[j + 1, j])
+            cs[j], sn[j] = hess[j, j] / rad, hess[j + 1, j] / rad
+            hess[j, j], hess[j + 1, j] = rad, 0.0
+            g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+            estimate = abs(g[j + 1]) / beta
+            if estimate <= KRYLOV_TOL or (
+                    estimate <= KRYLOV_FLOOR
+                    and estimate > KRYLOV_STALL * previous):
+                y = sla.solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
+                return self._flat_solve(y @ basis[:j + 1])
+            if not np.isfinite(estimate):
+                return None
+            basis[j + 1] = w / norm_w
+            previous = estimate
+        return None
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the identity-row operator through the scaled factors."""
+        lu, scale = self._factors
         scaled = rhs.copy()
-        scaled[self._replaced_rows] *= self._dirichlet_scale
-        return sla.lu_solve(self._lu, scaled, check_finite=False)
+        scaled[self._replaced_rows] *= scale
+        return sla.lu_solve(lu, scaled, check_finite=False)
 
-    def _solve_rhs(self, rhs: np.ndarray, refine: bool = False) -> np.ndarray:
+    def _solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
         out = self._lu_solve(rhs)
-        if refine:
-            # the scaled Dirichlet rows are exact without it; the pass only
-            # trims interior-row roundoff, moving a solution by about 1e-14
-            out += self._lu_solve(rhs - self._apply(out))
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("layer solve produced non-finite entries")
         return out
@@ -273,8 +369,12 @@ class LayerOperators:
             raise ValueError("trace band does not match the grid")
         rhs = np.zeros(nx * mt)
         rhs[self._interface_rows] = grid.even_values_half(trace)
-        u = self._solve_rhs(rhs, refine=True).reshape(nx, mt)
-        return LayerSolution(operators=self, trace=trace, values=u)
+        u = None
+        if nx * mt >= KRYLOV_MIN_UNKNOWNS:
+            u = self._krylov_solve(rhs)
+        if u is None or not np.all(np.isfinite(u)):
+            u = self._solve_rhs(rhs)
+        return LayerSolution(operators=self, trace=trace, values=u.reshape(nx, mt))
 
     # -- interface extraction -------------------------------------------------
 
@@ -374,8 +474,9 @@ class LayerOperators:
         The factors hold S A, S scaling the Dirichlet rows; (S A)^T y = rhs
         gives the solution of A^T x = rhs as x = S y.
         """
-        out = sla.lu_solve(self._lu, rhs, trans=1, check_finite=False)
-        out[self._replaced_rows] *= self._dirichlet_scale
+        lu, scale = self._factors
+        out = sla.lu_solve(lu, rhs, trans=1, check_finite=False)
+        out[self._replaced_rows] *= scale
         return out
 
     def _interior_dy_adjoint(self, point) -> np.ndarray:
@@ -390,7 +491,6 @@ class LayerOperators:
         dt_row = _chebder_row(2.0 * tau + 1.0, self.m_vertical)
         e = np.outer(row_x, (2.0 / h) * (dt_row @ vand_inv)).ravel()
         out = self._lu_solve_transpose(e)
-        out += self._lu_solve_transpose(e - self._apply_transpose(out))
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("adjoint solve produced non-finite entries")
         return out

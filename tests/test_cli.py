@@ -175,6 +175,15 @@ class TestContinueMode:
         cfg = write_config(tmp_path, "[physical]\nrho_upper = 2.0\n")
         assert cli.main(["continue", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-inf", "0", "-1"])
+    def test_unusable_norm_cap_exits_two(self, tmp_path, capsys, cap):
+        # nan compares False with everything and would switch the guard off
+        cfg = write_config(tmp_path, f"{SMALL}norm_cap = {cap}\n")
+        code = cli.main(["continue", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "norm_cap" in capsys.readouterr().err
+
     def test_bad_max_steps_flag_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         code = cli.main(["continue", "--config", cfg,

@@ -13,8 +13,8 @@ from vortexwave.continuation import (
     parity_monitor,
     refine_point,
 )
-from vortexwave.errors import VortexTooClose
-from vortexwave.layers import flat_interior_dy_symbol
+from vortexwave.errors import LinearSolveFailure, NonFiniteEntry, VortexTooClose
+from vortexwave.layers import LayerOperators, flat_interior_dy_symbol
 from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
 from vortexwave.vortex import VortexPair, vortex_traces
 
@@ -210,6 +210,42 @@ class TestBranch:
         engine = small_engine(max_steps=2)
         with pytest.raises(ValueError, match="direction"):
             engine.continue_branch(0)
+
+
+class TestFailedTrialSolves:
+    @pytest.mark.parametrize("error", [LinearSolveFailure, NonFiniteEntry])
+    def test_failed_trial_solve_halves_the_step(self, monkeypatch, error):
+        clean = small_engine(max_steps=4).continue_branch(1)
+        real_solve = LayerOperators.solve
+        calls = []
+
+        def failing_once(ops, trace):
+            calls.append(trace)
+            # solves 1-2 are the origin; 3 is the first step's predictor
+            if len(calls) == 3:
+                raise error("injected trial-point failure")
+            return real_solve(ops, trace)
+
+        monkeypatch.setattr(LayerOperators, "solve", failing_once)
+        branch = small_engine(max_steps=4).continue_branch(1)
+        assert branch.termination is Alternative.MAX_STEPS_REACHED
+        assert len(branch.points) == len(clean.points) - 1  # one step lost
+        # the first step is retried at half the arclength
+        assert branch.points[1].strength == pytest.approx(
+            0.5 * clean.points[1].strength, rel=1e-3
+        )
+
+
+class TestWorkCounts:
+    def test_factorizations_per_accepted_step(self, lu_counter):
+        # 32x16 is above KRYLOV_MIN_UNKNOWNS, so predictor and damping-trial
+        # residuals factor nothing: each point pays one factorization per
+        # layer for its Jacobian and per Jacobian rebuilt in its corrector
+        engine = small_engine(n_modes=32, m_vertical=16, max_steps=6)
+        branch = engine.continue_branch(1)
+        assert len(branch.points) == 7
+        assert [p.newton_iterations for p in branch.points] == [0, 1, 1, 2, 2, 2, 2]
+        assert lu_counter.factorizations <= 22
 
 
 class TestTermination:

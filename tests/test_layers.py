@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vortexwave.errors import DegenerateStrip, PointOutsideLayer
 from vortexwave.layers import (
+    KRYLOV_MIN_UNKNOWNS,
     LayerGeometry,
     build_operators,
     chebyshev_diff_matrix,
@@ -142,6 +143,35 @@ class TestFlatDno:
         via_values = GRID._cos_inv @ ops.dno_values_half(sol)
         via_matrix = ops.dno_matrix() @ tr.coeffs
         assert np.max(np.abs(via_values - via_matrix)) < 1e-9
+
+
+def peaked(value_at_crest, n=NX):
+    """Interface with one crest at x = 0, where it takes the given value."""
+    c = np.zeros(n)
+    c[1], c[2], c[3] = 0.2, 0.1, 0.03
+    return EvenField(c * (value_at_crest / c.sum()))
+
+
+class TestTraceSolvePaths:
+    """Krylov trace solves against the LU path of the same operator."""
+
+    @pytest.mark.parametrize("crest, side, krylov_converges", [
+        (0.0, "lower", True),     # flat
+        (0.33, "lower", True),    # wavy: sup 0.33
+        (0.33, "upper", True),
+        (-0.9, "lower", False),   # thin: min thickness 0.1
+    ])
+    def test_krylov_agrees_with_lu(self, crest, side, krylov_converges):
+        m = 32
+        assert NX * (m + 1) >= KRYLOV_MIN_UNKNOWNS
+        ops = build_operators(GRID, peaked(crest), DEPTH, side, m)
+        trace = EvenField(0.5 ** np.arange(NX))
+        rhs = np.zeros(NX * (m + 1))
+        rhs[:: m + 1] = GRID.even_values_half(trace)
+        assert (ops._krylov_solve(rhs) is not None) == krylov_converges
+        got = ops.solve(trace).values.ravel()
+        want = ops._lu_solve(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestCurvedGeometry:

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexwave.errors import DegenerateStrip, VortexTooClose
-from vortexwave.layers import flat_dno_symbol, flat_interior_dy_symbol
+from vortexwave.layers import (
+    KRYLOV_MIN_UNKNOWNS,
+    flat_dno_symbol,
+    flat_interior_dy_symbol,
+)
 from vortexwave.spectral import EvenField
 from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
 from vortexwave.vortex import VortexPair, vortex_traces
@@ -207,6 +211,25 @@ class TestResidual:
         r1 = system.residual(moved, 0.0)
         shift = r1.kinematic_lower.coeffs - r0.kinematic_lower.coeffs
         assert np.abs(shift - speed * base.elevation.coeffs).max() < 1e-13
+
+
+class TestFactorizationCounts:
+    """Layer operators are factored only when a Jacobian needs them."""
+
+    @pytest.mark.parametrize("n_modes, m_vertical, on_residual", [
+        (32, 16, 0),  # 561 unknowns per layer: GMRES trace solves
+        (16, 12, 2),  # 221 unknowns: below the crossover, LU trace solves
+    ])
+    def test_residual_factors_only_below_the_crossover(
+            self, lu_counter, n_modes, m_vertical, on_residual):
+        unknowns = (n_modes + 1) * (m_vertical + 1)
+        assert (unknowns >= KRYLOV_MIN_UNKNOWNS) == (on_residual == 0)
+        system = WaveSystem(PARAMS, n_modes, m_vertical)
+        prep = system.prepare(decayed_state(np.random.default_rng(3), n_modes))
+        system.residual_prepared(prep, 0.02)
+        assert lu_counter.factorizations == on_residual
+        system.jacobian_prepared(prep, 0.02)
+        assert lu_counter.factorizations == 2  # one per layer
 
 
 class TestJacobian:
