@@ -17,6 +17,7 @@ import numpy as np
 
 from .continuation import ContinuationSettings
 from .errors import ParseError, ValidationError
+from .layers import GAP_FLOOR_FRACTION
 from .system import PhysicalParameters
 from .vortex import VortexPair
 
@@ -30,7 +31,6 @@ _PHYSICAL_KEYS = {
     "bernoulli_constant": 0.0,
     "vortex_y": -0.5,
     "phantom_y": None,
-    "kernel": "periodized",
 }
 
 _DISCRETIZATION_KEYS = {
@@ -87,7 +87,6 @@ class RunConfig:
             "physical.bernoulli_constant": p.bernoulli_constant,
             "physical.vortex_y": p.pair.lower[1],
             "physical.phantom_y": p.pair.upper[1],
-            "physical.kernel": p.kernel,
             "discretization.n_modes": self.n_modes,
             "discretization.m_vertical": self.m_vertical,
             "discretization.dealias": self.dealias,
@@ -168,10 +167,6 @@ def load_config(text: str) -> RunConfig:
     phantom_y = phys["phantom_y"]
     if phantom_y is None:
         phantom_y = -vortex_y
-    if phys["kernel"] not in ("periodized", "free_space"):
-        raise ValidationError(
-            f"kernel must be periodized or free_space, got {phys['kernel']!r}"
-        )
 
     try:
         pair = VortexPair((0.0, vortex_y), (0.0, phantom_y))
@@ -184,7 +179,6 @@ def load_config(text: str) -> RunConfig:
             half_period=phys["half_period"],
             bernoulli_constant=phys["bernoulli_constant"],
             pair=pair,
-            kernel=phys["kernel"],
         )
     except ValueError as exc:
         if "upper density" in str(exc):
@@ -208,6 +202,13 @@ def load_config(text: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    floor = settings.gap_floor
+    if floor is not None and not (
+            GAP_FLOOR_FRACTION * params.depth <= floor < params.depth):
+        raise ValidationError(
+            f"gap_floor must lie in [{GAP_FLOOR_FRACTION} * depth, depth); "
+            "below that the layer solver's own floor fires first"
+        )
 
     target = cont["target_strength"]
     if not np.isfinite(target):

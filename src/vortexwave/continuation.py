@@ -1,22 +1,28 @@
 """Pseudo-arclength continuation of the wave branch from the trivial solution.
 
-The corrector is damped Newton on the residual augmented with Keller's
-arclength constraint.  Tangents are unit null vectors of the bordered
-Jacobian under a weighted inner product: discrete H^1 weights on the three
-field blocks and unit weights on the speed and the strength, so mode counts
-do not drown the scalars.  The first corrector iteration of each step reuses
-the Jacobian of the accepted base point; later iterations rebuild it at the
-current iterate.
+One corrector serves both solves: damped Newton on the residual bordered by
+one scalar constraint.  Keller's arclength constraint gives a branch step; a
+row that pins the strength gives the fixed-strength solve.  Each Newton step
+is halved, at most MAX_HALVINGS times, until the bordered residual norm
+drops; the corrector has converged once the residual and the constraint are
+both within newton_tol, after at most newton_max updates.  The first
+iteration of a branch step reuses the Jacobian of the accepted base point.
+Tangents are unit null vectors of the bordered Jacobian under a weighted
+inner product: discrete H^1 weights on the three field blocks and unit
+weights on the speed and the strength, so mode counts do not drown the
+scalars.
 
-Termination is classified against fixed guards, checked on each converged
-candidate before it is accepted.  A candidate that trips a guard is not
-appended, so a finished branch is always a valid prefix.  Precedence when
-several guards trip at once: vortex proximity, then boundary contact, then
-norm blowup.  A step whose corrector fails (no convergence, a guard
-violation, a failed layer solve or a non-finite entry at a trial point) is
-retried at half the arclength step; once the step falls below ds_min the
-branch ends as a Newton failure.  Exhausted step budgets and unrecoverable
-Newton failures are reported through the same classification.
+check_guards is the one admissibility test: the fixed-strength solve runs it
+on its guess, continue_branch on each converged candidate before accepting
+it, so a finished branch is always a valid prefix.  Precedence when several
+guards trip at once: vortex proximity, then boundary contact, then norm
+blowup.  Inside the corrector, a trial point whose layer strip degenerates
+or whose interface meets a vortex is damped like a rejected trial.  A step
+whose corrector fails (no convergence, a guard violation, a failed layer
+solve or a non-finite entry at a trial point) is retried at half the
+arclength step; once the step falls below ds_min the branch ends as a
+Newton failure.  Exhausted step budgets and unrecoverable Newton failures
+are reported through the same classification.
 
 Determinant signs come from a pivoted factorization and are recorded as 0
 when the smallest singular value drops below 1e-12 of the largest; parity
@@ -39,15 +45,13 @@ from .errors import (
     SingularBorderedSystem,
     VortexTooClose,
 )
+from .layers import GAP_FLOOR_FRACTION
 from .spectral import pad_coeffs
 from .system import PreparedState, WaveState, WaveSystem
 from .vortex import min_vortex_distance
 
 #: fraction of the half-gap kept between either vortex and the interface
 VORTEX_GUARD_FRACTION = 0.05
-
-#: fraction of the half-gap kept between the interface and the walls
-GAP_FLOOR_FRACTION = 0.02
 
 #: smoothness index of the recorded elevation norm and the blowup monitor
 DIAGNOSTIC_ORDER = 3
@@ -94,8 +98,10 @@ class ContinuationSettings:
             raise ValueError("newton_tol must be positive")
         if self.newton_max < 1 or self.max_steps < 1:
             raise ValueError("iteration and step caps must be at least 1")
-        if not 0 < self.norm_cap < np.inf:
-            raise ValueError("norm_cap must be finite and positive")
+        for name in ("norm_cap", "vortex_guard", "gap_floor"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -188,17 +194,22 @@ class ContinuationEngine:
         )
 
     def check_guards(self, state: WaveState):
-        """Raise if a corrector starting point is outside the admissible set."""
+        """Raise if a state is outside the admissible set.
+
+        VortexTooClose when the interface comes within vortex_guard of
+        either vortex, checked first; DegenerateStrip when it comes within
+        gap_floor of a wall.
+        """
         if self.vortex_distance(state) < self.vortex_guard:
             raise VortexTooClose(
-                "trial interface violates the vortex distance guard"
+                "interface violates the vortex distance guard"
             )
         sup = np.abs(
             self.system.grid.even_values_half(state.elevation)
         ).max()
         if self.system.params.depth - sup < self.gap_floor:
             raise DegenerateStrip(
-                "trial interface violates the wall gap floor"
+                "interface violates the wall gap floor"
             )
 
     def _sign_and_sigma(self, jac: np.ndarray) -> tuple[int, float]:
@@ -224,56 +235,107 @@ class ContinuationEngine:
             vortex_distance=self.vortex_distance(state),
         )
 
-    # -- fixed-strength corrector ---------------------------------------------------
+    # -- the bordered corrector ----------------------------------------------------
+
+    def _bordered(self, prep: PreparedState, strength: float,
+                  jac: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """The Jacobian bordered by the strength derivative and one row."""
+        n = self.system.n_unknowns
+        bordered = np.zeros((n + 1, n + 1))
+        bordered[:n, :n] = jac
+        bordered[:n, n] = self.system.strength_derivative(
+            prep, strength
+        ).to_vector()
+        bordered[n, :] = row
+        return bordered
+
+    def _pin_row(self) -> np.ndarray:
+        """The unit row of the strength in the augmented vector."""
+        return np.r_[np.zeros(self.system.n_unknowns), 1.0]
+
+    def _evaluate(self, vec: np.ndarray, constraint):
+        """Prepare the state of an augmented vector; residual and constraint.
+
+        Returns (state, strength, prep, residual vector, constraint value,
+        bordered residual norm).
+        """
+        n = self.system.n_unknowns
+        state = WaveState.from_vector(vec[:n], self.system.grid.n_modes)
+        strength = float(vec[n])
+        prep = self.system.prepare(state)
+        res = self.system.residual_prepared(prep, strength).to_vector()
+        gap = constraint(vec)
+        return (state, strength, prep, res, gap,
+                float(np.hypot(np.linalg.norm(res), gap)))
+
+    def _damped_newton(self, current: np.ndarray, row: np.ndarray,
+                       constraint, chord_jac: np.ndarray | None = None):
+        """Damped Newton on the residual bordered by one scalar constraint.
+
+        `current` is the augmented (state, strength) start, `row` the
+        constraint's gradient and `constraint(vec)` its value.  The first
+        iteration uses `chord_jac` when given.  Returns (state, strength,
+        iterations, prep, residual norm).
+        """
+        tol = self.settings.newton_tol
+        newton_max = self.settings.newton_max
+        state, strength, prep, res, gap, norm = self._evaluate(current,
+                                                               constraint)
+        for iteration in range(newton_max + 1):
+            if np.linalg.norm(res) <= tol and abs(gap) <= tol:
+                return state, strength, iteration, prep, float(
+                    np.linalg.norm(res)
+                )
+            if iteration == newton_max:
+                break
+            if iteration == 0 and chord_jac is not None:
+                jac = chord_jac
+            else:
+                jac = self.system.jacobian_prepared(prep, strength)
+            try:
+                step = solve(self._bordered(prep, strength, jac, row),
+                             -np.r_[res, gap])
+            except LinAlgError as exc:
+                raise NewtonFailure("bordered solve failed") from exc
+            scale = 1.0
+            last_guard = None
+            for _ in range(MAX_HALVINGS + 1):
+                trial = current + scale * step
+                try:
+                    evaluated = self._evaluate(trial, constraint)
+                except (VortexTooClose, DegenerateStrip) as exc:
+                    last_guard = exc
+                    scale *= 0.5
+                    continue
+                if evaluated[-1] < norm or evaluated[-1] <= tol:
+                    current = trial
+                    state, strength, prep, res, gap, norm = evaluated
+                    break
+                scale *= 0.5
+            else:
+                if last_guard is not None:
+                    raise last_guard
+                raise NewtonFailure("damping exhausted without residual decrease")
+        raise NewtonFailure(f"no convergence in {newton_max} iterations")
 
     def newton_correct(self, guess: WaveState, strength: float
                        ) -> tuple[WaveState, int, float, PreparedState]:
         """Damped Newton at fixed strength; returns the converged state."""
-        tol = self.settings.newton_tol
         self.check_guards(guess)
-        state = guess
-        prep = self.system.prepare(state)
-        res = self.system.residual_prepared(prep, strength)
-        norm = float(np.linalg.norm(res.to_vector()))
-        for iteration in range(1, self.settings.newton_max + 1):
-            if norm <= tol:
-                return state, iteration - 1, norm, prep
-            jac = self.system.jacobian_prepared(prep, strength)
-            try:
-                step = solve(jac, -res.to_vector())
-            except LinAlgError as exc:
-                raise NewtonFailure("Jacobian solve failed") from exc
-            state, prep, res, norm = self._damped_update(
-                state, strength, step, norm
-            )
-        if norm <= tol:
-            return state, self.settings.newton_max, norm, prep
-        raise NewtonFailure(
-            f"no convergence in {self.settings.newton_max} iterations"
+        n = self.system.n_unknowns
+        state, _, iterations, prep, norm = self._damped_newton(
+            np.r_[guess.to_vector(), strength], self._pin_row(),
+            lambda vec: vec[n] - strength,
         )
+        return state, iterations, norm, prep
 
-    def _damped_update(self, state, strength, step, norm):
-        """Walk along the Newton direction, halving until the residual drops."""
-        base = state.to_vector()
-        n_modes = self.system.grid.n_modes
-        scale = 1.0
-        last_guard = None
-        for _ in range(MAX_HALVINGS + 1):
-            trial = WaveState.from_vector(base + scale * step, n_modes)
-            try:
-                prep = self.system.prepare(trial)
-            except (VortexTooClose, DegenerateStrip) as exc:
-                last_guard = exc
-                scale *= 0.5
-                continue
-            res = self.system.residual_prepared(prep, strength)
-            trial_norm = float(np.linalg.norm(res.to_vector()))
-            if trial_norm < norm or trial_norm <= self.settings.newton_tol:
-                return trial, prep, res, trial_norm
-            scale *= 0.5
-        if last_guard is not None:
-            raise last_guard
-        raise NewtonFailure("damping exhausted without residual decrease")
+    def _arclength_correct(self, base: np.ndarray, tang: np.ndarray,
+                           ds: float, chord_jac: np.ndarray):
+        """Correct the predicted point back onto the branch at fixed arclength."""
+        return self._damped_newton(
+            base + ds * tang, self.weights * tang,
+            lambda vec: self.weighted_dot(vec - base, tang) - ds, chord_jac,
+        )
 
     # -- tangents -------------------------------------------------------------------
 
@@ -281,22 +343,12 @@ class ContinuationEngine:
                 previous: np.ndarray | None = None,
                 jac: np.ndarray | None = None) -> np.ndarray:
         """Unit tangent of the branch at a solved point, consistently oriented."""
-        n = self.system.n_unknowns
         if jac is None:
             jac = self.system.jacobian_prepared(prep, strength)
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = jac
-        bordered[:n, n] = self.system.strength_derivative(
-            prep, strength
-        ).to_vector()
-        if previous is None:
-            bordered[n, n] = 1.0
-        else:
-            bordered[n, :] = self.weights * previous
-        rhs = np.zeros(n + 1)
-        rhs[n] = 1.0
+        row = self._pin_row() if previous is None else self.weights * previous
         try:
-            raw = solve(bordered, rhs)
+            raw = solve(self._bordered(prep, strength, jac, row),
+                        self._pin_row())
         except LinAlgError as exc:
             raise SingularBorderedSystem("tangent system is singular") from exc
         if not np.all(np.isfinite(raw)):
@@ -319,73 +371,6 @@ class ContinuationEngine:
         state, iterations, norm, solved = self.newton_correct(guess, strength)
         return self._point(state, strength, norm, iterations,
                            self.system.jacobian_prepared(solved, strength))
-
-    # -- arclength corrector ----------------------------------------------------------
-
-    def _arclength_correct(self, base: np.ndarray, tang: np.ndarray,
-                           ds: float, chord_jac: np.ndarray):
-        """Correct the predicted point back onto the branch at fixed arclength."""
-        tol = self.settings.newton_tol
-        n = self.system.n_unknowns
-        n_modes = self.system.grid.n_modes
-        current = base + ds * tang
-        state = WaveState.from_vector(current[:n], n_modes)
-        strength = float(current[n])
-        prep = self.system.prepare(state)
-        res = self.system.residual_prepared(prep, strength).to_vector()
-        gap = self.weighted_dot(current - base, tang) - ds
-        norm = float(np.hypot(np.linalg.norm(res), gap))
-        for iteration in range(1, self.settings.newton_max + 1):
-            if np.linalg.norm(res) <= tol and abs(gap) <= tol:
-                return state, strength, iteration - 1, prep, float(
-                    np.linalg.norm(res)
-                )
-            if iteration == 1 and chord_jac is not None:
-                jac = chord_jac
-            else:
-                jac = self.system.jacobian_prepared(prep, strength)
-            bordered = np.zeros((n + 1, n + 1))
-            bordered[:n, :n] = jac
-            bordered[:n, n] = self.system.strength_derivative(
-                prep, strength
-            ).to_vector()
-            bordered[n, :] = self.weights * tang
-            try:
-                step = solve(bordered, -np.r_[res, gap])
-            except LinAlgError as exc:
-                raise NewtonFailure("bordered solve failed") from exc
-            scale = 1.0
-            last_guard = None
-            for _ in range(MAX_HALVINGS + 1):
-                trial = current + scale * step
-                trial_state = WaveState.from_vector(trial[:n], n_modes)
-                trial_strength = float(trial[n])
-                try:
-                    trial_prep = self.system.prepare(trial_state)
-                except (VortexTooClose, DegenerateStrip) as exc:
-                    last_guard = exc
-                    scale *= 0.5
-                    continue
-                trial_res = self.system.residual_prepared(
-                    trial_prep, trial_strength
-                ).to_vector()
-                trial_gap = self.weighted_dot(trial - base, tang) - ds
-                trial_norm = float(
-                    np.hypot(np.linalg.norm(trial_res), trial_gap)
-                )
-                if trial_norm < norm or trial_norm <= tol:
-                    current, state, strength = trial, trial_state, trial_strength
-                    prep, res, gap, norm = (trial_prep, trial_res,
-                                            trial_gap, trial_norm)
-                    break
-                scale *= 0.5
-            else:
-                if last_guard is not None:
-                    raise last_guard
-                raise NewtonFailure("damping exhausted in arclength corrector")
-        raise NewtonFailure(
-            f"no convergence in {self.settings.newton_max} iterations"
-        )
 
     # -- branch driver -----------------------------------------------------------------
 
@@ -430,16 +415,16 @@ class ContinuationEngine:
                 continue
             vortex_block = boundary_block = False
 
-            vortex_hit = self.vortex_distance(state) < self.vortex_guard
-            sup = np.abs(
-                self.system.grid.even_values_half(state.elevation)
-            ).max()
-            boundary_hit = (self.system.params.depth - sup) < self.gap_floor
-            unbounded_hit = self.state_norm(state, strength) > settings.norm_cap
-            if vortex_hit or boundary_hit or unbounded_hit:
+            try:
+                self.check_guards(state)
+            except (VortexTooClose, DegenerateStrip) as exc:
                 branch.termination = classify_termination(
-                    vortex_hit, boundary_hit, unbounded_hit
+                    isinstance(exc, VortexTooClose),
+                    isinstance(exc, DegenerateStrip), False,
                 )
+                return branch
+            if self.state_norm(state, strength) > settings.norm_cap:
+                branch.termination = Alternative.UNBOUNDED
                 return branch
 
             jac = self.system.jacobian_prepared(prep, strength)

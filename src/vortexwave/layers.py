@@ -112,15 +112,14 @@ def _vertical(m: int):
 class LayerGeometry:
     """One layer's mapped-strip data on the half grid.
 
-    gap_floor is the smallest admissible thickness; None means the default
-    GAP_FLOOR_FRACTION * depth.
+    Construction raises DegenerateStrip once the thickness falls to
+    GAP_FLOOR_FRACTION * depth, the solver's degeneracy floor.
     """
 
     grid: CollocationGrid
     side: str
     depth: float
     eta: EvenField
-    gap_floor: float | None = None
 
     def __post_init__(self):
         if self.side not in SIDES:
@@ -129,10 +128,7 @@ class LayerGeometry:
             raise ValueError("depth must be positive")
         if self.eta.coeffs.size != self.grid.n_modes + 1:
             raise ValueError("elevation band does not match the grid")
-        floor = self.gap_floor
-        if floor is None:
-            floor = GAP_FLOOR_FRACTION * self.depth
-            object.__setattr__(self, "gap_floor", floor)
+        floor = GAP_FLOOR_FRACTION * self.depth
         e = self.grid.even_values_half(self.eta)
         h = e + self.depth if self.side == "lower" else e - self.depth
         if np.min(np.abs(h)) <= floor:
@@ -206,6 +202,7 @@ class LayerOperators:
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
         self._dno_matrix = None
+        self._adjoints = {}
 
     @cached_property
     def _factors(self):
@@ -431,37 +428,24 @@ class LayerOperators:
         return x, tau, h
 
     def _vertical_coeffs(self, u_values, x):
-        """Chebyshev coefficients (in t) of u(x, .) and of its x-derivative."""
+        """Chebyshev coefficients (in t) of u(x, .)."""
         grid = self.geometry.grid
         _, _, _, _, vand_inv = _vertical(self.m_vertical)
-        kx = grid.wavenumbers
-        row_val = np.cos(kx * x) @ grid._cos_inv
-        row_dx = (-kx * np.sin(kx * x)) @ grid._cos_inv
-        return vand_inv @ (u_values.T @ row_val), vand_inv @ (u_values.T @ row_dx)
+        row_val = np.cos(grid.wavenumbers * x) @ grid._cos_inv
+        return vand_inv @ (u_values.T @ row_val)
 
     def eval_interior(self, sol: "LayerSolution", point) -> float:
         """Solution value at an interior point."""
         x, tau, _ = self._map_point(point)
-        cvec, _ = self._vertical_coeffs(sol.values, x)
+        cvec = self._vertical_coeffs(sol.values, x)
         return float(ncheb.chebval(2.0 * tau + 1.0, cvec))
 
     def eval_interior_dy(self, sol: "LayerSolution", point) -> float:
         """Vertical derivative of the solution at an interior point."""
         x, tau, h = self._map_point(point)
-        cvec, _ = self._vertical_coeffs(sol.values, x)
+        cvec = self._vertical_coeffs(sol.values, x)
         u_tau = 2.0 * ncheb.chebval(2.0 * tau + 1.0, ncheb.chebder(cvec))
         return float(u_tau / h)
-
-    def eval_interior_dx(self, sol: "LayerSolution", point) -> float:
-        """Horizontal derivative of the solution at an interior point."""
-        x, tau, h = self._map_point(point)
-        cvec, dvec = self._vertical_coeffs(sol.values, x)
-        t = 2.0 * tau + 1.0
-        u_x = ncheb.chebval(t, dvec)
-        u_tau = 2.0 * ncheb.chebval(t, ncheb.chebder(cvec))
-        geom = self.geometry
-        ex = geom.grid.evaluate_odd(geom.grid.ddx(geom.eta), np.array([x]))[0]
-        return float(u_x - u_tau * (1.0 + tau) * ex / h)
 
     def interior_dy_row(self, point) -> np.ndarray:
         """Row functional: trace coefficients -> interior vertical derivative."""
@@ -480,7 +464,17 @@ class LayerOperators:
         return out
 
     def _interior_dy_adjoint(self, point) -> np.ndarray:
-        """Transpose solve of the interior-dy evaluation functional."""
+        """Transpose solve of the interior-dy evaluation functional.
+
+        Both `interior_dy_row` and a pointed `shape_batch` need it, so each
+        point's adjoint is solved once per operator and kept.
+        """
+        key = (float(point[0]), float(point[1]))
+        if key not in self._adjoints:
+            self._adjoints[key] = self._solve_adjoint(point)
+        return self._adjoints[key]
+
+    def _solve_adjoint(self, point) -> np.ndarray:
         x, tau, h = self._map_point(point)
         grid = self.geometry.grid
         nx = grid.n_modes + 1
@@ -493,6 +487,7 @@ class LayerOperators:
         out = self._lu_solve_transpose(e)
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("adjoint solve produced non-finite entries")
+        out.flags.writeable = False  # shared by every caller at this point
         return out
 
     # -- directional shape derivatives ----------------------------------------
@@ -561,7 +556,7 @@ class LayerOperators:
         interior_dirs = -(adj @ rhs)
         x_p = float(point[0])
         y_p = float(point[1])
-        cvec, _ = self._vertical_coeffs(u, x_p)
+        cvec = self._vertical_coeffs(u, x_p)
         dcvec = ncheb.chebder(cvec)
         eta_p = grid.evaluate_even(geom.eta, np.array([x_p]))[0]
         mode_at_p = np.cos(grid.wavenumbers * x_p)
@@ -594,13 +589,6 @@ class LayerSolution:
     trace: EvenField
     values: np.ndarray  # (half-grid x, vertical) nodal values
 
-    @property
-    def coeff_tensor(self) -> np.ndarray:
-        """Cosine-in-x by Chebyshev-in-vertical coefficient tensor."""
-        grid = self.operators.geometry.grid
-        _, _, _, _, vand_inv = _vertical(self.operators.m_vertical)
-        return grid._cos_inv @ self.values @ vand_inv.T
-
     def interface_values_half(self) -> np.ndarray:
         return self.values[:, 0]
 
@@ -609,9 +597,8 @@ class LayerSolution:
 
 
 def build_operators(grid: CollocationGrid, eta: EvenField, depth: float,
-                    side: str, m_vertical: int,
-                    gap_floor: float | None = None) -> LayerOperators:
-    return LayerOperators(LayerGeometry(grid, side, depth, eta, gap_floor), m_vertical)
+                    side: str, m_vertical: int) -> LayerOperators:
+    return LayerOperators(LayerGeometry(grid, side, depth, eta), m_vertical)
 
 
 def solve_layer(grid: CollocationGrid, eta: EvenField, trace: EvenField,

@@ -8,10 +8,10 @@ N + 1 with the index equal to the mode number; slot 0 of an odd field is
 fixed at zero.
 
 Nodes are constructed so that the second half of the grid is the exact
-floating-point mirror of the first half.  Nodal arrays of definite parity
-are produced by evaluating on the half grid and unfolding symmetrically,
-which keeps parity exact in floating point; the parity check in to_coeffs
-then only trips on genuinely asymmetric data.
+floating-point mirror of the first half.  Nodal arrays of even fields are
+produced by evaluating on the half grid and unfolding symmetrically, which
+keeps parity exact in floating point; the parity check in to_even then only
+trips on genuinely asymmetric data.
 """
 
 from __future__ import annotations
@@ -159,11 +159,6 @@ class CollocationGrid:
         return np.linalg.inv(self._cos_mat)
 
     @cached_property
-    def _sin_inv_interior(self) -> np.ndarray:
-        # sine modes k = 1..N-1 from interior half-grid values j = 1..N-1
-        return np.linalg.inv(self._sin_mat[1:-1, 1:-1])
-
-    @cached_property
     def half_d1(self) -> np.ndarray:
         """Half-grid values of an even function -> values of its (odd) derivative."""
         return -self._sin_mat @ (self.wavenumbers[:, None] * self._cos_inv)
@@ -184,15 +179,6 @@ class CollocationGrid:
         bad = 0.5 * np.linalg.norm(v - refl)
         return half, bad
 
-    def _fold_odd(self, values: np.ndarray) -> tuple[np.ndarray, float]:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.n_nodes,):
-            raise ValueError(f"expected {self.n_nodes} nodal values, got {v.shape}")
-        refl = v[self._reflect]
-        half = 0.5 * (v - refl)[: self.n_modes + 1]
-        bad = 0.5 * np.linalg.norm(v + refl)
-        return half, bad
-
     def to_even(self, values: np.ndarray, tol: float = PARITY_TOL) -> EvenField:
         """Project nodal values onto the cosine basis, checking parity."""
         half, bad = self._fold_even(values)
@@ -203,39 +189,16 @@ class CollocationGrid:
             )
         return EvenField(self._cos_inv @ half)
 
-    def to_odd(self, values: np.ndarray, tol: float = PARITY_TOL) -> OddField:
-        """Project nodal values onto the sine basis, checking parity."""
-        half, bad = self._fold_odd(values)
-        scale = np.linalg.norm(np.asarray(values, dtype=float))
-        if bad > tol * max(scale, np.finfo(float).tiny):
-            raise ParityViolation(
-                f"even-part energy {bad:.3e} exceeds {tol:.1e} of |values| = {scale:.3e}"
-            )
-        coeffs = np.zeros(self.n_modes + 1)
-        coeffs[1:-1] = self._sin_inv_interior @ half[1:-1]
-        return OddField(coeffs)
-
     def unfold_even(self, half: np.ndarray) -> np.ndarray:
         """Extend half-grid values of an even function to all 2N nodes."""
         return np.concatenate([half, half[-2:0:-1]])
 
-    def unfold_odd(self, half: np.ndarray) -> np.ndarray:
-        """Extend half-grid values of an odd function to all 2N nodes."""
-        return np.concatenate([half, -half[-2:0:-1]])
-
     def even_values_half(self, field) -> np.ndarray:
         return self._cos_mat @ _as_coeffs(field)
-
-    def odd_values_half(self, field) -> np.ndarray:
-        return self._sin_mat @ _as_coeffs(field)
 
     def even_values(self, field) -> np.ndarray:
         """Nodal values of a cosine series on the full grid (exactly even)."""
         return self.unfold_even(self.even_values_half(field))
-
-    def odd_values(self, field) -> np.ndarray:
-        """Nodal values of a sine series on the full grid (exactly odd)."""
-        return self.unfold_odd(self.odd_values_half(field))
 
     def evaluate_even(self, field, x) -> np.ndarray:
         """Evaluate a cosine series at arbitrary points."""
@@ -262,14 +225,9 @@ class CollocationGrid:
         symbol = np.asarray(symbol, dtype=float)
         if symbol.shape != (self.n_modes + 1,):
             raise ValueError("symbol must supply one value per mode 0..N")
-        cls = type(field)
-        if cls is OddField:
-            out = symbol * field.coeffs
-            out[0] = 0.0
-            return OddField(out)
-        if cls is EvenField:
-            return EvenField(symbol * field.coeffs)
-        raise TypeError("multiplier needs an EvenField or OddField")
+        if type(field) is not EvenField:
+            raise TypeError("multiplier needs an EvenField")
+        return EvenField(symbol * field.coeffs)
 
     def dealias(self, field):
         """Zero modes above floor(2N/3) (classical two-thirds rule)."""
@@ -294,10 +252,6 @@ class CollocationGrid:
         """Discrete H^s norm: sum_k (1 + (k pi/L)^2)^s |a_k|^2, L-weighted."""
         c = _as_coeffs(field)
         return float(np.sqrt(np.dot(self.sobolev_weights(order), c * c)))
-
-    def refine(self, factor: int = 2) -> "CollocationGrid":
-        """Grid with the mode count scaled by an integer factor."""
-        return CollocationGrid(self.half_period, self.n_modes * int(factor))
 
 
 def pad_coeffs(field, n_modes: int):

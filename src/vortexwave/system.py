@@ -63,9 +63,12 @@ class PhysicalParameters:
     half_period: float = float(np.pi)
     bernoulli_constant: float = 0.0
     pair: VortexPair = VortexPair((0.0, -0.5), (0.0, 0.5))
-    kernel: str = "periodized"
 
     def __post_init__(self):
+        for name in ("rho_lower", "rho_upper", "gravity", "surface_tension",
+                     "depth", "half_period", "bernoulli_constant"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.rho_lower > 0:
             raise ValueError("lower density must be positive")
         if not 0 < self.rho_upper < self.rho_lower:
@@ -164,7 +167,6 @@ class PreparedState:
     dxt_upper: np.ndarray
     traces: VortexTraces
     interior_dy: float
-    interior_dx: float
 
 
 class WaveSystem:
@@ -178,9 +180,7 @@ class WaveSystem:
         self.m_vertical = int(m_vertical)
         self.vortex_guard = max(float(vortex_guard), SINGULAR_RADIUS)
         self.dealias = bool(dealias)
-        self.pair_speed = pair_induced_speed(
-            params.pair, params.kernel, params.half_period
-        )
+        self.pair_speed = pair_induced_speed(params.pair, params.half_period)
         g = self.grid
         self._coeffs_to_dx = g.half_d1 @ g._cos_mat
         self._coeffs_to_dxx = g.half_d2 @ g._cos_mat
@@ -208,7 +208,7 @@ class WaveSystem:
         sol_low = ops_low.solve(state.trace_lower)
         sol_up = ops_up.solve(state.trace_upper)
         traces = vortex_traces(
-            p.pair, g.half_nodes, e, p.kernel, p.half_period,
+            p.pair, g.half_nodes, e, p.half_period,
             exclusion=self.vortex_guard,
         )
         return PreparedState(
@@ -226,22 +226,22 @@ class WaveSystem:
             dxt_upper=g.half_d1 @ g.even_values_half(state.trace_upper),
             traces=traces,
             interior_dy=ops_low.eval_interior_dy(sol_low, p.pair.lower),
-            interior_dx=ops_low.eval_interior_dx(sol_low, p.pair.lower),
         )
 
     def _velocity_parts(self, prep: PreparedState, strength: float):
         """Normal/tangential trace velocity combinations for both layers.
 
         Returns (a_low, b_low, a_up, b_up) on the half grid, each including
-        the strength-weighted vortex contribution.
+        the strength-weighted vortex contribution; the upper layer's vortex
+        fields are the negatives of the lower layer's.
         """
         d = 1.0 + prep.slope_half**2
         ex = prep.slope_half
         tr = prep.traces
         a_low = (prep.dno_lower_half + ex * prep.dxt_lower) / d + strength * tr.phi_y
         b_low = (prep.dxt_lower - ex * prep.dno_lower_half) / d + strength * tr.phi_x
-        a_up = (prep.dno_upper_half + ex * prep.dxt_upper) / d + strength * tr.phi_bar_y
-        b_up = (prep.dxt_upper - ex * prep.dno_upper_half) / d + strength * tr.phi_bar_x
+        a_up = (prep.dno_upper_half + ex * prep.dxt_upper) / d - strength * tr.phi_y
+        b_up = (prep.dxt_upper - ex * prep.dno_upper_half) / d - strength * tr.phi_x
         return a_low, b_low, a_up, b_up
 
     def _project(self, values: np.ndarray) -> EvenField:
@@ -270,7 +270,7 @@ class WaveSystem:
         )
         kin_up = (
             self.grid.even_values_half(prep.state.trace_upper)
-            + strength * tr.phi_bar
+            - strength * tr.phi
             + c * e
         )
         kin_low = (
@@ -298,13 +298,13 @@ class WaveSystem:
         tr = prep.traces
         a_low, b_low, a_up, b_up = self._velocity_parts(prep, strength)
         dyn = (
-            c * (p.rho_upper * tr.phi_bar_y - p.rho_lower * tr.phi_y)
-            + p.rho_upper * (a_up * tr.phi_bar_y + b_up * tr.phi_bar_x)
+            -c * (p.rho_upper * tr.phi_y + p.rho_lower * tr.phi_y)
+            - p.rho_upper * (a_up * tr.phi_y + b_up * tr.phi_x)
             - p.rho_lower * (a_low * tr.phi_y + b_low * tr.phi_x)
         )
         return Residual(
             dynamic=self._project(dyn),
-            kinematic_upper=self._project(tr.phi_bar),
+            kinematic_upper=self._project(-tr.phi),
             kinematic_lower=self._project(tr.phi),
             drift=-self.pair_speed,
         )
@@ -358,11 +358,11 @@ class WaveSystem:
                   + col(-g_low / d - 2.0 * ex * (b_low - strength * tr.phi_x) / d) * dxc
                   + strength * col(tr.phi_xy) * basis)
         da_up = (s_up / col(d)
-                 + col(prep.dxt_upper / d - 2.0 * ex * (a_up - strength * tr.phi_bar_y) / d) * dxc
-                 + strength * col(tr.phi_bar_yy) * basis)
+                 + col(prep.dxt_upper / d - 2.0 * ex * (a_up + strength * tr.phi_y) / d) * dxc
+                 - strength * col(tr.phi_yy) * basis)
         db_up = (-col(ex / d) * s_up
-                 + col(-g_up / d - 2.0 * ex * (b_up - strength * tr.phi_bar_x) / d) * dxc
-                 + strength * col(tr.phi_bar_xy) * basis)
+                 + col(-g_up / d - 2.0 * ex * (b_up + strength * tr.phi_x) / d) * dxc
+                 - strength * col(tr.phi_xy) * basis)
         dyn_eta = (
             -p.rho_lower * (col(c + a_low) * da_low + col(b_low) * db_low)
             + p.rho_upper * (col(c + a_up) * da_up + col(b_up) * db_up)
@@ -385,7 +385,7 @@ class WaveSystem:
         jac[r1, clow] = proj @ dyn_lower
         jac[r1, -1] = proj @ dyn_speed
 
-        jac[r2, ceta] = proj @ (col(c + strength * tr.phi_bar_y) * basis)
+        jac[r2, ceta] = proj @ (col(c - strength * tr.phi_y) * basis)
         jac[r2, cup] = np.eye(n)
         jac[r2, -1] = prep.state.elevation.coeffs
 
@@ -447,19 +447,3 @@ class WaveSystem:
         )
         jac[-1, -1] = 1.0
         return jac
-
-    # -- symmetry diagnostic -------------------------------------------------------------
-
-    def vertical_equilibrium(self, prep: PreparedState, strength: float) -> float:
-        """Horizontal interior derivative at the vortex plus its companion term.
-
-        Vanishes by evenness at on-axis solutions; recorded as a diagnostic,
-        never solved for.
-        """
-        from .vortex import gamma_grad
-
-        p = self.params
-        dx = p.pair.lower[0] - p.pair.upper[0]
-        dy = p.pair.lower[1] - p.pair.upper[1]
-        gx, _ = gamma_grad(dx, dy, p.kernel, p.half_period)
-        return float(prep.interior_dx - strength * gx)

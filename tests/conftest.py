@@ -6,11 +6,15 @@ from vortexwave import layers
 
 
 class CountingLinalg:
-    """Stands in for scipy.linalg inside vortexwave.layers, counting LU calls."""
+    """Stands in for scipy.linalg inside vortexwave.layers, counting LU calls.
+
+    Counts factorizations and keeps the factors of every transposed solve.
+    """
 
     def __init__(self, module):
         self._module = module
         self.factorizations = 0
+        self.transposed_solves = []
 
     def __getattr__(self, name):
         return getattr(self._module, name)
@@ -18,6 +22,11 @@ class CountingLinalg:
     def lu_factor(self, *args, **kwargs):
         self.factorizations += 1
         return self._module.lu_factor(*args, **kwargs)
+
+    def lu_solve(self, lu_and_piv, b, trans=0, **kwargs):
+        if trans:
+            self.transposed_solves.append(lu_and_piv)
+        return self._module.lu_solve(lu_and_piv, b, trans=trans, **kwargs)
 
 
 @pytest.fixture

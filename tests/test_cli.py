@@ -44,7 +44,6 @@ class TestConfig:
         assert config.settings.max_steps == 200
         assert config.target_strength == 1e-3
         assert config.out_dir == "out"
-        assert config.params.kernel == "periodized"
         assert config.params.pair.lower == (0.0, -0.5)
         assert config.params.pair.upper == (0.0, 0.5)
 
@@ -184,6 +183,38 @@ class TestContinueMode:
         assert code == 2
         assert "norm_cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        # nan or a non-positive guard would switch it off silently
+        ("continuation", "vortex_guard", "nan"),
+        ("continuation", "vortex_guard", "-1"),
+        ("continuation", "vortex_guard", "0"),
+        ("continuation", "vortex_guard", "inf"),
+        ("continuation", "gap_floor", "nan"),
+        ("continuation", "gap_floor", "-1"),
+        ("continuation", "gap_floor", "inf"),
+        # below the layer solver's own 2% floor it would never fire
+        ("continuation", "gap_floor", "0.01"),
+        ("continuation", "gap_floor", "1.0"),  # the whole depth
+        ("physical", "bernoulli_constant", "nan"),
+        ("physical", "depth", "inf"),
+        ("physical", "surface_tension", "inf"),
+        ("physical", "rho_lower", "inf"),
+        ("physical", "gravity", "inf"),
+        ("physical", "half_period", "inf"),
+        ("physical", "kernel", "periodized"),  # no longer a setting
+    ])
+    def test_unusable_setting_exits_two(self, tmp_path, capsys, section,
+                                        key, value):
+        cfg = write_config(
+            tmp_path,
+            "[discretization]\nn_modes = 16\nm_vertical = 12\n"
+            f"[{section}]\n{key} = {value}\n",
+        )
+        code = cli.main(["continue", "--config", cfg,
+                         "--out", str(tmp_path / "out"), "--max-steps", "5"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_bad_max_steps_flag_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         code = cli.main(["continue", "--config", cfg,
@@ -244,5 +275,5 @@ class TestValidateMode:
         code = cli.main(["validate", "--seed", "1"])
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
         assert code == 0
-        assert len(lines) == 7
+        assert len(lines) == 6
         assert all(ln.startswith("PASS") for ln in lines)

@@ -32,8 +32,8 @@ def origin_tangent_oracle(engine):
     g = system.grid
     n = g.n_modes + 1
     tr = vortex_traces(PARAMS.pair, g.half_nodes, np.zeros(n),
-                       PARAMS.kernel, PARAMS.half_period)
-    trace_up = -(g._cos_inv @ tr.phi_bar)
+                       PARAMS.half_period)
+    trace_up = g._cos_inv @ tr.phi
     trace_low = -(g._cos_inv @ tr.phi)
     row = flat_interior_dy_symbol(g, PARAMS.depth, PARAMS.pair.lower[1])
     speed = system.pair_speed - float(row @ trace_low)
@@ -161,7 +161,7 @@ class TestBranch:
         g = engine.system.grid
         n = g.n_modes + 1
         tr = vortex_traces(PARAMS.pair, g.half_nodes, np.zeros(n),
-                           PARAMS.kernel, PARAMS.half_period)
+                           PARAMS.half_period)
         for point in branch.points[1:5]:
             linear = -point.strength * tr.phi
             got = g.even_values_half(point.state.trace_lower)
