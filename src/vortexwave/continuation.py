@@ -5,8 +5,23 @@ one scalar constraint.  Keller's arclength constraint gives a branch step; a
 row that pins the strength gives the fixed-strength solve.  Each Newton step
 is halved, at most MAX_HALVINGS times, until the bordered residual norm
 drops; the corrector has converged once the residual and the constraint are
-both within newton_tol, after at most newton_max updates.  The first
-iteration of a branch step reuses the Jacobian of the accepted base point.
+both within newton_tol, after at most newton_max updates.
+
+A branch step factors its chord, the bordered Jacobian of the accepted base
+point, once.  The first iteration solves with those factors.  Each later
+iteration takes a Newton-Krylov step (Knoll & Keyes 2004): GMRES on the
+bordered system to the relative forcing KRYLOV_FORCING, right-preconditioned
+by the chord's factors, with Jacobian-vector products from forward
+differences of the bordered residual.  Those are residual-only evaluations,
+which factor no layer operator, so a step factors layer operators only for
+the analytic Jacobian of its accepted point, which the tangent and the
+point diagnostics need.  The analytic Jacobian also takes over an iteration
+whose GMRES misses the forcing within KRYLOV_VECTORS or whose difference
+evaluation raises, and one whose layer operators are already factored (small
+grids, or a trace solve that fell back to LU), where it factors nothing new.
+The fixed-strength solve has no chord and builds the analytic Jacobian at
+every iteration.
+
 Tangents are unit null vectors of the bordered Jacobian under a weighted
 inner product: discrete H^1 weights on the three field blocks and unit
 weights on the speed and the strength, so mode counts do not drown the
@@ -19,10 +34,10 @@ guards trip at once: vortex proximity, then boundary contact, then norm
 blowup.  Inside the corrector, a trial point whose layer strip degenerates
 or whose interface meets a vortex is damped like a rejected trial.  A step
 whose corrector fails (no convergence, a guard violation, a failed layer
-solve or a non-finite entry at a trial point) is retried at half the
-arclength step; once the step falls below ds_min the branch ends as a
-Newton failure.  Exhausted step budgets and unrecoverable Newton failures
-are reported through the same classification.
+solve, or a non-finite entry in a Newton step or at a trial point) is
+retried at half the arclength step; once the step falls below ds_min the
+branch ends as a Newton failure.  Exhausted step budgets and unrecoverable
+Newton failures are reported through the same classification.
 
 Determinant signs come from a pivoted factorization and are recorded as 0
 when the smallest singular value drops below 1e-12 of the largest; parity
@@ -35,7 +50,7 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve
+from scipy.linalg import LinAlgError, lu_factor, lu_solve, solve
 
 from .errors import (
     DegenerateStrip,
@@ -44,8 +59,9 @@ from .errors import (
     NonFiniteEntry,
     SingularBorderedSystem,
     VortexTooClose,
+    VortexWaveError,
 )
-from .layers import GAP_FLOOR_FRACTION
+from .layers import GAP_FLOOR_FRACTION, gmres
 from .spectral import pad_coeffs
 from .system import PreparedState, WaveState, WaveSystem
 from .vortex import min_vortex_distance
@@ -67,6 +83,16 @@ FAST_ITERATIONS = 3
 
 #: damping halvings attempted before a corrector iteration is abandoned
 MAX_HALVINGS = 5
+
+#: relative residual a Newton-Krylov step must reach (the forcing term).
+#: At 1e-6 the 60-step default branch strayed up to 3.4e-9 (relative) from
+#: the one the analytic Jacobian gives; 1e-7 keeps it within 1.4e-10 for
+#: about one more Krylov vector per iteration
+KRYLOV_FORCING = 1e-7
+
+#: Krylov vectors a Newton-Krylov step may build before the analytic
+#: Jacobian takes over that iteration
+KRYLOV_VECTORS = 10
 
 
 class Alternative(enum.Enum):
@@ -257,8 +283,10 @@ class ContinuationEngine:
         """Prepare the state of an augmented vector; residual and constraint.
 
         Returns (state, strength, prep, residual vector, constraint value,
-        bordered residual norm).
+        bordered residual norm).  A non-finite vector raises NonFiniteEntry.
         """
+        if not np.all(np.isfinite(vec)):
+            raise NonFiniteEntry("corrector produced a non-finite state")
         n = self.system.n_unknowns
         state = WaveState.from_vector(vec[:n], self.system.grid.n_modes)
         strength = float(vec[n])
@@ -268,19 +296,54 @@ class ContinuationEngine:
         return (state, strength, prep, res, gap,
                 float(np.hypot(np.linalg.norm(res), gap)))
 
+    def _difference_product(self, vec: np.ndarray, bordered_res: np.ndarray,
+                            v: np.ndarray, constraint) -> np.ndarray:
+        """Bordered Jacobian times v by a forward difference at vec."""
+        eps = (np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(vec))
+               / np.linalg.norm(v))
+        evaluated = self._evaluate(vec + eps * v, constraint)
+        return (np.r_[evaluated[3], evaluated[4]] - bordered_res) / eps
+
+    def _krylov_step(self, vec: np.ndarray, bordered_res: np.ndarray,
+                     chord, constraint) -> np.ndarray | None:
+        """Newton-Krylov step, preconditioned by the chord's factors.
+
+        GMRES on difference products to the relative forcing KRYLOV_FORCING;
+        None when it misses within KRYLOV_VECTORS or a difference evaluation
+        raises.
+        """
+        try:
+            return gmres(
+                lambda v: self._difference_product(vec, bordered_res, v,
+                                                   constraint),
+                lambda v: lu_solve(chord, v, check_finite=False),
+                -bordered_res, KRYLOV_VECTORS, KRYLOV_FORCING,
+            )
+        except VortexWaveError:
+            return None
+
     def _damped_newton(self, current: np.ndarray, row: np.ndarray,
                        constraint, chord_jac: np.ndarray | None = None):
         """Damped Newton on the residual bordered by one scalar constraint.
 
         `current` is the augmented (state, strength) start, `row` the
-        constraint's gradient and `constraint(vec)` its value.  The first
-        iteration uses `chord_jac` when given.  Returns (state, strength,
-        iterations, prep, residual norm).
+        constraint's gradient and `constraint(vec)` its value.  With a
+        chord Jacobian, its bordered matrix is factored once: the first
+        iteration solves with it, and later iterations whose layer
+        operators are not factored take a Newton-Krylov step preconditioned
+        by it; the analytic Jacobian serves every other iteration.  Returns
+        (state, strength, iterations, prep, residual norm).
         """
         tol = self.settings.newton_tol
         newton_max = self.settings.newton_max
         state, strength, prep, res, gap, norm = self._evaluate(current,
                                                                constraint)
+        chord = None
+        if chord_jac is not None:
+            chord = lu_factor(self._bordered(prep, strength, chord_jac, row),
+                              check_finite=False)
+            if np.any(np.diagonal(chord[0]) == 0.0):
+                raise NewtonFailure("bordered chord matrix is singular")
         for iteration in range(newton_max + 1):
             if np.linalg.norm(res) <= tol and abs(gap) <= tol:
                 return state, strength, iteration, prep, float(
@@ -288,15 +351,23 @@ class ContinuationEngine:
                 )
             if iteration == newton_max:
                 break
-            if iteration == 0 and chord_jac is not None:
-                jac = chord_jac
-            else:
+            bordered_res = np.r_[res, gap]
+            step = None
+            if chord is not None and iteration == 0:
+                step = lu_solve(chord, -bordered_res, check_finite=False)
+            elif chord is not None and not (prep.ops_lower.factored
+                                            and prep.ops_upper.factored):
+                step = self._krylov_step(current, bordered_res, chord,
+                                         constraint)
+            if step is None:
                 jac = self.system.jacobian_prepared(prep, strength)
-            try:
-                step = solve(self._bordered(prep, strength, jac, row),
-                             -np.r_[res, gap])
-            except LinAlgError as exc:
-                raise NewtonFailure("bordered solve failed") from exc
+                try:
+                    step = solve(self._bordered(prep, strength, jac, row),
+                                 -bordered_res, check_finite=False)
+                except LinAlgError as exc:
+                    raise NewtonFailure("bordered solve failed") from exc
+            if not np.all(np.isfinite(step)):
+                raise NonFiniteEntry("Newton step has non-finite entries")
             scale = 1.0
             last_guard = None
             for _ in range(MAX_HALVINGS + 1):

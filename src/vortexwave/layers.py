@@ -27,7 +27,9 @@ Dirichlet-to-Neumann matrix, the interior-derivative row functional and the
 directional shape derivatives) back-substitute through one dense LU
 factorization per geometry, made the first time one of them runs.  Trace
 solves on small operators, and any that GMRES does not converge, take the
-LU path too.
+LU path too.  The GMRES loop itself, `gmres`, takes the apply, the
+preconditioner and the stop as arguments; the continuation corrector runs
+it on the bordered Newton system.
 
 The factorized operator carries its Dirichlet rows scaled to the largest
 diagonal entry of the interior rows (the Dirichlet entries of every
@@ -72,6 +74,55 @@ KRYLOV_STALL = 0.5
 GAP_FLOOR_FRACTION = 0.02
 
 SIDES = ("lower", "upper")
+
+
+def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
+          tol: float, floor: float = 0.0) -> np.ndarray | None:
+    """Right-preconditioned GMRES for apply(x) = rhs; None when it misses.
+
+    Builds at most `max_vectors` Krylov vectors of apply(precondition(.))
+    and stops on the Arnoldi estimate of the relative residual: below
+    `tol`, or below `floor` once one more vector cuts the estimate by less
+    than the factor KRYLOV_STALL.  Returns None when the estimate turns
+    non-finite or the vectors run out first.
+    """
+    beta = float(np.linalg.norm(rhs))
+    if beta == 0.0:
+        return np.zeros_like(rhs)
+    basis = np.empty((max_vectors + 1, rhs.size))
+    hess = np.zeros((max_vectors + 1, max_vectors))
+    cs = np.empty(max_vectors)
+    sn = np.empty(max_vectors)
+    g = np.zeros(max_vectors + 1)
+    g[0] = beta
+    basis[0] = rhs / beta
+    previous = 1.0
+    for j in range(max_vectors):
+        w = apply(precondition(basis[j]))
+        for i in range(j + 1):  # modified Gram-Schmidt
+            hess[i, j] = basis[i] @ w
+            w -= hess[i, j] * basis[i]
+        norm_w = float(np.linalg.norm(w))
+        hess[j + 1, j] = norm_w
+        for i in range(j):  # earlier Givens rotations
+            hess[i, j], hess[i + 1, j] = (
+                cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
+                -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j],
+            )
+        rad = np.hypot(hess[j, j], hess[j + 1, j])
+        cs[j], sn[j] = hess[j, j] / rad, hess[j + 1, j] / rad
+        hess[j, j], hess[j + 1, j] = rad, 0.0
+        g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+        estimate = abs(g[j + 1]) / beta
+        if estimate <= tol or (
+                estimate <= floor and estimate > KRYLOV_STALL * previous):
+            y = sla.solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
+            return precondition(y @ basis[:j + 1])
+        if not np.isfinite(estimate):
+            return None
+        basis[j + 1] = w / norm_w
+        previous = estimate
+    return None
 
 
 def chebyshev_gauss_lobatto(m: int) -> np.ndarray:
@@ -246,6 +297,11 @@ class LayerOperators:
             raise LinearSolveFailure("layer operator factorization produced non-finite entries")
         return lu, scale
 
+    @property
+    def factored(self) -> bool:
+        """Whether the LU factors exist, so a Jacobian here factors nothing."""
+        return "_factors" in self.__dict__
+
     @cached_property
     def _flat_inverses(self) -> np.ndarray:
         """Per-cosine-mode inverses of the flat strip at the mean thickness.
@@ -297,7 +353,7 @@ class LayerOperators:
         return (grid._cos_mat @ u).reshape(-1)
 
     def _krylov_solve(self, rhs: np.ndarray) -> np.ndarray | None:
-        """Right-preconditioned GMRES; None when it does not converge.
+        """Trace solve by GMRES on the apply; None when it does not converge.
 
         The stop reads the Arnoldi estimate of the relative residual.  The
         true residual of an iterate floors near 1e-10 at 64x32, where the
@@ -306,44 +362,8 @@ class LayerOperators:
         roundoff.  So GMRES stops below KRYLOV_TOL, or once the estimate
         falls by less than KRYLOV_STALL in one vector below KRYLOV_FLOOR.
         """
-        beta = float(np.linalg.norm(rhs))
-        if beta == 0.0:
-            return np.zeros_like(rhs)
-        basis = np.empty((KRYLOV_MAX + 1, rhs.size))
-        hess = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
-        cs = np.empty(KRYLOV_MAX)
-        sn = np.empty(KRYLOV_MAX)
-        g = np.zeros(KRYLOV_MAX + 1)
-        g[0] = beta
-        basis[0] = rhs / beta
-        previous = 1.0
-        for j in range(KRYLOV_MAX):
-            w = self._apply(self._flat_solve(basis[j]))
-            for i in range(j + 1):  # modified Gram-Schmidt
-                hess[i, j] = basis[i] @ w
-                w -= hess[i, j] * basis[i]
-            norm_w = float(np.linalg.norm(w))
-            hess[j + 1, j] = norm_w
-            for i in range(j):  # earlier Givens rotations
-                hess[i, j], hess[i + 1, j] = (
-                    cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
-                    -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j],
-                )
-            rad = np.hypot(hess[j, j], hess[j + 1, j])
-            cs[j], sn[j] = hess[j, j] / rad, hess[j + 1, j] / rad
-            hess[j, j], hess[j + 1, j] = rad, 0.0
-            g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
-            estimate = abs(g[j + 1]) / beta
-            if estimate <= KRYLOV_TOL or (
-                    estimate <= KRYLOV_FLOOR
-                    and estimate > KRYLOV_STALL * previous):
-                y = sla.solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
-                return self._flat_solve(y @ basis[:j + 1])
-            if not np.isfinite(estimate):
-                return None
-            basis[j + 1] = w / norm_w
-            previous = estimate
-        return None
+        return gmres(self._apply, self._flat_solve, rhs, KRYLOV_MAX,
+                     KRYLOV_TOL, KRYLOV_FLOOR)
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the identity-row operator through the scaled factors."""

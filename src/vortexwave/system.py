@@ -81,6 +81,16 @@ class PhysicalParameters:
             raise ValueError("vortex must sit strictly inside the lower layer")
         if not 0 < self.pair.upper[1] < self.depth:
             raise ValueError("phantom must sit strictly inside the upper layer")
+        # the periodized kernel grows like exp(pi |dy| / half_period) and
+        # overflows once the period is short against the pair's separation
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                speed = pair_induced_speed(self.pair, self.half_period)
+        except OverflowError:
+            speed = np.inf
+        if not np.isfinite(speed):
+            raise ValueError("half_period is too short for the vortex pair: "
+                             "the periodized kernel overflows")
 
     @property
     def buoyancy(self) -> float:

@@ -201,6 +201,8 @@ class TestContinueMode:
         ("physical", "rho_lower", "inf"),
         ("physical", "gravity", "inf"),
         ("physical", "half_period", "inf"),
+        ("physical", "half_period", "1e-300"),  # the kernel overflows
+        ("physical", "half_period", "1e-3"),
         ("physical", "kernel", "periodized"),  # no longer a setting
     ])
     def test_unusable_setting_exits_two(self, tmp_path, capsys, section,

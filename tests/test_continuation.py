@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vortexwave import continuation
 from vortexwave.continuation import (
     Alternative,
     Branch,
@@ -235,17 +236,90 @@ class TestFailedTrialSolves:
             0.5 * clean.points[1].strength, rel=1e-3
         )
 
+    def test_non_finite_newton_step_halves_the_step(self, monkeypatch):
+        clean = small_engine(max_steps=4).continue_branch(1)
+        real_lu_solve = continuation.lu_solve
+        calls = []
+
+        def nan_once(*args, **kwargs):
+            calls.append(args)
+            step = real_lu_solve(*args, **kwargs)
+            # the first call is the first step's chord iteration
+            return np.full_like(step, np.nan) if len(calls) == 1 else step
+
+        monkeypatch.setattr(continuation, "lu_solve", nan_once)
+        branch = small_engine(max_steps=4).continue_branch(1)
+        assert branch.termination is Alternative.MAX_STEPS_REACHED
+        assert len(branch.points) == len(clean.points) - 1  # one step lost
+        assert branch.points[1].strength == pytest.approx(
+            0.5 * clean.points[1].strength, rel=1e-3
+        )
+
 
 class TestWorkCounts:
     def test_factorizations_per_accepted_step(self, lu_counter):
-        # 32x16 is above KRYLOV_MIN_UNKNOWNS, so predictor and damping-trial
-        # residuals factor nothing: each point pays one factorization per
-        # layer for its Jacobian and per Jacobian rebuilt in its corrector
+        # 32x16 is above KRYLOV_MIN_UNKNOWNS, so predictor, damping-trial and
+        # difference-product residuals factor nothing, and corrector
+        # iterations after the first take Newton-Krylov steps: each point
+        # pays one factorization per layer, for its own Jacobian
         engine = small_engine(n_modes=32, m_vertical=16, max_steps=6)
         branch = engine.continue_branch(1)
         assert len(branch.points) == 7
         assert [p.newton_iterations for p in branch.points] == [0, 1, 1, 2, 2, 2, 2]
-        assert lu_counter.factorizations <= 22
+        assert lu_counter.factorizations == 2 * len(branch.points)
+
+    def test_factored_operators_keep_the_analytic_jacobian(self, lu_counter):
+        # 16x12 trace solves factor their operators, so every corrector
+        # iteration after the first rebuilds the analytic Jacobian, which
+        # factors nothing new; the counts are those of the chord-only
+        # corrector
+        engine = small_engine(max_steps=6)
+        branch = engine.continue_branch(1)
+        assert [p.newton_iterations for p in branch.points] == [0, 1, 1, 2, 2, 2, 2]
+        assert lu_counter.factorizations == 34
+
+
+class TestNewtonKrylov:
+    def test_difference_product_matches_bordered_jacobian(self):
+        rng = np.random.default_rng(5)
+        engine = small_engine(n_modes=32, m_vertical=16)
+        system = engine.system
+        n = system.grid.n_modes + 1
+        decay = np.exp(-0.4 * np.arange(n))
+        eta = 0.1 * rng.standard_normal(n) * decay
+        eta[0] = 0.0
+        vec = np.r_[eta, 0.05 * rng.standard_normal(2 * n) * np.r_[decay, decay],
+                    0.1, 0.3]
+        row = rng.standard_normal(vec.size)
+
+        def constraint(x):
+            return float(row @ x)
+
+        _, strength, prep, res, gap, _ = engine._evaluate(vec, constraint)
+        assert np.abs(system.grid.even_values_half(
+            prep.state.elevation)).max() > 0.05  # wavy
+        v = rng.standard_normal(vec.size) * np.r_[decay, decay, decay, 1, 1]
+        got = engine._difference_product(vec, np.r_[res, gap], v, constraint)
+        jac = system.jacobian_prepared(prep, strength)
+        want = engine._bordered(prep, strength, jac, row) @ v
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_branch_matches_the_analytic_corrector(self, monkeypatch):
+        krylov = small_engine(n_modes=32, m_vertical=16,
+                              max_steps=20).continue_branch(1)
+        # a Newton-Krylov step that always misses hands every iteration to
+        # the analytic Jacobian
+        monkeypatch.setattr(ContinuationEngine, "_krylov_step",
+                            lambda *args: None)
+        analytic = small_engine(n_modes=32, m_vertical=16,
+                                max_steps=20).continue_branch(1)
+        assert len(krylov.points) == len(analytic.points) == 21
+        assert ([p.newton_iterations for p in krylov.points]
+                == [p.newton_iterations for p in analytic.points])
+        for a, b in zip(krylov.points, analytic.points):
+            assert abs(a.strength - b.strength) <= 1e-9
+            assert np.abs(a.state.to_vector()
+                          - b.state.to_vector()).max() <= 1e-9
 
 
 class TestTermination:
