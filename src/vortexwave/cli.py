@@ -62,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (cont, single):
         p.add_argument("--out", metavar="DIR",
                        help="output directory (overrides the config)")
-    cont.add_argument("--direction", choices=("+", "-"), default="+",
-                      help="sign of the initial strength step")
     cont.add_argument("--max-steps", type=int, metavar="N",
                       help="override the configured step budget")
     check.add_argument("--seed", type=int, default=0, metavar="N",
@@ -97,7 +95,6 @@ def _run_continue(args) -> int:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    direction = 1 if args.direction == "+" else -1
     out = args.out if args.out is not None else config.out_dir
     ensure_dir(out)
 
@@ -122,15 +119,15 @@ def _run_continue(args) -> int:
             )
             index += 1
 
-        branch = engine.continue_branch(direction, on_point=on_point)
+        branch = engine.continue_branch(on_point=on_point)
 
     termination = branch.termination
     code = _TERMINATION_EXIT[termination]
     final_strength = branch.points[-1].strength if branch.points else 0.0
     write_summary(
         os.path.join(out, "summary.json"),
-        _config_echo(config), chash, "continue", direction,
-        termination.value, len(branch.points), final_strength, code,
+        _config_echo(config), chash, "continue", termination.value,
+        len(branch.points), final_strength, code,
     )
     if code:
         print(f"terminated: {termination.value}", file=sys.stderr)
@@ -160,8 +157,8 @@ def _run_single(args) -> int:
     write_snapshot(os.path.join(out, "snapshot_0000.json"), record)
     write_summary(
         os.path.join(out, "summary.json"),
-        _config_echo(config), chash, "single_solve", None,
-        None, 1, point.strength, 0,
+        _config_echo(config), chash, "single_solve", None, 1,
+        point.strength, 0,
     )
     print(f"solved at strength {point.strength!r} "
           f"in {point.newton_iterations} iterations")

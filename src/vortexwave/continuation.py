@@ -40,8 +40,12 @@ branch ends as a Newton failure.  Exhausted step budgets and unrecoverable
 Newton failures are reported through the same classification.
 
 Determinant signs come from a pivoted factorization and are recorded as 0
-when the smallest singular value drops below 1e-12 of the largest; parity
-surveillance along the branch is a plain scan for consecutive sign changes.
+when the smallest singular value drops below 1e-12 of the largest.
+
+The branch leaves the origin towards positive strength.  The map
+(elevation, traces, speed, strength) -> (elevation, -traces, -speed,
+-strength) is an exact symmetry of the residual, so the other half of the
+continuum through the origin is this branch's mirror image.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from .errors import (
     VortexWaveError,
 )
 from .layers import GAP_FLOOR_FRACTION, gmres
-from .spectral import pad_coeffs
 from .system import PreparedState, WaveState, WaveSystem
 from .vortex import min_vortex_distance
 
@@ -148,36 +151,17 @@ class Branch:
     points: list[BranchPoint] = field(default_factory=list)
     termination: Alternative | None = None
 
-    @property
-    def strengths(self) -> np.ndarray:
-        return np.array([p.strength for p in self.points])
-
-    @property
-    def det_signs(self) -> list[int]:
-        return [p.det_sign for p in self.points]
-
 
 def classify_termination(vortex_tripped: bool, boundary_tripped: bool,
-                         unbounded_tripped: bool,
                          newton_failed: bool = False) -> Alternative:
     """Fixed precedence so simultaneous trips classify deterministically."""
     if vortex_tripped:
         return Alternative.VORTEX_NEAR_INTERFACE
     if boundary_tripped:
         return Alternative.INTERFACE_TOUCHES_BOUNDARY
-    if unbounded_tripped:
-        return Alternative.UNBOUNDED
     if newton_failed:
         return Alternative.NEWTON_FAILURE
     return Alternative.MAX_STEPS_REACHED
-
-
-def parity_monitor(points) -> list[int]:
-    """Indices where consecutive determinant signs differ."""
-    signs = [p.det_sign if isinstance(p, BranchPoint) else int(p)
-             for p in points]
-    return [i for i in range(1, len(signs))
-            if signs[i] != signs[i - 1]]
 
 
 class ContinuationEngine:
@@ -445,11 +429,8 @@ class ContinuationEngine:
 
     # -- branch driver -----------------------------------------------------------------
 
-    def continue_branch(self, direction: int = 1,
-                        on_point=None) -> Branch:
+    def continue_branch(self, on_point=None) -> Branch:
         """Predict, correct, classify; returns the finished branch."""
-        if direction not in (1, -1):
-            raise ValueError("direction must be +1 or -1")
         settings = self.settings
         branch = Branch()
 
@@ -462,7 +443,7 @@ class ContinuationEngine:
         if on_point is not None:
             on_point(point)
 
-        tang = direction * self.tangent(prep, 0.0, jac=jac)
+        tang = self.tangent(prep, 0.0, jac=jac)
         base = np.r_[origin.to_vector(), 0.0]
         ds = settings.ds0
 
@@ -479,8 +460,7 @@ class ContinuationEngine:
                 ds *= 0.5
                 if ds < settings.ds_min:
                     branch.termination = classify_termination(
-                        vortex_block, boundary_block, False,
-                        newton_failed=True,
+                        vortex_block, boundary_block, newton_failed=True,
                     )
                     return branch
                 continue
@@ -491,7 +471,7 @@ class ContinuationEngine:
             except (VortexTooClose, DegenerateStrip) as exc:
                 branch.termination = classify_termination(
                     isinstance(exc, VortexTooClose),
-                    isinstance(exc, DegenerateStrip), False,
+                    isinstance(exc, DegenerateStrip),
                 )
                 return branch
             if self.state_norm(state, strength) > settings.norm_cap:
@@ -509,30 +489,6 @@ class ContinuationEngine:
             if iterations <= FAST_ITERATIONS:
                 ds = min(ds * GROWTH, settings.ds_max)
 
-        branch.termination = classify_termination(False, False, False)
+        branch.termination = classify_termination(False, False)
         return branch
 
-
-def refine_point(system: WaveSystem, settings: ContinuationSettings,
-                 point: BranchPoint, factor: int = 2) -> BranchPoint:
-    """Re-solve one branch point on a grid with factor-times the resolution."""
-    fine = WaveSystem(
-        system.params,
-        system.grid.n_modes * factor,
-        system.m_vertical * factor,
-        vortex_guard=system.vortex_guard,
-        dealias=system.dealias,
-    )
-    n = fine.grid.n_modes
-    guess = WaveState(
-        pad_coeffs(point.state.elevation, n),
-        pad_coeffs(point.state.trace_upper, n),
-        pad_coeffs(point.state.trace_lower, n),
-        point.state.speed,
-    )
-    engine = ContinuationEngine(fine, settings)
-    state, iterations, norm, prep = engine.newton_correct(
-        guess, point.strength
-    )
-    jac = fine.jacobian_prepared(prep, point.strength)
-    return engine._point(state, point.strength, norm, iterations, jac)

@@ -50,7 +50,7 @@ from numpy.polynomial import chebyshev as ncheb
 from .errors import DegenerateStrip, LinearSolveFailure, PointOutsideLayer
 from .spectral import CollocationGrid, EvenField
 
-#: shape-derivative step is SHAPE_STEP * depth / max(1, |direction|_inf)
+#: central-difference step of the shape derivatives, in units of the depth
 SHAPE_STEP = 1e-6
 
 #: unknown count nx * mt below which a trace solve factors the operator
@@ -188,12 +188,6 @@ class LayerGeometry:
                 f"below the floor {floor:.3e}"
             )
         object.__setattr__(self, "_eta_half", e)
-        object.__setattr__(self, "_thickness", h)
-
-    @property
-    def thickness_half(self) -> np.ndarray:
-        """Signed thickness h on the half grid (negative for the upper layer)."""
-        return self._thickness
 
     @property
     def wall_level(self) -> float:
@@ -391,7 +385,7 @@ class LayerOperators:
             u = self._krylov_solve(rhs)
         if u is None or not np.all(np.isfinite(u)):
             u = self._solve_rhs(rhs)
-        return LayerSolution(operators=self, trace=trace, values=u.reshape(nx, mt))
+        return LayerSolution(values=u.reshape(nx, mt))
 
     # -- interface extraction -------------------------------------------------
 
@@ -603,70 +597,14 @@ def _chebder_row(t: float, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LayerSolution:
-    """Mapped harmonic function on one layer, with its generating trace."""
+    """Mapped harmonic function on one layer."""
 
-    operators: LayerOperators
-    trace: EvenField
     values: np.ndarray  # (half-grid x, vertical) nodal values
-
-    def interface_values_half(self) -> np.ndarray:
-        return self.values[:, 0]
-
-
-# -- module-level convenience API ---------------------------------------------
 
 
 def build_operators(grid: CollocationGrid, eta: EvenField, depth: float,
                     side: str, m_vertical: int) -> LayerOperators:
     return LayerOperators(LayerGeometry(grid, side, depth, eta), m_vertical)
-
-
-def solve_layer(grid: CollocationGrid, eta: EvenField, trace: EvenField,
-                depth: float, side: str, m_vertical: int) -> LayerSolution:
-    """One-shot harmonic solve; factorizes, solves, returns the solution."""
-    return build_operators(grid, eta, depth, side, m_vertical).solve(trace)
-
-
-def dno(grid: CollocationGrid, eta: EvenField, trace: EvenField, depth: float,
-        side: str, m_vertical: int) -> EvenField:
-    """Dirichlet-to-Neumann map: outward interface derivative of the solve."""
-    ops = build_operators(grid, eta, depth, side, m_vertical)
-    sol = ops.solve(trace)
-    return EvenField(grid._cos_inv @ ops.dno_values_half(sol))
-
-
-def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
-                     direction: EvenField, depth: float, side: str,
-                     m_vertical: int, point=None, step: float | None = None):
-    """Literal central-difference shape derivative of the layer maps.
-
-    Re-solves on the two perturbed geometries eta +/- h * direction with
-    h = step * depth / max(1, |direction|_inf), step defaulting to
-    SHAPE_STEP.  Returns the derivative of the Dirichlet-to-Neumann output
-    as an EvenField and, when `point` is given, the derivative of the
-    interior vertical derivative there.
-
-    At the default step the output carries the central-difference noise
-    floor of the two solves (solve roundoff / step, about 1e-4 of scale);
-    `shape_batch` differentiates the operator entries instead and is the
-    accurate path the system Jacobian uses.
-    """
-    if step is None:
-        step = SHAPE_STEP
-    sup = float(np.max(np.abs(grid.even_values_half(direction))))
-    h = step * depth / max(1.0, sup)
-    outs = []
-    for s in (h, -h):
-        shifted = EvenField(eta.coeffs + s * direction.coeffs)
-        ops = build_operators(grid, shifted, depth, side, m_vertical)
-        sol = ops.solve(trace)
-        g = ops.dno_values_half(sol)
-        val = ops.eval_interior_dy(sol, point) if point is not None else 0.0
-        outs.append((g, val))
-    dg = (outs[0][0] - outs[1][0]) / (2.0 * h)
-    dval = (outs[0][1] - outs[1][1]) / (2.0 * h)
-    field = EvenField(grid._cos_inv @ dg)
-    return (field, float(dval)) if point is not None else (field, None)
 
 
 # -- flat-strip reference symbols ----------------------------------------------

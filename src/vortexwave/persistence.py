@@ -147,14 +147,13 @@ def load_snapshot(path: str) -> tuple[WaveState, float, dict]:
 
 
 def write_summary(path: str, config_echo: dict, config_hash: str,
-                  mode: str, direction: int | None, termination: str | None,
+                  mode: str, termination: str | None,
                   n_points: int, final_strength: float, exit_code: int):
     record = {
         "schema": SCHEMA,
         "config": config_echo,
         "config_hash": config_hash,
         "mode": mode,
-        "direction": direction,
         "termination": termination,
         "points": n_points,
         "final_strength": final_strength,

@@ -88,16 +88,6 @@ class CollocationGrid:
         self.half_period = float(half_period)
         self.n_modes = n_modes
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CollocationGrid)
-            and self.half_period == other.half_period
-            and self.n_modes == other.n_modes
-        )
-
-    def __hash__(self):
-        return hash((self.half_period, self.n_modes))
-
     def __repr__(self):
         return f"CollocationGrid(half_period={self.half_period!r}, n_modes={self.n_modes})"
 
@@ -220,15 +210,6 @@ class CollocationGrid:
             return EvenField(self.wavenumbers * field.coeffs)
         raise TypeError("ddx needs an EvenField or OddField")
 
-    def multiplier(self, field, symbol: np.ndarray):
-        """Apply a Fourier multiplier given by its per-mode symbol values."""
-        symbol = np.asarray(symbol, dtype=float)
-        if symbol.shape != (self.n_modes + 1,):
-            raise ValueError("symbol must supply one value per mode 0..N")
-        if type(field) is not EvenField:
-            raise TypeError("multiplier needs an EvenField")
-        return EvenField(symbol * field.coeffs)
-
     def dealias(self, field):
         """Zero modes above floor(2N/3) (classical two-thirds rule)."""
         keep = (2 * self.n_modes) // 3
@@ -253,12 +234,3 @@ class CollocationGrid:
         c = _as_coeffs(field)
         return float(np.sqrt(np.dot(self.sobolev_weights(order), c * c)))
 
-
-def pad_coeffs(field, n_modes: int):
-    """Zero-pad (or validate-truncate) a field onto a finer mode band."""
-    c = _as_coeffs(field)
-    if n_modes + 1 < c.size:
-        raise ValueError("pad_coeffs only embeds into a larger band")
-    out = np.zeros(n_modes + 1)
-    out[: c.size] = c
-    return type(field)(out)

@@ -18,9 +18,9 @@ is exact by construction.
 The analytic Jacobian assembles the true Fréchet derivative: the quadratic
 velocity terms contribute (state factor) * (derivative factor), and the
 composition of the vortex traces with the moving interface contributes
-strength-weighted second-derivative terms in the elevation block.  The fd
-mode is a literal central difference of the residual and serves as the
-referee for the analytic assembly.
+strength-weighted second-derivative terms in the elevation block.
+jacobian_fd is a literal central difference of the residual and serves as
+the referee for the analytic assembly.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ from .layers import (
 )
 from .spectral import CollocationGrid, EvenField
 from .vortex import (
-    SINGULAR_RADIUS,
     VortexPair,
     VortexTraces,
     pair_induced_speed,
     vortex_traces,
 )
 
-#: central-difference step of the fd Jacobian mode
+#: central-difference step of the fd Jacobian referee
 FD_STEP = 1e-5
 
 #: central-difference step of the strength-derivative cross-check
@@ -183,12 +182,10 @@ class WaveSystem:
     """Residual, Jacobian, and flat linearization on one discretization."""
 
     def __init__(self, params: PhysicalParameters, n_modes: int,
-                 m_vertical: int, vortex_guard: float = 0.0,
-                 dealias: bool = False):
+                 m_vertical: int, dealias: bool = False):
         self.params = params
         self.grid = CollocationGrid(params.half_period, n_modes)
         self.m_vertical = int(m_vertical)
-        self.vortex_guard = max(float(vortex_guard), SINGULAR_RADIUS)
         self.dealias = bool(dealias)
         self.pair_speed = pair_induced_speed(params.pair, params.half_period)
         g = self.grid
@@ -217,10 +214,7 @@ class WaveSystem:
         ops_up = LayerOperators(geo_up, self.m_vertical)
         sol_low = ops_low.solve(state.trace_lower)
         sol_up = ops_up.solve(state.trace_upper)
-        traces = vortex_traces(
-            p.pair, g.half_nodes, e, p.half_period,
-            exclusion=self.vortex_guard,
-        )
+        traces = vortex_traces(p.pair, g.half_nodes, e, p.half_period)
         return PreparedState(
             state=state,
             elevation_half=e,
@@ -256,6 +250,8 @@ class WaveSystem:
 
     def _project(self, values: np.ndarray) -> EvenField:
         coeffs = self.grid._cos_inv @ values
+        if not np.all(np.isfinite(coeffs)):  # e.g. squared velocities overflow
+            raise NonFiniteEntry("residual block has non-finite entries")
         field = EvenField(coeffs)
         return self.grid.dealias(field) if self.dealias else field
 
@@ -425,14 +421,6 @@ class WaveSystem:
                                   strength)
             jac[:, j] = (plus.to_vector() - minus.to_vector()) / (2.0 * step)
         return jac
-
-    def jacobian(self, state: WaveState, strength: float,
-                 mode: str = "analytic") -> np.ndarray:
-        if mode == "analytic":
-            return self.jacobian_prepared(self.prepare(state), strength)
-        if mode == "fd":
-            return self.jacobian_fd(state, strength)
-        raise ValueError(f"unknown jacobian mode {mode!r}")
 
     def strength_derivative_fd(self, state: WaveState, strength: float,
                                step: float = EPS_STEP) -> np.ndarray:

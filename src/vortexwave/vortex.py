@@ -44,43 +44,42 @@ class VortexPair:
         object.__setattr__(self, "upper", zu)
 
 
-def gamma(dx, dy, half_period: float = np.pi,
-          exclusion: float = SINGULAR_RADIUS):
-    """Kernel value at displacement (dx, dy) from the vortex."""
-    dx = np.asarray(dx, dtype=float)
-    dy = np.asarray(dy, dtype=float)
+def _scaled(dx, dy, half_period: float):
+    """(a, a dx, a dy, cosh(a dy) - cos(a dx)) with a = pi / L.
+
+    Raises SingularEvaluation within SINGULAR_RADIUS of the vortex or one of
+    its periodic images, where the denominator vanishes.
+    """
     a = np.pi / half_period
-    den = np.cosh(a * dy) - np.cos(a * dx)
-    if np.any(den < 0.5 * (a * exclusion) ** 2):
-        raise SingularEvaluation(f"evaluation within {exclusion:.1e} of the vortex")
+    ax = a * np.asarray(dx, dtype=float)
+    ay = a * np.asarray(dy, dtype=float)
+    den = np.cosh(ay) - np.cos(ax)
+    if np.any(den < 0.5 * (a * SINGULAR_RADIUS) ** 2):
+        raise SingularEvaluation(
+            f"evaluation within {SINGULAR_RADIUS:.1e} of the vortex"
+        )
+    return a, ax, ay, den
+
+
+def gamma(dx, dy, half_period: float = np.pi):
+    """Kernel value at displacement (dx, dy) from the vortex."""
+    den = _scaled(dx, dy, half_period)[3]
     return np.log(den) / (4.0 * np.pi)
 
 
-def gamma_grad(dx, dy, half_period: float = np.pi,
-               exclusion: float = SINGULAR_RADIUS):
+def gamma_grad(dx, dy, half_period: float = np.pi):
     """Kernel gradient (d/dx, d/dy) at displacement (dx, dy)."""
-    dx = np.asarray(dx, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    a = np.pi / half_period
-    den = np.cosh(a * dy) - np.cos(a * dx)
-    if np.any(den < 0.5 * (a * exclusion) ** 2):
-        raise SingularEvaluation(f"evaluation within {exclusion:.1e} of the vortex")
+    a, ax, ay, den = _scaled(dx, dy, half_period)
     s = a / (4.0 * np.pi)
-    return s * np.sin(a * dx) / den, s * np.sinh(a * dy) / den
+    return s * np.sin(ax) / den, s * np.sinh(ay) / den
 
 
-def gamma_hess(dx, dy, half_period: float = np.pi,
-               exclusion: float = SINGULAR_RADIUS):
+def gamma_hess(dx, dy, half_period: float = np.pi):
     """Second derivatives (d_xx, d_xy, d_yy) of the kernel."""
-    dx = np.asarray(dx, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    a = np.pi / half_period
-    den = np.cosh(a * dy) - np.cos(a * dx)
-    if np.any(den < 0.5 * (a * exclusion) ** 2):
-        raise SingularEvaluation(f"evaluation within {exclusion:.1e} of the vortex")
+    a, ax, ay, den = _scaled(dx, dy, half_period)
     s = a * a / (4.0 * np.pi)
-    sx, shy = np.sin(a * dx), np.sinh(a * dy)
-    gxx = s * (np.cos(a * dx) * den - sx * sx) / (den * den)
+    sx, shy = np.sin(ax), np.sinh(ay)
+    gxx = s * (np.cos(ax) * den - sx * sx) / (den * den)
     gxy = -s * sx * shy / (den * den)
     return gxx, gxy, -gxx
 
@@ -122,21 +121,21 @@ def min_vortex_distance(pair: VortexPair, x, eta) -> float:
     return float(min(d_low.min(), d_up.min()))
 
 
-def vortex_traces(pair: VortexPair, x, eta, half_period: float = np.pi,
-                  exclusion: float = SINGULAR_RADIUS) -> VortexTraces:
+def vortex_traces(pair: VortexPair, x, eta,
+                  half_period: float = np.pi) -> VortexTraces:
     """Sample the lower layer's vortex stream function along y = eta(x)."""
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    if min_vortex_distance(pair, x, eta) < exclusion:
+    if min_vortex_distance(pair, x, eta) < SINGULAR_RADIUS:
         raise VortexTooClose(
-            f"interface passes within {exclusion:.1e} of a vortex"
+            f"interface passes within {SINGULAR_RADIUS:.1e} of a vortex"
         )
     dxl, dyl = x - pair.lower[0], eta - pair.lower[1]
     dxu, dyu = x - pair.upper[0], eta - pair.upper[1]
 
     def diff(fn):
-        low = fn(dxl, dyl, half_period, exclusion)
-        up = fn(dxu, dyu, half_period, exclusion)
+        low = fn(dxl, dyl, half_period)
+        up = fn(dxu, dyu, half_period)
         if isinstance(low, tuple):
             return tuple(lo - hi for lo, hi in zip(low, up))
         return low - up

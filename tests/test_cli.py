@@ -2,12 +2,15 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from vortexwave import cli
-from vortexwave.config import load_config
+from vortexwave.config import _SECTIONS, load_config
 from vortexwave.errors import ParseError, ValidationError
 from vortexwave.persistence import load_branch_table, load_snapshot
 from vortexwave.system import PhysicalParameters, WaveSystem
@@ -115,21 +118,9 @@ class TestContinueMode:
 
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mode"] == "continue"
-        assert summary["direction"] == 1
         assert summary["termination"] == "max_steps_reached"
         assert summary["points"] == 6
         assert summary["exit_code"] == 0
-
-    def test_minus_direction_mirrors_strengths(self, tmp_path):
-        cfg = write_config(tmp_path, SMALL)
-        out = tmp_path / "out"
-        code = cli.main(["continue", "--config", cfg, "--out", str(out),
-                         "--direction", "-"])
-        assert code == 0
-        table = load_branch_table(str(out / "branch.csv"))
-        assert np.all(np.diff(table["strength"]) < 0)
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["direction"] == -1
 
     def test_max_steps_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
@@ -271,6 +262,22 @@ class TestSingleSolve:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strength", ["1e200", "1e300"])
+    def test_overflowing_residual_exits_three(self, tmp_path, capsys,
+                                              strength):
+        # the origin predictor is finite, but its squared trace velocities
+        # overflow in the dynamic block
+        cfg = write_config(
+            tmp_path,
+            "[discretization]\nn_modes = 8\nm_vertical = 8\n"
+            f"[continuation]\ntarget_strength = {strength}\n",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["single-solve", "--config", cfg,
+                             "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "NonFiniteEntry" in capsys.readouterr().err
+
 
 class TestValidateMode:
     def test_suite_passes_and_prints_one_line_per_check(self, capsys):
@@ -279,3 +286,57 @@ class TestValidateMode:
         assert code == 0
         assert len(lines) == 6
         assert all(ln.startswith("PASS") for ln in lines)
+
+
+#: values each key is tried with: the non-finite, signed, tiny and huge
+#: floats, small integers, booleans and text that is none of these
+AWKWARD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1", "2", "8", "10",
+                  "0.5", "1e300", "-1e300", "1e-300", "-1e-300", "1e200",
+                  "true", "oops", "")
+
+#: the grid stays 8x8, so that every example runs in milliseconds
+GRID_KEYS = {"n_modes": "8", "m_vertical": "8"}
+
+#: (section, key, value) entries: every other known key, one unknown key
+#: and one unknown section, each with an awkward, an ordinary or an
+#: arbitrary value (at most three characters, so integers stay below 1000)
+ENTRIES = st.tuples(
+    st.sampled_from([(section, key) for section in sorted(_SECTIONS)
+                     for key in _SECTIONS[section] if key not in GRID_KEYS]
+                    + [("physical", "bogus"), ("plotting", "style")]),
+    st.one_of(st.sampled_from(AWKWARD_VALUES),
+              st.floats(-3.0, 3.0).map(repr),
+              st.floats().map(repr),
+              st.text("0123456789.-+eEinfa", max_size=3)),
+).map(lambda entry: (*entry[0], entry[1]))
+
+
+def config_text(entries):
+    """INI text on the 8x8 grid; a later entry for a key replaces an earlier."""
+    sections = {"discretization": dict(GRID_KEYS)}
+    for section, key, value in entries:
+        sections.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        for section, items in sections.items()
+    )
+
+
+class TestExitCodes:
+    """Any config text exits 0, 2, 3 or 4; never with a traceback."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(entries=st.lists(ENTRIES, max_size=3))
+    @example(entries=[("continuation", "target_strength", "1e200")])
+    def test_any_config_text_exits_with_a_contract_code(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.ini")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(config_text(entries))
+            for command in (["continue", "--max-steps", "3"],
+                            ["single-solve"]):
+                with np.errstate(all="ignore"):
+                    code = cli.main([*command, "--config", path,
+                                     "--out", os.path.join(tmp, "out")])
+                assert code in (0, 2, 3, 4)

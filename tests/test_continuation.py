@@ -1,4 +1,4 @@
-"""Arclength driver: tangents, correctors, guards, classification, parity."""
+"""Arclength driver: tangents, correctors, guards, classification, signs, symmetry."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,9 @@ import pytest
 from vortexwave import continuation
 from vortexwave.continuation import (
     Alternative,
-    Branch,
-    BranchPoint,
     ContinuationEngine,
     ContinuationSettings,
     classify_termination,
-    parity_monitor,
-    refine_point,
 )
 from vortexwave.errors import LinearSolveFailure, NonFiniteEntry, VortexTooClose
 from vortexwave.layers import LayerOperators, flat_interior_dy_symbol
@@ -109,7 +105,7 @@ class TestTangent:
 
     def test_consecutive_tangents_stay_aligned(self):
         engine = small_engine(max_steps=6)
-        branch = engine.continue_branch(1)
+        branch = engine.continue_branch()
         tang = None
         inner = []
         for point in branch.points:
@@ -124,7 +120,7 @@ class TestTangent:
 class TestBranch:
     def test_starts_at_origin(self):
         engine = small_engine(max_steps=3)
-        branch = engine.continue_branch(1)
+        branch = engine.continue_branch()
         first = branch.points[0]
         assert first.strength == 0.0
         assert first.residual_norm == 0.0
@@ -133,10 +129,10 @@ class TestBranch:
 
     def test_growth_and_iteration_budget(self):
         engine = small_engine(max_steps=20)
-        branch = engine.continue_branch(1)
+        branch = engine.continue_branch()
         assert branch.termination is Alternative.MAX_STEPS_REACHED
         assert len(branch.points) == 21
-        strengths = branch.strengths
+        strengths = [p.strength for p in branch.points]
         assert np.all(np.diff(strengths) > 0)
         sups = [np.abs(engine.system.grid.even_values_half(
             p.state.elevation)).max() for p in branch.points]
@@ -145,7 +141,7 @@ class TestBranch:
 
     def test_quadratic_elevation_growth(self):
         engine = small_engine(max_steps=12)
-        branch = engine.continue_branch(1)
+        branch = engine.continue_branch()
         ratios = []
         for point in branch.points[1:]:
             if point.strength > 1.5e-3:
@@ -158,7 +154,7 @@ class TestBranch:
 
     def test_traces_follow_the_vortex_to_first_order(self):
         engine = small_engine(max_steps=8)
-        branch = engine.continue_branch(1)
+        branch = engine.continue_branch()
         g = engine.system.grid
         n = g.n_modes + 1
         tr = vortex_traces(PARAMS.pair, g.half_nodes, np.zeros(n),
@@ -180,22 +176,10 @@ class TestBranch:
         state, _, _, _ = engine.newton_correct(guess, strength)
         assert abs(state.speed / strength - limit) < 1e-4 * abs(limit)
 
-    def test_minus_branch_mirrors_plus_branch(self):
-        engine = small_engine(max_steps=6)
-        plus = engine.continue_branch(1)
-        minus = engine.continue_branch(-1)
-        for p, m in zip(plus.points, minus.points):
-            assert abs(p.strength + m.strength) < 1e-10
-            assert abs(p.state.speed + m.state.speed) < 1e-10
-            assert np.abs(p.state.elevation.coeffs
-                          - m.state.elevation.coeffs).max() < 1e-10
-            assert np.abs(p.state.trace_lower.coeffs
-                          + m.state.trace_lower.coeffs).max() < 1e-10
-
     def test_rerun_is_bitwise_identical(self):
         engine = small_engine(max_steps=5)
-        first = engine.continue_branch(1)
-        second = engine.continue_branch(1)
+        first = engine.continue_branch()
+        second = engine.continue_branch()
         for a, b in zip(first.points, second.points):
             assert np.array_equal(a.state.to_vector(), b.state.to_vector())
             assert a.strength == b.strength
@@ -203,20 +187,15 @@ class TestBranch:
     def test_incremental_callback_sees_every_point(self):
         engine = small_engine(max_steps=4)
         seen = []
-        branch = engine.continue_branch(1, on_point=seen.append)
+        branch = engine.continue_branch(on_point=seen.append)
         assert len(seen) == len(branch.points)
         assert seen[0].strength == 0.0
-
-    def test_bad_direction_rejected(self):
-        engine = small_engine(max_steps=2)
-        with pytest.raises(ValueError, match="direction"):
-            engine.continue_branch(0)
 
 
 class TestFailedTrialSolves:
     @pytest.mark.parametrize("error", [LinearSolveFailure, NonFiniteEntry])
     def test_failed_trial_solve_halves_the_step(self, monkeypatch, error):
-        clean = small_engine(max_steps=4).continue_branch(1)
+        clean = small_engine(max_steps=4).continue_branch()
         real_solve = LayerOperators.solve
         calls = []
 
@@ -228,7 +207,7 @@ class TestFailedTrialSolves:
             return real_solve(ops, trace)
 
         monkeypatch.setattr(LayerOperators, "solve", failing_once)
-        branch = small_engine(max_steps=4).continue_branch(1)
+        branch = small_engine(max_steps=4).continue_branch()
         assert branch.termination is Alternative.MAX_STEPS_REACHED
         assert len(branch.points) == len(clean.points) - 1  # one step lost
         # the first step is retried at half the arclength
@@ -237,7 +216,7 @@ class TestFailedTrialSolves:
         )
 
     def test_non_finite_newton_step_halves_the_step(self, monkeypatch):
-        clean = small_engine(max_steps=4).continue_branch(1)
+        clean = small_engine(max_steps=4).continue_branch()
         real_lu_solve = continuation.lu_solve
         calls = []
 
@@ -248,7 +227,7 @@ class TestFailedTrialSolves:
             return np.full_like(step, np.nan) if len(calls) == 1 else step
 
         monkeypatch.setattr(continuation, "lu_solve", nan_once)
-        branch = small_engine(max_steps=4).continue_branch(1)
+        branch = small_engine(max_steps=4).continue_branch()
         assert branch.termination is Alternative.MAX_STEPS_REACHED
         assert len(branch.points) == len(clean.points) - 1  # one step lost
         assert branch.points[1].strength == pytest.approx(
@@ -263,7 +242,7 @@ class TestWorkCounts:
         # iterations after the first take Newton-Krylov steps: each point
         # pays one factorization per layer, for its own Jacobian
         engine = small_engine(n_modes=32, m_vertical=16, max_steps=6)
-        branch = engine.continue_branch(1)
+        branch = engine.continue_branch()
         assert len(branch.points) == 7
         assert [p.newton_iterations for p in branch.points] == [0, 1, 1, 2, 2, 2, 2]
         assert lu_counter.factorizations == 2 * len(branch.points)
@@ -274,7 +253,7 @@ class TestWorkCounts:
         # factors nothing new; the counts are those of the chord-only
         # corrector
         engine = small_engine(max_steps=6)
-        branch = engine.continue_branch(1)
+        branch = engine.continue_branch()
         assert [p.newton_iterations for p in branch.points] == [0, 1, 1, 2, 2, 2, 2]
         assert lu_counter.factorizations == 34
 
@@ -306,13 +285,13 @@ class TestNewtonKrylov:
 
     def test_branch_matches_the_analytic_corrector(self, monkeypatch):
         krylov = small_engine(n_modes=32, m_vertical=16,
-                              max_steps=20).continue_branch(1)
+                              max_steps=20).continue_branch()
         # a Newton-Krylov step that always misses hands every iteration to
         # the analytic Jacobian
         monkeypatch.setattr(ContinuationEngine, "_krylov_step",
                             lambda *args: None)
         analytic = small_engine(n_modes=32, m_vertical=16,
-                                max_steps=20).continue_branch(1)
+                                max_steps=20).continue_branch()
         assert len(krylov.points) == len(analytic.points) == 21
         assert ([p.newton_iterations for p in krylov.points]
                 == [p.newton_iterations for p in analytic.points])
@@ -325,13 +304,13 @@ class TestNewtonKrylov:
 class TestTermination:
     def test_tiny_norm_cap_reports_unbounded(self):
         engine = small_engine(norm_cap=1e-6, max_steps=10)
-        branch = engine.continue_branch(1)
+        branch = engine.continue_branch()
         assert branch.termination is Alternative.UNBOUNDED
         assert len(branch.points) == 1
 
     def test_huge_gap_floor_reports_boundary_contact(self):
         engine = small_engine(gap_floor=1.0 - 1e-8, max_steps=10)
-        branch = engine.continue_branch(1)
+        branch = engine.continue_branch()
         assert branch.termination is Alternative.INTERFACE_TOUCHES_BOUNDARY
         assert len(branch.points) >= 1
 
@@ -341,7 +320,7 @@ class TestTermination:
         engine = ContinuationEngine(
             system, ContinuationSettings(max_steps=200)
         )
-        branch = engine.continue_branch(1)
+        branch = engine.continue_branch()
         assert branch.termination is Alternative.VORTEX_NEAR_INTERFACE
         assert all(p.vortex_distance >= engine.vortex_guard
                    for p in branch.points)
@@ -354,24 +333,18 @@ class TestTermination:
             Alternative.INTERFACE_TOUCHES_BOUNDARY
         )
         assert classify_termination(False, False, True) is (
-            Alternative.UNBOUNDED
-        )
-        assert classify_termination(False, False, False, True) is (
             Alternative.NEWTON_FAILURE
         )
-        assert classify_termination(False, False, False) is (
+        assert classify_termination(False, False) is (
             Alternative.MAX_STEPS_REACHED
         )
 
 
 class TestParity:
-    def test_constant_signs_report_no_changes(self):
-        assert parity_monitor([-1, -1, -1, -1]) == []
-
     def test_branch_prefix_signs_are_constant(self):
         engine = small_engine(max_steps=8)
-        branch = engine.continue_branch(1)
-        assert parity_monitor(branch.points) == []
+        branch = engine.continue_branch()
+        assert len({p.det_sign for p in branch.points}) == 1
         assert branch.points[0].det_sign == (
             -1 if (engine.system.grid.n_modes + 1) % 2 else 1
         )
@@ -385,45 +358,41 @@ class TestParity:
         sign, _ = engine._sign_and_sigma(system.flat_linearization())
         assert sign == expected
 
-    def test_toy_fold_shows_one_sign_change(self):
-        # scalar fold: f(x, lam) = x^2 - lam, branch lam = x^2, det = 2x
-        signs = []
-        x, lam = -1.0, 1.0
-        tang = np.array([1.0, 2.0 * x])
-        tang /= np.linalg.norm(tang)
-        ds = 0.12
-        for _ in range(20):
-            signs.append(int(np.sign(2.0 * x)))
-            gx, gl = x + ds * tang[0], lam + ds * tang[1]
-            for _ in range(30):
-                res = gx * gx - gl
-                gap = tang[0] * (gx - x) + tang[1] * (gl - lam) - ds
-                if abs(res) < 1e-12 and abs(gap) < 1e-12:
-                    break
-                delta = np.linalg.solve(
-                    np.array([[2.0 * gx, -1.0], [tang[0], tang[1]]]),
-                    -np.array([res, gap]),
-                )
-                gx, gl = gx + delta[0], gl + delta[1]
-            new = np.linalg.solve(
-                np.array([[2.0 * gx, -1.0], [tang[0], tang[1]]]),
-                np.array([0.0, 1.0]),
-            )
-            new /= np.linalg.norm(new)
-            if np.dot(new, tang) < 0:
-                new = -new
-            x, lam, tang = gx, gl, new
-        changes = parity_monitor(signs)
-        assert len(changes) == 1
-        assert 0 not in signs
 
+class TestMirrorSymmetry:
+    def test_mirror_maps_residual_jacobian_and_sign(self):
+        # (elevation, traces, speed, strength) -> (elevation, -traces,
+        # -speed, -strength) maps solutions onto solutions, so the branch
+        # towards negative strength is the mirror of the computed one: the
+        # residual flips the sign of every block but the dynamic one, and
+        # the Jacobian is R J D with R and D those sign flips
+        rng = np.random.default_rng(7)
+        engine = small_engine(n_modes=32, m_vertical=16)
+        system = engine.system
+        n = system.grid.n_modes + 1
+        decay = np.exp(-0.4 * np.arange(n))
+        eta = 0.1 * rng.standard_normal(n) * decay
+        eta[0] = 0.0
+        vec = np.r_[eta, 0.05 * rng.standard_normal(2 * n) * np.r_[decay, decay],
+                    0.1]
+        flips = np.r_[np.ones(n), -np.ones(2 * n + 1)]
+        state = WaveState.from_vector(vec, system.grid.n_modes)
+        mirror = WaveState.from_vector(flips * vec, system.grid.n_modes)
+        strength = 0.3
+        assert np.abs(system.grid.even_values_half(eta)).max() > 0.05  # wavy
 
-class TestRefine:
-    def test_refined_point_barely_moves(self):
-        engine = small_engine(max_steps=6)
-        branch = engine.continue_branch(1)
-        coarse = branch.points[-1]
-        fine = refine_point(engine.system, engine.settings, coarse)
-        assert fine.strength == coarse.strength
-        assert abs(fine.state.speed - coarse.state.speed) < 1e-6
-        assert abs(fine.elevation_norm - coarse.elevation_norm) < 1e-6
+        prep = system.prepare(state)
+        prep_mirror = system.prepare(mirror)
+        res = system.residual_prepared(prep, strength).to_vector()
+        res_mirror = system.residual_prepared(prep_mirror,
+                                              -strength).to_vector()
+        assert np.array_equal(res_mirror, flips * res)
+
+        jac = system.jacobian_prepared(prep, strength)
+        jac_mirror = system.jacobian_prepared(prep_mirror, -strength)
+        assert np.array_equal(jac_mirror, flips[:, None] * jac * flips)
+
+        sign, sigma = engine._sign_and_sigma(jac)
+        sign_mirror, sigma_mirror = engine._sign_and_sigma(jac_mirror)
+        assert sign_mirror == sign != 0
+        assert sigma_mirror == pytest.approx(sigma, rel=1e-12)

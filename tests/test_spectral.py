@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexwave.errors import ParityViolation
-from vortexwave.spectral import CollocationGrid, EvenField, OddField, pad_coeffs
+from vortexwave.spectral import CollocationGrid, EvenField, OddField
 
 
 def grid(L=np.pi, N=16):
@@ -123,16 +123,6 @@ class TestCalculus:
         twice = g.ddx(g.ddx(EvenField(a)))
         assert np.allclose(twice.coeffs, -(g.wavenumbers**2) * a, rtol=1e-14, atol=1e-14)
 
-    def test_multiplier_acts_diagonally(self):
-        g = grid(N=8)
-        sym = np.arange(9, dtype=float) ** 2 + 1.0
-        for k in (0, 3, 8):
-            e = np.zeros(9)
-            e[k] = 1.0
-            out = g.multiplier(EvenField(e), sym)
-            assert out.coeffs[k] == sym[k]
-            assert np.count_nonzero(out.coeffs) == 1
-
     def test_dealias_zeroes_top_third(self):
         g = grid(N=12)
         f = g.dealias(EvenField(np.ones(13)))
@@ -176,11 +166,3 @@ class TestFieldTypes:
         f = EvenField(np.zeros(5))
         with pytest.raises(ValueError):
             f.coeffs[0] = 1.0
-
-    def test_pad_embeds(self):
-        f = EvenField(np.array([1.0, 2.0, 3.0]))
-        p = pad_coeffs(f, 6)
-        assert p.coeffs.size == 7
-        assert np.all(p.coeffs[:3] == f.coeffs)
-        with pytest.raises(ValueError):
-            pad_coeffs(f, 1)

@@ -193,9 +193,12 @@ class TestResidual:
             system.residual(state, 0.0)
 
     def test_vortex_guard_propagates(self):
-        system = WaveSystem(PARAMS, 16, 12, vortex_guard=0.6)
+        # a flat interface through the lower vortex meets the kernel's
+        # singularity floor
+        system = WaveSystem(PARAMS, 16, 12)
+        state = mode_state(16, "eta", 0, PARAMS.pair.lower[1])
         with pytest.raises(VortexTooClose):
-            system.residual(system.origin(), 0.0)
+            system.residual(state, 0.0)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), speed=st.floats(-0.2, 0.2))
@@ -243,7 +246,8 @@ class TestFactorizationCounts:
 class TestJacobian:
     def test_origin_matches_closed_form(self):
         system = WaveSystem(PARAMS, 32, 48)
-        analytic = system.jacobian(system.origin(), 0.0)
+        analytic = system.jacobian_prepared(system.prepare(system.origin()),
+                                            0.0)
         flat = system.flat_linearization()
         assert np.abs(analytic - flat).max() < 1e-10
 
@@ -264,8 +268,9 @@ class TestJacobian:
         for _ in range(2):
             state = decayed_state(rng, 16, speed=0.1 * rng.standard_normal())
             strength = 0.05 * rng.standard_normal()
-            analytic = system.jacobian(state, strength)
-            fd = system.jacobian(state, strength, mode="fd")
+            analytic = system.jacobian_prepared(system.prepare(state),
+                                                strength)
+            fd = system.jacobian_fd(state, strength)
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
             assert rel < 1e-7
 
@@ -278,15 +283,10 @@ class TestJacobian:
             EvenField(state.elevation.coeffs * (0.05 * PARAMS.depth / peak)),
             state.trace_upper, state.trace_lower, state.speed,
         )
-        analytic = system.jacobian(scaled, 0.05)
-        fd = system.jacobian(scaled, 0.05, mode="fd")
+        analytic = system.jacobian_prepared(system.prepare(scaled), 0.05)
+        fd = system.jacobian_fd(scaled, 0.05)
         rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
         assert rel < 1e-7
-
-    def test_unknown_mode_rejected(self):
-        system = WaveSystem(PARAMS, 8, 8)
-        with pytest.raises(ValueError, match="mode"):
-            system.jacobian(system.origin(), 0.0, mode="forward")
 
 
 class TestStrengthDerivative:
