@@ -122,6 +122,34 @@ class TestContinueMode:
         assert summary["points"] == 6
         assert summary["exit_code"] == 0
 
+    def test_minus_direction_mirrors_strengths(self, tmp_path):
+        # a solve at the negated strength of the branch's last point lands
+        # on the mirror image (elevation, -traces, -speed) of that point
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert cli.main(["continue", "--config", cfg, "--out", str(out)]) == 0
+        table = load_branch_table(str(out / "branch.csv"))
+        assert np.all(np.diff(table["strength"]) > 0)
+        state, strength, _ = load_snapshot(str(out / "snapshot_0005.json"))
+        assert strength == table["strength"][-1]
+
+        neg_cfg = write_config(
+            tmp_path, SMALL + f"target_strength = {-strength!r}\n",
+            name="neg.ini",
+        )
+        neg = tmp_path / "neg"
+        assert cli.main(["single-solve", "--config", neg_cfg,
+                         "--out", str(neg)]) == 0
+        mirror, neg_strength, _ = load_snapshot(str(neg / "snapshot_0000.json"))
+        assert neg_strength == -strength
+        assert abs(mirror.speed + state.speed) < 1e-10
+        assert np.abs(mirror.elevation.coeffs
+                      - state.elevation.coeffs).max() < 1e-10
+        assert np.abs(mirror.trace_lower.coeffs
+                      + state.trace_lower.coeffs).max() < 1e-10
+        assert np.abs(mirror.trace_upper.coeffs
+                      + state.trace_upper.coeffs).max() < 1e-10
+
     def test_max_steps_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "out"

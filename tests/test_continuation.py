@@ -176,6 +176,29 @@ class TestBranch:
         state, _, _, _ = engine.newton_correct(guess, strength)
         assert abs(state.speed / strength - limit) < 1e-4 * abs(limit)
 
+    def test_minus_branch_mirrors_plus_branch(self):
+        # the continuum towards negative strength is the mirror image
+        # (elevation, -traces, -speed, -strength) of the computed one:
+        # every mirrored point is already a converged solution
+        engine = small_engine(max_steps=6)
+        system = engine.system
+        n = system.grid.n_modes + 1
+        flips = np.r_[np.ones(n), -np.ones(2 * n + 1)]
+        plus = engine.continue_branch()
+        assert len(plus.points) == 7
+        for p in plus.points:
+            mirror = WaveState.from_vector(flips * p.state.to_vector(),
+                                           system.grid.n_modes)
+            state, iterations, norm, _ = engine.newton_correct(mirror,
+                                                               -p.strength)
+            assert iterations == 0
+            assert norm == p.residual_norm
+            assert np.abs(state.elevation.coeffs
+                          - p.state.elevation.coeffs).max() < 1e-10
+            assert np.abs(state.trace_lower.coeffs
+                          + p.state.trace_lower.coeffs).max() < 1e-10
+            assert abs(state.speed + p.state.speed) < 1e-10
+
     def test_rerun_is_bitwise_identical(self):
         engine = small_engine(max_steps=5)
         first = engine.continue_branch()
