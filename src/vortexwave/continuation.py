@@ -7,20 +7,23 @@ is halved, at most MAX_HALVINGS times, until the bordered residual norm
 drops; the corrector has converged once the residual and the constraint are
 both within newton_tol, after at most newton_max updates.
 
-A branch step factors its chord, the bordered Jacobian of the accepted base
-point, once.  The first iteration solves with those factors.  Each later
-iteration takes a Newton-Krylov step (Knoll & Keyes 2004): GMRES on the
-bordered system to the relative forcing KRYLOV_FORCING, right-preconditioned
-by the chord's factors, with Jacobian-vector products from forward
-differences of the bordered residual.  Those are residual-only evaluations,
-which factor no layer operator, so a step factors layer operators only for
-the analytic Jacobian of its accepted point, which the tangent and the
-point diagnostics need.  The analytic Jacobian also takes over an iteration
-whose GMRES misses the forcing within KRYLOV_VECTORS or whose difference
-evaluation raises, and one whose layer operators are already factored (small
-grids, or a trace solve that fell back to LU), where it factors nothing new.
-The fixed-strength solve has no chord and builds the analytic Jacobian at
-every iteration.
+The corrector keeps a chord: the LU factors of a bordered Jacobian.  A
+branch step starts from the chord of its accepted base point and solves
+its first iteration with it.  The fixed-strength solve has no base point,
+so its first iteration builds the analytic Jacobian and keeps its bordered
+factors as the chord.  Each later iteration takes a Newton-Krylov step
+(Knoll & Keyes 2004): GMRES on the bordered system to the relative forcing
+KRYLOV_FORCING, right-preconditioned by the chord's factors, with
+Jacobian-vector products from forward differences of the bordered
+residual.  Those are residual-only evaluations, which factor no layer
+operator.  The analytic Jacobian takes over an iteration whose GMRES
+misses the forcing within KRYLOV_VECTORS or whose difference evaluation
+raises, and one whose layer operators are already factored (small grids,
+or a trace solve that fell back to LU), where it factors nothing new; its
+bordered factors become the chord.  So a branch step factors layer
+operators only for the analytic Jacobian of its accepted point, which the
+tangent and the point diagnostics need, and the fixed-strength solve only
+for its first iteration and its solution.
 
 Tangents are unit null vectors of the bordered Jacobian under a weighted
 inner product: discrete H^1 weights on the three field blocks and unit
@@ -39,8 +42,13 @@ retried at half the arclength step; once the step falls below ds_min the
 branch ends as a Newton failure.  Exhausted step budgets and unrecoverable
 Newton failures are reported through the same classification.
 
-Determinant signs come from a pivoted factorization and are recorded as 0
-when the smallest singular value drops below 1e-12 of the largest.
+The point diagnostics take the smallest singular value from scipy's
+svdvals and the determinant sign from an LU factorization of the Jacobian:
+the signs of U's diagonal, flipped once per row swap.  The sign is recorded
+as 0 when the smallest singular value drops below 1e-12 of the largest.
+Both run on scipy's LAPACK because numpy and scipy each bundle their own
+OpenBLAS: a numpy LAPACK call here left numpy's threads spinning while
+scipy factored the next layer operator, which then took 50-70% longer.
 
 The branch leaves the origin towards positive strength.  The map
 (elevation, traces, speed, strength) -> (elevation, -traces, -speed,
@@ -54,7 +62,7 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve, solve
+from scipy.linalg import LinAlgError, lu_factor, lu_solve, solve, svdvals
 
 from .errors import (
     DegenerateStrip,
@@ -223,11 +231,18 @@ class ContinuationEngine:
             )
 
     def _sign_and_sigma(self, jac: np.ndarray) -> tuple[int, float]:
-        singulars = np.linalg.svd(jac, compute_uv=False)
-        sign = int(np.linalg.slogdet(jac)[0])
+        """(determinant sign, smallest singular value) of a Jacobian.
+
+        The sign is that of det(P L U): the product of the signs of U's
+        diagonal, flipped once per row swap of the partial pivoting.
+        """
+        singulars = svdvals(jac, check_finite=False)
         if singulars[-1] < SIGN_FLOOR * singulars[0]:
-            sign = 0
-        return sign, float(singulars[-1])
+            return 0, float(singulars[-1])
+        lu, piv = lu_factor(jac, check_finite=False)
+        flips = (np.count_nonzero(piv != np.arange(piv.size))
+                 + np.count_nonzero(np.diagonal(lu) < 0.0))
+        return (-1 if flips % 2 else 1), float(singulars[-1])
 
     def _point(self, state: WaveState, strength: float, residual_norm: float,
                iterations: int, jac: np.ndarray) -> BranchPoint:
@@ -306,17 +321,28 @@ class ContinuationEngine:
         except VortexWaveError:
             return None
 
+    def _factor_bordered(self, prep: PreparedState, strength: float,
+                         jac: np.ndarray, row: np.ndarray):
+        """LU factors of a bordered Jacobian; NewtonFailure on a zero pivot."""
+        chord = lu_factor(self._bordered(prep, strength, jac, row),
+                          check_finite=False)
+        if np.any(np.diagonal(chord[0]) == 0.0):
+            raise NewtonFailure("bordered Jacobian is singular")
+        return chord
+
     def _damped_newton(self, current: np.ndarray, row: np.ndarray,
                        constraint, chord_jac: np.ndarray | None = None):
         """Damped Newton on the residual bordered by one scalar constraint.
 
         `current` is the augmented (state, strength) start, `row` the
-        constraint's gradient and `constraint(vec)` its value.  With a
-        chord Jacobian, its bordered matrix is factored once: the first
-        iteration solves with it, and later iterations whose layer
-        operators are not factored take a Newton-Krylov step preconditioned
-        by it; the analytic Jacobian serves every other iteration.  Returns
-        (state, strength, iterations, prep, residual norm).
+        constraint's gradient and `constraint(vec)` its value.  The chord
+        is the factored bordered matrix of `chord_jac` when one is given;
+        the first iteration solves with it.  An iteration without a usable
+        step builds the analytic Jacobian, solves with its bordered
+        factors and keeps them as the new chord.  Later iterations whose
+        layer operators are not factored take a Newton-Krylov step
+        preconditioned by the chord.  Returns (state, strength,
+        iterations, prep, residual norm).
         """
         tol = self.settings.newton_tol
         newton_max = self.settings.newton_max
@@ -324,10 +350,7 @@ class ContinuationEngine:
                                                                constraint)
         chord = None
         if chord_jac is not None:
-            chord = lu_factor(self._bordered(prep, strength, chord_jac, row),
-                              check_finite=False)
-            if np.any(np.diagonal(chord[0]) == 0.0):
-                raise NewtonFailure("bordered chord matrix is singular")
+            chord = self._factor_bordered(prep, strength, chord_jac, row)
         for iteration in range(newton_max + 1):
             if np.linalg.norm(res) <= tol and abs(gap) <= tol:
                 return state, strength, iteration, prep, float(
@@ -337,19 +360,17 @@ class ContinuationEngine:
                 break
             bordered_res = np.r_[res, gap]
             step = None
-            if chord is not None and iteration == 0:
-                step = lu_solve(chord, -bordered_res, check_finite=False)
-            elif chord is not None and not (prep.ops_lower.factored
-                                            and prep.ops_upper.factored):
+            if iteration > 0 and not (prep.ops_lower.factored
+                                      and prep.ops_upper.factored):
                 step = self._krylov_step(current, bordered_res, chord,
                                          constraint)
             if step is None:
-                jac = self.system.jacobian_prepared(prep, strength)
-                try:
-                    step = solve(self._bordered(prep, strength, jac, row),
-                                 -bordered_res, check_finite=False)
-                except LinAlgError as exc:
-                    raise NewtonFailure("bordered solve failed") from exc
+                if chord is None or iteration > 0:
+                    chord = self._factor_bordered(
+                        prep, strength,
+                        self.system.jacobian_prepared(prep, strength), row,
+                    )
+                step = lu_solve(chord, -bordered_res, check_finite=False)
             if not np.all(np.isfinite(step)):
                 raise NonFiniteEntry("Newton step has non-finite entries")
             scale = 1.0
@@ -418,9 +439,8 @@ class ContinuationEngine:
     def solve_at(self, strength: float) -> BranchPoint:
         """One fixed-strength solve seeded by the first-order origin predictor."""
         origin = self.system.origin()
-        prep = self.system.prepare(origin)
-        jac = self.system.jacobian_prepared(prep, 0.0)
-        tang = self.tangent(prep, 0.0, jac=jac)
+        tang = self.tangent(self.system.prepare(origin), 0.0,
+                            jac=self.system.flat_linearization())
         guess_vec = origin.to_vector() + (strength / tang[-1]) * tang[:-1]
         guess = WaveState.from_vector(guess_vec, self.system.grid.n_modes)
         state, iterations, norm, solved = self.newton_correct(guess, strength)

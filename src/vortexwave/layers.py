@@ -20,9 +20,13 @@ the value 1/d on a flat strip.
 
 Two solve paths share one operator.  A single trace solve, the only solve
 a residual needs, runs GMRES (Saad & Schultz 1986) on the matrix-free apply,
-right-preconditioned by the flat strip at the layer's mean thickness; the
+right-preconditioned by the flat strip at the layer's mean thickness.  The
 flat strip separates into one Chebyshev boundary-value problem per cosine
-mode.  The multi-column and transposed solves behind the Jacobian (the
+mode, and all of them share the interior block of d^2/dtau^2, which is
+diagonalized once per vertical resolution; so an operator builds no
+preconditioner of its own, and applying it costs two products with the
+(M-1) x (M-1) eigenvector matrices besides the cosine transforms.  The
+multi-column and transposed solves behind the Jacobian (the
 Dirichlet-to-Neumann matrix, the interior-derivative row functional and the
 directional shape derivatives) back-substitute through one dense LU
 factorization per geometry, made the first time one of them runs.  Trace
@@ -157,6 +161,23 @@ def _vertical(m: int):
     for arr in (t, tau, d_tau, d_tau2, vand_inv):
         arr.flags.writeable = False
     return t, tau, d_tau, d_tau2, vand_inv
+
+
+@lru_cache(maxsize=8)
+def _interior_eigen(m: int):
+    """Eigen-decomposition V diag(lam) V^-1 of the interior d^2/dtau^2 block.
+
+    The block of rows and columns 1..m-1 of the collocated second
+    derivative (Dirichlet values eliminated) has real, distinct, negative
+    eigenvalues, and V is well conditioned: cond(V) grows from 1.4 at
+    m = 8 to 2.7 at m = 128.
+    """
+    d_tau2 = _vertical(m)[3]
+    lam, vecs = np.linalg.eig(d_tau2[1:-1, 1:-1])
+    vecs_inv = np.linalg.inv(vecs)
+    for arr in (lam, vecs, vecs_inv):
+        arr.flags.writeable = False
+    return lam, vecs, vecs_inv
 
 
 @dataclass(frozen=True)
@@ -296,25 +317,6 @@ class LayerOperators:
         """Whether the LU factors exist, so a Jacobian here factors nothing."""
         return "_factors" in self.__dict__
 
-    @cached_property
-    def _flat_inverses(self) -> np.ndarray:
-        """Per-cosine-mode inverses of the flat strip at the mean thickness.
-
-        On a flat strip of thickness h the mapped operator is
-        u_xx + u_tautau / h^2, which the cosine transform in x splits into
-        one Chebyshev boundary-value problem per mode k, with the same
-        identity Dirichlet rows as the full operator.
-        """
-        geom = self.geometry
-        sign = 1.0 if geom.side == "lower" else -1.0
-        h = geom.eta.coeffs[0] + sign * geom.depth
-        k2 = geom.grid.wavenumbers**2
-        mt = self.m_vertical + 1
-        blocks = self._d_tau2 / (h * h) - k2[:, None, None] * np.eye(mt)
-        blocks[:, [0, -1], :] = 0.0
-        blocks[:, 0, 0] = blocks[:, -1, -1] = 1.0
-        return np.linalg.inv(blocks)
-
     # -- solves -------------------------------------------------------------
 
     def _apply(self, u: np.ndarray) -> np.ndarray:
@@ -340,10 +342,27 @@ class LayerOperators:
         return out[:, 0] if vec else out
 
     def _flat_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the flat-strip preconditioner to one right-hand side."""
-        grid = self.geometry.grid
-        r = grid._cos_inv @ rhs.reshape(grid.n_modes + 1, -1)
-        u = np.einsum("kij,kj->ki", self._flat_inverses, r)
+        """Apply the flat-strip preconditioner to one right-hand side.
+
+        On a flat strip of thickness h, here the mean thickness, the mapped
+        operator is u_xx + u_tautau / h^2, which the cosine transform in x
+        splits into one Chebyshev boundary-value problem per mode k, with
+        the same identity Dirichlet rows as the full operator.  Each is
+        solved by moving the two Dirichlet values to the right-hand side
+        and diagonalizing the interior block (`_interior_eigen`):
+        u = V diag(1 / (lam / h^2 - k^2)) V^-1 r on the interior rows.
+        """
+        geom = self.geometry
+        grid = geom.grid
+        sign = 1.0 if geom.side == "lower" else -1.0
+        h2 = (geom.eta.coeffs[0] + sign * geom.depth) ** 2
+        lam, vecs, vecs_inv = _interior_eigen(self.m_vertical)
+        u = grid._cos_inv @ rhs.reshape(grid.n_modes + 1, -1)
+        inner = (u[:, 1:-1]
+                 - u[:, [0, -1]] @ self._d_tau2[1:-1, [0, -1]].T / h2)
+        inner = (inner @ vecs_inv.T) / (lam / h2
+                                        - grid.wavenumbers[:, None] ** 2)
+        u[:, 1:-1] = inner @ vecs.T
         return (grid._cos_mat @ u).reshape(-1)
 
     def _krylov_solve(self, rhs: np.ndarray) -> np.ndarray | None:

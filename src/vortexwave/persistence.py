@@ -134,15 +134,16 @@ def load_snapshot(path: str) -> tuple[WaveState, float, dict]:
         raise ValueError(
             f"snapshot schema {record.get('schema')!r} is not {SCHEMA}"
         )
+    for key in ("elevation", "trace_upper", "trace_lower", "speed",
+                "strength"):
+        if not np.all(np.isfinite(record[key])):
+            raise NonFiniteEntry(f"snapshot entry {key} is not finite")
     state = WaveState(
         EvenField(np.array(record["elevation"])),
         EvenField(np.array(record["trace_upper"])),
         EvenField(np.array(record["trace_lower"])),
         float(record["speed"]),
     )
-    for block in ("elevation", "trace_upper", "trace_lower"):
-        if not np.all(np.isfinite(record[block])):
-            raise NonFiniteEntry(f"snapshot block {block} is not finite")
     return state, float(record["strength"]), record
 
 

@@ -1,7 +1,9 @@
-"""Finite-difference referee of the layer operators' shape derivatives.
+"""Referees of the layer operators' shape derivatives and preconditioner.
 
 `shape_derivative` re-solves the layer on two perturbed geometries; the
-tests hold `LayerOperators.shape_batch` against it.
+tests hold `LayerOperators.shape_batch` against it.  `flat_solve_dense`
+applies the flat-strip preconditioner through dense per-mode inverses; the
+tests hold `LayerOperators._flat_solve` against it.
 """
 
 from __future__ import annotations
@@ -44,3 +46,25 @@ def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
     dval = (outs[0][1] - outs[1][1]) / (2.0 * h)
     field = EvenField(grid._cos_inv @ dg)
     return (field, float(dval)) if point is not None else (field, None)
+
+
+def flat_solve_dense(ops, rhs: np.ndarray) -> np.ndarray:
+    """The flat-strip preconditioner applied through dense per-mode inverses.
+
+    On a flat strip of the mean thickness h the mapped operator is
+    u_xx + u_tautau / h^2; mode k of the cosine transform gives the
+    (M+1) x (M+1) block d^2/dtau^2 / h^2 - k^2 with identity rows at the
+    interface and the wall, which is inverted here as it stands.
+    """
+    geom = ops.geometry
+    grid = geom.grid
+    sign = 1.0 if geom.side == "lower" else -1.0
+    h = geom.eta.coeffs[0] + sign * geom.depth
+    mt = ops.m_vertical + 1
+    blocks = (ops._d_tau2 / (h * h)
+              - grid.wavenumbers[:, None, None] ** 2 * np.eye(mt))
+    blocks[:, [0, -1], :] = 0.0
+    blocks[:, 0, 0] = blocks[:, -1, -1] = 1.0
+    r = grid._cos_inv @ rhs.reshape(grid.n_modes + 1, -1)
+    u = np.einsum("kij,kj->ki", np.linalg.inv(blocks), r)
+    return (grid._cos_mat @ u).reshape(-1)

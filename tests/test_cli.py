@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from vortexwave import cli
 from vortexwave.config import _SECTIONS, load_config
-from vortexwave.errors import ParseError, ValidationError
-from vortexwave.persistence import load_branch_table, load_snapshot
+from vortexwave.errors import NonFiniteEntry, ParseError, ValidationError
+from vortexwave.persistence import SCHEMA, load_branch_table, load_snapshot
 from vortexwave.system import PhysicalParameters, WaveSystem
 
 SMALL = """
@@ -278,6 +278,23 @@ class TestSingleSolve:
         system = WaveSystem(PhysicalParameters(), 16, 12)
         norm = float(np.linalg.norm(system.residual(state, strength).to_vector()))
         assert abs(norm - record["diagnostics"]["residual_norm"]) < 1e-13
+
+    @pytest.mark.parametrize("key, index", [("elevation", 2),
+                                            ("speed", None)])
+    def test_non_finite_snapshot_is_a_non_finite_entry(self, tmp_path, key,
+                                                        index):
+        record = {"schema": SCHEMA, "strength": 0.5, "speed": -0.1,
+                  "elevation": [0.0, 0.01, 0.002],
+                  "trace_upper": [0.0, 0.3, 0.1],
+                  "trace_lower": [0.0, -0.3, -0.1]}
+        if index is None:
+            record[key] = float("nan")
+        else:
+            record[key][index] = float("nan")
+        path = tmp_path / "snapshot_0000.json"
+        path.write_text(json.dumps(record))  # NaN is written as NaN
+        with pytest.raises(NonFiniteEntry, match=key):
+            load_snapshot(str(path))
 
     def test_unreachable_strength_exits_three(self, tmp_path, capsys):
         cfg = write_config(

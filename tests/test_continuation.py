@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from vortexwave import continuation
 from vortexwave.continuation import (
@@ -306,6 +307,26 @@ class TestNewtonKrylov:
         want = engine._bordered(prep, strength, jac, row) @ v
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
+    def test_fixed_strength_solve_factors_little(self, lu_counter):
+        # the origin tangent comes from the closed-form flat linearization;
+        # the first iteration factors the guess's two layer operators, the
+        # first Newton-Krylov step misses (it needs 12 vectors) and
+        # refreshes the chord, the later ones converge, and the solution's
+        # Jacobian factors two more
+        point = small_engine(n_modes=32, m_vertical=16).solve_at(3.0)
+        assert point.newton_iterations == 5
+        assert lu_counter.factorizations == 6
+
+    def test_fixed_strength_solve_matches_the_analytic_corrector(
+            self, monkeypatch):
+        krylov = small_engine(n_modes=32, m_vertical=16).solve_at(3.0)
+        monkeypatch.setattr(ContinuationEngine, "_krylov_step",
+                            lambda *args: None)
+        analytic = small_engine(n_modes=32, m_vertical=16).solve_at(3.0)
+        assert krylov.newton_iterations == analytic.newton_iterations
+        assert np.abs(krylov.state.to_vector()
+                      - analytic.state.to_vector()).max() <= 1e-9
+
     def test_branch_matches_the_analytic_corrector(self, monkeypatch):
         krylov = small_engine(n_modes=32, m_vertical=16,
                               max_steps=20).continue_branch()
@@ -380,6 +401,54 @@ class TestParity:
         expected = int(np.sign(np.prod(np.sign(multipliers))))
         sign, _ = engine._sign_and_sigma(system.flat_linearization())
         assert sign == expected
+
+
+class TestPointDiagnostics:
+    """The sign from one LU and svdvals, against numpy's slogdet and SVD."""
+
+    @staticmethod
+    def check(matrix):
+        sign, sigma = small_engine()._sign_and_sigma(matrix)
+        singulars = np.linalg.svd(matrix, compute_uv=False)
+        assert type(sign) is int  # summary.json must serialize it
+        assert abs(sigma - singulars[-1]) <= 1e-12 * singulars[0]
+        return sign
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_matrices(self, seed):
+        matrix = np.random.default_rng(seed).standard_normal((40, 40))
+        assert self.check(matrix) == int(np.linalg.slogdet(matrix)[0])
+
+    def test_odd_row_swaps(self):
+        # a diagonally dominant matrix (positive determinant, no pivoting)
+        # with its first two rows exchanged: partial pivoting swaps them back
+        rng = np.random.default_rng(1)
+        dominant = rng.standard_normal((30, 30)) + 40.0 * np.eye(30)
+        swapped = dominant[[1, 0] + list(range(2, 30))]
+        pivots = lu_factor(swapped)[1]
+        assert np.count_nonzero(pivots != np.arange(30)) == 1
+        assert self.check(dominant) == 1
+        assert self.check(swapped) == -1
+
+    def test_wavy_jacobian(self):
+        rng = np.random.default_rng(3)
+        system = WaveSystem(PARAMS, 16, 12)
+        n = system.grid.n_modes + 1
+        decay = np.exp(-0.4 * np.arange(n))
+        eta = 0.1 * rng.standard_normal(n) * decay
+        eta[0] = 0.0
+        vec = np.r_[eta, 0.05 * rng.standard_normal(2 * n)
+                    * np.r_[decay, decay], 0.1]
+        prep = system.prepare(WaveState.from_vector(vec, n - 1))
+        assert np.abs(prep.elevation_half).max() > 0.05  # wavy
+        jac = system.jacobian_prepared(prep, 0.3)
+        sign = self.check(jac)
+        assert sign == int(np.linalg.slogdet(jac)[0]) != 0
+
+    def test_exactly_singular_matrix_has_sign_zero(self):
+        matrix = np.random.default_rng(2).standard_normal((40, 40))
+        matrix[:, 7] = matrix[:, 3]
+        assert self.check(matrix) == 0
 
 
 class TestMirrorSymmetry:

@@ -7,17 +7,21 @@ from hypothesis import strategies as st
 
 from vortexwave.errors import DegenerateStrip, PointOutsideLayer
 from vortexwave.layers import (
+    KRYLOV_FLOOR,
+    KRYLOV_MAX,
     KRYLOV_MIN_UNKNOWNS,
+    KRYLOV_TOL,
     LayerGeometry,
     build_operators,
     chebyshev_diff_matrix,
     chebyshev_gauss_lobatto,
     flat_dno_symbol,
     flat_interior_dy_symbol,
+    gmres,
 )
 from vortexwave.spectral import CollocationGrid, EvenField
 
-from layer_referee import shape_derivative
+from layer_referee import flat_solve_dense, shape_derivative
 
 GRID = CollocationGrid(np.pi, 64)
 NX = GRID.n_modes + 1
@@ -177,6 +181,43 @@ class TestTraceSolvePaths:
         got = ops.solve(trace).values.ravel()
         want = ops._lu_solve(rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("crest", [0.0, 0.33, -0.9])  # flat, crest, thin
+    def test_flat_solve_matches_the_dense_block_inverse(self, crest, side):
+        if side == "upper":
+            crest = -crest  # thin means a crest towards the upper wall
+        ops = build_operators(GRID, peaked(crest), DEPTH, side, 32)
+        rhs = np.random.default_rng(4).standard_normal(NX * 33)
+        got = ops._flat_solve(rhs)
+        want = flat_solve_dense(ops, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("crest, side, vectors", [
+        (0.0, "lower", 2),      # flat
+        (0.33, "upper", 26),    # 0.33 crest over a 0.67 layer
+        (-0.7, "lower", 63),    # min thickness 0.3
+        (-0.9, "lower", None),  # min thickness 0.1: no convergence
+    ])
+    def test_krylov_vector_counts(self, crest, side, vectors):
+        # counted with twice the solve's cap, so that the thin-layer miss
+        # is not a matter of the cap
+        ops = build_operators(GRID, peaked(crest), DEPTH, side, 32)
+        rhs = np.zeros(NX * 33)
+        rhs[::33] = GRID.even_values_half(EvenField(0.5 ** np.arange(NX)))
+        applied = []
+
+        def precondition(v):
+            applied.append(v)
+            return ops._flat_solve(v)
+
+        out = gmres(ops._apply, precondition, rhs, 2 * KRYLOV_MAX,
+                    KRYLOV_TOL, KRYLOV_FLOOR)
+        if vectors is None:
+            assert out is None
+        else:  # one preconditioner call per vector, one for the solution
+            assert len(applied) == vectors + 1
 
 
 class TestCurvedGeometry:
