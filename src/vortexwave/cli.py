@@ -80,8 +80,7 @@ def _config_echo(config: RunConfig) -> dict:
 
 
 def _make_engine(config: RunConfig) -> ContinuationEngine:
-    system = WaveSystem(config.params, config.n_modes, config.m_vertical,
-                        dealias=config.dealias)
+    system = WaveSystem(config.params, config.n_modes, config.m_vertical)
     return ContinuationEngine(system, config.settings)
 
 

@@ -36,7 +36,6 @@ _PHYSICAL_KEYS = {
 _DISCRETIZATION_KEYS = {
     "n_modes": 64,
     "m_vertical": 32,
-    "dealias": False,
 }
 
 _CONTINUATION_KEYS = {
@@ -69,7 +68,6 @@ class RunConfig:
     params: PhysicalParameters
     n_modes: int
     m_vertical: int
-    dealias: bool
     settings: ContinuationSettings
     target_strength: float
     out_dir: str
@@ -89,7 +87,6 @@ class RunConfig:
             "physical.phantom_y": p.pair.upper[1],
             "discretization.n_modes": self.n_modes,
             "discretization.m_vertical": self.m_vertical,
-            "discretization.dealias": self.dealias,
             "continuation.ds0": self.settings.ds0,
             "continuation.ds_min": self.settings.ds_min,
             "continuation.ds_max": self.settings.ds_max,
@@ -218,7 +215,6 @@ def load_config(text: str) -> RunConfig:
         params=params,
         n_modes=int(n_modes),
         m_vertical=int(disc["m_vertical"]),
-        dealias=bool(disc["dealias"]),
         settings=settings,
         target_strength=float(target),
         out_dir=resolved["output"]["directory"],

@@ -1,12 +1,17 @@
 """Harmonic solves in the two fluid strips via a sigma-mapped collocation grid.
 
-Each layer is pulled back to a fixed rectangle by the vertical map
+Every strip here is a lower one: fluid between a rigid wall at y = -d and
+the interface eta above it, pulled back to a fixed rectangle by the vertical
+map
 
-    y = y_wall + (1 + tau) h(x),      tau in [-1, 0],
+    y = -d + (1 + tau) h(x),      h = eta + d > 0,      tau in [-1, 0],
 
-where h = eta + d (lower layer, wall at y = -d) or h = eta - d (upper layer,
-wall at y = +d; h is negative there and the same formulas apply).  tau = 0 is
-the interface, tau = -1 the rigid wall.  Laplace's equation becomes
+with tau = 0 the interface and tau = -1 the wall.  The upper fluid over eta
+is the lower strip under -eta, reflected through y -> -y, and
+`system.WaveSystem.prepare` builds it that way.  Negation is exact in
+floating point, so that strip's operator, LU factors and Dirichlet-to-Neumann
+map are bit-identical to those of the upper fluid itself, while its shape
+derivatives, taken in -eta, change sign.  Laplace's equation becomes
 
     u_xx + 2 tau_x u_xtau + (tau_x^2 + 1/h^2) u_tautau + tau_xx u_tau = 0,
     tau_x  = -(1 + tau) h'(x) / h,
@@ -74,10 +79,8 @@ KRYLOV_TOL = 1e-14
 KRYLOV_FLOOR = 1e-12
 KRYLOV_STALL = 0.5
 
-#: the strip counts as degenerate once min |h| falls below this fraction of depth
+#: the strip counts as degenerate once min h falls below this fraction of depth
 GAP_FLOOR_FRACTION = 0.02
-
-SIDES = ("lower", "upper")
 
 
 def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
@@ -182,40 +185,34 @@ def _interior_eigen(m: int):
 
 @dataclass(frozen=True)
 class LayerGeometry:
-    """One layer's mapped-strip data on the half grid.
+    """Mapped-strip data on the half grid: interface eta, wall at y = -depth.
 
-    Construction raises DegenerateStrip once the thickness falls to
-    GAP_FLOOR_FRACTION * depth, the solver's degeneracy floor.
+    Construction raises DegenerateStrip once the thickness eta + depth falls
+    to GAP_FLOOR_FRACTION * depth at a half-grid node, the solver's
+    degeneracy floor; an interface below the wall has negative thickness.
     """
 
     grid: CollocationGrid
-    side: str
     depth: float
     eta: EvenField
 
     def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
         if not self.depth > 0:
             raise ValueError("depth must be positive")
         if self.eta.coeffs.size != self.grid.n_modes + 1:
             raise ValueError("elevation band does not match the grid")
         floor = GAP_FLOOR_FRACTION * self.depth
         e = self.grid.even_values_half(self.eta)
-        h = e + self.depth if self.side == "lower" else e - self.depth
-        if np.min(np.abs(h)) <= floor:
+        thinnest = float(np.min(e + self.depth))
+        if thinnest <= floor:
             raise DegenerateStrip(
-                f"{self.side} layer thickness fell to {np.min(np.abs(h)):.3e}, "
+                f"layer thickness fell to {thinnest:.3e}, "
                 f"below the floor {floor:.3e}"
             )
         object.__setattr__(self, "_eta_half", e)
 
-    @property
-    def wall_level(self) -> float:
-        return -self.depth if self.side == "lower" else self.depth
 
-
-def _profiles(grid: CollocationGrid, eta_half, side: str, depth: float):
+def _profiles(grid: CollocationGrid, eta_half, depth: float):
     """x-profiles entering the mapped operator's variable coefficients.
 
     Returns (q_mixed, q_tt_quad, q_tt_flat, q_t) so that
@@ -224,7 +221,7 @@ def _profiles(grid: CollocationGrid, eta_half, side: str, depth: float):
         c_tt    = outer(q_tt_quad, (1 + tau)^2) + outer(q_tt_flat, 1)
         c_t     = outer(q_t, 1 + tau)
     """
-    h = eta_half + depth if side == "lower" else eta_half - depth
+    h = eta_half + depth
     hx = grid.half_d1 @ eta_half
     hxx = grid.half_d2 @ eta_half
     p = hx / h
@@ -255,7 +252,7 @@ class LayerOperators:
         one_plus = 1.0 + tau
 
         q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(
-            geometry.grid, geometry._eta_half, geometry.side, geometry.depth
+            geometry.grid, geometry._eta_half, geometry.depth
         )
         rows = np.arange(nx) * mt
         self._interface_rows = rows
@@ -354,8 +351,7 @@ class LayerOperators:
         """
         geom = self.geometry
         grid = geom.grid
-        sign = 1.0 if geom.side == "lower" else -1.0
-        h2 = (geom.eta.coeffs[0] + sign * geom.depth) ** 2
+        h2 = (geom.eta.coeffs[0] + geom.depth) ** 2
         lam, vecs, vecs_inv = _interior_eigen(self.m_vertical)
         u = grid._cos_inv @ rhs.reshape(grid.n_modes + 1, -1)
         inner = (u[:, 1:-1]
@@ -365,28 +361,12 @@ class LayerOperators:
         u[:, 1:-1] = inner @ vecs.T
         return (grid._cos_mat @ u).reshape(-1)
 
-    def _krylov_solve(self, rhs: np.ndarray) -> np.ndarray | None:
-        """Trace solve by GMRES on the apply; None when it does not converge.
-
-        The stop reads the Arnoldi estimate of the relative residual.  The
-        true residual of an iterate floors near 1e-10 at 64x32, where the
-        interior rows reach ~2e5 against unit Dirichlet rows, while the
-        estimate keeps falling with the error until it, too, stagnates at
-        roundoff.  So GMRES stops below KRYLOV_TOL, or once the estimate
-        falls by less than KRYLOV_STALL in one vector below KRYLOV_FLOOR.
-        """
-        return gmres(self._apply, self._flat_solve, rhs, KRYLOV_MAX,
-                     KRYLOV_TOL, KRYLOV_FLOOR)
-
-    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the identity-row operator through the scaled factors."""
         lu, scale = self._factors
         scaled = rhs.copy()
         scaled[self._replaced_rows] *= scale
-        return sla.lu_solve(lu, scaled, check_finite=False)
-
-    def _solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        out = self._lu_solve(rhs)
+        out = sla.lu_solve(lu, scaled, check_finite=False)
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("layer solve produced non-finite entries")
         return out
@@ -401,7 +381,8 @@ class LayerOperators:
         rhs[self._interface_rows] = grid.even_values_half(trace)
         u = None
         if nx * mt >= KRYLOV_MIN_UNKNOWNS:
-            u = self._krylov_solve(rhs)
+            u = gmres(self._apply, self._flat_solve, rhs, KRYLOV_MAX,
+                      KRYLOV_TOL, KRYLOV_FLOOR)
         if u is None or not np.all(np.isfinite(u)):
             u = self._solve_rhs(rhs)
         return LayerSolution(values=u.reshape(nx, mt))
@@ -410,12 +391,9 @@ class LayerOperators:
 
     def _extraction(self, eta_half, u_tau_ifc, u_x_ifc):
         """Outward interface derivative from interface traces of u_tau, u_x."""
-        grid = self.geometry.grid
-        side, depth = self.geometry.side, self.geometry.depth
-        h = eta_half + depth if side == "lower" else eta_half - depth
-        ex = grid.half_d1 @ eta_half
-        sign = 1.0 if side == "lower" else -1.0
-        return sign * ((1.0 + ex * ex) * u_tau_ifc / h - ex * u_x_ifc)
+        h = eta_half + self.geometry.depth
+        ex = self.geometry.grid.half_d1 @ eta_half
+        return (1.0 + ex * ex) * u_tau_ifc / h - ex * u_x_ifc
 
     def _interface_tau_x(self, u_values):
         _, _, d_tau, _, _ = _vertical(self.m_vertical)
@@ -447,16 +425,16 @@ class LayerOperators:
 
     # -- interior evaluation ---------------------------------------------------
 
-    def _map_point(self, point, eta_half=None):
+    def _map_point(self, point):
         """(x, y) -> (x, tau) with admissibility checks."""
         x, y = float(point[0]), float(point[1])
         geom = self.geometry
         eta_x = geom.grid.evaluate_even(geom.eta, np.array([x]))[0]
-        h = eta_x + geom.depth if geom.side == "lower" else eta_x - geom.depth
-        tau = (y - geom.wall_level) / h - 1.0
+        h = eta_x + geom.depth
+        tau = (y + geom.depth) / h - 1.0
         if not -1.0 < tau < 0.0:
             raise PointOutsideLayer(
-                f"point {(x, y)} is not strictly inside the {geom.side} layer"
+                f"point {(x, y)} is not strictly inside the layer"
             )
         return x, tau, h
 
@@ -485,17 +463,6 @@ class LayerOperators:
         r = self._interior_dy_adjoint(point)
         return r[self._interface_rows] @ self.geometry.grid._cos_mat
 
-    def _lu_solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        """Transpose solve with the identity-row operator.
-
-        The factors hold S A, S scaling the Dirichlet rows; (S A)^T y = rhs
-        gives the solution of A^T x = rhs as x = S y.
-        """
-        lu, scale = self._factors
-        out = sla.lu_solve(lu, rhs, trans=1, check_finite=False)
-        out[self._replaced_rows] *= scale
-        return out
-
     def _interior_dy_adjoint(self, point) -> np.ndarray:
         """Transpose solve of the interior-dy evaluation functional.
 
@@ -508,16 +475,21 @@ class LayerOperators:
         return self._adjoints[key]
 
     def _solve_adjoint(self, point) -> np.ndarray:
+        """Transpose solve A^T x = e of the interior-dy functional e at point.
+
+        The factors hold S A, S scaling the Dirichlet rows; (S A)^T y = e
+        gives x = S y.
+        """
         x, tau, h = self._map_point(point)
         grid = self.geometry.grid
-        nx = grid.n_modes + 1
-        mt = self.m_vertical + 1
         _, _, _, _, vand_inv = _vertical(self.m_vertical)
         kx = grid.wavenumbers
         row_x = np.cos(kx * x) @ grid._cos_inv
         dt_row = _chebder_row(2.0 * tau + 1.0, self.m_vertical)
         e = np.outer(row_x, (2.0 / h) * (dt_row @ vand_inv)).ravel()
-        out = self._lu_solve_transpose(e)
+        lu, scale = self._factors
+        out = sla.lu_solve(lu, e, trans=1, check_finite=False)
+        out[self._replaced_rows] *= scale
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("adjoint solve produced non-finite entries")
         out.flags.writeable = False  # shared by every caller at this point
@@ -540,7 +512,7 @@ class LayerOperators:
         grid = geom.grid
         nx = grid.n_modes + 1
         mt = self.m_vertical + 1
-        side, depth = geom.side, geom.depth
+        depth = geom.depth
         one_plus = self._one_plus
         u = sol.values
         step = SHAPE_STEP * depth
@@ -554,7 +526,7 @@ class LayerOperators:
         basis = grid._cos_mat  # column k: cosine mode k on the half grid
 
         def all_profiles(eta_half):
-            return np.stack(_profiles(grid, eta_half, side, depth))
+            return np.stack(_profiles(grid, eta_half, depth))
 
         d_prof = np.empty((4, nx, nx))  # (profile, x, mode)
         for k in range(nx):
@@ -597,8 +569,8 @@ class LayerOperators:
             vals = []
             for s in (step, -step):
                 eta_s = eta_p + s * mode_at_p[k]
-                h_s = eta_s + depth if side == "lower" else eta_s - depth
-                tau_s = (y_p - geom.wall_level) / h_s - 1.0
+                h_s = eta_s + depth
+                tau_s = (y_p + depth) / h_s - 1.0
                 vals.append(2.0 * ncheb.chebval(2.0 * tau_s + 1.0, dcvec) / h_s)
             interior_dirs[k] += (vals[0] - vals[1]) / (2.0 * step)
         return dno_dirs, interior_dirs
@@ -619,11 +591,6 @@ class LayerSolution:
     """Mapped harmonic function on one layer."""
 
     values: np.ndarray  # (half-grid x, vertical) nodal values
-
-
-def build_operators(grid: CollocationGrid, eta: EvenField, depth: float,
-                    side: str, m_vertical: int) -> LayerOperators:
-    return LayerOperators(LayerGeometry(grid, side, depth, eta), m_vertical)
 
 
 # -- flat-strip reference symbols ----------------------------------------------

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from vortexwave.layers import SHAPE_STEP, build_operators
+from vortexwave.layers import SHAPE_STEP, LayerGeometry, LayerOperators
 from vortexwave.spectral import CollocationGrid, EvenField
 
 
 def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
-                     direction: EvenField, depth: float, side: str,
-                     m_vertical: int, point=None, step: float | None = None):
+                     direction: EvenField, depth: float, m_vertical: int, point=None, step: float | None = None):
     """Literal central-difference shape derivative of the layer maps.
 
     Re-solves on the two perturbed geometries eta +/- h * direction with
@@ -37,7 +36,7 @@ def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
     outs = []
     for s in (h, -h):
         shifted = EvenField(eta.coeffs + s * direction.coeffs)
-        ops = build_operators(grid, shifted, depth, side, m_vertical)
+        ops = LayerOperators(LayerGeometry(grid, depth, shifted), m_vertical)
         sol = ops.solve(trace)
         g = ops.dno_values_half(sol)
         val = ops.eval_interior_dy(sol, point) if point is not None else 0.0
@@ -58,8 +57,7 @@ def flat_solve_dense(ops, rhs: np.ndarray) -> np.ndarray:
     """
     geom = ops.geometry
     grid = geom.grid
-    sign = 1.0 if geom.side == "lower" else -1.0
-    h = geom.eta.coeffs[0] + sign * geom.depth
+    h = geom.eta.coeffs[0] + geom.depth
     mt = ops.m_vertical + 1
     blocks = (ops._d_tau2 / (h * h)
               - grid.wavenumbers[:, None, None] ** 2 * np.eye(mt))

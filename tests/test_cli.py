@@ -94,6 +94,14 @@ class TestConfig:
         with pytest.raises(ValidationError, match="finite"):
             load_config("[continuation]\ntarget_strength = nan\n")
 
+    def test_canonical_names_every_key_but_the_output_directory(self):
+        names = {line.split("=", 1)[0]
+                 for line in load_config("").canonical().splitlines()}
+        keys = {f"{section}.{key}"
+                for section, section_keys in _SECTIONS.items()
+                for key in section_keys}
+        assert names == keys - {"output.directory"}
+
     def test_step_ordering_violation_is_config_error(self):
         with pytest.raises(ValidationError, match="ds_min"):
             load_config("[continuation]\nds0 = 1e-9\n")
@@ -223,13 +231,15 @@ class TestContinueMode:
         ("physical", "half_period", "1e-300"),  # the kernel overflows
         ("physical", "half_period", "1e-3"),
         ("physical", "kernel", "periodized"),  # no longer a setting
+        ("discretization", "dealias", "true"),  # no longer a setting
     ])
     def test_unusable_setting_exits_two(self, tmp_path, capsys, section,
                                         key, value):
+        header = "" if section == "discretization" else f"[{section}]\n"
         cfg = write_config(
             tmp_path,
             "[discretization]\nn_modes = 16\nm_vertical = 12\n"
-            f"[{section}]\n{key} = {value}\n",
+            f"{header}{key} = {value}\n",
         )
         code = cli.main(["continue", "--config", cfg,
                          "--out", str(tmp_path / "out"), "--max-steps", "5"])

@@ -12,7 +12,7 @@ from vortexwave.layers import (
     KRYLOV_MIN_UNKNOWNS,
     KRYLOV_TOL,
     LayerGeometry,
-    build_operators,
+    LayerOperators,
     chebyshev_diff_matrix,
     chebyshev_gauss_lobatto,
     flat_dno_symbol,
@@ -20,6 +20,7 @@ from vortexwave.layers import (
     gmres,
 )
 from vortexwave.spectral import CollocationGrid, EvenField
+from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
 
 from layer_referee import flat_solve_dense, shape_derivative
 
@@ -41,9 +42,20 @@ def wavy(n=NX):
     return EvenField(c)
 
 
-def dno(grid, eta, trace, side, m):
+def strip(grid, eta, m):
+    """Layer operator of the strip between the wall y = -DEPTH and eta."""
+    return LayerOperators(LayerGeometry(grid, DEPTH, eta), m)
+
+
+def on_side(eta, side):
+    """Interface of the strip for one layer: the upper layer over eta is the
+    lower strip under -eta, its points (x, y) at (x, -y)."""
+    return eta if side == "lower" else EvenField(-eta.coeffs)
+
+
+def dno(grid, eta, trace, m):
     """Coefficients of the outward interface derivative of one trace solve."""
-    ops = build_operators(grid, eta, DEPTH, side, m)
+    ops = strip(grid, eta, m)
     return grid._cos_inv @ ops.dno_values_half(ops.solve(trace))
 
 
@@ -66,7 +78,7 @@ class TestChebyshevPieces:
 class TestFlatSolves:
     def test_constant_trace_is_linear_extension(self):
         # (y + d)/d matches both Dirichlet boundaries
-        ops = build_operators(GRID, FLAT, DEPTH, "lower", 32)
+        ops = strip(GRID, FLAT, 32)
         sol = ops.solve(mode(0))
         for x, y in [(0.3, -0.9), (1.1, -0.5), (-2.0, -0.1)]:
             assert ops.eval_interior(sol, (x, y)) == pytest.approx(
@@ -74,12 +86,12 @@ class TestFlatSolves:
             )
 
     def test_zero_trace_gives_zero_solution(self):
-        sol = build_operators(GRID, wavy(), DEPTH, "lower", 16).solve(mode(3, 0.0))
+        sol = strip(GRID, wavy(), 16).solve(mode(3, 0.0))
         assert np.max(np.abs(sol.values)) == 0.0
 
     def test_cosine_trace_matches_sinh_profile(self):
         k, kap = 3, 3.0
-        ops = build_operators(GRID, FLAT, DEPTH, "lower", 32)
+        ops = strip(GRID, FLAT, 32)
         sol = ops.solve(mode(k))
         for x, y in [(0.4, -0.35), (0.0, -0.7), (1.5, -0.2)]:
             exact = np.cos(kap * x) * np.sinh(kap * (y + DEPTH)) / np.sinh(kap)
@@ -87,20 +99,22 @@ class TestFlatSolves:
 
     def test_upper_layer_mirrors_lower(self):
         k, kap = 2, 2.0
-        ops = build_operators(GRID, FLAT, DEPTH, "upper", 32)
-        sol = ops.solve(mode(k))
+        system = WaveSystem(PhysicalParameters(depth=DEPTH), GRID.n_modes, 32)
+        prep = system.prepare(WaveState(FLAT, mode(k), FLAT, 0.0))
+        ops = prep.ops_upper
         for x, y in [(0.4, 0.35), (0.0, 0.7)]:
             exact = np.cos(kap * x) * np.sinh(kap * (DEPTH - y)) / np.sinh(kap)
-            assert ops.eval_interior(sol, (x, y)) == pytest.approx(exact, abs=1e-10)
+            assert ops.eval_interior(prep.sol_upper, (x, -y)) == pytest.approx(
+                exact, abs=1e-10)
 
     def test_interface_trace_reproduced(self):
-        sol = build_operators(GRID, wavy(), DEPTH, "lower", 24).solve(mode(5, 0.8))
+        sol = strip(GRID, wavy(), 24).solve(mode(5, 0.8))
         got = sol.values[:, 0]
         want = GRID.even_values_half(mode(5, 0.8))
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_wall_values_vanish(self):
-        sol = build_operators(GRID, wavy(), DEPTH, "upper", 24).solve(mode(2))
+        sol = strip(GRID, on_side(wavy(), "upper"), 24).solve(mode(2))
         assert np.max(np.abs(sol.values[:, -1])) < 1e-12
 
 
@@ -108,14 +122,13 @@ class TestFlatDno:
     def test_multipliers_both_layers(self):
         # criterion floor: k <= N/4 at relative 1e-10, k = 0 gives 1/d
         for side in ("lower", "upper"):
-            ops = build_operators(GRID, FLAT, DEPTH, side, 32)
-            mat = ops.dno_matrix()
+            mat = strip(GRID, on_side(FLAT, side), 32).dno_matrix()
             sym = flat_dno_symbol(GRID, DEPTH)
             for k in range(17):
                 assert mat[k, k] == pytest.approx(sym[k], rel=1e-10)
 
     def test_constant_trace_multiplier(self):
-        g = dno(GRID, FLAT, mode(0), "lower", 32)
+        g = dno(GRID, FLAT, mode(0), 32)
         assert g[0] == pytest.approx(1.0 / DEPTH, rel=1e-11)
 
     def test_symbol_matches_brute_coth(self):
@@ -125,7 +138,7 @@ class TestFlatDno:
 
     def test_self_adjoint_in_l2(self):
         rng = np.random.default_rng(11)
-        ops = build_operators(GRID, FLAT, DEPTH, "lower", 32)
+        ops = strip(GRID, FLAT, 32)
         mat = ops.dno_matrix()
         w = GRID.sobolev_weights(0)
         f = rng.standard_normal(NX) * np.exp(-0.3 * np.arange(NX))
@@ -141,12 +154,12 @@ class TestFlatDno:
         grid = CollocationGrid(np.pi, n_modes)
         flat = EvenField(np.zeros(n_modes + 1))
         for side in ("lower", "upper"):
-            mat = build_operators(grid, flat, DEPTH, side, m_vertical).dno_matrix()
+            mat = strip(grid, on_side(flat, side), m_vertical).dno_matrix()
             off = mat - np.diag(np.diag(mat))
             assert np.max(np.abs(off)) < 1e-11
 
     def test_dno_field_equals_matrix_action(self):
-        ops = build_operators(GRID, wavy(), DEPTH, "lower", 24)
+        ops = strip(GRID, wavy(), 24)
         tr = mode(4, 0.6)
         sol = ops.solve(tr)
         via_values = GRID._cos_inv @ ops.dno_values_half(sol)
@@ -173,13 +186,15 @@ class TestTraceSolvePaths:
     def test_krylov_agrees_with_lu(self, crest, side, krylov_converges):
         m = 32
         assert NX * (m + 1) >= KRYLOV_MIN_UNKNOWNS
-        ops = build_operators(GRID, peaked(crest), DEPTH, side, m)
+        ops = strip(GRID, on_side(peaked(crest), side), m)
         trace = EvenField(0.5 ** np.arange(NX))
         rhs = np.zeros(NX * (m + 1))
         rhs[:: m + 1] = GRID.even_values_half(trace)
-        assert (ops._krylov_solve(rhs) is not None) == krylov_converges
+        krylov = gmres(ops._apply, ops._flat_solve, rhs, KRYLOV_MAX,
+                       KRYLOV_TOL, KRYLOV_FLOOR)
+        assert (krylov is not None) == krylov_converges
         got = ops.solve(trace).values.ravel()
-        want = ops._lu_solve(rhs)
+        want = ops._solve_rhs(rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -188,7 +203,7 @@ class TestTraceSolvePaths:
     def test_flat_solve_matches_the_dense_block_inverse(self, crest, side):
         if side == "upper":
             crest = -crest  # thin means a crest towards the upper wall
-        ops = build_operators(GRID, peaked(crest), DEPTH, side, 32)
+        ops = strip(GRID, on_side(peaked(crest), side), 32)
         rhs = np.random.default_rng(4).standard_normal(NX * 33)
         got = ops._flat_solve(rhs)
         want = flat_solve_dense(ops, rhs)
@@ -203,7 +218,7 @@ class TestTraceSolvePaths:
     def test_krylov_vector_counts(self, crest, side, vectors):
         # counted with twice the solve's cap, so that the thin-layer miss
         # is not a matter of the cap
-        ops = build_operators(GRID, peaked(crest), DEPTH, side, 32)
+        ops = strip(GRID, on_side(peaked(crest), side), 32)
         rhs = np.zeros(NX * 33)
         rhs[::33] = GRID.even_values_half(EvenField(0.5 ** np.arange(NX)))
         applied = []
@@ -229,12 +244,12 @@ class TestCurvedGeometry:
             grid = CollocationGrid(np.pi, n)
             c = np.zeros(n + 1)
             c[1] = 0.1
-            g = dno(grid, EvenField(c), mode(tr_k, 1.0, n + 1), "lower", m)
+            g = dno(grid, EvenField(c), mode(tr_k, 1.0, n + 1), m)
             outs[n] = g[:30]
         assert np.max(np.abs(outs[48] - outs[96])) < 1e-8
 
     def test_harmonic_at_interior_points(self):
-        ops = build_operators(GRID, wavy(), DEPTH, "lower", 32)
+        ops = strip(GRID, wavy(), 32)
         sol = ops.solve(mode(2, 0.5))
         h = 1e-4
         for p in [(0.3, -0.5), (-1.0, -0.4), (2.0, -0.75)]:
@@ -249,9 +264,9 @@ class TestCurvedGeometry:
             assert abs(lap) < 1e-5
 
     def test_interior_derivatives_match_bivariate_fd(self):
-        ops = build_operators(GRID, wavy(), DEPTH, "upper", 32)
+        ops = strip(GRID, on_side(wavy(), "upper"), 32)
         sol = ops.solve(mode(3, 0.7))
-        p = (0.6, 0.45)
+        p = (0.6, -0.45)
         h = 1e-5
         fd_y = (ops.eval_interior(sol, (p[0], p[1] + h))
                 - ops.eval_interior(sol, (p[0], p[1] - h))) / (2 * h)
@@ -267,7 +282,7 @@ class TestCurvedGeometry:
         grid = CollocationGrid(np.pi, 16)
         c = np.zeros(17)
         c[1], c[2] = a1, a2
-        sol = build_operators(grid, EvenField(c), DEPTH, "lower", 12).solve(
+        sol = strip(grid, EvenField(c), 12).solve(
             mode(k, 1.0, 17))
         want = grid.even_values_half(mode(k, 1.0, 17))
         assert np.max(np.abs(sol.values[:, 0] - want)) < 1e-10
@@ -276,20 +291,20 @@ class TestCurvedGeometry:
 class TestInteriorFunctionals:
     def test_flat_interior_dy_oracle(self):
         k, kap, y0 = 4, 4.0, -0.5
-        ops = build_operators(GRID, FLAT, DEPTH, "lower", 32)
+        ops = strip(GRID, FLAT, 32)
         sol = ops.solve(mode(k))
         exact = kap * np.cosh(kap * (y0 + DEPTH)) / np.sinh(kap * DEPTH)
         assert ops.eval_interior_dy(sol, (0.0, y0)) == pytest.approx(exact, rel=1e-10)
 
     def test_constant_trace_dy_is_inverse_depth(self):
-        ops = build_operators(GRID, FLAT, DEPTH, "lower", 32)
+        ops = strip(GRID, FLAT, 32)
         sol = ops.solve(mode(0))
         assert ops.eval_interior_dy(sol, (0.9, -0.3)) == pytest.approx(
             1.0 / DEPTH, rel=1e-10
         )
 
     def test_row_functional_matches_direct_eval(self):
-        ops = build_operators(GRID, wavy(), DEPTH, "lower", 32)
+        ops = strip(GRID, wavy(), 32)
         p = (0.0, -0.5)
         row = ops.interior_dy_row(p)
         for k in (0, 3, 11):
@@ -299,7 +314,7 @@ class TestInteriorFunctionals:
 
     def test_row_matches_flat_symbol_when_resolved(self):
         # vertical truncation of high-mode boundary layers dies out by M = 48
-        ops = build_operators(GRID, FLAT, DEPTH, "lower", 48)
+        ops = strip(GRID, FLAT, 48)
         row = ops.interior_dy_row((0.0, -0.5))
         sym = flat_interior_dy_symbol(GRID, DEPTH, -0.5)
         assert np.max(np.abs(row - sym)) < 1e-9
@@ -312,7 +327,7 @@ class TestInteriorFunctionals:
 class TestShapeDerivatives:
     def test_zero_direction_zero_output(self):
         fld, val = shape_derivative(
-            GRID, wavy(), mode(2), mode(3, 0.0), DEPTH, "lower", 24,
+            GRID, wavy(), mode(2), mode(3, 0.0), DEPTH, 24,
             point=(0.0, -0.5),
         )
         assert np.max(np.abs(fld.coeffs)) == 0.0
@@ -320,11 +335,11 @@ class TestShapeDerivatives:
 
     def test_linearity_in_direction(self):
         f1, v1 = shape_derivative(
-            GRID, wavy(), mode(2), mode(1, 1.0), DEPTH, "lower", 24,
+            GRID, wavy(), mode(2), mode(1, 1.0), DEPTH, 24,
             point=(0.0, -0.5),
         )
         f2, v2 = shape_derivative(
-            GRID, wavy(), mode(2), mode(1, 2.0), DEPTH, "lower", 24,
+            GRID, wavy(), mode(2), mode(1, 2.0), DEPTH, 24,
             point=(0.0, -0.5),
         )
         assert np.max(np.abs(f2.coeffs - 2 * f1.coeffs)) < 1e-6 * np.max(
@@ -338,7 +353,7 @@ class TestShapeDerivatives:
         eta = wavy(33)
         trace = mode(4, 1.0, 33)
         p = (0.0, -0.5)
-        ops = build_operators(grid, eta, DEPTH, "lower", 24)
+        ops = strip(grid, eta, 24)
         sol = ops.solve(trace)
         dno_dirs, int_dirs = ops.shape_batch(sol, p)
         k = 7
@@ -346,7 +361,7 @@ class TestShapeDerivatives:
         errs, int_errs = [], []
         for step in (2e-3, 1e-3):
             fld, val = shape_derivative(
-                grid, eta, trace, mode(k, 1.0, 33), DEPTH, "lower", 24,
+                grid, eta, trace, mode(k, 1.0, 33), DEPTH, 24,
                 point=p, step=step,
             )
             errs.append(np.max(np.abs(fld.coeffs - ref)))
@@ -354,7 +369,7 @@ class TestShapeDerivatives:
         assert 3.0 < errs[0] / errs[1] < 5.0  # Richardson ratio for halving
         assert 3.0 < int_errs[0] / int_errs[1] < 5.0
         fld, val = shape_derivative(
-            grid, eta, trace, mode(k, 1.0, 33), DEPTH, "lower", 24,
+            grid, eta, trace, mode(k, 1.0, 33), DEPTH, 24,
             point=p, step=1e-4,
         )
         assert np.max(np.abs(fld.coeffs - ref)) < 1e-5
@@ -364,20 +379,20 @@ class TestShapeDerivatives:
         grid = CollocationGrid(np.pi, 24)
         c = np.zeros(25)
         c[2] = -0.05
-        eta = EvenField(c)
+        eta = on_side(EvenField(c), "upper")
         trace = mode(3, 1.0, 25)
-        ops = build_operators(grid, eta, DEPTH, "upper", 20)
+        ops = strip(grid, eta, 20)
         dno_dirs, _ = ops.shape_batch(ops.solve(trace))
         for k in (0, 2, 5):
             fld, _ = shape_derivative(
-                grid, eta, trace, mode(k, 1.0, 25), DEPTH, "upper", 20, step=1e-4,
+                grid, eta, trace, mode(k, 1.0, 25), DEPTH, 20, step=1e-4,
             )
             got = grid._cos_inv @ dno_dirs[:, k]
             assert np.max(np.abs(got - fld.coeffs)) < 1e-5
 
     def test_flat_zero_trace_has_zero_shape_derivative(self):
         # the solve map is linear in the trace, so at trace = 0 it is flat
-        ops = build_operators(GRID, FLAT, DEPTH, "lower", 24)
+        ops = strip(GRID, FLAT, 24)
         sol = ops.solve(mode(0, 0.0))
         dno_dirs, int_dirs = ops.shape_batch(sol, (0.0, -0.5))
         assert np.max(np.abs(dno_dirs)) == 0.0
@@ -389,18 +404,18 @@ class TestGuards:
         c = np.zeros(NX)
         c[0] = -0.99 * DEPTH
         with pytest.raises(DegenerateStrip):
-            LayerGeometry(GRID, "lower", DEPTH, EvenField(c))
+            LayerGeometry(GRID, DEPTH, EvenField(c))
 
     def test_gap_floor_is_two_percent_of_depth(self):
         c = np.zeros(NX)
         c[0] = -0.985 * DEPTH
         with pytest.raises(DegenerateStrip):
-            LayerGeometry(GRID, "lower", DEPTH, EvenField(c))
+            LayerGeometry(GRID, DEPTH, EvenField(c))
         c[0] = -0.97 * DEPTH
-        LayerGeometry(GRID, "lower", DEPTH, EvenField(c))
+        LayerGeometry(GRID, DEPTH, EvenField(c))
 
     def test_point_outside_layer_raises(self):
-        ops = build_operators(GRID, FLAT, DEPTH, "lower", 16)
+        ops = strip(GRID, FLAT, 16)
         sol = ops.solve(mode(1))
         for bad in [(0.0, 0.5), (0.0, -1.5), (0.0, 0.0), (0.0, -1.0)]:
             with pytest.raises(PointOutsideLayer):
@@ -408,8 +423,13 @@ class TestGuards:
 
     def test_rejects_coarse_vertical(self):
         with pytest.raises(ValueError):
-            build_operators(GRID, FLAT, DEPTH, "lower", 4)
+            strip(GRID, FLAT, 4)
 
-    def test_rejects_unknown_side(self):
-        with pytest.raises(ValueError):
-            LayerGeometry(GRID, "middle", DEPTH, FLAT)
+    def test_interface_below_the_wall_is_degenerate(self):
+        # one half-grid node 0.5 below the wall, none near it: the thickness
+        # is negative there, though its magnitude clears the floor
+        grid = CollocationGrid(np.pi, 16)
+        values = np.zeros(17)
+        values[8] = -1.5 * DEPTH
+        with pytest.raises(DegenerateStrip):
+            LayerGeometry(grid, DEPTH, EvenField(grid._cos_inv @ values))

@@ -192,6 +192,18 @@ class TestResidual:
         with pytest.raises(DegenerateStrip):
             system.residual(state, 0.0)
 
+    def test_interface_above_the_upper_wall_is_degenerate(self):
+        # one half-grid node 0.5 above the upper wall, none near it: the
+        # upper layer's thickness is negative there
+        system = WaveSystem(PARAMS, 16, 12)
+        values = np.zeros(17)
+        values[8] = 1.5 * PARAMS.depth
+        state = WaveState(EvenField(system.grid._cos_inv @ values),
+                          EvenField(np.zeros(17)), EvenField(np.zeros(17)),
+                          0.0)
+        with pytest.raises(DegenerateStrip):
+            system.prepare(state)
+
     def test_vortex_guard_propagates(self):
         # a flat interface through the lower vortex meets the kernel's
         # singularity floor
