@@ -19,11 +19,13 @@ residual.  Those are residual-only evaluations, which factor no layer
 operator.  The analytic Jacobian takes over an iteration whose GMRES
 misses the forcing within KRYLOV_VECTORS or whose difference evaluation
 raises, and one whose layer operators are already factored (small grids,
-or a trace solve that fell back to LU), where it factors nothing new; its
-bordered factors become the chord.  So a branch step factors layer
-operators only for the analytic Jacobian of its accepted point, which the
-tangent and the point diagnostics need, and the fixed-strength solve only
-for its first iteration and its solution.
+or a trace solve that fell back to LU), where its layer solves
+back-substitute; its bordered factors become the chord.  The analytic
+Jacobian factors no layer operator either: it reads each layer through one
+adjoint block solved by GMRES (`layers.LayerOperators._adjoint_block`).
+So above the Krylov crossover a branch factors no layer operator at all
+unless a GMRES solve misses, and every accepted point still gets the exact
+Jacobian that the tangent and the point diagnostics need.
 
 Tangents are unit null vectors of the bordered Jacobian under a weighted
 inner product: discrete H^1 weights on the three field blocks and unit
@@ -39,7 +41,9 @@ or whose interface meets a vortex is damped like a rejected trial.  A step
 whose corrector fails (no convergence, a guard violation, a failed layer
 solve, or a non-finite entry in a Newton step or at a trial point) is
 retried at half the arclength step; once the step falls below ds_min the
-branch ends as a Newton failure.  Exhausted step budgets and unrecoverable
+branch ends as a Newton failure.  Only accepted points count against the
+max_steps budget, so a run whose every attempt fails ends as a Newton
+failure, whatever its budget.  Exhausted step budgets and unrecoverable
 Newton failures are reported through the same classification.
 
 The point diagnostics take the smallest singular value from scipy's
@@ -468,7 +472,8 @@ class ContinuationEngine:
         ds = settings.ds0
 
         vortex_block = boundary_block = False
-        for _ in range(settings.max_steps):
+        # the budget counts accepted points; halving ds bounds the retries
+        while len(branch.points) <= settings.max_steps:
             try:
                 state, strength, iterations, prep, norm = (
                     self._arclength_correct(base, tang, ds, jac)

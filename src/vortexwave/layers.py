@@ -23,22 +23,27 @@ zero-Dirichlet gauge on the rigid wall.  The gauge fixes the additive constant
 of the stream function and gives the k = 0 Dirichlet-to-Neumann multiplier
 the value 1/d on a flat strip.
 
-Two solve paths share one operator.  A single trace solve, the only solve
-a residual needs, runs GMRES (Saad & Schultz 1986) on the matrix-free apply,
+Every solve runs GMRES (Saad & Schultz 1986) on a matrix-free apply,
 right-preconditioned by the flat strip at the layer's mean thickness.  The
 flat strip separates into one Chebyshev boundary-value problem per cosine
 mode, and all of them share the interior block of d^2/dtau^2, which is
 diagonalized once per vertical resolution; so an operator builds no
 preconditioner of its own, and applying it costs two products with the
-(M-1) x (M-1) eigenvector matrices besides the cosine transforms.  The
-multi-column and transposed solves behind the Jacobian (the
-Dirichlet-to-Neumann matrix, the interior-derivative row functional and the
-directional shape derivatives) back-substitute through one dense LU
-factorization per geometry, made the first time one of them runs.  Trace
-solves on small operators, and any that GMRES does not converge, take the
-LU path too.  The GMRES loop itself, `gmres`, takes the apply, the
-preconditioner and the stop as arguments; the continuation corrector runs
-it on the bordered Newton system.
+(M-1) x (M-1) eigenvector matrices besides the cosine transforms.  A trace
+solve, the only solve a residual needs, runs on the operator A itself.
+Everything the Jacobian reads from a layer (the Dirichlet-to-Neumann
+matrix, the directional shape derivatives and the interior-derivative row)
+is a functional of a solve, either the interface u_tau or the vertical
+derivative at the vortex, so one adjoint block Z = A^-T [E^T | e] of
+N + 1 (+ 1) columns serves all three; it runs on the transposes of the
+apply and of the preconditioner, with its large products on scipy's BLAS.
+LU is the one direct path: a dense factorization of the assembled operator,
+made the first time a solve needs it and kept, serves operators below
+KRYLOV_MIN_UNKNOWNS, any solve whose GMRES misses, and every later solve on
+an operator already factored.  The GMRES loop itself, `gmres`, takes the
+apply, the preconditioner and the stop as arguments and one right-hand side
+or a block of them; the continuation corrector runs it on the bordered
+Newton system.
 
 The factorized operator carries its Dirichlet rows scaled to the largest
 diagonal entry of the interior rows (the Dirichlet entries of every
@@ -55,6 +60,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial import chebyshev as ncheb
+from scipy.linalg.blas import dgemm
 
 from .errors import DegenerateStrip, LinearSolveFailure, PointOutsideLayer
 from .spectral import CollocationGrid, EvenField
@@ -62,14 +68,16 @@ from .spectral import CollocationGrid, EvenField
 #: central-difference step of the shape derivatives, in units of the depth
 SHAPE_STEP = 1e-6
 
-#: unknown count nx * mt below which a trace solve factors the operator
-#: instead of running GMRES.  On 2 x86 cores with OpenBLAS one GMRES solve
-#: costs as much as assembly plus LU near 290 unknowns (16x16); a prepare
-#: whose Jacobian follows pays for both, so the switch sits higher, where
-#: GMRES costs 0.3 of the LU (561 unknowns, 32x16)
+#: unknown count nx * mt below which a layer factors its operator instead
+#: of running GMRES, for trace solves and the adjoint block alike.  On 2 x86
+#: cores with OpenBLAS one GMRES trace solve costs as much as assembly plus
+#: LU near 290 unknowns (16x16).  The switch was set higher, where GMRES
+#: costs 0.3 of the LU (561 unknowns, 32x16), while every Jacobian still
+#: factored its operators, and has not been re-tuned since
 KRYLOV_MIN_UNKNOWNS = 500
 
-#: Krylov vectors a trace solve may build before it falls back to LU
+#: Krylov vectors a GMRES solve may build per column before it falls back
+#: to LU
 KRYLOV_MAX = 40
 
 #: GMRES stopping rule on the relative residual estimate: converged below
@@ -87,49 +95,84 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
           tol: float, floor: float = 0.0) -> np.ndarray | None:
     """Right-preconditioned GMRES for apply(x) = rhs; None when it misses.
 
-    Builds at most `max_vectors` Krylov vectors of apply(precondition(.))
-    and stops on the Arnoldi estimate of the relative residual: below
-    `tol`, or below `floor` once one more vector cuts the estimate by less
-    than the factor KRYLOV_STALL.  Returns None when the estimate turns
-    non-finite or the vectors run out first.
+    `rhs` is one vector (n,) or a block (n, k) of independent right-hand
+    sides; apply and precondition then map (n, j) blocks to (n, j) blocks
+    column by column.  Each column builds at most `max_vectors` Krylov
+    vectors of apply(precondition(.)) and stops on its own Arnoldi estimate
+    of the relative residual: below `tol`, or below `floor` once one more
+    vector cuts the estimate by less than the factor KRYLOV_STALL.  Later
+    vectors are built for the columns still running only, and are
+    allocated as they are needed.  Returns None when an estimate turns
+    non-finite or a column runs out of vectors.
     """
-    beta = float(np.linalg.norm(rhs))
-    if beta == 0.0:
-        return np.zeros_like(rhs)
-    basis = np.empty((max_vectors + 1, rhs.size))
-    hess = np.zeros((max_vectors + 1, max_vectors))
-    cs = np.empty(max_vectors)
-    sn = np.empty(max_vectors)
-    g = np.zeros(max_vectors + 1)
+    vector = rhs.ndim == 1
+    b = rhs.reshape(rhs.shape[0], -1)
+    k = b.shape[1]
+    beta = np.sqrt(np.einsum("nk,nk->k", b, b))
+    hess = np.zeros((max_vectors + 1, max_vectors, k))
+    # the product Q^T of the Givens rotations so far, applied to each new
+    # Hessenberg column at once rather than one rotation after another
+    rot = np.zeros((max_vectors + 1, max_vectors + 1, k))
+    rot[0, 0] = 1.0
+    g = np.zeros((max_vectors + 1, k))
     g[0] = beta
-    basis[0] = rhs / beta
-    previous = 1.0
+    combined = np.zeros_like(b)  # sum of y_i basis_i, column by column
+    previous = np.ones(k)
+    running = np.flatnonzero(beta)  # a zero column's solution is zero
+    # a column of vector i is set while that column runs, and read only then
+    basis = [b / np.where(beta > 0.0, beta, 1.0)]
     for j in range(max_vectors):
-        w = apply(precondition(basis[j]))
+        if running.size == 0:
+            break
+        sel = slice(None) if running.size == k else running
+        v = basis[j][:, sel]
+        w = apply(precondition(v[:, 0] if vector else v)).reshape(v.shape)
         for i in range(j + 1):  # modified Gram-Schmidt
-            hess[i, j] = basis[i] @ w
-            w -= hess[i, j] * basis[i]
-        norm_w = float(np.linalg.norm(w))
-        hess[j + 1, j] = norm_w
-        for i in range(j):  # earlier Givens rotations
-            hess[i, j], hess[i + 1, j] = (
-                cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
-                -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j],
-            )
-        rad = np.hypot(hess[j, j], hess[j + 1, j])
-        cs[j], sn[j] = hess[j, j] / rad, hess[j + 1, j] / rad
-        hess[j, j], hess[j + 1, j] = rad, 0.0
-        g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
-        estimate = abs(g[j + 1]) / beta
-        if estimate <= tol or (
-                estimate <= floor and estimate > KRYLOV_STALL * previous):
-            y = sla.solve_triangular(hess[:j + 1, :j + 1], g[:j + 1])
-            return precondition(y @ basis[:j + 1])
-        if not np.isfinite(estimate):
+            v = basis[i][:, sel]
+            dots = np.einsum("na,na->a", v, w)
+            hess[i, j, sel] = dots
+            w -= dots * v
+        norm_w = np.sqrt(np.einsum("na,na->a", w, w))
+        col = np.einsum("ila,la->ia", rot[:j + 1, :j + 1, sel],
+                        hess[:j + 1, j, sel])
+        rad = np.hypot(col[j], norm_w)
+        c, s = col[j] / rad, norm_w / rad  # the new rotation, rows j, j + 1
+        col[j] = rad
+        hess[:j + 1, j, sel] = col
+        last = rot[j][:j + 1, sel]
+        rot[j + 1][:j + 1, sel] = -s * last
+        rot[j][:j + 1, sel] = c * last
+        rot[j, j + 1, sel] = s
+        rot[j + 1, j + 1, sel] = c
+        g[j + 1, sel] = -s * g[j, sel]
+        g[j, sel] = c * g[j, sel]
+        estimate = np.abs(g[j + 1, sel]) / beta[sel]
+        done = (estimate <= tol) | (
+            (estimate <= floor) & (estimate > KRYLOV_STALL * previous[sel]))
+        if done.any():
+            cols = running[done]
+            y = _back_substitute(hess[:j + 1, :j + 1, cols], g[:j + 1, cols])
+            for i in range(j + 1):
+                combined[:, cols] += y[i] * basis[i][:, cols]
+        if not np.isfinite(estimate[~done]).all():
             return None
-        basis[j + 1] = w / norm_w
-        previous = estimate
-    return None
+        previous[sel] = estimate
+        running = running[~done]
+        if running.size:
+            basis.append(np.empty_like(b))
+            basis[-1][:, running] = w[:, ~done] / norm_w[~done]
+    if running.size:
+        return None
+    return precondition(combined[:, 0] if vector else combined)
+
+
+def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve upper[:, :, c] y[:, c] = rhs[:, c] for every column c."""
+    y = np.empty_like(rhs)
+    for i in range(rhs.shape[0] - 1, -1, -1):
+        y[i] = (rhs[i] - np.einsum("lc,lc->c", upper[i, i + 1:], y[i + 1:])
+                ) / upper[i, i]
+    return y
 
 
 def chebyshev_gauss_lobatto(m: int) -> np.ndarray:
@@ -231,14 +274,14 @@ def _profiles(grid: CollocationGrid, eta_half, depth: float):
 class LayerOperators:
     """Mapped-Laplace operator for one layer geometry.
 
-    Construction keeps only the variable-coefficient profiles.  The dense
-    operator is assembled and LU-factored the first time a multi-column or
-    transposed solve needs it (`dno_matrix`, `shape_batch`,
-    `interior_dy_row`), and the factors are then shared by all of them.  A
-    trace solve (`solve`) runs right-preconditioned GMRES on the matrix-free
-    apply instead, so a residual evaluation factors nothing; it takes the LU
-    path when the operator has fewer than KRYLOV_MIN_UNKNOWNS unknowns or
-    when GMRES does not converge within KRYLOV_MAX vectors.
+    Construction keeps only the variable-coefficient profiles.  A trace
+    solve (`solve`) and the adjoint block behind `dno_matrix`, `shape_batch`
+    and `interior_dy_row` run right-preconditioned GMRES on matrix-free
+    applies, so neither a residual nor a Jacobian factors anything.  The
+    dense operator is assembled and LU-factored only when the operator has
+    fewer than KRYLOV_MIN_UNKNOWNS unknowns or a GMRES solve does not
+    converge within KRYLOV_MAX vectors; every later solve on it then
+    back-substitutes through the factors.
     """
 
     def __init__(self, geometry: LayerGeometry, m_vertical: int):
@@ -265,7 +308,7 @@ class LayerOperators:
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
         self._dno_matrix = None
-        self._adjoints = {}
+        self._adjoint = None  # (point key, adjoint block)
 
     @cached_property
     def _factors(self):
@@ -311,7 +354,7 @@ class LayerOperators:
 
     @property
     def factored(self) -> bool:
-        """Whether the LU factors exist, so a Jacobian here factors nothing."""
+        """Whether the LU factors exist; later solves back-substitute."""
         return "_factors" in self.__dict__
 
     # -- solves -------------------------------------------------------------
@@ -338,6 +381,40 @@ class LayerOperators:
         ]
         return out[:, 0] if vec else out
 
+    def _apply_transpose(self, v: np.ndarray) -> np.ndarray:
+        """Transpose of `_apply` on an (n, k) block, matrix-free.
+
+        `_apply` is A = P L + Q: the mapped operator L on the interior rows
+        (projection P) and the identity on the Dirichlet rows (projection
+        Q).  So A^T v = L^T P v + Q v, with, for a field w on the grid,
+
+            L^T w = D2x^T w + (c_tt w) D2tau + (c_t w + D1x^T (c_mixed w)) Dtau.
+
+        The x products run on (nx, mt k) views and the two tau products as
+        one on the (nx k, 2 mt) transposed stack, all on scipy's BLAS.
+        """
+        grid = self.geometry.grid
+        nx = grid.n_modes + 1
+        mt = self.m_vertical + 1
+        k = v.shape[1]
+        v3 = v.reshape(nx, mt, k)
+        w = v3.copy()
+        w[:, [0, -1], :] = 0.0
+        out = _blas_product(grid.half_d2.T, w.reshape(nx, mt * k))
+        mixed = _blas_product(grid.half_d1.T,
+                              (self._c_mixed[:, :, None] * w).reshape(nx, -1))
+        stack = np.empty((nx, k, 2 * mt))
+        w_t = w.transpose(0, 2, 1)
+        np.multiply(self._c_tt[:, None, :], w_t, out=stack[:, :, :mt])
+        np.multiply(self._c_t[:, None, :], w_t, out=stack[:, :, mt:])
+        stack[:, :, mt:] += mixed.reshape(nx, mt, k).transpose(0, 2, 1)
+        tau_part = _blas_product(stack.reshape(nx * k, 2 * mt),
+                                 np.concatenate([self._d_tau2, self._d_tau]))
+        out = out.reshape(nx, mt, k)
+        out += tau_part.reshape(nx, k, mt).transpose(0, 2, 1)
+        out[:, [0, -1], :] += v3[:, [0, -1], :]
+        return out.reshape(nx * mt, k)
+
     def _flat_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the flat-strip preconditioner to one right-hand side.
 
@@ -361,14 +438,73 @@ class LayerOperators:
         u[:, 1:-1] = inner @ vecs.T
         return (grid._cos_mat @ u).reshape(-1)
 
-    def _solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve with the identity-row operator through the scaled factors."""
+    def _flat_solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
+        """Transpose of `_flat_solve` on an (n, k) block.
+
+        `_flat_solve` is (C x I) T^-1 (C^-1 x I), C the cosine synthesis in
+        x and T the per-mode blocks, so its transpose is
+        (C^-T x I) T^-T (C^T x I).  Mode k's block has identity Dirichlet
+        rows b and the interior rows [D_ib / h^2, S], S = D_ii / h^2 - k^2
+        with D the collocated d^2/dtau^2; so T^-T r has the interior part
+        S^-T r_i = V^-T diag(1 / (lam / h^2 - k^2)) V^T r_i and the
+        Dirichlet part r_b - D_ib^T (S^-T r_i) / h^2.  The x products run on
+        (nx, mt k) views and the tau products on the (nx k, mt) transposed
+        copy, all on scipy's BLAS.
+        """
+        geom = self.geometry
+        grid = geom.grid
+        nx = grid.n_modes + 1
+        mt = self.m_vertical + 1
+        k = rhs.shape[1]
+        h2 = (geom.eta.coeffs[0] + geom.depth) ** 2
+        lam, vecs, vecs_inv = _interior_eigen(self.m_vertical)
+        r = _blas_product(grid._cos_mat.T, rhs.reshape(nx, mt * k))
+        u = np.ascontiguousarray(r.reshape(nx, mt, k).transpose(0, 2, 1))
+        inner = _blas_product(u[:, :, 1:-1].reshape(nx * k, mt - 2), vecs)
+        inner = inner.reshape(nx, k, mt - 2) / (
+            lam / h2 - grid.wavenumbers[:, None] ** 2)[:, None, :]
+        inner = _blas_product(inner.reshape(nx * k, mt - 2), vecs_inv)
+        u[:, :, 1:-1] = inner.reshape(nx, k, mt - 2)
+        u[:, :, [0, -1]] -= _blas_product(
+            inner, self._d_tau2[1:-1, [0, -1]] / h2).reshape(nx, k, 2)
+        u = np.ascontiguousarray(u.transpose(0, 2, 1)).reshape(nx, mt * k)
+        return _blas_product(grid._cos_inv.T, u).reshape(nx * mt, k)
+
+    def _solve_rhs(self, rhs: np.ndarray, transposed: bool = False
+                   ) -> np.ndarray:
+        """A^-1 rhs, or A^-T rhs, through the scaled LU factors.
+
+        The factors hold S A, S scaling the Dirichlet rows: A x = rhs is
+        (S A) x = S rhs, and A^T x = rhs is (S A)^T y = rhs with x = S y.
+        """
         lu, scale = self._factors
-        scaled = rhs.copy()
-        scaled[self._replaced_rows] *= scale
-        out = sla.lu_solve(lu, scaled, check_finite=False)
+        if transposed:
+            out = sla.lu_solve(lu, rhs, trans=1, check_finite=False)
+            out[self._replaced_rows] *= scale
+        else:
+            scaled = rhs.copy()
+            scaled[self._replaced_rows] *= scale
+            out = sla.lu_solve(lu, scaled, check_finite=False)
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("layer solve produced non-finite entries")
+        return out
+
+    def _solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """A^-1 rhs, or A^-T rhs: GMRES, or the LU path.
+
+        LU serves operators below KRYLOV_MIN_UNKNOWNS, operators already
+        factored, and any right-hand side whose GMRES misses.
+        """
+        out = None
+        unknowns = (self.geometry.grid.n_modes + 1) * (self.m_vertical + 1)
+        if unknowns >= KRYLOV_MIN_UNKNOWNS and not self.factored:
+            apply, precondition = (
+                (self._apply_transpose, self._flat_solve_transpose)
+                if transposed else (self._apply, self._flat_solve))
+            out = gmres(apply, precondition, rhs, KRYLOV_MAX, KRYLOV_TOL,
+                        KRYLOV_FLOOR)
+        if out is None or not np.all(np.isfinite(out)):
+            out = self._solve_rhs(rhs, transposed)
         return out
 
     def solve(self, trace: EvenField) -> "LayerSolution":
@@ -379,13 +515,7 @@ class LayerOperators:
             raise ValueError("trace band does not match the grid")
         rhs = np.zeros(nx * mt)
         rhs[self._interface_rows] = grid.even_values_half(trace)
-        u = None
-        if nx * mt >= KRYLOV_MIN_UNKNOWNS:
-            u = gmres(self._apply, self._flat_solve, rhs, KRYLOV_MAX,
-                      KRYLOV_TOL, KRYLOV_FLOOR)
-        if u is None or not np.all(np.isfinite(u)):
-            u = self._solve_rhs(rhs)
-        return LayerSolution(values=u.reshape(nx, mt))
+        return LayerSolution(values=self._solve(rhs).reshape(nx, mt))
 
     # -- interface extraction -------------------------------------------------
 
@@ -406,22 +536,54 @@ class LayerOperators:
         return self._extraction(self.geometry._eta_half, u_tau_ifc, u_x_ifc)
 
     def dno_matrix(self) -> np.ndarray:
-        """Trace coefficients -> Dirichlet-to-Neumann coefficients."""
+        """Trace coefficients -> Dirichlet-to-Neumann coefficients.
+
+        A solve keeps the trace as its interface values, so their x
+        derivative needs no solve, and the interface u_tau of the solve for
+        trace coefficients c is E A^-1 B c = Z^T B c, B placing the trace's
+        half-grid values on the interface rows (Z from `_adjoint_block`).
+        """
         if self._dno_matrix is None:
             grid = self.geometry.grid
             nx = grid.n_modes + 1
-            mt = self.m_vertical + 1
-            rhs = np.zeros((nx * mt, nx))
-            rhs[self._interface_rows, :] = grid._cos_mat
-            u_all = self._solve_rhs(rhs).reshape(nx, mt, nx)
-            _, _, d_tau, _, _ = _vertical(self.m_vertical)
-            u_tau_ifc = np.einsum("jik,i->jk", u_all, d_tau[0])
-            u_x_ifc = grid.half_d1 @ u_all[:, 0, :]
-            vals = self._extraction(
-                self.geometry._eta_half[:, None], u_tau_ifc, u_x_ifc
-            )
+            z = self._adjoint_block()
+            u_tau_ifc = z[self._interface_rows, :nx].T @ grid._cos_mat
+            vals = self._extraction(self.geometry._eta_half[:, None],
+                                    u_tau_ifc, grid.half_d1 @ grid._cos_mat)
             self._dno_matrix = grid._cos_inv @ vals
         return self._dno_matrix
+
+    def _adjoint_block(self, point=None) -> np.ndarray:
+        """Z = A^-T [E^T | e]: the transposed solves behind the Jacobian.
+
+        E maps a solution to its interface u_tau (row j: d_tau[0] on the
+        nodes above x_j), and e, present when `point` is given, to its
+        vertical derivative there.  Everything the Jacobian reads from a
+        layer is one of these functionals of a solve A^-1 r, that is
+        Z^T r: the Dirichlet-to-Neumann matrix, the shape derivatives and
+        the interior-derivative row.  GMRES solves the columns at once on
+        `_apply_transpose`, right-preconditioned by `_flat_solve_transpose`,
+        unless `_solve` takes the LU path.  The block is kept, and serves
+        any later call with no point or the same point.
+        """
+        key = None if point is None else (float(point[0]), float(point[1]))
+        if self._adjoint is not None and key in (None, self._adjoint[0]):
+            return self._adjoint[1]
+        grid = self.geometry.grid
+        nx = grid.n_modes + 1
+        mt = self.m_vertical + 1
+        _, _, d_tau, _, vand_inv = _vertical(self.m_vertical)
+        rhs = np.zeros((nx, mt, nx + (key is not None)))
+        rhs[np.arange(nx), :, np.arange(nx)] = d_tau[0]
+        if key is not None:
+            x, tau, h = self._map_point(point)
+            row_x = np.cos(grid.wavenumbers * x) @ grid._cos_inv
+            dt_row = _chebder_row(2.0 * tau + 1.0, self.m_vertical)
+            rhs[:, :, nx] = np.outer(row_x, (2.0 / h) * (dt_row @ vand_inv))
+        z = self._solve(rhs.reshape(nx * mt, -1), transposed=True)
+        z.flags.writeable = False  # shared by every caller
+        self._adjoint = (key, z)
+        return z
 
     # -- interior evaluation ---------------------------------------------------
 
@@ -460,40 +622,8 @@ class LayerOperators:
 
     def interior_dy_row(self, point) -> np.ndarray:
         """Row functional: trace coefficients -> interior vertical derivative."""
-        r = self._interior_dy_adjoint(point)
-        return r[self._interface_rows] @ self.geometry.grid._cos_mat
-
-    def _interior_dy_adjoint(self, point) -> np.ndarray:
-        """Transpose solve of the interior-dy evaluation functional.
-
-        Both `interior_dy_row` and a pointed `shape_batch` need it, so each
-        point's adjoint is solved once per operator and kept.
-        """
-        key = (float(point[0]), float(point[1]))
-        if key not in self._adjoints:
-            self._adjoints[key] = self._solve_adjoint(point)
-        return self._adjoints[key]
-
-    def _solve_adjoint(self, point) -> np.ndarray:
-        """Transpose solve A^T x = e of the interior-dy functional e at point.
-
-        The factors hold S A, S scaling the Dirichlet rows; (S A)^T y = e
-        gives x = S y.
-        """
-        x, tau, h = self._map_point(point)
-        grid = self.geometry.grid
-        _, _, _, _, vand_inv = _vertical(self.m_vertical)
-        kx = grid.wavenumbers
-        row_x = np.cos(kx * x) @ grid._cos_inv
-        dt_row = _chebder_row(2.0 * tau + 1.0, self.m_vertical)
-        e = np.outer(row_x, (2.0 / h) * (dt_row @ vand_inv)).ravel()
-        lu, scale = self._factors
-        out = sla.lu_solve(lu, e, trans=1, check_finite=False)
-        out[self._replaced_rows] *= scale
-        if not np.all(np.isfinite(out)):
-            raise LinearSolveFailure("adjoint solve produced non-finite entries")
-        out.flags.writeable = False  # shared by every caller at this point
-        return out
+        z = self._adjoint_block(point)
+        return z[self._interface_rows, -1] @ self.geometry.grid._cos_mat
 
     # -- directional shape derivatives ----------------------------------------
 
@@ -501,9 +631,11 @@ class LayerOperators:
         """Directional derivatives along every elevation cosine mode.
 
         Differentiates the assembled operator entries by central differences
-        (step SHAPE_STEP * depth) and back-substitutes through the factorized
-        base operator, so each direction costs one triangular solve instead of
-        two fresh factorizations.  Returns (dno_dirs, interior_dy_dirs) where
+        (step SHAPE_STEP * depth); the solution moves by du = -A^-1 R, R the
+        differentiated operator applied to the solution.  R has zero
+        Dirichlet rows, so du keeps zero interface values, and both its
+        interface u_tau and its interior derivative at `point` are columns
+        of -Z^T R (`_adjoint_block`).  Returns (dno_dirs, interior_dy_dirs) where
         dno_dirs[:, k] holds half-grid values of the derivative of the
         interface extraction and interior_dy_dirs[k] the derivative of the
         interior vertical-derivative functional at `point` (None skips it).
@@ -542,13 +674,11 @@ class LayerOperators:
         )
         rhs[:, 0, :] = 0.0
         rhs[:, -1, :] = 0.0  # Dirichlet rows carry no geometry dependence
-        rhs = rhs.reshape(nx * mt, nx)
-        du = self._solve_rhs(-rhs).reshape(nx, mt, nx)
+        moved = -_blas_product(self._adjoint_block(point).T,
+                               rhs.reshape(nx * mt, nx))
 
         u_tau_ifc, u_x_ifc = self._interface_tau_x(u)
-        du_tau_ifc = np.einsum("jik,i->jk", du, d_tau[0])
-        du_x_ifc = grid.half_d1 @ du[:, 0, :]
-        dno_dirs = self._extraction(eta0[:, None], du_tau_ifc, du_x_ifc)
+        dno_dirs = self._extraction(eta0[:, None], moved[:nx], 0.0)
         for k in range(nx):
             plus = self._extraction(eta0 + step * basis[:, k], u_tau_ifc, u_x_ifc)
             minus = self._extraction(eta0 - step * basis[:, k], u_tau_ifc, u_x_ifc)
@@ -557,8 +687,7 @@ class LayerOperators:
         if point is None:
             return dno_dirs, None
 
-        adj = self._interior_dy_adjoint(point)
-        interior_dirs = -(adj @ rhs)
+        interior_dirs = moved[nx]
         x_p = float(point[0])
         y_p = float(point[1])
         cvec = self._vertical_coeffs(u, x_p)
@@ -574,6 +703,19 @@ class LayerOperators:
                 vals.append(2.0 * ncheb.chebval(2.0 * tau_s + 1.0, dcvec) / h_s)
             interior_dirs[k] += (vals[0] - vals[1]) / (2.0 * step)
         return dno_dirs, interior_dirs
+
+
+def _blas_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on scipy's BLAS; C- or Fortran-ordered operands are not copied.
+
+    numpy's products run on numpy's own OpenBLAS pool, whose threads, once
+    woken, keep spinning against scipy's LAPACK calls (README, "Threads").
+    Fortran BLAS computes the transposed product b^T a^T, in which a
+    C-ordered operand's transpose is Fortran-ordered.
+    """
+    at, trans_a = (a.T, 0) if a.flags.c_contiguous else (a, 1)
+    bt, trans_b = (b.T, 0) if b.flags.c_contiguous else (b, 1)
+    return dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
 
 
 def _chebder_row(t: float, m: int) -> np.ndarray:

@@ -1,16 +1,27 @@
-"""Referees of the layer operators' shape derivatives and preconditioner.
+"""Referees of the layer operators' solves, shape derivatives and preconditioner.
 
 `shape_derivative` re-solves the layer on two perturbed geometries; the
-tests hold `LayerOperators.shape_batch` against it.  `flat_solve_dense`
-applies the flat-strip preconditioner through dense per-mode inverses; the
-tests hold `LayerOperators._flat_solve` against it.
+tests hold `LayerOperators.shape_batch` against it.  `forward_lu_products`
+computes the Jacobian's layer products through forward LU solves, the tests
+hold the adjoint block against it.  `assembled_operator` builds the operator
+from Kronecker products, the referee of the matrix-free applies.
+`flat_solve_dense` applies the flat-strip preconditioner through dense
+per-mode inverses; the tests hold `LayerOperators._flat_solve` and its
+transpose against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import chebyshev as ncheb
 
-from vortexwave.layers import SHAPE_STEP, LayerGeometry, LayerOperators
+from vortexwave.layers import (
+    SHAPE_STEP,
+    LayerGeometry,
+    LayerOperators,
+    LayerSolution,
+    _profiles,
+)
 from vortexwave.spectral import CollocationGrid, EvenField
 
 
@@ -53,7 +64,8 @@ def flat_solve_dense(ops, rhs: np.ndarray) -> np.ndarray:
     On a flat strip of the mean thickness h the mapped operator is
     u_xx + u_tautau / h^2; mode k of the cosine transform gives the
     (M+1) x (M+1) block d^2/dtau^2 / h^2 - k^2 with identity rows at the
-    interface and the wall, which is inverted here as it stands.
+    interface and the wall, which is inverted here as it stands.  `rhs` is
+    one vector (n,) or a block (n, k); the result has its shape.
     """
     geom = ops.geometry
     grid = geom.grid
@@ -63,6 +75,107 @@ def flat_solve_dense(ops, rhs: np.ndarray) -> np.ndarray:
               - grid.wavenumbers[:, None, None] ** 2 * np.eye(mt))
     blocks[:, [0, -1], :] = 0.0
     blocks[:, 0, 0] = blocks[:, -1, -1] = 1.0
-    r = grid._cos_inv @ rhs.reshape(grid.n_modes + 1, -1)
-    u = np.einsum("kij,kj->ki", np.linalg.inv(blocks), r)
-    return (grid._cos_mat @ u).reshape(-1)
+    r = np.einsum("kx,xjc->kjc", grid._cos_inv,
+                  rhs.reshape(grid.n_modes + 1, mt, -1))
+    u = np.einsum("kij,kjc->kic", np.linalg.inv(blocks), r)
+    return np.einsum("xk,kic->xic", grid._cos_mat, u).reshape(rhs.shape)
+
+
+def assembled_operator(ops) -> np.ndarray:
+    """The dense operator of `LayerOperators._apply`, from Kronecker products.
+
+    u_xx + c_tt u_tautau + c_t u_tau + c_mixed u_xtau on the interior rows,
+    identity rows at the interface and the wall.
+    """
+    grid = ops.geometry.grid
+    nx = grid.n_modes + 1
+    mt = ops.m_vertical + 1
+    eye_x, eye_t = np.eye(nx), np.eye(mt)
+    mat = (np.kron(grid.half_d2, eye_t)
+           + ops._c_tt.reshape(-1, 1) * np.kron(eye_x, ops._d_tau2)
+           + ops._c_t.reshape(-1, 1) * np.kron(eye_x, ops._d_tau)
+           + ops._c_mixed.reshape(-1, 1) * np.kron(grid.half_d1, ops._d_tau))
+    rows = ops._replaced_rows
+    mat[rows] = 0.0
+    mat[rows, rows] = 1.0
+    return mat
+
+
+def forward_lu_products(ops, sol, point):
+    """The Jacobian's products of one layer through forward LU solves.
+
+    Solves the operator once per trace mode for the Dirichlet-to-Neumann
+    matrix, and evaluates the same solutions' vertical derivative at
+    `point` for the interior-derivative row; solves it once per elevation
+    mode of the differentiated operator's right-hand side for the shape
+    derivatives.  Returns (dno matrix, shape-derivative values of the
+    interface extraction, shape derivatives of the interior derivative at
+    `point`, interior-derivative row), the quantities of
+    `LayerOperators.dno_matrix`, `shape_batch` and `interior_dy_row`.
+    """
+    geom = ops.geometry
+    grid = geom.grid
+    nx = grid.n_modes + 1
+    mt = ops.m_vertical + 1
+    depth = geom.depth
+    eta0 = geom._eta_half
+    basis = grid._cos_mat  # column k: cosine mode k on the half grid
+    d_tau, d_tau2 = ops._d_tau, ops._d_tau2
+
+    def interface_derivative(u_all, eta_half):
+        u_tau_ifc = np.einsum("jik,i->jk", u_all, d_tau[0])
+        u_x_ifc = grid.half_d1 @ u_all[:, 0, :]
+        return ops._extraction(eta_half, u_tau_ifc, u_x_ifc)
+
+    def interior_dy(u_all):
+        return np.array([ops.eval_interior_dy(LayerSolution(u_all[:, :, k]),
+                                              point)
+                         for k in range(u_all.shape[2])])
+
+    rhs = np.zeros((nx * mt, nx))
+    rhs[ops._interface_rows, :] = basis
+    u_all = ops._solve_rhs(rhs).reshape(nx, mt, nx)
+    dno = grid._cos_inv @ interface_derivative(u_all, eta0[:, None])
+    row = interior_dy(u_all)
+
+    u = sol.values
+    one_plus = ops._one_plus
+    step = SHAPE_STEP * depth
+    w_xd = grid.half_d1 @ u @ d_tau.T
+    w_dd = u @ d_tau2.T
+    w_d = u @ d_tau.T
+    d_prof = np.empty((4, nx, nx))  # (profile, x, mode)
+    for k in range(nx):
+        plus = np.stack(_profiles(grid, eta0 + step * basis[:, k], depth))
+        minus = np.stack(_profiles(grid, eta0 - step * basis[:, k], depth))
+        d_prof[:, :, k] = (plus - minus) / (2.0 * step)
+    shape_rhs = (
+        np.einsum("jk,i,ji->jik", d_prof[0], one_plus, w_xd)
+        + np.einsum("jk,i,ji->jik", d_prof[1], one_plus**2, w_dd)
+        + np.einsum("jk,ji->jik", d_prof[2], w_dd)
+        + np.einsum("jk,i,ji->jik", d_prof[3], one_plus, w_d)
+    )
+    shape_rhs[:, [0, -1], :] = 0.0
+    du = ops._solve_rhs(-shape_rhs.reshape(nx * mt, nx)).reshape(nx, mt, nx)
+    dno_dirs = interface_derivative(du, eta0[:, None])
+    # the explicit terms divide roundoff by the step, so they are computed
+    # exactly as shape_batch computes them
+    u_tau_ifc, u_x_ifc = ops._interface_tau_x(u)
+    for k in range(nx):
+        plus = ops._extraction(eta0 + step * basis[:, k], u_tau_ifc, u_x_ifc)
+        minus = ops._extraction(eta0 - step * basis[:, k], u_tau_ifc, u_x_ifc)
+        dno_dirs[:, k] += (plus - minus) / (2.0 * step)
+
+    interior_dirs = interior_dy(du)
+    x_p, y_p = float(point[0]), float(point[1])
+    dcvec = ncheb.chebder(ops._vertical_coeffs(u, x_p))
+    eta_p = grid.evaluate_even(geom.eta, np.array([x_p]))[0]
+    mode_at_p = np.cos(grid.wavenumbers * x_p)
+    for k in range(nx):
+        vals = []
+        for s in (step, -step):
+            h_s = eta_p + s * mode_at_p[k] + depth
+            tau_s = (y_p + depth) / h_s - 1.0
+            vals.append(2.0 * ncheb.chebval(2.0 * tau_s + 1.0, dcvec) / h_s)
+        interior_dirs[k] += (vals[0] - vals[1]) / (2.0 * step)
+    return dno, dno_dirs, interior_dirs, row

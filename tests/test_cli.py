@@ -192,6 +192,27 @@ class TestContinueMode:
         assert np.all(table["vortex_distance"] >= 0.05)
         assert np.all(table["residual_norm"] <= 1e-10)
 
+    @pytest.mark.parametrize("budget", ["3", "40"])
+    def test_failed_attempts_do_not_use_up_the_budget(self, tmp_path,
+                                                      budget):
+        # no step converges at this density; whatever the budget, the
+        # halvings of ds end the run below ds_min as a Newton failure
+        cfg = write_config(tmp_path, """
+[discretization]
+n_modes = 8
+m_vertical = 8
+
+[physical]
+rho_lower = 1e300
+""")
+        out = tmp_path / "out"
+        code = cli.main(["continue", "--config", cfg, "--out", str(out),
+                         "--max-steps", budget])
+        assert code == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "newton_failure"
+        assert summary["points"] == 1  # the origin
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["continue", "--config", str(tmp_path / "no.ini")])
         assert code == 2

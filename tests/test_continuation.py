@@ -233,7 +233,8 @@ class TestFailedTrialSolves:
         monkeypatch.setattr(LayerOperators, "solve", failing_once)
         branch = small_engine(max_steps=4).continue_branch()
         assert branch.termination is Alternative.MAX_STEPS_REACHED
-        assert len(branch.points) == len(clean.points) - 1  # one step lost
+        # only accepted points count against the budget
+        assert len(branch.points) == len(clean.points)
         # the first step is retried at half the arclength
         assert branch.points[1].strength == pytest.approx(
             0.5 * clean.points[1].strength, rel=1e-3
@@ -253,7 +254,8 @@ class TestFailedTrialSolves:
         monkeypatch.setattr(continuation, "lu_solve", nan_once)
         branch = small_engine(max_steps=4).continue_branch()
         assert branch.termination is Alternative.MAX_STEPS_REACHED
-        assert len(branch.points) == len(clean.points) - 1  # one step lost
+        # only accepted points count against the budget
+        assert len(branch.points) == len(clean.points)
         assert branch.points[1].strength == pytest.approx(
             0.5 * clean.points[1].strength, rel=1e-3
         )
@@ -262,14 +264,14 @@ class TestFailedTrialSolves:
 class TestWorkCounts:
     def test_factorizations_per_accepted_step(self, lu_counter):
         # 32x16 is above KRYLOV_MIN_UNKNOWNS, so predictor, damping-trial and
-        # difference-product residuals factor nothing, and corrector
-        # iterations after the first take Newton-Krylov steps: each point
-        # pays one factorization per layer, for its own Jacobian
+        # difference-product residuals factor nothing, corrector iterations
+        # after the first take Newton-Krylov steps, and each point's
+        # Jacobian solves its layers' adjoint blocks by GMRES: 0 per point
         engine = small_engine(n_modes=32, m_vertical=16, max_steps=6)
         branch = engine.continue_branch()
         assert len(branch.points) == 7
         assert [p.newton_iterations for p in branch.points] == [0, 1, 1, 2, 2, 2, 2]
-        assert lu_counter.factorizations == 2 * len(branch.points)
+        assert lu_counter.factorizations == 0
 
     def test_factored_operators_keep_the_analytic_jacobian(self, lu_counter):
         # 16x12 trace solves factor their operators, so every corrector
@@ -309,13 +311,13 @@ class TestNewtonKrylov:
 
     def test_fixed_strength_solve_factors_little(self, lu_counter):
         # the origin tangent comes from the closed-form flat linearization;
-        # the first iteration factors the guess's two layer operators, the
-        # first Newton-Krylov step misses (it needs 12 vectors) and
-        # refreshes the chord, the later ones converge, and the solution's
-        # Jacobian factors two more
+        # the first iteration builds the guess's Jacobian, the first
+        # Newton-Krylov step misses (it needs 12 vectors) and refreshes the
+        # chord, the later ones converge, and the solution's Jacobian is the
+        # fourth: all four solve adjoint blocks by GMRES and factor nothing
         point = small_engine(n_modes=32, m_vertical=16).solve_at(3.0)
         assert point.newton_iterations == 5
-        assert lu_counter.factorizations == 6
+        assert lu_counter.factorizations == 0
 
     def test_fixed_strength_solve_matches_the_analytic_corrector(
             self, monkeypatch):

@@ -16,13 +16,20 @@ from vortexwave.layers import (
     chebyshev_diff_matrix,
     chebyshev_gauss_lobatto,
     flat_dno_symbol,
+    _blas_product,
     flat_interior_dy_symbol,
     gmres,
 )
+from vortexwave.continuation import ContinuationEngine, ContinuationSettings
 from vortexwave.spectral import CollocationGrid, EvenField
 from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
 
-from layer_referee import flat_solve_dense, shape_derivative
+from layer_referee import (
+    assembled_operator,
+    flat_solve_dense,
+    forward_lu_products,
+    shape_derivative,
+)
 
 GRID = CollocationGrid(np.pi, 64)
 NX = GRID.n_modes + 1
@@ -233,6 +240,114 @@ class TestTraceSolvePaths:
             assert out is None
         else:  # one preconditioner call per vector, one for the solution
             assert len(applied) == vectors + 1
+
+
+def worst_relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def strength_3():
+    """(system, state) of the fixed-strength solve at strength 3, 32x16."""
+    system = WaveSystem(PhysicalParameters(), 32, 16)
+    engine = ContinuationEngine(system, ContinuationSettings())
+    return system, engine.solve_at(3.0).state
+
+
+class TestAdjointBlock:
+    """The Jacobian's layer products from the adjoint block against the
+    forward LU solves of the same operator."""
+
+    POINT = (0.0, -0.5)  # the vortex, and the phantom in its reflected strip
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("state", ["flat", "crest", "strength-3"])
+    def test_matches_the_forward_lu_referee(self, state, side, strength_3):
+        if state == "strength-3":
+            system, wave = strength_3
+            prep = system.prepare(wave)
+            ops, sol = ((prep.ops_lower, prep.sol_lower) if side == "lower"
+                        else (prep.ops_upper, prep.sol_upper))
+        else:
+            crest = 0.0 if state == "flat" else 0.33
+            ops = strip(GRID, on_side(peaked(crest), side), 32)
+            sol = ops.solve(EvenField(0.5 ** np.arange(NX)))
+        nx = ops.geometry.grid.n_modes + 1
+        assert nx * (ops.m_vertical + 1) >= KRYLOV_MIN_UNKNOWNS
+        # in the Jacobian's order: the pointed shape batch builds the block
+        shape_dno, shape_dy = ops.shape_batch(sol, self.POINT)
+        got = (ops.dno_matrix(), shape_dno, shape_dy,
+               ops.interior_dy_row(self.POINT))
+        assert not ops.factored  # GMRES solved the block
+        want = forward_lu_products(ops, sol, self.POINT)
+        for g, w in zip(got, want):
+            assert worst_relative(g, w) <= 1e-12
+
+    def test_thin_layer_falls_back_to_lu(self):
+        ops = strip(GRID, peaked(-0.9), 32)  # min thickness 0.1
+        assert not ops.factored
+        got = ops.dno_matrix()
+        assert ops.factored  # GMRES missed, so the block took the LU path
+        sol = ops.solve(EvenField(0.5 ** np.arange(NX)))
+        point = (0.0, -0.95)  # halfway down the thinnest column
+        shape_dno, shape_dy = ops.shape_batch(sol, point)
+        got = (got, shape_dno, shape_dy, ops.interior_dy_row(point))
+        want = forward_lu_products(ops, sol, point)
+        for g, w in zip(got, want):
+            assert worst_relative(g, w) <= 1e-12
+
+    def test_block_columns_match_single_solves(self):
+        ops = strip(GRID, peaked(0.33), 32)
+        d_tau0 = ops._d_tau[0]
+        rhs = np.zeros((NX, 33, 3))
+        rhs[3, :, 0] = d_tau0
+        rhs[40, :, 2] = d_tau0  # column 1 stays zero
+        rhs = rhs.reshape(NX * 33, 3)
+        block = gmres(ops._apply_transpose, ops._flat_solve_transpose, rhs,
+                      KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR)
+        assert np.all(block[:, 1] == 0.0)
+        for c in (0, 2):
+            single = gmres(
+                lambda v: ops._apply_transpose(v[:, None])[:, 0],
+                lambda v: ops._flat_solve_transpose(v[:, None])[:, 0],
+                rhs[:, c], KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR)
+            assert worst_relative(block[:, c], single) <= 1e-12
+
+
+class TestTransposes:
+    """Referees of the matrix-free transposes behind the adjoint block."""
+
+    GRID32 = CollocationGrid(np.pi, 32)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_applies_match_the_assembled_operator(self, side):
+        ops = strip(self.GRID32, on_side(peaked(0.33, n=33), side), 16)
+        mat = assembled_operator(ops)
+        v = np.random.default_rng(8).standard_normal((33 * 17, 4))
+        assert worst_relative(ops._apply(v), mat @ v) <= 1e-13
+        assert worst_relative(ops._apply_transpose(v), mat.T @ v) <= 1e-13
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("crest", [0.0, 0.33, -0.9])  # flat, crest, thin
+    def test_transposed_preconditioner_matches_the_dense_block_inverse(
+            self, crest, side):
+        if side == "upper":
+            crest = -crest  # thin means a crest towards the upper wall
+        ops = strip(self.GRID32, on_side(peaked(crest, n=33), side), 16)
+        dense = flat_solve_dense(ops, np.eye(33 * 17))
+        v = np.random.default_rng(9).standard_normal((33 * 17, 3))
+        assert worst_relative(ops._flat_solve_transpose(v),
+                              dense.T @ v) <= 1e-12
+
+    @pytest.mark.parametrize("a_order", ["C", "F"])
+    @pytest.mark.parametrize("b_order", ["C", "F"])
+    def test_blas_product_matches_matmul(self, a_order, b_order):
+        rng = np.random.default_rng(10)
+        a = np.asarray(rng.standard_normal((7, 5)), order=a_order)
+        b = np.asarray(rng.standard_normal((5, 6)), order=b_order)
+        got = _blas_product(a, b)
+        assert got.flags.c_contiguous
+        assert worst_relative(got, a @ b) <= 1e-15
 
 
 class TestCurvedGeometry:

@@ -5,7 +5,9 @@ pool.  A numpy LAPACK call in the per-point loop leaves numpy's threads
 spinning while scipy factors the next layer operator, which then takes
 50-70% longer.  So no module in src/ calls a numpy.linalg function
 other than `norm`, which runs no LAPACK, except validation.py, whose checks
-run outside any branch, and the cached set-up on ONCE_PER_RESOLUTION.
+run outside any branch, and the cached set-up on ONCE_PER_RESOLUTION.  The
+large products of the layers' adjoint blocks wake a pool the same way, so
+they run on scipy's BLAS as well (README, "Threads").
 """
 
 import ast
@@ -68,3 +70,60 @@ def test_no_numpy_lapack_outside_once_per_resolution_set_up():
     assert offending == [], f"numpy LAPACK calls in src/: {offending}"
     stale = set(ONCE_PER_RESOLUTION) - used_set_up
     assert not stale, f"set-up that calls no numpy.linalg: {sorted(stale)}"
+
+
+#: layers.py functions whose products act on (n, k) blocks: every product
+#: in them goes through `_blas_product`, which calls scipy.linalg.blas
+BLOCK_HELPERS = ("_apply_transpose", "_flat_solve_transpose")
+
+#: numpy functions that multiply arrays on numpy's own BLAS, or its pool
+NUMPY_PRODUCTS = ("dot", "matmul", "einsum", "tensordot", "inner", "vdot")
+
+
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+
+
+def _numpy_products(node):
+    """Line numbers of the numpy products in a syntax tree."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+            yield child.lineno
+        elif (isinstance(child, ast.Call)
+              and isinstance(child.func, ast.Attribute)
+              and isinstance(child.func.value, ast.Name)
+              and child.func.value.id in ("np", "numpy")
+              and child.func.attr in NUMPY_PRODUCTS):
+            yield child.lineno
+
+
+def test_block_products_run_on_scipy_blas():
+    tree = ast.parse((PACKAGE / "layers.py").read_text())
+    blas = _function(tree, "_blas_product")
+    assert "dgemm" in {_called_name(c) for c in ast.walk(blas)
+                       if isinstance(c, ast.Call)}
+    assert any(isinstance(node, ast.ImportFrom)
+               and node.module == "scipy.linalg.blas"
+               and "dgemm" in {alias.name for alias in node.names}
+               for node in tree.body)
+    for name in BLOCK_HELPERS:
+        helper = _function(tree, name)
+        assert list(_numpy_products(helper)) == [], name
+        assert "_blas_product" in {_called_name(c) for c in ast.walk(helper)
+                                   if isinstance(c, ast.Call)}, name
+    # the shape derivatives' Z^T R: the adjoint block is an operand of
+    # `_blas_product` and of no numpy product
+    shape = _function(tree, "shape_batch")
+    block_calls = [c for c in ast.walk(shape) if isinstance(c, ast.Call)
+                   and _called_name(c) == "_adjoint_block"]
+    assert len(block_calls) == 1
+    product = next(c for c in ast.walk(shape) if isinstance(c, ast.Call)
+                   and _called_name(c) == "_blas_product")
+    assert block_calls[0] in set(ast.walk(product))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexwave import layers
 from vortexwave.errors import DegenerateStrip, VortexTooClose
 from vortexwave.layers import (
     KRYLOV_MIN_UNKNOWNS,
@@ -227,11 +228,11 @@ class TestResidual:
 
 
 class TestFactorizationCounts:
-    """Layer operators are factored only when a Jacobian needs them."""
+    """Layer operators are factored only below the Krylov crossover."""
 
     @pytest.mark.parametrize("n_modes, m_vertical, on_residual", [
-        (32, 16, 0),  # 561 unknowns per layer: GMRES trace solves
-        (16, 12, 2),  # 221 unknowns: below the crossover, LU trace solves
+        (32, 16, 0),  # 561 unknowns per layer: GMRES solves
+        (16, 12, 2),  # 221 unknowns: below the crossover, LU solves
     ])
     def test_residual_factors_only_below_the_crossover(
             self, lu_counter, n_modes, m_vertical, on_residual):
@@ -241,18 +242,31 @@ class TestFactorizationCounts:
         prep = system.prepare(decayed_state(np.random.default_rng(3), n_modes))
         system.residual_prepared(prep, 0.02)
         assert lu_counter.factorizations == on_residual
+        # the Jacobian factors nothing: GMRES above the crossover, the trace
+        # solves' factors below it
         system.jacobian_prepared(prep, 0.02)
-        assert lu_counter.factorizations == 2  # one per layer
+        assert lu_counter.factorizations == on_residual
 
-    def test_jacobian_solves_the_vortex_adjoint_once(self, lu_counter):
-        # the drift row and the pointed shape derivatives share one
-        # transposed solve of the interior-dy functional on the lower layer
+    def test_jacobian_solves_the_vortex_adjoint_once(self, lu_counter,
+                                                     monkeypatch):
+        # the Dirichlet-to-Neumann matrix, the shape derivatives and the
+        # drift row of each layer read one adjoint block: N + 1 interface
+        # columns, and on the lower layer the vortex column besides
+        blocks = []
+        real_gmres = layers.gmres
+
+        def counting(apply, precondition, rhs, *args):
+            if rhs.ndim == 2:
+                blocks.append(rhs.shape[1])
+            return real_gmres(apply, precondition, rhs, *args)
+
+        monkeypatch.setattr(layers, "gmres", counting)
         system = WaveSystem(PARAMS, 32, 16)
         prep = system.prepare(decayed_state(np.random.default_rng(3), 32))
         system.jacobian_prepared(prep, 0.02)
-        lower_lu = prep.ops_lower._factors[0]
-        assert len(lu_counter.transposed_solves) == 1
-        assert lu_counter.transposed_solves[0] is lower_lu
+        assert blocks == [34, 33]  # lower layer first
+        assert lu_counter.factorizations == 0
+        assert lu_counter.transposed_solves == []
 
 
 class TestJacobian:
