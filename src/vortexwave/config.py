@@ -114,13 +114,6 @@ def _convert(section: str, key: str, raw, default):
             return float(text)
         except ValueError as exc:
             raise ParseError(f"{where}: expected a number, got {text!r}") from exc
-    if isinstance(default, bool):
-        lowered = text.lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ParseError(f"{where}: expected a boolean, got {text!r}")
     if isinstance(default, int):
         try:
             return int(text)

@@ -37,6 +37,12 @@ is a functional of a solve, either the interface u_tau or the vertical
 derivative at the vortex, so one adjoint block Z = A^-T [E^T | e] of
 N + 1 (+ 1) columns serves all three; it runs on the transposes of the
 apply and of the preconditioner, with its large products on scipy's BLAS.
+The explicit terms of the shape derivatives, those of the operator's
+coefficient profiles, of the interface extraction and of the vertical
+derivative at the vortex, are closed forms in (h, h_x, h_xx) and h at the
+vortex, so no difference step enters the Jacobian.  One row helper,
+`_point_rows`, gives the vertical derivative at a point to its evaluation,
+its adjoint column and its shape derivative.
 LU is the one direct path: a dense factorization of the assembled operator,
 made the first time a solve needs it and kept, serves operators below
 KRYLOV_MIN_UNKNOWNS, any solve whose GMRES misses, and every later solve on
@@ -65,15 +71,12 @@ from scipy.linalg.blas import dgemm
 from .errors import DegenerateStrip, LinearSolveFailure, PointOutsideLayer
 from .spectral import CollocationGrid, EvenField
 
-#: central-difference step of the shape derivatives, in units of the depth
-SHAPE_STEP = 1e-6
-
 #: unknown count nx * mt below which a layer factors its operator instead
 #: of running GMRES, for trace solves and the adjoint block alike.  On 2 x86
 #: cores with OpenBLAS one GMRES trace solve costs as much as assembly plus
-#: LU near 290 unknowns (16x16).  The switch was set higher, where GMRES
-#: costs 0.3 of the LU (561 unknowns, 32x16), while every Jacobian still
-#: factored its operators, and has not been re-tuned since
+#: LU near 290 unknowns (16x16).  With GMRES at every size, a continuation
+#: to the endpoint at 16x8 (153 unknowns, about 850 points) took 42-46 s
+#: instead of 5.5-6.4 s with this switch (in-process, two runs each)
 KRYLOV_MIN_UNKNOWNS = 500
 
 #: Krylov vectors a GMRES solve may build per column before it falls back
@@ -204,9 +207,9 @@ def _vertical(m: int):
     d_tau = 2.0 * chebyshev_diff_matrix(m)  # d/dtau = 2 d/dt
     d_tau2 = d_tau @ d_tau
     vand_inv = np.linalg.inv(ncheb.chebvander(t, m))
-    for arr in (t, tau, d_tau, d_tau2, vand_inv):
+    for arr in (tau, d_tau, d_tau2, vand_inv):
         arr.flags.writeable = False
-    return t, tau, d_tau, d_tau2, vand_inv
+    return tau, d_tau, d_tau2, vand_inv
 
 
 @lru_cache(maxsize=8)
@@ -218,7 +221,7 @@ def _interior_eigen(m: int):
     eigenvalues, and V is well conditioned: cond(V) grows from 1.4 at
     m = 8 to 2.7 at m = 128.
     """
-    d_tau2 = _vertical(m)[3]
+    d_tau2 = _vertical(m)[2]
     lam, vecs = np.linalg.eig(d_tau2[1:-1, 1:-1])
     vecs_inv = np.linalg.inv(vecs)
     for arr in (lam, vecs, vecs_inv):
@@ -291,7 +294,7 @@ class LayerOperators:
         self.m_vertical = int(m_vertical)
         nx = geometry.grid.n_modes + 1
         mt = self.m_vertical + 1
-        _, tau, d_tau, d_tau2, _ = _vertical(self.m_vertical)
+        tau, d_tau, d_tau2, _ = _vertical(self.m_vertical)
         one_plus = 1.0 + tau
 
         q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(
@@ -526,8 +529,7 @@ class LayerOperators:
         return (1.0 + ex * ex) * u_tau_ifc / h - ex * u_x_ifc
 
     def _interface_tau_x(self, u_values):
-        _, _, d_tau, _, _ = _vertical(self.m_vertical)
-        u_tau_ifc = u_values @ d_tau[0]
+        u_tau_ifc = u_values @ self._d_tau[0]
         u_x_ifc = self.geometry.grid.half_d1 @ u_values[:, 0]
         return u_tau_ifc, u_x_ifc
 
@@ -569,17 +571,13 @@ class LayerOperators:
         key = None if point is None else (float(point[0]), float(point[1]))
         if self._adjoint is not None and key in (None, self._adjoint[0]):
             return self._adjoint[1]
-        grid = self.geometry.grid
-        nx = grid.n_modes + 1
+        nx = self.geometry.grid.n_modes + 1
         mt = self.m_vertical + 1
-        _, _, d_tau, _, vand_inv = _vertical(self.m_vertical)
         rhs = np.zeros((nx, mt, nx + (key is not None)))
-        rhs[np.arange(nx), :, np.arange(nx)] = d_tau[0]
+        rhs[np.arange(nx), :, np.arange(nx)] = self._d_tau[0]
         if key is not None:
-            x, tau, h = self._map_point(point)
-            row_x = np.cos(grid.wavenumbers * x) @ grid._cos_inv
-            dt_row = _chebder_row(2.0 * tau + 1.0, self.m_vertical)
-            rhs[:, :, nx] = np.outer(row_x, (2.0 / h) * (dt_row @ vand_inv))
+            row_x, t_rows, h = self._point_rows(point)
+            rhs[:, :, nx] = np.outer(row_x, (2.0 / h) * t_rows[1])
         z = self._solve(rhs.reshape(nx * mt, -1), transposed=True)
         z.flags.writeable = False  # shared by every caller
         self._adjoint = (key, z)
@@ -587,38 +585,43 @@ class LayerOperators:
 
     # -- interior evaluation ---------------------------------------------------
 
-    def _map_point(self, point):
-        """(x, y) -> (x, tau) with admissibility checks."""
+    def _point_rows(self, point):
+        """(x row, t-derivative rows, h) of an interior point (x, y).
+
+        For nodal values u, row_x @ u @ t_rows[n] is the n-th derivative in
+        t = 2 tau + 1 at the point, n = 0, 1, 2; h is the layer thickness
+        above x.  Raises PointOutsideLayer unless the point lies strictly
+        inside the layer.
+        """
         x, y = float(point[0]), float(point[1])
         geom = self.geometry
-        eta_x = geom.grid.evaluate_even(geom.eta, np.array([x]))[0]
-        h = eta_x + geom.depth
+        grid = geom.grid
+        h = grid.evaluate_even(geom.eta, np.array([x]))[0] + geom.depth
         tau = (y + geom.depth) / h - 1.0
         if not -1.0 < tau < 0.0:
             raise PointOutsideLayer(
                 f"point {(x, y)} is not strictly inside the layer"
             )
-        return x, tau, h
-
-    def _vertical_coeffs(self, u_values, x):
-        """Chebyshev coefficients (in t) of u(x, .)."""
-        grid = self.geometry.grid
-        _, _, _, _, vand_inv = _vertical(self.m_vertical)
-        row_val = np.cos(grid.wavenumbers * x) @ grid._cos_inv
-        return vand_inv @ (u_values.T @ row_val)
+        # T_j(t) and its first two derivatives from T_{j+1} = 2 t T_j - T_{j-1}
+        # differentiated, then through the inverse Vandermonde
+        t = 2.0 * tau + 1.0
+        t0, t1, t2 = [1.0, t], [0.0, 1.0], [0.0, 0.0]
+        for j in range(1, self.m_vertical):
+            t0.append(2.0 * t * t0[j] - t0[j - 1])
+            t1.append(2.0 * t * t1[j] - t1[j - 1] + 2.0 * t0[j])
+            t2.append(2.0 * t * t2[j] - t2[j - 1] + 4.0 * t1[j])
+        t_rows = np.array([t0, t1, t2]) @ _vertical(self.m_vertical)[3]
+        return np.cos(grid.wavenumbers * x) @ grid._cos_inv, t_rows, h
 
     def eval_interior(self, sol: "LayerSolution", point) -> float:
         """Solution value at an interior point."""
-        x, tau, _ = self._map_point(point)
-        cvec = self._vertical_coeffs(sol.values, x)
-        return float(ncheb.chebval(2.0 * tau + 1.0, cvec))
+        row_x, t_rows, _ = self._point_rows(point)
+        return float(row_x @ sol.values @ t_rows[0])
 
     def eval_interior_dy(self, sol: "LayerSolution", point) -> float:
         """Vertical derivative of the solution at an interior point."""
-        x, tau, h = self._map_point(point)
-        cvec = self._vertical_coeffs(sol.values, x)
-        u_tau = 2.0 * ncheb.chebval(2.0 * tau + 1.0, ncheb.chebder(cvec))
-        return float(u_tau / h)
+        row_x, t_rows, h = self._point_rows(point)
+        return float(2.0 * (row_x @ sol.values @ t_rows[1]) / h)
 
     def interior_dy_row(self, point) -> np.ndarray:
         """Row functional: trace coefficients -> interior vertical derivative."""
@@ -630,79 +633,63 @@ class LayerOperators:
     def shape_batch(self, sol: "LayerSolution", point=None):
         """Directional derivatives along every elevation cosine mode.
 
-        Differentiates the assembled operator entries by central differences
-        (step SHAPE_STEP * depth); the solution moves by du = -A^-1 R, R the
-        differentiated operator applied to the solution.  R has zero
-        Dirichlet rows, so du keeps zero interface values, and both its
-        interface u_tau and its interior derivative at `point` are columns
-        of -Z^T R (`_adjoint_block`).  Returns (dno_dirs, interior_dy_dirs) where
-        dno_dirs[:, k] holds half-grid values of the derivative of the
-        interface extraction and interior_dy_dirs[k] the derivative of the
-        interior vertical-derivative functional at `point` (None skips it).
+        The operator's coefficients are the `_profiles` of h, h_x and h_xx.
+        Along a direction dh, with p = h_x / h and dp = (dh_x - p dh) / h,
+        they move by -2 dp, 2 p dp, -2 dh / h^3 and
+        (h_xx dh / h - dh_xx) / h + 4 p dp.  The solution moves by
+        du = -A^-1 R, R the differentiated operator applied to the solution.
+        R has zero Dirichlet rows, so du keeps zero interface values, and
+        both its interface u_tau and its interior derivative at `point` are
+        columns of -Z^T R (`_adjoint_block`).  The interface extraction and
+        the point functional 2 u_t / h, whose t = 2 (y + d) / h - 1 moves
+        with h, add their own derivatives in closed form.  Returns
+        (dno_dirs, interior_dy_dirs) where dno_dirs[:, k] holds half-grid
+        values of the derivative of the interface extraction and
+        interior_dy_dirs[k] the derivative of the interior
+        vertical-derivative functional at `point` (None skips it).
         """
         geom = self.geometry
         grid = geom.grid
         nx = grid.n_modes + 1
         mt = self.m_vertical + 1
-        depth = geom.depth
         one_plus = self._one_plus
         u = sol.values
-        step = SHAPE_STEP * depth
+        w_xd = grid.half_d1 @ u @ self._d_tau.T
+        w_dd = u @ self._d_tau2.T
+        w_d = u @ self._d_tau.T
 
-        _, _, d_tau, d_tau2, _ = _vertical(self.m_vertical)
-        w_xd = grid.half_d1 @ u @ d_tau.T
-        w_dd = u @ d_tau2.T
-        w_d = u @ d_tau.T
-
-        eta0 = geom._eta_half
-        basis = grid._cos_mat  # column k: cosine mode k on the half grid
-
-        def all_profiles(eta_half):
-            return np.stack(_profiles(grid, eta_half, depth))
-
-        d_prof = np.empty((4, nx, nx))  # (profile, x, mode)
-        for k in range(nx):
-            plus = all_profiles(eta0 + step * basis[:, k])
-            minus = all_profiles(eta0 - step * basis[:, k])
-            d_prof[:, :, k] = (plus - minus) / (2.0 * step)
-
+        # h and its x derivatives as columns; direction k is cosine mode k
+        e = geom._eta_half[:, None]
+        h, hx, hxx = e + geom.depth, grid.half_d1 @ e, grid.half_d2 @ e
+        dh = grid._cos_mat
+        dhx, dhxx = grid.half_d1 @ dh, grid.half_d2 @ dh
+        p = hx / h
+        dp = (dhx - p * dh) / h
         rhs = (
-            np.einsum("jk,i,ji->jik", d_prof[0], one_plus, w_xd)
-            + np.einsum("jk,i,ji->jik", d_prof[1], one_plus**2, w_dd)
-            + np.einsum("jk,ji->jik", d_prof[2], w_dd)
-            + np.einsum("jk,i,ji->jik", d_prof[3], one_plus, w_d)
+            np.einsum("jk,i,ji->jik", -2.0 * dp, one_plus, w_xd)
+            + np.einsum("jk,i,ji->jik", 2.0 * p * dp, one_plus**2, w_dd)
+            + np.einsum("jk,ji->jik", -2.0 * dh / h**3, w_dd)
+            + np.einsum("jk,i,ji->jik",
+                        (hxx * dh / h - dhxx) / h + 4.0 * p * dp, one_plus, w_d)
         )
         rhs[:, 0, :] = 0.0
         rhs[:, -1, :] = 0.0  # Dirichlet rows carry no geometry dependence
         moved = -_blas_product(self._adjoint_block(point).T,
                                rhs.reshape(nx * mt, nx))
 
-        u_tau_ifc, u_x_ifc = self._interface_tau_x(u)
-        dno_dirs = self._extraction(eta0[:, None], moved[:nx], 0.0)
-        for k in range(nx):
-            plus = self._extraction(eta0 + step * basis[:, k], u_tau_ifc, u_x_ifc)
-            minus = self._extraction(eta0 - step * basis[:, k], u_tau_ifc, u_x_ifc)
-            dno_dirs[:, k] += (plus - minus) / (2.0 * step)
-
+        u_tau, u_x = (v[:, None] for v in self._interface_tau_x(u))
+        dno_dirs = ((1.0 + hx * hx) * (moved[:nx] - u_tau * dh / h) / h
+                    + (2.0 * hx * u_tau / h - u_x) * dhx)
         if point is None:
             return dno_dirs, None
 
-        interior_dirs = moved[nx]
-        x_p = float(point[0])
-        y_p = float(point[1])
-        cvec = self._vertical_coeffs(u, x_p)
-        dcvec = ncheb.chebder(cvec)
-        eta_p = grid.evaluate_even(geom.eta, np.array([x_p]))[0]
-        mode_at_p = np.cos(grid.wavenumbers * x_p)
-        for k in range(nx):
-            vals = []
-            for s in (step, -step):
-                eta_s = eta_p + s * mode_at_p[k]
-                h_s = eta_s + depth
-                tau_s = (y_p + depth) / h_s - 1.0
-                vals.append(2.0 * ncheb.chebval(2.0 * tau_s + 1.0, dcvec) / h_s)
-            interior_dirs[k] += (vals[0] - vals[1]) / (2.0 * step)
-        return dno_dirs, interior_dirs
+        row_x, t_rows, h_p = self._point_rows(point)
+        u_t, u_tt = t_rows[1:] @ (row_x @ u)
+        # d/dh of 2 u_t / h, with dt/dh = -(t + 1) / h, at h = eta(x_p) + d
+        t_plus_1 = 2.0 * (float(point[1]) + geom.depth) / h_p
+        d_dh = -2.0 * (u_t + t_plus_1 * u_tt) / h_p**2
+        return dno_dirs, moved[nx] + d_dh * np.cos(
+            grid.wavenumbers * float(point[0]))
 
 
 def _blas_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -716,16 +703,6 @@ def _blas_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     at, trans_a = (a.T, 0) if a.flags.c_contiguous else (a, 1)
     bt, trans_b = (b.T, 0) if b.flags.c_contiguous else (b, 1)
     return dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
-
-
-def _chebder_row(t: float, m: int) -> np.ndarray:
-    """Row of dT_j/dt(t) for j = 0..m."""
-    out = np.empty(m + 1)
-    for j in range(m + 1):
-        cj = np.zeros(j + 1)
-        cj[j] = 1.0
-        out[j] = ncheb.chebval(t, ncheb.chebder(cj)) if j else 0.0
-    return out
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 `shape_derivative` re-solves the layer on two perturbed geometries; the
 tests hold `LayerOperators.shape_batch` against it.  `forward_lu_products`
-computes the Jacobian's layer products through forward LU solves, the tests
-hold the adjoint block against it.  `assembled_operator` builds the operator
-from Kronecker products, the referee of the matrix-free applies.
-`flat_solve_dense` applies the flat-strip preconditioner through dense
-per-mode inverses; the tests hold `LayerOperators._flat_solve` and its
-transpose against it.
+computes the Jacobian's layer products through forward LU solves and the
+explicit shape terms by complex step; the tests hold the adjoint block and
+the closed-form shape derivatives against it.  `assembled_operator` builds
+the operator from Kronecker products, the referee of the matrix-free
+applies.  `flat_solve_dense` applies the flat-strip preconditioner through
+dense per-mode inverses; the tests hold `LayerOperators._flat_solve` and
+its transpose against it.
 """
 
 from __future__ import annotations
@@ -16,13 +17,21 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from vortexwave.layers import (
-    SHAPE_STEP,
     LayerGeometry,
     LayerOperators,
     LayerSolution,
     _profiles,
+    chebyshev_gauss_lobatto,
 )
 from vortexwave.spectral import CollocationGrid, EvenField
+
+#: central-difference step of `shape_derivative`, in units of the depth
+SHAPE_STEP = 1e-6
+
+#: imaginary step of the complex-step derivatives (Martins, Sturdza & Alonso,
+#: ACM TOMS 29, 2003): no difference is taken, so any step far below the
+#: scale of the function is exact to roundoff
+COMPLEX_STEP = 1e-30
 
 
 def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
@@ -37,8 +46,8 @@ def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
 
     At the default step the output carries the central-difference noise
     floor of the two solves (solve roundoff / step, about 1e-4 of scale);
-    `shape_batch` differentiates the operator entries instead and is the
-    accurate path the system Jacobian uses.
+    `shape_batch` differentiates the operator coefficients in closed form
+    and is the accurate path the system Jacobian uses.
     """
     if step is None:
         step = SHAPE_STEP
@@ -108,9 +117,12 @@ def forward_lu_products(ops, sol, point):
     matrix, and evaluates the same solutions' vertical derivative at
     `point` for the interior-derivative row; solves it once per elevation
     mode of the differentiated operator's right-hand side for the shape
-    derivatives.  Returns (dno matrix, shape-derivative values of the
-    interface extraction, shape derivatives of the interior derivative at
-    `point`, interior-derivative row), the quantities of
+    derivatives.  The explicit shape terms, the derivatives of `_profiles`,
+    of the interface extraction and of 2 u_t / h at the point, are taken by
+    complex step along each cosine mode, the last from the point's own
+    Chebyshev coefficients.  Returns (dno matrix, shape-derivative values
+    of the interface extraction, shape derivatives of the interior
+    derivative at `point`, interior-derivative row), the quantities of
     `LayerOperators.dno_matrix`, `shape_batch` and `interior_dy_row`.
     """
     geom = ops.geometry
@@ -119,8 +131,9 @@ def forward_lu_products(ops, sol, point):
     mt = ops.m_vertical + 1
     depth = geom.depth
     eta0 = geom._eta_half
-    basis = grid._cos_mat  # column k: cosine mode k on the half grid
     d_tau, d_tau2 = ops._d_tau, ops._d_tau2
+    # column k: cosine mode k on the half grid, times the imaginary step
+    eta_cs = eta0[:, None] + 1j * COMPLEX_STEP * grid._cos_mat
 
     def interface_derivative(u_all, eta_half):
         u_tau_ifc = np.einsum("jik,i->jk", u_all, d_tau[0])
@@ -133,22 +146,18 @@ def forward_lu_products(ops, sol, point):
                          for k in range(u_all.shape[2])])
 
     rhs = np.zeros((nx * mt, nx))
-    rhs[ops._interface_rows, :] = basis
+    rhs[ops._interface_rows, :] = grid._cos_mat
     u_all = ops._solve_rhs(rhs).reshape(nx, mt, nx)
     dno = grid._cos_inv @ interface_derivative(u_all, eta0[:, None])
     row = interior_dy(u_all)
 
     u = sol.values
     one_plus = ops._one_plus
-    step = SHAPE_STEP * depth
     w_xd = grid.half_d1 @ u @ d_tau.T
     w_dd = u @ d_tau2.T
     w_d = u @ d_tau.T
-    d_prof = np.empty((4, nx, nx))  # (profile, x, mode)
-    for k in range(nx):
-        plus = np.stack(_profiles(grid, eta0 + step * basis[:, k], depth))
-        minus = np.stack(_profiles(grid, eta0 - step * basis[:, k], depth))
-        d_prof[:, :, k] = (plus - minus) / (2.0 * step)
+    # (profile, x, mode)
+    d_prof = np.stack(_profiles(grid, eta_cs, depth)).imag / COMPLEX_STEP
     shape_rhs = (
         np.einsum("jk,i,ji->jik", d_prof[0], one_plus, w_xd)
         + np.einsum("jk,i,ji->jik", d_prof[1], one_plus**2, w_dd)
@@ -158,24 +167,20 @@ def forward_lu_products(ops, sol, point):
     shape_rhs[:, [0, -1], :] = 0.0
     du = ops._solve_rhs(-shape_rhs.reshape(nx * mt, nx)).reshape(nx, mt, nx)
     dno_dirs = interface_derivative(du, eta0[:, None])
-    # the explicit terms divide roundoff by the step, so they are computed
-    # exactly as shape_batch computes them
     u_tau_ifc, u_x_ifc = ops._interface_tau_x(u)
-    for k in range(nx):
-        plus = ops._extraction(eta0 + step * basis[:, k], u_tau_ifc, u_x_ifc)
-        minus = ops._extraction(eta0 - step * basis[:, k], u_tau_ifc, u_x_ifc)
-        dno_dirs[:, k] += (plus - minus) / (2.0 * step)
+    dno_dirs += ops._extraction(eta_cs, u_tau_ifc[:, None],
+                                u_x_ifc[:, None]).imag / COMPLEX_STEP
 
-    interior_dirs = interior_dy(du)
+    # u(x_p, t) = sum_j c_j T_j(t); the thickness h at x_p moves along
+    # mode k by cos(k x_p), and t = 2 (y + d) / h - 1 with it
     x_p, y_p = float(point[0]), float(point[1])
-    dcvec = ncheb.chebder(ops._vertical_coeffs(u, x_p))
-    eta_p = grid.evaluate_even(geom.eta, np.array([x_p]))[0]
-    mode_at_p = np.cos(grid.wavenumbers * x_p)
-    for k in range(nx):
-        vals = []
-        for s in (step, -step):
-            h_s = eta_p + s * mode_at_p[k] + depth
-            tau_s = (y_p + depth) / h_s - 1.0
-            vals.append(2.0 * ncheb.chebval(2.0 * tau_s + 1.0, dcvec) / h_s)
-        interior_dirs[k] += (vals[0] - vals[1]) / (2.0 * step)
+    m = ops.m_vertical
+    column = u.T @ (np.cos(grid.wavenumbers * x_p) @ grid._cos_inv)
+    coeffs = np.linalg.solve(
+        ncheb.chebvander(chebyshev_gauss_lobatto(m), m), column)
+    h_cs = (grid.evaluate_even(geom.eta, np.array([x_p]))[0] + depth
+            + 1j * COMPLEX_STEP * np.cos(grid.wavenumbers * x_p))
+    t_cs = 2.0 * (y_p + depth) / h_cs - 1.0
+    explicit = 2.0 * ncheb.chebval(t_cs, ncheb.chebder(coeffs)) / h_cs
+    interior_dirs = interior_dy(du) + explicit.imag / COMPLEX_STEP
     return dno, dno_dirs, interior_dirs, row
