@@ -27,16 +27,17 @@ Every solve runs GMRES (Saad & Schultz 1986) on a matrix-free apply,
 right-preconditioned by the flat strip at the layer's mean thickness.  The
 flat strip separates into one Chebyshev boundary-value problem per cosine
 mode, and all of them share the interior block of d^2/dtau^2, which is
-diagonalized once per vertical resolution; so an operator builds no
-preconditioner of its own, and applying it costs two products with the
-(M-1) x (M-1) eigenvector matrices besides the cosine transforms.  A trace
-solve, the only solve a residual needs, runs on the operator A itself.
-Everything the Jacobian reads from a layer (the Dirichlet-to-Neumann
-matrix, the directional shape derivatives and the interior-derivative row)
-is a functional of a solve, either the interface u_tau or the vertical
-derivative at the vortex, so one adjoint block Z = A^-T [E^T | e] of
-N + 1 (+ 1) columns serves all three; it runs on the transposes of the
-apply and of the preconditioner, with its large products on scipy's BLAS.
+diagonalized once per vertical resolution; so an operator keeps only its
+per-mode denominators and Dirichlet coupling, and applying the
+preconditioner costs two products with the (M-1) x (M-1) eigenvector
+matrices besides the cosine transforms.  A trace solve, the only solve a residual needs, runs on the
+operator A itself.  Everything the Jacobian reads from a layer (the
+Dirichlet-to-Neumann matrix, the directional shape derivatives and the
+interior-derivative row) is a functional of a solve, either the interface
+u_tau or the vertical derivative at the vortex, so one adjoint block
+Z = A^-T [E^T | e] of N + 1 (+ 1) columns serves all three; it runs on the
+transposes of the apply and of the preconditioner.  Both applies and both
+preconditioners run their products on scipy's BLAS.
 The explicit terms of the shape derivatives, those of the operator's
 coefficient profiles, of the interface extraction and of the vertical
 derivative at the vortex, are closed forms in (h, h_x, h_xx) and h at the
@@ -74,9 +75,12 @@ from .spectral import CollocationGrid, EvenField
 #: unknown count nx * mt below which a layer factors its operator instead
 #: of running GMRES, for trace solves and the adjoint block alike.  On 2 x86
 #: cores with OpenBLAS one GMRES trace solve costs as much as assembly plus
-#: LU near 290 unknowns (16x16).  With GMRES at every size, a continuation
-#: to the endpoint at 16x8 (153 unknowns, about 850 points) took 42-46 s
-#: instead of 5.5-6.4 s with this switch (in-process, two runs each)
+#: LU near 360 unknowns at 14 Krylov vectors and near 460 at 21 (24x16 has
+#: 425): on grids this small a vector costs about 50 us whatever its
+#: length, so the crossover follows the vector count.  With GMRES at every
+#: size, a continuation to the endpoint at 16x8 (153 unknowns, about 850
+#: points) took 42-46 s instead of 5.5-6.4 s with this switch (in-process,
+#: two runs each)
 KRYLOV_MIN_UNKNOWNS = 500
 
 #: Krylov vectors a GMRES solve may build per column before it falls back
@@ -153,7 +157,7 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
         done = (estimate <= tol) | (
             (estimate <= floor) & (estimate > KRYLOV_STALL * previous[sel]))
         if done.any():
-            cols = running[done]
+            cols = sel if done.all() else running[done]
             y = _back_substitute(hess[:j + 1, :j + 1, cols], g[:j + 1, cols])
             for i in range(j + 1):
                 combined[:, cols] += y[i] * basis[i][:, cols]
@@ -161,7 +165,9 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
             return None
         previous[sel] = estimate
         running = running[~done]
-        if running.size:
+        if running.size == k:  # no column finished yet: no gather, no scatter
+            basis.append(w / norm_w)
+        elif running.size:
             basis.append(np.empty_like(b))
             basis[-1][:, running] = w[:, ~done] / norm_w[~done]
     if running.size:
@@ -201,15 +207,20 @@ def chebyshev_diff_matrix(m: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _vertical(m: int):
-    """Cached vertical-discretization pieces on tau in [-1, 0]."""
+    """Cached vertical-discretization pieces on tau in [-1, 0].
+
+    The last is the stack [d^2/dtau^2; d/dtau], with which the applies
+    take both tau derivatives in one product.
+    """
     t = chebyshev_gauss_lobatto(m)
     tau = 0.5 * (t - 1.0)
     d_tau = 2.0 * chebyshev_diff_matrix(m)  # d/dtau = 2 d/dt
     d_tau2 = d_tau @ d_tau
     vand_inv = np.linalg.inv(ncheb.chebvander(t, m))
-    for arr in (tau, d_tau, d_tau2, vand_inv):
+    tau_stack = np.concatenate([d_tau2, d_tau])
+    for arr in (tau, d_tau, d_tau2, vand_inv, tau_stack):
         arr.flags.writeable = False
-    return tau, d_tau, d_tau2, vand_inv
+    return tau, d_tau, d_tau2, vand_inv, tau_stack
 
 
 @lru_cache(maxsize=8)
@@ -294,7 +305,7 @@ class LayerOperators:
         self.m_vertical = int(m_vertical)
         nx = geometry.grid.n_modes + 1
         mt = self.m_vertical + 1
-        tau, d_tau, d_tau2, _ = _vertical(self.m_vertical)
+        tau, d_tau, d_tau2, _, tau_stack = _vertical(self.m_vertical)
         one_plus = 1.0 + tau
 
         q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(
@@ -310,6 +321,7 @@ class LayerOperators:
         self._c_t = np.outer(q_t, one_plus)
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
+        self._tau_stack = tau_stack
         self._dno_matrix = None
         self._adjoint = None  # (point key, adjoint block)
 
@@ -363,26 +375,29 @@ class LayerOperators:
     # -- solves -------------------------------------------------------------
 
     def _apply(self, u: np.ndarray) -> np.ndarray:
-        """Matrix-free operator apply, Dirichlet rows replaced by identity."""
+        """Matrix-free operator apply, Dirichlet rows replaced by identity.
+
+        `u` is one vector (n,) or a block (n, k).  The x products run on
+        (nx, mt k) views and the two tau products as one on the (nx k, mt)
+        transposed copy, a view when k = 1, all on scipy's BLAS.
+        """
         grid = self.geometry.grid
         nx = grid.n_modes + 1
         mt = self.m_vertical + 1
-        vec = u.ndim == 1
         w = u.reshape(nx, mt, -1)
-        ud1 = np.einsum("xjK,ij->xiK", w, self._d_tau)
-        out = np.einsum("xk,kiK->xiK", grid.half_d2, w)
-        out += self._c_tt[:, :, None] * np.einsum(
-            "xjK,ij->xiK", w, self._d_tau2
-        )
+        k = w.shape[2]
+        w_t = np.ascontiguousarray(w.transpose(0, 2, 1)).reshape(nx * k, mt)
+        tau_part = _blas_product(w_t, self._tau_stack.T).reshape(nx, k, 2 * mt)
+        ud1 = np.ascontiguousarray(tau_part[:, :, mt:].transpose(0, 2, 1))
+        out = _blas_product(grid.half_d2, w.reshape(nx, mt * k))
+        out = out.reshape(nx, mt, k)
+        out += self._c_tt[:, :, None] * tau_part[:, :, :mt].transpose(0, 2, 1)
         out += self._c_t[:, :, None] * ud1
-        out += self._c_mixed[:, :, None] * np.einsum(
-            "xk,kiK->xiK", grid.half_d1, ud1
-        )
-        out = out.reshape(nx * mt, -1)
-        out[self._replaced_rows, :] = u.reshape(nx * mt, -1)[
-            self._replaced_rows, :
-        ]
-        return out[:, 0] if vec else out
+        out += self._c_mixed[:, :, None] * _blas_product(
+            grid.half_d1, ud1.reshape(nx, mt * k)).reshape(nx, mt, k)
+        # tau rows 0 and mt - 1, the interface and the wall, as one slice
+        out[:, ::mt - 1] = w[:, ::mt - 1]
+        return out.reshape(u.shape)
 
     def _apply_transpose(self, v: np.ndarray) -> np.ndarray:
         """Transpose of `_apply` on an (n, k) block, matrix-free.
@@ -412,11 +427,26 @@ class LayerOperators:
         np.multiply(self._c_t[:, None, :], w_t, out=stack[:, :, mt:])
         stack[:, :, mt:] += mixed.reshape(nx, mt, k).transpose(0, 2, 1)
         tau_part = _blas_product(stack.reshape(nx * k, 2 * mt),
-                                 np.concatenate([self._d_tau2, self._d_tau]))
+                                 self._tau_stack)
         out = out.reshape(nx, mt, k)
         out += tau_part.reshape(nx, k, mt).transpose(0, 2, 1)
         out[:, [0, -1], :] += v3[:, [0, -1], :]
         return out.reshape(nx * mt, k)
+
+    @cached_property
+    def _flat_strip(self):
+        """(lam / h^2 - k^2, D_ib / h^2) of the flat strip at the mean thickness.
+
+        The per-mode denominators of the diagonalized interior blocks, one
+        row per cosine mode k, and the (M-1) x 2 coupling of the interior
+        rows to the two Dirichlet values, D the collocated d^2/dtau^2; both
+        preconditioner applies read them.
+        """
+        geom = self.geometry
+        h2 = (geom.eta.coeffs[0] + geom.depth) ** 2
+        lam = _interior_eigen(self.m_vertical)[0]
+        return (lam / h2 - geom.grid.wavenumbers[:, None] ** 2,
+                self._d_tau2[1:-1, [0, -1]] / h2)
 
     def _flat_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the flat-strip preconditioner to one right-hand side.
@@ -428,18 +458,18 @@ class LayerOperators:
         solved by moving the two Dirichlet values to the right-hand side
         and diagonalizing the interior block (`_interior_eigen`):
         u = V diag(1 / (lam / h^2 - k^2)) V^-1 r on the interior rows.
+        The products run on scipy's BLAS.
         """
-        geom = self.geometry
-        grid = geom.grid
-        h2 = (geom.eta.coeffs[0] + geom.depth) ** 2
-        lam, vecs, vecs_inv = _interior_eigen(self.m_vertical)
-        u = grid._cos_inv @ rhs.reshape(grid.n_modes + 1, -1)
-        inner = (u[:, 1:-1]
-                 - u[:, [0, -1]] @ self._d_tau2[1:-1, [0, -1]].T / h2)
-        inner = (inner @ vecs_inv.T) / (lam / h2
-                                        - grid.wavenumbers[:, None] ** 2)
-        u[:, 1:-1] = inner @ vecs.T
-        return (grid._cos_mat @ u).reshape(-1)
+        grid = self.geometry.grid
+        mt = self.m_vertical + 1
+        _, vecs, vecs_inv = _interior_eigen(self.m_vertical)
+        denominators, coupling = self._flat_strip
+        u = _blas_product(grid._cos_inv, rhs.reshape(grid.n_modes + 1, mt))
+        # the Dirichlet values, tau rows 0 and mt - 1, as one slice
+        inner = u[:, 1:-1] - _blas_product(u[:, ::mt - 1], coupling.T)
+        inner = _blas_product(inner, vecs_inv.T) / denominators
+        u[:, 1:-1] = _blas_product(inner, vecs.T)
+        return _blas_product(grid._cos_mat, u).reshape(-1)
 
     def _flat_solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
         """Transpose of `_flat_solve` on an (n, k) block.
@@ -454,22 +484,19 @@ class LayerOperators:
         (nx, mt k) views and the tau products on the (nx k, mt) transposed
         copy, all on scipy's BLAS.
         """
-        geom = self.geometry
-        grid = geom.grid
+        grid = self.geometry.grid
         nx = grid.n_modes + 1
         mt = self.m_vertical + 1
         k = rhs.shape[1]
-        h2 = (geom.eta.coeffs[0] + geom.depth) ** 2
-        lam, vecs, vecs_inv = _interior_eigen(self.m_vertical)
+        _, vecs, vecs_inv = _interior_eigen(self.m_vertical)
+        denominators, coupling = self._flat_strip
         r = _blas_product(grid._cos_mat.T, rhs.reshape(nx, mt * k))
         u = np.ascontiguousarray(r.reshape(nx, mt, k).transpose(0, 2, 1))
         inner = _blas_product(u[:, :, 1:-1].reshape(nx * k, mt - 2), vecs)
-        inner = inner.reshape(nx, k, mt - 2) / (
-            lam / h2 - grid.wavenumbers[:, None] ** 2)[:, None, :]
+        inner = inner.reshape(nx, k, mt - 2) / denominators[:, None, :]
         inner = _blas_product(inner.reshape(nx * k, mt - 2), vecs_inv)
         u[:, :, 1:-1] = inner.reshape(nx, k, mt - 2)
-        u[:, :, [0, -1]] -= _blas_product(
-            inner, self._d_tau2[1:-1, [0, -1]] / h2).reshape(nx, k, 2)
+        u[:, :, [0, -1]] -= _blas_product(inner, coupling).reshape(nx, k, 2)
         u = np.ascontiguousarray(u.transpose(0, 2, 1)).reshape(nx, mt * k)
         return _blas_product(grid._cos_inv.T, u).reshape(nx * mt, k)
 

@@ -325,6 +325,10 @@ class TestTransposes:
         mat = assembled_operator(ops)
         v = np.random.default_rng(8).standard_normal((33 * 17, 4))
         assert worst_relative(ops._apply(v), mat @ v) <= 1e-13
+        # a trace solve applies the operator to one vector (n,)
+        got = ops._apply(v[:, 0])
+        assert got.shape == (33 * 17,)
+        assert worst_relative(got, mat @ v[:, 0]) <= 1e-13
         assert worst_relative(ops._apply_transpose(v), mat.T @ v) <= 1e-13
 
     @pytest.mark.parametrize("side", ["lower", "upper"])

@@ -6,8 +6,8 @@ spinning while scipy factors the next layer operator, which then takes
 50-70% longer.  So no module in src/ calls a numpy.linalg function
 other than `norm`, which runs no LAPACK, except validation.py, whose checks
 run outside any branch, and the cached set-up on ONCE_PER_RESOLUTION.  The
-large products of the layers' adjoint blocks wake a pool the same way, so
-they run on scipy's BLAS as well (README, "Threads").
+products of the layers' trace solves and adjoint blocks wake a pool the same
+way, so they run on scipy's BLAS as well (README, "Threads").
 """
 
 import ast
@@ -72,9 +72,11 @@ def test_no_numpy_lapack_outside_once_per_resolution_set_up():
     assert not stale, f"set-up that calls no numpy.linalg: {sorted(stale)}"
 
 
-#: layers.py functions whose products act on (n, k) blocks: every product
-#: in them goes through `_blas_product`, which calls scipy.linalg.blas
-BLOCK_HELPERS = ("_apply_transpose", "_flat_solve_transpose")
+#: layers.py applies and preconditioners that GMRES calls once per Krylov
+#: vector: every product in them goes through `_blas_product`, which calls
+#: scipy.linalg.blas
+BLAS_HELPERS = ("_apply", "_flat_solve", "_apply_transpose",
+                "_flat_solve_transpose")
 
 #: numpy functions that multiply arrays on numpy's own BLAS, or its pool
 NUMPY_PRODUCTS = ("dot", "matmul", "einsum", "tensordot", "inner", "vdot")
@@ -113,7 +115,7 @@ def test_block_products_run_on_scipy_blas():
                and node.module == "scipy.linalg.blas"
                and "dgemm" in {alias.name for alias in node.names}
                for node in tree.body)
-    for name in BLOCK_HELPERS:
+    for name in BLAS_HELPERS:
         helper = _function(tree, name)
         assert list(_numpy_products(helper)) == [], name
         assert "_blas_product" in {_called_name(c) for c in ast.walk(helper)
