@@ -29,15 +29,26 @@ flat strip separates into one Chebyshev boundary-value problem per cosine
 mode, and all of them share the interior block of d^2/dtau^2, which is
 diagonalized once per vertical resolution; so an operator keeps only its
 per-mode denominators and Dirichlet coupling, and applying the
-preconditioner costs two products with the (M-1) x (M-1) eigenvector
-matrices besides the cosine transforms.  A trace solve, the only solve a residual needs, runs on the
-operator A itself.  Everything the Jacobian reads from a layer (the
-Dirichlet-to-Neumann matrix, the directional shape derivatives and the
-interior-derivative row) is a functional of a solve, either the interface
-u_tau or the vertical derivative at the vortex, so one adjoint block
-Z = A^-T [E^T | e] of N + 1 (+ 1) columns serves all three; it runs on the
-transposes of the apply and of the preconditioner.  Both applies and both
-preconditioners run their products on scipy's BLAS.
+preconditioner costs two products with the eigenvector matrices, padded to
+whole tau rows, besides the cosine transforms.  A trace solve, the only
+solve a residual needs, runs on the operator A itself.  Everything the
+Jacobian reads from a layer (the Dirichlet-to-Neumann matrix, the
+directional shape derivatives and the interior-derivative row) is a
+functional of a solve, either the interface u_tau or the vertical
+derivative at the vortex, so one adjoint block Z = A^-T [E^T | e] of
+N + 1 (+ 1) columns serves all three; it runs on the transposes of the
+apply and of the preconditioner.
+
+Both applies and both preconditioners take a vector or an (x node,
+column, tau node) block.  In that layout each x product is one BLAS
+product on the (nx, k mt) view and each tau product one on the (nx k, mt)
+view, the variable coefficients broadcast over the columns, and the
+Dirichlet rows are the first and last tau nodes; so an apply transposes
+and copies no block.  Their products run on scipy's BLAS and write into
+`WorkBuffers`: one kept array per role, grown to the largest block and
+shared by the layer operators of one `system.WaveSystem`, so that a Krylov
+vector allocates no block-sized temporary.
+
 The explicit terms of the shape derivatives, those of the operator's
 coefficient profiles, of the interface extraction and of the vertical
 derivative at the vortex, are closed forms in (h, h_x, h_xx) and h at the
@@ -61,6 +72,7 @@ off-diagonal roundoff that grew with the resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -102,20 +114,28 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
           tol: float, floor: float = 0.0) -> np.ndarray | None:
     """Right-preconditioned GMRES for apply(x) = rhs; None when it misses.
 
-    `rhs` is one vector (n,) or a block (n, k) of independent right-hand
-    sides; apply and precondition then map (n, j) blocks to (n, j) blocks
-    column by column.  Each column builds at most `max_vectors` Krylov
-    vectors of apply(precondition(.)) and stops on its own Arnoldi estimate
-    of the relative residual: below `tol`, or below `floor` once one more
-    vector cuts the estimate by less than the factor KRYLOV_STALL.  Later
-    vectors are built for the columns still running only, and are
-    allocated as they are needed.  Returns None when an estimate turns
-    non-finite or a column runs out of vectors.
+    `rhs` is one vector (n,) or a block (a, k, b) of k independent
+    right-hand sides, column c being rhs[:, c, :]; apply and precondition
+    then map (a, j, b) blocks of the j running columns to blocks of that
+    shape.  Either may return a view of its own work buffers: each result
+    is consumed before their next call, and only the solution is copied
+    out.  Each column builds at most `max_vectors` Krylov vectors of
+    apply(precondition(.)) and stops on its own Arnoldi estimate of the
+    relative residual: below `tol`, or below `floor` once one more vector
+    cuts the estimate by less than the factor KRYLOV_STALL.  Later vectors
+    are built for the columns still running only, and are allocated as
+    they are needed.  A one-column block runs exactly as the vector does.
+    Returns None when an estimate turns non-finite or a column runs out of
+    vectors.
     """
-    vector = rhs.ndim == 1
-    b = rhs.reshape(rhs.shape[0], -1)
+    one = rhs.ndim == 1 or rhs.shape[1] == 1
+    b = rhs.reshape(1, 1, -1) if one else rhs
     k = b.shape[1]
-    beta = np.sqrt(np.einsum("nk,nk->k", b, b))
+
+    def caller(x):  # x in the layout of rhs
+        return x.reshape(rhs.shape) if one else x
+
+    beta = np.sqrt(np.einsum("akb,akb->k", b, b))
     hess = np.zeros((max_vectors + 1, max_vectors, k))
     # the product Q^T of the Givens rotations so far, applied to each new
     # Hessenberg column at once rather than one rotation after another
@@ -124,22 +144,24 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     g = np.zeros((max_vectors + 1, k))
     g[0] = beta
     combined = np.zeros_like(b)  # sum of y_i basis_i, column by column
+    projections = np.empty(b.size)  # one Gram-Schmidt product at a time
     previous = np.ones(k)
     running = np.flatnonzero(beta)  # a zero column's solution is zero
     # a column of vector i is set while that column runs, and read only then
-    basis = [b / np.where(beta > 0.0, beta, 1.0)]
+    basis = [b / np.where(beta > 0.0, beta, 1.0)[:, None]]
     for j in range(max_vectors):
         if running.size == 0:
             break
         sel = slice(None) if running.size == k else running
         v = basis[j][:, sel]
-        w = apply(precondition(v[:, 0] if vector else v)).reshape(v.shape)
+        w = apply(precondition(caller(v))).reshape(v.shape)
+        product = projections[:w.size].reshape(w.shape)
         for i in range(j + 1):  # modified Gram-Schmidt
             v = basis[i][:, sel]
-            dots = np.einsum("na,na->a", v, w)
+            dots = np.einsum("akb,akb->k", v, w)
             hess[i, j, sel] = dots
-            w -= dots * v
-        norm_w = np.sqrt(np.einsum("na,na->a", w, w))
+            w -= np.multiply(v, dots[:, None], out=product)
+        norm_w = np.sqrt(np.einsum("akb,akb->k", w, w))
         col = np.einsum("ila,la->ia", rot[:j + 1, :j + 1, sel],
                         hess[:j + 1, j, sel])
         rad = np.hypot(col[j], norm_w)
@@ -160,19 +182,19 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
             cols = sel if done.all() else running[done]
             y = _back_substitute(hess[:j + 1, :j + 1, cols], g[:j + 1, cols])
             for i in range(j + 1):
-                combined[:, cols] += y[i] * basis[i][:, cols]
+                combined[:, cols] += y[i][:, None] * basis[i][:, cols]
         if not np.isfinite(estimate[~done]).all():
             return None
         previous[sel] = estimate
         running = running[~done]
         if running.size == k:  # no column finished yet: no gather, no scatter
-            basis.append(w / norm_w)
+            basis.append(w / norm_w[:, None])
         elif running.size:
             basis.append(np.empty_like(b))
-            basis[-1][:, running] = w[:, ~done] / norm_w[~done]
+            basis[-1][:, running] = w[:, ~done] / norm_w[~done][:, None]
     if running.size:
         return None
-    return precondition(combined[:, 0] if vector else combined)
+    return precondition(caller(combined)).copy()
 
 
 def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -207,20 +229,15 @@ def chebyshev_diff_matrix(m: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _vertical(m: int):
-    """Cached vertical-discretization pieces on tau in [-1, 0].
-
-    The last is the stack [d^2/dtau^2; d/dtau], with which the applies
-    take both tau derivatives in one product.
-    """
+    """Cached vertical-discretization pieces on tau in [-1, 0]."""
     t = chebyshev_gauss_lobatto(m)
     tau = 0.5 * (t - 1.0)
     d_tau = 2.0 * chebyshev_diff_matrix(m)  # d/dtau = 2 d/dt
     d_tau2 = d_tau @ d_tau
     vand_inv = np.linalg.inv(ncheb.chebvander(t, m))
-    tau_stack = np.concatenate([d_tau2, d_tau])
-    for arr in (tau, d_tau, d_tau2, vand_inv, tau_stack):
+    for arr in (tau, d_tau, d_tau2, vand_inv):
         arr.flags.writeable = False
-    return tau, d_tau, d_tau2, vand_inv, tau_stack
+    return tau, d_tau, d_tau2, vand_inv
 
 
 @lru_cache(maxsize=8)
@@ -228,16 +245,50 @@ def _interior_eigen(m: int):
     """Eigen-decomposition V diag(lam) V^-1 of the interior d^2/dtau^2 block.
 
     The block of rows and columns 1..m-1 of the collocated second
-    derivative (Dirichlet values eliminated) has real, distinct, negative
-    eigenvalues, and V is well conditioned: cond(V) grows from 1.4 at
-    m = 8 to 2.7 at m = 128.
+    derivative D (Dirichlet values eliminated) has real, distinct,
+    negative eigenvalues, and V is well conditioned: cond(V) grows from
+    1.4 at m = 8 to 2.7 at m = 128.  Returns lam and V and V^-1 padded
+    for the flat-strip solves on whole tau rows: V with a zero row above
+    and below, (m+1) x (m-1), and [-V^-1 D_ib[:, 0] | V^-1 | -V^-1
+    D_ib[:, 1]], (m-1) x (m+1), whose end columns carry the coupling D_ib
+    of the interior rows to the two Dirichlet values, at unit thickness.
     """
     d_tau2 = _vertical(m)[2]
     lam, vecs = np.linalg.eig(d_tau2[1:-1, 1:-1])
     vecs_inv = np.linalg.inv(vecs)
-    for arr in (lam, vecs, vecs_inv):
+    vecs_pad = np.zeros((m + 1, m - 1))
+    vecs_pad[1:-1] = vecs
+    inv_pad = np.empty((m - 1, m + 1))
+    inv_pad[:, 1:-1] = vecs_inv
+    inv_pad[:, ::m] = -vecs_inv @ d_tau2[1:-1, ::m]
+    for arr in (lam, vecs_pad, inv_pad):
         arr.flags.writeable = False
-    return lam, vecs, vecs_inv
+    return lam, vecs_pad, inv_pad
+
+
+class WorkBuffers:
+    """Kept scratch arrays of the layer applies, one per role.
+
+    Each role keeps one flat buffer, grown to the largest size asked of it
+    and never shrunk, and `view` carves a C-ordered view of any shape from
+    its front; so blocks of every column count share one buffer, and a
+    Krylov vector allocates no block.  A freshly allocated block costs
+    more than its arithmetic: the allocator returns one of a megabyte to
+    the kernel when it is freed, and the kernel zeroes its pages again on
+    the next touch (README, "Memory").  A view is overwritten by the next
+    request for its role, so a caller consumes it before then, and one set
+    of buffers serves one thread.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def view(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(role)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[role] = np.empty(size)
+        return buffer[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -295,17 +346,21 @@ class LayerOperators:
     dense operator is assembled and LU-factored only when the operator has
     fewer than KRYLOV_MIN_UNKNOWNS unknowns or a GMRES solve does not
     converge within KRYLOV_MAX vectors; every later solve on it then
-    back-substitutes through the factors.
+    back-substitutes through the factors.  The applies write into `work`,
+    the buffers shared with the caller's other operators, or into buffers
+    of the operator's own when none are given.
     """
 
-    def __init__(self, geometry: LayerGeometry, m_vertical: int):
+    def __init__(self, geometry: LayerGeometry, m_vertical: int,
+                 work: WorkBuffers | None = None):
         if m_vertical < 8:
             raise ValueError("vertical resolution must be at least 8")
         self.geometry = geometry
         self.m_vertical = int(m_vertical)
+        self._work = WorkBuffers() if work is None else work
         nx = geometry.grid.n_modes + 1
         mt = self.m_vertical + 1
-        tau, d_tau, d_tau2, _, tau_stack = _vertical(self.m_vertical)
+        tau, d_tau, d_tau2, _ = _vertical(self.m_vertical)
         one_plus = 1.0 + tau
 
         q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(
@@ -316,12 +371,15 @@ class LayerOperators:
         self._replaced_rows = np.concatenate([rows, rows + mt - 1])
         self._one_plus = one_plus
         self._q_mixed = q_mixed
+        # zero on the two Dirichlet rows, which carry the identity, so
+        # that the applies take the coefficients over whole tau rows
         self._c_mixed = np.outer(q_mixed, one_plus)
         self._c_tt = np.outer(q_tt_quad, one_plus**2) + q_tt_flat[:, None]
         self._c_t = np.outer(q_t, one_plus)
+        for c in (self._c_mixed, self._c_tt, self._c_t):
+            c[:, ::mt - 1] = 0.0
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
-        self._tau_stack = tau_stack
         self._dno_matrix = None
         self._adjoint = None  # (point key, adjoint block)
 
@@ -374,33 +432,45 @@ class LayerOperators:
 
     # -- solves -------------------------------------------------------------
 
+    def _block(self, u: np.ndarray) -> np.ndarray:
+        """u as an (nx, k, mt) block; a vector (n,) is the block k = 1."""
+        return u.reshape(self.geometry.grid.n_modes + 1, -1,
+                         self.m_vertical + 1)
+
     def _apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix-free operator apply, Dirichlet rows replaced by identity.
 
-        `u` is one vector (n,) or a block (n, k).  The x products run on
-        (nx, mt k) views and the two tau products as one on the (nx k, mt)
-        transposed copy, a view when k = 1, all on scipy's BLAS.
+        `u` is one vector (n,) or an (nx, k, mt) block (x node, column, tau
+        node); the result has its shape and is a view of the work buffer
+        "apply".  The x products run on the (nx, k mt) view and the tau
+        products on the (nx k, mt) view, all on scipy's BLAS, and the
+        coefficients broadcast over the columns.
         """
         grid = self.geometry.grid
-        nx = grid.n_modes + 1
-        mt = self.m_vertical + 1
-        w = u.reshape(nx, mt, -1)
-        k = w.shape[2]
-        w_t = np.ascontiguousarray(w.transpose(0, 2, 1)).reshape(nx * k, mt)
-        tau_part = _blas_product(w_t, self._tau_stack.T).reshape(nx, k, 2 * mt)
-        ud1 = np.ascontiguousarray(tau_part[:, :, mt:].transpose(0, 2, 1))
-        out = _blas_product(grid.half_d2, w.reshape(nx, mt * k))
-        out = out.reshape(nx, mt, k)
-        out += self._c_tt[:, :, None] * tau_part[:, :, :mt].transpose(0, 2, 1)
-        out += self._c_t[:, :, None] * ud1
-        out += self._c_mixed[:, :, None] * _blas_product(
-            grid.half_d1, ud1.reshape(nx, mt * k)).reshape(nx, mt, k)
-        # tau rows 0 and mt - 1, the interface and the wall, as one slice
-        out[:, ::mt - 1] = w[:, ::mt - 1]
+        w = self._block(u)
+        nx, _, mt = w.shape
+        out = self._work.view("apply", w.shape)
+        u_tau = self._work.view("scratch", w.shape)
+        part = self._work.view("scratch2", w.shape)
+        _blas_product(grid.half_d2, w.reshape(nx, -1), out=out.reshape(nx, -1))
+        _blas_product(w.reshape(-1, mt), self._d_tau.T,
+                      out=u_tau.reshape(-1, mt))
+        _blas_product(grid.half_d1, u_tau.reshape(nx, -1),
+                      out=part.reshape(nx, -1))
+        part *= self._c_mixed[:, None, :]
+        out += part
+        u_tau *= self._c_t[:, None, :]
+        out += u_tau
+        _blas_product(w.reshape(-1, mt), self._d_tau2.T,
+                      out=part.reshape(-1, mt))
+        part *= self._c_tt[:, None, :]
+        out += part
+        out[:, :, 0] = w[:, :, 0]  # the interface
+        out[:, :, -1] = w[:, :, -1]  # the wall
         return out.reshape(u.shape)
 
     def _apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        """Transpose of `_apply` on an (n, k) block, matrix-free.
+        """Transpose of `_apply`, matrix-free, on the same shapes.
 
         `_apply` is A = P L + Q: the mapped operator L on the interior rows
         (projection P) and the identity on the Dirichlet rows (projection
@@ -408,71 +478,86 @@ class LayerOperators:
 
             L^T w = D2x^T w + (c_tt w) D2tau + (c_t w + D1x^T (c_mixed w)) Dtau.
 
-        The x products run on (nx, mt k) views and the two tau products as
-        one on the (nx k, 2 mt) transposed stack, all on scipy's BLAS.
+        The coefficients vanish on the Dirichlet rows, so c w = c P v, and
+        D2x^T P v vanishes there, where Q v puts v itself.  The x products
+        run on the (nx, k mt) view and both tau products on the (nx k, mt)
+        view, added into the result by BLAS, which is a view of the work
+        buffer "apply".
         """
         grid = self.geometry.grid
-        nx = grid.n_modes + 1
-        mt = self.m_vertical + 1
-        k = v.shape[1]
-        v3 = v.reshape(nx, mt, k)
-        w = v3.copy()
-        w[:, [0, -1], :] = 0.0
-        out = _blas_product(grid.half_d2.T, w.reshape(nx, mt * k))
-        mixed = _blas_product(grid.half_d1.T,
-                              (self._c_mixed[:, :, None] * w).reshape(nx, -1))
-        stack = np.empty((nx, k, 2 * mt))
-        w_t = w.transpose(0, 2, 1)
-        np.multiply(self._c_tt[:, None, :], w_t, out=stack[:, :, :mt])
-        np.multiply(self._c_t[:, None, :], w_t, out=stack[:, :, mt:])
-        stack[:, :, mt:] += mixed.reshape(nx, mt, k).transpose(0, 2, 1)
-        tau_part = _blas_product(stack.reshape(nx * k, 2 * mt),
-                                 self._tau_stack)
-        out = out.reshape(nx, mt, k)
-        out += tau_part.reshape(nx, k, mt).transpose(0, 2, 1)
-        out[:, [0, -1], :] += v3[:, [0, -1], :]
-        return out.reshape(nx * mt, k)
+        w = self._block(v)
+        nx, _, mt = w.shape
+        out = self._work.view("apply", w.shape)
+        part = self._work.view("scratch", w.shape)
+        summed = self._work.view("scratch2", w.shape)
+        _blas_product(grid.half_d2.T, w.reshape(nx, -1),
+                      out=out.reshape(nx, -1))
+        out[:, :, 0] = w[:, :, 0]
+        out[:, :, -1] = w[:, :, -1]
+        np.multiply(w, self._c_mixed[:, None, :], out=part)
+        _blas_product(grid.half_d1.T, part.reshape(nx, -1),
+                      out=summed.reshape(nx, -1))
+        summed += np.multiply(w, self._c_t[:, None, :], out=part)
+        _blas_product(summed.reshape(-1, mt), self._d_tau,
+                      out=out.reshape(-1, mt), accumulate=True)
+        np.multiply(w, self._c_tt[:, None, :], out=part)
+        _blas_product(part.reshape(-1, mt), self._d_tau2,
+                      out=out.reshape(-1, mt), accumulate=True)
+        return out.reshape(v.shape)
 
     @cached_property
     def _flat_strip(self):
-        """(lam / h^2 - k^2, D_ib / h^2) of the flat strip at the mean thickness.
+        """(lam / h^2 - k^2, padded V^-1) of the flat strip at the mean thickness.
 
         The per-mode denominators of the diagonalized interior blocks, one
-        row per cosine mode k, and the (M-1) x 2 coupling of the interior
-        rows to the two Dirichlet values, D the collocated d^2/dtau^2; both
-        preconditioner applies read them.
+        row per cosine mode k, and the padded V^-1 of `_interior_eigen`
+        with its two coupling columns divided by h^2; both preconditioner
+        applies read them.
         """
         geom = self.geometry
         h2 = (geom.eta.coeffs[0] + geom.depth) ** 2
-        lam = _interior_eigen(self.m_vertical)[0]
-        return (lam / h2 - geom.grid.wavenumbers[:, None] ** 2,
-                self._d_tau2[1:-1, [0, -1]] / h2)
+        lam, _, inv_pad = _interior_eigen(self.m_vertical)
+        inv_pad = inv_pad.copy()
+        inv_pad[:, ::self.m_vertical] /= h2
+        return lam / h2 - geom.grid.wavenumbers[:, None] ** 2, inv_pad
 
     def _flat_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the flat-strip preconditioner to one right-hand side.
+        """Apply the flat-strip preconditioner to a vector or a block.
 
         On a flat strip of thickness h, here the mean thickness, the mapped
         operator is u_xx + u_tautau / h^2, which the cosine transform in x
         splits into one Chebyshev boundary-value problem per mode k, with
-        the same identity Dirichlet rows as the full operator.  Each is
-        solved by moving the two Dirichlet values to the right-hand side
-        and diagonalizing the interior block (`_interior_eigen`):
-        u = V diag(1 / (lam / h^2 - k^2)) V^-1 r on the interior rows.
-        The products run on scipy's BLAS.
+        the same identity Dirichlet rows as the full operator.  Each keeps
+        its two Dirichlet values and solves its interior rows by
+        diagonalizing the interior block (`_interior_eigen`):
+        u_i = V diag(1 / (lam / h^2 - k^2)) V^-1 (r_i - D_ib r_b / h^2).
+        On whole tau rows these are the products with the transposes of
+        the padded V^-1, whose end columns hold the coupling, and of the
+        padded V.  `rhs` and the result are as in `_apply`; the result is a
+        view of the work buffer "precondition".  The products run on
+        scipy's BLAS.
         """
         grid = self.geometry.grid
-        mt = self.m_vertical + 1
-        _, vecs, vecs_inv = _interior_eigen(self.m_vertical)
-        denominators, coupling = self._flat_strip
-        u = _blas_product(grid._cos_inv, rhs.reshape(grid.n_modes + 1, mt))
-        # the Dirichlet values, tau rows 0 and mt - 1, as one slice
-        inner = u[:, 1:-1] - _blas_product(u[:, ::mt - 1], coupling.T)
-        inner = _blas_product(inner, vecs_inv.T) / denominators
-        u[:, 1:-1] = _blas_product(inner, vecs.T)
-        return _blas_product(grid._cos_mat, u).reshape(-1)
+        r = self._block(rhs)
+        nx, k, mt = r.shape
+        vecs_pad = _interior_eigen(self.m_vertical)[1]
+        denominators, inv_pad = self._flat_strip
+        out = self._work.view("precondition", r.shape)
+        inner = self._work.view("scratch", (nx, k, mt - 2))
+        u = self._work.view("scratch2", r.shape)
+        _blas_product(grid._cos_inv, r.reshape(nx, -1), out=out.reshape(nx, -1))
+        _blas_product(out.reshape(-1, mt), inv_pad.T,
+                      out=inner.reshape(-1, mt - 2))
+        inner /= denominators[:, None, :]
+        _blas_product(inner.reshape(-1, mt - 2), vecs_pad.T,
+                      out=u.reshape(-1, mt))
+        u[:, :, 0] += out[:, :, 0]
+        u[:, :, -1] += out[:, :, -1]
+        _blas_product(grid._cos_mat, u.reshape(nx, -1), out=out.reshape(nx, -1))
+        return out.reshape(rhs.shape)
 
     def _flat_solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        """Transpose of `_flat_solve` on an (n, k) block.
+        """Transpose of `_flat_solve`, on the same shapes.
 
         `_flat_solve` is (C x I) T^-1 (C^-1 x I), C the cosine synthesis in
         x and T the per-mode blocks, so its transpose is
@@ -480,25 +565,31 @@ class LayerOperators:
         rows b and the interior rows [D_ib / h^2, S], S = D_ii / h^2 - k^2
         with D the collocated d^2/dtau^2; so T^-T r has the interior part
         S^-T r_i = V^-T diag(1 / (lam / h^2 - k^2)) V^T r_i and the
-        Dirichlet part r_b - D_ib^T (S^-T r_i) / h^2.  The x products run on
-        (nx, mt k) views and the tau products on the (nx k, mt) transposed
-        copy, all on scipy's BLAS.
+        Dirichlet part r_b - D_ib^T (S^-T r_i) / h^2.  On whole tau rows
+        these are the products with the padded V and with the padded V^-1,
+        whose end columns give the Dirichlet part.  The result is a view of
+        the work buffer "precondition"; the products run on scipy's BLAS.
         """
         grid = self.geometry.grid
-        nx = grid.n_modes + 1
-        mt = self.m_vertical + 1
-        k = rhs.shape[1]
-        _, vecs, vecs_inv = _interior_eigen(self.m_vertical)
-        denominators, coupling = self._flat_strip
-        r = _blas_product(grid._cos_mat.T, rhs.reshape(nx, mt * k))
-        u = np.ascontiguousarray(r.reshape(nx, mt, k).transpose(0, 2, 1))
-        inner = _blas_product(u[:, :, 1:-1].reshape(nx * k, mt - 2), vecs)
-        inner = inner.reshape(nx, k, mt - 2) / denominators[:, None, :]
-        inner = _blas_product(inner.reshape(nx * k, mt - 2), vecs_inv)
-        u[:, :, 1:-1] = inner.reshape(nx, k, mt - 2)
-        u[:, :, [0, -1]] -= _blas_product(inner, coupling).reshape(nx, k, 2)
-        u = np.ascontiguousarray(u.transpose(0, 2, 1)).reshape(nx, mt * k)
-        return _blas_product(grid._cos_inv.T, u).reshape(nx * mt, k)
+        r = self._block(rhs)
+        nx, k, mt = r.shape
+        vecs_pad = _interior_eigen(self.m_vertical)[1]
+        denominators, inv_pad = self._flat_strip
+        out = self._work.view("precondition", r.shape)
+        inner = self._work.view("scratch", (nx, k, mt - 2))
+        u = self._work.view("scratch2", r.shape)
+        _blas_product(grid._cos_mat.T, r.reshape(nx, -1),
+                      out=out.reshape(nx, -1))
+        _blas_product(out.reshape(-1, mt), vecs_pad,
+                      out=inner.reshape(-1, mt - 2))
+        inner /= denominators[:, None, :]
+        _blas_product(inner.reshape(-1, mt - 2), inv_pad,
+                      out=u.reshape(-1, mt))
+        u[:, :, 0] += out[:, :, 0]
+        u[:, :, -1] += out[:, :, -1]
+        _blas_product(grid._cos_inv.T, u.reshape(nx, -1),
+                      out=out.reshape(nx, -1))
+        return out.reshape(rhs.shape)
 
     def _solve_rhs(self, rhs: np.ndarray, transposed: bool = False
                    ) -> np.ndarray:
@@ -522,8 +613,10 @@ class LayerOperators:
     def _solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
         """A^-1 rhs, or A^-T rhs: GMRES, or the LU path.
 
+        `rhs` is a vector (n,) or an (nx, k, mt) block, as in `_apply`.
         LU serves operators below KRYLOV_MIN_UNKNOWNS, operators already
-        factored, and any right-hand side whose GMRES misses.
+        factored, and any right-hand side whose GMRES misses; it takes the
+        block's columns as nodal (n, k) columns.
         """
         out = None
         unknowns = (self.geometry.grid.n_modes + 1) * (self.m_vertical + 1)
@@ -534,7 +627,13 @@ class LayerOperators:
             out = gmres(apply, precondition, rhs, KRYLOV_MAX, KRYLOV_TOL,
                         KRYLOV_FLOOR)
         if out is None or not np.all(np.isfinite(out)):
-            out = self._solve_rhs(rhs, transposed)
+            if rhs.ndim == 1:
+                return self._solve_rhs(rhs, transposed)
+            nx, k, mt = rhs.shape
+            out = self._solve_rhs(
+                rhs.transpose(0, 2, 1).reshape(nx * mt, k), transposed)
+            return np.ascontiguousarray(
+                out.reshape(nx, mt, k).transpose(0, 2, 1))
         return out
 
     def solve(self, trace: EvenField) -> "LayerSolution":
@@ -576,7 +675,7 @@ class LayerOperators:
             grid = self.geometry.grid
             nx = grid.n_modes + 1
             z = self._adjoint_block()
-            u_tau_ifc = z[self._interface_rows, :nx].T @ grid._cos_mat
+            u_tau_ifc = z[:, :nx, 0].T @ grid._cos_mat
             vals = self._extraction(self.geometry._eta_half[:, None],
                                     u_tau_ifc, grid.half_d1 @ grid._cos_mat)
             self._dno_matrix = grid._cos_inv @ vals
@@ -592,20 +691,21 @@ class LayerOperators:
         Z^T r: the Dirichlet-to-Neumann matrix, the shape derivatives and
         the interior-derivative row.  GMRES solves the columns at once on
         `_apply_transpose`, right-preconditioned by `_flat_solve_transpose`,
-        unless `_solve` takes the LU path.  The block is kept, and serves
-        any later call with no point or the same point.
+        unless `_solve` takes the LU path.  The block is (nx, k, mt): column
+        c of Z is Z[:, c, :].  It is kept, and serves any later call with no
+        point or the same point.
         """
         key = None if point is None else (float(point[0]), float(point[1]))
         if self._adjoint is not None and key in (None, self._adjoint[0]):
             return self._adjoint[1]
         nx = self.geometry.grid.n_modes + 1
         mt = self.m_vertical + 1
-        rhs = np.zeros((nx, mt, nx + (key is not None)))
-        rhs[np.arange(nx), :, np.arange(nx)] = self._d_tau[0]
+        rhs = np.zeros((nx, nx + (key is not None), mt))
+        rhs[np.arange(nx), np.arange(nx)] = self._d_tau[0]
         if key is not None:
             row_x, t_rows, h = self._point_rows(point)
-            rhs[:, :, nx] = np.outer(row_x, (2.0 / h) * t_rows[1])
-        z = self._solve(rhs.reshape(nx * mt, -1), transposed=True)
+            rhs[:, nx] = np.outer(row_x, (2.0 / h) * t_rows[1])
+        z = self._solve(rhs, transposed=True)
         z.flags.writeable = False  # shared by every caller
         self._adjoint = (key, z)
         return z
@@ -653,7 +753,7 @@ class LayerOperators:
     def interior_dy_row(self, point) -> np.ndarray:
         """Row functional: trace coefficients -> interior vertical derivative."""
         z = self._adjoint_block(point)
-        return z[self._interface_rows, -1] @ self.geometry.grid._cos_mat
+        return z[:, -1, 0] @ self.geometry.grid._cos_mat
 
     # -- directional shape derivatives ----------------------------------------
 
@@ -701,8 +801,10 @@ class LayerOperators:
         )
         rhs[:, 0, :] = 0.0
         rhs[:, -1, :] = 0.0  # Dirichlet rows carry no geometry dependence
-        moved = -_blas_product(self._adjoint_block(point).T,
-                               rhs.reshape(nx * mt, nx))
+        # the block's columns as rows of nodal values, one copy per call
+        moved = -_blas_product(
+            self._adjoint_block(point).transpose(1, 0, 2).reshape(-1, nx * mt),
+            rhs.reshape(nx * mt, nx))
 
         u_tau, u_x = (v[:, None] for v in self._interface_tau_x(u))
         dno_dirs = ((1.0 + hx * hx) * (moved[:nx] - u_tau * dh / h) / h
@@ -719,17 +821,25 @@ class LayerOperators:
             grid.wavenumbers * float(point[0]))
 
 
-def _blas_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _blas_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+                  accumulate: bool = False) -> np.ndarray:
     """a @ b on scipy's BLAS; C- or Fortran-ordered operands are not copied.
 
-    numpy's products run on numpy's own OpenBLAS pool, whose threads, once
-    woken, keep spinning against scipy's LAPACK calls (README, "Threads").
-    Fortran BLAS computes the transposed product b^T a^T, in which a
-    C-ordered operand's transpose is Fortran-ordered.
+    With `out`, a C-ordered array of the product's shape, the product is
+    written into it, or added to it when `accumulate` (dgemm's beta = 1),
+    and `out` is returned.  numpy's products run on numpy's own OpenBLAS
+    pool, whose threads, once woken, keep spinning against scipy's LAPACK
+    calls (README, "Threads").  Fortran BLAS computes the transposed
+    product b^T a^T, in which a C-ordered operand's transpose is
+    Fortran-ordered, and so is that of `out`.
     """
     at, trans_a = (a.T, 0) if a.flags.c_contiguous else (a, 1)
     bt, trans_b = (b.T, 0) if b.flags.c_contiguous else (b, 1)
-    return dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
+    if out is None:
+        return dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
+    dgemm(1.0, bt, at, beta=float(accumulate), c=out.T, trans_a=trans_b,
+          trans_b=trans_a, overwrite_c=True)
+    return out
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .errors import NonFiniteEntry
 from .layers import (
     LayerGeometry,
     LayerOperators,
+    WorkBuffers,
     flat_interior_dy_symbol,
 )
 from .spectral import CollocationGrid, EvenField
@@ -192,6 +193,8 @@ class WaveSystem:
         g = self.grid
         self._coeffs_to_dx = g.half_d1 @ g._cos_mat
         self._coeffs_to_dxx = g.half_d2 @ g._cos_mat
+        # scratch of every layer operator this system builds
+        self._work = WorkBuffers()
 
     @property
     def n_unknowns(self) -> int:
@@ -210,11 +213,12 @@ class WaveSystem:
         ex = g.half_d1 @ e
         exx = g.half_d2 @ e
         ops_low = LayerOperators(
-            LayerGeometry(g, p.depth, state.elevation), self.m_vertical)
+            LayerGeometry(g, p.depth, state.elevation), self.m_vertical,
+            self._work)
         # the upper fluid over eta is the lower strip under -eta
         ops_up = LayerOperators(
             LayerGeometry(g, p.depth, EvenField(-state.elevation.coeffs)),
-            self.m_vertical)
+            self.m_vertical, self._work)
         sol_low = ops_low.solve(state.trace_lower)
         sol_up = ops_up.solve(state.trace_upper)
         traces = vortex_traces(p.pair, g.half_nodes, e, p.half_period)

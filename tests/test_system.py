@@ -256,7 +256,7 @@ class TestFactorizationCounts:
         real_gmres = layers.gmres
 
         def counting(apply, precondition, rhs, *args):
-            if rhs.ndim == 2:
+            if rhs.ndim == 3:  # (x node, column, tau node)
                 blocks.append(rhs.shape[1])
             return real_gmres(apply, precondition, rhs, *args)
 
