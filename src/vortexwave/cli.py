@@ -8,22 +8,22 @@ Three subcommands share one configuration format:
 * ``validate``: the built-in invariant suite, one pass/fail line per check.
 
 Exit codes: 0 success (including a branch that exhausts its step budget),
-2 configuration error, 3 numerical failure or a failed validation, 4 a
-guard-triggered branch termination.  Codes 3 and 4 still leave the files
-written so far on disk; the table is flushed per point.
+2 configuration error (an unusable output directory among them), 3
+numerical failure or a failed validation, 4 a guard-triggered branch
+termination.  Codes 3 and 4 still leave the files written so far on disk;
+the table is flushed per point.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .config import RunConfig, load_config, load_config_file
-from .continuation import Alternative, ContinuationEngine
+from .continuation import Alternative, Branch, ContinuationEngine
 from .errors import ConfigError, VortexWaveError
 from .persistence import (
     BranchWriter,
@@ -75,13 +75,47 @@ def _load(args) -> RunConfig:
     return load_config_file(args.config)
 
 
-def _config_echo(config: RunConfig) -> dict:
-    return dict(line.split("=", 1) for line in config.canonical().splitlines())
-
-
 def _make_engine(config: RunConfig) -> ContinuationEngine:
     system = WaveSystem(config.params, config.n_modes, config.m_vertical)
     return ContinuationEngine(system, config.settings)
+
+
+def _out_dir(args, config: RunConfig) -> str:
+    out = args.out if args.out is not None else config.out_dir
+    ensure_dir(out)
+    return out
+
+
+def _record(config: RunConfig, out: str, mode: str, run
+            ) -> tuple[Branch, int]:
+    """Write the records of `run(on_point)`; the Branch and its exit code.
+
+    `on_point(point)` appends the point's row to branch.csv and writes its
+    snapshot; `run` returns the finished Branch, whose summary comes last.
+    """
+    chash = config.config_hash()
+    steps = itertools.count()
+    with BranchWriter(os.path.join(out, "branch.csv"), chash) as writer:
+        def on_point(point):
+            writer.write(point)
+            record = snapshot_record(
+                point, config.n_modes, config.m_vertical,
+                config.params.half_period, config.params.depth, chash,
+            )
+            write_snapshot(
+                os.path.join(out, f"snapshot_{next(steps):04d}.json"), record
+            )
+
+        branch = run(on_point)
+    termination = branch.termination  # None after a single solve
+    code = 0 if termination is None else _TERMINATION_EXIT[termination]
+    write_summary(
+        os.path.join(out, "summary.json"),
+        {key: repr(value) for key, value in config.resolved().items()},
+        chash, mode, None if termination is None else termination.value,
+        len(branch.points), branch.points[-1].strength, code,
+    )
+    return branch, code
 
 
 def _run_continue(args) -> int:
@@ -94,71 +128,29 @@ def _run_continue(args) -> int:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    out = args.out if args.out is not None else config.out_dir
-    ensure_dir(out)
-
-    engine = _make_engine(config)
-    grid = engine.system.grid
-    chash = config.config_hash()
-    index = 0
-
-    with BranchWriter(os.path.join(out, "branch.csv"), chash) as writer:
-        def on_point(point):
-            nonlocal index
-            sup = float(
-                np.abs(grid.even_values_half(point.state.elevation)).max()
-            )
-            writer.write(point, sup)
-            record = snapshot_record(
-                point, config.n_modes, config.m_vertical,
-                config.params.half_period, config.params.depth, chash,
-            )
-            write_snapshot(
-                os.path.join(out, f"snapshot_{index:04d}.json"), record
-            )
-            index += 1
-
-        branch = engine.continue_branch(on_point=on_point)
-
-    termination = branch.termination
-    code = _TERMINATION_EXIT[termination]
-    final_strength = branch.points[-1].strength if branch.points else 0.0
-    write_summary(
-        os.path.join(out, "summary.json"),
-        _config_echo(config), chash, "continue", termination.value,
-        len(branch.points), final_strength, code,
-    )
+    out = _out_dir(args, config)
+    branch, code = _record(config, out, "continue",
+                           _make_engine(config).continue_branch)
+    termination = branch.termination.value
     if code:
-        print(f"terminated: {termination.value}", file=sys.stderr)
+        print(f"terminated: {termination}", file=sys.stderr)
     else:
         print(f"branch complete: {len(branch.points)} points, "
-              f"termination {termination.value}")
+              f"termination {termination}")
     return code
 
 
 def _run_single(args) -> int:
     config = _load(args)
-    out = args.out if args.out is not None else config.out_dir
-    ensure_dir(out)
+    out = _out_dir(args, config)
+    # solved before any record is opened, so a failed solve writes nothing
+    point = _make_engine(config).solve_at(config.target_strength)
 
-    engine = _make_engine(config)
-    grid = engine.system.grid
-    chash = config.config_hash()
-    point = engine.solve_at(config.target_strength)
+    def run(on_point):
+        on_point(point)
+        return Branch([point])
 
-    with BranchWriter(os.path.join(out, "branch.csv"), chash) as writer:
-        sup = float(np.abs(grid.even_values_half(point.state.elevation)).max())
-        writer.write(point, sup)
-    record = snapshot_record(
-        point, config.n_modes, config.m_vertical,
-        config.params.half_period, config.params.depth, chash,
-    )
-    write_snapshot(os.path.join(out, "snapshot_0000.json"), record)
-    write_summary(
-        os.path.join(out, "summary.json"),
-        _config_echo(config), chash, "single_solve", None, 1,
-        point.strength, 0,
-    )
+    _record(config, out, "single_solve", run)
     print(f"solved at strength {point.strength!r} "
           f"in {point.newton_iterations} iterations")
     return 0

@@ -133,8 +133,11 @@ class ContinuationSettings:
     gap_floor: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.ds_min <= self.ds0 <= self.ds_max:
-            raise ValueError("need 0 < ds_min <= ds0 <= ds_max")
+        # an infinite ds0 would survive every halving, so a failing step
+        # would be retried forever
+        if not (0 < self.ds_min <= self.ds0 <= self.ds_max
+                and np.isfinite(self.ds0)):
+            raise ValueError("need 0 < ds_min <= ds0 <= ds_max, ds0 finite")
         if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
         if self.newton_max < 1 or self.max_steps < 1:
@@ -153,9 +156,14 @@ class BranchPoint:
     newton_iterations: int
     smallest_singular: float
     det_sign: int
-    elevation_norm: float
+    elevation_sup: float
+    elevation_sobolev: float
     elevation_center: float
     vortex_distance: float
+
+    @property
+    def speed(self) -> float:
+        return self.state.speed
 
 
 @dataclass
@@ -259,7 +267,11 @@ class ContinuationEngine:
             newton_iterations=iterations,
             smallest_singular=sigma,
             det_sign=sign,
-            elevation_norm=g.sobolev_norm(state.elevation, DIAGNOSTIC_ORDER),
+            elevation_sup=float(
+                np.abs(g.even_values_half(state.elevation)).max()
+            ),
+            elevation_sobolev=g.sobolev_norm(state.elevation,
+                                             DIAGNOSTIC_ORDER),
             elevation_center=float(np.sum(state.elevation.coeffs)),
             vortex_distance=self.vortex_distance(state),
         )
@@ -422,7 +434,11 @@ class ContinuationEngine:
     def tangent(self, prep: PreparedState, strength: float,
                 previous: np.ndarray | None = None,
                 jac: np.ndarray | None = None) -> np.ndarray:
-        """Unit tangent of the branch at a solved point, consistently oriented."""
+        """Unit tangent of the branch at a solved point.
+
+        The bordered row orients it: row . raw = 1 makes the strength
+        component, or the weighted dot with `previous`, positive.
+        """
         if jac is None:
             jac = self.system.jacobian_prepared(prep, strength)
         row = self._pin_row() if previous is None else self.weights * previous
@@ -433,12 +449,7 @@ class ContinuationEngine:
             raise SingularBorderedSystem("tangent system is singular") from exc
         if not np.all(np.isfinite(raw)):
             raise SingularBorderedSystem("tangent system is numerically singular")
-        raw /= np.sqrt(self.weighted_dot(raw, raw))
-        if previous is not None and self.weighted_dot(raw, previous) < 0:
-            raw = -raw
-        if previous is None and raw[-1] < 0:
-            raw = -raw
-        return raw
+        return raw / np.sqrt(self.weighted_dot(raw, raw))
 
     def solve_at(self, strength: float) -> BranchPoint:
         """One fixed-strength solve seeded by the first-order origin predictor."""

@@ -507,19 +507,20 @@ class LayerOperators:
 
     @cached_property
     def _flat_strip(self):
-        """(lam / h^2 - k^2, padded V^-1) of the flat strip at the mean thickness.
+        """(lam / h^2 - k^2, padded V^-1, padded V) of the flat strip.
 
-        The per-mode denominators of the diagonalized interior blocks, one
-        row per cosine mode k, and the padded V^-1 of `_interior_eigen`
-        with its two coupling columns divided by h^2; both preconditioner
-        applies read them.
+        The per-mode denominators of the diagonalized interior blocks at
+        the mean thickness h, one row per cosine mode k, the padded V^-1 of
+        `_interior_eigen` with its two coupling columns divided by h^2, and
+        its padded V; both preconditioner applies read them.
         """
         geom = self.geometry
         h2 = (geom.eta.coeffs[0] + geom.depth) ** 2
-        lam, _, inv_pad = _interior_eigen(self.m_vertical)
+        lam, vecs_pad, inv_pad = _interior_eigen(self.m_vertical)
         inv_pad = inv_pad.copy()
         inv_pad[:, ::self.m_vertical] /= h2
-        return lam / h2 - geom.grid.wavenumbers[:, None] ** 2, inv_pad
+        return (lam / h2 - geom.grid.wavenumbers[:, None] ** 2, inv_pad,
+                vecs_pad)
 
     def _flat_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the flat-strip preconditioner to a vector or a block.
@@ -538,23 +539,9 @@ class LayerOperators:
         scipy's BLAS.
         """
         grid = self.geometry.grid
-        r = self._block(rhs)
-        nx, k, mt = r.shape
-        vecs_pad = _interior_eigen(self.m_vertical)[1]
-        denominators, inv_pad = self._flat_strip
-        out = self._work.view("precondition", r.shape)
-        inner = self._work.view("scratch", (nx, k, mt - 2))
-        u = self._work.view("scratch2", r.shape)
-        _blas_product(grid._cos_inv, r.reshape(nx, -1), out=out.reshape(nx, -1))
-        _blas_product(out.reshape(-1, mt), inv_pad.T,
-                      out=inner.reshape(-1, mt - 2))
-        inner /= denominators[:, None, :]
-        _blas_product(inner.reshape(-1, mt - 2), vecs_pad.T,
-                      out=u.reshape(-1, mt))
-        u[:, :, 0] += out[:, :, 0]
-        u[:, :, -1] += out[:, :, -1]
-        _blas_product(grid._cos_mat, u.reshape(nx, -1), out=out.reshape(nx, -1))
-        return out.reshape(rhs.shape)
+        _, inv_pad, vecs_pad = self._flat_strip
+        return self._flat_products(rhs, grid._cos_inv, inv_pad.T,
+                                   vecs_pad.T, grid._cos_mat)
 
     def _flat_solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
         """Transpose of `_flat_solve`, on the same shapes.
@@ -571,24 +558,30 @@ class LayerOperators:
         the work buffer "precondition"; the products run on scipy's BLAS.
         """
         grid = self.geometry.grid
+        _, inv_pad, vecs_pad = self._flat_strip
+        return self._flat_products(rhs, grid._cos_mat.T, vecs_pad, inv_pad,
+                                   grid._cos_inv.T)
+
+    def _flat_products(self, rhs: np.ndarray, first: np.ndarray,
+                       to_modes: np.ndarray, from_modes: np.ndarray,
+                       last: np.ndarray) -> np.ndarray:
+        """The flat-strip solve or its transpose, given its four operands.
+
+        `first` and `last` act in x, `to_modes` and `from_modes` in tau."""
         r = self._block(rhs)
         nx, k, mt = r.shape
-        vecs_pad = _interior_eigen(self.m_vertical)[1]
-        denominators, inv_pad = self._flat_strip
         out = self._work.view("precondition", r.shape)
         inner = self._work.view("scratch", (nx, k, mt - 2))
         u = self._work.view("scratch2", r.shape)
-        _blas_product(grid._cos_mat.T, r.reshape(nx, -1),
-                      out=out.reshape(nx, -1))
-        _blas_product(out.reshape(-1, mt), vecs_pad,
+        _blas_product(first, r.reshape(nx, -1), out=out.reshape(nx, -1))
+        _blas_product(out.reshape(-1, mt), to_modes,
                       out=inner.reshape(-1, mt - 2))
-        inner /= denominators[:, None, :]
-        _blas_product(inner.reshape(-1, mt - 2), inv_pad,
+        inner /= self._flat_strip[0][:, None, :]
+        _blas_product(inner.reshape(-1, mt - 2), from_modes,
                       out=u.reshape(-1, mt))
         u[:, :, 0] += out[:, :, 0]
         u[:, :, -1] += out[:, :, -1]
-        _blas_product(grid._cos_inv.T, u.reshape(nx, -1),
-                      out=out.reshape(nx, -1))
+        _blas_product(last, u.reshape(nx, -1), out=out.reshape(nx, -1))
         return out.reshape(rhs.shape)
 
     def _solve_rhs(self, rhs: np.ndarray, transposed: bool = False

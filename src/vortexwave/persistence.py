@@ -4,6 +4,11 @@ All files are deterministic for a fixed configuration and build: floats are
 written with repr (shortest round-trip form), JSON keys are sorted, and no
 timestamps or environment details are recorded.  The branch table is flushed
 per point so an interrupted run still holds a valid prefix.
+
+Every branch.csv column after the step, and every entry of a snapshot's
+diagnostics, is the `continuation.BranchPoint` attribute of its name, so a
+new column is one name in `DIAGNOSTICS` or `CSV_COLUMNS`.  An output
+directory that cannot be created is a configuration error.
 """
 
 from __future__ import annotations
@@ -14,17 +19,14 @@ import os
 import numpy as np
 
 from .continuation import BranchPoint
-from .errors import NonFiniteEntry
+from .errors import ConfigError, NonFiniteEntry
 from .spectral import EvenField
 from .system import WaveState
 
 SCHEMA = 1
 
-CSV_COLUMNS = (
-    "step",
-    "strength",
-    "speed",
-    "elevation_sup",
+#: BranchPoint attributes recorded as a snapshot's diagnostics
+DIAGNOSTICS = (
     "elevation_sobolev",
     "elevation_center",
     "vortex_distance",
@@ -33,6 +35,9 @@ CSV_COLUMNS = (
     "newton_iterations",
     "residual_norm",
 )
+
+#: the branch.csv header: the step, then one BranchPoint attribute each
+CSV_COLUMNS = ("step", "strength", "speed", "elevation_sup", *DIAGNOSTICS)
 
 
 def _fmt(value) -> str:
@@ -53,20 +58,9 @@ class BranchWriter:
         self._handle.flush()
         self._step = 0
 
-    def write(self, point: BranchPoint, elevation_sup: float):
-        row = (
-            self._step,
-            point.strength,
-            point.state.speed,
-            elevation_sup,
-            point.elevation_norm,
-            point.elevation_center,
-            point.vortex_distance,
-            point.det_sign,
-            point.smallest_singular,
-            point.newton_iterations,
-            point.residual_norm,
-        )
+    def write(self, point: BranchPoint):
+        row = (self._step,
+               *(getattr(point, name) for name in CSV_COLUMNS[1:]))
         self._handle.write(",".join(_fmt(v) for v in row) + "\n")
         self._handle.flush()
         self._step += 1
@@ -104,19 +98,11 @@ def snapshot_record(point: BranchPoint, n_modes: int, m_vertical: int,
             "depth": depth,
         },
         "strength": point.strength,
-        "speed": point.state.speed,
+        "speed": point.speed,
         "elevation": point.state.elevation.coeffs.tolist(),
         "trace_upper": point.state.trace_upper.coeffs.tolist(),
         "trace_lower": point.state.trace_lower.coeffs.tolist(),
-        "diagnostics": {
-            "residual_norm": point.residual_norm,
-            "newton_iterations": point.newton_iterations,
-            "smallest_singular": point.smallest_singular,
-            "det_sign": point.det_sign,
-            "elevation_sobolev": point.elevation_norm,
-            "elevation_center": point.elevation_center,
-            "vortex_distance": point.vortex_distance,
-        },
+        "diagnostics": {name: getattr(point, name) for name in DIAGNOSTICS},
     }
 
 
@@ -150,7 +136,7 @@ def load_snapshot(path: str) -> tuple[WaveState, float, dict]:
 def write_summary(path: str, config_echo: dict, config_hash: str,
                   mode: str, termination: str | None,
                   n_points: int, final_strength: float, exit_code: int):
-    record = {
+    write_snapshot(path, {  # the same JSON layout
         "schema": SCHEMA,
         "config": config_echo,
         "config_hash": config_hash,
@@ -159,11 +145,13 @@ def write_summary(path: str, config_echo: dict, config_hash: str,
         "points": n_points,
         "final_strength": final_strength,
         "exit_code": exit_code,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    })
 
 
 def ensure_dir(path: str):
-    os.makedirs(path, exist_ok=True)
+    """Create the output directory; ConfigError when it cannot be used."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path!r}: "
+                          f"{exc.strerror}") from exc

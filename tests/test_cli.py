@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import vortexwave
 from vortexwave import cli
 from vortexwave.config import _SECTIONS, load_config
 from vortexwave.errors import NonFiniteEntry, ParseError, ValidationError
@@ -36,6 +39,46 @@ def read_files(out_dir):
         name: (out_dir / name).read_bytes()
         for name in sorted(os.listdir(out_dir))
     }
+
+
+#: a valid value, other than the default, for every configuration key
+NON_DEFAULT = {
+    "physical.rho_lower": 1.1,
+    "physical.rho_upper": 0.8,
+    "physical.gravity": 2.0,
+    "physical.surface_tension": 0.2,
+    "physical.depth": 1.5,
+    "physical.half_period": 3.0,
+    "physical.bernoulli_constant": 0.1,
+    "physical.vortex_y": -0.6,
+    "physical.phantom_y": 0.7,
+    "discretization.n_modes": 16,
+    "discretization.m_vertical": 12,
+    "continuation.ds0": 1e-3,
+    "continuation.ds_min": 1e-7,
+    "continuation.ds_max": 1e-2,
+    "continuation.newton_tol": 1e-9,
+    "continuation.newton_max": 20,
+    "continuation.max_steps": 7,
+    "continuation.norm_cap": 500.0,
+    "continuation.vortex_guard": 0.06,
+    "continuation.gap_floor": 0.05,
+    "continuation.target_strength": 2e-3,
+    "output.directory": "elsewhere",
+}
+
+
+def configured(config, key):
+    """The value in a RunConfig that one configuration key sets."""
+    if key == "directory":
+        return config.out_dir
+    if key in ("vortex_y", "phantom_y"):
+        pair = config.params.pair
+        return (pair.lower if key == "vortex_y" else pair.upper)[1]
+    for owner in (config.params, config.settings, config):
+        if hasattr(owner, key):
+            return getattr(owner, key)
+    return None
 
 
 class TestConfig:
@@ -105,6 +148,21 @@ class TestConfig:
     def test_step_ordering_violation_is_config_error(self):
         with pytest.raises(ValidationError, match="ds_min"):
             load_config("[continuation]\nds0 = 1e-9\n")
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section in _SECTIONS for key in _SECTIONS[section]
+    ])
+    def test_every_key_reaches_what_it_configures(self, section, key):
+        value = NON_DEFAULT[f"{section}.{key}"]
+        base = load_config("")
+        moved = load_config(f"[{section}]\n{key} = {value}\n")
+        assert configured(moved, key) == value
+        assert configured(base, key) != value
+        if key == "directory":
+            # where the files go is no part of what they hold
+            assert moved.config_hash() == base.config_hash()
+        else:
+            assert moved.config_hash() != base.config_hash()
 
 
 class TestContinueMode:
@@ -272,6 +330,54 @@ rho_lower = 1e300
         code = cli.main(["continue", "--config", cfg,
                          "--out", str(tmp_path / "out"), "--max-steps", "0"])
         assert code == 2
+
+    def test_infinite_first_step_exits_two_at_once(self, tmp_path):
+        # inf / 2 is inf: a failing step would be retried forever, so the
+        # run goes in a child process that a regression cannot hang
+        cfg = write_config(
+            tmp_path,
+            "[discretization]\nn_modes = 8\nm_vertical = 8\n"
+            "[continuation]\nds0 = inf\nds_max = inf\n",
+        )
+        src = os.path.dirname(os.path.dirname(vortexwave.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "vortexwave.cli", "continue",
+             "--config", cfg, "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=10,
+        )
+        assert done.returncode == 2
+        assert "ds0" in done.stderr
+
+    @pytest.mark.parametrize("output, out", [
+        ("[output]\ndirectory =\n", []),
+        ("", ["--out", "file"]),
+        ("", ["--out", os.path.join("file", "out")]),
+    ], ids=["empty name", "a file", "under a file"])
+    def test_unusable_output_directory_exits_two(self, tmp_path, monkeypatch,
+                                                 capsys, output, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path, f"{SMALL}\n{output}")
+        for command in ("continue", "single-solve"):
+            assert cli.main([command, "--config", cfg, *out]) == 2
+            assert "configuration error" in capsys.readouterr().err
+
+    def test_snapshot_diagnostics_equal_the_table_row(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert cli.main(["continue", "--config", cfg, "--out", str(out),
+                         "--max-steps", "3"]) == 0
+        table = load_branch_table(str(out / "branch.csv"))
+        for step in table["step"].astype(int):
+            _, strength, record = load_snapshot(
+                str(out / f"snapshot_{step:04d}.json")
+            )
+            assert strength == table["strength"][step]
+            assert record["speed"] == table["speed"][step]
+            assert record["diagnostics"]
+            for name, value in record["diagnostics"].items():
+                assert value == table[name][step], name
 
 
 class TestSingleSolve:

@@ -126,7 +126,7 @@ class TestBranch:
         assert first.strength == 0.0
         assert first.residual_norm == 0.0
         assert first.newton_iterations == 0
-        assert first.elevation_norm == 0.0
+        assert first.elevation_sobolev == 0.0
 
     def test_growth_and_iteration_budget(self):
         engine = small_engine(max_steps=20)

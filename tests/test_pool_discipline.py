@@ -72,11 +72,10 @@ def test_no_numpy_lapack_outside_once_per_resolution_set_up():
     assert not stale, f"set-up that calls no numpy.linalg: {sorted(stale)}"
 
 
-#: layers.py applies and preconditioners that GMRES calls once per Krylov
-#: vector: every product in them goes through `_blas_product`, which calls
-#: scipy.linalg.blas
-BLAS_HELPERS = ("_apply", "_flat_solve", "_apply_transpose",
-                "_flat_solve_transpose")
+#: layers.py applies and the preconditioners' shared body, which GMRES
+#: calls once per Krylov vector: every product in them goes through
+#: `_blas_product`, which calls scipy.linalg.blas
+BLAS_HELPERS = ("_apply", "_flat_products", "_apply_transpose")
 
 #: numpy functions that multiply arrays on numpy's own BLAS, or its pool
 NUMPY_PRODUCTS = ("dot", "matmul", "einsum", "tensordot", "inner", "vdot")
