@@ -9,9 +9,9 @@ Three subcommands share one configuration format:
 
 Exit codes: 0 success (including a branch that exhausts its step budget),
 2 configuration error (an unusable output directory among them), 3
-numerical failure or a failed validation, 4 a guard-triggered branch
-termination.  Codes 3 and 4 still leave the files written so far on disk;
-the table is flushed per point.
+numerical failure (running out of memory among them) or a failed
+validation, 4 a guard-triggered branch termination.  Codes 3 and 4 still
+leave the files written so far on disk; the table is flushed per point.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except VortexWaveError as exc:
+    except (VortexWaveError, MemoryError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3

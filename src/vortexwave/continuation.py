@@ -376,8 +376,8 @@ class ContinuationEngine:
                 break
             bordered_res = np.r_[res, gap]
             step = None
-            if iteration > 0 and not (prep.ops_lower.factored
-                                      and prep.ops_upper.factored):
+            if iteration > 0 and not all(layer.ops.factored
+                                         for layer in prep.layers):
                 step = self._krylov_step(current, bordered_res, chord,
                                          constraint)
             if step is None:

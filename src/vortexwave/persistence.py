@@ -7,8 +7,8 @@ per point so an interrupted run still holds a valid prefix.
 
 Every branch.csv column after the step, and every entry of a snapshot's
 diagnostics, is the `continuation.BranchPoint` attribute of its name, so a
-new column is one name in `DIAGNOSTICS` or `CSV_COLUMNS`.  An output
-directory that cannot be created is a configuration error.
+new column is one name in `DIAGNOSTICS`.  An output directory that cannot
+be created is a configuration error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ SCHEMA = 1
 
 #: BranchPoint attributes recorded as a snapshot's diagnostics
 DIAGNOSTICS = (
+    "elevation_sup",
     "elevation_sobolev",
     "elevation_center",
     "vortex_distance",
@@ -37,7 +38,7 @@ DIAGNOSTICS = (
 )
 
 #: the branch.csv header: the step, then one BranchPoint attribute each
-CSV_COLUMNS = ("step", "strength", "speed", "elevation_sup", *DIAGNOSTICS)
+CSV_COLUMNS = ("step", "strength", "speed", *DIAGNOSTICS)
 
 
 def _fmt(value) -> str:
@@ -124,6 +125,11 @@ def load_snapshot(path: str) -> tuple[WaveState, float, dict]:
                 "strength"):
         if not np.all(np.isfinite(record[key])):
             raise NonFiniteEntry(f"snapshot entry {key} is not finite")
+    band = record["grid"]["n_modes"] + 1
+    for key in ("elevation", "trace_upper", "trace_lower"):
+        if len(record[key]) != band:
+            raise ValueError(f"snapshot entry {key} has {len(record[key])} "
+                             f"coefficients, not the grid's {band}")
     state = WaveState(
         EvenField(np.array(record["elevation"])),
         EvenField(np.array(record["trace_upper"])),

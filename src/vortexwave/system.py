@@ -13,9 +13,11 @@ strength as the continuation parameter.  The four residual blocks are
 
 All fields live on the even cosine band of a CollocationGrid; residual blocks
 are collocated on the half grid and projected back to coefficients, so parity
-is exact by construction.  The upper layer is solved as the lower strip under
-the reflected interface -elevation, so this is the only module that knows
-which side a layer is on.
+is exact by construction.  Each fluid is one FluidLayer, and every block is
+one per-layer expression over the two: a layer of sign +1 (lower) or -1
+(upper) sees sign * strength and is solved as the lower strip under
+sign * elevation, so this is the only module that knows which side a layer
+is on.
 
 The analytic Jacobian assembles the true Fréchet derivative: the quadratic
 velocity terms contribute (state factor) * (derivative factor), and the
@@ -35,6 +37,7 @@ from .errors import NonFiniteEntry
 from .layers import (
     LayerGeometry,
     LayerOperators,
+    LayerSolution,
     WorkBuffers,
     flat_interior_dy_symbol,
 )
@@ -161,6 +164,26 @@ class Residual:
         )
 
 
+@dataclass(frozen=True)
+class FluidLayer:
+    """One fluid's side of the interface and its trace solve.
+
+    sign is +1 for the lower fluid and -1 for the upper: the layer sees
+    sign * strength, and its strip lies under sign * elevation.  weight is
+    its signed density in the dynamic block, and probe the interior point
+    whose vertical derivative enters the drift row (None: no drift row).
+    """
+
+    sign: float
+    weight: float
+    probe: tuple[float, float] | None
+    trace_half: np.ndarray
+    ops: LayerOperators
+    sol: LayerSolution
+    dno_half: np.ndarray
+    dxt: np.ndarray
+
+
 @dataclass
 class PreparedState:
     """Per-state solve products shared by the residual and the Jacobian."""
@@ -169,16 +192,15 @@ class PreparedState:
     elevation_half: np.ndarray
     slope_half: np.ndarray
     curvature_half: np.ndarray
-    ops_lower: LayerOperators
-    ops_upper: LayerOperators
-    sol_lower: object
-    sol_upper: object
-    dno_lower_half: np.ndarray
-    dno_upper_half: np.ndarray
-    dxt_lower: np.ndarray
-    dxt_upper: np.ndarray
+    upper: FluidLayer
+    lower: FluidLayer
     traces: VortexTraces
     interior_dy: float
+
+    @property
+    def layers(self) -> tuple[FluidLayer, FluidLayer]:
+        """(upper, lower): the order of the trace blocks."""
+        return self.upper, self.lower
 
 
 class WaveSystem:
@@ -210,56 +232,36 @@ class WaveSystem:
         g = self.grid
         p = self.params
         e = g.even_values_half(state.elevation)
-        ex = g.half_d1 @ e
-        exx = g.half_d2 @ e
-        ops_low = LayerOperators(
-            LayerGeometry(g, p.depth, state.elevation), self.m_vertical,
-            self._work)
-        # the upper fluid over eta is the lower strip under -eta
-        ops_up = LayerOperators(
-            LayerGeometry(g, p.depth, EvenField(-state.elevation.coeffs)),
-            self.m_vertical, self._work)
-        sol_low = ops_low.solve(state.trace_lower)
-        sol_up = ops_up.solve(state.trace_upper)
-        traces = vortex_traces(p.pair, g.half_nodes, e, p.half_period)
+        lower = self._layer(1.0, -p.rho_lower, state.elevation,
+                            state.trace_lower, p.pair.lower)
+        upper = self._layer(-1.0, p.rho_upper, state.elevation, state.trace_upper)
         return PreparedState(
-            state=state,
-            elevation_half=e,
-            slope_half=ex,
-            curvature_half=exx,
-            ops_lower=ops_low,
-            ops_upper=ops_up,
-            sol_lower=sol_low,
-            sol_upper=sol_up,
-            dno_lower_half=ops_low.dno_values_half(sol_low),
-            dno_upper_half=ops_up.dno_values_half(sol_up),
-            dxt_lower=g.half_d1 @ g.even_values_half(state.trace_lower),
-            dxt_upper=g.half_d1 @ g.even_values_half(state.trace_upper),
-            traces=traces,
-            interior_dy=ops_low.eval_interior_dy(sol_low, p.pair.lower),
-        )
+            state, e, g.half_d1 @ e, g.half_d2 @ e, upper, lower,
+            vortex_traces(p.pair, g.half_nodes, e, p.half_period),
+            lower.ops.eval_interior_dy(lower.sol, lower.probe))
+
+    def _layer(self, sign: float, weight: float, elevation: EvenField,
+               trace: EvenField, probe=None) -> FluidLayer:
+        """Build and solve one layer's strip under sign * elevation."""
+        g = self.grid
+        strip = EvenField(sign * elevation.coeffs)
+        ops = LayerOperators(LayerGeometry(g, self.params.depth, strip),
+                             self.m_vertical, self._work)
+        sol = ops.solve(trace)
+        trace_half = g.even_values_half(trace)
+        return FluidLayer(sign, weight, probe, trace_half, ops, sol,
+                          ops.dno_values_half(sol), g.half_d1 @ trace_half)
 
     @staticmethod
-    def _velocity(prep: PreparedState, dno_half, dxt, gamma: float):
-        """Normal/tangential trace velocity (a, b) of one layer, half grid.
-
-        gamma is the vortex strength the layer sees: the strength below the
-        interface, minus it above, where the vortex fields are the negatives
-        of the lower layer's.
-        """
+    def _velocity(prep: PreparedState, layer: FluidLayer, strength: float):
+        """Normal/tangential trace velocity (a, b) of one layer, half grid."""
+        gamma = layer.sign * strength
         d = 1.0 + prep.slope_half**2
         ex = prep.slope_half
         tr = prep.traces
-        a = (dno_half + ex * dxt) / d + gamma * tr.phi_y
-        b = (dxt - ex * dno_half) / d + gamma * tr.phi_x
+        a = (layer.dno_half + ex * layer.dxt) / d + gamma * tr.phi_y
+        b = (layer.dxt - ex * layer.dno_half) / d + gamma * tr.phi_x
         return a, b
-
-    def _velocity_parts(self, prep: PreparedState, strength: float):
-        """(a_low, b_low, a_up, b_up): `_velocity` of both layers."""
-        return (*self._velocity(prep, prep.dno_lower_half, prep.dxt_lower,
-                                strength),
-                *self._velocity(prep, prep.dno_upper_half, prep.dxt_upper,
-                                -strength))
 
     def _project(self, values: np.ndarray) -> EvenField:
         coeffs = self.grid._cos_inv @ values
@@ -273,36 +275,17 @@ class WaveSystem:
         p = self.params
         c = prep.state.speed
         e = prep.elevation_half
-        ex = prep.slope_half
-        exx = prep.curvature_half
         tr = prep.traces
-        a_low, b_low, a_up, b_up = self._velocity_parts(prep, strength)
-
-        dynamic = (
-            c * (p.rho_upper * a_up - p.rho_lower * a_low)
-            + 0.5 * p.rho_upper * (a_up**2 + b_up**2)
-            - 0.5 * p.rho_lower * (a_low**2 + b_low**2)
-            + p.buoyancy * e
-            + p.surface_tension * exx / (1.0 + ex**2) ** 1.5
-            - p.bernoulli_constant
-        )
-        kin_up = (
-            self.grid.even_values_half(prep.state.trace_upper)
-            - strength * tr.phi
-            + c * e
-        )
-        kin_low = (
-            self.grid.even_values_half(prep.state.trace_lower)
-            + strength * tr.phi
-            + c * e
-        )
+        dynamic = (p.buoyancy * e + p.surface_tension * prep.curvature_half
+                   / (1.0 + prep.slope_half**2) ** 1.5 - p.bernoulli_constant)
+        kinematic = []
+        for layer in prep.layers:
+            a, b = self._velocity(prep, layer, strength)
+            dynamic = dynamic + layer.weight * (c * a + 0.5 * (a**2 + b**2))
+            kinematic.append(self._project(
+                layer.trace_half + layer.sign * strength * tr.phi + c * e))
         drift = c + prep.interior_dy - self.pair_speed * strength
-        return Residual(
-            dynamic=self._project(dynamic),
-            kinematic_upper=self._project(kin_up),
-            kinematic_lower=self._project(kin_low),
-            drift=float(drift),
-        )
+        return Residual(self._project(dynamic), *kinematic, float(drift))
 
     def residual(self, state: WaveState, strength: float) -> Residual:
         return self.residual_prepared(self.prepare(state), strength)
@@ -311,21 +294,16 @@ class WaveSystem:
 
     def strength_derivative(self, prep: PreparedState, strength: float) -> Residual:
         """Analytic derivative of the residual in the strength parameter."""
-        p = self.params
         c = prep.state.speed
         tr = prep.traces
-        a_low, b_low, a_up, b_up = self._velocity_parts(prep, strength)
-        dyn = (
-            -c * (p.rho_upper * tr.phi_y + p.rho_lower * tr.phi_y)
-            - p.rho_upper * (a_up * tr.phi_y + b_up * tr.phi_x)
-            - p.rho_lower * (a_low * tr.phi_y + b_low * tr.phi_x)
-        )
-        return Residual(
-            dynamic=self._project(dyn),
-            kinematic_upper=self._project(-tr.phi),
-            kinematic_lower=self._project(tr.phi),
-            drift=-self.pair_speed,
-        )
+        dynamic = 0.0
+        kinematic = []
+        for layer in prep.layers:
+            a, b = self._velocity(prep, layer, strength)
+            dynamic = dynamic + layer.sign * layer.weight * (
+                (c + a) * tr.phi_y + b * tr.phi_x)
+            kinematic.append(self._project(layer.sign * tr.phi))
+        return Residual(self._project(dynamic), *kinematic, -self.pair_speed)
 
     # -- Jacobian ------------------------------------------------------------------
 
@@ -344,23 +322,28 @@ class WaveSystem:
         basis = g._cos_mat
         dxc = self._coeffs_to_dx
         dxxc = self._coeffs_to_dxx
-        # the pointed shape batch comes first, so that the lower layer's one
-        # adjoint block carries the vortex functional for all three products
-        s_low, drift_shape = prep.ops_lower.shape_batch(prep.sol_lower,
-                                                        p.pair.lower)
-        # the upper strip is built under -elevation (see prepare): chain rule
-        s_up = -prep.ops_upper.shape_batch(prep.sol_upper)[0]
-        dno_low = basis @ prep.ops_lower.dno_matrix()
-        dno_up = basis @ prep.ops_upper.dno_matrix()
 
         def col(v):
             return v[:, None]
 
-        def dynamic_columns(weight, gamma, dno_half, dxt, dno, shape):
-            """One layer's share weight * ((speed + a) a' + b b') of the
-            dynamic block: its trace columns, its elevation columns (shape,
-            slope and vortex composition terms) and its speed column."""
-            a, b = self._velocity(prep, dno_half, dxt, gamma)
+        jac = np.zeros((self.n_unknowns, self.n_unknowns))
+        dyn_eta = dyn_speed = 0.0
+        # the lower layer's adjoint block is the wider, with the probe
+        # column, so it goes first and sizes the shared work buffers once
+        for k, layer in ((2, prep.lower), (1, prep.upper)):
+            block = slice(k * n, (k + 1) * n)  # its trace columns and row
+            gamma = layer.sign * strength
+            # the pointed shape batch comes first, so that the layer's one
+            # adjoint block carries the probe functional for all products
+            shape, probe_shape = layer.ops.shape_batch(layer.sol, layer.probe)
+            shape = layer.sign * shape  # strip under sign * elevation
+            dno = basis @ layer.ops.dno_matrix()
+
+            # its share weight * ((speed + a) a' + b b') of the dynamic
+            # block: trace columns, elevation columns (shape, slope and
+            # vortex composition terms) and speed column
+            a, b = self._velocity(prep, layer, strength)
+            dno_half, dxt = layer.dno_half, layer.dxt
             a_mat = (dno + col(ex) * dxc) / col(d)
             b_mat = (dxc - col(ex) * dno) / col(d)
             da = (shape / col(d)
@@ -369,49 +352,26 @@ class WaveSystem:
             db = (-col(ex / d) * shape
                   + col(-dno_half / d - 2.0 * ex * (b - gamma * tr.phi_x) / d) * dxc
                   + gamma * col(tr.phi_xy) * basis)
-            return (weight * (col(c + a) * a_mat + col(b) * b_mat),
-                    weight * (col(c + a) * da + col(b) * db),
-                    weight * a)
+            jac[:n, block] = proj @ (layer.weight * (col(c + a) * a_mat
+                                                      + col(b) * b_mat))
+            dyn_eta = dyn_eta + layer.weight * (col(c + a) * da + col(b) * db)
+            dyn_speed = dyn_speed + layer.weight * a
 
-        dyn_lower, eta_lower, speed_lower = dynamic_columns(
-            -p.rho_lower, strength, prep.dno_lower_half, prep.dxt_lower,
-            dno_low, s_low)
-        dyn_upper, eta_upper, speed_upper = dynamic_columns(
-            p.rho_upper, -strength, prep.dno_upper_half, prep.dxt_upper,
-            dno_up, s_up)
+            # its kinematic row
+            jac[block, :n] = proj @ (col(c + gamma * tr.phi_y) * basis)
+            jac[block, block] = np.eye(n)
+            jac[block, -1] = prep.state.elevation.coeffs
+
+            if layer.probe is not None:
+                jac[-1, :n] = probe_shape
+                jac[-1, block] = layer.ops.interior_dy_row(layer.probe)
+
         # buoyancy and the curvature linearization complete the elevation
         # columns
-        dyn_eta = (
-            eta_lower + eta_upper
-            + p.buoyancy * basis
-            + p.surface_tension * (col(d**-1.5) * dxxc
-                                   - col(3.0 * exx * ex * d**-2.5) * dxc)
-        )
-        dyn_speed = speed_upper + speed_lower
-
-        jac = np.zeros((self.n_unknowns, self.n_unknowns))
-        r1 = slice(0, n)
-        r2 = slice(n, 2 * n)
-        r3 = slice(2 * n, 3 * n)
-        ceta = slice(0, n)
-        cup = slice(n, 2 * n)
-        clow = slice(2 * n, 3 * n)
-
-        jac[r1, ceta] = proj @ dyn_eta
-        jac[r1, cup] = proj @ dyn_upper
-        jac[r1, clow] = proj @ dyn_lower
-        jac[r1, -1] = proj @ dyn_speed
-
-        jac[r2, ceta] = proj @ (col(c - strength * tr.phi_y) * basis)
-        jac[r2, cup] = np.eye(n)
-        jac[r2, -1] = prep.state.elevation.coeffs
-
-        jac[r3, ceta] = proj @ (col(c + strength * tr.phi_y) * basis)
-        jac[r3, clow] = np.eye(n)
-        jac[r3, -1] = prep.state.elevation.coeffs
-
-        jac[-1, ceta] = drift_shape
-        jac[-1, clow] = prep.ops_lower.interior_dy_row(p.pair.lower)
+        dyn_eta = dyn_eta + p.buoyancy * basis + p.surface_tension * (
+            col(d**-1.5) * dxxc - col(3.0 * exx * ex * d**-2.5) * dxc)
+        jac[:n, :n] = proj @ dyn_eta
+        jac[:n, -1] = proj @ dyn_speed
         jac[-1, -1] = 1.0
 
         if not np.all(np.isfinite(jac)):
@@ -449,8 +409,7 @@ class WaveSystem:
         jac = np.zeros((self.n_unknowns, self.n_unknowns))
         eta_mult = p.buoyancy - p.surface_tension * g.wavenumbers**2
         jac[:n, :n] = np.diag(eta_mult)
-        jac[n:2 * n, n:2 * n] = np.eye(n)
-        jac[2 * n:3 * n, 2 * n:3 * n] = np.eye(n)
+        jac[n:3 * n, n:3 * n] = np.eye(2 * n)
         jac[-1, 2 * n:3 * n] = flat_interior_dy_symbol(
             g, p.depth, p.pair.lower[1]
         )

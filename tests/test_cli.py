@@ -433,6 +433,18 @@ class TestSingleSolve:
         with pytest.raises(NonFiniteEntry, match=key):
             load_snapshot(str(path))
 
+    def test_cut_coefficient_list_is_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert cli.main(["single-solve", "--config", cfg,
+                         "--out", str(out)]) == 0
+        path = out / "snapshot_0000.json"
+        record = json.loads(path.read_text())
+        record["trace_upper"] = record["trace_upper"][:10]
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="trace_upper"):
+            load_snapshot(str(path))
+
     def test_unreachable_strength_exits_three(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -506,6 +518,18 @@ def config_text(entries):
 
 class TestExitCodes:
     """Any config text exits 0, 2, 3 or 4; never with a traceback."""
+
+    @pytest.mark.parametrize("key", ["n_modes", "m_vertical"])
+    def test_oversized_grid_exits_three(self, tmp_path, capsys, key):
+        # a 6e6 x 6e6 float array is 262 TiB, past any address space, so
+        # the allocation fails at once
+        cfg = write_config(tmp_path, f"[discretization]\n{key} = 6000000\n")
+        for command in ("continue", "single-solve"):
+            assert cli.main([command, "--config", cfg,
+                             "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert "numerical failure" in err and "MemoryError" in err
+            assert len(err.splitlines()) == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])

@@ -110,10 +110,10 @@ class TestFlatSolves:
         k, kap = 2, 2.0
         system = WaveSystem(PhysicalParameters(depth=DEPTH), GRID.n_modes, 32)
         prep = system.prepare(WaveState(FLAT, mode(k), FLAT, 0.0))
-        ops = prep.ops_upper
+        ops = prep.upper.ops
         for x, y in [(0.4, 0.35), (0.0, 0.7)]:
             exact = np.cos(kap * x) * np.sinh(kap * (DEPTH - y)) / np.sinh(kap)
-            assert ops.eval_interior(prep.sol_upper, (x, -y)) == pytest.approx(
+            assert ops.eval_interior(prep.upper.sol, (x, -y)) == pytest.approx(
                 exact, abs=1e-10)
 
     def test_interface_trace_reproduced(self):
@@ -268,8 +268,8 @@ class TestAdjointBlock:
         if state == "strength-3":
             system, wave = strength_3
             prep = system.prepare(wave)
-            ops, sol = ((prep.ops_lower, prep.sol_lower) if side == "lower"
-                        else (prep.ops_upper, prep.sol_upper))
+            layer = prep.lower if side == "lower" else prep.upper
+            ops, sol = layer.ops, layer.sol
         else:
             crest = 0.0 if state == "flat" else 0.33
             ops = strip(GRID, on_side(peaked(crest), side), 32)
