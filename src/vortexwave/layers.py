@@ -42,12 +42,15 @@ apply and of the preconditioner.
 Both applies and both preconditioners take a vector or an (x node,
 column, tau node) block.  In that layout each x product is one BLAS
 product on the (nx, k mt) view and each tau product one on the (nx k, mt)
-view, the variable coefficients broadcast over the columns, and the
-Dirichlet rows are the first and last tau nodes; so an apply transposes
-and copies no block.  Their products run on scipy's BLAS and write into
-`WorkBuffers`: one kept array per role, grown to the largest block and
-shared by the layer operators of one `system.WaveSystem`, so that a Krylov
-vector allocates no block-sized temporary.
+view, and the Dirichlet rows are the first and last tau nodes; so an apply
+transposes and copies no block.  The operator's first-order coefficients
+are rank one in (x, tau), so those terms are one x product and one tau
+product, X w M^T (`_profiles`), with the tau factor M zero on the
+Dirichlet rows; only the coefficient of u_tautau multiplies a block.  The
+products run on scipy's BLAS and write into `WorkBuffers`: one kept array
+per role, grown to the largest block and shared by the layer operators of
+one `system.WaveSystem`, which also hold the Krylov basis of their GMRES
+solves, so that a Krylov vector allocates no block.
 
 The explicit terms of the shape derivatives, those of the operator's
 coefficient profiles, of the interface extraction and of the vertical
@@ -111,7 +114,8 @@ GAP_FLOOR_FRACTION = 0.02
 
 
 def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
-          tol: float, floor: float = 0.0) -> np.ndarray | None:
+          tol: float, floor: float = 0.0,
+          work: WorkBuffers | None = None) -> np.ndarray | None:
     """Right-preconditioned GMRES for apply(x) = rhs; None when it misses.
 
     `rhs` is one vector (n,) or a block (a, k, b) of k independent
@@ -123,17 +127,29 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     apply(precondition(.)) and stops on its own Arnoldi estimate of the
     relative residual: below `tol`, or below `floor` once one more vector
     cuts the estimate by less than the factor KRYLOV_STALL.  Later vectors
-    are built for the columns still running only, and are allocated as
-    they are needed.  A one-column block runs exactly as the vector does.
-    Returns None when an estimate turns non-finite or a column runs out of
-    vectors.
+    are built for the columns still running only.  Basis vector i is a
+    view of `work` under the role "krylov i"; the sum of the finished
+    columns, the Gram-Schmidt scratch and the gathered columns of a
+    partly finished block have the roles "combined", "gram-schmidt" and
+    "gather".  A caller whose apply runs other solves on the same buffers
+    passes none, and the call draws fresh ones.  A one-column block runs
+    exactly as the vector does.  Returns None when an estimate turns
+    non-finite or a column runs out of vectors.
     """
+    work = WorkBuffers() if work is None else work
     one = rhs.ndim == 1 or rhs.shape[1] == 1
     b = rhs.reshape(1, 1, -1) if one else rhs
     k = b.shape[1]
 
     def caller(x):  # x in the layout of rhs
         return x.reshape(rhs.shape) if one else x
+
+    def columns(x, cols):  # x[:, cols]: x itself, or gathered into a view
+        if isinstance(cols, slice):
+            return x
+        return np.take(x, cols, axis=1, mode="clip",  # "raise" copies out
+                       out=work.view("gather",
+                                     (x.shape[0], cols.size, x.shape[2])))
 
     beta = np.sqrt(np.einsum("akb,akb->k", b, b))
     hess = np.zeros((max_vectors + 1, max_vectors, k))
@@ -143,21 +159,23 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     rot[0, 0] = 1.0
     g = np.zeros((max_vectors + 1, k))
     g[0] = beta
-    combined = np.zeros_like(b)  # sum of y_i basis_i, column by column
-    projections = np.empty(b.size)  # one Gram-Schmidt product at a time
+    combined = work.view("combined", b.shape)  # sum of y_i basis_i
+    combined.fill(0.0)
+    projections = work.view("gram-schmidt", (b.size,))
     previous = np.ones(k)
     running = np.flatnonzero(beta)  # a zero column's solution is zero
     # a column of vector i is set while that column runs, and read only then
-    basis = [b / np.where(beta > 0.0, beta, 1.0)[:, None]]
+    basis = [np.divide(b, np.where(beta > 0.0, beta, 1.0)[:, None],
+                       out=work.view("krylov 0", b.shape))]
     for j in range(max_vectors):
         if running.size == 0:
             break
         sel = slice(None) if running.size == k else running
-        v = basis[j][:, sel]
+        v = columns(basis[j], sel)
         w = apply(precondition(caller(v))).reshape(v.shape)
         product = projections[:w.size].reshape(w.shape)
         for i in range(j + 1):  # modified Gram-Schmidt
-            v = basis[i][:, sel]
+            v = columns(basis[i], sel)
             dots = np.einsum("akb,akb->k", v, w)
             hess[i, j, sel] = dots
             w -= np.multiply(v, dots[:, None], out=product)
@@ -181,17 +199,27 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
         if done.any():
             cols = sel if done.all() else running[done]
             y = _back_substitute(hess[:j + 1, :j + 1, cols], g[:j + 1, cols])
-            for i in range(j + 1):
-                combined[:, cols] += y[i][:, None] * basis[i][:, cols]
+            shape = (b.shape[0], y.shape[1], b.shape[2])
+            total = projections[:math.prod(shape)].reshape(shape)
+            np.multiply(columns(basis[0], cols), y[0][:, None], out=total)
+            for i in range(1, j + 1):
+                total += np.multiply(columns(basis[i], cols), y[i][:, None],
+                                     out=work.view("gather", shape))
+            combined[:, cols] = total
         if not np.isfinite(estimate[~done]).all():
             return None
         previous[sel] = estimate
         running = running[~done]
-        if running.size == k:  # no column finished yet: no gather, no scatter
-            basis.append(w / norm_w[:, None])
-        elif running.size:
-            basis.append(np.empty_like(b))
-            basis[-1][:, running] = w[:, ~done] / norm_w[~done][:, None]
+        if running.size:
+            fresh = work.view(f"krylov {j + 1}", b.shape)
+            if running.size == k:  # no column finished: no gather, no scatter
+                np.divide(w, norm_w[:, None], out=fresh)
+            else:
+                kept = np.flatnonzero(~done)
+                part = columns(w, kept)
+                fresh[:, running] = np.divide(part, norm_w[kept][:, None],
+                                              out=part)
+            basis.append(fresh)
     if running.size:
         return None
     return precondition(caller(combined)).copy()
@@ -229,15 +257,23 @@ def chebyshev_diff_matrix(m: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _vertical(m: int):
-    """Cached vertical-discretization pieces on tau in [-1, 0]."""
+    """Cached vertical-discretization pieces on tau in [-1, 0].
+
+    Returns tau, d/dtau, d^2/dtau^2, the inverse Chebyshev Vandermonde
+    matrix and the factor (1 + tau) d/dtau with zero Dirichlet rows, the
+    tau part of the operator's first-order terms (`_profiles`).
+    """
     t = chebyshev_gauss_lobatto(m)
     tau = 0.5 * (t - 1.0)
     d_tau = 2.0 * chebyshev_diff_matrix(m)  # d/dtau = 2 d/dt
     d_tau2 = d_tau @ d_tau
     vand_inv = np.linalg.inv(ncheb.chebvander(t, m))
-    for arr in (tau, d_tau, d_tau2, vand_inv):
+    one_plus = 1.0 + tau
+    one_plus[::m] = 0.0
+    mixed_tau = one_plus[:, None] * d_tau
+    for arr in (tau, d_tau, d_tau2, vand_inv, mixed_tau):
         arr.flags.writeable = False
-    return tau, d_tau, d_tau2, vand_inv
+    return tau, d_tau, d_tau2, vand_inv, mixed_tau
 
 
 @lru_cache(maxsize=8)
@@ -323,11 +359,16 @@ class LayerGeometry:
 def _profiles(grid: CollocationGrid, eta_half, depth: float):
     """x-profiles entering the mapped operator's variable coefficients.
 
-    Returns (q_mixed, q_tt_quad, q_tt_flat, q_t) so that
+    Returns (q_mixed, q_tt_quad, q_tt_flat, q_t): on the interior rows the
+    operator is
 
-        c_mixed = outer(q_mixed, 1 + tau)
-        c_tt    = outer(q_tt_quad, (1 + tau)^2) + outer(q_tt_flat, 1)
-        c_t     = outer(q_t, 1 + tau)
+        u_xx + (1 + tau) (q_mixed d/dx + q_t) u_tau + c_tt u_tautau,
+        c_tt = outer(q_tt_quad, (1 + tau)^2) + outer(q_tt_flat, 1).
+
+    Its first-order terms are rank one in (x, tau), so on nodal values u
+    (x rows, tau columns) they are the product X u M^T of the x factor
+    X = diag(q_mixed) D1x + diag(q_t) and the tau factor
+    M = diag(1 + tau) Dtau (`_vertical`).
     """
     h = eta_half + depth
     hx = grid.half_d1 @ eta_half
@@ -339,16 +380,18 @@ def _profiles(grid: CollocationGrid, eta_half, depth: float):
 class LayerOperators:
     """Mapped-Laplace operator for one layer geometry.
 
-    Construction keeps only the variable-coefficient profiles.  A trace
+    Construction keeps only the variable coefficients, folded as
+    `_profiles` describes: the x factor X of the first-order terms and the
+    coefficient c_tt of u_tautau, zero on the Dirichlet rows.  A trace
     solve (`solve`) and the adjoint block behind `dno_matrix`, `shape_batch`
     and `interior_dy_row` run right-preconditioned GMRES on matrix-free
     applies, so neither a residual nor a Jacobian factors anything.  The
     dense operator is assembled and LU-factored only when the operator has
     fewer than KRYLOV_MIN_UNKNOWNS unknowns or a GMRES solve does not
     converge within KRYLOV_MAX vectors; every later solve on it then
-    back-substitutes through the factors.  The applies write into `work`,
-    the buffers shared with the caller's other operators, or into buffers
-    of the operator's own when none are given.
+    back-substitutes through the factors.  The applies and the GMRES
+    solves write into `work`, the buffers shared with the caller's other
+    operators, or into buffers of the operator's own when none are given.
     """
 
     def __init__(self, geometry: LayerGeometry, m_vertical: int,
@@ -358,26 +401,27 @@ class LayerOperators:
         self.geometry = geometry
         self.m_vertical = int(m_vertical)
         self._work = WorkBuffers() if work is None else work
-        nx = geometry.grid.n_modes + 1
+        grid = geometry.grid
+        nx = grid.n_modes + 1
         mt = self.m_vertical + 1
-        tau, d_tau, d_tau2, _ = _vertical(self.m_vertical)
+        tau, d_tau, d_tau2, _, mixed_tau = _vertical(self.m_vertical)
         one_plus = 1.0 + tau
 
         q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(
-            geometry.grid, geometry._eta_half, geometry.depth
+            grid, geometry._eta_half, geometry.depth
         )
         rows = np.arange(nx) * mt
         self._interface_rows = rows
         self._replaced_rows = np.concatenate([rows, rows + mt - 1])
         self._one_plus = one_plus
-        self._q_mixed = q_mixed
+        # the first-order terms X u M^T of `_profiles`
+        self._mixed_x = q_mixed[:, None] * grid.half_d1
+        self._mixed_x[np.diag_indices(nx)] += q_t
+        self._mixed_tau = mixed_tau
         # zero on the two Dirichlet rows, which carry the identity, so
-        # that the applies take the coefficients over whole tau rows
-        self._c_mixed = np.outer(q_mixed, one_plus)
+        # that the applies take the coefficient over whole tau rows
         self._c_tt = np.outer(q_tt_quad, one_plus**2) + q_tt_flat[:, None]
-        self._c_t = np.outer(q_t, one_plus)
-        for c in (self._c_mixed, self._c_tt, self._c_t):
-            c[:, ::mt - 1] = 0.0
+        self._c_tt[:, ::mt - 1] = 0.0
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
         self._dno_matrix = None
@@ -389,25 +433,18 @@ class LayerOperators:
         grid = self.geometry.grid
         nx = grid.n_modes + 1
         mt = self.m_vertical + 1
-        one_plus, d_tau = self._one_plus, self._d_tau
 
         # column-major assembly: entry [(x,i),(k,j)] lives at at4[k,j,x,i],
         # so the reshaped transpose view hands LAPACK a Fortran-ordered
         # operator it can factorize fully in place
         at4 = np.empty((nx, mt, nx, mt))
-        np.multiply(
-            (self._q_mixed[:, None] * grid.half_d1).T[:, None, :, None],
-            (one_plus[:, None] * d_tau).T[None, :, None, :],
-            out=at4,
-        )
+        np.multiply(self._mixed_x.T[:, None, :, None],
+                    self._mixed_tau.T[None, :, None, :], out=at4)
         dxx_t = grid.half_d2.T
         idx = np.arange(mt)
         at4[:, idx, :, idx] += dxx_t
         for j in range(nx):
-            at4[j, :, j, :] += (
-                self._c_tt[j][:, None] * self._d_tau2
-                + self._c_t[j][:, None] * d_tau
-            ).T
+            at4[j, :, j, :] += (self._c_tt[j][:, None] * self._d_tau2).T
         arr_t = at4.reshape(nx * mt, nx * mt)
 
         replaced = self._replaced_rows
@@ -442,25 +479,22 @@ class LayerOperators:
 
         `u` is one vector (n,) or an (nx, k, mt) block (x node, column, tau
         node); the result has its shape and is a view of the work buffer
-        "apply".  The x products run on the (nx, k mt) view and the tau
-        products on the (nx k, mt) view, all on scipy's BLAS, and the
-        coefficients broadcast over the columns.
+        "apply".  On each column w (x rows, tau columns) the interior rows
+        are D2x w + X (w M^T) + c_tt (w D2tau^T), with the first-order
+        factors X and M of `_profiles`: the x products run on the
+        (nx, k mt) view and the tau products on the (nx k, mt) view, all on
+        scipy's BLAS, and c_tt broadcasts over the columns.
         """
         grid = self.geometry.grid
         w = self._block(u)
         nx, _, mt = w.shape
         out = self._work.view("apply", w.shape)
-        u_tau = self._work.view("scratch", w.shape)
-        part = self._work.view("scratch2", w.shape)
+        part = self._work.view("scratch", w.shape)
         _blas_product(grid.half_d2, w.reshape(nx, -1), out=out.reshape(nx, -1))
-        _blas_product(w.reshape(-1, mt), self._d_tau.T,
-                      out=u_tau.reshape(-1, mt))
-        _blas_product(grid.half_d1, u_tau.reshape(nx, -1),
-                      out=part.reshape(nx, -1))
-        part *= self._c_mixed[:, None, :]
-        out += part
-        u_tau *= self._c_t[:, None, :]
-        out += u_tau
+        _blas_product(w.reshape(-1, mt), self._mixed_tau.T,
+                      out=part.reshape(-1, mt))
+        _blas_product(self._mixed_x, part.reshape(nx, -1),
+                      out=out.reshape(nx, -1), accumulate=True)
         _blas_product(w.reshape(-1, mt), self._d_tau2.T,
                       out=part.reshape(-1, mt))
         part *= self._c_tt[:, None, :]
@@ -476,9 +510,9 @@ class LayerOperators:
         (projection P) and the identity on the Dirichlet rows (projection
         Q).  So A^T v = L^T P v + Q v, with, for a field w on the grid,
 
-            L^T w = D2x^T w + (c_tt w) D2tau + (c_t w + D1x^T (c_mixed w)) Dtau.
+            L^T w = D2x^T w + X^T w M + (c_tt w) D2tau.
 
-        The coefficients vanish on the Dirichlet rows, so c w = c P v, and
+        M and c_tt vanish on the Dirichlet rows, so they read P v as v, and
         D2x^T P v vanishes there, where Q v puts v itself.  The x products
         run on the (nx, k mt) view and both tau products on the (nx k, mt)
         view, added into the result by BLAS, which is a view of the work
@@ -489,16 +523,13 @@ class LayerOperators:
         nx, _, mt = w.shape
         out = self._work.view("apply", w.shape)
         part = self._work.view("scratch", w.shape)
-        summed = self._work.view("scratch2", w.shape)
         _blas_product(grid.half_d2.T, w.reshape(nx, -1),
                       out=out.reshape(nx, -1))
         out[:, :, 0] = w[:, :, 0]
         out[:, :, -1] = w[:, :, -1]
-        np.multiply(w, self._c_mixed[:, None, :], out=part)
-        _blas_product(grid.half_d1.T, part.reshape(nx, -1),
-                      out=summed.reshape(nx, -1))
-        summed += np.multiply(w, self._c_t[:, None, :], out=part)
-        _blas_product(summed.reshape(-1, mt), self._d_tau,
+        _blas_product(self._mixed_x.T, w.reshape(nx, -1),
+                      out=part.reshape(nx, -1))
+        _blas_product(part.reshape(-1, mt), self._mixed_tau,
                       out=out.reshape(-1, mt), accumulate=True)
         np.multiply(w, self._c_tt[:, None, :], out=part)
         _blas_product(part.reshape(-1, mt), self._d_tau2,
@@ -618,7 +649,7 @@ class LayerOperators:
                 (self._apply_transpose, self._flat_solve_transpose)
                 if transposed else (self._apply, self._flat_solve))
             out = gmres(apply, precondition, rhs, KRYLOV_MAX, KRYLOV_TOL,
-                        KRYLOV_FLOOR)
+                        KRYLOV_FLOOR, self._work)
         if out is None or not np.all(np.isfinite(out)):
             if rhs.ndim == 1:
                 return self._solve_rhs(rhs, transposed)
@@ -760,23 +791,27 @@ class LayerOperators:
         du = -A^-1 R, R the differentiated operator applied to the solution.
         R has zero Dirichlet rows, so du keeps zero interface values, and
         both its interface u_tau and its interior derivative at `point` are
-        columns of -Z^T R (`_adjoint_block`).  The interface extraction and
-        the point functional 2 u_t / h, whose t = 2 (y + d) / h - 1 moves
-        with h, add their own derivatives in closed form.  Returns
-        (dno_dirs, interior_dy_dirs) where dno_dirs[:, k] holds half-grid
-        values of the derivative of the interface extraction and
-        interior_dy_dirs[k] the derivative of the interior
-        vertical-derivative functional at `point` (None skips it).
+        columns of -Z^T R (`_adjoint_block`).  R is never formed: at x node
+        j and tau node i, R[j, i, k] = sum_t f_t[j, k] g_t[j, i] over the
+        four terms, f_t the coefficient moves along direction k and g_t the
+        solution derivatives they multiply, times their tau profiles and
+        zero on the Dirichlet rows.  So -Z^T R is -sum_t Y_t^T f_t with
+        Y[j] = Z[j] G[j], G[j] holding the g_t[j] as columns: nx small
+        products, then one.  The interface extraction and the point
+        functional 2 u_t / h, whose t = 2 (y + d) / h - 1 moves with h, add
+        their own derivatives in closed form.  Returns (dno_dirs,
+        interior_dy_dirs) where dno_dirs[:, k] holds half-grid values of
+        the derivative of the interface extraction and interior_dy_dirs[k]
+        the derivative of the interior vertical-derivative functional at
+        `point` (None skips it).
         """
         geom = self.geometry
         grid = geom.grid
         nx = grid.n_modes + 1
-        mt = self.m_vertical + 1
         one_plus = self._one_plus
         u = sol.values
-        w_xd = grid.half_d1 @ u @ self._d_tau.T
-        w_dd = u @ self._d_tau2.T
         w_d = u @ self._d_tau.T
+        w_dd = u @ self._d_tau2.T
 
         # h and its x derivatives as columns; direction k is cosine mode k
         e = geom._eta_half[:, None]
@@ -785,19 +820,16 @@ class LayerOperators:
         dhx, dhxx = grid.half_d1 @ dh, grid.half_d2 @ dh
         p = hx / h
         dp = (dhx - p * dh) / h
-        rhs = (
-            np.einsum("jk,i,ji->jik", -2.0 * dp, one_plus, w_xd)
-            + np.einsum("jk,i,ji->jik", 2.0 * p * dp, one_plus**2, w_dd)
-            + np.einsum("jk,ji->jik", -2.0 * dh / h**3, w_dd)
-            + np.einsum("jk,i,ji->jik",
-                        (hxx * dh / h - dhxx) / h + 4.0 * p * dp, one_plus, w_d)
-        )
-        rhs[:, 0, :] = 0.0
-        rhs[:, -1, :] = 0.0  # Dirichlet rows carry no geometry dependence
-        # the block's columns as rows of nodal values, one copy per call
-        moved = -_blas_product(
-            self._adjoint_block(point).transpose(1, 0, 2).reshape(-1, nx * mt),
-            rhs.reshape(nx * mt, nx))
+        f = np.stack([-2.0 * dp, 2.0 * p * dp, -2.0 * dh / h**3,
+                      (hxx * dh / h - dhxx) / h + 4.0 * p * dp], axis=1)
+        g = np.stack([one_plus * (grid.half_d1 @ w_d), one_plus**2 * w_dd,
+                      w_dd, one_plus * w_d], axis=1)
+        g[:, :, ::self.m_vertical] = 0.0  # no geometry on the Dirichlet rows
+        z = self._adjoint_block(point)
+        y = np.empty((nx, 4, z.shape[1]))
+        for j in range(nx):
+            _blas_product(g[j], z[j].T, out=y[j])
+        moved = -_blas_product(y.reshape(4 * nx, -1).T, f.reshape(4 * nx, nx))
 
         u_tau, u_x = (v[:, None] for v in self._interface_tau_x(u))
         dno_dirs = ((1.0 + hx * hx) * (moved[:nx] - u_tau * dh / h) / h

@@ -113,19 +113,40 @@ def write_snapshot(path: str, record: dict):
         handle.write("\n")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_snapshot(path: str) -> tuple[WaveState, float, dict]:
-    """Snapshot back to (state, strength, full record)."""
+    """Snapshot back to (state, strength, full record).
+
+    A record that lacks an entry it needs, or holds one of the wrong type,
+    raises ValueError naming the entry.
+    """
     with open(path, encoding="utf-8") as handle:
         record = json.load(handle)
+    if not isinstance(record, dict):
+        raise ValueError("snapshot is not a JSON object")
     if record.get("schema") != SCHEMA:
         raise ValueError(
             f"snapshot schema {record.get('schema')!r} is not {SCHEMA}"
         )
     for key in ("elevation", "trace_upper", "trace_lower", "speed",
                 "strength"):
-        if not np.all(np.isfinite(record[key])):
+        value = record.get(key)
+        scalar = key in ("speed", "strength")
+        if not (_is_number(value) if scalar else isinstance(value, list)
+                and all(_is_number(v) for v in value)):
+            raise ValueError(f"snapshot entry {key} is missing or not "
+                             + ("a number" if scalar else "a number list"))
+        if not np.all(np.isfinite(value)):
             raise NonFiniteEntry(f"snapshot entry {key} is not finite")
-    band = record["grid"]["n_modes"] + 1
+    grid = record.get("grid")
+    n_modes = grid.get("n_modes") if isinstance(grid, dict) else None
+    if not isinstance(n_modes, int) or isinstance(n_modes, bool):
+        raise ValueError("snapshot entry grid.n_modes is missing or not "
+                         "an integer")
+    band = n_modes + 1
     for key in ("elevation", "trace_upper", "trace_lower"):
         if len(record[key]) != band:
             raise ValueError(f"snapshot entry {key} has {len(record[key])} "

@@ -4,8 +4,11 @@
 tests hold `LayerOperators.shape_batch` against it.  `forward_lu_products`
 computes the Jacobian's layer products through forward LU solves and the
 explicit shape terms by complex step; the tests hold the adjoint block and
-the closed-form shape derivatives against it.  `assembled_operator` builds
-the operator from Kronecker products, the referee of the matrix-free
+the closed-form shape derivatives against it.  `explicit_shape_batch`
+forms the shape derivatives' right-hand side R (`shape_rhs`) and takes
+-Z^T R as it stands, the referee of the factored contraction in
+`shape_batch`.  `assembled_operator` builds the operator from Kronecker
+products and the unfolded coefficients, the referee of the matrix-free
 applies.  `flat_solve_dense` applies the flat-strip preconditioner through
 dense per-mode inverses; the tests hold `LayerOperators._flat_solve` and
 its transpose against it.
@@ -94,20 +97,88 @@ def assembled_operator(ops) -> np.ndarray:
     """The dense operator of `LayerOperators._apply`, from Kronecker products.
 
     u_xx + c_tt u_tautau + c_t u_tau + c_mixed u_xtau on the interior rows,
-    identity rows at the interface and the wall.
+    with the coefficients c of `_profiles` on the whole grid, and identity
+    rows at the interface and the wall.
     """
-    grid = ops.geometry.grid
+    geom = ops.geometry
+    grid = geom.grid
     nx = grid.n_modes + 1
     mt = ops.m_vertical + 1
+    q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(grid, geom._eta_half,
+                                                   geom.depth)
+    one_plus = ops._one_plus
+    c_tt = np.outer(q_tt_quad, one_plus**2) + q_tt_flat[:, None]
     eye_x, eye_t = np.eye(nx), np.eye(mt)
     mat = (np.kron(grid.half_d2, eye_t)
-           + ops._c_tt.reshape(-1, 1) * np.kron(eye_x, ops._d_tau2)
-           + ops._c_t.reshape(-1, 1) * np.kron(eye_x, ops._d_tau)
-           + ops._c_mixed.reshape(-1, 1) * np.kron(grid.half_d1, ops._d_tau))
+           + c_tt.reshape(-1, 1) * np.kron(eye_x, ops._d_tau2)
+           + np.outer(q_t, one_plus).reshape(-1, 1)
+           * np.kron(eye_x, ops._d_tau)
+           + np.outer(q_mixed, one_plus).reshape(-1, 1)
+           * np.kron(grid.half_d1, ops._d_tau))
     rows = ops._replaced_rows
     mat[rows] = 0.0
     mat[rows, rows] = 1.0
     return mat
+
+
+def shape_rhs(ops, u: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """The differentiated operator applied to nodal values u, as an
+    (x node, tau node, direction) array with zero Dirichlet rows.
+
+    `moves` holds the four `_profiles` moves (profile, x node, direction).
+    """
+    grid = ops.geometry.grid
+    one_plus = ops._one_plus
+    w_xd = grid.half_d1 @ u @ ops._d_tau.T
+    w_dd = u @ ops._d_tau2.T
+    w_d = u @ ops._d_tau.T
+    rhs = (
+        np.einsum("jk,i,ji->jik", moves[0], one_plus, w_xd)
+        + np.einsum("jk,i,ji->jik", moves[1], one_plus**2, w_dd)
+        + np.einsum("jk,ji->jik", moves[2], w_dd)
+        + np.einsum("jk,i,ji->jik", moves[3], one_plus, w_d)
+    )
+    rhs[:, [0, -1], :] = 0.0
+    return rhs
+
+
+def explicit_shape_batch(ops, sol, point=None):
+    """`LayerOperators.shape_batch` with its right-hand side R formed.
+
+    Builds R, (nx, mt, nx), from the closed-form moves of the profiles and
+    takes -Z^T R with the operator's own adjoint block, on numpy; every
+    other term is as in `shape_batch`.  Only the order of the contraction
+    differs, so the two agree to roundoff.
+    """
+    geom = ops.geometry
+    grid = geom.grid
+    nx = grid.n_modes + 1
+    mt = ops.m_vertical + 1
+    u = sol.values
+    e = geom._eta_half[:, None]
+    h, hx, hxx = e + geom.depth, grid.half_d1 @ e, grid.half_d2 @ e
+    dh = grid._cos_mat
+    dhx, dhxx = grid.half_d1 @ dh, grid.half_d2 @ dh
+    p = hx / h
+    dp = (dhx - p * dh) / h
+    moves = np.stack([-2.0 * dp, 2.0 * p * dp, -2.0 * dh / h**3,
+                      (hxx * dh / h - dhxx) / h + 4.0 * p * dp])
+    rhs = shape_rhs(ops, u, moves)
+    z = ops._adjoint_block(point)
+    moved = -(z.transpose(1, 0, 2).reshape(-1, nx * mt)
+              @ rhs.reshape(nx * mt, nx))
+
+    u_tau, u_x = (v[:, None] for v in ops._interface_tau_x(u))
+    dno_dirs = ((1.0 + hx * hx) * (moved[:nx] - u_tau * dh / h) / h
+                + (2.0 * hx * u_tau / h - u_x) * dhx)
+    if point is None:
+        return dno_dirs, None
+    row_x, t_rows, h_p = ops._point_rows(point)
+    u_t, u_tt = t_rows[1:] @ (row_x @ u)
+    t_plus_1 = 2.0 * (float(point[1]) + geom.depth) / h_p
+    d_dh = -2.0 * (u_t + t_plus_1 * u_tt) / h_p**2
+    return dno_dirs, moved[nx] + d_dh * np.cos(
+        grid.wavenumbers * float(point[0]))
 
 
 def forward_lu_products(ops, sol, point):
@@ -131,7 +202,7 @@ def forward_lu_products(ops, sol, point):
     mt = ops.m_vertical + 1
     depth = geom.depth
     eta0 = geom._eta_half
-    d_tau, d_tau2 = ops._d_tau, ops._d_tau2
+    d_tau = ops._d_tau
     # column k: cosine mode k on the half grid, times the imaginary step
     eta_cs = eta0[:, None] + 1j * COMPLEX_STEP * grid._cos_mat
 
@@ -152,20 +223,10 @@ def forward_lu_products(ops, sol, point):
     row = interior_dy(u_all)
 
     u = sol.values
-    one_plus = ops._one_plus
-    w_xd = grid.half_d1 @ u @ d_tau.T
-    w_dd = u @ d_tau2.T
-    w_d = u @ d_tau.T
     # (profile, x, mode)
     d_prof = np.stack(_profiles(grid, eta_cs, depth)).imag / COMPLEX_STEP
-    shape_rhs = (
-        np.einsum("jk,i,ji->jik", d_prof[0], one_plus, w_xd)
-        + np.einsum("jk,i,ji->jik", d_prof[1], one_plus**2, w_dd)
-        + np.einsum("jk,ji->jik", d_prof[2], w_dd)
-        + np.einsum("jk,i,ji->jik", d_prof[3], one_plus, w_d)
-    )
-    shape_rhs[:, [0, -1], :] = 0.0
-    du = ops._solve_rhs(-shape_rhs.reshape(nx * mt, nx)).reshape(nx, mt, nx)
+    du = ops._solve_rhs(-shape_rhs(ops, u, d_prof).reshape(nx * mt, nx)
+                        ).reshape(nx, mt, nx)
     dno_dirs = interface_derivative(du, eta0[:, None])
     u_tau_ifc, u_x_ifc = ops._interface_tau_x(u)
     dno_dirs += ops._extraction(eta_cs, u_tau_ifc[:, None],

@@ -3,6 +3,8 @@
 perfbench/tracer.py wraps package functions by name and refuses to run when
 one is gone.  This resolves each of its targets the way Tracer.install does,
 without wrapping anything, so a rename or deletion shows up here first.
+The reference tables the benchmark checks its output against must still
+have the table format that persistence.py writes.
 """
 
 import importlib
@@ -11,6 +13,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from vortexwave import persistence
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,3 +47,24 @@ def test_point_still_binds_iterations():
 
     assert "iterations" in inspect.signature(
         ContinuationEngine._point).parameters
+
+
+REFERENCE_TABLES = sorted((TRACER_PATH.parent / "reference").glob("*.csv"))
+
+
+@pytest.mark.parametrize("path", REFERENCE_TABLES,
+                         ids=[p.name for p in REFERENCE_TABLES])
+def test_reference_table_matches_the_table_format(path):
+    # the benchmark's output check compares a run's branch.csv with these
+    # tables (read only here), so a change of the table format fails here
+    # before it fails there
+    lines = path.read_text(encoding="utf-8").splitlines()
+    schema = next(line for line in lines if line.startswith("# schema"))
+    assert schema == f"# schema = {persistence.SCHEMA}"
+    header = next(line for line in lines if not line.startswith("#"))
+    assert tuple(header.split(",")) == persistence.CSV_COLUMNS
+
+
+def test_the_workloads_have_reference_tables():
+    names = {path.name for path in REFERENCE_TABLES}
+    assert {"branch-64x32.csv", "solve-64x32.csv"} <= names

@@ -433,6 +433,29 @@ class TestSingleSolve:
         with pytest.raises(NonFiniteEntry, match=key):
             load_snapshot(str(path))
 
+    @pytest.mark.parametrize("key", [
+        "grid", "grid.n_modes", "speed", "strength", "elevation",
+        "trace_upper", "trace_lower", "elevation=strings"])
+    def test_missing_or_mistyped_entry_is_named(self, tmp_path, key):
+        record = {"schema": SCHEMA, "strength": 0.5, "speed": -0.1,
+                  "grid": {"n_modes": 2},
+                  "elevation": [0.0, 0.01, 0.002],
+                  "trace_upper": [0.0, 0.3, 0.1],
+                  "trace_lower": [0.0, -0.3, -0.1]}
+        path = tmp_path / "snapshot_0000.json"
+        path.write_text(json.dumps(record))
+        load_snapshot(str(path))  # the record as it stands loads
+        if key == "elevation=strings":
+            key = "elevation"
+            record[key] = [str(c) for c in record[key]]
+        elif key == "grid.n_modes":
+            del record["grid"]["n_modes"]
+        else:
+            del record[key]
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=key):
+            load_snapshot(str(path))
+
     def test_cut_coefficient_list_is_rejected(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "out"

@@ -28,6 +28,7 @@ from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
 
 from layer_referee import (
     assembled_operator,
+    explicit_shape_batch,
     flat_solve_dense,
     forward_lu_products,
     shape_derivative,
@@ -262,18 +263,28 @@ class TestAdjointBlock:
 
     POINT = (0.0, -0.5)  # the vortex, and the phantom in its reflected strip
 
-    @pytest.mark.parametrize("side", ["lower", "upper"])
-    @pytest.mark.parametrize("state", ["flat", "crest", "strength-3"])
-    def test_matches_the_forward_lu_referee(self, state, side, strength_3):
+    def layer(self, state, side, strength_3):
+        """(operator, solution, point) of one layer: flat, under a 0.33
+        crest, thin (min thickness 0.1, where GMRES misses), or at the
+        32x16 strength-3 solution."""
         if state == "strength-3":
             system, wave = strength_3
             prep = system.prepare(wave)
             layer = prep.lower if side == "lower" else prep.upper
-            ops, sol = layer.ops, layer.sol
+            return layer.ops, layer.sol, self.POINT
+        point = self.POINT
+        if state == "thin":  # a crest towards either wall thins its strip
+            ops = strip(GRID, peaked(-0.9), 32)
+            point = (0.0, -0.95)  # halfway down the thinnest column
         else:
             crest = 0.0 if state == "flat" else 0.33
             ops = strip(GRID, on_side(peaked(crest), side), 32)
-            sol = ops.solve(EvenField(0.5 ** np.arange(NX)))
+        return ops, ops.solve(EvenField(0.5 ** np.arange(NX))), point
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("state", ["flat", "crest", "strength-3"])
+    def test_matches_the_forward_lu_referee(self, state, side, strength_3):
+        ops, sol, _ = self.layer(state, side, strength_3)
         nx = ops.geometry.grid.n_modes + 1
         assert nx * (ops.m_vertical + 1) >= KRYLOV_MIN_UNKNOWNS
         # in the Jacobian's order: the pointed shape batch builds the block
@@ -284,6 +295,18 @@ class TestAdjointBlock:
         want = forward_lu_products(ops, sol, self.POINT)
         for g, w in zip(got, want):
             assert worst_relative(g, w) <= 1e-12
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("state", ["flat", "crest", "thin", "strength-3"])
+    def test_shape_batch_matches_the_explicit_rhs(self, state, side,
+                                                  strength_3):
+        # the contraction through the factors of R against -Z^T R with R
+        # formed, on the same adjoint block
+        ops, sol, point = self.layer(state, side, strength_3)
+        got = ops.shape_batch(sol, point)
+        assert ops.factored == (state == "thin")  # the LU path, or GMRES
+        for g, w in zip(got, explicit_shape_batch(ops, sol, point)):
+            assert worst_relative(g, w) <= 1e-13
 
     def test_thin_layer_falls_back_to_lu(self):
         ops = strip(GRID, peaked(-0.9), 32)  # min thickness 0.1
@@ -300,12 +323,13 @@ class TestAdjointBlock:
 
     def test_block_columns_match_single_solves(self):
         ops = strip(GRID, peaked(0.33), 32)
+        ops.dno_matrix()  # leaves another solve's values in the kept buffers
         d_tau0 = ops._d_tau[0]
         rhs = np.zeros((NX, 3, 33))  # (x node, column, tau node)
         rhs[3, 0] = d_tau0
         rhs[40, 2] = d_tau0  # column 1 stays zero
         block = gmres(ops._apply_transpose, ops._flat_solve_transpose, rhs,
-                      KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR)
+                      KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR, ops._work)
         assert np.all(block[:, 1] == 0.0)
         for c in (0, 2):
             single = gmres(ops._apply_transpose, ops._flat_solve_transpose,
@@ -339,8 +363,11 @@ class TestTransposes:
     GRID32 = CollocationGrid(np.pi, 32)
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
-    def test_applies_match_the_assembled_operator(self, side):
-        ops = strip(self.GRID32, on_side(peaked(0.33, n=33), side), 16)
+    @pytest.mark.parametrize("crest", [0.33, -0.9])  # crest, thin
+    def test_applies_match_the_assembled_operator(self, crest, side):
+        if side == "upper":
+            crest = -crest  # thin means a crest towards the upper wall
+        ops = strip(self.GRID32, on_side(peaked(crest, n=33), side), 16)
         mat = assembled_operator(ops)
         v = np.random.default_rng(8).standard_normal((33 * 17, 4))
         assert worst_relative(as_columns(ops._apply(as_block(v))),
@@ -398,6 +425,38 @@ class TestTransposes:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * v.nbytes
+        assert np.array_equal(got, want)
+
+    def test_block_solve_keeps_its_basis(self):
+        # the Krylov basis, the finished sum and the Gram-Schmidt scratch of
+        # a block GMRES are kept views of the operator's work buffers: after
+        # one warm-up, a 34-column block (the lower layer's adjoint block)
+        # allocates less than half a block per Krylov vector
+        ops = strip(self.GRID32, peaked(0.33, n=33), 16)
+        rhs = np.zeros((33, 34, 17))
+        rhs[np.arange(33), np.arange(33)] = ops._d_tau[0]
+        row_x, t_rows, h = ops._point_rows((0.0, -0.5))
+        rhs[:, 33] = np.outer(row_x, (2.0 / h) * t_rows[1])
+        vectors = []
+        precondition = ops._flat_solve_transpose
+
+        def counting(v):
+            vectors.append(v.shape[1])
+            return precondition(v)
+
+        ops._flat_solve_transpose = counting
+        want = ops._solve(rhs, transposed=True)
+        vectors.clear()
+        tracemalloc.start()
+        try:
+            got = ops._solve(rhs, transposed=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        built = len(vectors) - 1  # one more call preconditions the solution
+        assert built > 10 and not ops.factored
+        assert len(set(vectors)) > 2  # columns finish at different vectors
+        assert peak < 0.5 * rhs.nbytes * built
         assert np.array_equal(got, want)
 
 

@@ -93,16 +93,32 @@ def _called_name(call):
 
 
 def _numpy_products(node):
-    """Line numbers of the numpy products in a syntax tree."""
+    """The numpy products in a syntax tree."""
     for child in ast.walk(node):
         if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
-            yield child.lineno
+            yield child
         elif (isinstance(child, ast.Call)
               and isinstance(child.func, ast.Attribute)
               and isinstance(child.func.value, ast.Name)
               and child.func.value.id in ("np", "numpy")
               and child.func.attr in NUMPY_PRODUCTS):
-            yield child.lineno
+            yield child
+
+
+def _reads(node, names):
+    return any(isinstance(child, ast.Name) and child.id in names
+               for child in ast.walk(node))
+
+
+def _written(call):
+    """Name of the array a call writes through its `out` keyword, if any."""
+    for keyword in call.keywords:
+        if keyword.arg == "out":
+            target = keyword.value
+            while isinstance(target, (ast.Subscript, ast.Attribute)):
+                target = target.value
+            return getattr(target, "id", None)
+    return None
 
 
 def test_block_products_run_on_scipy_blas():
@@ -116,15 +132,35 @@ def test_block_products_run_on_scipy_blas():
                for node in tree.body)
     for name in BLAS_HELPERS:
         helper = _function(tree, name)
-        assert list(_numpy_products(helper)) == [], name
+        assert [p.lineno for p in _numpy_products(helper)] == [], name
         assert "_blas_product" in {_called_name(c) for c in ast.walk(helper)
                                    if isinstance(c, ast.Call)}, name
-    # the shape derivatives' Z^T R: the adjoint block is an operand of
-    # `_blas_product` and of no numpy product
+    # the shape derivatives' -Z^T R: the adjoint block, and every array
+    # computed from it, is an operand of `_blas_product` and of no numpy
+    # product
     shape = _function(tree, "shape_batch")
     block_calls = [c for c in ast.walk(shape) if isinstance(c, ast.Call)
                    and _called_name(c) == "_adjoint_block"]
     assert len(block_calls) == 1
-    product = next(c for c in ast.walk(shape) if isinstance(c, ast.Call)
-                   and _called_name(c) == "_blas_product")
-    assert block_calls[0] in set(ast.walk(product))
+    derived = {target.id for node in ast.walk(shape)
+               if isinstance(node, ast.Assign) and node.value is block_calls[0]
+               for target in node.targets if isinstance(target, ast.Name)}
+    assert derived, "the adjoint block is not bound to a name"
+    while True:  # names assigned from, or written by a product of, the block
+        grown = set(derived)
+        for node in ast.walk(shape):
+            if isinstance(node, ast.Assign) and _reads(node.value, derived):
+                grown |= {t.id for t in node.targets
+                          if isinstance(t, ast.Name)}
+            elif (isinstance(node, ast.Call) and _written(node)
+                  and _reads(node, derived)):
+                grown.add(_written(node))
+        if grown == derived:
+            break
+        derived = grown
+    assert [p.lineno for p in _numpy_products(shape)
+            if _reads(p, derived)] == []
+    # the per-node products Z[j] G[j] and the one product with the factors
+    products = [c for c in ast.walk(shape) if isinstance(c, ast.Call)
+                and _called_name(c) == "_blas_product" and _reads(c, derived)]
+    assert len(products) >= 2
