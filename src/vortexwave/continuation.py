@@ -138,8 +138,9 @@ class ContinuationSettings:
         if not (0 < self.ds_min <= self.ds0 <= self.ds_max
                 and np.isfinite(self.ds0)):
             raise ValueError("need 0 < ds_min <= ds0 <= ds_max, ds0 finite")
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
+        # an infinite tolerance would accept every guess unconverged
+        if not 0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be finite and positive")
         if self.newton_max < 1 or self.max_steps < 1:
             raise ValueError("iteration and step caps must be at least 1")
         for name in ("norm_cap", "vortex_guard", "gap_floor"):

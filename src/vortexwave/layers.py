@@ -48,9 +48,10 @@ are rank one in (x, tau), so those terms are one x product and one tau
 product, X w M^T (`_profiles`), with the tau factor M zero on the
 Dirichlet rows; only the coefficient of u_tautau multiplies a block.  The
 products run on scipy's BLAS and write into `WorkBuffers`: one kept array
-per role, grown to the largest block and shared by the layer operators of
-one `system.WaveSystem`, which also hold the Krylov basis of their GMRES
-solves, so that a Krylov vector allocates no block.
+per role, shared by the layer operators of one `system.WaveSystem`, which
+also hold the Krylov basis of their GMRES solves, so that a Krylov vector
+allocates no block.  GMRES solves a block a panel of at most
+BLOCK_COLUMNS columns at a time, so every role holds at most one panel.
 
 The explicit terms of the shape derivatives, those of the operator's
 coefficient profiles, of the interface extraction and of the vertical
@@ -60,11 +61,11 @@ vortex, so no difference step enters the Jacobian.  One row helper,
 its adjoint column and its shape derivative.
 LU is the one direct path: a dense factorization of the assembled operator,
 made the first time a solve needs it and kept, serves operators below
-KRYLOV_MIN_UNKNOWNS, any solve whose GMRES misses, and every later solve on
-an operator already factored.  The GMRES loop itself, `gmres`, takes the
-apply, the preconditioner and the stop as arguments and one right-hand side
-or a block of them; the continuation corrector runs it on the bordered
-Newton system.
+KRYLOV_MIN_UNKNOWNS, any solve whose GMRES misses on one of its panels,
+and every later solve on an operator already factored.  The GMRES loop
+itself, `gmres`, takes the apply, the preconditioner and the stop as
+arguments and one right-hand side or a block of them; the continuation
+corrector runs it on the bordered Newton system.
 
 The factorized operator carries its Dirichlet rows scaled to the largest
 diagonal entry of the interior rows (the Dirichlet entries of every
@@ -102,6 +103,12 @@ KRYLOV_MIN_UNKNOWNS = 500
 #: to LU
 KRYLOV_MAX = 40
 
+#: columns of one GMRES call: `LayerOperators._solve` runs a wider block
+#: as near-equal panels of at most this many, so the Krylov basis, the
+#: Hessenberg and rotation arrays and every `WorkBuffers` role hold one
+#: panel, not the block
+BLOCK_COLUMNS = 22
+
 #: GMRES stopping rule on the relative residual estimate: converged below
 #: KRYLOV_TOL, or below KRYLOV_FLOOR once one vector cuts the estimate by
 #: less than the factor KRYLOV_STALL (stagnation at roundoff)
@@ -122,19 +129,21 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     right-hand sides, column c being rhs[:, c, :]; apply and precondition
     then map (a, j, b) blocks of the j running columns to blocks of that
     shape.  Either may return a view of its own work buffers: each result
-    is consumed before their next call, and only the solution is copied
-    out.  Each column builds at most `max_vectors` Krylov vectors of
-    apply(precondition(.)) and stops on its own Arnoldi estimate of the
-    relative residual: below `tol`, or below `floor` once one more vector
-    cuts the estimate by less than the factor KRYLOV_STALL.  Later vectors
-    are built for the columns still running only.  Basis vector i is a
-    view of `work` under the role "krylov i"; the sum of the finished
-    columns, the Gram-Schmidt scratch and the gathered columns of a
-    partly finished block have the roles "combined", "gram-schmidt" and
-    "gather".  A caller whose apply runs other solves on the same buffers
-    passes none, and the call draws fresh ones.  A one-column block runs
-    exactly as the vector does.  Returns None when an estimate turns
-    non-finite or a column runs out of vectors.
+    is consumed before their next call.  Each column builds at most
+    `max_vectors` Krylov vectors of apply(precondition(.)) and stops on its
+    own Arnoldi estimate of the relative residual: below `tol`, or below
+    `floor` once one more vector cuts the estimate by less than the factor
+    KRYLOV_STALL.  Later vectors are built for the columns still running
+    only.  Basis vector i is a view of `work` under the role "krylov i";
+    the sum of the finished columns, the Gram-Schmidt scratch and the
+    gathered columns of a partly finished block have the roles
+    "combined", "gram-schmidt" and "gather".  A caller whose apply runs
+    other solves on the same buffers passes none, and the call draws fresh
+    ones.  A one-column block runs exactly as the vector does.  Returns the
+    solution as `precondition` returns it, in the layout of `rhs`, so
+    possibly a view of the preconditioner's buffers that its next call
+    overwrites: a caller that keeps it copies it.  Returns None when an
+    estimate turns non-finite or a column runs out of vectors.
     """
     work = WorkBuffers() if work is None else work
     one = rhs.ndim == 1 or rhs.shape[1] == 1
@@ -222,7 +231,7 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
             basis.append(fresh)
     if running.size:
         return None
-    return precondition(caller(combined)).copy()
+    return precondition(caller(combined))
 
 
 def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -308,12 +317,13 @@ class WorkBuffers:
     Each role keeps one flat buffer, grown to the largest size asked of it
     and never shrunk, and `view` carves a C-ordered view of any shape from
     its front; so blocks of every column count share one buffer, and a
-    Krylov vector allocates no block.  A freshly allocated block costs
-    more than its arithmetic: the allocator returns one of a megabyte to
-    the kernel when it is freed, and the kernel zeroes its pages again on
-    the next touch (README, "Memory").  A view is overwritten by the next
-    request for its role, so a caller consumes it before then, and one set
-    of buffers serves one thread.
+    Krylov vector allocates no block.  The layer operators ask for at most
+    one panel of BLOCK_COLUMNS columns (`LayerOperators._solve`).  A
+    freshly allocated block costs more than its arithmetic: the allocator
+    returns one of a megabyte to the kernel when it is freed, and the
+    kernel zeroes its pages again on the next touch (README, "Memory").  A
+    view is overwritten by the next request for its role, so a caller
+    consumes it before then, and one set of buffers serves one thread.
     """
 
     def __init__(self):
@@ -637,28 +647,40 @@ class LayerOperators:
     def _solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
         """A^-1 rhs, or A^-T rhs: GMRES, or the LU path.
 
-        `rhs` is a vector (n,) or an (nx, k, mt) block, as in `_apply`.
-        LU serves operators below KRYLOV_MIN_UNKNOWNS, operators already
-        factored, and any right-hand side whose GMRES misses; it takes the
+        `rhs` is a vector (n,) or an (nx, k, mt) block, as in `_apply`; the
+        result is a fresh array of its shape.  GMRES runs on the block as
+        ceil(k / BLOCK_COLUMNS) near-equal panels of columns, one `gmres`
+        call each, and each panel's solution is copied once, into its
+        columns of the result; a vector is the one-column block.  LU serves
+        operators below KRYLOV_MIN_UNKNOWNS, operators already factored,
+        and the whole right-hand side once any panel misses; it takes the
         block's columns as nodal (n, k) columns.
         """
-        out = None
         unknowns = (self.geometry.grid.n_modes + 1) * (self.m_vertical + 1)
         if unknowns >= KRYLOV_MIN_UNKNOWNS and not self.factored:
             apply, precondition = (
                 (self._apply_transpose, self._flat_solve_transpose)
                 if transposed else (self._apply, self._flat_solve))
-            out = gmres(apply, precondition, rhs, KRYLOV_MAX, KRYLOV_TOL,
-                        KRYLOV_FLOOR, self._work)
-        if out is None or not np.all(np.isfinite(out)):
-            if rhs.ndim == 1:
-                return self._solve_rhs(rhs, transposed)
-            nx, k, mt = rhs.shape
-            out = self._solve_rhs(
-                rhs.transpose(0, 2, 1).reshape(nx * mt, k), transposed)
-            return np.ascontiguousarray(
-                out.reshape(nx, mt, k).transpose(0, 2, 1))
-        return out
+            out = np.empty(rhs.shape)
+            out_block, rhs_block = self._block(out), self._block(rhs)
+            k = out_block.shape[1]
+            panels = math.ceil(k / BLOCK_COLUMNS)
+            for i in range(panels):
+                panel = slice(k * i // panels, k * (i + 1) // panels)
+                solved = gmres(apply, precondition, rhs_block[:, panel],
+                               KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR,
+                               self._work)
+                if solved is None or not np.all(np.isfinite(solved)):
+                    break
+                out_block[:, panel] = solved
+            else:
+                return out
+        if rhs.ndim == 1:
+            return self._solve_rhs(rhs, transposed)
+        nx, k, mt = rhs.shape
+        out = self._solve_rhs(
+            rhs.transpose(0, 2, 1).reshape(nx * mt, k), transposed)
+        return np.ascontiguousarray(out.reshape(nx, mt, k).transpose(0, 2, 1))
 
     def solve(self, trace: EvenField) -> "LayerSolution":
         grid = self.geometry.grid
@@ -713,11 +735,11 @@ class LayerOperators:
         vertical derivative there.  Everything the Jacobian reads from a
         layer is one of these functionals of a solve A^-1 r, that is
         Z^T r: the Dirichlet-to-Neumann matrix, the shape derivatives and
-        the interior-derivative row.  GMRES solves the columns at once on
-        `_apply_transpose`, right-preconditioned by `_flat_solve_transpose`,
-        unless `_solve` takes the LU path.  The block is (nx, k, mt): column
-        c of Z is Z[:, c, :].  It is kept, and serves any later call with no
-        point or the same point.
+        the interior-derivative row.  GMRES solves the columns a panel at a
+        time on `_apply_transpose`, right-preconditioned by
+        `_flat_solve_transpose`, unless `_solve` takes the LU path.  The
+        block is (nx, k, mt): column c of Z is Z[:, c, :].  It is kept, and
+        serves any later call with no point or the same point.
         """
         key = None if point is None else (float(point[0]), float(point[1]))
         if self._adjoint is not None and key in (None, self._adjoint[0]):

@@ -328,8 +328,6 @@ class WaveSystem:
 
         jac = np.zeros((self.n_unknowns, self.n_unknowns))
         dyn_eta = dyn_speed = 0.0
-        # the lower layer's adjoint block is the wider, with the probe
-        # column, so it goes first and sizes the shared work buffers once
         for k, layer in ((2, prep.lower), (1, prep.upper)):
             block = slice(k * n, (k + 1) * n)  # its trace columns and row
             gamma = layer.sign * strength

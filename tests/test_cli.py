@@ -301,6 +301,9 @@ rho_lower = 1e300
         # below the layer solver's own 2% floor it would never fire
         ("continuation", "gap_floor", "0.01"),
         ("continuation", "gap_floor", "1.0"),  # the whole depth
+        # an infinite tolerance accepts every predictor unconverged
+        ("continuation", "newton_tol", "inf"),
+        ("continuation", "newton_tol", "nan"),
         ("physical", "bernoulli_constant", "nan"),
         ("physical", "depth", "inf"),
         ("physical", "surface_tension", "inf"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexwave import layers
 from vortexwave.errors import DegenerateStrip, PointOutsideLayer
 from vortexwave.layers import (
     KRYLOV_FLOOR,
@@ -308,6 +309,21 @@ class TestAdjointBlock:
         for g, w in zip(got, explicit_shape_batch(ops, sol, point)):
             assert worst_relative(g, w) <= 1e-13
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("state", ["crest", "thin", "strength-3"])
+    def test_panels_match_the_whole_block(self, state, side, strength_3,
+                                          monkeypatch):
+        # GMRES on near-equal panels of at most 5 columns against one
+        # panel of the whole block; the vortex column, the block's last,
+        # ends the last panel
+        blocks = []
+        for columns in (5, 1000):
+            monkeypatch.setattr(layers, "BLOCK_COLUMNS", columns)
+            ops, _, point = self.layer(state, side, strength_3)
+            blocks.append(ops._adjoint_block(point))
+            assert ops.factored == (state == "thin")  # the LU path, or GMRES
+        assert worst_relative(blocks[0], blocks[1]) <= 1e-13
+
     def test_thin_layer_falls_back_to_lu(self):
         ops = strip(GRID, peaked(-0.9), 32)  # min thickness 0.1
         assert not ops.factored
@@ -329,7 +345,7 @@ class TestAdjointBlock:
         rhs[3, 0] = d_tau0
         rhs[40, 2] = d_tau0  # column 1 stays zero
         block = gmres(ops._apply_transpose, ops._flat_solve_transpose, rhs,
-                      KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR, ops._work)
+                      KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR, ops._work).copy()
         assert np.all(block[:, 1] == 0.0)
         for c in (0, 2):
             single = gmres(ops._apply_transpose, ops._flat_solve_transpose,
@@ -341,7 +357,7 @@ class TestAdjointBlock:
         ops = strip(GRID, peaked(0.33), 32)
         vector = np.random.default_rng(11).standard_normal(NX * 33)
         solves = [gmres(ops._apply_transpose, ops._flat_solve_transpose,
-                        rhs, KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR)
+                        rhs, KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR).copy()
                   for rhs in (vector, vector.reshape(NX, 1, 33))]
         assert solves[1].shape == (NX, 1, 33)
         assert np.array_equal(solves[0], solves[1].ravel())
@@ -427,36 +443,47 @@ class TestTransposes:
         assert peak < 0.5 * v.nbytes
         assert np.array_equal(got, want)
 
-    def test_block_solve_keeps_its_basis(self):
+    def test_block_solve_keeps_its_basis(self, monkeypatch):
         # the Krylov basis, the finished sum and the Gram-Schmidt scratch of
         # a block GMRES are kept views of the operator's work buffers: after
         # one warm-up, a 34-column block (the lower layer's adjoint block)
-        # allocates less than half a block per Krylov vector
+        # allocates less than half a block per Krylov vector of any panel
         ops = strip(self.GRID32, peaked(0.33, n=33), 16)
         rhs = np.zeros((33, 34, 17))
         rhs[np.arange(33), np.arange(33)] = ops._d_tau[0]
         row_x, t_rows, h = ops._point_rows((0.0, -0.5))
         rhs[:, 33] = np.outer(row_x, (2.0 / h) * t_rows[1])
-        vectors = []
+        panels = []  # per GMRES call, the widths of its preconditioner calls
+        real_gmres = layers.gmres
         precondition = ops._flat_solve_transpose
 
+        def calling(*args):
+            panels.append([])
+            return real_gmres(*args)
+
         def counting(v):
-            vectors.append(v.shape[1])
+            panels[-1].append(v.shape[1])
             return precondition(v)
 
+        monkeypatch.setattr(layers, "gmres", calling)
         ops._flat_solve_transpose = counting
         want = ops._solve(rhs, transposed=True)
-        vectors.clear()
+        panels.clear()
         tracemalloc.start()
         try:
             got = ops._solve(rhs, transposed=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        built = len(vectors) - 1  # one more call preconditions the solution
-        assert built > 10 and not ops.factored
-        assert len(set(vectors)) > 2  # columns finish at different vectors
-        assert peak < 0.5 * rhs.nbytes * built
+        assert len(panels) == -(-34 // layers.BLOCK_COLUMNS) > 1
+        assert not ops.factored
+        # columns finish at different vectors, in every panel
+        assert len(set(sum(panels, []))) > 2
+        for widths in panels:
+            assert len(set(widths)) > 1
+            built = len(widths) - 1  # one more call preconditions the solution
+            assert built > 10
+            assert peak < 0.5 * rhs.nbytes * built
         assert np.array_equal(got, want)
 
 

@@ -251,22 +251,36 @@ class TestFactorizationCounts:
                                                      monkeypatch):
         # the Dirichlet-to-Neumann matrix, the shape derivatives and the
         # drift row of each layer read one adjoint block: N + 1 interface
-        # columns, and on the lower layer the vortex column besides
-        blocks = []
+        # columns, and on the lower layer the vortex column besides, solved
+        # a panel of at most BLOCK_COLUMNS columns per GMRES call
+        panels = {}  # layer operator: its panel widths
         real_gmres = layers.gmres
 
         def counting(apply, precondition, rhs, *args):
-            if rhs.ndim == 3:  # (x node, column, tau node)
-                blocks.append(rhs.shape[1])
+            panels.setdefault(apply.__self__, []).append(rhs.shape[1])
             return real_gmres(apply, precondition, rhs, *args)
 
-        monkeypatch.setattr(layers, "gmres", counting)
         system = WaveSystem(PARAMS, 32, 16)
         prep = system.prepare(decayed_state(np.random.default_rng(3), 32))
+        monkeypatch.setattr(layers, "gmres", counting)
         system.jacobian_prepared(prep, 0.02)
-        assert blocks == [34, 33]  # lower layer first
+        assert list(panels) == [prep.lower.ops, prep.upper.ops]
+        assert [sum(widths) for widths in panels.values()] == [34, 33]
+        assert max(max(widths) for widths in panels.values()) <= (
+            layers.BLOCK_COLUMNS)
         assert lu_counter.factorizations == 0
         assert lu_counter.transposed_solves == []
+
+    def test_work_buffers_hold_one_panel(self):
+        # the Krylov basis and the scratch of the applies are sized by a
+        # panel of the adjoint block, not by the block of N + 2 columns
+        system = WaveSystem(PARAMS, 64, 32)
+        prep = system.prepare(decayed_state(np.random.default_rng(5), 64))
+        system.jacobian_prepared(prep, 0.02)
+        assert not (prep.lower.ops.factored or prep.upper.ops.factored)
+        panel = 65 * layers.BLOCK_COLUMNS * 33
+        assert max(buffer.size for buffer in system._work._buffers.values()
+                   ) <= panel
 
 
 class TestJacobian:
