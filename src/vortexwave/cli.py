@@ -8,10 +8,11 @@ Three subcommands share one configuration format:
 * ``validate``: the built-in invariant suite, one pass/fail line per check.
 
 Exit codes: 0 success (including a branch that exhausts its step budget),
-2 configuration error (an unusable output directory among them), 3
-numerical failure (running out of memory among them) or a failed
-validation, 4 a guard-triggered branch termination.  Codes 3 and 4 still
-leave the files written so far on disk; the table is flushed per point.
+2 configuration error (an unusable output directory or an output file that
+cannot be written among them), 3 numerical failure (running out of memory
+among them) or a failed validation, 4 a guard-triggered branch
+termination.  Codes 2, 3 and 4 leave the files written so far on disk;
+the table is written through per point.
 """
 
 from __future__ import annotations
@@ -95,18 +96,19 @@ def _record(config: RunConfig, out: str, mode: str, run
     """
     chash = config.config_hash()
     steps = itertools.count()
-    with BranchWriter(os.path.join(out, "branch.csv"), chash) as writer:
-        def on_point(point):
-            writer.write(point)
-            record = snapshot_record(
-                point, config.n_modes, config.m_vertical,
-                config.params.half_period, config.params.depth, chash,
-            )
-            write_snapshot(
-                os.path.join(out, f"snapshot_{next(steps):04d}.json"), record
-            )
+    writer = BranchWriter(os.path.join(out, "branch.csv"), chash)
 
-        branch = run(on_point)
+    def on_point(point):
+        writer.write(point)
+        record = snapshot_record(
+            point, config.n_modes, config.m_vertical,
+            config.params.half_period, config.params.depth, chash,
+        )
+        write_snapshot(
+            os.path.join(out, f"snapshot_{next(steps):04d}.json"), record
+        )
+
+    branch = run(on_point)
     termination = branch.termination  # None after a single solve
     code = 0 if termination is None else _TERMINATION_EXIT[termination]
     write_summary(

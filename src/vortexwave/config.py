@@ -2,13 +2,14 @@
 
 Four flat sections (physical, discretization, continuation, output), all
 optional; missing keys fill in from the desk-scale defaults.  Unknown
-sections or keys are rejected so typos never silently fall back to a
-default.  The [physical] keys are the scalar fields of `PhysicalParameters`
-plus the vortex pair's heights vortex_y and phantom_y; the [continuation]
-keys are the fields of `ContinuationSettings` plus target_strength.  Both
-take their defaults from those dataclasses.  The resolved configuration
-canonicalizes to sorted key=value lines whose hash stamps every output file
-of a run; the output directory is not part of it.
+sections, [DEFAULT] among them, and unknown keys are rejected so typos
+never silently fall back to a default.  The [physical] keys are the scalar
+fields of `PhysicalParameters` plus the vortex pair's heights vortex_y and
+phantom_y; the [continuation] keys are the fields of
+`ContinuationSettings` plus target_strength.  Both take their defaults
+from those dataclasses.  The resolved configuration canonicalizes to
+sorted key=value lines whose hash stamps every output file of a run; the
+output directory is not part of it.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def _convert(section: str, key: str, raw, default):
 
 def load_config(text: str) -> RunConfig:
     """Parse, fill defaults, validate; raises ParseError/ValidationError."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the empty section, so [DEFAULT] is an ordinary
+    # section and is rejected below like any other unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -37,13 +37,14 @@ on its guess, continue_branch on each converged candidate before accepting
 it, so a finished branch is always a valid prefix.  Precedence when several
 guards trip at once: vortex proximity, then boundary contact, then norm
 blowup.  Inside the corrector, a trial point whose layer strip degenerates
-or whose interface meets a vortex is damped like a rejected trial.  A step
-whose corrector fails (no convergence, a guard violation, a failed layer
-solve, or a non-finite entry in a Newton step or at a trial point) is
-retried at half the arclength step; once the step falls below ds_min the
-branch ends as a Newton failure.  Only accepted points count against the
-max_steps budget, so a run whose every attempt fails ends as a Newton
-failure, whatever its budget.  Exhausted step budgets and unrecoverable
+or whose interface meets or crosses a vortex is damped like a rejected
+trial.  A step whose corrector fails (no convergence, a bordered Jacobian
+with a zero pivot, a guard violation, a failed layer solve, or a
+non-finite entry in a Newton step or at a trial point) is retried at half
+the arclength step; once the step falls below ds_min the branch ends as a
+Newton failure.  Only accepted points count against the max_steps budget,
+so a run whose every attempt fails ends as a Newton failure, whatever its
+budget.  Exhausted step budgets and unrecoverable
 Newton failures are reported through the same classification.
 
 The point diagnostics take the smallest singular value from scipy's
@@ -66,7 +67,7 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve, solve, svdvals
+from scipy.linalg import lu_factor, lu_solve, svdvals
 
 from .errors import (
     DegenerateStrip,
@@ -228,8 +229,9 @@ class ContinuationEngine:
         """Raise if a state is outside the admissible set.
 
         VortexTooClose when the interface comes within vortex_guard of
-        either vortex, checked first; DegenerateStrip when it comes within
-        gap_floor of a wall.
+        either vortex or has crossed one (`vortex.min_vortex_distance`),
+        checked first; DegenerateStrip when it comes within gap_floor of a
+        wall.
         """
         if self.vortex_distance(state) < self.vortex_guard:
             raise VortexTooClose(
@@ -340,11 +342,12 @@ class ContinuationEngine:
 
     def _factor_bordered(self, prep: PreparedState, strength: float,
                          jac: np.ndarray, row: np.ndarray):
-        """LU factors of a bordered Jacobian; NewtonFailure on a zero pivot."""
+        """LU factors of a bordered Jacobian; SingularBorderedSystem on a
+        zero pivot."""
         chord = lu_factor(self._bordered(prep, strength, jac, row),
                           check_finite=False)
         if np.any(np.diagonal(chord[0]) == 0.0):
-            raise NewtonFailure("bordered Jacobian is singular")
+            raise SingularBorderedSystem("bordered Jacobian is singular")
         return chord
 
     def _damped_newton(self, current: np.ndarray, row: np.ndarray,
@@ -443,11 +446,8 @@ class ContinuationEngine:
         if jac is None:
             jac = self.system.jacobian_prepared(prep, strength)
         row = self._pin_row() if previous is None else self.weights * previous
-        try:
-            raw = solve(self._bordered(prep, strength, jac, row),
-                        self._pin_row())
-        except LinAlgError as exc:
-            raise SingularBorderedSystem("tangent system is singular") from exc
+        raw = lu_solve(self._factor_bordered(prep, strength, jac, row),
+                       self._pin_row(), check_finite=False)
         if not np.all(np.isfinite(raw)):
             raise SingularBorderedSystem("tangent system is numerically singular")
         return raw / np.sqrt(self.weighted_dot(raw, raw))
@@ -490,8 +490,9 @@ class ContinuationEngine:
                 state, strength, iterations, prep, norm = (
                     self._arclength_correct(base, tang, ds, jac)
                 )
-            except (NewtonFailure, VortexTooClose, DegenerateStrip,
-                    LinearSolveFailure, NonFiniteEntry) as exc:
+            except (NewtonFailure, SingularBorderedSystem, VortexTooClose,
+                    DegenerateStrip, LinearSolveFailure,
+                    NonFiniteEntry) as exc:
                 vortex_block |= isinstance(exc, VortexTooClose)
                 boundary_block |= isinstance(exc, DegenerateStrip)
                 ds *= 0.5

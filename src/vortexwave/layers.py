@@ -11,7 +11,8 @@ is the lower strip under -eta, reflected through y -> -y, and
 `system.WaveSystem.prepare` builds it that way.  Negation is exact in
 floating point, so that strip's operator, LU factors and Dirichlet-to-Neumann
 map are bit-identical to those of the upper fluid itself, while its shape
-derivatives, taken in -eta, change sign.  Laplace's equation becomes
+derivatives, taken in -eta, change sign.  One `LayerOperators` checks,
+solves and differentiates a strip.  Laplace's equation becomes
 
     u_xx + 2 tau_x u_xtau + (tau_x^2 + 1/h^2) u_tautau + tau_xx u_tau = 0,
     tau_x  = -(1 + tau) h'(x) / h,
@@ -35,9 +36,10 @@ solve a residual needs, runs on the operator A itself.  Everything the
 Jacobian reads from a layer (the Dirichlet-to-Neumann matrix, the
 directional shape derivatives and the interior-derivative row) is a
 functional of a solve, either the interface u_tau or the vertical
-derivative at the vortex, so one adjoint block Z = A^-T [E^T | e] of
-N + 1 (+ 1) columns serves all three; it runs on the transposes of the
-apply and of the preconditioner.
+derivative at the probe, so one adjoint block Z = A^-T [E^T | e] of
+N + 1 columns, and one more with a probe, serves all three; it is solved
+once per operator, on the transposes of the apply and of the
+preconditioner.
 
 Both applies and both preconditioners take a vector or an (x node,
 column, tau node) block.  In that layout each x product is one BLAS
@@ -55,10 +57,10 @@ BLOCK_COLUMNS columns at a time, so every role holds at most one panel.
 
 The explicit terms of the shape derivatives, those of the operator's
 coefficient profiles, of the interface extraction and of the vertical
-derivative at the vortex, are closed forms in (h, h_x, h_xx) and h at the
-vortex, so no difference step enters the Jacobian.  One row helper,
-`_point_rows`, gives the vertical derivative at a point to its evaluation,
-its adjoint column and its shape derivative.
+derivative at the probe, are closed forms in (h, h_x, h_xx) and h at the
+probe, so no difference step enters the Jacobian.  One row helper,
+`_point_rows`, computed once for the probe, gives the vertical derivative
+there to its evaluation, its adjoint column and its shape derivative.
 LU is the one direct path: a dense factorization of the assembled operator,
 made the first time a solve needs it and kept, serves operators below
 KRYLOV_MIN_UNKNOWNS, any solve whose GMRES misses on one of its panels,
@@ -77,7 +79,6 @@ off-diagonal roundoff that grew with the resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -337,35 +338,6 @@ class WorkBuffers:
         return buffer[:size].reshape(shape)
 
 
-@dataclass(frozen=True)
-class LayerGeometry:
-    """Mapped-strip data on the half grid: interface eta, wall at y = -depth.
-
-    Construction raises DegenerateStrip once the thickness eta + depth falls
-    to GAP_FLOOR_FRACTION * depth at a half-grid node, the solver's
-    degeneracy floor; an interface below the wall has negative thickness.
-    """
-
-    grid: CollocationGrid
-    depth: float
-    eta: EvenField
-
-    def __post_init__(self):
-        if not self.depth > 0:
-            raise ValueError("depth must be positive")
-        if self.eta.coeffs.size != self.grid.n_modes + 1:
-            raise ValueError("elevation band does not match the grid")
-        floor = GAP_FLOOR_FRACTION * self.depth
-        e = self.grid.even_values_half(self.eta)
-        thinnest = float(np.min(e + self.depth))
-        if thinnest <= floor:
-            raise DegenerateStrip(
-                f"layer thickness fell to {thinnest:.3e}, "
-                f"below the floor {floor:.3e}"
-            )
-        object.__setattr__(self, "_eta_half", e)
-
-
 def _profiles(grid: CollocationGrid, eta_half, depth: float):
     """x-profiles entering the mapped operator's variable coefficients.
 
@@ -388,38 +360,59 @@ def _profiles(grid: CollocationGrid, eta_half, depth: float):
 
 
 class LayerOperators:
-    """Mapped-Laplace operator for one layer geometry.
+    """Mapped-Laplace operator of one strip: wall at y = -depth, interface eta.
 
-    Construction keeps only the variable coefficients, folded as
-    `_profiles` describes: the x factor X of the first-order terms and the
-    coefficient c_tt of u_tautau, zero on the Dirichlet rows.  A trace
-    solve (`solve`) and the adjoint block behind `dno_matrix`, `shape_batch`
-    and `interior_dy_row` run right-preconditioned GMRES on matrix-free
-    applies, so neither a residual nor a Jacobian factors anything.  The
-    dense operator is assembled and LU-factored only when the operator has
-    fewer than KRYLOV_MIN_UNKNOWNS unknowns or a GMRES solve does not
-    converge within KRYLOV_MAX vectors; every later solve on it then
-    back-substitutes through the factors.  The applies and the GMRES
-    solves write into `work`, the buffers shared with the caller's other
-    operators, or into buffers of the operator's own when none are given.
+    Construction raises DegenerateStrip once the thickness eta + depth falls
+    to GAP_FLOOR_FRACTION * depth at a half-grid node, the solver's
+    degeneracy floor; an interface below the wall has negative thickness.
+    It keeps only the variable coefficients, folded as `_profiles`
+    describes: the x factor X of the first-order terms and the coefficient
+    c_tt of u_tautau, zero on the Dirichlet rows.  `probe`, when given, is
+    the interior point whose vertical derivative the operator reports
+    (`eval_interior_dy`, `interior_dy_row`, `shape_batch`); its rows are
+    computed on first use, which raises PointOutsideLayer for a point
+    outside the strip.  A trace solve (`solve`) and the adjoint block
+    behind `dno_matrix`, `shape_batch` and `interior_dy_row` run
+    right-preconditioned GMRES on matrix-free applies, so neither a
+    residual nor a Jacobian factors anything.  The dense operator is
+    assembled and LU-factored only when the operator has fewer than
+    KRYLOV_MIN_UNKNOWNS unknowns or a GMRES solve does not converge within
+    KRYLOV_MAX vectors; every later solve on it then back-substitutes
+    through the factors.  The applies and the GMRES solves write into
+    `work`, the buffers shared with the caller's other operators, or into
+    buffers of the operator's own when none are given.
     """
 
-    def __init__(self, geometry: LayerGeometry, m_vertical: int,
-                 work: WorkBuffers | None = None):
+    def __init__(self, grid: CollocationGrid, depth: float, eta: EvenField,
+                 m_vertical: int, work: WorkBuffers | None = None,
+                 probe: tuple[float, float] | None = None):
+        if not depth > 0:
+            raise ValueError("depth must be positive")
+        if eta.coeffs.size != grid.n_modes + 1:
+            raise ValueError("elevation band does not match the grid")
+        floor = GAP_FLOOR_FRACTION * depth
+        eta_half = grid.even_values_half(eta)
+        thinnest = float(np.min(eta_half + depth))
+        if thinnest <= floor:
+            raise DegenerateStrip(
+                f"layer thickness fell to {thinnest:.3e}, "
+                f"below the floor {floor:.3e}"
+            )
         if m_vertical < 8:
             raise ValueError("vertical resolution must be at least 8")
-        self.geometry = geometry
+        self.grid = grid
+        self.depth = depth
+        self.eta = eta
+        self.eta_half = eta_half
         self.m_vertical = int(m_vertical)
+        self.probe = probe
         self._work = WorkBuffers() if work is None else work
-        grid = geometry.grid
         nx = grid.n_modes + 1
         mt = self.m_vertical + 1
         tau, d_tau, d_tau2, _, mixed_tau = _vertical(self.m_vertical)
         one_plus = 1.0 + tau
 
-        q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(
-            grid, geometry._eta_half, geometry.depth
-        )
+        q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(grid, eta_half, depth)
         rows = np.arange(nx) * mt
         self._interface_rows = rows
         self._replaced_rows = np.concatenate([rows, rows + mt - 1])
@@ -434,13 +427,11 @@ class LayerOperators:
         self._c_tt[:, ::mt - 1] = 0.0
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
-        self._dno_matrix = None
-        self._adjoint = None  # (point key, adjoint block)
 
     @cached_property
     def _factors(self):
         """(LU factors, Dirichlet-row scale) of the assembled operator."""
-        grid = self.geometry.grid
+        grid = self.grid
         nx = grid.n_modes + 1
         mt = self.m_vertical + 1
 
@@ -481,7 +472,7 @@ class LayerOperators:
 
     def _block(self, u: np.ndarray) -> np.ndarray:
         """u as an (nx, k, mt) block; a vector (n,) is the block k = 1."""
-        return u.reshape(self.geometry.grid.n_modes + 1, -1,
+        return u.reshape(self.grid.n_modes + 1, -1,
                          self.m_vertical + 1)
 
     def _apply(self, u: np.ndarray) -> np.ndarray:
@@ -495,7 +486,7 @@ class LayerOperators:
         (nx, k mt) view and the tau products on the (nx k, mt) view, all on
         scipy's BLAS, and c_tt broadcasts over the columns.
         """
-        grid = self.geometry.grid
+        grid = self.grid
         w = self._block(u)
         nx, _, mt = w.shape
         out = self._work.view("apply", w.shape)
@@ -528,7 +519,7 @@ class LayerOperators:
         view, added into the result by BLAS, which is a view of the work
         buffer "apply".
         """
-        grid = self.geometry.grid
+        grid = self.grid
         w = self._block(v)
         nx, _, mt = w.shape
         out = self._work.view("apply", w.shape)
@@ -555,12 +546,11 @@ class LayerOperators:
         `_interior_eigen` with its two coupling columns divided by h^2, and
         its padded V; both preconditioner applies read them.
         """
-        geom = self.geometry
-        h2 = (geom.eta.coeffs[0] + geom.depth) ** 2
+        h2 = (self.eta.coeffs[0] + self.depth) ** 2
         lam, vecs_pad, inv_pad = _interior_eigen(self.m_vertical)
         inv_pad = inv_pad.copy()
         inv_pad[:, ::self.m_vertical] /= h2
-        return (lam / h2 - geom.grid.wavenumbers[:, None] ** 2, inv_pad,
+        return (lam / h2 - self.grid.wavenumbers[:, None] ** 2, inv_pad,
                 vecs_pad)
 
     def _flat_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -579,7 +569,7 @@ class LayerOperators:
         view of the work buffer "precondition".  The products run on
         scipy's BLAS.
         """
-        grid = self.geometry.grid
+        grid = self.grid
         _, inv_pad, vecs_pad = self._flat_strip
         return self._flat_products(rhs, grid._cos_inv, inv_pad.T,
                                    vecs_pad.T, grid._cos_mat)
@@ -598,7 +588,7 @@ class LayerOperators:
         whose end columns give the Dirichlet part.  The result is a view of
         the work buffer "precondition"; the products run on scipy's BLAS.
         """
-        grid = self.geometry.grid
+        grid = self.grid
         _, inv_pad, vecs_pad = self._flat_strip
         return self._flat_products(rhs, grid._cos_mat.T, vecs_pad, inv_pad,
                                    grid._cos_inv.T)
@@ -656,7 +646,7 @@ class LayerOperators:
         and the whole right-hand side once any panel misses; it takes the
         block's columns as nodal (n, k) columns.
         """
-        unknowns = (self.geometry.grid.n_modes + 1) * (self.m_vertical + 1)
+        unknowns = (self.grid.n_modes + 1) * (self.m_vertical + 1)
         if unknowns >= KRYLOV_MIN_UNKNOWNS and not self.factored:
             apply, precondition = (
                 (self._apply_transpose, self._flat_solve_transpose)
@@ -682,32 +672,33 @@ class LayerOperators:
             rhs.transpose(0, 2, 1).reshape(nx * mt, k), transposed)
         return np.ascontiguousarray(out.reshape(nx, mt, k).transpose(0, 2, 1))
 
-    def solve(self, trace: EvenField) -> "LayerSolution":
-        grid = self.geometry.grid
+    def solve(self, trace: EvenField) -> np.ndarray:
+        """Nodal values (x node, tau node) of a trace's harmonic extension."""
+        grid = self.grid
         nx = grid.n_modes + 1
         mt = self.m_vertical + 1
         if trace.coeffs.size != nx:
             raise ValueError("trace band does not match the grid")
         rhs = np.zeros(nx * mt)
         rhs[self._interface_rows] = grid.even_values_half(trace)
-        return LayerSolution(values=self._solve(rhs).reshape(nx, mt))
+        return self._solve(rhs).reshape(nx, mt)
 
     # -- interface extraction -------------------------------------------------
 
     def _extraction(self, eta_half, u_tau_ifc, u_x_ifc):
         """Outward interface derivative from interface traces of u_tau, u_x."""
-        h = eta_half + self.geometry.depth
-        ex = self.geometry.grid.half_d1 @ eta_half
+        h = eta_half + self.depth
+        ex = self.grid.half_d1 @ eta_half
         return (1.0 + ex * ex) * u_tau_ifc / h - ex * u_x_ifc
 
     def _interface_tau_x(self, u_values):
         u_tau_ifc = u_values @ self._d_tau[0]
-        u_x_ifc = self.geometry.grid.half_d1 @ u_values[:, 0]
+        u_x_ifc = self.grid.half_d1 @ u_values[:, 0]
         return u_tau_ifc, u_x_ifc
 
-    def dno_values_half(self, sol: "LayerSolution") -> np.ndarray:
-        u_tau_ifc, u_x_ifc = self._interface_tau_x(sol.values)
-        return self._extraction(self.geometry._eta_half, u_tau_ifc, u_x_ifc)
+    def dno_values_half(self, values: np.ndarray) -> np.ndarray:
+        u_tau_ifc, u_x_ifc = self._interface_tau_x(values)
+        return self._extraction(self.eta_half, u_tau_ifc, u_x_ifc)
 
     def dno_matrix(self) -> np.ndarray:
         """Trace coefficients -> Dirichlet-to-Neumann coefficients.
@@ -717,46 +708,45 @@ class LayerOperators:
         trace coefficients c is E A^-1 B c = Z^T B c, B placing the trace's
         half-grid values on the interface rows (Z from `_adjoint_block`).
         """
-        if self._dno_matrix is None:
-            grid = self.geometry.grid
-            nx = grid.n_modes + 1
-            z = self._adjoint_block()
-            u_tau_ifc = z[:, :nx, 0].T @ grid._cos_mat
-            vals = self._extraction(self.geometry._eta_half[:, None],
-                                    u_tau_ifc, grid.half_d1 @ grid._cos_mat)
-            self._dno_matrix = grid._cos_inv @ vals
-        return self._dno_matrix
+        grid = self.grid
+        nx = grid.n_modes + 1
+        u_tau_ifc = self._adjoint_block[:, :nx, 0].T @ grid._cos_mat
+        vals = self._extraction(self.eta_half[:, None],
+                                u_tau_ifc, grid.half_d1 @ grid._cos_mat)
+        return grid._cos_inv @ vals
 
-    def _adjoint_block(self, point=None) -> np.ndarray:
+    @cached_property
+    def _adjoint_block(self) -> np.ndarray:
         """Z = A^-T [E^T | e]: the transposed solves behind the Jacobian.
 
         E maps a solution to its interface u_tau (row j: d_tau[0] on the
-        nodes above x_j), and e, present when `point` is given, to its
-        vertical derivative there.  Everything the Jacobian reads from a
-        layer is one of these functionals of a solve A^-1 r, that is
+        nodes above x_j), and e, present when the operator has a probe, to
+        its vertical derivative there.  Everything the Jacobian reads from
+        a layer is one of these functionals of a solve A^-1 r, that is
         Z^T r: the Dirichlet-to-Neumann matrix, the shape derivatives and
         the interior-derivative row.  GMRES solves the columns a panel at a
         time on `_apply_transpose`, right-preconditioned by
         `_flat_solve_transpose`, unless `_solve` takes the LU path.  The
-        block is (nx, k, mt): column c of Z is Z[:, c, :].  It is kept, and
-        serves any later call with no point or the same point.
+        block is (nx, k, mt): column c of Z is Z[:, c, :].  It is solved
+        once, on first use, and read-only.
         """
-        key = None if point is None else (float(point[0]), float(point[1]))
-        if self._adjoint is not None and key in (None, self._adjoint[0]):
-            return self._adjoint[1]
-        nx = self.geometry.grid.n_modes + 1
+        nx = self.grid.n_modes + 1
         mt = self.m_vertical + 1
-        rhs = np.zeros((nx, nx + (key is not None), mt))
+        rhs = np.zeros((nx, nx + (self.probe is not None), mt))
         rhs[np.arange(nx), np.arange(nx)] = self._d_tau[0]
-        if key is not None:
-            row_x, t_rows, h = self._point_rows(point)
+        if self.probe is not None:
+            row_x, t_rows, h = self._probe_rows
             rhs[:, nx] = np.outer(row_x, (2.0 / h) * t_rows[1])
         z = self._solve(rhs, transposed=True)
         z.flags.writeable = False  # shared by every caller
-        self._adjoint = (key, z)
         return z
 
     # -- interior evaluation ---------------------------------------------------
+
+    @cached_property
+    def _probe_rows(self):
+        """`_point_rows` of the probe."""
+        return self._point_rows(self.probe)
 
     def _point_rows(self, point):
         """(x row, t-derivative rows, h) of an interior point (x, y).
@@ -767,10 +757,9 @@ class LayerOperators:
         inside the layer.
         """
         x, y = float(point[0]), float(point[1])
-        geom = self.geometry
-        grid = geom.grid
-        h = grid.evaluate_even(geom.eta, np.array([x]))[0] + geom.depth
-        tau = (y + geom.depth) / h - 1.0
+        grid = self.grid
+        h = grid.evaluate_even(self.eta, np.array([x]))[0] + self.depth
+        tau = (y + self.depth) / h - 1.0
         if not -1.0 < tau < 0.0:
             raise PointOutsideLayer(
                 f"point {(x, y)} is not strictly inside the layer"
@@ -786,24 +775,27 @@ class LayerOperators:
         t_rows = np.array([t0, t1, t2]) @ _vertical(self.m_vertical)[3]
         return np.cos(grid.wavenumbers * x) @ grid._cos_inv, t_rows, h
 
-    def eval_interior(self, sol: "LayerSolution", point) -> float:
+    def eval_interior(self, values: np.ndarray, point) -> float:
         """Solution value at an interior point."""
         row_x, t_rows, _ = self._point_rows(point)
-        return float(row_x @ sol.values @ t_rows[0])
+        return float(row_x @ values @ t_rows[0])
 
-    def eval_interior_dy(self, sol: "LayerSolution", point) -> float:
-        """Vertical derivative of the solution at an interior point."""
-        row_x, t_rows, h = self._point_rows(point)
-        return float(2.0 * (row_x @ sol.values @ t_rows[1]) / h)
+    def eval_interior_dy(self, values: np.ndarray, point=None) -> float:
+        """Vertical derivative of a solution at an interior point, by
+        default the probe."""
+        row_x, t_rows, h = (self._probe_rows if point is None
+                            else self._point_rows(point))
+        return float(2.0 * (row_x @ values @ t_rows[1]) / h)
 
-    def interior_dy_row(self, point) -> np.ndarray:
-        """Row functional: trace coefficients -> interior vertical derivative."""
-        z = self._adjoint_block(point)
-        return z[:, -1, 0] @ self.geometry.grid._cos_mat
+    def interior_dy_row(self) -> np.ndarray:
+        """Row functional: trace coefficients -> vertical derivative at the
+        probe."""
+        nx = self.grid.n_modes + 1
+        return self._adjoint_block[:, nx, 0] @ self.grid._cos_mat
 
     # -- directional shape derivatives ----------------------------------------
 
-    def shape_batch(self, sol: "LayerSolution", point=None):
+    def shape_batch(self, values: np.ndarray):
         """Directional derivatives along every elevation cosine mode.
 
         The operator's coefficients are the `_profiles` of h, h_x and h_xx.
@@ -812,32 +804,30 @@ class LayerOperators:
         (h_xx dh / h - dh_xx) / h + 4 p dp.  The solution moves by
         du = -A^-1 R, R the differentiated operator applied to the solution.
         R has zero Dirichlet rows, so du keeps zero interface values, and
-        both its interface u_tau and its interior derivative at `point` are
-        columns of -Z^T R (`_adjoint_block`).  R is never formed: at x node
-        j and tau node i, R[j, i, k] = sum_t f_t[j, k] g_t[j, i] over the
-        four terms, f_t the coefficient moves along direction k and g_t the
-        solution derivatives they multiply, times their tau profiles and
-        zero on the Dirichlet rows.  So -Z^T R is -sum_t Y_t^T f_t with
+        both its interface u_tau and its interior derivative at the probe
+        are columns of -Z^T R (`_adjoint_block`).  R is never formed: at x
+        node j and tau node i, R[j, i, k] = sum_t f_t[j, k] g_t[j, i] over
+        the four terms, f_t the coefficient moves along direction k and g_t
+        the solution derivatives they multiply, times their tau profiles
+        and zero on the Dirichlet rows.  So -Z^T R is -sum_t Y_t^T f_t with
         Y[j] = Z[j] G[j], G[j] holding the g_t[j] as columns: nx small
-        products, then one.  The interface extraction and the point
+        products, then one.  The interface extraction and the probe
         functional 2 u_t / h, whose t = 2 (y + d) / h - 1 moves with h, add
         their own derivatives in closed form.  Returns (dno_dirs,
         interior_dy_dirs) where dno_dirs[:, k] holds half-grid values of
         the derivative of the interface extraction and interior_dy_dirs[k]
-        the derivative of the interior vertical-derivative functional at
-        `point` (None skips it).
+        the derivative of the vertical derivative at the probe (None
+        without one), for the solution `values`.
         """
-        geom = self.geometry
-        grid = geom.grid
+        grid = self.grid
         nx = grid.n_modes + 1
         one_plus = self._one_plus
-        u = sol.values
-        w_d = u @ self._d_tau.T
-        w_dd = u @ self._d_tau2.T
+        w_d = values @ self._d_tau.T
+        w_dd = values @ self._d_tau2.T
 
         # h and its x derivatives as columns; direction k is cosine mode k
-        e = geom._eta_half[:, None]
-        h, hx, hxx = e + geom.depth, grid.half_d1 @ e, grid.half_d2 @ e
+        e = self.eta_half[:, None]
+        h, hx, hxx = e + self.depth, grid.half_d1 @ e, grid.half_d2 @ e
         dh = grid._cos_mat
         dhx, dhxx = grid.half_d1 @ dh, grid.half_d2 @ dh
         p = hx / h
@@ -847,25 +837,26 @@ class LayerOperators:
         g = np.stack([one_plus * (grid.half_d1 @ w_d), one_plus**2 * w_dd,
                       w_dd, one_plus * w_d], axis=1)
         g[:, :, ::self.m_vertical] = 0.0  # no geometry on the Dirichlet rows
-        z = self._adjoint_block(point)
+        z = self._adjoint_block
         y = np.empty((nx, 4, z.shape[1]))
         for j in range(nx):
             _blas_product(g[j], z[j].T, out=y[j])
         moved = -_blas_product(y.reshape(4 * nx, -1).T, f.reshape(4 * nx, nx))
 
-        u_tau, u_x = (v[:, None] for v in self._interface_tau_x(u))
+        u_tau, u_x = (v[:, None] for v in self._interface_tau_x(values))
         dno_dirs = ((1.0 + hx * hx) * (moved[:nx] - u_tau * dh / h) / h
                     + (2.0 * hx * u_tau / h - u_x) * dhx)
-        if point is None:
+        if self.probe is None:
             return dno_dirs, None
 
-        row_x, t_rows, h_p = self._point_rows(point)
-        u_t, u_tt = t_rows[1:] @ (row_x @ u)
+        x_p, y_p = self.probe
+        row_x, t_rows, h_p = self._probe_rows
+        u_t, u_tt = t_rows[1:] @ (row_x @ values)
         # d/dh of 2 u_t / h, with dt/dh = -(t + 1) / h, at h = eta(x_p) + d
-        t_plus_1 = 2.0 * (float(point[1]) + geom.depth) / h_p
+        t_plus_1 = 2.0 * (float(y_p) + self.depth) / h_p
         d_dh = -2.0 * (u_t + t_plus_1 * u_tt) / h_p**2
         return dno_dirs, moved[nx] + d_dh * np.cos(
-            grid.wavenumbers * float(point[0]))
+            grid.wavenumbers * float(x_p))
 
 
 def _blas_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
@@ -887,13 +878,6 @@ def _blas_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
     dgemm(1.0, bt, at, beta=float(accumulate), c=out.T, trans_a=trans_b,
           trans_b=trans_a, overwrite_c=True)
     return out
-
-
-@dataclass(frozen=True)
-class LayerSolution:
-    """Mapped harmonic function on one layer."""
-
-    values: np.ndarray  # (half-grid x, vertical) nodal values
 
 
 # -- flat-strip reference symbols ----------------------------------------------

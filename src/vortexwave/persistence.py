@@ -2,19 +2,22 @@
 
 All files are deterministic for a fixed configuration and build: floats are
 written with repr (shortest round-trip form), JSON keys are sorted, and no
-timestamps or environment details are recorded.  The branch table is flushed
-per point so an interrupted run still holds a valid prefix.
+timestamps or environment details are recorded.  Each branch-table row is
+written through as its point is accepted, so an interrupted run still
+holds a valid prefix.
 
 Every branch.csv column after the step, and every entry of a snapshot's
 diagnostics, is the `continuation.BranchPoint` attribute of its name, so a
 new column is one name in `DIAGNOSTICS`.  An output directory that cannot
-be created is a configuration error.
+be created, or an output file that cannot be written, is a configuration
+error that names it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -47,33 +50,32 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def _writing(path: str, mode: str = "w"):
+    """`path` open for writing; an OSError on it is a ConfigError naming it."""
+    try:
+        with open(path, mode, encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
+
+
 class BranchWriter:
-    """Appends one CSV row per accepted branch point, flushing each."""
+    """Writes the table header, then appends one row per accepted point."""
 
     def __init__(self, path: str, config_hash: str):
         self.path = path
-        self._handle = open(path, "w", encoding="utf-8")
-        self._handle.write(f"# schema = {SCHEMA}\n")
-        self._handle.write(f"# config = {config_hash}\n")
-        self._handle.write(",".join(CSV_COLUMNS) + "\n")
-        self._handle.flush()
+        with _writing(path) as handle:
+            handle.write(f"# schema = {SCHEMA}\n# config = {config_hash}\n"
+                         + ",".join(CSV_COLUMNS) + "\n")
         self._step = 0
 
     def write(self, point: BranchPoint):
         row = (self._step,
                *(getattr(point, name) for name in CSV_COLUMNS[1:]))
-        self._handle.write(",".join(_fmt(v) for v in row) + "\n")
-        self._handle.flush()
+        with _writing(self.path, "a") as handle:
+            handle.write(",".join(_fmt(v) for v in row) + "\n")
         self._step += 1
-
-    def close(self):
-        self._handle.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 def load_branch_table(path: str) -> dict[str, np.ndarray]:
@@ -108,7 +110,7 @@ def snapshot_record(point: BranchPoint, n_modes: int, m_vertical: int,
 
 
 def write_snapshot(path: str, record: dict):
-    with open(path, "w", encoding="utf-8") as handle:
+    with _writing(path) as handle:
         json.dump(record, handle, sort_keys=True, indent=1)
         handle.write("\n")
 

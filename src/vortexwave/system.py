@@ -17,7 +17,8 @@ is exact by construction.  Each fluid is one FluidLayer, and every block is
 one per-layer expression over the two: a layer of sign +1 (lower) or -1
 (upper) sees sign * strength and is solved as the lower strip under
 sign * elevation, so this is the only module that knows which side a layer
-is on.
+is on.  A FluidLayer holds its strip's one `layers.LayerOperators`, probed
+at the vortex on the lower side, and the nodal values of its trace solve.
 
 The analytic Jacobian assembles the true Fréchet derivative: the quadratic
 velocity terms contribute (state factor) * (derivative factor), and the
@@ -34,13 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteEntry
-from .layers import (
-    LayerGeometry,
-    LayerOperators,
-    LayerSolution,
-    WorkBuffers,
-    flat_interior_dy_symbol,
-)
+from .layers import LayerOperators, WorkBuffers, flat_interior_dy_symbol
 from .spectral import CollocationGrid, EvenField
 from .vortex import (
     VortexPair,
@@ -170,16 +165,16 @@ class FluidLayer:
 
     sign is +1 for the lower fluid and -1 for the upper: the layer sees
     sign * strength, and its strip lies under sign * elevation.  weight is
-    its signed density in the dynamic block, and probe the interior point
-    whose vertical derivative enters the drift row (None: no drift row).
+    its signed density in the dynamic block.  The operator's probe is the
+    interior point whose vertical derivative enters the drift row (None:
+    no drift row), and values the nodal values of the trace solve.
     """
 
     sign: float
     weight: float
-    probe: tuple[float, float] | None
     trace_half: np.ndarray
     ops: LayerOperators
-    sol: LayerSolution
+    values: np.ndarray
     dno_half: np.ndarray
     dxt: np.ndarray
 
@@ -238,19 +233,19 @@ class WaveSystem:
         return PreparedState(
             state, e, g.half_d1 @ e, g.half_d2 @ e, upper, lower,
             vortex_traces(p.pair, g.half_nodes, e, p.half_period),
-            lower.ops.eval_interior_dy(lower.sol, lower.probe))
+            lower.ops.eval_interior_dy(lower.values))
 
     def _layer(self, sign: float, weight: float, elevation: EvenField,
                trace: EvenField, probe=None) -> FluidLayer:
         """Build and solve one layer's strip under sign * elevation."""
         g = self.grid
-        strip = EvenField(sign * elevation.coeffs)
-        ops = LayerOperators(LayerGeometry(g, self.params.depth, strip),
-                             self.m_vertical, self._work)
-        sol = ops.solve(trace)
+        ops = LayerOperators(g, self.params.depth,
+                             EvenField(sign * elevation.coeffs),
+                             self.m_vertical, self._work, probe)
+        values = ops.solve(trace)
         trace_half = g.even_values_half(trace)
-        return FluidLayer(sign, weight, probe, trace_half, ops, sol,
-                          ops.dno_values_half(sol), g.half_d1 @ trace_half)
+        return FluidLayer(sign, weight, trace_half, ops, values,
+                          ops.dno_values_half(values), g.half_d1 @ trace_half)
 
     @staticmethod
     def _velocity(prep: PreparedState, layer: FluidLayer, strength: float):
@@ -331,9 +326,7 @@ class WaveSystem:
         for k, layer in ((2, prep.lower), (1, prep.upper)):
             block = slice(k * n, (k + 1) * n)  # its trace columns and row
             gamma = layer.sign * strength
-            # the pointed shape batch comes first, so that the layer's one
-            # adjoint block carries the probe functional for all products
-            shape, probe_shape = layer.ops.shape_batch(layer.sol, layer.probe)
+            shape, probe_shape = layer.ops.shape_batch(layer.values)
             shape = layer.sign * shape  # strip under sign * elevation
             dno = basis @ layer.ops.dno_matrix()
 
@@ -360,9 +353,9 @@ class WaveSystem:
             jac[block, block] = np.eye(n)
             jac[block, -1] = prep.state.elevation.coeffs
 
-            if layer.probe is not None:
+            if layer.ops.probe is not None:
                 jac[-1, :n] = probe_shape
-                jac[-1, block] = layer.ops.interior_dy_row(layer.probe)
+                jac[-1, block] = layer.ops.interior_dy_row()
 
         # buoyancy and the curvature linearization complete the elevation
         # columns

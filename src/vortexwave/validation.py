@@ -13,12 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .continuation import ContinuationEngine, ContinuationSettings
-from .layers import (
-    LayerGeometry,
-    LayerOperators,
-    flat_dno_symbol,
-    flat_interior_dy_symbol,
-)
+from .layers import LayerOperators, flat_dno_symbol, flat_interior_dy_symbol
 from .spectral import CollocationGrid, EvenField
 from .system import PhysicalParameters, WaveState, WaveSystem
 from .vortex import vortex_traces
@@ -42,9 +37,8 @@ def check_flat_dno(params: PhysicalParameters):
     grid = CollocationGrid(params.half_period, 64)
     symbol = flat_dno_symbol(grid, params.depth)
     # a flat interface is its own reflection: one strip stands for both
-    mat = LayerOperators(
-        LayerGeometry(grid, params.depth, EvenField(np.zeros(65))), 32
-    ).dno_matrix()
+    mat = LayerOperators(grid, params.depth, EvenField(np.zeros(65)),
+                         32).dno_matrix()
     worst = max(abs(mat[k, k] - symbol[k]) / abs(symbol[k])
                 for k in range(17))
     return worst < 1e-10, f"worst relative multiplier error {worst:.2e}"

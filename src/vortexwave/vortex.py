@@ -113,12 +113,16 @@ class VortexTraces:
 
 
 def min_vortex_distance(pair: VortexPair, x, eta) -> float:
-    """Smallest node-to-vortex Euclidean distance for either vortex."""
+    """Smallest node-to-vortex Euclidean distance for either vortex,
+    negated once the interface has crossed one (at the node nearest their
+    axis x = 0 it does not pass between them), so that no guard admits it."""
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
     d_low = np.hypot(x - pair.lower[0], eta - pair.lower[1])
     d_up = np.hypot(x - pair.upper[0], eta - pair.upper[1])
-    return float(min(d_low.min(), d_up.min()))
+    distance = float(min(d_low.min(), d_up.min()))
+    between = pair.lower[1] < eta[np.argmin(np.abs(x))] < pair.upper[1]
+    return distance if between else -distance
 
 
 def vortex_traces(pair: VortexPair, x, eta,
@@ -128,7 +132,8 @@ def vortex_traces(pair: VortexPair, x, eta,
     eta = np.asarray(eta, dtype=float)
     if min_vortex_distance(pair, x, eta) < SINGULAR_RADIUS:
         raise VortexTooClose(
-            f"interface passes within {SINGULAR_RADIUS:.1e} of a vortex"
+            f"interface passes within {SINGULAR_RADIUS:.1e} of a vortex, "
+            "or crosses one"
         )
     dxl, dyl = x - pair.lower[0], eta - pair.lower[1]
     dxu, dyu = x - pair.upper[0], eta - pair.upper[1]

@@ -20,9 +20,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from vortexwave.layers import (
-    LayerGeometry,
     LayerOperators,
-    LayerSolution,
     _profiles,
     chebyshev_gauss_lobatto,
 )
@@ -59,10 +57,10 @@ def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
     outs = []
     for s in (h, -h):
         shifted = EvenField(eta.coeffs + s * direction.coeffs)
-        ops = LayerOperators(LayerGeometry(grid, depth, shifted), m_vertical)
-        sol = ops.solve(trace)
-        g = ops.dno_values_half(sol)
-        val = ops.eval_interior_dy(sol, point) if point is not None else 0.0
+        ops = LayerOperators(grid, depth, shifted, m_vertical)
+        values = ops.solve(trace)
+        g = ops.dno_values_half(values)
+        val = ops.eval_interior_dy(values, point) if point is not None else 0.0
         outs.append((g, val))
     dg = (outs[0][0] - outs[1][0]) / (2.0 * h)
     dval = (outs[0][1] - outs[1][1]) / (2.0 * h)
@@ -79,9 +77,8 @@ def flat_solve_dense(ops, rhs: np.ndarray) -> np.ndarray:
     interface and the wall, which is inverted here as it stands.  `rhs` is
     one vector (n,) or a block (n, k); the result has its shape.
     """
-    geom = ops.geometry
-    grid = geom.grid
-    h = geom.eta.coeffs[0] + geom.depth
+    grid = ops.grid
+    h = ops.eta.coeffs[0] + ops.depth
     mt = ops.m_vertical + 1
     blocks = (ops._d_tau2 / (h * h)
               - grid.wavenumbers[:, None, None] ** 2 * np.eye(mt))
@@ -100,12 +97,11 @@ def assembled_operator(ops) -> np.ndarray:
     with the coefficients c of `_profiles` on the whole grid, and identity
     rows at the interface and the wall.
     """
-    geom = ops.geometry
-    grid = geom.grid
+    grid = ops.grid
     nx = grid.n_modes + 1
     mt = ops.m_vertical + 1
-    q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(grid, geom._eta_half,
-                                                   geom.depth)
+    q_mixed, q_tt_quad, q_tt_flat, q_t = _profiles(grid, ops.eta_half,
+                                                   ops.depth)
     one_plus = ops._one_plus
     c_tt = np.outer(q_tt_quad, one_plus**2) + q_tt_flat[:, None]
     eye_x, eye_t = np.eye(nx), np.eye(mt)
@@ -127,7 +123,7 @@ def shape_rhs(ops, u: np.ndarray, moves: np.ndarray) -> np.ndarray:
 
     `moves` holds the four `_profiles` moves (profile, x node, direction).
     """
-    grid = ops.geometry.grid
+    grid = ops.grid
     one_plus = ops._one_plus
     w_xd = grid.half_d1 @ u @ ops._d_tau.T
     w_dd = u @ ops._d_tau2.T
@@ -142,21 +138,21 @@ def shape_rhs(ops, u: np.ndarray, moves: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def explicit_shape_batch(ops, sol, point=None):
-    """`LayerOperators.shape_batch` with its right-hand side R formed.
+def explicit_shape_batch(ops, u):
+    """`LayerOperators.shape_batch` of the nodal values u, with its
+    right-hand side R formed.
 
     Builds R, (nx, mt, nx), from the closed-form moves of the profiles and
     takes -Z^T R with the operator's own adjoint block, on numpy; every
     other term is as in `shape_batch`.  Only the order of the contraction
     differs, so the two agree to roundoff.
     """
-    geom = ops.geometry
-    grid = geom.grid
+    grid = ops.grid
     nx = grid.n_modes + 1
     mt = ops.m_vertical + 1
-    u = sol.values
-    e = geom._eta_half[:, None]
-    h, hx, hxx = e + geom.depth, grid.half_d1 @ e, grid.half_d2 @ e
+    point = ops.probe
+    e = ops.eta_half[:, None]
+    h, hx, hxx = e + ops.depth, grid.half_d1 @ e, grid.half_d2 @ e
     dh = grid._cos_mat
     dhx, dhxx = grid.half_d1 @ dh, grid.half_d2 @ dh
     p = hx / h
@@ -164,7 +160,7 @@ def explicit_shape_batch(ops, sol, point=None):
     moves = np.stack([-2.0 * dp, 2.0 * p * dp, -2.0 * dh / h**3,
                       (hxx * dh / h - dhxx) / h + 4.0 * p * dp])
     rhs = shape_rhs(ops, u, moves)
-    z = ops._adjoint_block(point)
+    z = ops._adjoint_block
     moved = -(z.transpose(1, 0, 2).reshape(-1, nx * mt)
               @ rhs.reshape(nx * mt, nx))
 
@@ -175,33 +171,34 @@ def explicit_shape_batch(ops, sol, point=None):
         return dno_dirs, None
     row_x, t_rows, h_p = ops._point_rows(point)
     u_t, u_tt = t_rows[1:] @ (row_x @ u)
-    t_plus_1 = 2.0 * (float(point[1]) + geom.depth) / h_p
+    t_plus_1 = 2.0 * (float(point[1]) + ops.depth) / h_p
     d_dh = -2.0 * (u_t + t_plus_1 * u_tt) / h_p**2
     return dno_dirs, moved[nx] + d_dh * np.cos(
         grid.wavenumbers * float(point[0]))
 
 
-def forward_lu_products(ops, sol, point):
+def forward_lu_products(ops, u):
     """The Jacobian's products of one layer through forward LU solves.
 
     Solves the operator once per trace mode for the Dirichlet-to-Neumann
-    matrix, and evaluates the same solutions' vertical derivative at
-    `point` for the interior-derivative row; solves it once per elevation
-    mode of the differentiated operator's right-hand side for the shape
-    derivatives.  The explicit shape terms, the derivatives of `_profiles`,
-    of the interface extraction and of 2 u_t / h at the point, are taken by
-    complex step along each cosine mode, the last from the point's own
-    Chebyshev coefficients.  Returns (dno matrix, shape-derivative values
-    of the interface extraction, shape derivatives of the interior
-    derivative at `point`, interior-derivative row), the quantities of
+    matrix, and evaluates the same solutions' vertical derivative at the
+    operator's probe for the interior-derivative row; solves it once per
+    elevation mode of the differentiated operator's right-hand side, at
+    the nodal values u, for the shape derivatives.  The explicit shape
+    terms, the derivatives of `_profiles`, of the interface extraction and
+    of 2 u_t / h at the probe, are taken by complex step along each cosine
+    mode, the last from the probe's own Chebyshev coefficients.  Returns
+    (dno matrix, shape-derivative values of the interface extraction,
+    shape derivatives of the interior derivative at the probe,
+    interior-derivative row), the quantities of
     `LayerOperators.dno_matrix`, `shape_batch` and `interior_dy_row`.
     """
-    geom = ops.geometry
-    grid = geom.grid
+    grid = ops.grid
     nx = grid.n_modes + 1
     mt = ops.m_vertical + 1
-    depth = geom.depth
-    eta0 = geom._eta_half
+    depth = ops.depth
+    point = ops.probe
+    eta0 = ops.eta_half
     d_tau = ops._d_tau
     # column k: cosine mode k on the half grid, times the imaginary step
     eta_cs = eta0[:, None] + 1j * COMPLEX_STEP * grid._cos_mat
@@ -212,8 +209,7 @@ def forward_lu_products(ops, sol, point):
         return ops._extraction(eta_half, u_tau_ifc, u_x_ifc)
 
     def interior_dy(u_all):
-        return np.array([ops.eval_interior_dy(LayerSolution(u_all[:, :, k]),
-                                              point)
+        return np.array([ops.eval_interior_dy(u_all[:, :, k], point)
                          for k in range(u_all.shape[2])])
 
     rhs = np.zeros((nx * mt, nx))
@@ -222,7 +218,6 @@ def forward_lu_products(ops, sol, point):
     dno = grid._cos_inv @ interface_derivative(u_all, eta0[:, None])
     row = interior_dy(u_all)
 
-    u = sol.values
     # (profile, x, mode)
     d_prof = np.stack(_profiles(grid, eta_cs, depth)).imag / COMPLEX_STEP
     du = ops._solve_rhs(-shape_rhs(ops, u, d_prof).reshape(nx * mt, nx)
@@ -239,7 +234,7 @@ def forward_lu_products(ops, sol, point):
     column = u.T @ (np.cos(grid.wavenumbers * x_p) @ grid._cos_inv)
     coeffs = np.linalg.solve(
         ncheb.chebvander(chebyshev_gauss_lobatto(m), m), column)
-    h_cs = (grid.evaluate_even(geom.eta, np.array([x_p]))[0] + depth
+    h_cs = (grid.evaluate_even(ops.eta, np.array([x_p]))[0] + depth
             + 1j * COMPLEX_STEP * np.cos(grid.wavenumbers * x_p))
     t_cs = 2.0 * (y_p + depth) / h_cs - 1.0
     explicit = 2.0 * ncheb.chebval(t_cs, ncheb.chebder(coeffs)) / h_cs

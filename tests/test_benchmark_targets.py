@@ -1,33 +1,40 @@
-"""The benchmark's tracer can still find every function it wraps.
+"""The benchmark's tracer can still find every function it wraps, and the
+benchmark's output check passes on this package.
 
 perfbench/tracer.py wraps package functions by name and refuses to run when
 one is gone.  This resolves each of its targets the way Tracer.install does,
 without wrapping anything, so a rename or deletion shows up here first.
 The reference tables the benchmark checks its output against must still
-have the table format that persistence.py writes.
+have the table format that persistence.py writes, and the seed-0 commands
+of the gated workloads, run in this process, must pass perfbench/run.py's
+`check_output` against them, so a change of the branch fails here too.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-from vortexwave import persistence
+from vortexwave import cli, persistence
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_PATH)
+def _load(path):
+    name = f"perfbench_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = _load_tracer()
+TRACER = _load(TRACER_PATH)
+RUN = _load(PERFBENCH / "run.py")
 
 
 @pytest.mark.parametrize("module_name, dotted, span", TRACER.SPANS,
@@ -68,3 +75,25 @@ def test_reference_table_matches_the_table_format(path):
 def test_the_workloads_have_reference_tables():
     names = {path.name for path in REFERENCE_TABLES}
     assert {"branch-64x32.csv", "solve-64x32.csv"} <= names
+
+
+@pytest.mark.parametrize("name", ["branch-64x32", "solve-64x32"])
+def test_seed_zero_output_passes_the_benchmark_check(name, tmp_path, capsys,
+                                                    monkeypatch):
+    workload = RUN.WORKLOADS[name]
+    config = tmp_path / "config.ini"
+    config.write_text(RUN.config_text(workload, 0))
+    points = []  # one stamp per recorded point, as the benchmark's child
+    write = persistence.BranchWriter.write
+
+    def stamped(self, point):
+        points.append(point.strength)
+        return write(self, point)
+
+    monkeypatch.setattr(persistence.BranchWriter, "write", stamped)
+    out = tmp_path / "out"
+    code = cli.main([*workload.command, "--config", str(config),
+                     "--out", str(out)])
+    record = {"exit_code": code, "stderr": capsys.readouterr().err,
+              "points": points}
+    assert RUN.check_output(name, workload, 0, out, record) == []

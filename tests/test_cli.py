@@ -104,9 +104,15 @@ class TestConfig:
         assert base.config_hash() == again.config_hash()
         assert base.config_hash() != moved.config_hash()
 
-    def test_unknown_section_rejected(self):
+    @pytest.mark.parametrize("text", [
+        "[plotting]\nstyle = fancy\n",
+        # configparser's default section would feed ds0 to every section
+        "[DEFAULT]\nds0 = 0.5\n",
+        "[DEFAULT]\nds0 = 0.5\n[physical]\ndepth = 1.0\n",
+    ], ids=["plotting", "DEFAULT", "DEFAULT beside physical"])
+    def test_unknown_section_rejected(self, text):
         with pytest.raises(ParseError, match="unknown section"):
-            load_config("[plotting]\nstyle = fancy\n")
+            load_config(text)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError, match="unknown key"):
@@ -365,6 +371,30 @@ rho_lower = 1e300
         for command in ("continue", "single-solve"):
             assert cli.main([command, "--config", cfg, *out]) == 2
             assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["continue", "single-solve"])
+    @pytest.mark.parametrize("name, kept", [
+        ("branch.csv", []),
+        ("snapshot_0000.json", ["branch.csv"]),
+        ("summary.json", ["branch.csv", "snapshot_0000.json"]),
+    ])
+    def test_unwritable_output_file_exits_two(self, tmp_path, capsys,
+                                              command, name, kept):
+        # the file exists as a directory, so it cannot be opened for writing
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = write_config(tmp_path, "[discretization]\nn_modes = 8\n"
+                                     "m_vertical = 8\n")
+        steps = ["--max-steps", "1"] if command == "continue" else []
+        assert cli.main([command, "--config", cfg, "--out", str(out),
+                         *steps]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and name in err
+        assert len(err.splitlines()) == 1
+        for written in kept:  # the files written so far stay
+            assert (out / written).is_file()
+        if kept:
+            assert load_branch_table(str(out / "branch.csv"))["step"].size
 
     def test_snapshot_diagnostics_equal_the_table_row(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -13,6 +13,7 @@ from vortexwave.continuation import (
 )
 from vortexwave.errors import LinearSolveFailure, NonFiniteEntry, VortexTooClose
 from vortexwave.layers import LayerOperators, flat_interior_dy_symbol
+from vortexwave.spectral import EvenField
 from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
 from vortexwave.vortex import VortexPair, vortex_traces
 
@@ -79,6 +80,21 @@ class TestNewtonCorrect:
         )
         with pytest.raises(VortexTooClose):
             engine.newton_correct(system.origin(), 0.0)
+
+    @pytest.mark.parametrize("height", [0.7, -0.7],
+                             ids=["above the phantom", "below the vortex"])
+    def test_crossed_vortex_is_too_close(self, height):
+        # a flat interface 0.2 past the phantom or the vortex clears the
+        # 0.05 guard by distance, but a vortex is then in the wrong fluid
+        engine = small_engine()
+        coeffs = np.zeros(17)
+        coeffs[0] = height
+        zero = EvenField(np.zeros(17))
+        state = WaveState(EvenField(coeffs), zero, zero, 0.0)
+        with pytest.raises(VortexTooClose):
+            engine.check_guards(state)
+        with pytest.raises(VortexTooClose):
+            engine.system.prepare(state)
 
 
 class TestTangent:
@@ -248,8 +264,9 @@ class TestFailedTrialSolves:
         def nan_once(*args, **kwargs):
             calls.append(args)
             step = real_lu_solve(*args, **kwargs)
-            # the first call is the first step's chord iteration
-            return np.full_like(step, np.nan) if len(calls) == 1 else step
+            # the first call solves the origin tangent, the second is the
+            # first step's chord iteration
+            return np.full_like(step, np.nan) if len(calls) == 2 else step
 
         monkeypatch.setattr(continuation, "lu_solve", nan_once)
         branch = small_engine(max_steps=4).continue_branch()

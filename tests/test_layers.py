@@ -14,7 +14,6 @@ from vortexwave.layers import (
     KRYLOV_MAX,
     KRYLOV_MIN_UNKNOWNS,
     KRYLOV_TOL,
-    LayerGeometry,
     LayerOperators,
     chebyshev_diff_matrix,
     chebyshev_gauss_lobatto,
@@ -53,9 +52,9 @@ def wavy(n=NX):
     return EvenField(c)
 
 
-def strip(grid, eta, m):
+def strip(grid, eta, m, probe=None):
     """Layer operator of the strip between the wall y = -DEPTH and eta."""
-    return LayerOperators(LayerGeometry(grid, DEPTH, eta), m)
+    return LayerOperators(grid, DEPTH, eta, m, probe=probe)
 
 
 def on_side(eta, side):
@@ -98,7 +97,7 @@ class TestFlatSolves:
 
     def test_zero_trace_gives_zero_solution(self):
         sol = strip(GRID, wavy(), 16).solve(mode(3, 0.0))
-        assert np.max(np.abs(sol.values)) == 0.0
+        assert np.max(np.abs(sol)) == 0.0
 
     def test_cosine_trace_matches_sinh_profile(self):
         k, kap = 3, 3.0
@@ -115,18 +114,18 @@ class TestFlatSolves:
         ops = prep.upper.ops
         for x, y in [(0.4, 0.35), (0.0, 0.7)]:
             exact = np.cos(kap * x) * np.sinh(kap * (DEPTH - y)) / np.sinh(kap)
-            assert ops.eval_interior(prep.upper.sol, (x, -y)) == pytest.approx(
-                exact, abs=1e-10)
+            got = ops.eval_interior(prep.upper.values, (x, -y))
+            assert got == pytest.approx(exact, abs=1e-10)
 
     def test_interface_trace_reproduced(self):
         sol = strip(GRID, wavy(), 24).solve(mode(5, 0.8))
-        got = sol.values[:, 0]
+        got = sol[:, 0]
         want = GRID.even_values_half(mode(5, 0.8))
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_wall_values_vanish(self):
         sol = strip(GRID, on_side(wavy(), "upper"), 24).solve(mode(2))
-        assert np.max(np.abs(sol.values[:, -1])) < 1e-12
+        assert np.max(np.abs(sol[:, -1])) < 1e-12
 
 
 class TestFlatDno:
@@ -204,7 +203,7 @@ class TestTraceSolvePaths:
         krylov = gmres(ops._apply, ops._flat_solve, rhs, KRYLOV_MAX,
                        KRYLOV_TOL, KRYLOV_FLOOR)
         assert (krylov is not None) == krylov_converges
-        got = ops.solve(trace).values.ravel()
+        got = ops.solve(trace).ravel()
         want = ops._solve_rhs(rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -265,35 +264,35 @@ class TestAdjointBlock:
     POINT = (0.0, -0.5)  # the vortex, and the phantom in its reflected strip
 
     def layer(self, state, side, strength_3):
-        """(operator, solution, point) of one layer: flat, under a 0.33
-        crest, thin (min thickness 0.1, where GMRES misses), or at the
-        32x16 strength-3 solution."""
+        """(operator, solution) of one layer with its probe: flat, under a
+        0.33 crest, thin (min thickness 0.1, where GMRES misses, probed
+        halfway down the thinnest column), or at the 32x16 strength-3
+        solution."""
         if state == "strength-3":
             system, wave = strength_3
             prep = system.prepare(wave)
             layer = prep.lower if side == "lower" else prep.upper
-            return layer.ops, layer.sol, self.POINT
-        point = self.POINT
+            # the prepared upper layer has no probe: the same strip with one
+            ops = strip(system.grid, layer.ops.eta, system.m_vertical,
+                        self.POINT)
+            return ops, layer.values
         if state == "thin":  # a crest towards either wall thins its strip
-            ops = strip(GRID, peaked(-0.9), 32)
-            point = (0.0, -0.95)  # halfway down the thinnest column
+            ops = strip(GRID, peaked(-0.9), 32, (0.0, -0.95))
         else:
             crest = 0.0 if state == "flat" else 0.33
-            ops = strip(GRID, on_side(peaked(crest), side), 32)
-        return ops, ops.solve(EvenField(0.5 ** np.arange(NX))), point
+            ops = strip(GRID, on_side(peaked(crest), side), 32, self.POINT)
+        return ops, ops.solve(EvenField(0.5 ** np.arange(NX)))
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("state", ["flat", "crest", "strength-3"])
     def test_matches_the_forward_lu_referee(self, state, side, strength_3):
-        ops, sol, _ = self.layer(state, side, strength_3)
-        nx = ops.geometry.grid.n_modes + 1
+        ops, sol = self.layer(state, side, strength_3)
+        nx = ops.grid.n_modes + 1
         assert nx * (ops.m_vertical + 1) >= KRYLOV_MIN_UNKNOWNS
-        # in the Jacobian's order: the pointed shape batch builds the block
-        shape_dno, shape_dy = ops.shape_batch(sol, self.POINT)
-        got = (ops.dno_matrix(), shape_dno, shape_dy,
-               ops.interior_dy_row(self.POINT))
+        shape_dno, shape_dy = ops.shape_batch(sol)
+        got = (ops.dno_matrix(), shape_dno, shape_dy, ops.interior_dy_row())
         assert not ops.factored  # GMRES solved the block
-        want = forward_lu_products(ops, sol, self.POINT)
+        want = forward_lu_products(ops, sol)
         for g, w in zip(got, want):
             assert worst_relative(g, w) <= 1e-12
 
@@ -303,10 +302,10 @@ class TestAdjointBlock:
                                                   strength_3):
         # the contraction through the factors of R against -Z^T R with R
         # formed, on the same adjoint block
-        ops, sol, point = self.layer(state, side, strength_3)
-        got = ops.shape_batch(sol, point)
+        ops, sol = self.layer(state, side, strength_3)
+        got = ops.shape_batch(sol)
         assert ops.factored == (state == "thin")  # the LU path, or GMRES
-        for g, w in zip(got, explicit_shape_batch(ops, sol, point)):
+        for g, w in zip(got, explicit_shape_batch(ops, sol)):
             assert worst_relative(g, w) <= 1e-13
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -314,28 +313,55 @@ class TestAdjointBlock:
     def test_panels_match_the_whole_block(self, state, side, strength_3,
                                           monkeypatch):
         # GMRES on near-equal panels of at most 5 columns against one
-        # panel of the whole block; the vortex column, the block's last,
+        # panel of the whole block; the probe column, the block's last,
         # ends the last panel
         blocks = []
         for columns in (5, 1000):
             monkeypatch.setattr(layers, "BLOCK_COLUMNS", columns)
-            ops, _, point = self.layer(state, side, strength_3)
-            blocks.append(ops._adjoint_block(point))
+            ops, _ = self.layer(state, side, strength_3)
+            blocks.append(ops._adjoint_block)
             assert ops.factored == (state == "thin")  # the LU path, or GMRES
         assert worst_relative(blocks[0], blocks[1]) <= 1e-13
 
     def test_thin_layer_falls_back_to_lu(self):
-        ops = strip(GRID, peaked(-0.9), 32)  # min thickness 0.1
+        # min thickness 0.1, probed halfway down the thinnest column
+        ops = strip(GRID, peaked(-0.9), 32, (0.0, -0.95))
         assert not ops.factored
         got = ops.dno_matrix()
         assert ops.factored  # GMRES missed, so the block took the LU path
         sol = ops.solve(EvenField(0.5 ** np.arange(NX)))
-        point = (0.0, -0.95)  # halfway down the thinnest column
-        shape_dno, shape_dy = ops.shape_batch(sol, point)
-        got = (got, shape_dno, shape_dy, ops.interior_dy_row(point))
-        want = forward_lu_products(ops, sol, point)
+        shape_dno, shape_dy = ops.shape_batch(sol)
+        got = (got, shape_dno, shape_dy, ops.interior_dy_row())
+        want = forward_lu_products(ops, sol)
         for g, w in zip(got, want):
             assert worst_relative(g, w) <= 1e-12
+
+    @pytest.mark.parametrize("order", [
+        ("dno_matrix", "interior_dy_row", "shape_batch"),
+        ("shape_batch", "dno_matrix", "interior_dy_row"),
+    ])
+    def test_one_block_solve_whatever_the_call_order(self, order, lu_counter):
+        # the Dirichlet-to-Neumann matrix, the drift row and the shape
+        # derivatives of a probed 32x16 lower layer read one transposed
+        # block solve of N + 1 interface columns and the probe column
+        grid = CollocationGrid(np.pi, 32)
+        ops = strip(grid, peaked(0.33, n=33), 16, (0.0, -0.5))
+        sol = ops.solve(EvenField(0.5 ** np.arange(33)))
+        solve = ops._solve
+        solves = []
+
+        def counting(rhs, transposed=False):
+            solves.append((rhs.shape, transposed))
+            return solve(rhs, transposed)
+
+        ops._solve = counting
+        calls = {"dno_matrix": ops.dno_matrix,
+                 "interior_dy_row": ops.interior_dy_row,
+                 "shape_batch": lambda: ops.shape_batch(sol)}
+        for name in order:
+            calls[name]()
+        assert solves == [((33, 34, 17), True)]
+        assert lu_counter.factorizations == 0
 
     def test_block_columns_match_single_solves(self):
         ops = strip(GRID, peaked(0.33), 32)
@@ -537,7 +563,7 @@ class TestCurvedGeometry:
         sol = strip(grid, EvenField(c), 12).solve(
             mode(k, 1.0, 17))
         want = grid.even_values_half(mode(k, 1.0, 17))
-        assert np.max(np.abs(sol.values[:, 0] - want)) < 1e-10
+        assert np.max(np.abs(sol[:, 0] - want)) < 1e-10
 
 
 class TestInteriorFunctionals:
@@ -556,9 +582,9 @@ class TestInteriorFunctionals:
         )
 
     def test_row_functional_matches_direct_eval(self):
-        ops = strip(GRID, wavy(), 32)
         p = (0.0, -0.5)
-        row = ops.interior_dy_row(p)
+        ops = strip(GRID, wavy(), 32, p)
+        row = ops.interior_dy_row()
         for k in (0, 3, 11):
             sol = ops.solve(mode(k, 0.9))
             direct = ops.eval_interior_dy(sol, p)
@@ -566,8 +592,8 @@ class TestInteriorFunctionals:
 
     def test_row_matches_flat_symbol_when_resolved(self):
         # vertical truncation of high-mode boundary layers dies out by M = 48
-        ops = strip(GRID, FLAT, 48)
-        row = ops.interior_dy_row((0.0, -0.5))
+        ops = strip(GRID, FLAT, 48, (0.0, -0.5))
+        row = ops.interior_dy_row()
         sym = flat_interior_dy_symbol(GRID, DEPTH, -0.5)
         assert np.max(np.abs(row - sym)) < 1e-9
 
@@ -605,9 +631,9 @@ class TestShapeDerivatives:
         eta = wavy(33)
         trace = mode(4, 1.0, 33)
         p = (0.0, -0.5)
-        ops = strip(grid, eta, 24)
+        ops = strip(grid, eta, 24, p)
         sol = ops.solve(trace)
-        dno_dirs, int_dirs = ops.shape_batch(sol, p)
+        dno_dirs, int_dirs = ops.shape_batch(sol)
         k = 7
         ref = grid._cos_inv @ dno_dirs[:, k]
         errs, int_errs = [], []
@@ -644,9 +670,9 @@ class TestShapeDerivatives:
 
     def test_flat_zero_trace_has_zero_shape_derivative(self):
         # the solve map is linear in the trace, so at trace = 0 it is flat
-        ops = strip(GRID, FLAT, 24)
+        ops = strip(GRID, FLAT, 24, (0.0, -0.5))
         sol = ops.solve(mode(0, 0.0))
-        dno_dirs, int_dirs = ops.shape_batch(sol, (0.0, -0.5))
+        dno_dirs, int_dirs = ops.shape_batch(sol)
         assert np.max(np.abs(dno_dirs)) == 0.0
         assert np.max(np.abs(int_dirs)) == 0.0
 
@@ -656,15 +682,15 @@ class TestGuards:
         c = np.zeros(NX)
         c[0] = -0.99 * DEPTH
         with pytest.raises(DegenerateStrip):
-            LayerGeometry(GRID, DEPTH, EvenField(c))
+            strip(GRID, EvenField(c), 8)
 
     def test_gap_floor_is_two_percent_of_depth(self):
         c = np.zeros(NX)
         c[0] = -0.985 * DEPTH
         with pytest.raises(DegenerateStrip):
-            LayerGeometry(GRID, DEPTH, EvenField(c))
+            strip(GRID, EvenField(c), 8)
         c[0] = -0.97 * DEPTH
-        LayerGeometry(GRID, DEPTH, EvenField(c))
+        strip(GRID, EvenField(c), 8)
 
     def test_point_outside_layer_raises(self):
         ops = strip(GRID, FLAT, 16)
@@ -672,6 +698,8 @@ class TestGuards:
         for bad in [(0.0, 0.5), (0.0, -1.5), (0.0, 0.0), (0.0, -1.0)]:
             with pytest.raises(PointOutsideLayer):
                 ops.eval_interior(sol, bad)
+            with pytest.raises(PointOutsideLayer):  # as the probe
+                strip(GRID, FLAT, 16, bad).eval_interior_dy(sol)
 
     def test_rejects_coarse_vertical(self):
         with pytest.raises(ValueError):
@@ -684,4 +712,4 @@ class TestGuards:
         values = np.zeros(17)
         values[8] = -1.5 * DEPTH
         with pytest.raises(DegenerateStrip):
-            LayerGeometry(grid, DEPTH, EvenField(grid._cos_inv @ values))
+            strip(grid, EvenField(grid._cos_inv @ values), 8)

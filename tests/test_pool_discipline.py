@@ -139,11 +139,11 @@ def test_block_products_run_on_scipy_blas():
     # computed from it, is an operand of `_blas_product` and of no numpy
     # product
     shape = _function(tree, "shape_batch")
-    block_calls = [c for c in ast.walk(shape) if isinstance(c, ast.Call)
-                   and _called_name(c) == "_adjoint_block"]
-    assert len(block_calls) == 1
+    block_reads = [a for a in ast.walk(shape) if isinstance(a, ast.Attribute)
+                   and a.attr == "_adjoint_block"]
+    assert len(block_reads) == 1
     derived = {target.id for node in ast.walk(shape)
-               if isinstance(node, ast.Assign) and node.value is block_calls[0]
+               if isinstance(node, ast.Assign) and node.value is block_reads[0]
                for target in node.targets if isinstance(target, ast.Name)}
     assert derived, "the adjoint block is not bound to a name"
     while True:  # names assigned from, or written by a product of, the block
