@@ -27,6 +27,17 @@ So above the Krylov crossover a branch factors no layer operator at all
 unless a GMRES solve misses, and every accepted point still gets the exact
 Jacobian that the tangent and the point diagnostics need.
 
+A miss pays for the vectors it built and then for a Jacobian.  At 64x32
+near strength 3 a Jacobian takes 100-135 ms and a warm difference
+evaluation 3.4-4.5 ms (in-process, 2 cores), so a Jacobian costs about
+25-35 of them, and KRYLOV_VECTORS stays below that: a step that misses
+costs at most about two Jacobians.  Each evaluation starts
+its layers' trace solves from the nodal values of a nearby solved state
+(`layers.LayerOperators.solve`): a difference product or damping trial
+from the current iterate's, the first evaluation of a branch step from its
+base point's.  Only those arrays outlive an evaluation, never its prepared
+state, whose operators keep the Jacobian's adjoint blocks.
+
 Tangents are unit null vectors of the bordered Jacobian under a weighted
 inner product: discrete H^1 weights on the three field blocks and unit
 weights on the speed and the strength, so mode counts do not drown the
@@ -40,11 +51,14 @@ blowup.  Inside the corrector, a trial point whose layer strip degenerates
 or whose interface meets or crosses a vortex is damped like a rejected
 trial.  A step whose corrector fails (no convergence, a bordered Jacobian
 with a zero pivot, a guard violation, a failed layer solve, or a
-non-finite entry in a Newton step or at a trial point) is retried at half
-the arclength step; once the step falls below ds_min the branch ends as a
-Newton failure.  Only accepted points count against the max_steps budget,
-so a run whose every attempt fails ends as a Newton failure, whatever its
-budget.  Exhausted step budgets and unrecoverable
+non-finite entry in a Newton step or at a trial point, where a finite
+residual whose norm overflows counts as one) is retried at half the
+arclength step; once the step falls below ds_min the branch ends as a
+Newton failure.  A numerical failure in the Jacobian, the diagnostics or
+the tangent of a converged point ends the branch as a Newton failure too,
+at the last accepted point.  Only accepted points count against the
+max_steps budget, so a run whose every attempt fails ends as a Newton
+failure, whatever its budget.  Exhausted step budgets and unrecoverable
 Newton failures are reported through the same classification.
 
 The point diagnostics take the smallest singular value from scipy's
@@ -107,8 +121,18 @@ MAX_HALVINGS = 5
 KRYLOV_FORCING = 1e-7
 
 #: Krylov vectors a Newton-Krylov step may build before the analytic
-#: Jacobian takes over that iteration
-KRYLOV_VECTORS = 10
+#: Jacobian takes over that iteration.  A miss pays the vectors it built
+#: plus a Jacobian, which costs about 25-35 warm difference evaluations at
+#: 64x32; at 10, the first step of the strength-3 solve missed by two
+#: vectors and cost a third Jacobian, while at 20 its steps take 12, 16, 15
+#: and 15 vectors
+KRYLOV_VECTORS = 20
+
+#: numerical failures of a step: a corrector that raises one is retried at
+#: half the arclength step, and one raised at a converged point ends the
+#: branch as a Newton failure
+STEP_FAILURES = (NewtonFailure, SingularBorderedSystem, VortexTooClose,
+                 DegenerateStrip, LinearSolveFailure, NonFiniteEntry)
 
 
 class Alternative(enum.Enum):
@@ -297,33 +321,40 @@ class ContinuationEngine:
         """The unit row of the strength in the augmented vector."""
         return np.r_[np.zeros(self.system.n_unknowns), 1.0]
 
-    def _evaluate(self, vec: np.ndarray, constraint):
+    def _evaluate(self, vec: np.ndarray, constraint, guess=None):
         """Prepare the state of an augmented vector; residual and constraint.
 
-        Returns (state, strength, prep, residual vector, constraint value,
-        bordered residual norm).  A non-finite vector raises NonFiniteEntry.
+        `guess` is the layers' nodal values at a nearby state
+        (`system.WaveSystem.prepare`).  Returns (state, strength, prep,
+        residual vector, constraint value, bordered residual norm).  A
+        non-finite vector or bordered residual norm raises NonFiniteEntry.
         """
         if not np.all(np.isfinite(vec)):
             raise NonFiniteEntry("corrector produced a non-finite state")
         n = self.system.n_unknowns
         state = WaveState.from_vector(vec[:n], self.system.grid.n_modes)
         strength = float(vec[n])
-        prep = self.system.prepare(state)
+        prep = self.system.prepare(state, guess)
         res = self.system.residual_prepared(prep, strength).to_vector()
-        gap = constraint(vec)
-        return (state, strength, prep, res, gap,
-                float(np.hypot(np.linalg.norm(res), gap)))
+        with np.errstate(over="ignore"):  # finite entries may square to inf
+            gap = constraint(vec)
+            norm = float(np.hypot(np.linalg.norm(res), gap))
+        if not np.isfinite(norm):
+            raise NonFiniteEntry("bordered residual norm is not finite")
+        return state, strength, prep, res, gap, norm
 
     def _difference_product(self, vec: np.ndarray, bordered_res: np.ndarray,
-                            v: np.ndarray, constraint) -> np.ndarray:
-        """Bordered Jacobian times v by a forward difference at vec."""
+                            v: np.ndarray, constraint, guess=None
+                            ) -> np.ndarray:
+        """Bordered Jacobian times v by a forward difference at vec, whose
+        layer values `guess` start the difference point's solves."""
         eps = (np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(vec))
                / np.linalg.norm(v))
-        evaluated = self._evaluate(vec + eps * v, constraint)
+        evaluated = self._evaluate(vec + eps * v, constraint, guess)
         return (np.r_[evaluated[3], evaluated[4]] - bordered_res) / eps
 
     def _krylov_step(self, vec: np.ndarray, bordered_res: np.ndarray,
-                     chord, constraint) -> np.ndarray | None:
+                     chord, constraint, guess) -> np.ndarray | None:
         """Newton-Krylov step, preconditioned by the chord's factors.
 
         GMRES on difference products to the relative forcing KRYLOV_FORCING;
@@ -333,7 +364,7 @@ class ContinuationEngine:
         try:
             return gmres(
                 lambda v: self._difference_product(vec, bordered_res, v,
-                                                   constraint),
+                                                   constraint, guess),
                 lambda v: lu_solve(chord, v, check_finite=False),
                 -bordered_res, KRYLOV_VECTORS, KRYLOV_FORCING,
             )
@@ -351,23 +382,26 @@ class ContinuationEngine:
         return chord
 
     def _damped_newton(self, current: np.ndarray, row: np.ndarray,
-                       constraint, chord_jac: np.ndarray | None = None):
+                       constraint, chord_jac: np.ndarray | None = None,
+                       guess=None):
         """Damped Newton on the residual bordered by one scalar constraint.
 
         `current` is the augmented (state, strength) start, `row` the
-        constraint's gradient and `constraint(vec)` its value.  The chord
-        is the factored bordered matrix of `chord_jac` when one is given;
-        the first iteration solves with it.  An iteration without a usable
-        step builds the analytic Jacobian, solves with its bordered
-        factors and keeps them as the new chord.  Later iterations whose
-        layer operators are not factored take a Newton-Krylov step
-        preconditioned by the chord.  Returns (state, strength,
-        iterations, prep, residual norm).
+        constraint's gradient and `constraint(vec)` its value; `guess`, the
+        layers' nodal values at a nearby state, starts the trace solves of
+        the first evaluation, and the current iterate's values start those
+        of every later one.  The chord is the factored bordered matrix of
+        `chord_jac` when one is given; the first iteration solves with it.
+        An iteration without a usable step builds the analytic Jacobian,
+        solves with its bordered factors and keeps them as the new chord.
+        Later iterations whose layer operators are not factored take a
+        Newton-Krylov step preconditioned by the chord.  Returns (state,
+        strength, iterations, prep, residual norm).
         """
         tol = self.settings.newton_tol
         newton_max = self.settings.newton_max
-        state, strength, prep, res, gap, norm = self._evaluate(current,
-                                                               constraint)
+        state, strength, prep, res, gap, norm = self._evaluate(
+            current, constraint, guess)
         chord = None
         if chord_jac is not None:
             chord = self._factor_bordered(prep, strength, chord_jac, row)
@@ -383,7 +417,7 @@ class ContinuationEngine:
             if iteration > 0 and not all(layer.ops.factored
                                          for layer in prep.layers):
                 step = self._krylov_step(current, bordered_res, chord,
-                                         constraint)
+                                         constraint, prep.values)
             if step is None:
                 if chord is None or iteration > 0:
                     chord = self._factor_bordered(
@@ -398,7 +432,8 @@ class ContinuationEngine:
             for _ in range(MAX_HALVINGS + 1):
                 trial = current + scale * step
                 try:
-                    evaluated = self._evaluate(trial, constraint)
+                    evaluated = self._evaluate(trial, constraint,
+                                               prep.values)
                 except (VortexTooClose, DegenerateStrip) as exc:
                     last_guard = exc
                     scale *= 0.5
@@ -426,11 +461,14 @@ class ContinuationEngine:
         return state, iterations, norm, prep
 
     def _arclength_correct(self, base: np.ndarray, tang: np.ndarray,
-                           ds: float, chord_jac: np.ndarray):
-        """Correct the predicted point back onto the branch at fixed arclength."""
+                           ds: float, chord_jac: np.ndarray, guess):
+        """Correct the predicted point back onto the branch at fixed
+        arclength, starting the trace solves from the base point's layer
+        values `guess`."""
         return self._damped_newton(
             base + ds * tang, self.weights * tang,
             lambda vec: self.weighted_dot(vec - base, tang) - ds, chord_jac,
+            guess,
         )
 
     # -- tangents -------------------------------------------------------------------
@@ -466,43 +504,59 @@ class ContinuationEngine:
     # -- branch driver -----------------------------------------------------------------
 
     def continue_branch(self, on_point=None) -> Branch:
-        """Predict, correct, classify; returns the finished branch."""
+        """Predict, correct, classify; returns the finished branch.
+
+        A converged point is accepted once its Jacobian, diagnostics and
+        tangent are computed; a STEP_FAILURES error among them ends the
+        branch at the last accepted point as a Newton failure.  Of an
+        accepted point's prepared state only the layers' nodal values are
+        kept, to start the next step's trace solves: its operators hold the
+        Jacobian's adjoint blocks.
+        """
         settings = self.settings
         branch = Branch()
 
-        origin = self.system.origin()
-        prep = self.system.prepare(origin)
-        res0 = self.system.residual_prepared(prep, 0.0).to_vector()
-        jac = self.system.jacobian_prepared(prep, 0.0)
-        point = self._point(origin, 0.0, float(np.linalg.norm(res0)), 0, jac)
-        branch.points.append(point)
-        if on_point is not None:
-            on_point(point)
-
-        tang = self.tangent(prep, 0.0, jac=jac)
-        base = np.r_[origin.to_vector(), 0.0]
+        state, strength, iterations = self.system.origin(), 0.0, 0
+        prep = self.system.prepare(state)
+        norm = float(np.linalg.norm(
+            self.system.residual_prepared(prep, 0.0).to_vector()))
+        tang = None
         ds = settings.ds0
-
-        vortex_block = boundary_block = False
-        # the budget counts accepted points; halving ds bounds the retries
-        while len(branch.points) <= settings.max_steps:
+        while True:
             try:
-                state, strength, iterations, prep, norm = (
-                    self._arclength_correct(base, tang, ds, jac)
-                )
-            except (NewtonFailure, SingularBorderedSystem, VortexTooClose,
-                    DegenerateStrip, LinearSolveFailure,
-                    NonFiniteEntry) as exc:
-                vortex_block |= isinstance(exc, VortexTooClose)
-                boundary_block |= isinstance(exc, DegenerateStrip)
-                ds *= 0.5
-                if ds < settings.ds_min:
-                    branch.termination = classify_termination(
-                        vortex_block, boundary_block, newton_failed=True,
-                    )
-                    return branch
-                continue
+                jac = self.system.jacobian_prepared(prep, strength)
+                point = self._point(state, strength, norm, iterations, jac)
+                tang = self.tangent(prep, strength, previous=tang, jac=jac)
+            except STEP_FAILURES:
+                branch.termination = Alternative.NEWTON_FAILURE
+                return branch
+            branch.points.append(point)
+            if on_point is not None:
+                on_point(point)
+            # the budget counts accepted points; halving ds bounds the retries
+            if len(branch.points) > settings.max_steps:
+                branch.termination = classify_termination(False, False)
+                return branch
+            base = np.r_[state.to_vector(), strength]
+            guess = prep.values
+            del prep  # the next step keeps its layer values alone
+
             vortex_block = boundary_block = False
+            while True:
+                try:
+                    state, strength, iterations, prep, norm = (
+                        self._arclength_correct(base, tang, ds, jac, guess)
+                    )
+                    break
+                except STEP_FAILURES as exc:
+                    vortex_block |= isinstance(exc, VortexTooClose)
+                    boundary_block |= isinstance(exc, DegenerateStrip)
+                    ds *= 0.5
+                    if ds < settings.ds_min:
+                        branch.termination = classify_termination(
+                            vortex_block, boundary_block, newton_failed=True,
+                        )
+                        return branch
 
             try:
                 self.check_guards(state)
@@ -515,18 +569,5 @@ class ContinuationEngine:
             if self.state_norm(state, strength) > settings.norm_cap:
                 branch.termination = Alternative.UNBOUNDED
                 return branch
-
-            jac = self.system.jacobian_prepared(prep, strength)
-            point = self._point(state, strength, norm, iterations, jac)
-            branch.points.append(point)
-            if on_point is not None:
-                on_point(point)
-
-            tang = self.tangent(prep, strength, previous=tang, jac=jac)
-            base = np.r_[state.to_vector(), strength]
             if iterations <= FAST_ITERATIONS:
                 ds = min(ds * GROWTH, settings.ds_max)
-
-        branch.termination = classify_termination(False, False)
-        return branch
-

@@ -32,7 +32,11 @@ diagonalized once per vertical resolution; so an operator keeps only its
 per-mode denominators and Dirichlet coupling, and applying the
 preconditioner costs two products with the eigenvector matrices, padded to
 whole tau rows, besides the cosine transforms.  A trace solve, the only
-solve a residual needs, runs on the operator A itself.  Everything the
+solve a residual needs, runs on the operator A itself.  It may start from
+a guess u0, the same strip's nodal values at a nearby state: GMRES then
+solves A d = r - A u0 for the correction, with KRYLOV_TOL and KRYLOV_FLOOR
+scaled by |r| / |r - A u0|, so that it stops at the residual a solve from
+zero stops at, and a guess no better than zero is ignored.  Everything the
 Jacobian reads from a layer (the Dirichlet-to-Neumann matrix, the
 directional shape derivatives and the interior-derivative row) is a
 functional of a solve, either the interface u_tau or the vertical
@@ -634,36 +638,48 @@ class LayerOperators:
             raise LinearSolveFailure("layer solve produced non-finite entries")
         return out
 
-    def _solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
+    def _solve(self, rhs: np.ndarray, transposed: bool = False,
+               guess: np.ndarray | None = None) -> np.ndarray:
         """A^-1 rhs, or A^-T rhs: GMRES, or the LU path.
 
         `rhs` is a vector (n,) or an (nx, k, mt) block, as in `_apply`; the
         result is a fresh array of its shape.  GMRES runs on the block as
         ceil(k / BLOCK_COLUMNS) near-equal panels of columns, one `gmres`
         call each, and each panel's solution is copied once, into its
-        columns of the result; a vector is the one-column block.  LU serves
-        operators below KRYLOV_MIN_UNKNOWNS, operators already factored,
-        and the whole right-hand side once any panel misses; it takes the
-        block's columns as nodal (n, k) columns.
+        columns of the result; a vector is the one-column block.  A vector
+        `guess` u0 makes GMRES solve for the correction, A d = rhs - A u0,
+        to the stopping rule scaled by |rhs| / |rhs - A u0|, so that the
+        residual it leaves is as small as a solve from zero leaves; a guess
+        no better than zero is ignored.  LU serves operators below
+        KRYLOV_MIN_UNKNOWNS, operators already factored, and the whole
+        right-hand side once any panel misses; it takes the block's columns
+        as nodal (n, k) columns and ignores the guess.
         """
         unknowns = (self.grid.n_modes + 1) * (self.m_vertical + 1)
         if unknowns >= KRYLOV_MIN_UNKNOWNS and not self.factored:
             apply, precondition = (
                 (self._apply_transpose, self._flat_solve_transpose)
                 if transposed else (self._apply, self._flat_solve))
+            start, target, relax = 0.0, rhs, 1.0
+            if guess is not None:
+                correction = rhs - apply(guess)
+                size, left = np.linalg.norm(rhs), np.linalg.norm(correction)
+                if 0.0 < left < size:  # false for rhs = 0 or a nan guess
+                    start, target, relax = guess, correction, size / left
             out = np.empty(rhs.shape)
-            out_block, rhs_block = self._block(out), self._block(rhs)
+            out_block, rhs_block = self._block(out), self._block(target)
             k = out_block.shape[1]
             panels = math.ceil(k / BLOCK_COLUMNS)
             for i in range(panels):
                 panel = slice(k * i // panels, k * (i + 1) // panels)
                 solved = gmres(apply, precondition, rhs_block[:, panel],
-                               KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR,
-                               self._work)
+                               KRYLOV_MAX, relax * KRYLOV_TOL,
+                               relax * KRYLOV_FLOOR, self._work)
                 if solved is None or not np.all(np.isfinite(solved)):
                     break
                 out_block[:, panel] = solved
             else:
+                out += start
                 return out
         if rhs.ndim == 1:
             return self._solve_rhs(rhs, transposed)
@@ -672,8 +688,17 @@ class LayerOperators:
             rhs.transpose(0, 2, 1).reshape(nx * mt, k), transposed)
         return np.ascontiguousarray(out.reshape(nx, mt, k).transpose(0, 2, 1))
 
-    def solve(self, trace: EvenField) -> np.ndarray:
-        """Nodal values (x node, tau node) of a trace's harmonic extension."""
+    def solve(self, trace: EvenField, guess: np.ndarray | None = None
+              ) -> np.ndarray:
+        """Nodal values (x node, tau node) of a trace's harmonic extension.
+
+        `guess`, nodal values of the same shape, typically this strip's
+        solution at a nearby state, starts GMRES: it solves for the
+        correction to the guess and stops once the residual is as small,
+        in absolute terms, as a solve from zero would leave it
+        (`_solve`).  A guess whose residual is no smaller than the right
+        hand side's is ignored, and so is any guess on the LU path.
+        """
         grid = self.grid
         nx = grid.n_modes + 1
         mt = self.m_vertical + 1
@@ -681,7 +706,9 @@ class LayerOperators:
             raise ValueError("trace band does not match the grid")
         rhs = np.zeros(nx * mt)
         rhs[self._interface_rows] = grid.even_values_half(trace)
-        return self._solve(rhs).reshape(nx, mt)
+        return self._solve(
+            rhs, guess=None if guess is None else guess.ravel()
+        ).reshape(nx, mt)
 
     # -- interface extraction -------------------------------------------------
 

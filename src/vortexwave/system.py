@@ -197,6 +197,12 @@ class PreparedState:
         """(upper, lower): the order of the trace blocks."""
         return self.upper, self.lower
 
+    @property
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """(upper, lower) nodal values of the trace solves: the guess of
+        `WaveSystem.prepare` at a nearby state."""
+        return self.upper.values, self.lower.values
+
 
 class WaveSystem:
     """Residual, Jacobian, and flat linearization on one discretization."""
@@ -222,27 +228,37 @@ class WaveSystem:
 
     # -- state preparation -----------------------------------------------------
 
-    def prepare(self, state: WaveState) -> PreparedState:
-        """Solve both layers for the state's traces and sample vortex fields."""
+    def prepare(self, state: WaveState,
+                guess: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> PreparedState:
+        """Solve both layers for the state's traces and sample vortex fields.
+
+        `guess`, the (upper, lower) nodal values of the layers of a nearby
+        prepared state, starts each layer's trace solve
+        (`layers.LayerOperators.solve`).
+        """
         g = self.grid
         p = self.params
         e = g.even_values_half(state.elevation)
+        upper_guess, lower_guess = (None, None) if guess is None else guess
         lower = self._layer(1.0, -p.rho_lower, state.elevation,
-                            state.trace_lower, p.pair.lower)
-        upper = self._layer(-1.0, p.rho_upper, state.elevation, state.trace_upper)
+                            state.trace_lower, lower_guess, p.pair.lower)
+        upper = self._layer(-1.0, p.rho_upper, state.elevation,
+                            state.trace_upper, upper_guess)
         return PreparedState(
             state, e, g.half_d1 @ e, g.half_d2 @ e, upper, lower,
             vortex_traces(p.pair, g.half_nodes, e, p.half_period),
             lower.ops.eval_interior_dy(lower.values))
 
     def _layer(self, sign: float, weight: float, elevation: EvenField,
-               trace: EvenField, probe=None) -> FluidLayer:
+               trace: EvenField, guess: np.ndarray | None,
+               probe=None) -> FluidLayer:
         """Build and solve one layer's strip under sign * elevation."""
         g = self.grid
         ops = LayerOperators(g, self.params.depth,
                              EvenField(sign * elevation.coeffs),
                              self.m_vertical, self._work, probe)
-        values = ops.solve(trace)
+        values = ops.solve(trace, guess)
         trace_half = g.even_values_half(trace)
         return FluidLayer(sign, weight, trace_half, ops, values,
                           ops.dno_values_half(values), g.half_d1 @ trace_half)

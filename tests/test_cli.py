@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 import vortexwave
 from vortexwave import cli
 from vortexwave.config import _SECTIONS, load_config
-from vortexwave.errors import NonFiniteEntry, ParseError, ValidationError
+from vortexwave.continuation import ContinuationEngine
+from vortexwave.errors import (
+    NonFiniteEntry,
+    ParseError,
+    SingularBorderedSystem,
+    ValidationError,
+)
 from vortexwave.persistence import SCHEMA, load_branch_table, load_snapshot
 from vortexwave.system import PhysicalParameters, WaveSystem
 
@@ -256,11 +262,14 @@ class TestContinueMode:
         assert np.all(table["vortex_distance"] >= 0.05)
         assert np.all(table["residual_norm"] <= 1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("budget", ["3", "40"])
     def test_failed_attempts_do_not_use_up_the_budget(self, tmp_path,
                                                       budget):
         # no step converges at this density; whatever the budget, the
-        # halvings of ds end the run below ds_min as a Newton failure
+        # halvings of ds end the run below ds_min as a Newton failure.  A
+        # trial's residual is finite but its norm overflows, which is a
+        # non-finite entry, raised without a warning
         cfg = write_config(tmp_path, """
 [discretization]
 n_modes = 8
@@ -276,6 +285,35 @@ rho_lower = 1e300
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"] == "newton_failure"
         assert summary["points"] == 1  # the origin
+
+    def test_failure_at_a_converged_point_ends_with_a_summary(
+            self, tmp_path, monkeypatch):
+        # the third tangent is that of the second step's converged point:
+        # the branch ends at the point before it as a Newton failure
+        real_tangent = ContinuationEngine.tangent
+        calls = []
+
+        def failing_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise SingularBorderedSystem("injected tangent failure")
+            return real_tangent(*args, **kwargs)
+
+        monkeypatch.setattr(ContinuationEngine, "tangent", failing_third)
+        cfg = write_config(tmp_path, """
+[discretization]
+n_modes = 8
+m_vertical = 8
+""")
+        out = tmp_path / "out"
+        code = cli.main(["continue", "--config", cfg, "--out", str(out),
+                         "--max-steps", "5"])
+        assert code == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "newton_failure"
+        assert summary["exit_code"] == 3
+        table = load_branch_table(str(out / "branch.csv"))
+        assert summary["points"] == table["step"].size == 2
 
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["continue", "--config", str(tmp_path / "no.ini")])

@@ -1,5 +1,7 @@
 """Arclength driver: tangents, correctors, guards, classification, signs, symmetry."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor
@@ -239,12 +241,12 @@ class TestFailedTrialSolves:
         real_solve = LayerOperators.solve
         calls = []
 
-        def failing_once(ops, trace):
+        def failing_once(ops, trace, guess=None):
             calls.append(trace)
             # solves 1-2 are the origin; 3 is the first step's predictor
             if len(calls) == 3:
                 raise error("injected trial-point failure")
-            return real_solve(ops, trace)
+            return real_solve(ops, trace, guess)
 
         monkeypatch.setattr(LayerOperators, "solve", failing_once)
         branch = small_engine(max_steps=4).continue_branch()
@@ -321,20 +323,62 @@ class TestNewtonKrylov:
         assert np.abs(system.grid.even_values_half(
             prep.state.elevation)).max() > 0.05  # wavy
         v = rng.standard_normal(vec.size) * np.r_[decay, decay, decay, 1, 1]
-        got = engine._difference_product(vec, np.r_[res, gap], v, constraint)
         jac = system.jacobian_prepared(prep, strength)
         want = engine._bordered(prep, strength, jac, row) @ v
-        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+        # solved from zero, and started from the base point's layer values
+        for guess in (None, prep.values):
+            got = engine._difference_product(vec, np.r_[res, gap], v,
+                                             constraint, guess)
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_fixed_strength_solve_factors_little(self, lu_counter):
         # the origin tangent comes from the closed-form flat linearization;
-        # the first iteration builds the guess's Jacobian, the first
-        # Newton-Krylov step misses (it needs 12 vectors) and refreshes the
-        # chord, the later ones converge, and the solution's Jacobian is the
-        # fourth: all four solve adjoint blocks by GMRES and factor nothing
+        # the first iteration builds the guess's Jacobian, whose chord
+        # preconditions every Newton-Krylov step (12 and then 15 vectors),
+        # and the solution's Jacobian is the second: both solve adjoint
+        # blocks by GMRES and factor nothing
         point = small_engine(n_modes=32, m_vertical=16).solve_at(3.0)
         assert point.newton_iterations == 5
         assert lu_counter.factorizations == 0
+
+    def test_fixed_strength_solve_builds_two_jacobians(self, monkeypatch):
+        # at 64x32 the Newton-Krylov steps take 12, 16, 15 and 15 vectors,
+        # all within KRYLOV_VECTORS, so the guess's Jacobian is the only
+        # chord and the solution's the only other Jacobian
+        jacobians = []
+        real_jacobian = WaveSystem.jacobian_prepared
+
+        def counting(system, prep, strength):
+            jacobians.append(strength)
+            return real_jacobian(system, prep, strength)
+
+        monkeypatch.setattr(WaveSystem, "jacobian_prepared", counting)
+        point = small_engine(n_modes=64, m_vertical=32).solve_at(3.0)
+        assert point.newton_iterations == 5
+        assert jacobians == [3.0, 3.0]
+
+    def test_a_step_keeps_only_the_layer_values_of_its_base(self,
+                                                             monkeypatch):
+        # the operators of an accepted point hold the Jacobian's adjoint
+        # blocks; from the next step's first prepare on, only their nodal
+        # values are alive, as the guess of that step's trace solves
+        accepted = []  # weak references to the operators of each point
+        real_tangent = ContinuationEngine.tangent
+        real_prepare = WaveSystem.prepare
+
+        def recording(engine, prep, *args, **kwargs):
+            accepted.append([weakref.ref(layer.ops) for layer in prep.layers])
+            return real_tangent(engine, prep, *args, **kwargs)
+
+        def checking(system, state, guess=None):
+            assert all(ref() is None for refs in accepted for ref in refs)
+            return real_prepare(system, state, guess)
+
+        monkeypatch.setattr(ContinuationEngine, "tangent", recording)
+        monkeypatch.setattr(WaveSystem, "prepare", checking)
+        branch = small_engine(n_modes=32, m_vertical=16,
+                              max_steps=3).continue_branch()
+        assert len(accepted) == len(branch.points) == 4
 
     def test_fixed_strength_solve_matches_the_analytic_corrector(
             self, monkeypatch):

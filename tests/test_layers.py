@@ -389,6 +389,83 @@ class TestAdjointBlock:
         assert np.array_equal(solves[0], solves[1].ravel())
 
 
+class TestWarmStart:
+    """Trace solves started from the solution at a nearby state."""
+
+    NEARBY = 1e-6  # relative move of the interface and the trace
+
+    def strip_and_trace(self, state, side, strength_3, scale=1.0):
+        """(operator, trace) of one strip, its interface and trace times
+        `scale`: flat, under a 0.33 crest, thin (min thickness 0.1, where
+        GMRES misses and the solve takes the LU path) or at the 32x16
+        strength-3 solution."""
+        if state == "strength-3":
+            system, wave = strength_3
+            grid, m, eta = system.grid, system.m_vertical, wave.elevation
+            trace = wave.trace_lower if side == "lower" else wave.trace_upper
+        else:
+            grid, m = GRID, 32
+            crest = {"flat": 0.0, "crest": 0.33, "thin": -0.9}[state]
+            # thin means a crest towards the strip's own wall
+            eta = peaked(-crest if side == "upper" and state == "thin"
+                         else crest)
+            trace = EvenField(0.5 ** np.arange(NX))
+        ops = strip(grid, on_side(EvenField(scale * eta.coeffs), side), m)
+        return ops, EvenField(scale * trace.coeffs)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("state", ["flat", "crest", "thin", "strength-3"])
+    def test_agrees_with_the_cold_solve_and_lu(self, state, side, strength_3,
+                                               monkeypatch):
+        near, near_trace = self.strip_and_trace(state, side, strength_3,
+                                                1.0 + self.NEARBY)
+        guess = near.solve(near_trace)
+        ops, trace = self.strip_and_trace(state, side, strength_3)
+        vectors = []
+        real_gmres = layers.gmres
+
+        def counting(apply, precondition, rhs, max_vectors, tol, *args):
+            calls = []
+
+            def counted(v):
+                calls.append(v)
+                return apply(v)
+
+            solved = real_gmres(counted, precondition, rhs, max_vectors, tol,
+                                *args)
+            vectors.append(len(calls))
+            return solved
+
+        monkeypatch.setattr(layers, "gmres", counting)
+        cold = ops.solve(trace)
+        warm = ops.solve(trace, guess)
+        assert ops.factored == (state == "thin")
+        if state == "thin":  # both took the LU path: one miss, no warm GMRES
+            assert len(vectors) == 1
+            assert np.array_equal(warm, cold)
+        else:  # the warm start needs fewer vectors
+            assert vectors[1] < vectors[0]
+        rhs = np.zeros(cold.size)
+        rhs[::ops.m_vertical + 1] = ops.grid.even_values_half(trace)
+        referee = ops._solve_rhs(rhs).reshape(cold.shape)
+        assert worst_relative(warm, referee) <= 1e-12
+        assert worst_relative(warm, cold) <= 1e-12
+
+    @pytest.mark.parametrize("factor", [-1.0, 2.0, np.nan])
+    def test_a_guess_no_better_than_zero_is_ignored(self, factor):
+        # the residual of -u and of 2u is at least the right-hand side's,
+        # and a non-finite guess has none
+        ops = strip(GRID, peaked(0.33), 32)
+        trace = EvenField(0.5 ** np.arange(NX))
+        cold = ops.solve(trace)
+        assert np.array_equal(ops.solve(trace, factor * cold), cold)
+
+    def test_a_zero_trace_ignores_its_guess(self):
+        ops = strip(GRID, peaked(0.33), 32)
+        guess = ops.solve(EvenField(0.5 ** np.arange(NX)))
+        assert np.all(ops.solve(FLAT, guess) == 0.0)
+
+
 def as_block(v):
     """Nodal columns (nx mt, k) of the 33 x 17 grid as an (nx, k, mt) block."""
     return np.ascontiguousarray(v.reshape(33, 17, -1).transpose(0, 2, 1))
