@@ -45,6 +45,14 @@ _TERMINATION_EXIT = {
 }
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer: numpy's generators take no other seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative: {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortexwave",
@@ -65,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides the config)")
     cont.add_argument("--max-steps", type=int, metavar="N",
                       help="override the configured step budget")
-    check.add_argument("--seed", type=int, default=0, metavar="N",
-                       help="seed for the randomized checks")
+    check.add_argument("--seed", type=_seed, default=0, metavar="N",
+                       help="seed for the randomized checks (N >= 0)")
     return parser
 
 

@@ -16,7 +16,19 @@ factors as the chord.  Each later iteration takes a Newton-Krylov step
 KRYLOV_FORCING, right-preconditioned by the chord's factors, with
 Jacobian-vector products from forward differences of the bordered
 residual.  Those are residual-only evaluations, which factor no layer
-operator.  The analytic Jacobian takes over an iteration whose GMRES
+operator.  The first Newton-Krylov step of a corrector call keeps the
+chord it finds; each one right after another first refreshes the chord
+from the flat-strip Jacobian at its iterate
+(`system.WaveSystem.flat_jacobian`): the analytic Jacobian with each layer
+solved as the flat strip at its mean thickness, which needs no GMRES and
+follows the iterate, where the chord of the flat first-order guess does
+not.  The products stay exact-Jacobian products, so the refresh changes
+how many Krylov vectors a step needs, not the step it converges to.  At
+64x32 the strength-3 solve's later steps take 5, 4 and 4 vectors instead
+of 16, 15 and 15, and a flat Jacobian costs one or two difference
+evaluations.  The 12- and 60-step default runs converge every point
+within two iterations, so within one Newton-Krylov step, and never
+refresh.  The analytic Jacobian takes over an iteration whose GMRES
 misses the forcing within KRYLOV_VECTORS or whose difference evaluation
 raises, and one whose layer operators are already factored (small grids,
 or a trace solve that fell back to LU), where its layer solves
@@ -124,8 +136,9 @@ KRYLOV_FORCING = 1e-7
 #: Jacobian takes over that iteration.  A miss pays the vectors it built
 #: plus a Jacobian, which costs about 25-35 warm difference evaluations at
 #: 64x32; at 10, the first step of the strength-3 solve missed by two
-#: vectors and cost a third Jacobian, while at 20 its steps take 12, 16, 15
-#: and 15 vectors
+#: vectors and cost a third Jacobian, while at 20 its steps take 12, 5, 4
+#: and 4 vectors, the last three on flat-strip chords (16, 15 and 15 on the
+#: guess's chord)
 KRYLOV_VECTORS = 20
 
 #: numerical failures of a step: a corrector that raises one is retried at
@@ -395,8 +408,10 @@ class ContinuationEngine:
         An iteration without a usable step builds the analytic Jacobian,
         solves with its bordered factors and keeps them as the new chord.
         Later iterations whose layer operators are not factored take a
-        Newton-Krylov step preconditioned by the chord.  Returns (state,
-        strength, iterations, prep, residual norm).
+        Newton-Krylov step preconditioned by the chord.  One that follows a
+        Newton-Krylov step first refactors the chord from the flat-strip
+        Jacobian at the current iterate (`system.WaveSystem.flat_jacobian`).
+        Returns (state, strength, iterations, prep, residual norm).
         """
         tol = self.settings.newton_tol
         newton_max = self.settings.newton_max
@@ -405,6 +420,7 @@ class ContinuationEngine:
         chord = None
         if chord_jac is not None:
             chord = self._factor_bordered(prep, strength, chord_jac, row)
+        krylov = False  # whether the last step was a Newton-Krylov step
         for iteration in range(newton_max + 1):
             if np.linalg.norm(res) <= tol and abs(gap) <= tol:
                 return state, strength, iteration, prep, float(
@@ -416,8 +432,14 @@ class ContinuationEngine:
             step = None
             if iteration > 0 and not all(layer.ops.factored
                                          for layer in prep.layers):
+                if krylov:  # the last step was one: refresh its chord
+                    chord = self._factor_bordered(
+                        prep, strength,
+                        self.system.flat_jacobian(prep, strength), row,
+                    )
                 step = self._krylov_step(current, bordered_res, chord,
                                          constraint, prep.values)
+            krylov = step is not None
             if step is None:
                 if chord is None or iteration > 0:
                     chord = self._factor_bordered(

@@ -43,7 +43,12 @@ functional of a solve, either the interface u_tau or the vertical
 derivative at the probe, so one adjoint block Z = A^-T [E^T | e] of
 N + 1 columns, and one more with a probe, serves all three; it is solved
 once per operator, on the transposes of the apply and of the
-preconditioner.
+preconditioner.  Its flat counterpart M^-T [E^T | e], M the flat-strip
+preconditioner, costs one transposed preconditioner apply per panel and no
+GMRES (`flat_adjoint_block`).  Read in the place of Z, it gives the
+Jacobian's layer products of the flat strip at the layer's mean
+thickness, which the continuation corrector uses to precondition its
+Newton-Krylov steps; it is never kept, so it never stands in for Z.
 
 Both applies and both preconditioners take a vector or an (x node,
 column, tau node) block.  In that layout each x product is one BLAS
@@ -109,9 +114,10 @@ KRYLOV_MIN_UNKNOWNS = 500
 KRYLOV_MAX = 40
 
 #: columns of one GMRES call: `LayerOperators._solve` runs a wider block
-#: as near-equal panels of at most this many, so the Krylov basis, the
-#: Hessenberg and rotation arrays and every `WorkBuffers` role hold one
-#: panel, not the block
+#: as near-equal panels of at most this many, and so does
+#: `LayerOperators.flat_adjoint_block`, so every `WorkBuffers` role, the
+#: Krylov basis and the Hessenberg and rotation arrays among them, holds
+#: one panel, not the block
 BLOCK_COLUMNS = 22
 
 #: GMRES stopping rule on the relative residual estimate: converged below
@@ -140,15 +146,18 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     `floor` once one more vector cuts the estimate by less than the factor
     KRYLOV_STALL.  Later vectors are built for the columns still running
     only.  Basis vector i is a view of `work` under the role "krylov i";
-    the sum of the finished columns, the Gram-Schmidt scratch and the
-    gathered columns of a partly finished block have the roles
-    "combined", "gram-schmidt" and "gather".  A caller whose apply runs
-    other solves on the same buffers passes none, and the call draws fresh
-    ones.  A one-column block runs exactly as the vector does.  Returns the
-    solution as `precondition` returns it, in the layout of `rhs`, so
-    possibly a view of the preconditioner's buffers that its next call
-    overwrites: a caller that keeps it copies it.  Returns None when an
-    estimate turns non-finite or a column runs out of vectors.
+    the sum of the finished columns, the Gram-Schmidt scratch, the
+    gathered columns of a partly finished block, the Hessenberg matrix,
+    the rotations and the rotated right-hand side have the roles
+    "combined", "gram-schmidt", "gather", "hessenberg", "rotations" and
+    "givens rhs", sized by the call's own column count.  A caller whose
+    apply runs other solves on the same buffers passes none, and the call
+    draws fresh ones.  A one-column block runs exactly as the vector does.
+    Returns the solution as
+    `precondition` returns it, in the layout of `rhs`, so possibly a view
+    of the preconditioner's buffers that its next call overwrites: a
+    caller that keeps it copies it.  Returns None when an estimate turns
+    non-finite or a column runs out of vectors.
     """
     work = WorkBuffers() if work is None else work
     one = rhs.ndim == 1 or rhs.shape[1] == 1
@@ -166,13 +175,17 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
                                      (x.shape[0], cols.size, x.shape[2])))
 
     beta = np.sqrt(np.einsum("akb,akb->k", b, b))
-    hess = np.zeros((max_vectors + 1, max_vectors, k))
-    # the product Q^T of the Givens rotations so far, applied to each new
-    # Hessenberg column at once rather than one rotation after another
-    rot = np.zeros((max_vectors + 1, max_vectors + 1, k))
-    rot[0, 0] = 1.0
-    g = np.zeros((max_vectors + 1, k))
+    # a column's Hessenberg and g entries are written before they are
+    # read, while it runs, so neither is zeroed
+    hess = work.view("hessenberg", (max_vectors + 1, max_vectors, k))
+    g = work.view("givens rhs", (max_vectors + 1, k))
     g[0] = beta
+    # the product Q^T of the Givens rotations so far, applied to each new
+    # Hessenberg column at once rather than one rotation after another;
+    # it reads the zeros above its band
+    rot = work.view("rotations", (max_vectors + 1, max_vectors + 1, k))
+    rot.fill(0.0)
+    rot[0, 0] = 1.0
     combined = work.view("combined", b.shape)  # sum of y_i basis_i
     combined.fill(0.0)
     projections = work.view("gram-schmidt", (b.size,))
@@ -237,6 +250,12 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     if running.size:
         return None
     return precondition(caller(combined))
+
+
+def _panels(k: int):
+    """ceil(k / BLOCK_COLUMNS) near-equal slices that cover k columns."""
+    count = math.ceil(k / BLOCK_COLUMNS)
+    return [slice(k * i // count, k * (i + 1) // count) for i in range(count)]
 
 
 def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -668,10 +687,7 @@ class LayerOperators:
                     start, target, relax = guess, correction, size / left
             out = np.empty(rhs.shape)
             out_block, rhs_block = self._block(out), self._block(target)
-            k = out_block.shape[1]
-            panels = math.ceil(k / BLOCK_COLUMNS)
-            for i in range(panels):
-                panel = slice(k * i // panels, k * (i + 1) // panels)
+            for panel in _panels(out_block.shape[1]):
                 solved = gmres(apply, precondition, rhs_block[:, panel],
                                KRYLOV_MAX, relax * KRYLOV_TOL,
                                relax * KRYLOV_FLOOR, self._work)
@@ -727,20 +743,34 @@ class LayerOperators:
         u_tau_ifc, u_x_ifc = self._interface_tau_x(values)
         return self._extraction(self.eta_half, u_tau_ifc, u_x_ifc)
 
-    def dno_matrix(self) -> np.ndarray:
+    def dno_matrix(self, block: np.ndarray | None = None) -> np.ndarray:
         """Trace coefficients -> Dirichlet-to-Neumann coefficients.
 
         A solve keeps the trace as its interface values, so their x
         derivative needs no solve, and the interface u_tau of the solve for
         trace coefficients c is E A^-1 B c = Z^T B c, B placing the trace's
-        half-grid values on the interface rows (Z from `_adjoint_block`).
+        half-grid values on the interface rows (Z from `_adjoint_block`, or
+        `block`, such as the `flat_adjoint_block`, in its place).
         """
         grid = self.grid
         nx = grid.n_modes + 1
-        u_tau_ifc = self._adjoint_block[:, :nx, 0].T @ grid._cos_mat
+        z = self._adjoint_block if block is None else block
+        u_tau_ifc = z[:, :nx, 0].T @ grid._cos_mat
         vals = self._extraction(self.eta_half[:, None],
                                 u_tau_ifc, grid.half_d1 @ grid._cos_mat)
         return grid._cos_inv @ vals
+
+    def _adjoint_columns(self) -> np.ndarray:
+        """[E^T | e] as a fresh (nx, k, mt) block: the right-hand sides of
+        `_adjoint_block` and `flat_adjoint_block`."""
+        nx = self.grid.n_modes + 1
+        mt = self.m_vertical + 1
+        rhs = np.zeros((nx, nx + (self.probe is not None), mt))
+        rhs[np.arange(nx), np.arange(nx)] = self._d_tau[0]
+        if self.probe is not None:
+            row_x, t_rows, h = self._probe_rows
+            rhs[:, nx] = np.outer(row_x, (2.0 / h) * t_rows[1])
+        return rhs
 
     @cached_property
     def _adjoint_block(self) -> np.ndarray:
@@ -757,15 +787,23 @@ class LayerOperators:
         block is (nx, k, mt): column c of Z is Z[:, c, :].  It is solved
         once, on first use, and read-only.
         """
-        nx = self.grid.n_modes + 1
-        mt = self.m_vertical + 1
-        rhs = np.zeros((nx, nx + (self.probe is not None), mt))
-        rhs[np.arange(nx), np.arange(nx)] = self._d_tau[0]
-        if self.probe is not None:
-            row_x, t_rows, h = self._probe_rows
-            rhs[:, nx] = np.outer(row_x, (2.0 / h) * t_rows[1])
-        z = self._solve(rhs, transposed=True)
+        z = self._solve(self._adjoint_columns(), transposed=True)
         z.flags.writeable = False  # shared by every caller
+        return z
+
+    def flat_adjoint_block(self) -> np.ndarray:
+        """M^-T [E^T | e]: `_adjoint_block` with the flat strip M for A.
+
+        `_flat_solve_transpose` runs on one panel of columns at a time, so
+        no work buffer outgrows a panel.  Read in place of Z, the block
+        gives the Jacobian's layer products as if A were the flat strip at
+        the mean thickness, exactly so on a strip of constant thickness.
+        The block is a fresh array, computed on every call and never kept.
+        """
+        z = self._adjoint_columns()
+        for panel in _panels(z.shape[1]):
+            z[:, panel] = self._flat_solve_transpose(
+                np.ascontiguousarray(z[:, panel]))
         return z
 
     # -- interior evaluation ---------------------------------------------------
@@ -814,15 +852,18 @@ class LayerOperators:
                             else self._point_rows(point))
         return float(2.0 * (row_x @ values @ t_rows[1]) / h)
 
-    def interior_dy_row(self) -> np.ndarray:
+    def interior_dy_row(self, block: np.ndarray | None = None
+                        ) -> np.ndarray:
         """Row functional: trace coefficients -> vertical derivative at the
-        probe."""
+        probe, read from `_adjoint_block` or from `block` in its place."""
         nx = self.grid.n_modes + 1
-        return self._adjoint_block[:, nx, 0] @ self.grid._cos_mat
+        z = self._adjoint_block if block is None else block
+        return z[:, nx, 0] @ self.grid._cos_mat
 
     # -- directional shape derivatives ----------------------------------------
 
-    def shape_batch(self, values: np.ndarray):
+    def shape_batch(self, values: np.ndarray,
+                    block: np.ndarray | None = None):
         """Directional derivatives along every elevation cosine mode.
 
         The operator's coefficients are the `_profiles` of h, h_x and h_xx.
@@ -844,7 +885,8 @@ class LayerOperators:
         interior_dy_dirs) where dno_dirs[:, k] holds half-grid values of
         the derivative of the interface extraction and interior_dy_dirs[k]
         the derivative of the vertical derivative at the probe (None
-        without one), for the solution `values`.
+        without one), for the solution `values`.  `block`, such as the
+        `flat_adjoint_block`, takes the place of Z when given.
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -864,7 +906,7 @@ class LayerOperators:
         g = np.stack([one_plus * (grid.half_d1 @ w_d), one_plus**2 * w_dd,
                       w_dd, one_plus * w_d], axis=1)
         g[:, :, ::self.m_vertical] = 0.0  # no geometry on the Dirichlet rows
-        z = self._adjoint_block
+        z = self._adjoint_block if block is None else block
         y = np.empty((nx, 4, z.shape[1]))
         for j in range(nx):
             _blas_product(g[j], z[j].T, out=y[j])

@@ -24,6 +24,9 @@ The analytic Jacobian assembles the true Fréchet derivative: the quadratic
 velocity terms contribute (state factor) * (derivative factor), and the
 composition of the vortex traces with the moving interface contributes
 strength-weighted second-derivative terms in the elevation block.
+flat_jacobian is the same assembly with each layer's solves replaced by
+its flat strip's, cheap and exact on strips of constant thickness, which
+the continuation corrector factors to precondition its Newton-Krylov steps.
 jacobian_fd is a literal central difference of the residual and serves as
 the referee for the analytic assembly.
 """
@@ -320,6 +323,22 @@ class WaveSystem:
 
     def jacobian_prepared(self, prep: PreparedState, strength: float) -> np.ndarray:
         """Analytic Jacobian over (elevation, upper trace, lower trace, speed)."""
+        return self._jacobian(prep, strength, flat=False)
+
+    def flat_jacobian(self, prep: PreparedState, strength: float) -> np.ndarray:
+        """The analytic Jacobian with each layer's solves on its flat strip.
+
+        Each layer's products come from its `flat_adjoint_block`, M^-T
+        [E^T | e] with M the flat strip at the layer's mean thickness, in
+        place of A^-T [E^T | e]: no GMRES, and exact where both strips have
+        constant thickness.  Everything else is as in `jacobian_prepared`.
+        """
+        return self._jacobian(prep, strength, flat=True)
+
+    def _jacobian(self, prep: PreparedState, strength: float, flat: bool
+                  ) -> np.ndarray:
+        """The Jacobian assembly of `jacobian_prepared` and, when `flat`,
+        of `flat_jacobian`."""
         g = self.grid
         p = self.params
         n = g.n_modes + 1
@@ -342,9 +361,10 @@ class WaveSystem:
         for k, layer in ((2, prep.lower), (1, prep.upper)):
             block = slice(k * n, (k + 1) * n)  # its trace columns and row
             gamma = layer.sign * strength
-            shape, probe_shape = layer.ops.shape_batch(layer.values)
+            z = layer.ops.flat_adjoint_block() if flat else None
+            shape, probe_shape = layer.ops.shape_batch(layer.values, z)
             shape = layer.sign * shape  # strip under sign * elevation
-            dno = basis @ layer.ops.dno_matrix()
+            dno = basis @ layer.ops.dno_matrix(z)
 
             # its share weight * ((speed + a) a' + b b') of the dynamic
             # block: trace columns, elevation columns (shape, slope and
@@ -371,7 +391,8 @@ class WaveSystem:
 
             if layer.ops.probe is not None:
                 jac[-1, :n] = probe_shape
-                jac[-1, block] = layer.ops.interior_dy_row()
+                jac[-1, block] = layer.ops.interior_dy_row(z)
+            del z  # a flat block lives for its layer's columns only
 
         # buoyancy and the curvature linearization complete the elevation
         # columns

@@ -575,6 +575,15 @@ class TestValidateMode:
         assert len(lines) == 6
         assert all(ln.startswith("PASS") for ln in lines)
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # numpy's generators reject it, which a check would report as FAIL
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--seed", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--seed" in err and "non-negative" in err
+
 
 #: values each key is tried with: the non-finite, signed, tiny and huge
 #: floats, small integers, booleans and text that is none of these

@@ -334,28 +334,73 @@ class TestNewtonKrylov:
     def test_fixed_strength_solve_factors_little(self, lu_counter):
         # the origin tangent comes from the closed-form flat linearization;
         # the first iteration builds the guess's Jacobian, whose chord
-        # preconditions every Newton-Krylov step (12 and then 15 vectors),
-        # and the solution's Jacobian is the second: both solve adjoint
-        # blocks by GMRES and factor nothing
+        # preconditions the first Newton-Krylov step (12 vectors), each
+        # later step refreshes the chord from the flat-strip Jacobian (5, 4
+        # and 4 vectors), and the solution's Jacobian is the second exact
+        # one: both solve adjoint blocks by GMRES, the flat ones solve none,
+        # and none factors anything
         point = small_engine(n_modes=32, m_vertical=16).solve_at(3.0)
         assert point.newton_iterations == 5
         assert lu_counter.factorizations == 0
 
     def test_fixed_strength_solve_builds_two_jacobians(self, monkeypatch):
-        # at 64x32 the Newton-Krylov steps take 12, 16, 15 and 15 vectors,
-        # all within KRYLOV_VECTORS, so the guess's Jacobian is the only
-        # chord and the solution's the only other Jacobian
-        jacobians = []
+        # at 64x32 the first Newton-Krylov step, preconditioned by the
+        # guess's Jacobian, takes 12 vectors; each later one first refactors
+        # the chord from the flat-strip Jacobian at its iterate and takes
+        # 5, 4 and 4 (16, 15 and 15 on the guess's chord).  All stay within
+        # KRYLOV_VECTORS, so the guess's Jacobian and the solution's are the
+        # only exact ones
+        jacobians, flat, vectors = [], [], []
         real_jacobian = WaveSystem.jacobian_prepared
+        real_flat = WaveSystem.flat_jacobian
+        real_gmres = continuation.gmres
 
         def counting(system, prep, strength):
             jacobians.append(strength)
             return real_jacobian(system, prep, strength)
 
+        def counting_flat(system, prep, strength):
+            flat.append(strength)
+            return real_flat(system, prep, strength)
+
+        def counting_vectors(apply, *args):
+            products = []
+
+            def product(v):
+                products.append(v)
+                return apply(v)
+
+            step = real_gmres(product, *args)
+            vectors.append(None if step is None else len(products))
+            return step
+
         monkeypatch.setattr(WaveSystem, "jacobian_prepared", counting)
+        monkeypatch.setattr(WaveSystem, "flat_jacobian", counting_flat)
+        monkeypatch.setattr(continuation, "gmres", counting_vectors)
         point = small_engine(n_modes=64, m_vertical=32).solve_at(3.0)
         assert point.newton_iterations == 5
         assert jacobians == [3.0, 3.0]
+        assert flat == [3.0, 3.0, 3.0]
+        assert len(vectors) == 4
+        assert all(v is not None and v <= most
+                   for v, most in zip(vectors, [12, 6, 6, 6]))
+
+    def test_branch_steps_keep_their_chord(self, monkeypatch):
+        # every corrector call of the 12-step 64x32 branch takes at most
+        # one Newton-Krylov step, which keeps the chord of its base point's
+        # Jacobian, so no flat-strip Jacobian is built
+        flat = []
+        real_flat = WaveSystem.flat_jacobian
+
+        def counting_flat(system, prep, strength):
+            flat.append(strength)
+            return real_flat(system, prep, strength)
+
+        monkeypatch.setattr(WaveSystem, "flat_jacobian", counting_flat)
+        branch = small_engine(n_modes=64, m_vertical=32,
+                              max_steps=12).continue_branch()
+        assert len(branch.points) == 13
+        assert flat == []
 
     def test_a_step_keeps_only_the_layer_values_of_its_base(self,
                                                              monkeypatch):

@@ -135,17 +135,28 @@ def test_block_products_run_on_scipy_blas():
         assert [p.lineno for p in _numpy_products(helper)] == [], name
         assert "_blas_product" in {_called_name(c) for c in ast.walk(helper)
                                    if isinstance(c, ast.Call)}, name
-    # the shape derivatives' -Z^T R: the adjoint block, and every array
-    # computed from it, is an operand of `_blas_product` and of no numpy
-    # product
+    # the shape derivatives' -Z^T R: the adjoint block, or the block passed
+    # in its place, and every array computed from either, is an operand of
+    # `_blas_product` and of no numpy product
     shape = _function(tree, "shape_batch")
     block_reads = [a for a in ast.walk(shape) if isinstance(a, ast.Attribute)
                    and a.attr == "_adjoint_block"]
     assert len(block_reads) == 1
+    passed = {arg.arg for arg in shape.args.args if arg.arg == "block"}
+    assert passed, "shape_batch takes no block in the adjoint block's place"
+
+    def plain(node):  # the operator's block or the passed one, as it is
+        return node is block_reads[0] or (isinstance(node, ast.Name)
+                                          and node.id in passed)
+
     derived = {target.id for node in ast.walk(shape)
-               if isinstance(node, ast.Assign) and node.value is block_reads[0]
+               if isinstance(node, ast.Assign) and (
+                   plain(node.value) or (isinstance(node.value, ast.IfExp)
+                                         and plain(node.value.body)
+                                         and plain(node.value.orelse)))
                for target in node.targets if isinstance(target, ast.Name)}
     assert derived, "the adjoint block is not bound to a name"
+    derived |= passed
     while True:  # names assigned from, or written by a product of, the block
         grown = set(derived)
         for node in ast.walk(shape):

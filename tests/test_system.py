@@ -329,6 +329,74 @@ class TestJacobian:
         assert rel < 1e-7
 
 
+class TestFlatJacobian:
+    """The analytic Jacobian read through each layer's flat-strip block."""
+
+    @pytest.mark.parametrize("raised", [False, True])
+    def test_exact_on_strips_of_constant_thickness(self, raised):
+        # with h constant the flat strip at the mean thickness is the layer
+        # operator itself: at the origin, and at a constant elevation with
+        # nonzero traces and speed, where the shape terms do not vanish
+        system = WaveSystem(PARAMS, 32, 16)
+        n = system.grid.n_modes + 1
+        state = system.origin()
+        if raised:
+            wavy = decayed_state(np.random.default_rng(4), 32, speed=0.1)
+            eta = np.zeros(n)
+            eta[0] = 0.1
+            state = WaveState(EvenField(eta), wavy.trace_upper,
+                              wavy.trace_lower, wavy.speed)
+        prep = system.prepare(state)
+        flat = system.flat_jacobian(prep, 0.3)
+        exact = system.jacobian_prepared(prep, 0.3)
+        blocks = {
+            "elevation": (slice(None, n), slice(None, n)),
+            "upper layer": (slice(None, n), slice(n, 2 * n)),
+            "lower layer": (slice(None, n), slice(2 * n, 3 * n)),
+            "probe row": (-1, slice(None)),
+        }
+        for name, block in blocks.items():
+            scale = np.abs(exact[block]).max()
+            assert scale > 0.0, name
+            assert np.abs(flat[block] - exact[block]).max() <= 1e-12 * scale, (
+                name)
+        # the shape terms, small against gravity and tension in the
+        # elevation columns, on their own
+        for layer in prep.layers if raised else ():
+            ops = layer.ops
+            want = ops.shape_batch(layer.values)
+            got = ops.shape_batch(layer.values, ops.flat_adjoint_block())
+            for exact_part, flat_part in zip(want, got):
+                if exact_part is not None:
+                    scale = np.abs(exact_part).max()
+                    assert scale > 1e-3
+                    assert np.abs(flat_part - exact_part).max() <= (
+                        1e-12 * scale)
+
+    def test_leaves_the_exact_jacobian_as_it_was(self):
+        # the flat blocks are never kept: the exact Jacobian of a prepared
+        # state equals, bit for bit, that of a fresh prepare
+        system = WaveSystem(PARAMS, 32, 16)
+        state = decayed_state(np.random.default_rng(7), 32, eta_scale=0.05)
+        prep = system.prepare(state)
+        flat = system.flat_jacobian(prep, 0.3)
+        assert not any("_adjoint_block" in vars(layer.ops)
+                       for layer in prep.layers)
+        exact = system.jacobian_prepared(prep, 0.3)
+        assert np.array_equal(
+            exact, system.jacobian_prepared(system.prepare(state), 0.3))
+        assert not np.allclose(flat, exact)  # a wavy state
+
+    def test_work_buffers_hold_one_panel(self):
+        # the flat blocks of N + 1 and N + 2 columns run a panel at a time
+        system = WaveSystem(PARAMS, 64, 32)
+        prep = system.prepare(decayed_state(np.random.default_rng(5), 64))
+        system.flat_jacobian(prep, 0.02)
+        panel = 65 * layers.BLOCK_COLUMNS * 33
+        assert max(buffer.size for buffer in system._work._buffers.values()
+                   ) <= panel
+
+
 class TestStrengthDerivative:
     def test_matches_central_difference(self):
         rng = np.random.default_rng(21)
