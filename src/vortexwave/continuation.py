@@ -7,37 +7,44 @@ is halved, at most MAX_HALVINGS times, until the bordered residual norm
 drops; the corrector has converged once the residual and the constraint are
 both within newton_tol, after at most newton_max updates.
 
-The corrector keeps a chord: the LU factors of a bordered Jacobian.  A
-branch step starts from the chord of its accepted base point and solves
-its first iteration with it.  The fixed-strength solve has no base point,
-so its first iteration builds the analytic Jacobian and keeps its bordered
-factors as the chord.  Each later iteration takes a Newton-Krylov step
-(Knoll & Keyes 2004): GMRES on the bordered system to the relative forcing
-KRYLOV_FORCING, right-preconditioned by the chord's factors, with
+The corrector keeps a chord: the LU factors of a bordered Jacobian, of
+one of two kinds.  A branch step's chord is exact: the analytic Jacobian
+of its accepted base point.  The fixed-strength solve has no base point,
+and its chord is the flat-strip Jacobian at its guess
+(`system.WaveSystem.flat_jacobian`): the analytic Jacobian with each
+layer solved as the flat strip at its mean thickness, which needs no
+GMRES.  The guess of `solve_at` has zero elevation and traces, so there
+that chord is exact, and the solve builds the analytic Jacobian for its
+converged point alone.  The first iteration solves with the chord.  Each
+later one takes a Newton-Krylov step (Knoll & Keyes 2004): GMRES on the
+bordered system, right-preconditioned by the chord's factors, with
 Jacobian-vector products from forward differences of the bordered
 residual.  Those are residual-only evaluations, which factor no layer
-operator.  The first Newton-Krylov step of a corrector call keeps the
-chord it finds; each one right after another first refreshes the chord
-from the flat-strip Jacobian at its iterate
-(`system.WaveSystem.flat_jacobian`): the analytic Jacobian with each layer
-solved as the flat strip at its mean thickness, which needs no GMRES and
-follows the iterate, where the chord of the flat first-order guess does
-not.  The products stay exact-Jacobian products, so the refresh changes
-how many Krylov vectors a step needs, not the step it converges to.  At
-64x32 the strength-3 solve's later steps take 5, 4 and 4 vectors instead
-of 16, 15 and 15, and a flat Jacobian costs one or two difference
-evaluations.  The 12- and 60-step default runs converge every point
-within two iterations, so within one Newton-Krylov step, and never
-refresh.  The analytic Jacobian takes over an iteration whose GMRES
-misses the forcing within KRYLOV_VECTORS or whose difference evaluation
-raises, and one whose layer operators are already factored (small grids,
-or a trace solve that fell back to LU), where its layer solves
-back-substitute; its bordered factors become the chord.  The analytic
-Jacobian factors no layer operator either: it reads each layer through one
-adjoint block solved by GMRES (`layers.LayerOperators._adjoint_block`).
-So above the Krylov crossover a branch factors no layer operator at all
-unless a GMRES solve misses, and every accepted point still gets the exact
-Jacobian that the tangent and the point diagnostics need.
+operator.  A flat chord is refactored at the iterate before every
+Newton-Krylov step, since the flat guess's chord does not follow the
+iterate as its crest grows (to 0.33 at strength 3); an exact chord, built
+near the iterate, is kept.  The products stay exact-Jacobian products, so the
+chord changes how many Krylov vectors a step needs, not the step it
+converges to.
+
+Each step is solved only as far as it needs (`_forcing`).  On a flat chord
+the relative forcing follows the residual, Eisenstat and Walker's
+FORCING_GAMMA (|F_k| / |F_k-1|)^2 capped at FORCING_MAX; on an exact chord
+it is KRYLOV_FORCING.  Either is raised to the floor FORCING_FLOOR
+newton_tol / |F_k|, so no step is solved past what the tolerance can use.
+At 64x32 the strength-3 solve takes 2, 2, 2 and 3 vectors in its four
+Newton-Krylov steps, builds five flat Jacobians and one exact one, and
+the default branches run every Newton-Krylov step at the floor.  The
+analytic Jacobian takes over an iteration whose GMRES misses the forcing
+within KRYLOV_VECTORS or whose difference evaluation raises, and one whose
+layer operators are already factored (small grids, or a trace solve that
+fell back to LU), where its layer solves back-substitute; its bordered
+factors become the chord, which is then exact.  The analytic Jacobian
+factors no layer operator either: it reads each layer through one adjoint
+block solved by GMRES (`layers.LayerOperators._adjoint_block`).  So above
+the Krylov crossover a branch factors no layer operator at all unless a
+GMRES solve misses, and every accepted point still gets the exact Jacobian
+that the tangent and the point diagnostics need.
 
 A miss pays for the vectors it built and then for a Jacobian.  At 64x32
 near strength 3 a Jacobian takes 100-135 ms and a warm difference
@@ -126,19 +133,36 @@ FAST_ITERATIONS = 3
 #: damping halvings attempted before a corrector iteration is abandoned
 MAX_HALVINGS = 5
 
-#: relative residual a Newton-Krylov step must reach (the forcing term).
-#: At 1e-6 the 60-step default branch strayed up to 3.4e-9 (relative) from
-#: the one the analytic Jacobian gives; 1e-7 keeps it within 1.4e-10 for
-#: about one more Krylov vector per iteration
+#: relative residual a Newton-Krylov step on an exact chord must reach,
+#: unless the floor FORCING_FLOOR * newton_tol / |F_k| is higher, which
+#: it is for every |F_k| below 1e-4 at newton_tol = 1e-10.  The 60-step
+#: default branch starts its Newton-Krylov steps from |F_k| below 2.4e-6,
+#: so all 58 run at the floor (forcing 4e-6 to 0.05) and take 146 vectors
+#: instead of 206 at this bound alone; its states stay within 1.8e-11
+#: (absolute) of the analytic corrector's, with the same iterations and
+#: determinant signs.  Without the floor, 1e-6 here let that branch stray
+#: up to 3.4e-9 (relative) from the analytic corrector's
 KRYLOV_FORCING = 1e-7
+
+#: Eisenstat-Walker forcing of a Newton-Krylov step on a flat chord (their
+#: choice 2, SIAM J. Sci. Comput. 17, 1996): FORCING_GAMMA times the square
+#: of the last residual reduction, at most FORCING_MAX.  Their safeguard
+#: max(eta, FORCING_GAMMA eta_prev^2) applies only once FORCING_GAMMA
+#: eta_prev^2 > 0.1, which FORCING_MAX = 0.1 rules out
+FORCING_GAMMA = 0.9
+FORCING_MAX = 0.1
+
+#: no step is solved further than the tolerance can use (Knoll & Keyes
+#: 2004): its forcing is at least FORCING_FLOOR * newton_tol / |F_k|, the
+#: relative residual at which the linearized residual after the step is a
+#: tenth of the tolerance
+FORCING_FLOOR = 0.1
 
 #: Krylov vectors a Newton-Krylov step may build before the analytic
 #: Jacobian takes over that iteration.  A miss pays the vectors it built
 #: plus a Jacobian, which costs about 25-35 warm difference evaluations at
-#: 64x32; at 10, the first step of the strength-3 solve missed by two
-#: vectors and cost a third Jacobian, while at 20 its steps take 12, 5, 4
-#: and 4 vectors, the last three on flat-strip chords (16, 15 and 15 on the
-#: guess's chord)
+#: 64x32, so the bound stays below that; the strength-3 solve's steps take
+#: 2 or 3 vectors, and those of the default branches 1 to 3
 KRYLOV_VECTORS = 20
 
 #: numerical failures of a step: a corrector that raises one is retried at
@@ -367,10 +391,11 @@ class ContinuationEngine:
         return (np.r_[evaluated[3], evaluated[4]] - bordered_res) / eps
 
     def _krylov_step(self, vec: np.ndarray, bordered_res: np.ndarray,
-                     chord, constraint, guess) -> np.ndarray | None:
+                     chord, constraint, guess, forcing: float
+                     ) -> np.ndarray | None:
         """Newton-Krylov step, preconditioned by the chord's factors.
 
-        GMRES on difference products to the relative forcing KRYLOV_FORCING;
+        GMRES on difference products to the relative residual `forcing`;
         None when it misses within KRYLOV_VECTORS or a difference evaluation
         raises.
         """
@@ -379,10 +404,25 @@ class ContinuationEngine:
                 lambda v: self._difference_product(vec, bordered_res, v,
                                                    constraint, guess),
                 lambda v: lu_solve(chord, v, check_finite=False),
-                -bordered_res, KRYLOV_VECTORS, KRYLOV_FORCING,
+                -bordered_res, KRYLOV_VECTORS, forcing,
             )
         except VortexWaveError:
             return None
+
+    def _forcing(self, norm: float, last_norm: float, flat: bool) -> float:
+        """Relative forcing of a Newton-Krylov step at bordered residual
+        norm `norm`, the last iterate's being `last_norm`.
+
+        On a flat chord, Eisenstat and Walker's choice 2,
+        min(FORCING_MAX, FORCING_GAMMA (norm / last_norm)^2); on an exact
+        one, KRYLOV_FORCING.  Either is raised to FORCING_FLOOR newton_tol
+        / norm, at which the linearized residual after the step is
+        FORCING_FLOOR newton_tol; that floor is below FORCING_FLOOR < 1,
+        since an iterate that takes a step has not converged.
+        """
+        eta = (min(FORCING_MAX, FORCING_GAMMA * (norm / last_norm) ** 2)
+               if flat else KRYLOV_FORCING)
+        return max(eta, FORCING_FLOOR * self.settings.newton_tol / norm)
 
     def _factor_bordered(self, prep: PreparedState, strength: float,
                          jac: np.ndarray, row: np.ndarray):
@@ -403,24 +443,26 @@ class ContinuationEngine:
         constraint's gradient and `constraint(vec)` its value; `guess`, the
         layers' nodal values at a nearby state, starts the trace solves of
         the first evaluation, and the current iterate's values start those
-        of every later one.  The chord is the factored bordered matrix of
-        `chord_jac` when one is given; the first iteration solves with it.
-        An iteration without a usable step builds the analytic Jacobian,
-        solves with its bordered factors and keeps them as the new chord.
-        Later iterations whose layer operators are not factored take a
-        Newton-Krylov step preconditioned by the chord.  One that follows a
-        Newton-Krylov step first refactors the chord from the flat-strip
-        Jacobian at the current iterate (`system.WaveSystem.flat_jacobian`).
-        Returns (state, strength, iterations, prep, residual norm).
+        of every later one.  The first iteration solves with the chord:
+        the factored bordered matrix of the exact Jacobian `chord_jac` when
+        one is given, else of the flat-strip Jacobian at the start
+        (`system.WaveSystem.flat_jacobian`).  Later iterations whose layer
+        operators are not factored take a Newton-Krylov step preconditioned
+        by the chord, to the forcing of `_forcing`; a flat chord is first
+        refactored at the current iterate, an exact one is kept.  An
+        iteration without a usable step builds the analytic Jacobian,
+        solves with its bordered factors and keeps them as the new, exact,
+        chord.  Returns (state, strength, iterations, prep, residual norm).
         """
         tol = self.settings.newton_tol
         newton_max = self.settings.newton_max
         state, strength, prep, res, gap, norm = self._evaluate(
             current, constraint, guess)
         chord = None
+        flat = False  # whether the chord is a flat-strip Jacobian's
         if chord_jac is not None:
             chord = self._factor_bordered(prep, strength, chord_jac, row)
-        krylov = False  # whether the last step was a Newton-Krylov step
+        last_norm = norm
         for iteration in range(newton_max + 1):
             if np.linalg.norm(res) <= tol and abs(gap) <= tol:
                 return state, strength, iteration, prep, float(
@@ -432,23 +474,26 @@ class ContinuationEngine:
             step = None
             if iteration > 0 and not all(layer.ops.factored
                                          for layer in prep.layers):
-                if krylov:  # the last step was one: refresh its chord
+                if flat:  # a flat chord follows the iterate
                     chord = self._factor_bordered(
                         prep, strength,
                         self.system.flat_jacobian(prep, strength), row,
                     )
-                step = self._krylov_step(current, bordered_res, chord,
-                                         constraint, prep.values)
-            krylov = step is not None
+                step = self._krylov_step(
+                    current, bordered_res, chord, constraint, prep.values,
+                    self._forcing(norm, last_norm, flat))
             if step is None:
                 if chord is None or iteration > 0:
+                    # no chord yet: the fixed-strength solve's first is flat
+                    flat = chord is None
+                    jacobian = (self.system.flat_jacobian if flat
+                                else self.system.jacobian_prepared)
                     chord = self._factor_bordered(
-                        prep, strength,
-                        self.system.jacobian_prepared(prep, strength), row,
-                    )
+                        prep, strength, jacobian(prep, strength), row)
                 step = lu_solve(chord, -bordered_res, check_finite=False)
             if not np.all(np.isfinite(step)):
                 raise NonFiniteEntry("Newton step has non-finite entries")
+            last_norm = norm
             scale = 1.0
             last_guard = None
             for _ in range(MAX_HALVINGS + 1):
@@ -473,7 +518,11 @@ class ContinuationEngine:
 
     def newton_correct(self, guess: WaveState, strength: float
                        ) -> tuple[WaveState, int, float, PreparedState]:
-        """Damped Newton at fixed strength; returns the converged state."""
+        """Damped Newton at fixed strength; returns the converged state.
+
+        The first chord is the flat-strip Jacobian at `guess`, exact when
+        the guess's elevation is constant, as that of `solve_at` is.
+        """
         self.check_guards(guess)
         n = self.system.n_unknowns
         state, _, iterations, prep, norm = self._damped_newton(

@@ -44,11 +44,13 @@ derivative at the probe, so one adjoint block Z = A^-T [E^T | e] of
 N + 1 columns, and one more with a probe, serves all three; it is solved
 once per operator, on the transposes of the apply and of the
 preconditioner.  Its flat counterpart M^-T [E^T | e], M the flat-strip
-preconditioner, costs one transposed preconditioner apply per panel and no
-GMRES (`flat_adjoint_block`).  Read in the place of Z, it gives the
-Jacobian's layer products of the flat strip at the layer's mean
-thickness, which the continuation corrector uses to precondition its
-Newton-Krylov steps; it is never kept, so it never stands in for Z.
+preconditioner, is a closed form (`flat_adjoint_block`): each column of
+[E^T | e] is rank one in (x, tau), so M^-T maps it to the cosine
+synthesis times per-mode tau profiles, one product per panel and no
+GMRES.  Read in the place of Z, it gives the Jacobian's layer products of
+the flat strip at the layer's mean thickness, which the continuation
+corrector factors as the chord of its fixed-strength solve; it is never
+kept, so it never stands in for Z.
 
 Both applies and both preconditioners take a vector or an (x node,
 column, tau node) block.  In that layout each x product is one BLAS
@@ -791,19 +793,59 @@ class LayerOperators:
         z.flags.writeable = False  # shared by every caller
         return z
 
+    def _flat_profiles(self, tau_row: np.ndarray) -> np.ndarray:
+        """Per-mode tau profiles of M^-T on a column x-part (x) tau_row.
+
+        `_flat_solve_transpose` maps a rank-one column a (x) b to C^-T
+        diag(C^T a) P, whose row k, P[k] = T_k^-T b, is the transposed
+        solve of mode k (same notation): its interior part
+        (b V / (lam / h^2 - k^2)) V^-1 on whole tau rows, plus b's two
+        Dirichlet entries.  Returns P as a fresh (nx, mt) array.
+        """
+        den, inv_pad, vecs_pad = self._flat_strip
+        inner = _blas_product(tau_row[None, :], vecs_pad) / den
+        profiles = _blas_product(inner, inv_pad)
+        profiles[:, ::self.m_vertical] += tau_row[::self.m_vertical]
+        return profiles
+
     def flat_adjoint_block(self) -> np.ndarray:
         """M^-T [E^T | e]: `_adjoint_block` with the flat strip M for A.
 
-        `_flat_solve_transpose` runs on one panel of columns at a time, so
-        no work buffer outgrows a panel.  Read in place of Z, the block
-        gives the Jacobian's layer products as if A were the flat strip at
-        the mean thickness, exactly so on a strip of constant thickness.
-        The block is a fresh array, computed on every call and never kept.
+        Column j of E^T is the x unit vector j times the tau row d_tau[0],
+        and e is the probe's x row times its tau row, so each column is
+        rank one in (x, tau) and M^-T maps it to C^-T diag(C^T a) P
+        (`_flat_profiles`), C the cosine synthesis: the columns of E^T
+        share one P, and their x parts C^T e_j are the rows of C.  So a
+        panel of them is one product of C^-T with the (mode, column, tau)
+        block C[j, k] P[k], formed in the work buffer "scratch" and
+        multiplied into "precondition", a panel at a time, so that no
+        buffer outgrows a panel; the probe column is one small product
+        more.  Read in place of Z, the block gives the Jacobian's layer
+        products as if A were the flat strip at the mean thickness,
+        exactly so on a strip of constant thickness.  The block is a fresh
+        array, computed on every call and never kept.
         """
-        z = self._adjoint_columns()
-        for panel in _panels(z.shape[1]):
-            z[:, panel] = self._flat_solve_transpose(
-                np.ascontiguousarray(z[:, panel]))
+        grid = self.grid
+        nx = grid.n_modes + 1
+        mt = self.m_vertical + 1
+        c_inv_t = grid._cos_inv.T
+        z = np.empty((nx, nx + (self.probe is not None), mt))
+        profiles = self._flat_profiles(self._d_tau[0])
+        for panel in _panels(nx):
+            cols = panel.stop - panel.start
+            modes = self._work.view("scratch", (nx, cols, mt))
+            np.multiply(grid._cos_mat.T[:, panel, None], profiles[:, None],
+                        out=modes)
+            z[:, panel] = _blas_product(
+                c_inv_t, modes.reshape(nx, -1),
+                out=self._work.view("precondition", (nx, cols * mt)),
+            ).reshape(nx, cols, mt)
+        if self.probe is not None:
+            row_x, t_rows, h = self._probe_rows
+            x_modes = _blas_product(row_x[None, :], grid._cos_mat)
+            z[:, nx] = _blas_product(
+                c_inv_t,
+                x_modes.T * self._flat_profiles((2.0 / h) * t_rows[1]))
         return z
 
     # -- interior evaluation ---------------------------------------------------

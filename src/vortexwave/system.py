@@ -26,7 +26,8 @@ composition of the vortex traces with the moving interface contributes
 strength-weighted second-derivative terms in the elevation block.
 flat_jacobian is the same assembly with each layer's solves replaced by
 its flat strip's, cheap and exact on strips of constant thickness, which
-the continuation corrector factors to precondition its Newton-Krylov steps.
+the continuation corrector factors as the chord of its fixed-strength
+solve, at the guess and before each Newton-Krylov step.
 jacobian_fd is a literal central difference of the residual and serves as
 the referee for the analytic assembly.
 """

@@ -13,7 +13,12 @@ from vortexwave.continuation import (
     ContinuationSettings,
     classify_termination,
 )
-from vortexwave.errors import LinearSolveFailure, NonFiniteEntry, VortexTooClose
+from vortexwave.errors import (
+    LinearSolveFailure,
+    NewtonFailure,
+    NonFiniteEntry,
+    VortexTooClose,
+)
 from vortexwave.layers import LayerOperators, flat_interior_dy_symbol
 from vortexwave.spectral import EvenField
 from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
@@ -333,24 +338,20 @@ class TestNewtonKrylov:
 
     def test_fixed_strength_solve_factors_little(self, lu_counter):
         # the origin tangent comes from the closed-form flat linearization;
-        # the first iteration builds the guess's Jacobian, whose chord
-        # preconditions the first Newton-Krylov step (12 vectors), each
-        # later step refreshes the chord from the flat-strip Jacobian (5, 4
-        # and 4 vectors), and the solution's Jacobian is the second exact
-        # one: both solve adjoint blocks by GMRES, the flat ones solve none,
-        # and none factors anything
+        # the first iteration solves with the flat-strip Jacobian at the
+        # flat guess, each later one refactors that chord at its iterate
+        # before its Newton-Krylov step, and the solution's Jacobian is the
+        # only exact one: it solves adjoint blocks by GMRES, the flat ones
+        # solve none, and none factors anything
         point = small_engine(n_modes=32, m_vertical=16).solve_at(3.0)
         assert point.newton_iterations == 5
         assert lu_counter.factorizations == 0
 
-    def test_fixed_strength_solve_builds_two_jacobians(self, monkeypatch):
-        # at 64x32 the first Newton-Krylov step, preconditioned by the
-        # guess's Jacobian, takes 12 vectors; each later one first refactors
-        # the chord from the flat-strip Jacobian at its iterate and takes
-        # 5, 4 and 4 (16, 15 and 15 on the guess's chord).  All stay within
-        # KRYLOV_VECTORS, so the guess's Jacobian and the solution's are the
-        # only exact ones
-        jacobians, flat, vectors = [], [], []
+    @staticmethod
+    def _count_solve(monkeypatch, engine, strength):
+        """(point, exact Jacobians, flat Jacobians, (forcing, vectors) of
+        each Newton-Krylov step, vectors None on a miss) of a solve_at."""
+        jacobians, flat, steps = [], [], []
         real_jacobian = WaveSystem.jacobian_prepared
         real_flat = WaveSystem.flat_jacobian
         real_gmres = continuation.gmres
@@ -363,32 +364,60 @@ class TestNewtonKrylov:
             flat.append(strength)
             return real_flat(system, prep, strength)
 
-        def counting_vectors(apply, *args):
+        def counting_vectors(apply, precondition, rhs, max_vectors, forcing,
+                             *args):
             products = []
 
             def product(v):
                 products.append(v)
                 return apply(v)
 
-            step = real_gmres(product, *args)
-            vectors.append(None if step is None else len(products))
+            step = real_gmres(product, precondition, rhs, max_vectors,
+                              forcing, *args)
+            steps.append((forcing, None if step is None else len(products)))
             return step
 
         monkeypatch.setattr(WaveSystem, "jacobian_prepared", counting)
         monkeypatch.setattr(WaveSystem, "flat_jacobian", counting_flat)
         monkeypatch.setattr(continuation, "gmres", counting_vectors)
-        point = small_engine(n_modes=64, m_vertical=32).solve_at(3.0)
+        return engine.solve_at(strength), jacobians, flat, steps
+
+    def test_fixed_strength_solve_builds_one_jacobian(self, monkeypatch):
+        # at 64x32 the flat guess's chord is the flat-strip Jacobian, exact
+        # there; each Newton-Krylov step refactors it at its iterate and,
+        # solved only as far as its residual reduction asks, takes 2, 2, 2
+        # and 3 vectors, so the solution's Jacobian is the only exact one
+        point, jacobians, flat, steps = self._count_solve(
+            monkeypatch, small_engine(n_modes=64, m_vertical=32), 3.0)
         assert point.newton_iterations == 5
-        assert jacobians == [3.0, 3.0]
-        assert flat == [3.0, 3.0, 3.0]
-        assert len(vectors) == 4
-        assert all(v is not None and v <= most
-                   for v, most in zip(vectors, [12, 6, 6, 6]))
+        assert jacobians == [3.0]
+        assert flat == [3.0] * 5
+        assert len(steps) == 4
+        assert all(v is not None and v <= 3 for _, v in steps)
+
+    @pytest.mark.parametrize("newton_tol", [0.5, 0.2, 1e-12])
+    def test_forcing_stays_below_one(self, monkeypatch, newton_tol):
+        # the guess's bordered residual is 0.79 and the first iterate's
+        # 0.21: at 0.5 one chord step converges, at 0.2 one Newton-Krylov
+        # step runs at the floor 0.1 * newton_tol / |F| = 0.097, and at
+        # 1e-12 the floor binds on the last step; every forcing stays below
+        # one
+        engine = small_engine(n_modes=32, m_vertical=16,
+                              newton_tol=newton_tol)
+        try:
+            point, _, _, steps = self._count_solve(monkeypatch, engine, 3.0)
+        except NewtonFailure:
+            point = None
+        if point is not None:
+            assert point.residual_norm <= newton_tol
+        assert all(0.0 < forcing < 1.0 for forcing, _ in steps)
+        if newton_tol == 0.2:
+            assert len(steps) == 1
 
     def test_branch_steps_keep_their_chord(self, monkeypatch):
-        # every corrector call of the 12-step 64x32 branch takes at most
-        # one Newton-Krylov step, which keeps the chord of its base point's
-        # Jacobian, so no flat-strip Jacobian is built
+        # a branch step's chord is its base point's exact Jacobian, which
+        # every Newton-Krylov step of the 12-step 64x32 branch keeps, so no
+        # flat-strip Jacobian is built
         flat = []
         real_flat = WaveSystem.flat_jacobian
 
@@ -425,13 +454,16 @@ class TestNewtonKrylov:
                               max_steps=3).continue_branch()
         assert len(accepted) == len(branch.points) == 4
 
+    @pytest.mark.parametrize("strength, iterations",
+                             [(1.0, 4), (3.0, 5), (5.0, 6)])
     def test_fixed_strength_solve_matches_the_analytic_corrector(
-            self, monkeypatch):
-        krylov = small_engine(n_modes=32, m_vertical=16).solve_at(3.0)
+            self, monkeypatch, strength, iterations):
+        krylov = small_engine(n_modes=32, m_vertical=16).solve_at(strength)
         monkeypatch.setattr(ContinuationEngine, "_krylov_step",
                             lambda *args: None)
-        analytic = small_engine(n_modes=32, m_vertical=16).solve_at(3.0)
-        assert krylov.newton_iterations == analytic.newton_iterations
+        analytic = small_engine(n_modes=32, m_vertical=16).solve_at(strength)
+        assert krylov.newton_iterations == analytic.newton_iterations == (
+            iterations)
         assert np.abs(krylov.state.to_vector()
                       - analytic.state.to_vector()).max() <= 1e-9
 

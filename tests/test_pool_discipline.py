@@ -73,9 +73,12 @@ def test_no_numpy_lapack_outside_once_per_resolution_set_up():
 
 
 #: layers.py applies and the preconditioners' shared body, which GMRES
-#: calls once per Krylov vector: every product in them goes through
-#: `_blas_product`, which calls scipy.linalg.blas
-BLAS_HELPERS = ("_apply", "_flat_products", "_apply_transpose")
+#: calls once per Krylov vector, and the closed-form flat adjoint block and
+#: its tau profiles, built before every Newton-Krylov step on a flat chord:
+#: every product in them goes through `_blas_product`, which calls
+#: scipy.linalg.blas
+BLAS_HELPERS = ("_apply", "_flat_products", "_apply_transpose",
+                "_flat_profiles", "flat_adjoint_block")
 
 #: numpy functions that multiply arrays on numpy's own BLAS, or its pool
 NUMPY_PRODUCTS = ("dot", "matmul", "einsum", "tensordot", "inner", "vdot")
@@ -175,3 +178,36 @@ def test_block_products_run_on_scipy_blas():
     products = [c for c in ast.walk(shape) if isinstance(c, ast.Call)
                 and _called_name(c) == "_blas_product" and _reads(c, derived)]
     assert len(products) >= 2
+
+
+def _is_work_view(node):
+    """Whether a node is a call self._work.view(...)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "view"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "_work")
+
+
+def test_flat_adjoint_block_forms_its_panels_in_work_buffers():
+    # the (mode, column, tau) block of a panel and its product with the
+    # cosine synthesis are written into the operator's work buffers, inside
+    # the loop over panels, so no array the size of the whole block but the
+    # result is allocated
+    tree = ast.parse((PACKAGE / "layers.py").read_text())
+    flat = _function(tree, "flat_adjoint_block")
+    loops = [node for node in ast.walk(flat) if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Call)
+             and _called_name(node.iter) == "_panels"]
+    assert len(loops) == 1
+    written = [call for call in ast.walk(loops[0])
+               if isinstance(call, ast.Call)
+               and any(k.arg == "out" for k in call.keywords)]
+    names = {_called_name(call) for call in written}
+    assert {"multiply", "_blas_product"} <= names
+    views = {target.id for node in ast.walk(loops[0])
+             if isinstance(node, ast.Assign) and _is_work_view(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    for call in written:
+        out = next(k.value for k in call.keywords if k.arg == "out")
+        assert _is_work_view(out) or (
+            isinstance(out, ast.Name) and out.id in views), call.lineno

@@ -1,5 +1,7 @@
 """Residual blocks, analytic Jacobian, strength derivative, flat closed form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -386,6 +388,41 @@ class TestFlatJacobian:
         assert np.array_equal(
             exact, system.jacobian_prepared(system.prepare(state), 0.3))
         assert not np.allclose(flat, exact)  # a wavy state
+
+    def test_closed_form_block_matches_the_flat_solve(self):
+        # each column of [E^T | e] is rank one in (x, tau), so the flat
+        # block is the cosine synthesis times per-mode tau profiles; the
+        # referee is the transposed flat-strip solve of the columns, a
+        # panel at a time, on the unprobed upper and the probed lower strip
+        system = WaveSystem(PARAMS, 32, 16)
+        state = decayed_state(np.random.default_rng(7), 32, eta_scale=0.05)
+        prep = system.prepare(state)
+        assert np.abs(prep.elevation_half).max() > 0.02  # wavy
+        for layer, columns in ((prep.upper, 33), (prep.lower, 34)):
+            ops = layer.ops
+            rhs = ops._adjoint_columns()
+            want = np.empty_like(rhs)
+            for panel in layers._panels(rhs.shape[1]):
+                want[:, panel] = ops._flat_solve_transpose(
+                    np.ascontiguousarray(rhs[:, panel]))
+            got = ops.flat_adjoint_block()
+            assert got.shape == want.shape == (33, columns, 17)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_flat_block_allocates_little_besides_itself(self):
+        # the mode products of a panel live in the work buffers, so a
+        # repeated call allocates the block and a few (x, tau) profiles
+        system = WaveSystem(PARAMS, 64, 32)
+        prep = system.prepare(decayed_state(np.random.default_rng(5), 64))
+        ops = prep.lower.ops
+        block = ops.flat_adjoint_block()
+        tracemalloc.start()
+        try:
+            ops.flat_adjoint_block()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * block.nbytes
 
     def test_work_buffers_hold_one_panel(self):
         # the flat blocks of N + 1 and N + 2 columns run a panel at a time
