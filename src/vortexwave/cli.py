@@ -8,11 +8,11 @@ Three subcommands share one configuration format:
 * ``validate``: the built-in invariant suite, one pass/fail line per check.
 
 Exit codes: 0 success (including a branch that exhausts its step budget),
-2 configuration error (an unusable output directory or an output file that
-cannot be written among them), 3 numerical failure (running out of memory
-among them) or a failed validation, 4 a guard-triggered branch
-termination.  Codes 2, 3 and 4 leave the files written so far on disk;
-the table is written through per point.
+2 configuration error (an unusable output directory or output file, or a
+flat state outside a guard), 3 numerical failure (running out of memory
+or a failure at the flat state among them) or a failed validation, 4 a
+guard-triggered branch termination.  Codes 2, 3 and 4 leave the files
+written so far on disk; the table is written through per point.
 """
 
 from __future__ import annotations

@@ -62,11 +62,14 @@ inner product: discrete H^1 weights on the three field blocks and unit
 weights on the speed and the strength, so mode counts do not drown the
 scalars.
 
-check_guards is the one admissibility test: the fixed-strength solve runs it
-on its guess, continue_branch on each converged candidate before accepting
-it, so a finished branch is always a valid prefix.  Precedence when several
-guards trip at once: vortex proximity, then boundary contact, then norm
-blowup.  Inside the corrector, a trial point whose layer strip degenerates
+check_guards is the one admissibility test.  Both runs run it first on the
+flat state, which solves the system at zero strength by construction, and
+a violation there is a configuration error (`_flat_start`).  The
+fixed-strength solve runs it on its guess too, continue_branch on each
+converged candidate before accepting it, so a finished branch, row 0
+included, is always a valid prefix.  Precedence when several guards trip
+at once: vortex proximity, then boundary contact, then norm blowup.
+Inside the corrector, a trial point whose layer strip degenerates
 or whose interface meets or crosses a vortex is damped like a rejected
 trial.  A step whose corrector fails (no convergence, a bordered Jacobian
 with a zero pivot, a guard violation, a failed layer solve, or a
@@ -108,6 +111,7 @@ from .errors import (
     NewtonFailure,
     NonFiniteEntry,
     SingularBorderedSystem,
+    ValidationError,
     VortexTooClose,
     VortexWaveError,
 )
@@ -561,9 +565,18 @@ class ContinuationEngine:
             raise SingularBorderedSystem("tangent system is numerically singular")
         return raw / np.sqrt(self.weighted_dot(raw, raw))
 
+    def _flat_start(self) -> WaveState:
+        """The flat state, checked; ValidationError outside a guard."""
+        origin = self.system.origin()
+        try:
+            self.check_guards(origin)
+        except (VortexTooClose, DegenerateStrip) as exc:
+            raise ValidationError(f"flat state: {exc}") from exc
+        return origin
+
     def solve_at(self, strength: float) -> BranchPoint:
         """One fixed-strength solve seeded by the first-order origin predictor."""
-        origin = self.system.origin()
+        origin = self._flat_start()
         tang = self.tangent(self.system.prepare(origin), 0.0,
                             jac=self.system.flat_linearization())
         guess_vec = origin.to_vector() + (strength / tang[-1]) * tang[:-1]
@@ -579,18 +592,17 @@ class ContinuationEngine:
 
         A converged point is accepted once its Jacobian, diagnostics and
         tangent are computed; a STEP_FAILURES error among them ends the
-        branch at the last accepted point as a Newton failure.  Of an
-        accepted point's prepared state only the layers' nodal values are
-        kept, to start the next step's trace solves: its operators hold the
-        Jacobian's adjoint blocks.
+        branch at the last accepted point as a Newton failure; at the flat
+        state, with none before it, it propagates.  Of an accepted point's
+        prepared state only the layers' nodal values are kept, to start the
+        next step's trace solves: its operators hold the Jacobian's adjoint
+        blocks.
         """
         settings = self.settings
         branch = Branch()
 
-        state, strength, iterations = self.system.origin(), 0.0, 0
+        state, strength, iterations, norm = self._flat_start(), 0.0, 0, 0.0
         prep = self.system.prepare(state)
-        norm = float(np.linalg.norm(
-            self.system.residual_prepared(prep, 0.0).to_vector()))
         tang = None
         ds = settings.ds0
         while True:
@@ -599,6 +611,8 @@ class ContinuationEngine:
                 point = self._point(state, strength, norm, iterations, jac)
                 tang = self.tangent(prep, strength, previous=tang, jac=jac)
             except STEP_FAILURES:
+                if not branch.points:
+                    raise
                 branch.termination = Alternative.NEWTON_FAILURE
                 return branch
             branch.points.append(point)

@@ -4,8 +4,7 @@ Unknowns are (elevation, upper trace, lower trace, speed) with the vortex
 strength as the continuation parameter.  The four residual blocks are
 
   dynamic         pressure balance on the interface: speed coupling, squared
-                  trace velocities of both layers, gravity, curvature,
-                  minus the Bernoulli constant;
+                  trace velocities of both layers, gravity and curvature;
   kinematic_upper upper trace + strength * upper vortex trace + speed * elevation;
   kinematic_lower same for the lower layer;
   drift           speed + vertical interior derivative of the lower harmonic
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteEntry
+from .errors import NonFiniteEntry, SingularEvaluation
 from .layers import LayerOperators, WorkBuffers, flat_interior_dy_symbol
 from .spectral import CollocationGrid, EvenField
 from .vortex import (
@@ -65,12 +64,11 @@ class PhysicalParameters:
     surface_tension: float = 0.1
     depth: float = 1.0
     half_period: float = float(np.pi)
-    bernoulli_constant: float = 0.0
     pair: VortexPair = VortexPair((0.0, -0.5), (0.0, 0.5))
 
     def __post_init__(self):
         for name in ("rho_lower", "rho_upper", "gravity", "surface_tension",
-                     "depth", "half_period", "bernoulli_constant"):
+                     "depth", "half_period"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.rho_lower > 0:
@@ -92,6 +90,8 @@ class PhysicalParameters:
                 speed = pair_induced_speed(self.pair, self.half_period)
         except OverflowError:
             speed = np.inf
+        except SingularEvaluation as exc:  # the pair all but coincides
+            raise ValueError(f"vortex_y and phantom_y: {exc}") from exc
         if not np.isfinite(speed):
             raise ValueError("half_period is too short for the vortex pair: "
                              "the periodized kernel overflows")
@@ -153,14 +153,6 @@ class Residual:
             self.kinematic_lower.coeffs,
             [self.drift],
         ])
-
-    def block_norms(self) -> tuple[float, float, float, float]:
-        return (
-            float(np.linalg.norm(self.dynamic.coeffs)),
-            float(np.linalg.norm(self.kinematic_upper.coeffs)),
-            float(np.linalg.norm(self.kinematic_lower.coeffs)),
-            abs(self.drift),
-        )
 
 
 @dataclass(frozen=True)
@@ -292,7 +284,7 @@ class WaveSystem:
         e = prep.elevation_half
         tr = prep.traces
         dynamic = (p.buoyancy * e + p.surface_tension * prep.curvature_half
-                   / (1.0 + prep.slope_half**2) ** 1.5 - p.bernoulli_constant)
+                   / (1.0 + prep.slope_half**2) ** 1.5)
         kinematic = []
         for layer in prep.layers:
             a, b = self._velocity(prep, layer, strength)

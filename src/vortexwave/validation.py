@@ -1,9 +1,9 @@
 """Built-in invariant suite behind the `validate` subcommand.
 
 One curated check per module-level contract that matters at runtime:
-flat-strip operator symbols, the trivial solution, the closed-form origin
-linearization, finite-difference referees for the Jacobian and the strength
-derivative, and the origin tangent.
+flat-strip operator symbols, the closed-form origin linearization,
+finite-difference referees for the Jacobian and the strength derivative,
+and the origin tangent.
 Each check prints one pass/fail line; the suite is deterministic for a
 fixed seed.
 """
@@ -42,13 +42,6 @@ def check_flat_dno(params: PhysicalParameters):
     worst = max(abs(mat[k, k] - symbol[k]) / abs(symbol[k])
                 for k in range(17))
     return worst < 1e-10, f"worst relative multiplier error {worst:.2e}"
-
-
-def check_trivial_solution(params: PhysicalParameters):
-    system = WaveSystem(params, 64, 32)
-    norms = system.residual(system.origin(), 0.0).block_norms()
-    worst = max(norms)
-    return worst < 1e-12, f"largest origin block norm {worst:.2e}"
 
 
 def check_origin_linearization(params: PhysicalParameters):
@@ -111,7 +104,6 @@ def run_validation(params: PhysicalParameters, seed: int = 0,
     stream = stream if stream is not None else sys.stdout
     checks = [
         ("flat_dno_multipliers", lambda: check_flat_dno(params)),
-        ("trivial_solution", lambda: check_trivial_solution(params)),
         ("origin_linearization", lambda: check_origin_linearization(params)),
         ("jacobian_fd_referee", lambda: check_jacobian_referee(params, seed)),
         ("strength_derivative_fd", lambda: check_strength_derivative(

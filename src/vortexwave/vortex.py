@@ -47,13 +47,14 @@ class VortexPair:
 def _scaled(dx, dy, half_period: float):
     """(a, a dx, a dy, cosh(a dy) - cos(a dx)) with a = pi / L.
 
-    Raises SingularEvaluation within SINGULAR_RADIUS of the vortex or one of
-    its periodic images, where the denominator vanishes.
+    The denominator is summed as 2 (sinh^2(a dy / 2) + sin^2(a dx / 2)),
+    free of cancellation near the vortex.  Raises SingularEvaluation within
+    SINGULAR_RADIUS of the vortex or one of its periodic images.
     """
     a = np.pi / half_period
     ax = a * np.asarray(dx, dtype=float)
     ay = a * np.asarray(dy, dtype=float)
-    den = np.cosh(ay) - np.cos(ax)
+    den = 2.0 * (np.sinh(0.5 * ay) ** 2 + np.sin(0.5 * ax) ** 2)
     if np.any(den < 0.5 * (a * SINGULAR_RADIUS) ** 2):
         raise SingularEvaluation(
             f"evaluation within {SINGULAR_RADIUS:.1e} of the vortex"

@@ -7,18 +7,24 @@ without wrapping anything, so a rename or deletion shows up here first.
 The reference tables the benchmark checks its output against must still
 have the table format that persistence.py writes, and the seed-0 commands
 of the gated workloads, run in this process, must pass perfbench/run.py's
-`check_output` against them, so a change of the branch fails here too.
+`check_output` against them, so a change of the branch fails here too.  A
+short 16x8 branch at each non-default [physical] value must pass its
+invariants: exit code, one row and snapshot per point, and every residual
+within newton_tol.
 """
 
 import importlib
 import importlib.util
 import inspect
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from vortexwave import cli, persistence
+
+from test_cli import NON_DEFAULT
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER_PATH = PERFBENCH / "tracer.py"
@@ -77,10 +83,10 @@ def test_the_workloads_have_reference_tables():
     assert {"branch-64x32.csv", "solve-64x32.csv"} <= names
 
 
-@pytest.mark.parametrize("name", ["branch-64x32", "solve-64x32"])
-def test_seed_zero_output_passes_the_benchmark_check(name, tmp_path, capsys,
-                                                    monkeypatch):
-    workload = RUN.WORKLOADS[name]
+def _check(name, workload, seed, tmp_path, capsys, monkeypatch):
+    """perfbench/run.py's `check_output` on one run of the workload's
+    seed-0 configuration in this process; `seed` 0 compares it with the
+    reference, any other checks its invariants alone."""
     config = tmp_path / "config.ini"
     config.write_text(RUN.config_text(workload, 0))
     points = []  # one stamp per recorded point, as the benchmark's child
@@ -96,4 +102,25 @@ def test_seed_zero_output_passes_the_benchmark_check(name, tmp_path, capsys,
                      "--out", str(out)])
     record = {"exit_code": code, "stderr": capsys.readouterr().err,
               "points": points}
-    assert RUN.check_output(name, workload, 0, out, record) == []
+    return RUN.check_output(name, workload, seed, out, record)
+
+
+@pytest.mark.parametrize("name", ["branch-64x32", "solve-64x32"])
+def test_seed_zero_output_passes_the_benchmark_check(name, tmp_path, capsys,
+                                                    monkeypatch):
+    assert _check(name, RUN.WORKLOADS[name], 0, tmp_path, capsys,
+                  monkeypatch) == []
+
+
+@pytest.mark.parametrize("key", [key.split(".")[1] for key in NON_DEFAULT
+                                 if key.startswith("physical.")])
+def test_every_physical_key_keeps_the_benchmark_invariants(key, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+    workload = replace(
+        RUN.WORKLOADS["branch-64x32"],
+        command=("continue", "--max-steps", "2"), rows=3,
+        config={"discretization": {"n_modes": 16, "m_vertical": 8},
+                "physical": {key: NON_DEFAULT[f"physical.{key}"]}})
+    assert _check("branch-16x8", workload, 1, tmp_path, capsys,
+                  monkeypatch) == []

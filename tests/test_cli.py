@@ -55,7 +55,6 @@ NON_DEFAULT = {
     "physical.surface_tension": 0.2,
     "physical.depth": 1.5,
     "physical.half_period": 3.0,
-    "physical.bernoulli_constant": 0.1,
     "physical.vortex_y": -0.6,
     "physical.phantom_y": 0.7,
     "discretization.n_modes": 16,
@@ -348,7 +347,7 @@ m_vertical = 8
         # an infinite tolerance accepts every predictor unconverged
         ("continuation", "newton_tol", "inf"),
         ("continuation", "newton_tol", "nan"),
-        ("physical", "bernoulli_constant", "nan"),
+        ("physical", "bernoulli_constant", "nan"),  # no longer a setting
         ("physical", "depth", "inf"),
         ("physical", "surface_tension", "inf"),
         ("physical", "rho_lower", "inf"),
@@ -356,6 +355,7 @@ m_vertical = 8
         ("physical", "half_period", "inf"),
         ("physical", "half_period", "1e-300"),  # the kernel overflows
         ("physical", "half_period", "1e-3"),
+        ("physical", "vortex_y", "-1e-13"),  # the pair all but coincides
         ("physical", "kernel", "periodized"),  # no longer a setting
         ("discretization", "dealias", "true"),  # no longer a setting
     ])
@@ -572,7 +572,7 @@ class TestValidateMode:
         code = cli.main(["validate", "--seed", "1"])
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
         assert code == 0
-        assert len(lines) == 6
+        assert len(lines) == 5
         assert all(ln.startswith("PASS") for ln in lines)
 
     def test_negative_seed_is_a_usage_error(self, capsys):
@@ -633,6 +633,28 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "numerical failure" in err and "MemoryError" in err
             assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("entry, code", [
+        ("vortex_y = -0.01", 2),  # inside the 0.05 vortex guard
+        ("surface_tension = 1e306", 3),  # the flat Jacobian overflows
+        ("vortex_y = -1e-13", 2),  # the pair all but coincides
+        ("bernoulli_constant = 0.01", 2),  # no longer a setting
+    ])
+    def test_flat_state_exits_before_the_first_row(self, tmp_path, capsys,
+                                                    entry, code):
+        cfg = write_config(tmp_path, "[discretization]\nn_modes = 16\n"
+                                     f"m_vertical = 8\n[physical]\n{entry}\n")
+        out = tmp_path / "out"
+        prefix = "configuration error" if code == 2 else "numerical failure"
+        for command in ("continue", "single-solve"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert cli.main([command, "--config", cfg,
+                                 "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) and len(err.splitlines()) == 1
+            if (out / "branch.csv").exists():
+                table = load_branch_table(str(out / "branch.csv"))
+                assert table["step"].size == 0
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])

@@ -57,6 +57,16 @@ class TestPeriodizedKernel:
             assert gy == pytest.approx(a / (4.0 * np.pi * np.tanh(a * y / 2)),
                                        rel=1e-14)
 
+    @pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_gradient_keeps_its_digits_near_the_vortex(self, r):
+        # the denominator is (a r)^2 / 2 here, a small difference of two
+        # terms near 1 unless it is formed without cancellation
+        for L in (np.pi, 2.2):
+            a = np.pi / L
+            _, gy = gamma_grad(0.0, r, L)
+            assert gy == pytest.approx(a / (4.0 * np.pi * np.tanh(a * r / 2)),
+                                       rel=1e-12)
+
     def test_gradient_matches_finite_difference(self):
         p = (1.1, -0.4)
         h = 1e-6
