@@ -23,6 +23,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import RunConfig, load_config, load_config_file
 from .continuation import Alternative, Branch, ContinuationEngine
 from .errors import ConfigError, VortexWaveError
@@ -180,7 +182,10 @@ def main(argv=None) -> int:
         "validate": _run_validate,
     }
     try:
-        return handlers[args.mode](args)
+        # every non-finite value is caught by an explicit check, which
+        # reports it as one line; numpy's warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handlers[args.mode](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

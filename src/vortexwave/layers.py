@@ -25,32 +25,40 @@ of the stream function and gives the k = 0 Dirichlet-to-Neumann multiplier
 the value 1/d on a flat strip.
 
 Every solve runs GMRES (Saad & Schultz 1986) on a matrix-free apply,
-right-preconditioned by the flat strip at the layer's mean thickness.  The
+right-preconditioned by the flat strip M at the layer's mean thickness.  The
 flat strip separates into one Chebyshev boundary-value problem per cosine
 mode, and all of them share the interior block of d^2/dtau^2, which is
 diagonalized once per vertical resolution; so an operator keeps only its
 per-mode denominators and Dirichlet coupling, and applying the
 preconditioner costs two products with the eigenvector matrices, padded to
-whole tau rows, besides the cosine transforms.  A trace solve, the only
-solve a residual needs, runs on the operator A itself.  It may start from
-a guess u0, the same strip's nodal values at a nearby state: GMRES then
+whole tau rows, besides the cosine transforms.  Since the cosine synthesis
+turns -k^2 into the collocated d^2/dx^2, M shares A's u_xx term, its
+Dirichlet rows and, with 1/h^2 for c_tt, its u_tautau term; so
+A M^-1 = I + delta M^-1, with delta = A - M the first-order terms and
+(c_tt - 1/h^2) u_tautau on the interior rows and zero on the Dirichlet rows
+(`_deviation`; Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981, for the same
+saving in a split preconditioner).  GMRES runs on v + delta(M^-1 v), one x
+product and the Dirichlet rows cheaper than A(M^-1 v), and a solve is its
+start plus M^-1 of GMRES's result.  A trace solve, the only solve a
+residual needs, solves with A, not its transpose.  It may start from a
+guess u0, the same strip's nodal values at a nearby state: GMRES then
 solves A d = r - A u0 for the correction, with KRYLOV_TOL and KRYLOV_FLOOR
 scaled by |r| / |r - A u0|, so that it stops at the residual a solve from
-zero stops at, and a guess no better than zero is ignored.  Everything the
-Jacobian reads from a layer (the Dirichlet-to-Neumann matrix, the
-directional shape derivatives and the interior-derivative row) is a
-functional of a solve, either the interface u_tau or the vertical
-derivative at the probe, so one adjoint block Z = A^-T [E^T | e] of
-N + 1 columns, and one more with a probe, serves all three; it is solved
-once per operator, on the transposes of the apply and of the
-preconditioner.  Its flat counterpart M^-T [E^T | e], M the flat-strip
-preconditioner, is a closed form (`flat_adjoint_block`): each column of
-[E^T | e] is rank one in (x, tau), so M^-T maps it to the cosine
-synthesis times per-mode tau profiles, one product per panel and no
-GMRES.  Read in the place of Z, it gives the Jacobian's layer products of
-the flat strip at the layer's mean thickness, which the continuation
-corrector factors as the chord of its fixed-strength solve; it is never
-kept, so it never stands in for Z.
+zero stops at, and a guess no better than zero is ignored.  Everything the Jacobian
+reads from a layer (the Dirichlet-to-Neumann matrix, the directional shape
+derivatives and the interior-derivative row) is a functional of a solve,
+either the interface u_tau or the vertical derivative at the probe, so one
+adjoint block Z = A^-T [E^T | e] of N + 1 columns, and one more with a
+probe, serves all three; it is solved once per operator, on the transposes
+of delta and of the preconditioner.  Its flat counterpart M^-T [E^T | e] is
+a closed form (`flat_adjoint_block`): each column of [E^T | e] is rank one
+in (x, tau), so M^-T maps it to the cosine synthesis times per-mode tau
+profiles, one product per panel and no GMRES.  It is Z on a flat strip, and
+Z starts from it, column by column as a trace solve starts from its guess;
+each column then builds one Krylov vector fewer near the flat state.  Read
+in the place of Z, it gives the Jacobian's layer products of the flat
+strip at the layer's mean thickness, which the continuation corrector
+factors as the chord of its fixed-strength solve.
 
 Both applies and both preconditioners take a vector or an (x node,
 column, tau node) block.  In that layout each x product is one BLAS
@@ -134,7 +142,7 @@ GAP_FLOOR_FRACTION = 0.02
 
 
 def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
-          tol: float, floor: float = 0.0,
+          tol: float | np.ndarray, floor: float | np.ndarray = 0.0,
           work: WorkBuffers | None = None) -> np.ndarray | None:
     """Right-preconditioned GMRES for apply(x) = rhs; None when it misses.
 
@@ -146,8 +154,10 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     `max_vectors` Krylov vectors of apply(precondition(.)) and stops on its
     own Arnoldi estimate of the relative residual: below `tol`, or below
     `floor` once one more vector cuts the estimate by less than the factor
-    KRYLOV_STALL.  Later vectors are built for the columns still running
-    only.  Basis vector i is a view of `work` under the role "krylov i";
+    KRYLOV_STALL.  `tol` and `floor` are numbers or one entry per column;
+    a column whose `tol` is at least 1, the estimate before any vector, is
+    solved by zero and builds none.  Later vectors are built for the
+    columns still running only.  Basis vector i is a view of `work` under the role "krylov i";
     the sum of the finished columns, the Gram-Schmidt scratch, the
     gathered columns of a partly finished block, the Hessenberg matrix,
     the rotations and the rotated right-hand side have the roles
@@ -165,6 +175,7 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     one = rhs.ndim == 1 or rhs.shape[1] == 1
     b = rhs.reshape(1, 1, -1) if one else rhs
     k = b.shape[1]
+    tol, floor = np.broadcast_to(tol, (k,)), np.broadcast_to(floor, (k,))
 
     def caller(x):  # x in the layout of rhs
         return x.reshape(rhs.shape) if one else x
@@ -176,7 +187,7 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
                        out=work.view("gather",
                                      (x.shape[0], cols.size, x.shape[2])))
 
-    beta = np.sqrt(np.einsum("akb,akb->k", b, b))
+    beta = _column_norms(b)
     # a column's Hessenberg and g entries are written before they are
     # read, while it runs, so neither is zeroed
     hess = work.view("hessenberg", (max_vectors + 1, max_vectors, k))
@@ -192,7 +203,8 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     combined.fill(0.0)
     projections = work.view("gram-schmidt", (b.size,))
     previous = np.ones(k)
-    running = np.flatnonzero(beta)  # a zero column's solution is zero
+    # zero solves a zero column, and one whose tol admits the estimate 1
+    running = np.flatnonzero((beta > 0.0) & (tol < 1.0))
     # a column of vector i is set while that column runs, and read only then
     basis = [np.divide(b, np.where(beta > 0.0, beta, 1.0)[:, None],
                        out=work.view("krylov 0", b.shape))]
@@ -208,7 +220,7 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
             dots = np.einsum("akb,akb->k", v, w)
             hess[i, j, sel] = dots
             w -= np.multiply(v, dots[:, None], out=product)
-        norm_w = np.sqrt(np.einsum("akb,akb->k", w, w))
+        norm_w = _column_norms(w)
         col = np.einsum("ila,la->ia", rot[:j + 1, :j + 1, sel],
                         hess[:j + 1, j, sel])
         rad = np.hypot(col[j], norm_w)
@@ -223,8 +235,9 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
         g[j + 1, sel] = -s * g[j, sel]
         g[j, sel] = c * g[j, sel]
         estimate = np.abs(g[j + 1, sel]) / beta[sel]
-        done = (estimate <= tol) | (
-            (estimate <= floor) & (estimate > KRYLOV_STALL * previous[sel]))
+        done = (estimate <= tol[sel]) | (
+            (estimate <= floor[sel])
+            & (estimate > KRYLOV_STALL * previous[sel]))
         if done.any():
             cols = sel if done.all() else running[done]
             y = _back_substitute(hess[:j + 1, :j + 1, cols], g[:j + 1, cols])
@@ -252,6 +265,17 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     if running.size:
         return None
     return precondition(caller(combined))
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column x[:, c] of an (a, k, b) block."""
+    return np.sqrt(np.einsum("akb,akb->k", x, x))
+
+
+def _unchanged(v: np.ndarray) -> np.ndarray:
+    """The identity, as the preconditioner of a system preconditioned
+    already."""
+    return v
 
 
 def _panels(k: int):
@@ -450,6 +474,11 @@ class LayerOperators:
         # that the applies take the coefficient over whole tau rows
         self._c_tt = np.outer(q_tt_quad, one_plus**2) + q_tt_flat[:, None]
         self._c_tt[:, ::mt - 1] = 0.0
+        # the preconditioner's flat strip has the mean thickness; its
+        # u_tautau coefficient is 1/h^2 (`_deviation`)
+        self._mean_h2 = (eta.coeffs[0] + depth) ** 2
+        self._c_tt_deviation = self._c_tt - 1.0 / self._mean_h2
+        self._c_tt_deviation[:, ::mt - 1] = 0.0
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
 
@@ -506,25 +535,15 @@ class LayerOperators:
         `u` is one vector (n,) or an (nx, k, mt) block (x node, column, tau
         node); the result has its shape and is a view of the work buffer
         "apply".  On each column w (x rows, tau columns) the interior rows
-        are D2x w + X (w M^T) + c_tt (w D2tau^T), with the first-order
-        factors X and M of `_profiles`: the x products run on the
-        (nx, k mt) view and the tau products on the (nx k, mt) view, all on
-        scipy's BLAS, and c_tt broadcasts over the columns.
+        are D2x w plus the variable terms of `_variable`, the x product on
+        the (nx, k mt) view on scipy's BLAS.
         """
-        grid = self.grid
         w = self._block(u)
-        nx, _, mt = w.shape
+        nx = w.shape[0]
         out = self._work.view("apply", w.shape)
-        part = self._work.view("scratch", w.shape)
-        _blas_product(grid.half_d2, w.reshape(nx, -1), out=out.reshape(nx, -1))
-        _blas_product(w.reshape(-1, mt), self._mixed_tau.T,
-                      out=part.reshape(-1, mt))
-        _blas_product(self._mixed_x, part.reshape(nx, -1),
-                      out=out.reshape(nx, -1), accumulate=True)
-        _blas_product(w.reshape(-1, mt), self._d_tau2.T,
-                      out=part.reshape(-1, mt))
-        part *= self._c_tt[:, None, :]
-        out += part
+        _blas_product(self.grid.half_d2, w.reshape(nx, -1),
+                      out=out.reshape(nx, -1))
+        self._variable(w, self._c_tt, out, accumulate=True)
         out[:, :, 0] = w[:, :, 0]  # the interface
         out[:, :, -1] = w[:, :, -1]  # the wall
         return out.reshape(u.shape)
@@ -539,28 +558,79 @@ class LayerOperators:
             L^T w = D2x^T w + X^T w M + (c_tt w) D2tau.
 
         M and c_tt vanish on the Dirichlet rows, so they read P v as v, and
-        D2x^T P v vanishes there, where Q v puts v itself.  The x products
-        run on the (nx, k mt) view and both tau products on the (nx k, mt)
-        view, added into the result by BLAS, which is a view of the work
-        buffer "apply".
+        D2x^T P v vanishes there, where Q v puts v itself.  The x product
+        runs on the (nx, k mt) view, and `_variable_transpose` adds the
+        rest; the result is a view of the work buffer "apply".
         """
-        grid = self.grid
         w = self._block(v)
-        nx, _, mt = w.shape
+        nx = w.shape[0]
         out = self._work.view("apply", w.shape)
-        part = self._work.view("scratch", w.shape)
-        _blas_product(grid.half_d2.T, w.reshape(nx, -1),
+        _blas_product(self.grid.half_d2.T, w.reshape(nx, -1),
                       out=out.reshape(nx, -1))
         out[:, :, 0] = w[:, :, 0]
         out[:, :, -1] = w[:, :, -1]
+        self._variable_transpose(w, self._c_tt, out, accumulate=True)
+        return out.reshape(v.shape)
+
+    def _variable(self, w: np.ndarray, c_tt: np.ndarray, out: np.ndarray,
+                  accumulate: bool = False) -> None:
+        """X w M^T + c_tt (w D2tau^T) on an (nx, k, mt) block w, into out.
+
+        The first-order terms of `_profiles`, M their tau factor, and a
+        u_tautau coefficient c_tt, zero on the Dirichlet rows, as both are:
+        `_apply` passes the operator's own and `_deviation` the part that
+        differs from the flat strip's.  The tau products run on the
+        (nx k, mt) view and the x product on the (nx, k mt) view, on
+        scipy's BLAS; c_tt broadcasts over the columns, and the result is
+        written into `out`, or added to it when `accumulate`.
+        """
+        nx, _, mt = w.shape
+        part = self._work.view("scratch", w.shape)
+        _blas_product(w.reshape(-1, mt), self._mixed_tau.T,
+                      out=part.reshape(-1, mt))
+        _blas_product(self._mixed_x, part.reshape(nx, -1),
+                      out=out.reshape(nx, -1), accumulate=accumulate)
+        _blas_product(w.reshape(-1, mt), self._d_tau2.T,
+                      out=part.reshape(-1, mt))
+        part *= c_tt[:, None, :]
+        out += part
+
+    def _variable_transpose(self, w: np.ndarray, c_tt: np.ndarray,
+                            out: np.ndarray, accumulate: bool = False
+                            ) -> None:
+        """Transpose of `_variable`: X^T w M + (c_tt w) D2tau, into out.
+
+        The x product runs on the (nx, k mt) view and both tau products on
+        the (nx k, mt) view, on scipy's BLAS, written into `out`, or added
+        to it when `accumulate`.
+        """
+        nx, _, mt = w.shape
+        part = self._work.view("scratch", w.shape)
         _blas_product(self._mixed_x.T, w.reshape(nx, -1),
                       out=part.reshape(nx, -1))
         _blas_product(part.reshape(-1, mt), self._mixed_tau,
-                      out=out.reshape(-1, mt), accumulate=True)
-        np.multiply(w, self._c_tt[:, None, :], out=part)
+                      out=out.reshape(-1, mt), accumulate=accumulate)
+        np.multiply(w, c_tt[:, None, :], out=part)
         _blas_product(part.reshape(-1, mt), self._d_tau2,
                       out=out.reshape(-1, mt), accumulate=True)
-        return out.reshape(v.shape)
+
+    def _deviation(self, u: np.ndarray, transposed: bool = False
+                   ) -> np.ndarray:
+        """delta = A - M, or its transpose, on a vector or a block.
+
+        M is the flat strip of the preconditioner (`_flat_solve`): on the
+        interior rows D2x w + (w D2tau^T) / h^2, h the mean thickness, since
+        the cosine synthesis turns -k^2 into D2x, and the identity on the
+        Dirichlet rows.  So delta is `_variable` with the coefficient
+        c_tt - 1/h^2, zero on the Dirichlet rows, and A M^-1 = I +
+        delta M^-1.  Shapes are as in `_apply`; the result is a view of the
+        work buffer "apply".
+        """
+        w = self._block(u)
+        out = self._work.view("apply", w.shape)
+        terms = self._variable_transpose if transposed else self._variable
+        terms(w, self._c_tt_deviation, out)
+        return out.reshape(u.shape)
 
     @cached_property
     def _flat_strip(self):
@@ -571,7 +641,7 @@ class LayerOperators:
         `_interior_eigen` with its two coupling columns divided by h^2, and
         its padded V; both preconditioner applies read them.
         """
-        h2 = (self.eta.coeffs[0] + self.depth) ** 2
+        h2 = self._mean_h2
         lam, vecs_pad, inv_pad = _interior_eigen(self.m_vertical)
         inv_pad = inv_pad.copy()
         inv_pad[:, ::self.m_vertical] /= h2
@@ -659,45 +729,82 @@ class LayerOperators:
             raise LinearSolveFailure("layer solve produced non-finite entries")
         return out
 
+    def _preconditioned(self, v: np.ndarray) -> np.ndarray:
+        """A M^-1 v = v + delta M^-1 v (`_deviation`), a view of the work
+        buffer "apply": the operator GMRES runs on."""
+        out = self._deviation(self._flat_solve(v))
+        out += v
+        return out
+
+    def _preconditioned_transpose(self, v: np.ndarray) -> np.ndarray:
+        """A^T M^-T v = v + delta^T M^-T v, as `_preconditioned`."""
+        out = self._deviation(self._flat_solve_transpose(v), transposed=True)
+        out += v
+        return out
+
+    @property
+    def _krylov(self) -> bool:
+        """Whether solves run GMRES: enough unknowns and no LU factors."""
+        unknowns = (self.grid.n_modes + 1) * (self.m_vertical + 1)
+        return unknowns >= KRYLOV_MIN_UNKNOWNS and not self.factored
+
     def _solve(self, rhs: np.ndarray, transposed: bool = False,
-               guess: np.ndarray | None = None) -> np.ndarray:
+               start: np.ndarray | None = None) -> np.ndarray:
         """A^-1 rhs, or A^-T rhs: GMRES, or the LU path.
 
-        `rhs` is a vector (n,) or an (nx, k, mt) block, as in `_apply`; the
-        result is a fresh array of its shape.  GMRES runs on the block as
-        ceil(k / BLOCK_COLUMNS) near-equal panels of columns, one `gmres`
-        call each, and each panel's solution is copied once, into its
-        columns of the result; a vector is the one-column block.  A vector
-        `guess` u0 makes GMRES solve for the correction, A d = rhs - A u0,
-        to the stopping rule scaled by |rhs| / |rhs - A u0|, so that the
-        residual it leaves is as small as a solve from zero leaves; a guess
-        no better than zero is ignored.  LU serves operators below
-        KRYLOV_MIN_UNKNOWNS, operators already factored, and the whole
-        right-hand side once any panel misses; it takes the block's columns
-        as nodal (n, k) columns and ignores the guess.
+        `rhs` is a vector (n,) or an (nx, k, mt) block, as in `_apply`.
+        GMRES runs on the block as ceil(k / BLOCK_COLUMNS) near-equal
+        panels of columns, one `gmres` call each; a vector is the
+        one-column block.  It runs on A M^-1 = I + delta M^-1
+        (`_preconditioned`), or on A^T M^-T, with no preconditioner of its
+        own, and each panel's solution is M^-1, or M^-T, of its result.
+        `start`, an array of the shape of `rhs`, makes GMRES solve each
+        column c for its correction, A d = rhs_c - A start_c, to the
+        stopping rule scaled by |rhs_c| / |rhs_c - A start_c|, so that the
+        residual it leaves is as small as a solve from zero leaves; a
+        column whose start already meets that rule builds no vector, and
+        one whose start is no better than zero starts from zero.  GMRES
+        writes the solution over `start`, so a caller passes an array it
+        no longer needs, and returns it; without a start the result is a
+        fresh array.  LU serves operators below KRYLOV_MIN_UNKNOWNS,
+        operators already factored, and the whole right-hand side once any
+        panel misses; it takes the block's columns as nodal (n, k) columns,
+        ignores the start, which a missed panel may have overwritten, and
+        returns a fresh array.
         """
-        unknowns = (self.grid.n_modes + 1) * (self.m_vertical + 1)
-        if unknowns >= KRYLOV_MIN_UNKNOWNS and not self.factored:
-            apply, precondition = (
-                (self._apply_transpose, self._flat_solve_transpose)
-                if transposed else (self._apply, self._flat_solve))
-            start, target, relax = 0.0, rhs, 1.0
-            if guess is not None:
-                correction = rhs - apply(guess)
-                size, left = np.linalg.norm(rhs), np.linalg.norm(correction)
-                if 0.0 < left < size:  # false for rhs = 0 or a nan guess
-                    start, target, relax = guess, correction, size / left
-            out = np.empty(rhs.shape)
-            out_block, rhs_block = self._block(out), self._block(target)
+        if self._krylov:
+            apply, precondition, preconditioned = (
+                (self._apply_transpose, self._flat_solve_transpose,
+                 self._preconditioned_transpose) if transposed
+                else (self._apply, self._flat_solve, self._preconditioned))
+            out = np.zeros(rhs.shape) if start is None else start
+            out_block, rhs_block = self._block(out), self._block(rhs)
             for panel in _panels(out_block.shape[1]):
-                solved = gmres(apply, precondition, rhs_block[:, panel],
+                target = rhs_block[:, panel]
+                relax = np.ones(target.shape[1])
+                if start is not None:
+                    begun = out_block[:, panel]
+                    correction = begun.copy()
+                    np.subtract(target, self._block(apply(correction)),
+                                out=correction)
+                    size = _column_norms(target)
+                    left = _column_norms(correction)
+                    kept = left < size  # false for rhs_c = 0 or a nan start
+                    np.divide(size, left, out=relax, where=kept & (left > 0))
+                    if not kept.all():
+                        correction[:, ~kept] = target[:, ~kept]
+                        begun[:, ~kept] = 0.0
+                    target = correction
+                solved = gmres(preconditioned, _unchanged, target,
                                KRYLOV_MAX, relax * KRYLOV_TOL,
                                relax * KRYLOV_FLOOR, self._work)
-                if solved is None or not np.all(np.isfinite(solved)):
+                if solved is None:
                     break
-                out_block[:, panel] = solved
+                solved = precondition(solved)
+                if not np.all(np.isfinite(solved)):
+                    break
+                out_block[:, panel] += solved
             else:
-                out += start
                 return out
         if rhs.ndim == 1:
             return self._solve_rhs(rhs, transposed)
@@ -711,9 +818,9 @@ class LayerOperators:
         """Nodal values (x node, tau node) of a trace's harmonic extension.
 
         `guess`, nodal values of the same shape, typically this strip's
-        solution at a nearby state, starts GMRES: it solves for the
-        correction to the guess and stops once the residual is as small,
-        in absolute terms, as a solve from zero would leave it
+        solution at a nearby state, starts GMRES from a copy: it solves for
+        the correction to the guess and stops once the residual is as
+        small, in absolute terms, as a solve from zero would leave it
         (`_solve`).  A guess whose residual is no smaller than the right
         hand side's is ignored, and so is any guess on the LU path.
         """
@@ -725,7 +832,7 @@ class LayerOperators:
         rhs = np.zeros(nx * mt)
         rhs[self._interface_rows] = grid.even_values_half(trace)
         return self._solve(
-            rhs, guess=None if guess is None else guess.ravel()
+            rhs, start=None if guess is None else guess.flatten()
         ).reshape(nx, mt)
 
     # -- interface extraction -------------------------------------------------
@@ -759,7 +866,7 @@ class LayerOperators:
         z = self._adjoint_block if block is None else block
         u_tau_ifc = z[:, :nx, 0].T @ grid._cos_mat
         vals = self._extraction(self.eta_half[:, None],
-                                u_tau_ifc, grid.half_d1 @ grid._cos_mat)
+                                u_tau_ifc, grid.half_d1_coeffs)
         return grid._cos_inv @ vals
 
     def _adjoint_columns(self) -> np.ndarray:
@@ -784,12 +891,15 @@ class LayerOperators:
         a layer is one of these functionals of a solve A^-1 r, that is
         Z^T r: the Dirichlet-to-Neumann matrix, the shape derivatives and
         the interior-derivative row.  GMRES solves the columns a panel at a
-        time on `_apply_transpose`, right-preconditioned by
-        `_flat_solve_transpose`, unless `_solve` takes the LU path.  The
-        block is (nx, k, mt): column c of Z is Z[:, c, :].  It is solved
-        once, on first use, and read-only.
+        time on `_preconditioned_transpose`, each started from its column
+        of `flat_adjoint_block`, which is exact on a flat strip, unless
+        `_solve` takes the LU path.  The block is (nx, k, mt): column c of
+        Z is Z[:, c, :].  It is solved once, on first use, into the array
+        of its start, and read-only.
         """
-        z = self._solve(self._adjoint_columns(), transposed=True)
+        z = self._solve(self._adjoint_columns(), transposed=True,
+                        start=self.flat_adjoint_block() if self._krylov
+                        else None)
         z.flags.writeable = False  # shared by every caller
         return z
 
@@ -822,8 +932,8 @@ class LayerOperators:
         buffer outgrows a panel; the probe column is one small product
         more.  Read in place of Z, the block gives the Jacobian's layer
         products as if A were the flat strip at the mean thickness,
-        exactly so on a strip of constant thickness.  The block is a fresh
-        array, computed on every call and never kept.
+        exactly so on a strip of constant thickness, and it is the start of
+        Z's GMRES.  The block is a fresh array, computed on every call.
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -940,7 +1050,7 @@ class LayerOperators:
         e = self.eta_half[:, None]
         h, hx, hxx = e + self.depth, grid.half_d1 @ e, grid.half_d2 @ e
         dh = grid._cos_mat
-        dhx, dhxx = grid.half_d1 @ dh, grid.half_d2 @ dh
+        dhx, dhxx = grid.half_d1_coeffs, grid.half_d2_coeffs
         p = hx / h
         dp = (dhx - p * dh) / h
         f = np.stack([-2.0 * dp, 2.0 * p * dp, -2.0 * dh / h**3,

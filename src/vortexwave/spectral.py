@@ -158,6 +158,16 @@ class CollocationGrid:
         """Half-grid values of an even function -> values of its second derivative."""
         return self._cos_mat @ (-(self.wavenumbers**2)[:, None] * self._cos_inv)
 
+    @cached_property
+    def half_d1_coeffs(self) -> np.ndarray:
+        """Cosine coefficients -> half-grid values of the (odd) derivative."""
+        return self.half_d1 @ self._cos_mat
+
+    @cached_property
+    def half_d2_coeffs(self) -> np.ndarray:
+        """Cosine coefficients -> half-grid values of the second derivative."""
+        return self.half_d2 @ self._cos_mat
+
     # -- values <-> coefficients -------------------------------------------
 
     def _fold_even(self, values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -209,9 +209,6 @@ class WaveSystem:
         self.grid = CollocationGrid(params.half_period, n_modes)
         self.m_vertical = int(m_vertical)
         self.pair_speed = pair_induced_speed(params.pair, params.half_period)
-        g = self.grid
-        self._coeffs_to_dx = g.half_d1 @ g._cos_mat
-        self._coeffs_to_dxx = g.half_d2 @ g._cos_mat
         # scratch of every layer operator this system builds
         self._work = WorkBuffers()
 
@@ -343,8 +340,8 @@ class WaveSystem:
 
         proj = g._cos_inv
         basis = g._cos_mat
-        dxc = self._coeffs_to_dx
-        dxxc = self._coeffs_to_dxx
+        dxc = g.half_d1_coeffs
+        dxxc = g.half_d2_coeffs
 
         def col(v):
             return v[:, None]

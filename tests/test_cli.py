@@ -656,6 +656,25 @@ class TestExitCodes:
                 table = load_branch_table(str(out / "branch.csv"))
                 assert table["step"].size == 0
 
+    @pytest.mark.parametrize("command", ["continue", "single-solve"])
+    def test_overflow_prints_only_the_failure_line(self, tmp_path, command):
+        # numpy warns on stderr, outside pytest's capture, only in a process
+        # of its own: the overflowing flat Jacobian must print the one line
+        cfg = write_config(tmp_path, "[discretization]\nn_modes = 16\n"
+                                     "m_vertical = 8\n[physical]\n"
+                                     "surface_tension = 1e306\n")
+        src = os.path.dirname(os.path.dirname(vortexwave.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "vortexwave.cli", command,
+             "--config", cfg, "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == [
+            "numerical failure: NonFiniteEntry: "
+            "Jacobian assembly produced non-finite entries"]
+
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(entries=st.lists(ENTRIES, max_size=3))

@@ -297,6 +297,58 @@ class TestAdjointBlock:
             assert worst_relative(g, w) <= 1e-12
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("state", ["flat", "crest", "strength-3"])
+    def test_started_block_matches_the_lu_block(self, state, side,
+                                                 strength_3):
+        # GMRES starts from the flat block, which is the block itself on a
+        # flat strip: there it builds no vector
+        ops, _ = self.layer(state, side, strength_3)
+        got = ops._adjoint_block
+        assert not ops.factored
+        rhs = ops._adjoint_columns()
+        nx, k, mt = rhs.shape
+        want = ops._solve_rhs(rhs.transpose(0, 2, 1).reshape(nx * mt, k),
+                              transposed=True)
+        want = want.reshape(nx, mt, k).transpose(0, 2, 1)
+        assert worst_relative(got, want) <= 1e-12
+        if state == "flat":
+            assert np.array_equal(got, ops.flat_adjoint_block())
+
+    def test_started_block_saves_a_vector_per_column(self, monkeypatch):
+        # the last state of the 12-step default 64x32 branch, sup eta
+        # 1.2e-3: each panel of both blocks builds at most 3 vectors from
+        # the flat block, and one more from zero
+        system = WaveSystem(PhysicalParameters(), 64, 32)
+        wave = ContinuationEngine(system, ContinuationSettings()).solve_at(
+            0.0366).state
+        sup = np.max(np.abs(system.grid.even_values_half(wave.elevation)))
+        assert 1.1e-3 < sup < 1.3e-3
+        prep = system.prepare(wave)
+        vectors = []
+        real_gmres = layers.gmres
+
+        def counting(apply, precondition, rhs, *args):
+            calls = []
+
+            def counted(v):
+                calls.append(v)
+                return apply(v)
+
+            solved = real_gmres(counted, precondition, rhs, *args)
+            vectors.append(len(calls))
+            return solved
+
+        monkeypatch.setattr(layers, "gmres", counting)
+        for layer in prep.layers:
+            layer.ops._adjoint_block
+        started = list(vectors)
+        vectors.clear()
+        for layer in prep.layers:
+            layer.ops._solve(layer.ops._adjoint_columns(), transposed=True)
+        assert len(started) == 6 and max(started) <= 3
+        assert vectors == [count + 1 for count in started]
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("state", ["flat", "crest", "thin", "strength-3"])
     def test_shape_batch_matches_the_explicit_rhs(self, state, side,
                                                   strength_3):
@@ -350,9 +402,9 @@ class TestAdjointBlock:
         solve = ops._solve
         solves = []
 
-        def counting(rhs, transposed=False):
-            solves.append((rhs.shape, transposed))
-            return solve(rhs, transposed)
+        def counting(rhs, transposed=False, start=None):
+            solves.append((rhs.shape, transposed, start is not None))
+            return solve(rhs, transposed, start)
 
         ops._solve = counting
         calls = {"dno_matrix": ops.dno_matrix,
@@ -360,7 +412,7 @@ class TestAdjointBlock:
                  "shape_batch": lambda: ops.shape_batch(sol)}
         for name in order:
             calls[name]()
-        assert solves == [((33, 34, 17), True)]
+        assert solves == [((33, 34, 17), True, True)]
         assert lu_counter.factorizations == 0
 
     def test_block_columns_match_single_solves(self):
@@ -443,6 +495,8 @@ class TestWarmStart:
         if state == "thin":  # both took the LU path: one miss, no warm GMRES
             assert len(vectors) == 1
             assert np.array_equal(warm, cold)
+        elif state == "flat":  # A = M: one vector solves either exactly
+            assert vectors == [1, 1]
         else:  # the warm start needs fewer vectors
             assert vectors[1] < vectors[0]
         rhs = np.zeros(cold.size)
@@ -459,6 +513,16 @@ class TestWarmStart:
         trace = EvenField(0.5 ** np.arange(NX))
         cold = ops.solve(trace)
         assert np.array_equal(ops.solve(trace, factor * cold), cold)
+
+    def test_the_guess_is_left_as_it_was(self):
+        # GMRES writes its solution over its start, which is a copy
+        ops = strip(GRID, peaked(0.33), 32)
+        trace = EvenField(0.5 ** np.arange(NX))
+        guess = strip(GRID, peaked(0.33 * (1.0 + self.NEARBY)), 32).solve(
+            trace)
+        kept = guess.copy()
+        ops.solve(trace, guess)
+        assert np.array_equal(guess, kept)
 
     def test_a_zero_trace_ignores_its_guess(self):
         ops = strip(GRID, peaked(0.33), 32)
@@ -609,6 +673,33 @@ class TestTransposes:
         got = ops._solve(block, transposed=True), ops.solve(trace)
         assert not ops.factored
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestDeviation:
+    """delta = A - M, the part of the operator that the preconditioner's
+    flat strip M leaves out; GMRES runs on A M^-1 = I + delta M^-1."""
+
+    GRID32 = CollocationGrid(np.pi, 32)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("state", ["flat", "crest", "strength-3"])
+    def test_matches_the_assembled_operators(self, state, side, strength_3):
+        # M is the operator of the flat strip at the mean thickness
+        eta = (strength_3[1].elevation if state == "strength-3"
+               else peaked(0.0 if state == "flat" else 0.33, n=33))
+        ops = strip(self.GRID32, on_side(eta, side), 16)
+        mean = np.zeros(33)
+        mean[0] = ops.eta.coeffs[0]
+        full = assembled_operator(ops)
+        delta = full - assembled_operator(strip(self.GRID32, EvenField(mean),
+                                                16))
+        v = np.random.default_rng(15).standard_normal((33 * 17, 3))
+        scale = np.max(np.abs(full)) * np.max(np.abs(v))
+        for transposed, want in ((False, delta @ v), (True, delta.T @ v)):
+            got = as_columns(ops._deviation(as_block(v), transposed))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+            if state == "flat":  # the flat strip is M itself
+                assert not got.any()
 
 
 class TestCurvedGeometry:

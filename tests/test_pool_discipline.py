@@ -72,12 +72,14 @@ def test_no_numpy_lapack_outside_once_per_resolution_set_up():
     assert not stale, f"set-up that calls no numpy.linalg: {sorted(stale)}"
 
 
-#: layers.py applies and the preconditioners' shared body, which GMRES
-#: calls once per Krylov vector, and the closed-form flat adjoint block and
-#: its tau profiles, built before every Newton-Krylov step on a flat chord:
-#: every product in them goes through `_blas_product`, which calls
-#: scipy.linalg.blas
+#: layers.py applies, the variable terms they share with delta = A - M
+#: (which GMRES applies once per Krylov vector, after the preconditioners'
+#: shared body), and the closed-form flat adjoint block and its tau
+#: profiles, built before every Newton-Krylov step on a flat chord and as
+#: the start of every adjoint block: every product in them goes through
+#: `_blas_product`, which calls scipy.linalg.blas
 BLAS_HELPERS = ("_apply", "_flat_products", "_apply_transpose",
+                "_variable", "_variable_transpose",
                 "_flat_profiles", "flat_adjoint_block")
 
 #: numpy functions that multiply arrays on numpy's own BLAS, or its pool
