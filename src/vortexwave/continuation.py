@@ -83,13 +83,18 @@ max_steps budget, so a run whose every attempt fails ends as a Newton
 failure, whatever its budget.  Exhausted step budgets and unrecoverable
 Newton failures are reported through the same classification.
 
-The point diagnostics take the smallest singular value from scipy's
-svdvals and the determinant sign from an LU factorization of the Jacobian:
-the signs of U's diagonal, flipped once per row swap.  The sign is recorded
-as 0 when the smallest singular value drops below 1e-12 of the largest.
-Both run on scipy's LAPACK because numpy and scipy each bundle their own
-OpenBLAS: a numpy LAPACK call here left numpy's threads spinning while
-scipy factored the next layer operator, which then took 50-70% longer.
+The point diagnostics take both the determinant sign and the smallest
+singular value from one LU factorization of the Jacobian: the sign from
+the signs of U's diagonal, flipped once per row swap, and sigma_min from
+Lanczos on (J^T J)^-1, two back-substitutions through the factors per step
+(`_smallest_singular`).  The sign is recorded as 0 when the smallest
+singular value drops below 1e-12 of the largest; scipy's svdvals decides
+that, and gives the recorded value, only where the factors cannot: at a
+zero pivot, or when sigma_min is below 1e-12 of |J|_F, which bounds the
+largest.  All of it runs on scipy's LAPACK because numpy and scipy each
+bundle their own OpenBLAS: a numpy LAPACK call here left numpy's threads
+spinning while scipy factored the next layer operator, which then took
+50-70% longer.
 
 The branch leaves the origin towards positive strength.  The map
 (elevation, traces, speed, strength) -> (elevation, -traces, -speed,
@@ -104,6 +109,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, svdvals
+from scipy.linalg.lapack import dgetrf, dgetrs, dstev
 
 from .errors import (
     DegenerateStrip,
@@ -127,6 +133,13 @@ DIAGNOSTIC_ORDER = 3
 
 #: relative singular-value floor below which the determinant sign is 0
 SIGN_FLOOR = 1e-12
+
+#: relative residual bound at which the Lanczos estimate of sigma_min
+#: stops (`_smallest_singular`): its eigenvalue of (J^T J)^-1 is then within
+#: this fraction of the largest, so sigma_min within half of it.  The
+#: Jacobians of the default 64x32 branch take 9 steps, the strength-3
+#: solution's 14, and those of a 16x8 branch 8 to 10
+SINGULAR_TOL = 1e-13
 
 #: step-growth factor after fast corrector convergence
 GROWTH = 1.3
@@ -174,6 +187,42 @@ KRYLOV_VECTORS = 20
 #: branch as a Newton failure
 STEP_FAILURES = (NewtonFailure, SingularBorderedSystem, VortexTooClose,
                  DegenerateStrip, LinearSolveFailure, NonFiniteEntry)
+
+
+def _smallest_singular(lu: np.ndarray, piv: np.ndarray) -> float:
+    """sigma_min of J from its LU factors (scipy's getrf): Lanczos on
+    (J^T J)^-1 = J^-1 J^-T.
+
+    Each step applies J^-T, then J^-1, as two getrs calls on the factors,
+    and reorthogonalizes the new vector against the whole basis, twice.
+    The largest eigenvalue theta of the Lanczos tridiagonal approximates
+    1/sigma_min^2 from below, and an eigenvalue lies within beta |s| of it,
+    beta the next off-diagonal and s the last entry of theta's eigenvector;
+    the loop stops once that is at most SINGULAR_TOL theta, or once the
+    basis spans the space.  The start is a fixed vector, so reruns repeat
+    bit for bit.  Returns 1 / sqrt(theta), not finite when an estimate is
+    not.
+    """
+    n = piv.size
+    basis = np.empty((n, n))
+    alpha, beta = np.empty(n), np.empty(n)
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.sqrt(np.einsum("i,i->", q, q))
+    for k in range(n):
+        basis[k] = q
+        w = dgetrs(lu, piv, dgetrs(lu, piv, q, trans=1)[0])[0]
+        kept = basis[:k + 1]
+        alpha[k] = 0.0
+        for _ in range(2):
+            dots = np.einsum("ki,i->k", kept, w)
+            w -= np.einsum("ki,k->i", kept, dots)
+            alpha[k] += dots[k]
+        beta[k] = np.sqrt(np.einsum("i,i->", w, w))
+        theta, vectors, _ = dstev(alpha[:k + 1], beta[:max(k, 1)])
+        if not beta[k] * abs(vectors[-1, -1]) > SINGULAR_TOL * theta[-1]:
+            break
+        q = w / beta[k]
+    return float(1.0 / np.sqrt(theta[-1]))
 
 
 class Alternative(enum.Enum):
@@ -313,16 +362,29 @@ class ContinuationEngine:
     def _sign_and_sigma(self, jac: np.ndarray) -> tuple[int, float]:
         """(determinant sign, smallest singular value) of a Jacobian.
 
-        The sign is that of det(P L U): the product of the signs of U's
-        diagonal, flipped once per row swap of the partial pivoting.
+        One LU factorization gives both.  The sign is that of det(P L U):
+        the product of the signs of U's diagonal, flipped once per row swap
+        of the partial pivoting.  The smallest singular value comes from
+        Lanczos on the same factors (`_smallest_singular`).  The sign is 0
+        when sigma_min < SIGN_FLOOR sigma_max, which the factors settle
+        unless they have a zero pivot or sigma_min < SIGN_FLOOR |J|_F, since
+        |J|_F bounds sigma_max; there scipy's svdvals decides, and gives the
+        recorded value.
         """
-        singulars = svdvals(jac, check_finite=False)
-        if singulars[-1] < SIGN_FLOOR * singulars[0]:
-            return 0, float(singulars[-1])
-        lu, piv = lu_factor(jac, check_finite=False)
+        lu, piv, zero_pivot = dgetrf(jac)
         flips = (np.count_nonzero(piv != np.arange(piv.size))
                  + np.count_nonzero(np.diagonal(lu) < 0.0))
-        return (-1 if flips % 2 else 1), float(singulars[-1])
+        sign = -1 if flips % 2 else 1
+        if not zero_pivot:
+            sigma = _smallest_singular(lu, piv)
+            # the Frobenius norm on einsum: a BLAS-1 dot over the whole
+            # Jacobian would wake numpy's OpenBLAS pool (README, "Threads")
+            if sigma >= SIGN_FLOOR * np.sqrt(np.einsum("ij,ij->", jac, jac)):
+                return sign, sigma
+        singulars = svdvals(jac, check_finite=False)
+        if zero_pivot or singulars[-1] < SIGN_FLOOR * singulars[0]:
+            sign = 0
+        return sign, float(singulars[-1])
 
     def _point(self, state: WaveState, strength: float, residual_norm: float,
                iterations: int, jac: np.ndarray) -> BranchPoint:

@@ -55,10 +55,13 @@ a closed form (`flat_adjoint_block`): each column of [E^T | e] is rank one
 in (x, tau), so M^-T maps it to the cosine synthesis times per-mode tau
 profiles, one product per panel and no GMRES.  It is Z on a flat strip, and
 Z starts from it, column by column as a trace solve starts from its guess;
-each column then builds one Krylov vector fewer near the flat state.  Read
-in the place of Z, it gives the Jacobian's layer products of the flat
-strip at the layer's mean thickness, which the continuation corrector
-factors as the chord of its fixed-strength solve.
+each column then builds one Krylov vector fewer near the flat state.  Since
+M^T Z0 = [E^T | e] for this start Z0, its residual is -delta^T Z0, one
+`_deviation` per panel, and the norms of [E^T | e] are closed forms, so
+the Krylov path never forms [E^T | e].  Read in the place of Z, the flat
+block gives the Jacobian's layer products of the flat strip at the
+layer's mean thickness, which the continuation corrector factors as the
+chord of its fixed-strength solve.
 
 Both applies and both preconditioners take a vector or an (x node,
 column, tau node) block.  In that layout each x product is one BLAS
@@ -123,8 +126,9 @@ KRYLOV_MIN_UNKNOWNS = 500
 #: to LU
 KRYLOV_MAX = 40
 
-#: columns of one GMRES call: `LayerOperators._solve` runs a wider block
-#: as near-equal panels of at most this many, and so does
+#: columns of one GMRES call: `LayerOperators._solve` and
+#: `LayerOperators._adjoint_block` run a wider block as near-equal panels
+#: of at most this many, and so does
 #: `LayerOperators.flat_adjoint_block`, so every `WorkBuffers` role, the
 #: Krylov basis and the Hessenberg and rotation arrays among them, holds
 #: one panel, not the block
@@ -157,7 +161,9 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     KRYLOV_STALL.  `tol` and `floor` are numbers or one entry per column;
     a column whose `tol` is at least 1, the estimate before any vector, is
     solved by zero and builds none.  Later vectors are built for the
-    columns still running only.  Basis vector i is a view of `work` under the role "krylov i";
+    columns still running only.  `rhs` is read before the first `apply`,
+    so it may be a view of a buffer that `apply` overwrites.  Basis vector
+    i is a view of `work` under the role "krylov i";
     the sum of the finished columns, the Gram-Schmidt scratch, the
     gathered columns of a partly finished block, the Hessenberg matrix,
     the rotations and the rotated right-hand side have the roles
@@ -195,16 +201,19 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     g[0] = beta
     # the product Q^T of the Givens rotations so far, applied to each new
     # Hessenberg column at once rather than one rotation after another;
-    # it reads the zeros above its band
+    # it reads the zeros above its band, so each row is zeroed as it is
+    # added
     rot = work.view("rotations", (max_vectors + 1, max_vectors + 1, k))
-    rot.fill(0.0)
+    rot[0].fill(0.0)
     rot[0, 0] = 1.0
-    combined = work.view("combined", b.shape)  # sum of y_i basis_i
-    combined.fill(0.0)
-    projections = work.view("gram-schmidt", (b.size,))
     previous = np.ones(k)
     # zero solves a zero column, and one whose tol admits the estimate 1
-    running = np.flatnonzero((beta > 0.0) & (tol < 1.0))
+    runs = (beta > 0.0) & (tol < 1.0)
+    running = np.flatnonzero(runs)
+    # every column that runs is written once it finishes
+    combined = work.view("combined", b.shape)  # sum of y_i basis_i
+    combined[:, ~runs] = 0.0
+    projections = work.view("gram-schmidt", (b.size,))
     # a column of vector i is set while that column runs, and read only then
     basis = [np.divide(b, np.where(beta > 0.0, beta, 1.0)[:, None],
                        out=work.view("krylov 0", b.shape))]
@@ -228,6 +237,7 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
         col[j] = rad
         hess[:j + 1, j, sel] = col
         last = rot[j][:j + 1, sel]
+        rot[j + 1].fill(0.0)
         rot[j + 1][:j + 1, sel] = -s * last
         rot[j][:j + 1, sel] = c * last
         rot[j, j + 1, sel] = s
@@ -714,9 +724,17 @@ class LayerOperators:
                    ) -> np.ndarray:
         """A^-1 rhs, or A^-T rhs, through the scaled LU factors.
 
+        `rhs` is a vector (n,), nodal columns (n, k) or an (nx, k, mt)
+        block as in `_apply`, and the result a fresh array of its layout.
         The factors hold S A, S scaling the Dirichlet rows: A x = rhs is
         (S A) x = S rhs, and A^T x = rhs is (S A)^T y = rhs with x = S y.
         """
+        if rhs.ndim == 3:  # the block's columns as nodal columns
+            nx, k, mt = rhs.shape
+            out = self._solve_rhs(
+                rhs.transpose(0, 2, 1).reshape(nx * mt, k), transposed)
+            return np.ascontiguousarray(
+                out.reshape(nx, mt, k).transpose(0, 2, 1))
         lu, scale = self._factors
         if transposed:
             out = sla.lu_solve(lu, rhs, trans=1, check_finite=False)
@@ -748,70 +766,62 @@ class LayerOperators:
         unknowns = (self.grid.n_modes + 1) * (self.m_vertical + 1)
         return unknowns >= KRYLOV_MIN_UNKNOWNS and not self.factored
 
+    def _correction(self, residual: np.ndarray, relax: float | np.ndarray,
+                    transposed: bool = False) -> np.ndarray | None:
+        """M^-1 y for GMRES's y on A M^-1 y = residual (`_preconditioned`),
+        or M^-T y on A^T M^-T y = residual, a panel of columns.
+
+        Column c stops at `relax` (a number or one entry per column) times
+        KRYLOV_TOL and KRYLOV_FLOOR.  Returns a view of the work buffer
+        "precondition", or None when GMRES misses or its result is not
+        finite.
+        """
+        preconditioned, precondition = (
+            (self._preconditioned_transpose, self._flat_solve_transpose)
+            if transposed else (self._preconditioned, self._flat_solve))
+        solved = gmres(preconditioned, _unchanged, residual, KRYLOV_MAX,
+                       relax * KRYLOV_TOL, relax * KRYLOV_FLOOR, self._work)
+        if solved is None:
+            return None
+        solved = precondition(solved)
+        return solved if np.all(np.isfinite(solved)) else None
+
     def _solve(self, rhs: np.ndarray, transposed: bool = False,
                start: np.ndarray | None = None) -> np.ndarray:
         """A^-1 rhs, or A^-T rhs: GMRES, or the LU path.
 
         `rhs` is a vector (n,) or an (nx, k, mt) block, as in `_apply`.
         GMRES runs on the block as ceil(k / BLOCK_COLUMNS) near-equal
-        panels of columns, one `gmres` call each; a vector is the
-        one-column block.  It runs on A M^-1 = I + delta M^-1
-        (`_preconditioned`), or on A^T M^-T, with no preconditioner of its
-        own, and each panel's solution is M^-1, or M^-T, of its result.
-        `start`, an array of the shape of `rhs`, makes GMRES solve each
-        column c for its correction, A d = rhs_c - A start_c, to the
-        stopping rule scaled by |rhs_c| / |rhs_c - A start_c|, so that the
-        residual it leaves is as small as a solve from zero leaves; a
-        column whose start already meets that rule builds no vector, and
-        one whose start is no better than zero starts from zero.  GMRES
-        writes the solution over `start`, so a caller passes an array it
-        no longer needs, and returns it; without a start the result is a
-        fresh array.  LU serves operators below KRYLOV_MIN_UNKNOWNS,
-        operators already factored, and the whole right-hand side once any
-        panel misses; it takes the block's columns as nodal (n, k) columns,
-        ignores the start, which a missed panel may have overwritten, and
-        returns a fresh array.
+        panels of columns, one `_correction` each; a vector is the
+        one-column block.  `start`, for a vector solved with A, makes
+        GMRES solve for the correction, A d = rhs - A start, to the
+        stopping rule scaled by
+        |rhs| / |rhs - A start|, so that the residual it leaves is as small
+        as a solve from zero leaves; a start that already meets that rule
+        builds no vector, and one no better than zero is ignored.  The
+        solution is then written over `start`, so a caller passes an array
+        it no longer needs, and returned; otherwise it is a fresh array.
+        LU serves operators below KRYLOV_MIN_UNKNOWNS, operators already
+        factored, and the whole right-hand side once any panel misses; it
+        ignores the start and returns a fresh array.
         """
         if self._krylov:
-            apply, precondition, preconditioned = (
-                (self._apply_transpose, self._flat_solve_transpose,
-                 self._preconditioned_transpose) if transposed
-                else (self._apply, self._flat_solve, self._preconditioned))
-            out = np.zeros(rhs.shape) if start is None else start
-            out_block, rhs_block = self._block(out), self._block(rhs)
+            out, target, relax = np.zeros(rhs.shape), rhs, 1.0
+            if start is not None:
+                residual = rhs - self._apply(start)
+                left, size = _column_norms(np.stack([residual, rhs])[None])
+                if left < size:  # false for rhs = 0 or a non-finite start
+                    out, target = start, residual
+                    relax = size / left if left > 0.0 else 1.0
+            out_block, target = self._block(out), self._block(target)
             for panel in _panels(out_block.shape[1]):
-                target = rhs_block[:, panel]
-                relax = np.ones(target.shape[1])
-                if start is not None:
-                    begun = out_block[:, panel]
-                    correction = begun.copy()
-                    np.subtract(target, self._block(apply(correction)),
-                                out=correction)
-                    size = _column_norms(target)
-                    left = _column_norms(correction)
-                    kept = left < size  # false for rhs_c = 0 or a nan start
-                    np.divide(size, left, out=relax, where=kept & (left > 0))
-                    if not kept.all():
-                        correction[:, ~kept] = target[:, ~kept]
-                        begun[:, ~kept] = 0.0
-                    target = correction
-                solved = gmres(preconditioned, _unchanged, target,
-                               KRYLOV_MAX, relax * KRYLOV_TOL,
-                               relax * KRYLOV_FLOOR, self._work)
+                solved = self._correction(target[:, panel], relax, transposed)
                 if solved is None:
-                    break
-                solved = precondition(solved)
-                if not np.all(np.isfinite(solved)):
                     break
                 out_block[:, panel] += solved
             else:
                 return out
-        if rhs.ndim == 1:
-            return self._solve_rhs(rhs, transposed)
-        nx, k, mt = rhs.shape
-        out = self._solve_rhs(
-            rhs.transpose(0, 2, 1).reshape(nx * mt, k), transposed)
-        return np.ascontiguousarray(out.reshape(nx, mt, k).transpose(0, 2, 1))
+        return self._solve_rhs(rhs, transposed)
 
     def solve(self, trace: EvenField, guess: np.ndarray | None = None
               ) -> np.ndarray:
@@ -881,6 +891,17 @@ class LayerOperators:
             rhs[:, nx] = np.outer(row_x, (2.0 / h) * t_rows[1])
         return rhs
 
+    def _adjoint_column_norms(self) -> np.ndarray:
+        """The 2-norm of each column of `_adjoint_columns`, in closed form:
+        |d_tau[0]| for those of E^T, |row_x| |(2/h) t-row| for e."""
+        size = np.full(self.grid.n_modes + 1 + (self.probe is not None),
+                       np.linalg.norm(self._d_tau[0]))
+        if self.probe is not None:
+            row_x, t_rows, h = self._probe_rows
+            size[-1] = (np.linalg.norm(row_x)
+                        * np.linalg.norm((2.0 / h) * t_rows[1]))
+        return size
+
     @cached_property
     def _adjoint_block(self) -> np.ndarray:
         """Z = A^-T [E^T | e]: the transposed solves behind the Jacobian.
@@ -891,16 +912,44 @@ class LayerOperators:
         a layer is one of these functionals of a solve A^-1 r, that is
         Z^T r: the Dirichlet-to-Neumann matrix, the shape derivatives and
         the interior-derivative row.  GMRES solves the columns a panel at a
-        time on `_preconditioned_transpose`, each started from its column
-        of `flat_adjoint_block`, which is exact on a flat strip, unless
-        `_solve` takes the LU path.  The block is (nx, k, mt): column c of
-        Z is Z[:, c, :].  It is solved once, on first use, into the array
-        of its start, and read-only.
+        time from `flat_adjoint_block`, Z0 = M^-T [E^T | e], which is exact
+        on a flat strip.  Since M^T Z0 = [E^T | e], the start leaves the
+        residual -delta^T Z0 (`_deviation`), so GMRES solves
+        A^T d = delta^T Z0 on `_preconditioned_transpose` and Z = Z0 - d,
+        each column to the stopping rule scaled by |rhs_c| / |residual_c|
+        as in `_solve`, |rhs_c| from `_adjoint_column_norms`; but a start
+        no better than zero is kept, to a stricter rule.  So the Krylov
+        path never forms [E^T | e], and a panel whose every column already
+        meets its rule runs no GMRES and no flat solve.  LU serves operators below KRYLOV_MIN_UNKNOWNS,
+        operators already factored, and the whole block once a panel
+        misses.  The block is (nx, k, mt): column c of Z is Z[:, c, :].  It
+        is solved once, on first use, and read-only.
         """
-        z = self._solve(self._adjoint_columns(), transposed=True,
-                        start=self.flat_adjoint_block() if self._krylov
-                        else None)
-        z.flags.writeable = False  # shared by every caller
+        if self._krylov:
+            z = self.flat_adjoint_block()
+            size = self._adjoint_column_norms()
+            for panel in _panels(z.shape[1]):
+                start = z[:, panel]
+                # delta^T of a contiguous copy, since the x product would
+                # copy the strided panel transposed; the preconditioner's
+                # buffer is free until GMRES has read its right-hand side
+                staged = self._work.view("precondition", start.shape)
+                staged[...] = start
+                residual = self._deviation(staged, transposed=True)
+                left = _column_norms(residual)
+                if np.all(left <= KRYLOV_TOL * size[panel]):
+                    continue
+                relax = np.divide(size[panel], left, where=left > 0.0,
+                                  out=np.ones(left.size))
+                solved = self._correction(residual, relax, transposed=True)
+                if solved is None:
+                    break
+                start -= solved
+            else:
+                z.flags.writeable = False  # shared by every caller
+                return z
+        z = self._solve_rhs(self._adjoint_columns(), transposed=True)
+        z.flags.writeable = False
         return z
 
     def _flat_profiles(self, tau_row: np.ndarray) -> np.ndarray:
@@ -932,8 +981,11 @@ class LayerOperators:
         buffer outgrows a panel; the probe column is one small product
         more.  Read in place of Z, the block gives the Jacobian's layer
         products as if A were the flat strip at the mean thickness,
-        exactly so on a strip of constant thickness, and it is the start of
-        Z's GMRES.  The block is a fresh array, computed on every call.
+        exactly so on a strip of constant thickness.  It is the start Z0 of
+        Z's GMRES, which then needs no [E^T | e]: M^T Z0 = [E^T | e] up to
+        roundoff, so the start's residual is -delta^T Z0
+        (`_adjoint_block`).  The block is a fresh array, computed on every
+        call, and `_adjoint_block` solves into it.
         """
         grid = self.grid
         nx = grid.n_modes + 1

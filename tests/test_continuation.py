@@ -1,10 +1,11 @@
 """Arclength driver: tangents, correctors, guards, classification, signs, symmetry."""
 
+import warnings
 import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, svdvals
 
 from vortexwave import continuation
 from vortexwave.continuation import (
@@ -266,17 +267,26 @@ class TestFailedTrialSolves:
     def test_non_finite_newton_step_halves_the_step(self, monkeypatch):
         clean = small_engine(max_steps=4).continue_branch()
         real_lu_solve = continuation.lu_solve
-        calls = []
+        real_correct = ContinuationEngine._arclength_correct
+        solves = []  # per corrector run, its lu_solve calls so far
+
+        def correcting(engine, *args):
+            solves.append(0)
+            return real_correct(engine, *args)
 
         def nan_once(*args, **kwargs):
-            calls.append(args)
             step = real_lu_solve(*args, **kwargs)
-            # the first call solves the origin tangent, the second is the
-            # first step's chord iteration
-            return np.full_like(step, np.nan) if len(calls) == 2 else step
+            if solves == [0]:  # the first corrector's chord iteration
+                solves[0] = 1
+                step = np.full_like(step, np.nan)
+            return step
 
+        monkeypatch.setattr(ContinuationEngine, "_arclength_correct",
+                            correcting)
         monkeypatch.setattr(continuation, "lu_solve", nan_once)
         branch = small_engine(max_steps=4).continue_branch()
+        # one corrector run per accepted step, and one retry
+        assert solves[0] == 1 and len(solves) == len(clean.points)
         assert branch.termination is Alternative.MAX_STEPS_REACHED
         # only accepted points count against the budget
         assert len(branch.points) == len(clean.points)
@@ -544,7 +554,7 @@ class TestParity:
 
 
 class TestPointDiagnostics:
-    """The sign from one LU and svdvals, against numpy's slogdet and SVD."""
+    """The sign and sigma_min from one LU, against numpy's slogdet and SVD."""
 
     @staticmethod
     def check(matrix):
@@ -589,6 +599,87 @@ class TestPointDiagnostics:
         matrix = np.random.default_rng(2).standard_normal((40, 40))
         matrix[:, 7] = matrix[:, 3]
         assert self.check(matrix) == 0
+
+
+@pytest.fixture(scope="module")
+def jacobians_64x32():
+    """Jacobians of the default 64x32 system: at the flat state, at the
+    last point of the 12-step default branch and at the strength-3
+    solution."""
+    system = WaveSystem(PARAMS, 64, 32)
+    engine = ContinuationEngine(system, ContinuationSettings(max_steps=12))
+    points = {"branch": engine.continue_branch().points[-1],
+              "strength-3": engine.solve_at(3.0)}
+    jacobians = {name: system.jacobian_prepared(
+        system.prepare(point.state), point.strength)
+        for name, point in points.items()}
+    jacobians["flat"] = system.jacobian_prepared(
+        system.prepare(system.origin()), 0.0)
+    return jacobians
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The svdvals calls of the point diagnostics, counted."""
+    calls = []
+    real = continuation.svdvals
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "svdvals", counting)
+    return calls
+
+
+class TestSmallestSingularValue:
+    """sigma_min by Lanczos on the LU factors, against scipy's svdvals."""
+
+    @pytest.mark.parametrize("name", ["flat", "branch", "strength-3"])
+    def test_matches_svdvals_on_64x32_jacobians(self, name, jacobians_64x32,
+                                                 svd_calls):
+        jac = jacobians_64x32[name]
+        want = svdvals(jac)[-1]
+        sign, sigma = small_engine()._sign_and_sigma(jac)
+        assert svd_calls == []  # the factors settled the sign
+        assert abs(sigma - want) <= 1e-12 * want
+        assert sign == int(np.linalg.slogdet(jac)[0])
+
+    def test_two_close_smallest_singular_values(self, svd_calls):
+        # sigma_n and sigma_n-1 1e-6 apart: the Lanczos estimate must not
+        # stop at a mixture of their singular vectors
+        rng = np.random.default_rng(5)
+        n = 80
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        singulars = np.r_[np.geomspace(50.0, 1.0, n - 2), 0.5 + 1e-6, 0.5]
+        matrix = (u * singulars) @ v.T
+        want = svdvals(matrix)[-1]
+        assert abs(want - 0.5) <= 1e-14
+        _, sigma = small_engine()._sign_and_sigma(matrix)
+        assert svd_calls == []
+        assert abs(sigma - want) <= 1e-12 * want
+
+    def test_zero_pivot_takes_svdvals_silently(self, svd_calls, capsys):
+        # an exactly zero column gives the LU factors a zero pivot, for
+        # which scipy's lu_factor would warn
+        matrix = np.random.default_rng(2).standard_normal((40, 40))
+        matrix[:, 7] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sign, sigma = small_engine()._sign_and_sigma(matrix)
+        assert sign == 0
+        assert len(svd_calls) == 1
+        assert sigma == svdvals(matrix)[-1]
+        assert capsys.readouterr() == ("", "")
+
+    def test_branch_calls_no_svd(self, svd_calls):
+        # 16x8: 52 unknowns, where the sign and sigma_min of every point
+        # come from its LU factors
+        branch = small_engine(n_modes=16, m_vertical=8,
+                              max_steps=3).continue_branch()
+        assert len(branch.points) == 4
+        assert svd_calls == []
 
 
 class TestMirrorSymmetry:

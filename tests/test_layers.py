@@ -314,6 +314,34 @@ class TestAdjointBlock:
         if state == "flat":
             assert np.array_equal(got, ops.flat_adjoint_block())
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("state", ["flat", "crest", "strength-3"])
+    def test_start_residual_in_closed_form(self, state, side, strength_3):
+        # M^T Z0 = [E^T | e] for the flat block Z0, so its residual is
+        # -delta^T Z0, and the columns of [E^T | e] have closed-form norms
+        ops, _ = self.layer(state, side, strength_3)
+        start = ops.flat_adjoint_block()
+        rhs = ops._adjoint_columns()
+        size = layers._column_norms(rhs)
+        assert np.max(np.abs(ops._adjoint_column_norms() - size)
+                      / size) <= 1e-12
+        want = rhs - ops._apply_transpose(start)
+        got = -ops._deviation(start, transposed=True)
+        assert np.max(layers._column_norms(got - want) / size) <= 1e-12
+
+    def test_flat_block_runs_no_gmres_and_no_flat_solve(self, monkeypatch):
+        # on a flat strip delta = 0: the start is the block
+        ops, _ = self.layer("flat", "lower", None)
+
+        def unexpected(*args):
+            raise AssertionError("a solve ran on the flat strip")
+
+        monkeypatch.setattr(layers, "gmres", unexpected)
+        ops._flat_solve_transpose = unexpected
+        block = ops._adjoint_block
+        assert not ops.factored
+        assert np.array_equal(block, ops.flat_adjoint_block())
+
     def test_started_block_saves_a_vector_per_column(self, monkeypatch):
         # the last state of the 12-step default 64x32 branch, sup eta
         # 1.2e-3: each panel of both blocks builds at most 3 vectors from
@@ -392,27 +420,35 @@ class TestAdjointBlock:
         ("dno_matrix", "interior_dy_row", "shape_batch"),
         ("shape_batch", "dno_matrix", "interior_dy_row"),
     ])
-    def test_one_block_solve_whatever_the_call_order(self, order, lu_counter):
+    def test_one_block_solve_whatever_the_call_order(self, order, lu_counter,
+                                                     monkeypatch):
         # the Dirichlet-to-Neumann matrix, the drift row and the shape
         # derivatives of a probed 32x16 lower layer read one transposed
-        # block solve of N + 1 interface columns and the probe column
+        # block of N + 1 interface columns and the probe column: one GMRES
+        # solve for each of its two panels of 17 columns, each started
+        # from the flat block, so that every residual is smaller than its
+        # right-hand side
         grid = CollocationGrid(np.pi, 32)
         ops = strip(grid, peaked(0.33, n=33), 16, (0.0, -0.5))
         sol = ops.solve(EvenField(0.5 ** np.arange(33)))
-        solve = ops._solve
-        solves = []
+        sizes = np.linalg.norm(ops._adjoint_columns(), axis=(0, 2))
+        panels = []
+        real_gmres = layers.gmres
 
-        def counting(rhs, transposed=False, start=None):
-            solves.append((rhs.shape, transposed, start is not None))
-            return solve(rhs, transposed, start)
+        def counting(apply, precondition, rhs, *args):
+            panels.append((rhs.shape, apply == ops._preconditioned_transpose,
+                           layers._column_norms(rhs)))
+            return real_gmres(apply, precondition, rhs, *args)
 
-        ops._solve = counting
+        monkeypatch.setattr(layers, "gmres", counting)
         calls = {"dno_matrix": ops.dno_matrix,
                  "interior_dy_row": ops.interior_dy_row,
                  "shape_batch": lambda: ops.shape_batch(sol)}
         for name in order:
             calls[name]()
-        assert solves == [((33, 34, 17), True, True)]
+        assert [panel[:2] for panel in panels] == [((33, 17, 17), True)] * 2
+        left = np.concatenate([panel[2] for panel in panels])
+        assert np.all(left < sizes)
         assert lu_counter.factorizations == 0
 
     def test_block_columns_match_single_solves(self):

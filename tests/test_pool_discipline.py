@@ -7,11 +7,16 @@ spinning while scipy factors the next layer operator, which then takes
 other than `norm`, which runs no LAPACK, except validation.py, whose checks
 run outside any branch, and the cached set-up on ONCE_PER_RESOLUTION.  The
 products of the layers' trace solves and adjoint blocks wake a pool the same
-way, so they run on scipy's BLAS as well (README, "Threads").
+way, so they run on scipy's BLAS as well (README, "Threads"), and the
+BLAS-1 calls that stay on numpy's BLAS are kept short.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
+
+from vortexwave import cli
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vortexwave"
 
@@ -213,3 +218,32 @@ def test_flat_adjoint_block_forms_its_panels_in_work_buffers():
         out = next(k.value for k in call.keywords if k.arg == "out")
         assert _is_work_view(out) or (
             isinstance(out, ast.Name) and out.id in views), call.lineno
+
+
+#: elements beyond which OpenBLAS threads a BLAS-1 dot or norm, and so
+#: wakes numpy's pool
+POOL_ELEMENTS = 10_000
+
+
+def test_branch_keeps_numpy_blas_1_calls_short(tmp_path, monkeypatch):
+    # np.linalg.norm, np.dot and np.vdot run on numpy's OpenBLAS, and past
+    # POOL_ELEMENTS elements its threads wake and then spin against
+    # scipy's next LAPACK call: a Frobenius norm of the 196x196 Jacobian
+    # by np.linalg.norm doubled a branch point's time.  A 2-step default
+    # 64x32 continue in this process, with the three recording the sizes of
+    # their arguments
+    sizes = []
+
+    def recording(function):
+        def recorded(*args, **kwargs):
+            sizes.append(max(np.size(arg) for arg in args))
+            return function(*args, **kwargs)
+        return recorded
+
+    for name in ("dot", "vdot"):
+        monkeypatch.setattr(np, name, recording(getattr(np, name)))
+    monkeypatch.setattr(np.linalg, "norm", recording(np.linalg.norm))
+    assert cli.main(["continue", "--out", str(tmp_path),
+                     "--max-steps", "2"]) == 0
+    assert sizes, "no numpy BLAS-1 call was recorded"
+    assert max(sizes) <= POOL_ELEMENTS
