@@ -55,7 +55,10 @@ its layers' trace solves from the nodal values of a nearby solved state
 (`layers.LayerOperators.solve`): a difference product or damping trial
 from the current iterate's, the first evaluation of a branch step from its
 base point's.  Only those arrays outlive an evaluation, never its prepared
-state, whose operators keep the Jacobian's adjoint blocks.
+state, whose operators keep the Jacobian's adjoint blocks.  A branch keeps
+one more array per layer from point to point: Z - Z0, its last accepted
+point's adjoint block less the flat one, in float32, which, scaled by the
+elevation, starts the next point's block (`_predict_deviations`).
 
 Tangents are unit null vectors of the bordered Jacobian under a weighted
 inner product: discrete H^1 weights on the three field blocks and unit
@@ -106,9 +109,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, svdvals
+from scipy.linalg.blas import dgemv, dnrm2
 from scipy.linalg.lapack import dgetrf, dgetrs, dstev
 
 from .errors import (
@@ -199,30 +204,62 @@ def _smallest_singular(lu: np.ndarray, piv: np.ndarray) -> float:
     1/sigma_min^2 from below, and an eigenvalue lies within beta |s| of it,
     beta the next off-diagonal and s the last entry of theta's eigenvector;
     the loop stops once that is at most SINGULAR_TOL theta, or once the
-    basis spans the space.  The start is a fixed vector, so reruns repeat
-    bit for bit.  Returns 1 / sqrt(theta), not finite when an estimate is
-    not.
+    basis spans the space.  The start is a fixed vector (`_lanczos_start`),
+    so reruns repeat bit for bit.  Both products of the reorthogonalization
+    run on scipy's dgemv and the norm on its dnrm2, so that numpy's thread
+    pool stays asleep (README, "Threads").  Returns 1 / sqrt(theta), not
+    finite when an estimate is not.
     """
     n = piv.size
-    basis = np.empty((n, n))
+    basis = np.empty((n + 1, n))  # row k + 1 takes the vector step k makes
     alpha, beta = np.empty(n), np.empty(n)
-    q = np.random.default_rng(0).standard_normal(n)
-    q /= np.sqrt(np.einsum("i,i->", q, q))
+    basis[0] = _lanczos_start(n)
     for k in range(n):
-        basis[k] = q
-        w = dgetrs(lu, piv, dgetrs(lu, piv, q, trans=1)[0])[0]
-        kept = basis[:k + 1]
+        w = dgetrs(lu, piv, dgetrs(lu, piv, basis[k], trans=1)[0],
+                   overwrite_b=True)[0]
+        kept = basis[:k + 1].T  # Fortran-ordered: dgemv copies nothing
         alpha[k] = 0.0
         for _ in range(2):
-            dots = np.einsum("ki,i->k", kept, w)
-            w -= np.einsum("ki,k->i", kept, dots)
+            dots = dgemv(1.0, kept, w, trans=1)
+            w = dgemv(-1.0, kept, dots, beta=1.0, y=w, overwrite_y=True)
             alpha[k] += dots[k]
-        beta[k] = np.sqrt(np.einsum("i,i->", w, w))
+        beta[k] = dnrm2(w)
         theta, vectors, _ = dstev(alpha[:k + 1], beta[:max(k, 1)])
         if not beta[k] * abs(vectors[-1, -1]) > SINGULAR_TOL * theta[-1]:
             break
-        q = w / beta[k]
+        np.divide(w, beta[k], out=basis[k + 1])
     return float(1.0 / np.sqrt(theta[-1]))
+
+
+@lru_cache(maxsize=8)
+def _lanczos_start(n: int) -> np.ndarray:
+    """The unit start vector of `_smallest_singular` for order n, a fixed
+    normal draw, read-only."""
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.sqrt(np.einsum("i,i->", q, q))
+    q.flags.writeable = False
+    return q
+
+
+def _predict_deviations(deviations: list[np.ndarray | None],
+                        last: np.ndarray | None, eta: np.ndarray) -> None:
+    """Scale the kept Z - Z0 of the last point's adjoint blocks to the
+    elevation coefficients `eta`, in place, or drop them.
+
+    Near the flat state Z - Z0 grows linearly with the elevation, so the
+    last point's, times lambda = <eta, last> / <last, last> over the
+    elevation coefficients `last` of that point, predicts this point's to
+    first order.  With no last point, or a flat one, there is nothing to
+    scale: both entries become None, and the blocks start flat.
+    """
+    square = 0.0 if last is None else float(np.dot(last, last))
+    if not square > 0.0:
+        deviations[:] = [None, None]
+        return
+    scale = float(np.dot(eta, last)) / square
+    for deviation in deviations:
+        if deviation is not None:
+            deviation *= scale
 
 
 class Alternative(enum.Enum):
@@ -658,7 +695,13 @@ class ContinuationEngine:
         state, with none before it, it propagates.  Of an accepted point's
         prepared state only the layers' nodal values are kept, to start the
         next step's trace solves: its operators hold the Jacobian's adjoint
-        blocks.
+        blocks.  Each layer's Z - Z0 of those blocks is kept too, as a
+        float32 array, 4 nx (2 nx + 1) mt bytes for the two on nx x nodes
+        and mt tau nodes, and scaled in place by the elevation before the
+        next point's Jacobian, whose blocks start from it and then write
+        their own into it (`system.WaveSystem.jacobian_prepared`).  The
+        first two points, the flat state and the one after it, start their
+        blocks flat, and so does a side whose last block took the LU path.
         """
         settings = self.settings
         branch = Branch()
@@ -667,9 +710,13 @@ class ContinuationEngine:
         prep = self.system.prepare(state)
         tang = None
         ds = settings.ds0
+        # Z - Z0 of the last accepted point's adjoint blocks, (upper,
+        # lower), and that point's elevation coefficients
+        deviations, last = [None, None], None
         while True:
             try:
-                jac = self.system.jacobian_prepared(prep, strength)
+                _predict_deviations(deviations, last, state.elevation.coeffs)
+                jac = self.system.jacobian_prepared(prep, strength, deviations)
                 point = self._point(state, strength, norm, iterations, jac)
                 tang = self.tangent(prep, strength, previous=tang, jac=jac)
             except STEP_FAILURES:
@@ -685,6 +732,7 @@ class ContinuationEngine:
                 branch.termination = classify_termination(False, False)
                 return branch
             base = np.r_[state.to_vector(), strength]
+            last = state.elevation.coeffs
             guess = prep.values
             del prep  # the next step keeps its layer values alone
 

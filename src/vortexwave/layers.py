@@ -58,10 +58,13 @@ Z starts from it, column by column as a trace solve starts from its guess;
 each column then builds one Krylov vector fewer near the flat state.  Since
 M^T Z0 = [E^T | e] for this start Z0, its residual is -delta^T Z0, one
 `_deviation` per panel, and the norms of [E^T | e] are closed forms, so
-the Krylov path never forms [E^T | e].  Read in the place of Z, the flat
-block gives the Jacobian's layer products of the flat strip at the
-layer's mean thickness, which the continuation corrector factors as the
-chord of its fixed-strength solve.
+the Krylov path never forms [E^T | e].  Along a branch Z - Z0 grows with
+the elevation, so a block may instead start from Z0 plus the last point's
+Z - Z0, scaled (`track_adjoint_deviation`); its residual is then A^T times
+the start less [E^T | e], whose panels are added in closed form.  Read in
+the place of Z, the flat block gives the Jacobian's layer products of the
+flat strip at the layer's mean thickness, which the continuation corrector
+factors as the chord of its fixed-strength solve.
 
 Both applies and both preconditioners take a vector or an (x node,
 column, tau node) block.  In that layout each x product is one BLAS
@@ -491,6 +494,10 @@ class LayerOperators:
         self._c_tt_deviation[:, ::mt - 1] = 0.0
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
+        # Z - Z0 of the adjoint block, kept when the caller asks
+        # (`track_adjoint_deviation`), and whether it starts the block
+        self.adjoint_deviation: np.ndarray | None = None
+        self._predicted = False
 
     @cached_property
     def _factors(self):
@@ -883,13 +890,24 @@ class LayerOperators:
         """[E^T | e] as a fresh (nx, k, mt) block: the right-hand sides of
         `_adjoint_block` and `flat_adjoint_block`."""
         nx = self.grid.n_modes + 1
-        mt = self.m_vertical + 1
-        rhs = np.zeros((nx, nx + (self.probe is not None), mt))
-        rhs[np.arange(nx), np.arange(nx)] = self._d_tau[0]
-        if self.probe is not None:
-            row_x, t_rows, h = self._probe_rows
-            rhs[:, nx] = np.outer(row_x, (2.0 / h) * t_rows[1])
+        k = nx + (self.probe is not None)
+        rhs = np.zeros((nx, k, self.m_vertical + 1))
+        self._add_adjoint_columns(rhs, slice(0, k), 1.0)
         return rhs
+
+    def _add_adjoint_columns(self, out: np.ndarray, panel: slice,
+                             factor: float) -> None:
+        """Add `factor` times the columns `panel` of [E^T | e] to the
+        (nx, panel width, mt) block `out`, in closed form: column j < nx
+        is d_tau[0] at x node j, and e the probe's x row times its tau
+        row."""
+        nx = self.grid.n_modes + 1
+        nodes = np.arange(panel.start, min(panel.stop, nx))
+        out[nodes, nodes - panel.start] += factor * self._d_tau[0]
+        if self.probe is not None and panel.stop > nx:
+            row_x, t_rows, h = self._probe_rows
+            out[:, nx - panel.start] += np.outer(
+                row_x, (2.0 * factor / h) * t_rows[1])
 
     def _adjoint_column_norms(self) -> np.ndarray:
         """The 2-norm of each column of `_adjoint_columns`, in closed form:
@@ -918,24 +936,39 @@ class LayerOperators:
         A^T d = delta^T Z0 on `_preconditioned_transpose` and Z = Z0 - d,
         each column to the stopping rule scaled by |rhs_c| / |residual_c|
         as in `_solve`, |rhs_c| from `_adjoint_column_norms`; but a start
-        no better than zero is kept, to a stricter rule.  So the Krylov
-        path never forms [E^T | e], and a panel whose every column already
-        meets its rule runs no GMRES and no flat solve.  LU serves operators below KRYLOV_MIN_UNKNOWNS,
-        operators already factored, and the whole block once a panel
-        misses.  The block is (nx, k, mt): column c of Z is Z[:, c, :].  It
-        is solved once, on first use, and read-only.
+        no better than zero is kept, to a stricter rule.  A block given a
+        predicted Z - Z0 (`track_adjoint_deviation`) starts from Z0 plus
+        that array instead, and its residual is A^T times the start less
+        the panel of [E^T | e], added in closed form
+        (`_add_adjoint_columns`); the rule is the same.  So the Krylov path
+        never forms [E^T | e], and a panel whose every column already meets
+        its rule runs no GMRES and no flat solve.  A tracked block
+        subtracts each panel's correction from `adjoint_deviation` too, so
+        that the array ends as its own Z - Z0.  LU serves operators below
+        KRYLOV_MIN_UNKNOWNS, operators already factored, and the whole
+        block once a panel misses; it leaves `adjoint_deviation` None.  The
+        block is (nx, k, mt): column c of Z is Z[:, c, :].  It is solved
+        once, on first use, and read-only.
         """
         if self._krylov:
             z = self.flat_adjoint_block()
             size = self._adjoint_column_norms()
+            kept = self.adjoint_deviation
             for panel in _panels(z.shape[1]):
                 start = z[:, panel]
-                # delta^T of a contiguous copy, since the x product would
-                # copy the strided panel transposed; the preconditioner's
-                # buffer is free until GMRES has read its right-hand side
+                if self._predicted:
+                    start += kept[:, panel]
+                # the residual of a contiguous copy, since the x product
+                # would copy the strided panel transposed; the
+                # preconditioner's buffer is free until GMRES has read its
+                # right-hand side
                 staged = self._work.view("precondition", start.shape)
                 staged[...] = start
-                residual = self._deviation(staged, transposed=True)
+                if self._predicted:
+                    residual = self._apply_transpose(staged)
+                    self._add_adjoint_columns(residual, panel, -1.0)
+                else:
+                    residual = self._deviation(staged, transposed=True)
                 left = _column_norms(residual)
                 if np.all(left <= KRYLOV_TOL * size[panel]):
                     continue
@@ -945,12 +978,34 @@ class LayerOperators:
                 if solved is None:
                     break
                 start -= solved
+                if kept is not None:
+                    kept[:, panel] -= solved
             else:
                 z.flags.writeable = False  # shared by every caller
                 return z
+        self.adjoint_deviation = None
         z = self._solve_rhs(self._adjoint_columns(), transposed=True)
         z.flags.writeable = False
         return z
+
+    def track_adjoint_deviation(self, predicted: np.ndarray | None = None
+                                ) -> None:
+        """Have `_adjoint_block` leave its Z - Z0 in `adjoint_deviation`.
+
+        Z0 is the `flat_adjoint_block`.  `predicted`, a float32 array of
+        the block's shape, typically a nearby block's Z - Z0 scaled to
+        this state, starts GMRES from Z0 + predicted, and the block's own
+        Z - Z0 is then written over it; without one the block starts from
+        Z0, exactly as an untracked one, and writes into fresh zeros.
+        float32 suffices, since the array only starts GMRES.  Call it
+        before the block's first use; a block that takes the LU path
+        leaves None.
+        """
+        self._predicted = predicted is not None
+        self.adjoint_deviation = predicted if self._predicted else np.zeros(
+            (self.grid.n_modes + 1,
+             self.grid.n_modes + 1 + (self.probe is not None),
+             self.m_vertical + 1), np.float32)
 
     def _flat_profiles(self, tau_row: np.ndarray) -> np.ndarray:
         """Per-mode tau profiles of M^-T on a column x-part (x) tau_row.

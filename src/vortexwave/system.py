@@ -311,9 +311,23 @@ class WaveSystem:
 
     # -- Jacobian ------------------------------------------------------------------
 
-    def jacobian_prepared(self, prep: PreparedState, strength: float) -> np.ndarray:
-        """Analytic Jacobian over (elevation, upper trace, lower trace, speed)."""
-        return self._jacobian(prep, strength, flat=False)
+    def jacobian_prepared(self, prep: PreparedState, strength: float,
+                          deviations: list[np.ndarray | None] | None = None
+                          ) -> np.ndarray:
+        """Analytic Jacobian over (elevation, upper trace, lower trace, speed).
+
+        `deviations`, when given, is a list of two entries, upper layer
+        first, and each layer's adjoint block, not yet solved, keeps its
+        Z - Z0 (`layers.LayerOperators.track_adjoint_deviation`): an entry
+        that is a float32 array, such as the last branch point's Z - Z0
+        scaled to this state, starts that block's GMRES from its flat block
+        plus the array, and None from its flat block.  On return each entry
+        holds its block's Z - Z0, written over the array given, or None
+        where the block took the LU path.  The Jacobian is the same either
+        way, to the solves' tolerance.
+        """
+        return self._jacobian(prep, strength, flat=False,
+                              deviations=deviations)
 
     def flat_jacobian(self, prep: PreparedState, strength: float) -> np.ndarray:
         """The analytic Jacobian with each layer's solves on its flat strip.
@@ -325,7 +339,8 @@ class WaveSystem:
         """
         return self._jacobian(prep, strength, flat=True)
 
-    def _jacobian(self, prep: PreparedState, strength: float, flat: bool
+    def _jacobian(self, prep: PreparedState, strength: float, flat: bool,
+                  deviations: list[np.ndarray | None] | None = None
                   ) -> np.ndarray:
         """The Jacobian assembly of `jacobian_prepared` and, when `flat`,
         of `flat_jacobian`."""
@@ -352,7 +367,11 @@ class WaveSystem:
             block = slice(k * n, (k + 1) * n)  # its trace columns and row
             gamma = layer.sign * strength
             z = layer.ops.flat_adjoint_block() if flat else None
+            if deviations is not None:  # k - 1 indexes (upper, lower)
+                layer.ops.track_adjoint_deviation(deviations[k - 1])
             shape, probe_shape = layer.ops.shape_batch(layer.values, z)
+            if deviations is not None:  # shape_batch solved the block
+                deviations[k - 1] = layer.ops.adjoint_deviation
             shape = layer.sign * shape  # strip under sign * elevation
             dno = basis @ layer.ops.dno_matrix(z)
 

@@ -7,10 +7,11 @@ without wrapping anything, so a rename or deletion shows up here first.
 The reference tables the benchmark checks its output against must still
 have the table format that persistence.py writes, and the seed-0 commands
 of the gated workloads, run in this process, must pass perfbench/run.py's
-`check_output` against them, so a change of the branch fails here too.  A
-short 16x8 branch at each non-default [physical] value must pass its
-invariants: exit code, one row and snapshot per point, and every residual
-within newton_tol.
+`check_output` against them, so a change of the branch fails here too, and
+their seed-1 commands, whose jittered vortex height and tension move every
+elevation along the branch, must pass its invariants.  A short 16x8 branch
+at each non-default [physical] value must pass its invariants: exit code,
+one row and snapshot per point, and every residual within newton_tol.
 """
 
 import importlib
@@ -83,12 +84,13 @@ def test_the_workloads_have_reference_tables():
     assert {"branch-64x32.csv", "solve-64x32.csv"} <= names
 
 
-def _check(name, workload, seed, tmp_path, capsys, monkeypatch):
+def _check(name, workload, seed, tmp_path, capsys, monkeypatch,
+           config_seed=0):
     """perfbench/run.py's `check_output` on one run of the workload's
-    seed-0 configuration in this process; `seed` 0 compares it with the
-    reference, any other checks its invariants alone."""
+    configuration for `config_seed` in this process; `seed` 0 compares it
+    with the reference, any other checks its invariants alone."""
     config = tmp_path / "config.ini"
-    config.write_text(RUN.config_text(workload, 0))
+    config.write_text(RUN.config_text(workload, config_seed))
     points = []  # one stamp per recorded point, as the benchmark's child
     write = persistence.BranchWriter.write
 
@@ -110,6 +112,13 @@ def test_seed_zero_output_passes_the_benchmark_check(name, tmp_path, capsys,
                                                     monkeypatch):
     assert _check(name, RUN.WORKLOADS[name], 0, tmp_path, capsys,
                   monkeypatch) == []
+
+
+@pytest.mark.parametrize("name", ["branch-64x32", "solve-64x32"])
+def test_seed_one_output_keeps_the_benchmark_invariants(name, tmp_path,
+                                                        capsys, monkeypatch):
+    assert _check(name, RUN.WORKLOADS[name], 1, tmp_path, capsys,
+                  monkeypatch, config_seed=1) == []
 
 
 @pytest.mark.parametrize("key", [key.split(".")[1] for key in NON_DEFAULT

@@ -317,6 +317,40 @@ class TestWorkCounts:
         assert [p.newton_iterations for p in branch.points] == [0, 1, 1, 2, 2, 2, 2]
         assert lu_counter.factorizations == 34
 
+    @staticmethod
+    def _panel_vectors(monkeypatch):
+        """Counts the Krylov vectors of the adjoint blocks' panels: each is
+        one `_preconditioned_transpose`."""
+        counts = []
+        real = LayerOperators._preconditioned_transpose
+
+        def counted(ops, v):
+            counts.append(v.shape)
+            return real(ops, v)
+
+        monkeypatch.setattr(LayerOperators, "_preconditioned_transpose",
+                            counted)
+        return counts
+
+    def test_branch_blocks_start_from_the_last_point(self, monkeypatch):
+        # the 12-step default 64x32 branch: each Jacobian after the first
+        # two starts its adjoint blocks from the last point's Z - Z0
+        # scaled by the elevation, 102 panel-vectors against 157 from
+        # the flat blocks
+        counts = self._panel_vectors(monkeypatch)
+        branch = small_engine(n_modes=64, m_vertical=32,
+                              max_steps=12).continue_branch()
+        assert len(branch.points) == 13
+        assert len(counts) <= 110
+
+    def test_fixed_strength_blocks_start_flat(self, monkeypatch):
+        # solve_at has no last point: its one exact Jacobian starts both
+        # blocks from the flat blocks, 48 panel-vectors at strength 3
+        counts = self._panel_vectors(monkeypatch)
+        point = small_engine(n_modes=64, m_vertical=32).solve_at(3.0)
+        assert point.newton_iterations == 5
+        assert len(counts) <= 48
+
 
 class TestNewtonKrylov:
     def test_difference_product_matches_bordered_jacobian(self):

@@ -477,6 +477,96 @@ class TestAdjointBlock:
         assert np.array_equal(solves[0], solves[1].ravel())
 
 
+@pytest.fixture(scope="module")
+def consecutive_points():
+    """(system, last point, point): the second and third points of the
+    default 64x32 branch, the first two whose elevations are not flat."""
+    system = WaveSystem(PhysicalParameters(), 64, 32)
+    points = ContinuationEngine(system, ContinuationSettings(
+        max_steps=2)).continue_branch().points
+    return system, points[1], points[2]
+
+
+class TestPredictedStart:
+    """An adjoint block started from the last point's Z - Z0, scaled by the
+    elevation (`LayerOperators.track_adjoint_deviation`), against the same
+    block started from its flat block."""
+
+    @staticmethod
+    def predicted(points):
+        """(upper, lower) Z - Z0 of the last point's blocks, times
+        lambda = <eta, eta_last> / <eta_last, eta_last>."""
+        system, last, point = points
+        deviations = [None, None]
+        system.jacobian_prepared(system.prepare(last.state), last.strength,
+                                 deviations)
+        eta, eta_last = point.state.elevation.coeffs, last.state.elevation.coeffs
+        scale = float(eta @ eta_last) / float(eta_last @ eta_last)
+        return [deviation * scale for deviation in deviations]
+
+    @staticmethod
+    def solved(points, side, start=None):
+        """(block, vectors its panels built, operator) of one layer at the
+        point, tracked from `start` when one is given."""
+        system, _, point = points
+        ops = system.prepare(point.state).layers[side].ops
+        vectors = []
+        real = ops._preconditioned_transpose
+
+        def counted(v):
+            vectors.append(v.shape)
+            return real(v)
+
+        ops._preconditioned_transpose = counted
+        if start is not None:
+            ops.track_adjoint_deviation(start)
+        return ops._adjoint_block, len(vectors), ops
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["upper", "lower"])
+    def test_matches_the_flat_start(self, consecutive_points, side):
+        start = self.predicted(consecutive_points)[side]
+        assert start.dtype == np.float32
+        got, vectors, ops = self.solved(consecutive_points, side, start)
+        want, flat_vectors, _ = self.solved(consecutive_points, side)
+        assert not ops.factored
+        assert (np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want))
+        assert vectors < flat_vectors
+        # the start array now holds this block's own Z - Z0
+        assert ops.adjoint_deviation is start
+        own = got - ops.flat_adjoint_block()
+        assert (np.linalg.norm(start - own)
+                <= 1e-7 * np.linalg.norm(own))
+
+    @pytest.mark.parametrize("wrong", ["tenfold", "random"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["upper", "lower"])
+    def test_a_wrong_start_costs_vectors_only(self, consecutive_points,
+                                               side, wrong):
+        right = self.predicted(consecutive_points)[side]
+        if wrong == "tenfold":
+            start = 10.0 * right
+        else:
+            start = np.random.default_rng(3).standard_normal(
+                right.shape).astype(np.float32)
+            start *= np.linalg.norm(right) / np.linalg.norm(start)
+        got, vectors, ops = self.solved(consecutive_points, side, start)
+        want, _, _ = self.solved(consecutive_points, side)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        _, right_vectors, _ = self.solved(consecutive_points, side, right)
+        assert vectors > right_vectors
+
+    @pytest.mark.parametrize("start", ["none", "zero"])
+    def test_lu_fallback_leaves_no_deviation(self, start):
+        # the state of test_thin_layer_falls_back_to_lu, where GMRES misses
+        ops = strip(GRID, peaked(-0.9), 32, (0.0, -0.95))
+        ops.track_adjoint_deviation(
+            None if start == "none" else np.zeros((NX, NX + 1, 33),
+                                                  np.float32))
+        assert ops.adjoint_deviation is not None
+        ops.dno_matrix()
+        assert ops.factored
+        assert ops.adjoint_deviation is None
+
+
 class TestWarmStart:
     """Trace solves started from the solution at a nearby state."""
 

@@ -6,9 +6,10 @@ spinning while scipy factors the next layer operator, which then takes
 50-70% longer.  So no module in src/ calls a numpy.linalg function
 other than `norm`, which runs no LAPACK, except validation.py, whose checks
 run outside any branch, and the cached set-up on ONCE_PER_RESOLUTION.  The
-products of the layers' trace solves and adjoint blocks wake a pool the same
-way, so they run on scipy's BLAS as well (README, "Threads"), and the
-BLAS-1 calls that stay on numpy's BLAS are kept short.
+products of the layers' trace solves and adjoint blocks, and of the Lanczos
+steps behind sigma_min, wake a pool the same way, so they run on scipy's
+BLAS as well (README, "Threads"), and the BLAS-1 calls that stay on numpy's
+BLAS are kept short.
 """
 
 import ast
@@ -185,6 +186,17 @@ def test_block_products_run_on_scipy_blas():
     products = [c for c in ast.walk(shape) if isinstance(c, ast.Call)
                 and _called_name(c) == "_blas_product" and _reads(c, derived)]
     assert len(products) >= 2
+
+
+def test_lanczos_steps_run_on_scipy_blas():
+    # sigma_min's Lanczos loop runs at every accepted point and at every
+    # size, so its products and norms are scipy's dgemv and dnrm2, and no
+    # numpy product
+    tree = ast.parse((PACKAGE / "continuation.py").read_text())
+    lanczos = _function(tree, "_smallest_singular")
+    assert [p.lineno for p in _numpy_products(lanczos)] == []
+    assert {"dgemv", "dnrm2"} <= {_called_name(c) for c in ast.walk(lanczos)
+                                  if isinstance(c, ast.Call)}
 
 
 def _is_work_view(node):
