@@ -50,15 +50,7 @@ A miss pays for the vectors it built and then for a Jacobian.  At 64x32
 near strength 3 a Jacobian takes 100-135 ms and a warm difference
 evaluation 3.4-4.5 ms (in-process, 2 cores), so a Jacobian costs about
 25-35 of them, and KRYLOV_VECTORS stays below that: a step that misses
-costs at most about two Jacobians.  Each evaluation starts
-its layers' trace solves from the nodal values of a nearby solved state
-(`layers.LayerOperators.solve`): a difference product or damping trial
-from the current iterate's, the first evaluation of a branch step from its
-base point's.  Only those arrays outlive an evaluation, never its prepared
-state, whose operators keep the Jacobian's adjoint blocks.  A branch keeps
-one more array per layer from point to point: Z - Z0, its last accepted
-point's adjoint block less the flat one, in float32, which, scaled by the
-elevation, starts the next point's block (`_predict_deviations`).
+costs at most about two Jacobians.
 
 Tangents are unit null vectors of the bordered Jacobian under a weighted
 inner product: discrete H^1 weights on the three field blocks and unit
@@ -67,9 +59,10 @@ scalars.
 
 check_guards is the one admissibility test.  Both runs run it first on the
 flat state, which solves the system at zero strength by construction, and
-a violation there is a configuration error (`_flat_start`).  The
-fixed-strength solve runs it on its guess too, continue_branch on each
-converged candidate before accepting it, so a finished branch, row 0
+a violation there is a configuration error (`_flat_start`).  The guards
+read the elevation alone, and the guess of the fixed-strength solve has
+the flat state's, so that check covers it.  continue_branch runs it on
+each converged candidate before accepting it, so a finished branch, row 0
 included, is always a valid prefix.  Precedence when several guards trip
 at once: vortex proximity, then boundary contact, then norm blowup.
 Inside the corrector, a trial point whose layer strip degenerates
@@ -239,27 +232,6 @@ def _lanczos_start(n: int) -> np.ndarray:
     q /= np.sqrt(np.einsum("i,i->", q, q))
     q.flags.writeable = False
     return q
-
-
-def _predict_deviations(deviations: list[np.ndarray | None],
-                        last: np.ndarray | None, eta: np.ndarray) -> None:
-    """Scale the kept Z - Z0 of the last point's adjoint blocks to the
-    elevation coefficients `eta`, in place, or drop them.
-
-    Near the flat state Z - Z0 grows linearly with the elevation, so the
-    last point's, times lambda = <eta, last> / <last, last> over the
-    elevation coefficients `last` of that point, predicts this point's to
-    first order.  With no last point, or a flat one, there is nothing to
-    scale: both entries become None, and the blocks start flat.
-    """
-    square = 0.0 if last is None else float(np.dot(last, last))
-    if not square > 0.0:
-        deviations[:] = [None, None]
-        return
-    scale = float(np.dot(eta, last)) / square
-    for deviation in deviations:
-        if deviation is not None:
-            deviation *= scale
 
 
 class Alternative(enum.Enum):
@@ -461,20 +433,19 @@ class ContinuationEngine:
         """The unit row of the strength in the augmented vector."""
         return np.r_[np.zeros(self.system.n_unknowns), 1.0]
 
-    def _evaluate(self, vec: np.ndarray, constraint, guess=None):
+    def _evaluate(self, vec: np.ndarray, constraint):
         """Prepare the state of an augmented vector; residual and constraint.
 
-        `guess` is the layers' nodal values at a nearby state
-        (`system.WaveSystem.prepare`).  Returns (state, strength, prep,
-        residual vector, constraint value, bordered residual norm).  A
-        non-finite vector or bordered residual norm raises NonFiniteEntry.
+        Returns (state, strength, prep, residual vector, constraint value,
+        bordered residual norm).  A non-finite vector or bordered residual
+        norm raises NonFiniteEntry.
         """
         if not np.all(np.isfinite(vec)):
             raise NonFiniteEntry("corrector produced a non-finite state")
         n = self.system.n_unknowns
         state = WaveState.from_vector(vec[:n], self.system.grid.n_modes)
         strength = float(vec[n])
-        prep = self.system.prepare(state, guess)
+        prep = self.system.prepare(state)
         res = self.system.residual_prepared(prep, strength).to_vector()
         with np.errstate(over="ignore"):  # finite entries may square to inf
             gap = constraint(vec)
@@ -484,17 +455,15 @@ class ContinuationEngine:
         return state, strength, prep, res, gap, norm
 
     def _difference_product(self, vec: np.ndarray, bordered_res: np.ndarray,
-                            v: np.ndarray, constraint, guess=None
-                            ) -> np.ndarray:
-        """Bordered Jacobian times v by a forward difference at vec, whose
-        layer values `guess` start the difference point's solves."""
+                            v: np.ndarray, constraint) -> np.ndarray:
+        """Bordered Jacobian times v by a forward difference at vec."""
         eps = (np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(vec))
                / np.linalg.norm(v))
-        evaluated = self._evaluate(vec + eps * v, constraint, guess)
+        evaluated = self._evaluate(vec + eps * v, constraint)
         return (np.r_[evaluated[3], evaluated[4]] - bordered_res) / eps
 
     def _krylov_step(self, vec: np.ndarray, bordered_res: np.ndarray,
-                     chord, constraint, guess, forcing: float
+                     chord, constraint, forcing: float
                      ) -> np.ndarray | None:
         """Newton-Krylov step, preconditioned by the chord's factors.
 
@@ -505,7 +474,7 @@ class ContinuationEngine:
         try:
             return gmres(
                 lambda v: self._difference_product(vec, bordered_res, v,
-                                                   constraint, guess),
+                                                   constraint),
                 lambda v: lu_solve(chord, v, check_finite=False),
                 -bordered_res, KRYLOV_VECTORS, forcing,
             )
@@ -538,17 +507,14 @@ class ContinuationEngine:
         return chord
 
     def _damped_newton(self, current: np.ndarray, row: np.ndarray,
-                       constraint, chord_jac: np.ndarray | None = None,
-                       guess=None):
+                       constraint, chord_jac: np.ndarray | None = None):
         """Damped Newton on the residual bordered by one scalar constraint.
 
         `current` is the augmented (state, strength) start, `row` the
-        constraint's gradient and `constraint(vec)` its value; `guess`, the
-        layers' nodal values at a nearby state, starts the trace solves of
-        the first evaluation, and the current iterate's values start those
-        of every later one.  The first iteration solves with the chord:
-        the factored bordered matrix of the exact Jacobian `chord_jac` when
-        one is given, else of the flat-strip Jacobian at the start
+        constraint's gradient and `constraint(vec)` its value.  The first
+        iteration solves with the chord: the factored bordered matrix of
+        the exact Jacobian `chord_jac` when one is given, else of the
+        flat-strip Jacobian at the start
         (`system.WaveSystem.flat_jacobian`).  Later iterations whose layer
         operators are not factored take a Newton-Krylov step preconditioned
         by the chord, to the forcing of `_forcing`; a flat chord is first
@@ -560,7 +526,7 @@ class ContinuationEngine:
         tol = self.settings.newton_tol
         newton_max = self.settings.newton_max
         state, strength, prep, res, gap, norm = self._evaluate(
-            current, constraint, guess)
+            current, constraint)
         chord = None
         flat = False  # whether the chord is a flat-strip Jacobian's
         if chord_jac is not None:
@@ -583,7 +549,7 @@ class ContinuationEngine:
                         self.system.flat_jacobian(prep, strength), row,
                     )
                 step = self._krylov_step(
-                    current, bordered_res, chord, constraint, prep.values,
+                    current, bordered_res, chord, constraint,
                     self._forcing(norm, last_norm, flat))
             if step is None:
                 if chord is None or iteration > 0:
@@ -602,8 +568,7 @@ class ContinuationEngine:
             for _ in range(MAX_HALVINGS + 1):
                 trial = current + scale * step
                 try:
-                    evaluated = self._evaluate(trial, constraint,
-                                               prep.values)
+                    evaluated = self._evaluate(trial, constraint)
                 except (VortexTooClose, DegenerateStrip) as exc:
                     last_guard = exc
                     scale *= 0.5
@@ -626,7 +591,6 @@ class ContinuationEngine:
         The first chord is the flat-strip Jacobian at `guess`, exact when
         the guess's elevation is constant, as that of `solve_at` is.
         """
-        self.check_guards(guess)
         n = self.system.n_unknowns
         state, _, iterations, prep, norm = self._damped_newton(
             np.r_[guess.to_vector(), strength], self._pin_row(),
@@ -635,14 +599,12 @@ class ContinuationEngine:
         return state, iterations, norm, prep
 
     def _arclength_correct(self, base: np.ndarray, tang: np.ndarray,
-                           ds: float, chord_jac: np.ndarray, guess):
+                           ds: float, chord_jac: np.ndarray):
         """Correct the predicted point back onto the branch at fixed
-        arclength, starting the trace solves from the base point's layer
-        values `guess`."""
+        arclength."""
         return self._damped_newton(
             base + ds * tang, self.weights * tang,
             lambda vec: self.weighted_dot(vec - base, tang) - ds, chord_jac,
-            guess,
         )
 
     # -- tangents -------------------------------------------------------------------
@@ -692,16 +654,9 @@ class ContinuationEngine:
         A converged point is accepted once its Jacobian, diagnostics and
         tangent are computed; a STEP_FAILURES error among them ends the
         branch at the last accepted point as a Newton failure; at the flat
-        state, with none before it, it propagates.  Of an accepted point's
-        prepared state only the layers' nodal values are kept, to start the
-        next step's trace solves: its operators hold the Jacobian's adjoint
-        blocks.  Each layer's Z - Z0 of those blocks is kept too, as a
-        float32 array, 4 nx (2 nx + 1) mt bytes for the two on nx x nodes
-        and mt tau nodes, and scaled in place by the elevation before the
-        next point's Jacobian, whose blocks start from it and then write
-        their own into it (`system.WaveSystem.jacobian_prepared`).  The
-        first two points, the flat state and the one after it, start their
-        blocks flat, and so does a side whose last block took the LU path.
+        state, with none before it, it propagates.  An accepted point's
+        prepared state is dropped before the next step: its operators hold
+        the Jacobian's adjoint blocks.
         """
         settings = self.settings
         branch = Branch()
@@ -710,13 +665,9 @@ class ContinuationEngine:
         prep = self.system.prepare(state)
         tang = None
         ds = settings.ds0
-        # Z - Z0 of the last accepted point's adjoint blocks, (upper,
-        # lower), and that point's elevation coefficients
-        deviations, last = [None, None], None
         while True:
             try:
-                _predict_deviations(deviations, last, state.elevation.coeffs)
-                jac = self.system.jacobian_prepared(prep, strength, deviations)
+                jac = self.system.jacobian_prepared(prep, strength)
                 point = self._point(state, strength, norm, iterations, jac)
                 tang = self.tangent(prep, strength, previous=tang, jac=jac)
             except STEP_FAILURES:
@@ -732,15 +683,13 @@ class ContinuationEngine:
                 branch.termination = classify_termination(False, False)
                 return branch
             base = np.r_[state.to_vector(), strength]
-            last = state.elevation.coeffs
-            guess = prep.values
-            del prep  # the next step keeps its layer values alone
+            del prep  # the system keeps its arrays, never its operators
 
             vortex_block = boundary_block = False
             while True:
                 try:
                     state, strength, iterations, prep, norm = (
-                        self._arclength_correct(base, tang, ds, jac, guess)
+                        self._arclength_correct(base, tang, ds, jac)
                     )
                     break
                 except STEP_FAILURES as exc:

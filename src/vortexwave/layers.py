@@ -129,9 +129,8 @@ KRYLOV_MIN_UNKNOWNS = 500
 #: to LU
 KRYLOV_MAX = 40
 
-#: columns of one GMRES call: `LayerOperators._solve` and
-#: `LayerOperators._adjoint_block` run a wider block as near-equal panels
-#: of at most this many, and so does
+#: columns of one GMRES call: `LayerOperators._adjoint_block` runs its
+#: block as near-equal panels of at most this many, and so does
 #: `LayerOperators.flat_adjoint_block`, so every `WorkBuffers` role, the
 #: Krylov basis and the Hessenberg and rotation arrays among them, holds
 #: one panel, not the block
@@ -381,7 +380,7 @@ class WorkBuffers:
     and never shrunk, and `view` carves a C-ordered view of any shape from
     its front; so blocks of every column count share one buffer, and a
     Krylov vector allocates no block.  The layer operators ask for at most
-    one panel of BLOCK_COLUMNS columns (`LayerOperators._solve`).  A
+    one panel of BLOCK_COLUMNS columns (`LayerOperators._adjoint_block`).  A
     freshly allocated block costs more than its arithmetic: the allocator
     returns one of a megabyte to the kernel when it is freed, and the
     kernel zeroes its pages again on the next touch (README, "Memory").  A
@@ -776,7 +775,7 @@ class LayerOperators:
     def _correction(self, residual: np.ndarray, relax: float | np.ndarray,
                     transposed: bool = False) -> np.ndarray | None:
         """M^-1 y for GMRES's y on A M^-1 y = residual (`_preconditioned`),
-        or M^-T y on A^T M^-T y = residual, a panel of columns.
+        or M^-T y on A^T M^-T y = residual, a vector or a panel of columns.
 
         Column c stops at `relax` (a number or one entry per column) times
         KRYLOV_TOL and KRYLOV_FLOOR.  Returns a view of the work buffer
@@ -793,53 +792,21 @@ class LayerOperators:
         solved = precondition(solved)
         return solved if np.all(np.isfinite(solved)) else None
 
-    def _solve(self, rhs: np.ndarray, transposed: bool = False,
-               start: np.ndarray | None = None) -> np.ndarray:
-        """A^-1 rhs, or A^-T rhs: GMRES, or the LU path.
-
-        `rhs` is a vector (n,) or an (nx, k, mt) block, as in `_apply`.
-        GMRES runs on the block as ceil(k / BLOCK_COLUMNS) near-equal
-        panels of columns, one `_correction` each; a vector is the
-        one-column block.  `start`, for a vector solved with A, makes
-        GMRES solve for the correction, A d = rhs - A start, to the
-        stopping rule scaled by
-        |rhs| / |rhs - A start|, so that the residual it leaves is as small
-        as a solve from zero leaves; a start that already meets that rule
-        builds no vector, and one no better than zero is ignored.  The
-        solution is then written over `start`, so a caller passes an array
-        it no longer needs, and returned; otherwise it is a fresh array.
-        LU serves operators below KRYLOV_MIN_UNKNOWNS, operators already
-        factored, and the whole right-hand side once any panel misses; it
-        ignores the start and returns a fresh array.
-        """
-        if self._krylov:
-            out, target, relax = np.zeros(rhs.shape), rhs, 1.0
-            if start is not None:
-                residual = rhs - self._apply(start)
-                left, size = _column_norms(np.stack([residual, rhs])[None])
-                if left < size:  # false for rhs = 0 or a non-finite start
-                    out, target = start, residual
-                    relax = size / left if left > 0.0 else 1.0
-            out_block, target = self._block(out), self._block(target)
-            for panel in _panels(out_block.shape[1]):
-                solved = self._correction(target[:, panel], relax, transposed)
-                if solved is None:
-                    break
-                out_block[:, panel] += solved
-            else:
-                return out
-        return self._solve_rhs(rhs, transposed)
-
     def solve(self, trace: EvenField, guess: np.ndarray | None = None
               ) -> np.ndarray:
         """Nodal values (x node, tau node) of a trace's harmonic extension.
 
+        A^-1 r by GMRES (`_correction`), r the trace on the interface rows.
         `guess`, nodal values of the same shape, typically this strip's
         solution at a nearby state, starts GMRES from a copy: it solves for
-        the correction to the guess and stops once the residual is as
-        small, in absolute terms, as a solve from zero would leave it
-        (`_solve`).  A guess whose residual is no smaller than the right
-        hand side's is ignored, and so is any guess on the LU path.
+        the correction, A d = r - A u0, to the stopping rule scaled by
+        |r| / |r - A u0|, so that the residual it leaves is as small, in
+        absolute terms, as a solve from zero leaves; a guess that already
+        meets that rule builds no vector.  A guess whose residual is no
+        smaller than r is ignored, and so is any guess on the LU path,
+        which serves operators below KRYLOV_MIN_UNKNOWNS, operators already
+        factored, and a solve whose GMRES misses.  The result is a fresh
+        array.
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -848,9 +815,20 @@ class LayerOperators:
             raise ValueError("trace band does not match the grid")
         rhs = np.zeros(nx * mt)
         rhs[self._interface_rows] = grid.even_values_half(trace)
-        return self._solve(
-            rhs, start=None if guess is None else guess.flatten()
-        ).reshape(nx, mt)
+        if self._krylov:
+            out, target, relax = np.zeros(rhs.shape), rhs, 1.0
+            if guess is not None:
+                start = guess.flatten()
+                residual = rhs - self._apply(start)
+                left, size = _column_norms(np.stack([residual, rhs])[None])
+                if left < size:  # false for r = 0 or a non-finite guess
+                    out, target = start, residual
+                    relax = size / left if left > 0.0 else 1.0
+            solved = self._correction(target, relax)
+            if solved is not None:
+                out += solved
+                return out.reshape(nx, mt)
+        return self._solve_rhs(rhs).reshape(nx, mt)
 
     # -- interface extraction -------------------------------------------------
 
@@ -935,7 +913,7 @@ class LayerOperators:
         residual -delta^T Z0 (`_deviation`), so GMRES solves
         A^T d = delta^T Z0 on `_preconditioned_transpose` and Z = Z0 - d,
         each column to the stopping rule scaled by |rhs_c| / |residual_c|
-        as in `_solve`, |rhs_c| from `_adjoint_column_norms`; but a start
+        as in `solve`, |rhs_c| from `_adjoint_column_norms`; but a start
         no better than zero is kept, to a stricter rule.  A block given a
         predicted Z - Z0 (`track_adjoint_deviation`) starts from Z0 plus
         that array instead, and its residual is A^T times the start less

@@ -19,6 +19,17 @@ sign * elevation, so this is the only module that knows which side a layer
 is on.  A FluidLayer holds its strip's one `layers.LayerOperators`, probed
 at the vortex on the lower side, and the nodal values of its trace solve.
 
+A WaveSystem decides where its layer solves start, from arrays it keeps.
+Each prepare starts its trace solves from the nodal values of the last
+state prepared: in the continuation corrector that is a nearby state, the
+last difference point about 1e-7 away, the last damping trial, or a
+branch step's base point.  Each analytic Jacobian after the first starts
+its adjoint blocks from the last one's Z - Z0, scaled by the elevation
+(Allgower & Georg, Numerical Continuation Methods, 1990).  Starts change
+how many Krylov vectors a solve builds, not what it converges to.  The
+system keeps no prepared state and no operator, whose adjoint blocks
+would outlive their point.
+
 The analytic Jacobian assembles the true Fréchet derivative: the quadratic
 velocity terms contribute (state factor) * (derivative factor), and the
 composition of the vortex traces with the moving interface contributes
@@ -193,12 +204,6 @@ class PreparedState:
         """(upper, lower): the order of the trace blocks."""
         return self.upper, self.lower
 
-    @property
-    def values(self) -> tuple[np.ndarray, np.ndarray]:
-        """(upper, lower) nodal values of the trace solves: the guess of
-        `WaveSystem.prepare` at a nearby state."""
-        return self.upper.values, self.lower.values
-
 
 class WaveSystem:
     """Residual, Jacobian, and flat linearization on one discretization."""
@@ -211,6 +216,13 @@ class WaveSystem:
         self.pair_speed = pair_induced_speed(params.pair, params.half_period)
         # scratch of every layer operator this system builds
         self._work = WorkBuffers()
+        # what the last solves leave to start the next: the (upper, lower)
+        # nodal values of the last state prepared, and the elevation
+        # coefficients and (upper, lower) float32 Z - Z0 of the last
+        # analytic Jacobian
+        self._values = (None, None)
+        self._elevation: np.ndarray | None = None
+        self._deviations: list[np.ndarray | None] = [None, None]
 
     @property
     def n_unknowns(self) -> int:
@@ -221,27 +233,27 @@ class WaveSystem:
 
     # -- state preparation -----------------------------------------------------
 
-    def prepare(self, state: WaveState,
-                guess: tuple[np.ndarray, np.ndarray] | None = None
-                ) -> PreparedState:
+    def prepare(self, state: WaveState) -> PreparedState:
         """Solve both layers for the state's traces and sample vortex fields.
 
-        `guess`, the (upper, lower) nodal values of the layers of a nearby
-        prepared state, starts each layer's trace solve
-        (`layers.LayerOperators.solve`).
+        Each layer's trace solve starts from its nodal values at the last
+        state this system prepared (`layers.LayerOperators.solve`), which
+        it keeps in their place.
         """
         g = self.grid
         p = self.params
         e = g.even_values_half(state.elevation)
-        upper_guess, lower_guess = (None, None) if guess is None else guess
+        upper_guess, lower_guess = self._values
         lower = self._layer(1.0, -p.rho_lower, state.elevation,
                             state.trace_lower, lower_guess, p.pair.lower)
         upper = self._layer(-1.0, p.rho_upper, state.elevation,
                             state.trace_upper, upper_guess)
-        return PreparedState(
+        prep = PreparedState(
             state, e, g.half_d1 @ e, g.half_d2 @ e, upper, lower,
             vortex_traces(p.pair, g.half_nodes, e, p.half_period),
             lower.ops.eval_interior_dy(lower.values))
+        self._values = (upper.values, lower.values)
+        return prep
 
     def _layer(self, sign: float, weight: float, elevation: EvenField,
                trace: EvenField, guess: np.ndarray | None,
@@ -311,23 +323,37 @@ class WaveSystem:
 
     # -- Jacobian ------------------------------------------------------------------
 
-    def jacobian_prepared(self, prep: PreparedState, strength: float,
-                          deviations: list[np.ndarray | None] | None = None
+    def jacobian_prepared(self, prep: PreparedState, strength: float
                           ) -> np.ndarray:
         """Analytic Jacobian over (elevation, upper trace, lower trace, speed).
 
-        `deviations`, when given, is a list of two entries, upper layer
-        first, and each layer's adjoint block, not yet solved, keeps its
-        Z - Z0 (`layers.LayerOperators.track_adjoint_deviation`): an entry
-        that is a float32 array, such as the last branch point's Z - Z0
-        scaled to this state, starts that block's GMRES from its flat block
-        plus the array, and None from its flat block.  On return each entry
-        holds its block's Z - Z0, written over the array given, or None
-        where the block took the LU path.  The Jacobian is the same either
-        way, to the solves' tolerance.
+        Each layer's adjoint block starts from its flat block plus the
+        Z - Z0 this system kept from its last analytic Jacobian, scaled by
+        lambda = <eta, eta_prev> / <eta_prev, eta_prev> over the elevation
+        coefficients, and writes its own Z - Z0 over it
+        (`layers.LayerOperators.track_adjoint_deviation`).  A block starts
+        flat where there is none to scale: after an elevation of zero, or
+        for a side whose last block took the LU path.  A system's first
+        analytic Jacobian keeps none, so a run that builds one allocates
+        none.  The Jacobian is the same either way, to the solves'
+        tolerance.
         """
-        return self._jacobian(prep, strength, flat=False,
-                              deviations=deviations)
+        eta = prep.state.elevation.coeffs
+        last, self._elevation = self._elevation, eta
+        if last is None:
+            return self._jacobian(prep, strength, flat=False)
+        square = float(np.dot(last, last))
+        scale = float(np.dot(eta, last)) / square if square > 0.0 else 0.0
+        for layer, kept in zip(prep.layers, self._deviations):
+            if kept is not None and scale != 0.0:
+                kept *= scale
+            else:
+                kept = None
+            layer.ops.track_adjoint_deviation(kept)
+        jac = self._jacobian(prep, strength, flat=False)
+        self._deviations = [layer.ops.adjoint_deviation
+                            for layer in prep.layers]
+        return jac
 
     def flat_jacobian(self, prep: PreparedState, strength: float) -> np.ndarray:
         """The analytic Jacobian with each layer's solves on its flat strip.
@@ -339,8 +365,7 @@ class WaveSystem:
         """
         return self._jacobian(prep, strength, flat=True)
 
-    def _jacobian(self, prep: PreparedState, strength: float, flat: bool,
-                  deviations: list[np.ndarray | None] | None = None
+    def _jacobian(self, prep: PreparedState, strength: float, flat: bool
                   ) -> np.ndarray:
         """The Jacobian assembly of `jacobian_prepared` and, when `flat`,
         of `flat_jacobian`."""
@@ -367,11 +392,7 @@ class WaveSystem:
             block = slice(k * n, (k + 1) * n)  # its trace columns and row
             gamma = layer.sign * strength
             z = layer.ops.flat_adjoint_block() if flat else None
-            if deviations is not None:  # k - 1 indexes (upper, lower)
-                layer.ops.track_adjoint_deviation(deviations[k - 1])
             shape, probe_shape = layer.ops.shape_batch(layer.values, z)
-            if deviations is not None:  # shape_batch solved the block
-                deviations[k - 1] = layer.ops.adjoint_deviation
             shape = layer.sign * shape  # strip under sign * elevation
             dno = basis @ layer.ops.dno_matrix(z)
 

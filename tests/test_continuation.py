@@ -18,6 +18,7 @@ from vortexwave.errors import (
     LinearSolveFailure,
     NewtonFailure,
     NonFiniteEntry,
+    ValidationError,
     VortexTooClose,
 )
 from vortexwave.layers import LayerOperators, flat_interior_dy_symbol
@@ -81,13 +82,20 @@ class TestNewtonCorrect:
         ).max()
         assert sup < 5.0 * strength**2
 
-    def test_guarded_guess_rejected_before_iterating(self):
+    def test_guarded_guess_rejected_before_iterating(self, monkeypatch):
+        # solve_at's guess has the flat state's elevation, which the flat
+        # start checks before the corrector evaluates anything
         system = WaveSystem(PARAMS, 16, 12)
         engine = ContinuationEngine(
             system, ContinuationSettings(vortex_guard=0.6)
         )
-        with pytest.raises(VortexTooClose):
-            engine.newton_correct(system.origin(), 0.0)
+
+        def unexpected(*args):
+            raise AssertionError("the corrector evaluated a state")
+
+        monkeypatch.setattr(ContinuationEngine, "_evaluate", unexpected)
+        with pytest.raises(ValidationError):
+            engine.solve_at(1.0)
 
     @pytest.mark.parametrize("height", [0.7, -0.7],
                              ids=["above the phantom", "below the vortex"])
@@ -318,38 +326,45 @@ class TestWorkCounts:
         assert lu_counter.factorizations == 34
 
     @staticmethod
-    def _panel_vectors(monkeypatch):
-        """Counts the Krylov vectors of the adjoint blocks' panels: each is
-        one `_preconditioned_transpose`."""
-        counts = []
-        real = LayerOperators._preconditioned_transpose
+    def _vectors(monkeypatch):
+        """Counts the layers' Krylov vectors: "panel" those of the adjoint
+        blocks' panels, one `_preconditioned_transpose` each, and "trace"
+        those of the trace solves, one `_preconditioned` each."""
+        counts = {"panel": 0, "trace": 0}
+        for key, name in (("panel", "_preconditioned_transpose"),
+                          ("trace", "_preconditioned")):
+            def counted(ops, v, key=key, real=getattr(LayerOperators, name)):
+                counts[key] += 1
+                return real(ops, v)
 
-        def counted(ops, v):
-            counts.append(v.shape)
-            return real(ops, v)
-
-        monkeypatch.setattr(LayerOperators, "_preconditioned_transpose",
-                            counted)
+            monkeypatch.setattr(LayerOperators, name, counted)
         return counts
 
     def test_branch_blocks_start_from_the_last_point(self, monkeypatch):
         # the 12-step default 64x32 branch: each Jacobian after the first
-        # two starts its adjoint blocks from the last point's Z - Z0
-        # scaled by the elevation, 102 panel-vectors against 157 from
-        # the flat blocks
-        counts = self._panel_vectors(monkeypatch)
+        # two starts its adjoint blocks from the last one's Z - Z0 scaled
+        # by the elevation, 102 panel-vectors against 157 from the flat
+        # blocks; each trace solve starts from the last state prepared,
+        # 347 vectors against 376 from zero
+        counts = self._vectors(monkeypatch)
         branch = small_engine(n_modes=64, m_vertical=32,
                               max_steps=12).continue_branch()
         assert len(branch.points) == 13
-        assert len(counts) <= 110
+        assert counts["panel"] <= 110
+        assert counts["trace"] <= 350
 
     def test_fixed_strength_blocks_start_flat(self, monkeypatch):
-        # solve_at has no last point: its one exact Jacobian starts both
-        # blocks from the flat blocks, 48 panel-vectors at strength 3
-        counts = self._panel_vectors(monkeypatch)
-        point = small_engine(n_modes=64, m_vertical=32).solve_at(3.0)
+        # solve_at builds one exact Jacobian, its system's first, which
+        # starts both blocks from the flat blocks, 48 panel-vectors at
+        # strength 3, and keeps no Z - Z0; its trace solves take 208
+        # vectors against 298 from zero
+        counts = self._vectors(monkeypatch)
+        engine = small_engine(n_modes=64, m_vertical=32)
+        point = engine.solve_at(3.0)
         assert point.newton_iterations == 5
-        assert len(counts) <= 48
+        assert counts["panel"] <= 48
+        assert counts["trace"] <= 212
+        assert engine.system._deviations == [None, None]
 
 
 class TestNewtonKrylov:
@@ -368,16 +383,20 @@ class TestNewtonKrylov:
         def constraint(x):
             return float(row @ x)
 
+        # a fresh system's trace solves start from zero
+        cold = small_engine(n_modes=32, m_vertical=16)
         _, strength, prep, res, gap, _ = engine._evaluate(vec, constraint)
         assert np.abs(system.grid.even_values_half(
             prep.state.elevation)).max() > 0.05  # wavy
         v = rng.standard_normal(vec.size) * np.r_[decay, decay, decay, 1, 1]
         jac = system.jacobian_prepared(prep, strength)
         want = engine._bordered(prep, strength, jac, row) @ v
-        # solved from zero, and started from the base point's layer values
-        for guess in (None, prep.values):
-            got = engine._difference_product(vec, np.r_[res, gap], v,
-                                             constraint, guess)
+        # the warm system's trace solves start from the base point's values
+        assert all(kept is layer.values
+                   for kept, layer in zip(system._values, prep.layers))
+        for product_engine in (cold, engine):
+            got = product_engine._difference_product(vec, np.r_[res, gap], v,
+                                                     constraint)
             assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_fixed_strength_solve_factors_little(self, lu_counter):
@@ -478,8 +497,8 @@ class TestNewtonKrylov:
     def test_a_step_keeps_only_the_layer_values_of_its_base(self,
                                                              monkeypatch):
         # the operators of an accepted point hold the Jacobian's adjoint
-        # blocks; from the next step's first prepare on, only their nodal
-        # values are alive, as the guess of that step's trace solves
+        # blocks; from the next step's first prepare on none is alive: the
+        # system keeps arrays to start its solves, never operators
         accepted = []  # weak references to the operators of each point
         real_tangent = ContinuationEngine.tangent
         real_prepare = WaveSystem.prepare
@@ -488,9 +507,9 @@ class TestNewtonKrylov:
             accepted.append([weakref.ref(layer.ops) for layer in prep.layers])
             return real_tangent(engine, prep, *args, **kwargs)
 
-        def checking(system, state, guess=None):
+        def checking(system, state):
             assert all(ref() is None for refs in accepted for ref in refs)
-            return real_prepare(system, state, guess)
+            return real_prepare(system, state)
 
         monkeypatch.setattr(ContinuationEngine, "tangent", recording)
         monkeypatch.setattr(WaveSystem, "prepare", checking)
@@ -527,6 +546,40 @@ class TestNewtonKrylov:
             assert abs(a.strength - b.strength) <= 1e-9
             assert np.abs(a.state.to_vector()
                           - b.state.to_vector()).max() <= 1e-9
+
+
+class TestKeptStarts:
+    """Where a system's solves start changes no result."""
+
+    def test_history_leaves_residual_and_jacobian(self):
+        # after solves at strengths 1 and 3, the system starts its trace
+        # solves and adjoint blocks from what they left; a fresh one
+        # starts from zero and from the flat blocks
+        engine = small_engine(n_modes=64, m_vertical=32)
+        engine.solve_at(1.0)
+        point = engine.solve_at(3.0)
+        results = []
+        for system in (engine.system, WaveSystem(PARAMS, 64, 32)):
+            prep = system.prepare(point.state)
+            results.append((system.residual_prepared(prep, 3.0).to_vector(),
+                            system.jacobian_prepared(prep, 3.0)))
+        (res, jac), (fresh_res, fresh_jac) = results
+        assert np.abs(res - fresh_res).max() <= 1e-12
+        assert np.linalg.norm(jac - fresh_jac) <= (
+            1e-12 * np.linalg.norm(fresh_jac))
+
+    def test_rerun_on_one_system_is_bitwise_identical(self):
+        # 32x16 runs GMRES.  The rerun's flat state has zero traces, so
+        # its solves ignore the last run's layer values and leave zeros,
+        # which no guess uses; its elevation of zero scales the kept
+        # Z - Z0 to nothing, so its blocks and the next point's start flat
+        engine = small_engine(n_modes=32, m_vertical=16, max_steps=5)
+        first = engine.continue_branch()
+        second = engine.continue_branch()
+        assert len(first.points) == len(second.points) == 6
+        for a, b in zip(first.points, second.points):
+            assert np.array_equal(a.state.to_vector(), b.state.to_vector())
+            assert a.smallest_singular == b.smallest_singular
 
 
 class TestTermination:

@@ -370,7 +370,7 @@ class TestFlatJacobian:
 
     def test_leaves_the_exact_jacobian_as_it_was(self):
         # the flat blocks are never kept: the exact Jacobian of a prepared
-        # state equals, bit for bit, that of a fresh prepare
+        # state equals, bit for bit, that of a fresh system
         system = WaveSystem(PARAMS, 32, 16)
         state = decayed_state(np.random.default_rng(7), 32, eta_scale=0.05)
         prep = system.prepare(state)
@@ -378,8 +378,9 @@ class TestFlatJacobian:
         assert not any("_adjoint_block" in vars(layer.ops)
                        for layer in prep.layers)
         exact = system.jacobian_prepared(prep, 0.3)
+        fresh = WaveSystem(PARAMS, 32, 16)
         assert np.array_equal(
-            exact, system.jacobian_prepared(system.prepare(state), 0.3))
+            exact, fresh.jacobian_prepared(fresh.prepare(state), 0.3))
         assert not np.allclose(flat, exact)  # a wavy state
 
     def test_closed_form_block_matches_the_flat_solve(self):
