@@ -11,8 +11,9 @@ Exit codes: 0 success (including a branch that exhausts its step budget),
 2 configuration error (an unusable output directory or output file, or a
 flat state outside a guard), 3 numerical failure (running out of memory
 or a failure at the flat state among them) or a failed validation, 4 a
-guard-triggered branch termination.  Codes 2, 3 and 4 leave the files
-written so far on disk; the table is written through per point.
+guard-triggered termination, of a branch or of a single solve, which then
+writes no file.  Codes 2, 3 and 4 leave the files written so far on disk;
+the table is written through per point.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import RunConfig, load_config, load_config_file
-from .continuation import Alternative, Branch, ContinuationEngine
+from .continuation import (Alternative, Branch, ContinuationEngine,
+                           Terminated)
 from .errors import ConfigError, VortexWaveError
 from .persistence import (
     BranchWriter,
@@ -189,6 +191,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except Terminated as exc:  # a single solve's solution outside a guard
+        print(f"terminated: {exc.alternative.value}", file=sys.stderr)
+        return _TERMINATION_EXIT[exc.alternative]
     except (VortexWaveError, MemoryError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -17,15 +17,16 @@ GMRES.  The guess of `solve_at` has zero elevation and traces, so there
 that chord is exact, and the solve builds the analytic Jacobian for its
 converged point alone.  The first iteration solves with the chord.  Each
 later one takes a Newton-Krylov step (Knoll & Keyes 2004): GMRES on the
-bordered system, right-preconditioned by the chord's factors, with
+bordered system, right-preconditioned by the chord's factors C, with
 Jacobian-vector products from forward differences of the bordered
-residual.  Those are residual-only evaluations, which factor no layer
-operator.  A flat chord is refactored at the iterate before every
-Newton-Krylov step, since the flat guess's chord does not follow the
-iterate as its crest grows (to 0.33 at strength 3); an exact chord, built
-near the iterate, is kept.  The products stay exact-Jacobian products, so the
-chord changes how many Krylov vectors a step needs, not the step it
-converges to.
+residual.  GMRES runs on v -> the difference product at C^-1 v, and the
+step is C^-1 of its result (`_krylov_step`).  The products are
+residual-only evaluations, which factor no layer operator.  A flat chord
+is refactored at the iterate before every Newton-Krylov step, since the
+flat guess's chord does not follow the iterate as its crest grows (to
+0.33 at strength 3); an exact chord, built near the iterate, is kept.
+The products stay exact-Jacobian products, so the chord changes how many
+Krylov vectors a step needs, not the step it converges to.
 
 Each step is solved only as far as it needs (`_forcing`).  On a flat chord
 the relative forcing follows the residual, Eisenstat and Walker's
@@ -59,12 +60,13 @@ scalars.
 
 check_guards is the one admissibility test.  Both runs run it first on the
 flat state, which solves the system at zero strength by construction, and
-a violation there is a configuration error (`_flat_start`).  The guards
-read the elevation alone, and the guess of the fixed-strength solve has
-the flat state's, so that check covers it.  continue_branch runs it on
-each converged candidate before accepting it, so a finished branch, row 0
-included, is always a valid prefix.  Precedence when several guards trip
-at once: vortex proximity, then boundary contact, then norm blowup.
+a violation there is a configuration error (`_flat_start`).  Both run it
+again, with the norm cap, on what they converge to (`_termination`):
+continue_branch on each candidate before accepting it, so a finished
+branch, row 0 included, is always a valid prefix, and solve_at on its
+solution, which it then does not return (`Terminated`).  Precedence when
+several guards trip at once: vortex proximity, then boundary contact,
+then norm blowup.
 Inside the corrector, a trial point whose layer strip degenerates
 or whose interface meets or crosses a vortex is damped like a rejected
 trial.  A step whose corrector fails (no convergence, a bordered Jacobian
@@ -119,7 +121,7 @@ from .errors import (
     VortexTooClose,
     VortexWaveError,
 )
-from .layers import GAP_FLOOR_FRACTION, gmres
+from .layers import GAP_FLOOR_FRACTION, WorkBuffers, gmres
 from .system import PreparedState, WaveState, WaveSystem
 from .vortex import min_vortex_distance
 
@@ -297,6 +299,15 @@ class Branch:
     termination: Alternative | None = None
 
 
+class Terminated(VortexWaveError):
+    """A fixed-strength solve converged outside the admissible set;
+    `alternative` names the guard, as a branch's termination would."""
+
+    def __init__(self, alternative: Alternative):
+        super().__init__(alternative.value)
+        self.alternative = alternative
+
+
 def classify_termination(vortex_tripped: bool, boundary_tripped: bool,
                          newton_failed: bool = False) -> Alternative:
     """Fixed precedence so simultaneous trips classify deterministically."""
@@ -324,6 +335,7 @@ class ContinuationEngine:
                           else GAP_FLOOR_FRACTION * depth)
         w1 = system.grid.sobolev_weights(1)
         self.weights = np.concatenate([w1, w1, w1, [1.0, 1.0]])
+        self._work = WorkBuffers()  # Newton-Krylov's; not the layers'
 
     # -- norms and diagnostics ---------------------------------------------------
 
@@ -367,6 +379,19 @@ class ContinuationEngine:
             raise DegenerateStrip(
                 "interface violates the wall gap floor"
             )
+
+    def _termination(self, state: WaveState, strength: float
+                     ) -> Alternative | None:
+        """The Alternative a converged state ends at, None inside every
+        guard: check_guards in `classify_termination`'s order, then norm_cap."""
+        try:
+            self.check_guards(state)
+        except (VortexTooClose, DegenerateStrip) as exc:
+            return classify_termination(isinstance(exc, VortexTooClose),
+                                        isinstance(exc, DegenerateStrip))
+        if self.state_norm(state, strength) > self.settings.norm_cap:
+            return Alternative.UNBOUNDED
+        return None
 
     def _sign_and_sigma(self, jac: np.ndarray) -> tuple[int, float]:
         """(determinant sign, smallest singular value) of a Jacobian.
@@ -465,21 +490,23 @@ class ContinuationEngine:
     def _krylov_step(self, vec: np.ndarray, bordered_res: np.ndarray,
                      chord, constraint, forcing: float
                      ) -> np.ndarray | None:
-        """Newton-Krylov step, preconditioned by the chord's factors.
+        """Newton-Krylov step, right-preconditioned by the chord's factors C.
 
-        GMRES on difference products to the relative residual `forcing`;
-        None when it misses within KRYLOV_VECTORS or a difference evaluation
-        raises.
+        GMRES on v -> the difference product at C^-1 v, to the relative
+        residual `forcing`, gives y, and the step is C^-1 y; None when it
+        misses within KRYLOV_VECTORS or a difference evaluation raises.
         """
+        def precondition(v):
+            return lu_solve(chord, v, check_finite=False)
+
         try:
-            return gmres(
-                lambda v: self._difference_product(vec, bordered_res, v,
-                                                   constraint),
-                lambda v: lu_solve(chord, v, check_finite=False),
-                -bordered_res, KRYLOV_VECTORS, forcing,
-            )
+            solved = gmres(
+                lambda v: self._difference_product(
+                    vec, bordered_res, precondition(v), constraint),
+                -bordered_res, KRYLOV_VECTORS, forcing, 0.0, self._work)
         except VortexWaveError:
             return None
+        return None if solved is None else precondition(solved)
 
     def _forcing(self, norm: float, last_norm: float, flat: bool) -> float:
         """Relative forcing of a Newton-Krylov step at bordered residual
@@ -636,13 +663,20 @@ class ContinuationEngine:
         return origin
 
     def solve_at(self, strength: float) -> BranchPoint:
-        """One fixed-strength solve seeded by the first-order origin predictor."""
+        """One fixed-strength solve seeded by the first-order origin predictor.
+
+        Raises Terminated when the solution lies outside a guard or the
+        norm cap (`_termination`), before its Jacobian is built.
+        """
         origin = self._flat_start()
         tang = self.tangent(self.system.prepare(origin), 0.0,
                             jac=self.system.flat_linearization())
         guess_vec = origin.to_vector() + (strength / tang[-1]) * tang[:-1]
         guess = WaveState.from_vector(guess_vec, self.system.grid.n_modes)
         state, iterations, norm, solved = self.newton_correct(guess, strength)
+        termination = self._termination(state, strength)
+        if termination is not None:
+            raise Terminated(termination)
         return self._point(state, strength, norm, iterations,
                            self.system.jacobian_prepared(solved, strength))
 
@@ -702,16 +736,8 @@ class ContinuationEngine:
                         )
                         return branch
 
-            try:
-                self.check_guards(state)
-            except (VortexTooClose, DegenerateStrip) as exc:
-                branch.termination = classify_termination(
-                    isinstance(exc, VortexTooClose),
-                    isinstance(exc, DegenerateStrip),
-                )
-                return branch
-            if self.state_norm(state, strength) > settings.norm_cap:
-                branch.termination = Alternative.UNBOUNDED
+            branch.termination = self._termination(state, strength)
+            if branch.termination is not None:
                 return branch
             if iterations <= FAST_ITERATIONS:
                 ds = min(ds * GROWTH, settings.ds_max)

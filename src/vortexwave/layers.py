@@ -90,9 +90,11 @@ LU is the one direct path: a dense factorization of the assembled operator,
 made the first time a solve needs it and kept, serves operators below
 KRYLOV_MIN_UNKNOWNS, any solve whose GMRES misses on one of its panels,
 and every later solve on an operator already factored.  The GMRES loop
-itself, `gmres`, takes the apply, the preconditioner and the stop as
-arguments and one right-hand side or a block of them; the continuation
-corrector runs it on the bordered Newton system.
+itself, `gmres`, takes the apply, into which each caller folds its right
+preconditioner, the stop and the caller's buffers, and one right-hand
+side or a block of them; the continuation corrector runs it on the
+bordered Newton system, the factors of its chord folded into the
+difference products.
 
 The factorized operator carries its Dirichlet rows scaled to the largest
 diagonal entry of the interior rows (the Dirichlet entries of every
@@ -147,57 +149,43 @@ KRYLOV_STALL = 0.5
 GAP_FLOOR_FRACTION = 0.02
 
 
-def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
-          tol: float | np.ndarray, floor: float | np.ndarray = 0.0,
-          work: WorkBuffers | None = None) -> np.ndarray | None:
-    """Right-preconditioned GMRES for apply(x) = rhs; None when it misses.
+def gmres(apply, rhs: np.ndarray, max_vectors: int, tol: float | np.ndarray,
+          floor: float | np.ndarray, work: WorkBuffers) -> np.ndarray | None:
+    """GMRES for apply(x) = rhs; None when it misses.
 
     `rhs` is one vector (n,) or a block (a, k, b) of k independent
-    right-hand sides, column c being rhs[:, c, :]; apply and precondition
-    then map (a, j, b) blocks of the j running columns to blocks of that
-    shape.  Either may return a view of its own work buffers: each result
-    is consumed before their next call.  Each column builds at most
-    `max_vectors` Krylov vectors of apply(precondition(.)) and stops on its
+    right-hand sides, column c being rhs[:, c, :], and apply maps arrays of
+    its shape to arrays of its shape; it may return a view of its own
+    buffers, consumed before its next call.  A caller folds any right
+    preconditioner M^-1 into `apply` and applies it to the result.  Each
+    column builds at most `max_vectors` Krylov vectors and stops on its
     own Arnoldi estimate of the relative residual: below `tol`, or below
     `floor` once one more vector cuts the estimate by less than the factor
-    KRYLOV_STALL.  `tol` and `floor` are numbers or one entry per column;
-    a column whose `tol` is at least 1, the estimate before any vector, is
-    solved by zero and builds none.  Later vectors are built for the
-    columns still running only.  `rhs` is read before the first `apply`,
-    so it may be a view of a buffer that `apply` overwrites.  Basis vector
-    i is a view of `work` under the role "krylov i";
-    the sum of the finished columns, the Gram-Schmidt scratch, the
-    gathered columns of a partly finished block, the Hessenberg matrix,
-    the rotations and the rotated right-hand side have the roles
-    "combined", "gram-schmidt", "gather", "hessenberg", "rotations" and
-    "givens rhs", sized by the call's own column count.  A caller whose
-    apply runs other solves on the same buffers passes none, and the call
-    draws fresh ones.  A one-column block runs exactly as the vector does.
-    Returns the solution as
-    `precondition` returns it, in the layout of `rhs`, so possibly a view
-    of the preconditioner's buffers that its next call overwrites: a
-    caller that keeps it copies it.  Returns None when an estimate turns
-    non-finite or a column runs out of vectors.
+    KRYLOV_STALL (numbers, or one entry per column).  A zero column, and
+    one whose `tol` is at least 1, the estimate before any vector, starts
+    and stays at the zero vector and takes no rotation: its result is
+    exactly zero.  Every column joins every Arnoldi step until the last
+    one stops; a column that stops keeps its back-substituted coefficients
+    ("coefficients"), and one combination of the basis ("krylov i") forms
+    every column ("combined") at the end.  The Gram-Schmidt scratch, the
+    Hessenberg matrix, the rotations and the rotated right-hand side are
+    the `work` roles "gram-schmidt", "hessenberg", "rotations" and "givens
+    rhs", sized by the call's column count.  `rhs` is read before the first
+    `apply`, so it may be a view of a buffer that `apply` overwrites, and a
+    one-column block runs exactly as the vector does.  Returns the solution
+    in the layout of `rhs`, a view of "combined", or None when a running
+    column's estimate turns non-finite or a column runs out of vectors.
     """
-    work = WorkBuffers() if work is None else work
-    one = rhs.ndim == 1 or rhs.shape[1] == 1
-    b = rhs.reshape(1, 1, -1) if one else rhs
+    b = rhs.reshape(1, 1, -1) if rhs.ndim == 1 or rhs.shape[1] == 1 else rhs
     k = b.shape[1]
     tol, floor = np.broadcast_to(tol, (k,)), np.broadcast_to(floor, (k,))
-
-    def caller(x):  # x in the layout of rhs
-        return x.reshape(rhs.shape) if one else x
-
-    def columns(x, cols):  # x[:, cols]: x itself, or gathered into a view
-        if isinstance(cols, slice):
-            return x
-        return np.take(x, cols, axis=1, mode="clip",  # "raise" copies out
-                       out=work.view("gather",
-                                     (x.shape[0], cols.size, x.shape[2])))
-
     beta = _column_norms(b)
+    # zero solves a zero column, and one whose tol admits the estimate 1:
+    # such a column starts from, and keeps, the zero vector
+    running = (beta > 0.0) & (tol < 1.0)
+    scale = np.where(running, beta, np.inf)
     # a column's Hessenberg and g entries are written before they are
-    # read, while it runs, so neither is zeroed
+    # read, so neither is zeroed
     hess = work.view("hessenberg", (max_vectors + 1, max_vectors, k))
     g = work.view("givens rhs", (max_vectors + 1, k))
     g[0] = beta
@@ -209,85 +197,63 @@ def gmres(apply, precondition, rhs: np.ndarray, max_vectors: int,
     rot[0].fill(0.0)
     rot[0, 0] = 1.0
     previous = np.ones(k)
-    # zero solves a zero column, and one whose tol admits the estimate 1
-    runs = (beta > 0.0) & (tol < 1.0)
-    running = np.flatnonzero(runs)
-    # every column that runs is written once it finishes
-    combined = work.view("combined", b.shape)  # sum of y_i basis_i
-    combined[:, ~runs] = 0.0
-    projections = work.view("gram-schmidt", (b.size,))
-    # a column of vector i is set while that column runs, and read only then
-    basis = [np.divide(b, np.where(beta > 0.0, beta, 1.0)[:, None],
-                       out=work.view("krylov 0", b.shape))]
+    # a column's coefficients past its stop stay zero
+    coefficients = work.view("coefficients", (max_vectors, k))
+    coefficients.fill(0.0)
+    projections = work.view("gram-schmidt", b.shape)
+    basis = [np.divide(b, scale[:, None], out=work.view("krylov 0", b.shape))]
     for j in range(max_vectors):
-        if running.size == 0:
+        if not running.any():
             break
-        sel = slice(None) if running.size == k else running
-        v = columns(basis[j], sel)
-        w = apply(precondition(caller(v))).reshape(v.shape)
-        product = projections[:w.size].reshape(w.shape)
+        w = apply(basis[j].reshape(rhs.shape)).reshape(b.shape)
         for i in range(j + 1):  # modified Gram-Schmidt
-            v = columns(basis[i], sel)
-            dots = np.einsum("akb,akb->k", v, w)
-            hess[i, j, sel] = dots
-            w -= np.multiply(v, dots[:, None], out=product)
+            dots = np.einsum("akb,akb->k", basis[i], w)
+            hess[i, j] = dots
+            w -= np.multiply(basis[i], dots[:, None], out=projections)
         norm_w = _column_norms(w)
-        col = np.einsum("ila,la->ia", rot[:j + 1, :j + 1, sel],
-                        hess[:j + 1, j, sel])
+        col = np.einsum("ila,la->ia", rot[:j + 1, :j + 1], hess[:j + 1, j])
         rad = np.hypot(col[j], norm_w)
+        # a column that does not run has rad = |w| = 0: it takes no
+        # rotation; on a running column 0 / 0 ends the solve below
+        rad[~running & (rad == 0.0)] = 1.0
         c, s = col[j] / rad, norm_w / rad  # the new rotation, rows j, j + 1
         col[j] = rad
-        hess[:j + 1, j, sel] = col
-        last = rot[j][:j + 1, sel]
+        hess[:j + 1, j] = col
+        last = rot[j][:j + 1]
         rot[j + 1].fill(0.0)
-        rot[j + 1][:j + 1, sel] = -s * last
-        rot[j][:j + 1, sel] = c * last
-        rot[j, j + 1, sel] = s
-        rot[j + 1, j + 1, sel] = c
-        g[j + 1, sel] = -s * g[j, sel]
-        g[j, sel] = c * g[j, sel]
-        estimate = np.abs(g[j + 1, sel]) / beta[sel]
-        done = (estimate <= tol[sel]) | (
-            (estimate <= floor[sel])
-            & (estimate > KRYLOV_STALL * previous[sel]))
-        if done.any():
-            cols = sel if done.all() else running[done]
-            y = _back_substitute(hess[:j + 1, :j + 1, cols], g[:j + 1, cols])
-            shape = (b.shape[0], y.shape[1], b.shape[2])
-            total = projections[:math.prod(shape)].reshape(shape)
-            np.multiply(columns(basis[0], cols), y[0][:, None], out=total)
-            for i in range(1, j + 1):
-                total += np.multiply(columns(basis[i], cols), y[i][:, None],
-                                     out=work.view("gather", shape))
-            combined[:, cols] = total
-        if not np.isfinite(estimate[~done]).all():
+        rot[j + 1][:j + 1] = -s * last
+        rot[j][:j + 1] = c * last
+        rot[j, j + 1] = s
+        rot[j + 1, j + 1] = c
+        g[j + 1] = -s * g[j]
+        g[j] = c * g[j]
+        estimate = np.abs(g[j + 1]) / scale
+        if not np.isfinite(estimate[running]).all():
             return None
-        previous[sel] = estimate
-        running = running[~done]
-        if running.size:
-            fresh = work.view(f"krylov {j + 1}", b.shape)
-            if running.size == k:  # no column finished: no gather, no scatter
-                np.divide(w, norm_w[:, None], out=fresh)
-            else:
-                kept = np.flatnonzero(~done)
-                part = columns(w, kept)
-                fresh[:, running] = np.divide(part, norm_w[kept][:, None],
-                                              out=part)
-            basis.append(fresh)
-    if running.size:
+        done = running & ((estimate <= tol) | (
+            (estimate <= floor) & (estimate > KRYLOV_STALL * previous)))
+        if done.any():
+            coefficients[:j + 1, done] = _back_substitute(
+                hess[:j + 1, :j + 1, done], g[:j + 1, done])
+            running &= ~done
+        previous = estimate
+        if running.any():
+            norm_w[norm_w == 0.0] = 1.0  # a zero w stays zero
+            basis.append(np.divide(w, norm_w[:, None],
+                                   out=work.view(f"krylov {j + 1}", b.shape)))
+    if running.any():
         return None
-    return precondition(caller(combined))
+    combined = np.multiply(basis[0], coefficients[0][:, None],
+                           out=work.view("combined", b.shape))
+    for i in range(1, len(basis)):
+        combined += np.multiply(basis[i], coefficients[i][:, None],
+                                out=projections)
+    return combined.reshape(rhs.shape)
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
     """The 2-norm of each column x[:, c] of an (a, k, b) block."""
     return np.sqrt(np.einsum("akb,akb->k", x, x))
-
-
-def _unchanged(v: np.ndarray) -> np.ndarray:
-    """The identity, as the preconditioner of a system preconditioned
-    already."""
-    return v
 
 
 def _panels(k: int):
@@ -785,7 +751,7 @@ class LayerOperators:
         preconditioned, precondition = (
             (self._preconditioned_transpose, self._flat_solve_transpose)
             if transposed else (self._preconditioned, self._flat_solve))
-        solved = gmres(preconditioned, _unchanged, residual, KRYLOV_MAX,
+        solved = gmres(preconditioned, residual, KRYLOV_MAX,
                        relax * KRYLOV_TOL, relax * KRYLOV_FLOOR, self._work)
         if solved is None:
             return None

@@ -539,6 +539,27 @@ class TestSingleSolve:
         with pytest.raises(ValueError, match="trace_upper"):
             load_snapshot(str(path))
 
+    @pytest.mark.parametrize("key, value, alternative", [
+        ("gap_floor", 0.9, "interface_touches_boundary"),
+        ("vortex_guard", 0.45, "vortex_near_interface"),
+        ("norm_cap", 0.01, "unbounded"),
+    ])
+    def test_guard_on_the_solution_exits_four(self, tmp_path, capsys, key,
+                                              value, alternative):
+        # the flat state passes each guard; the 16x8 solution at strength
+        # 3, sup eta 0.331 and vortex distance 0.177, trips it, and the
+        # solve ends before any record is opened
+        cfg = write_config(
+            tmp_path,
+            "[discretization]\nn_modes = 16\nm_vertical = 8\n"
+            f"[continuation]\ntarget_strength = 3.0\n{key} = {value}\n",
+        )
+        out = tmp_path / "out"
+        code = cli.main(["single-solve", "--config", cfg, "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == f"terminated: {alternative}\n"
+        assert os.listdir(out) == []
+
     def test_unreachable_strength_exits_three(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

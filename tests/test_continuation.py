@@ -427,16 +427,14 @@ class TestNewtonKrylov:
             flat.append(strength)
             return real_flat(system, prep, strength)
 
-        def counting_vectors(apply, precondition, rhs, max_vectors, forcing,
-                             *args):
+        def counting_vectors(apply, rhs, max_vectors, forcing, *args):
             products = []
 
             def product(v):
                 products.append(v)
                 return apply(v)
 
-            step = real_gmres(product, precondition, rhs, max_vectors,
-                              forcing, *args)
+            step = real_gmres(product, rhs, max_vectors, forcing, *args)
             steps.append((forcing, None if step is None else len(products)))
             return step
 

@@ -251,9 +251,9 @@ class TestFactorizationCounts:
         panels = {}  # layer operator: its panel widths
         real_gmres = layers.gmres
 
-        def counting(apply, precondition, rhs, *args):
+        def counting(apply, rhs, *args):
             panels.setdefault(apply.__self__, []).append(rhs.shape[1])
-            return real_gmres(apply, precondition, rhs, *args)
+            return real_gmres(apply, rhs, *args)
 
         system = WaveSystem(PARAMS, 32, 16)
         prep = system.prepare(decayed_state(np.random.default_rng(3), 32))
