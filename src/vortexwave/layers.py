@@ -24,40 +24,45 @@ zero-Dirichlet gauge on the rigid wall.  The gauge fixes the additive constant
 of the stream function and gives the k = 0 Dirichlet-to-Neumann multiplier
 the value 1/d on a flat strip.
 
-Every solve runs GMRES (Saad & Schultz 1986) on a matrix-free apply,
-right-preconditioned by the flat strip M at the layer's mean thickness.  The
-flat strip separates into one Chebyshev boundary-value problem per cosine
-mode, and all of them share the interior block of d^2/dtau^2, which is
-diagonalized once per vertical resolution; so an operator keeps only its
-per-mode denominators and Dirichlet coupling, and applying the
-preconditioner costs two products with the eigenvector matrices, padded to
-whole tau rows, besides the cosine transforms.  Since the cosine synthesis
-turns -k^2 into the collocated d^2/dx^2, M shares A's u_xx term, its
-Dirichlet rows and, with 1/h^2 for c_tt, its u_tautau term; so
-A M^-1 = I + delta M^-1, with delta = A - M the first-order terms and
+Every solve is matrix-free and built on the flat strip M at the layer's
+mean thickness.  The flat strip separates into one Chebyshev boundary-value
+problem per cosine mode, and all of them share the interior block of
+d^2/dtau^2, which is diagonalized once per vertical resolution; so an
+operator keeps only its per-mode denominators and Dirichlet coupling, and
+applying the preconditioner costs two products with the eigenvector
+matrices, padded to whole tau rows, besides the cosine transforms.  Since
+the cosine synthesis turns -k^2 into the collocated d^2/dx^2, M shares A's
+u_xx term, its Dirichlet rows and, with 1/h^2 for c_tt, its u_tautau term;
+so A M^-1 = I + delta M^-1, with delta = A - M the first-order terms and
 (c_tt - 1/h^2) u_tautau on the interior rows and zero on the Dirichlet rows
 (`_deviation`; Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981, for the same
-saving in a split preconditioner).  GMRES runs on v + delta(M^-1 v), one x
-product and the Dirichlet rows cheaper than A(M^-1 v), and a solve is its
-start plus M^-1 of GMRES's result.  A trace solve, the only solve a
+saving in a split preconditioner).  Under that split a Richardson step x <-
+x - M^-1 d on the defect d = A x - b is exact bookkeeping: the defect it
+leaves is -delta(M^-1 d), so a step costs the two products of one Krylov
+vector and none of GMRES's basis, orthogonalization, rotations or closing
+flat solve.  So every solve starts with such steps (`_stationary`), each
+column stopping at GMRES's own rule, and only where a step would cut a
+running column's defect by less than KRYLOV_STALL above the floor, or turn
+it non-finite, does GMRES (Saad & Schultz 1986) take over from the last
+iterate, on v + delta(M^-1 v), one x product and the Dirichlet rows cheaper
+than A(M^-1 v), adding M^-1 of its result.  A trace solve, the only solve a
 residual needs, solves with A, not its transpose.  It may start from a
-guess u0, the same strip's nodal values at a nearby state: GMRES then
-solves A d = r - A u0 for the correction, with KRYLOV_TOL and KRYLOV_FLOOR
-scaled by |r| / |r - A u0|, so that it stops at the residual a solve from
-zero stops at, and a guess no better than zero is ignored.  Everything the Jacobian
-reads from a layer (the Dirichlet-to-Neumann matrix, the directional shape
-derivatives and the interior-derivative row) is a functional of a solve,
-either the interface u_tau or the vertical derivative at the probe, so one
-adjoint block Z = A^-T [E^T | e] of N + 1 columns, and one more with a
-probe, serves all three; it is solved once per operator, on the transposes
-of delta and of the preconditioner.  Its flat counterpart M^-T [E^T | e] is
-a closed form (`flat_adjoint_block`): each column of [E^T | e] is rank one
-in (x, tau), so M^-T maps it to the cosine synthesis times per-mode tau
-profiles, one product per panel and no GMRES.  It is Z on a flat strip, and
-Z starts from it, column by column as a trace solve starts from its guess;
-each column then builds one Krylov vector fewer near the flat state.  Since
-M^T Z0 = [E^T | e] for this start Z0, its residual is -delta^T Z0, one
-`_deviation` per panel, and the norms of [E^T | e] are closed forms, so
+guess u0, the same strip's nodal values at a nearby state, to the same
+absolute stopping rule as a solve from zero (GMRES's stop scaled by
+|r| / |r - A u0|), and a guess no better than zero is ignored.  Everything
+the Jacobian reads from a layer (the Dirichlet-to-Neumann matrix, the
+directional shape derivatives and the interior-derivative row) is a
+functional of a solve, either the interface u_tau or the vertical
+derivative at the probe, so one adjoint block Z = A^-T [E^T | e] of N + 1
+columns, and one more with a probe, serves all three; it is solved once per
+operator, on the transposes of delta and of the preconditioner.  Its flat
+counterpart M^-T [E^T | e] is a closed form (`flat_adjoint_block`): each
+column of [E^T | e] is rank one in (x, tau), so M^-T maps it to the cosine
+synthesis times per-mode tau profiles, one product per panel and no solve.
+It is Z on a flat strip and the first step from zero elsewhere, and Z
+starts from it, column by column as a trace solve starts from its guess.
+Since M^T Z0 = [E^T | e] for this start Z0, its residual is -delta^T Z0,
+one `_deviation` per panel, and the norms of [E^T | e] are closed forms, so
 the Krylov path never forms [E^T | e].  Along a branch Z - Z0 grows with
 the elevation, so a block may instead start from Z0 plus the last point's
 Z - Z0, scaled (`track_adjoint_deviation`); its residual is then A^T times
@@ -76,9 +81,10 @@ product, X w M^T (`_profiles`), with the tau factor M zero on the
 Dirichlet rows; only the coefficient of u_tautau multiplies a block.  The
 products run on scipy's BLAS and write into `WorkBuffers`: one kept array
 per role, shared by the layer operators of one `system.WaveSystem`, which
-also hold the Krylov basis of their GMRES solves, so that a Krylov vector
-allocates no block.  GMRES solves a block a panel of at most
-BLOCK_COLUMNS columns at a time, so every role holds at most one panel.
+also hold the iterate and defect of the steps and the Krylov basis of
+GMRES, so that neither a step nor a Krylov vector allocates a block.  A
+block is solved a panel of at most BLOCK_COLUMNS columns at a time, so
+every role holds at most one panel.
 
 The explicit terms of the shape derivatives, those of the operator's
 coefficient profiles, of the interface extraction and of the vertical
@@ -88,8 +94,9 @@ probe, so no difference step enters the Jacobian.  One row helper,
 there to its evaluation, its adjoint column and its shape derivative.
 LU is the one direct path: a dense factorization of the assembled operator,
 made the first time a solve needs it and kept, serves operators below
-KRYLOV_MIN_UNKNOWNS, any solve whose GMRES misses on one of its panels,
-and every later solve on an operator already factored.  The GMRES loop
+KRYLOV_MIN_UNKNOWNS, any solve whose GMRES misses after its steps stall
+on one of its panels, and every later solve on an operator already
+factored.  The GMRES loop
 itself, `gmres`, takes the apply, into which each caller folds its right
 preconditioner, the stop and the caller's buffers, and one right-hand
 side or a block of them; the continuation corrector runs it on the
@@ -131,7 +138,7 @@ KRYLOV_MIN_UNKNOWNS = 500
 #: to LU
 KRYLOV_MAX = 40
 
-#: columns of one GMRES call: `LayerOperators._adjoint_block` runs its
+#: columns of one panel solve: `LayerOperators._adjoint_block` runs its
 #: block as near-equal panels of at most this many, and so does
 #: `LayerOperators.flat_adjoint_block`, so every `WorkBuffers` role, the
 #: Krylov basis and the Hessenberg and rotation arrays among them, holds
@@ -140,7 +147,10 @@ BLOCK_COLUMNS = 22
 
 #: GMRES stopping rule on the relative residual estimate: converged below
 #: KRYLOV_TOL, or below KRYLOV_FLOOR once one vector cuts the estimate by
-#: less than the factor KRYLOV_STALL (stagnation at roundoff)
+#: less than the factor KRYLOV_STALL (stagnation at roundoff).  The
+#: Richardson steps before GMRES (`LayerOperators._stationary`) stop by
+#: the same rule, and a step that cuts by less than KRYLOV_STALL above
+#: KRYLOV_FLOOR hands the solve to GMRES
 KRYLOV_TOL = 1e-14
 KRYLOV_FLOOR = 1e-12
 KRYLOV_STALL = 0.5
@@ -400,12 +410,13 @@ class LayerOperators:
     computed on first use, which raises PointOutsideLayer for a point
     outside the strip.  A trace solve (`solve`) and the adjoint block
     behind `dno_matrix`, `shape_batch` and `interior_dy_row` run
-    right-preconditioned GMRES on matrix-free applies, so neither a
-    residual nor a Jacobian factors anything.  The dense operator is
-    assembled and LU-factored only when the operator has fewer than
-    KRYLOV_MIN_UNKNOWNS unknowns or a GMRES solve does not converge within
-    KRYLOV_MAX vectors; every later solve on it then back-substitutes
-    through the factors.  The applies and the GMRES solves write into
+    flat-preconditioned Richardson steps, and GMRES where those stall,
+    on matrix-free applies (`_stationary`), so neither a residual nor a
+    Jacobian factors anything.  The dense operator is assembled and
+    LU-factored only when the operator has fewer than KRYLOV_MIN_UNKNOWNS
+    unknowns or a GMRES solve does not converge within KRYLOV_MAX vectors;
+    every later solve on it then back-substitutes through the factors.
+    The applies, the steps and the GMRES solves write into
     `work`, the buffers shared with the caller's other operators, or into
     buffers of the operator's own when none are given.
     """
@@ -734,14 +745,16 @@ class LayerOperators:
 
     @property
     def _krylov(self) -> bool:
-        """Whether solves run GMRES: enough unknowns and no LU factors."""
+        """Whether solves take the Krylov path, Richardson steps and GMRES
+        (`_stationary`): enough unknowns and no LU factors."""
         unknowns = (self.grid.n_modes + 1) * (self.m_vertical + 1)
         return unknowns >= KRYLOV_MIN_UNKNOWNS and not self.factored
 
     def _correction(self, residual: np.ndarray, relax: float | np.ndarray,
                     transposed: bool = False) -> np.ndarray | None:
         """M^-1 y for GMRES's y on A M^-1 y = residual (`_preconditioned`),
-        or M^-T y on A^T M^-T y = residual, a vector or a panel of columns.
+        or M^-T y on A^T M^-T y = residual, a vector or a panel of columns:
+        the GMRES that takes over where `_stationary`'s steps stall.
 
         Column c stops at `relax` (a number or one entry per column) times
         KRYLOV_TOL and KRYLOV_FLOOR.  Returns a view of the work buffer
@@ -758,21 +771,84 @@ class LayerOperators:
         solved = precondition(solved)
         return solved if np.all(np.isfinite(solved)) else None
 
+    def _richardson_step(self, defect: np.ndarray, transposed: bool = False
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """(u, delta u) for u = M^-1 d, or (u, delta^T u) for u = M^-T d.
+
+        An iterate x with the defect d = A x - b moves to x - u, whose
+        defect is d - (M + delta) u = -delta u, exactly: one step costs the
+        two products of a GMRES vector.  The two are views of the work
+        buffers "precondition" and "apply".
+        """
+        flat_solve = (self._flat_solve_transpose if transposed
+                      else self._flat_solve)
+        u = flat_solve(defect)
+        return u, self._deviation(u, transposed)
+
+    def _stationary(self, iterate: np.ndarray, defect: np.ndarray,
+                    size: np.ndarray, transposed: bool = False) -> bool:
+        """Solve A x = b, or A^T x = b, in place from x = `iterate`.
+
+        `iterate` is a vector or a contiguous (nx, k, mt) panel, `defect`
+        its A x - b, and `size` the array of |b_c|, one per column.
+        Richardson steps on the flat-strip split (`_richardson_step`) run
+        while they keep cutting the defect, and each column stops at
+        GMRES's own rule: |d_c| below KRYLOV_TOL |b_c|, or below
+        KRYLOV_FLOOR |b_c| once a step cuts it by less than the factor
+        KRYLOV_STALL.  A step that turns a running column's defect
+        non-finite, or cuts it by less than that factor above the floor,
+        is not applied, and GMRES (`_correction`) takes the running columns
+        on from there, each stopping at the same absolute defect
+        (relax = |b_c| / |d_c|); a column that has stopped has its defect
+        zeroed, so GMRES keeps it where it is.  Every step has at least
+        halved the defect of a column still running, so the steps end on
+        their own.  The defect is kept in the work buffer "defect".
+        Returns False when GMRES misses, so that the caller falls back to
+        LU, and True otherwise.
+        """
+        x = self._block(iterate)
+        d = self._work.view("defect", x.shape)
+        d[...] = self._block(defect)
+        left = _column_norms(d)
+        running = left > KRYLOV_TOL * size
+        if not running.all():
+            d[:, ~running] = 0.0
+        while running.any():
+            u, delta_u = self._richardson_step(d, transposed)
+            now = _column_norms(delta_u)
+            stalled = running & (now > KRYLOV_STALL * left)
+            if not np.isfinite(now[running]).all() or np.any(
+                    now[stalled] > KRYLOV_FLOOR * size[stalled]):
+                break
+            x -= u
+            np.negative(delta_u, out=d)
+            done = running & ((now <= KRYLOV_TOL * size) | stalled)
+            if done.any():
+                d[:, done] = 0.0
+                running &= ~done
+            left = now
+        if not running.any():
+            return True
+        relax = np.divide(size, left, where=running, out=np.ones(left.size))
+        solved = self._correction(d.reshape(iterate.shape), relax, transposed)
+        if solved is None:
+            return False
+        iterate -= solved
+        return True
+
     def solve(self, trace: EvenField, guess: np.ndarray | None = None
               ) -> np.ndarray:
         """Nodal values (x node, tau node) of a trace's harmonic extension.
 
-        A^-1 r by GMRES (`_correction`), r the trace on the interface rows.
-        `guess`, nodal values of the same shape, typically this strip's
-        solution at a nearby state, starts GMRES from a copy: it solves for
-        the correction, A d = r - A u0, to the stopping rule scaled by
-        |r| / |r - A u0|, so that the residual it leaves is as small, in
-        absolute terms, as a solve from zero leaves; a guess that already
-        meets that rule builds no vector.  A guess whose residual is no
-        smaller than r is ignored, and so is any guess on the LU path,
-        which serves operators below KRYLOV_MIN_UNKNOWNS, operators already
-        factored, and a solve whose GMRES misses.  The result is a fresh
-        array.
+        A^-1 r, r the trace on the interface rows, by `_stationary`: flat
+        Richardson steps, then GMRES if they stall.  `guess`, nodal values
+        of the same shape, typically this strip's solution at a nearby
+        state, starts the solve from a copy, to the same absolute stopping
+        rule as a solve from zero; a guess that already meets that rule
+        takes no step.  A guess whose residual is no smaller than r is
+        ignored, and so is any guess on the LU path, which serves
+        operators below KRYLOV_MIN_UNKNOWNS, operators already factored,
+        and a solve whose GMRES misses.  The result is a fresh array.
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -782,17 +858,15 @@ class LayerOperators:
         rhs = np.zeros(nx * mt)
         rhs[self._interface_rows] = grid.even_values_half(trace)
         if self._krylov:
-            out, target, relax = np.zeros(rhs.shape), rhs, 1.0
+            out, defect = np.zeros(rhs.shape), -rhs
+            size = _column_norms(self._block(rhs))
             if guess is not None:
                 start = guess.flatten()
-                residual = rhs - self._apply(start)
-                left, size = _column_norms(np.stack([residual, rhs])[None])
-                if left < size:  # false for r = 0 or a non-finite guess
-                    out, target = start, residual
-                    relax = size / left if left > 0.0 else 1.0
-            solved = self._correction(target, relax)
-            if solved is not None:
-                out += solved
+                started = self._apply(start) - rhs
+                # false for r = 0 or a non-finite guess
+                if _column_norms(self._block(started)) < size:
+                    out, defect = start, started
+            if self._stationary(out, defect, size):
                 return out.reshape(nx, mt)
         return self._solve_rhs(rhs).reshape(nx, mt)
 
@@ -873,57 +947,52 @@ class LayerOperators:
         its vertical derivative there.  Everything the Jacobian reads from
         a layer is one of these functionals of a solve A^-1 r, that is
         Z^T r: the Dirichlet-to-Neumann matrix, the shape derivatives and
-        the interior-derivative row.  GMRES solves the columns a panel at a
-        time from `flat_adjoint_block`, Z0 = M^-T [E^T | e], which is exact
-        on a flat strip.  Since M^T Z0 = [E^T | e], the start leaves the
-        residual -delta^T Z0 (`_deviation`), so GMRES solves
-        A^T d = delta^T Z0 on `_preconditioned_transpose` and Z = Z0 - d,
-        each column to the stopping rule scaled by |rhs_c| / |residual_c|
-        as in `solve`, |rhs_c| from `_adjoint_column_norms`; but a start
-        no better than zero is kept, to a stricter rule.  A block given a
-        predicted Z - Z0 (`track_adjoint_deviation`) starts from Z0 plus
-        that array instead, and its residual is A^T times the start less
-        the panel of [E^T | e], added in closed form
-        (`_add_adjoint_columns`); the rule is the same.  So the Krylov path
-        never forms [E^T | e], and a panel whose every column already meets
-        its rule runs no GMRES and no flat solve.  A tracked block
-        subtracts each panel's correction from `adjoint_deviation` too, so
-        that the array ends as its own Z - Z0.  LU serves operators below
+        the interior-derivative row.  `_stationary` solves the columns a
+        panel at a time, transposed, from `flat_adjoint_block`,
+        Z0 = M^-T [E^T | e], which is exact on a flat strip.  Since
+        M^T Z0 = [E^T | e], the start's defect A^T Z0 - [E^T | e] is
+        delta^T Z0 (`_deviation`); each column stops at the absolute rule
+        of `solve`, |rhs_c| from `_adjoint_column_norms`, and a start no
+        better than zero is kept.  A block given a predicted Z - Z0
+        (`track_adjoint_deviation`) starts from Z0 plus that array
+        instead, and its defect is A^T times the start less the panel of
+        [E^T | e], added in closed form (`_add_adjoint_columns`).  So the
+        Krylov path never forms [E^T | e], and a panel whose every column
+        already meets its rule takes no step.  Each panel's steps, and
+        GMRES if they stall, run on a contiguous copy of the panel (the
+        work buffer "iterate"), written back to Z once; a tracked block
+        writes the panel's Z - Z0 into `adjoint_deviation` too, so that the
+        array ends as its own Z - Z0.  LU serves operators below
         KRYLOV_MIN_UNKNOWNS, operators already factored, and the whole
-        block once a panel misses; it leaves `adjoint_deviation` None.  The
-        block is (nx, k, mt): column c of Z is Z[:, c, :].  It is solved
-        once, on first use, and read-only.
+        block once a panel's GMRES misses; it leaves `adjoint_deviation`
+        None.  The block is (nx, k, mt): column c of Z is Z[:, c, :].  It
+        is solved once, on first use, and read-only.
         """
         if self._krylov:
             z = self.flat_adjoint_block()
             size = self._adjoint_column_norms()
             kept = self.adjoint_deviation
-            for panel in _panels(z.shape[1]):
-                start = z[:, panel]
+            nx, k, mt = z.shape
+            for panel in _panels(k):
+                # the steps run on a contiguous copy of the panel, and Z
+                # and Z - Z0 are written back once: the x product would
+                # copy a strided panel transposed, and a pass over one
+                # costs about three over a contiguous copy
+                staged = self._work.view("iterate",
+                                         (nx, panel.stop - panel.start, mt))
+                staged[...] = z[:, panel]
                 if self._predicted:
-                    start += kept[:, panel]
-                # the residual of a contiguous copy, since the x product
-                # would copy the strided panel transposed; the
-                # preconditioner's buffer is free until GMRES has read its
-                # right-hand side
-                staged = self._work.view("precondition", start.shape)
-                staged[...] = start
-                if self._predicted:
-                    residual = self._apply_transpose(staged)
-                    self._add_adjoint_columns(residual, panel, -1.0)
+                    staged += kept[:, panel]
+                    defect = self._apply_transpose(staged)
+                    self._add_adjoint_columns(defect, panel, -1.0)
                 else:
-                    residual = self._deviation(staged, transposed=True)
-                left = _column_norms(residual)
-                if np.all(left <= KRYLOV_TOL * size[panel]):
-                    continue
-                relax = np.divide(size[panel], left, where=left > 0.0,
-                                  out=np.ones(left.size))
-                solved = self._correction(residual, relax, transposed=True)
-                if solved is None:
+                    defect = self._deviation(staged, transposed=True)
+                if not self._stationary(staged, defect, size[panel],
+                                        transposed=True):
                     break
-                start -= solved
                 if kept is not None:
-                    kept[:, panel] -= solved
+                    np.subtract(staged, z[:, panel], out=kept[:, panel])
+                z[:, panel] = staged
             else:
                 z.flags.writeable = False  # shared by every caller
                 return z
@@ -938,10 +1007,10 @@ class LayerOperators:
 
         Z0 is the `flat_adjoint_block`.  `predicted`, a float32 array of
         the block's shape, typically a nearby block's Z - Z0 scaled to
-        this state, starts GMRES from Z0 + predicted, and the block's own
-        Z - Z0 is then written over it; without one the block starts from
-        Z0, exactly as an untracked one, and writes into fresh zeros.
-        float32 suffices, since the array only starts GMRES.  Call it
+        this state, starts the solve from Z0 + predicted, and the block's
+        own Z - Z0 is then written over it; without one the block starts
+        from Z0, exactly as an untracked one, and writes into fresh zeros.
+        float32 suffices, since the array only starts the solve.  Call it
         before the block's first use; a block that takes the LU path
         leaves None.
         """
@@ -981,10 +1050,10 @@ class LayerOperators:
         more.  Read in place of Z, the block gives the Jacobian's layer
         products as if A were the flat strip at the mean thickness,
         exactly so on a strip of constant thickness.  It is the start Z0 of
-        Z's GMRES, which then needs no [E^T | e]: M^T Z0 = [E^T | e] up to
-        roundoff, so the start's residual is -delta^T Z0
-        (`_adjoint_block`).  The block is a fresh array, computed on every
-        call, and `_adjoint_block` solves into it.
+        Z's solve, which then needs no [E^T | e]: M^T Z0 = [E^T | e] up to
+        roundoff, so the start's defect is delta^T Z0 (`_adjoint_block`).
+        The block is a fresh array, computed on every call, and
+        `_adjoint_block` solves into it.
         """
         grid = self.grid
         nx = grid.n_modes + 1

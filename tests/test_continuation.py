@@ -327,10 +327,12 @@ class TestWorkCounts:
 
     @staticmethod
     def _vectors(monkeypatch):
-        """Counts the layers' Krylov vectors: "panel" those of the adjoint
-        blocks' panels, one `_preconditioned_transpose` each, and "trace"
-        those of the trace solves, one `_preconditioned` each."""
-        counts = {"panel": 0, "trace": 0}
+        """Counts the layers' Krylov vectors and Richardson steps: "panel"
+        the vectors of the adjoint blocks' panels, one
+        `_preconditioned_transpose` each, "trace" those of the trace
+        solves, one `_preconditioned` each, and "panel steps" and "trace
+        steps" their `_richardson_step` calls, applied or not."""
+        counts = {"panel": 0, "trace": 0, "panel steps": 0, "trace steps": 0}
         for key, name in (("panel", "_preconditioned_transpose"),
                           ("trace", "_preconditioned")):
             def counted(ops, v, key=key, real=getattr(LayerOperators, name)):
@@ -338,32 +340,45 @@ class TestWorkCounts:
                 return real(ops, v)
 
             monkeypatch.setattr(LayerOperators, name, counted)
+
+        def step(ops, defect, transposed=False,
+                 real=LayerOperators._richardson_step):
+            counts["panel steps" if transposed else "trace steps"] += 1
+            return real(ops, defect, transposed)
+
+        monkeypatch.setattr(LayerOperators, "_richardson_step", step)
         return counts
 
     def test_branch_blocks_start_from_the_last_point(self, monkeypatch):
         # the 12-step default 64x32 branch: each Jacobian after the first
         # two starts its adjoint blocks from the last one's Z - Z0 scaled
-        # by the elevation, 102 panel-vectors against 157 from the flat
-        # blocks; each trace solve starts from the last state prepared,
-        # 347 vectors against 376 from zero
+        # by the elevation, and each trace solve from the last state
+        # prepared; flat-preconditioned Richardson steps finish every
+        # solve, 123 panel steps and 373 trace steps, with no GMRES
+        # (GMRES alone built 102 panel-vectors and 347 trace vectors)
         counts = self._vectors(monkeypatch)
         branch = small_engine(n_modes=64, m_vertical=32,
                               max_steps=12).continue_branch()
         assert len(branch.points) == 13
         assert counts["panel"] <= 110
         assert counts["trace"] <= 350
+        assert counts["panel steps"] <= 126
+        assert counts["trace steps"] <= 380
 
     def test_fixed_strength_blocks_start_flat(self, monkeypatch):
         # solve_at builds one exact Jacobian, its system's first, which
-        # starts both blocks from the flat blocks, 48 panel-vectors at
-        # strength 3, and keeps no Z - Z0; its trace solves take 208
-        # vectors against 298 from zero
+        # starts both blocks from the flat blocks and keeps no Z - Z0: 65
+        # panel steps at strength 3 and no GMRES (48 panel-vectors by
+        # GMRES alone); its trace solves take 141 steps and hand 11 of 28
+        # solves to GMRES, for 97 vectors (208 by GMRES alone)
         counts = self._vectors(monkeypatch)
         engine = small_engine(n_modes=64, m_vertical=32)
         point = engine.solve_at(3.0)
         assert point.newton_iterations == 5
         assert counts["panel"] <= 48
         assert counts["trace"] <= 212
+        assert counts["panel steps"] <= 67
+        assert counts["trace steps"] <= 145
         assert engine.system._deviations == [None, None]
 
 

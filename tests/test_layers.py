@@ -66,6 +66,49 @@ def panelled(ops, rhs):
     return out
 
 
+def from_zero(ops, rhs):
+    """A^-T rhs for an (nx, k, mt) block rhs from the zero start by
+    `_stationary`, one call per panel of columns, into a fresh block."""
+    out = np.zeros(rhs.shape)
+    for panel in layers._panels(rhs.shape[1]):
+        solved = np.zeros(rhs[:, panel].shape)
+        assert ops._stationary(solved, -rhs[:, panel],
+                               layers._column_norms(rhs[:, panel]),
+                               transposed=True)
+        out[:, panel] = solved
+    return out
+
+
+def counting_work(monkeypatch):
+    """The work of each `_stationary` call, in call order: its Richardson
+    steps, applied or not, plus the Krylov vectors of its GMRES, one apply
+    each."""
+    work = []
+    real_stationary = LayerOperators._stationary
+    real_step = LayerOperators._richardson_step
+    real_gmres = layers.gmres
+
+    def stationary(ops, *args, **kwargs):
+        work.append(0)
+        return real_stationary(ops, *args, **kwargs)
+
+    def step(ops, *args, **kwargs):
+        work[-1] += 1
+        return real_step(ops, *args, **kwargs)
+
+    def gmres(apply, rhs, *args):
+        def counted(v):
+            work[-1] += 1
+            return apply(v)
+
+        return real_gmres(counted, rhs, *args)
+
+    monkeypatch.setattr(LayerOperators, "_stationary", stationary)
+    monkeypatch.setattr(LayerOperators, "_richardson_step", step)
+    monkeypatch.setattr(layers, "gmres", gmres)
+    return work
+
+
 def on_side(eta, side):
     """Interface of the strip for one layer: the upper layer over eta is the
     lower strip under -eta, its points (x, y) at (x, -y)."""
@@ -353,37 +396,25 @@ class TestAdjointBlock:
 
     def test_started_block_saves_a_vector_per_column(self, monkeypatch):
         # the last state of the 12-step default 64x32 branch, sup eta
-        # 1.2e-3: each panel of both blocks builds at most 3 vectors from
-        # the flat block, and one more from zero
+        # 1.2e-3: each panel of both blocks takes at most 4 steps and
+        # Krylov vectors from the flat block (GMRES alone built 3), and
+        # exactly one step more from zero, whose first step lands on the
+        # flat block
         system = WaveSystem(PhysicalParameters(), 64, 32)
         wave = ContinuationEngine(system, ContinuationSettings()).solve_at(
             0.0366).state
         sup = np.max(np.abs(system.grid.even_values_half(wave.elevation)))
         assert 1.1e-3 < sup < 1.3e-3
         prep = system.prepare(wave)
-        vectors = []
-        real_gmres = layers.gmres
-
-        def counting(apply, rhs, *args):
-            calls = []
-
-            def counted(v):
-                calls.append(v)
-                return apply(v)
-
-            solved = real_gmres(counted, rhs, *args)
-            vectors.append(len(calls))
-            return solved
-
-        monkeypatch.setattr(layers, "gmres", counting)
+        work = counting_work(monkeypatch)
         for layer in prep.layers:
             layer.ops._adjoint_block
-        started = list(vectors)
-        vectors.clear()
+        started = list(work)
+        work.clear()
         for layer in prep.layers:
-            panelled(layer.ops, layer.ops._adjoint_columns())
-        assert len(started) == 6 and max(started) <= 3
-        assert vectors == [count + 1 for count in started]
+            from_zero(layer.ops, layer.ops._adjoint_columns())
+        assert len(started) == 6 and max(started) <= 4
+        assert work == [count + 1 for count in started]
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("state", ["flat", "crest", "thin", "strength-3"])
@@ -433,23 +464,23 @@ class TestAdjointBlock:
                                                      monkeypatch):
         # the Dirichlet-to-Neumann matrix, the drift row and the shape
         # derivatives of a probed 32x16 lower layer read one transposed
-        # block of N + 1 interface columns and the probe column: one GMRES
-        # solve for each of its two panels of 17 columns, each started
-        # from the flat block, so that every residual is smaller than its
-        # right-hand side
+        # block of N + 1 interface columns and the probe column: one
+        # `_stationary` solve for each of its two panels of 17 columns,
+        # each started from the flat block, so that every residual is
+        # smaller than its right-hand side
         grid = CollocationGrid(np.pi, 32)
         ops = strip(grid, peaked(0.33, n=33), 16, (0.0, -0.5))
         sol = ops.solve(EvenField(0.5 ** np.arange(33)))
         sizes = np.linalg.norm(ops._adjoint_columns(), axis=(0, 2))
         panels = []
-        real_gmres = layers.gmres
+        real_stationary = ops._stationary
 
-        def counting(apply, rhs, *args):
-            panels.append((rhs.shape, apply == ops._preconditioned_transpose,
-                           layers._column_norms(rhs)))
-            return real_gmres(apply, rhs, *args)
+        def counting(iterate, defect, size, transposed=False):
+            panels.append((defect.shape, transposed,
+                           layers._column_norms(defect)))
+            return real_stationary(iterate, defect, size, transposed)
 
-        monkeypatch.setattr(layers, "gmres", counting)
+        monkeypatch.setattr(ops, "_stationary", counting)
         calls = {"dno_matrix": ops.dno_matrix,
                  "interior_dy_row": ops.interior_dy_row,
                  "shape_batch": lambda: ops.shape_batch(sol)}
@@ -525,31 +556,30 @@ class TestPredictedStart:
 
     @staticmethod
     def solved(points, side, start=None):
-        """(block, vectors its panels built, operator) of one layer at the
-        point, tracked from `start` when one is given."""
+        """(block, steps and Krylov vectors its panels took, operator) of
+        one layer at the point, tracked from `start` when one is given."""
         system, _, point = points
         ops = system.prepare(point.state).layers[side].ops
-        vectors = []
-        real = ops._preconditioned_transpose
+        work = []
+        for name in ("_richardson_step", "_preconditioned_transpose"):
+            def counted(*args, real=getattr(ops, name)):
+                work.append(name)
+                return real(*args)
 
-        def counted(v):
-            vectors.append(v.shape)
-            return real(v)
-
-        ops._preconditioned_transpose = counted
+            setattr(ops, name, counted)
         if start is not None:
             ops.track_adjoint_deviation(start)
-        return ops._adjoint_block, len(vectors), ops
+        return ops._adjoint_block, len(work), ops
 
     @pytest.mark.parametrize("side", [0, 1], ids=["upper", "lower"])
     def test_matches_the_flat_start(self, consecutive_points, side):
         start = self.predicted(consecutive_points)[side]
         assert start.dtype == np.float32
-        got, vectors, ops = self.solved(consecutive_points, side, start)
-        want, flat_vectors, _ = self.solved(consecutive_points, side)
+        got, work, ops = self.solved(consecutive_points, side, start)
+        want, flat_work, _ = self.solved(consecutive_points, side)
         assert not ops.factored
         assert (np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want))
-        assert vectors < flat_vectors
+        assert work < flat_work
         # the start array now holds this block's own Z - Z0
         assert ops.adjoint_deviation is start
         own = got - ops.flat_adjoint_block()
@@ -567,11 +597,11 @@ class TestPredictedStart:
             start = np.random.default_rng(3).standard_normal(
                 right.shape).astype(np.float32)
             start *= np.linalg.norm(right) / np.linalg.norm(start)
-        got, vectors, ops = self.solved(consecutive_points, side, start)
+        got, work, ops = self.solved(consecutive_points, side, start)
         want, _, _ = self.solved(consecutive_points, side)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        _, right_vectors, _ = self.solved(consecutive_points, side, right)
-        assert vectors > right_vectors
+        _, right_work, _ = self.solved(consecutive_points, side, right)
+        assert work > right_work
 
     @pytest.mark.parametrize("start", ["none", "zero"])
     def test_lu_fallback_leaves_no_deviation(self, start):
@@ -618,31 +648,17 @@ class TestWarmStart:
                                                 1.0 + self.NEARBY)
         guess = near.solve(near_trace)
         ops, trace = self.strip_and_trace(state, side, strength_3)
-        vectors = []
-        real_gmres = layers.gmres
-
-        def counting(apply, rhs, *args):
-            calls = []
-
-            def counted(v):
-                calls.append(v)
-                return apply(v)
-
-            solved = real_gmres(counted, rhs, *args)
-            vectors.append(len(calls))
-            return solved
-
-        monkeypatch.setattr(layers, "gmres", counting)
+        work = counting_work(monkeypatch)
         cold = ops.solve(trace)
         warm = ops.solve(trace, guess)
         assert ops.factored == (state == "thin")
-        if state == "thin":  # both took the LU path: one miss, no warm GMRES
-            assert len(vectors) == 1
+        if state == "thin":  # both took the LU path: one miss, no warm solve
+            assert len(work) == 1
             assert np.array_equal(warm, cold)
-        elif state == "flat":  # A = M: one vector solves either exactly
-            assert vectors == [1, 1]
-        else:  # the warm start needs fewer vectors
-            assert vectors[1] < vectors[0]
+        elif state == "flat":  # A = M: one step solves either exactly
+            assert work == [1, 1]
+        else:  # the warm start needs fewer steps and vectors
+            assert work[1] < work[0]
         rhs = np.zeros(cold.size)
         rhs[::ops.m_vertical + 1] = ops.grid.even_values_half(trace)
         referee = ops._solve_rhs(rhs).reshape(cold.shape)
@@ -672,6 +688,115 @@ class TestWarmStart:
         ops = strip(GRID, peaked(0.33), 32)
         guess = ops.solve(EvenField(0.5 ** np.arange(NX)))
         assert np.all(ops.solve(FLAT, guess) == 0.0)
+
+
+class TestStationary:
+    """The Richardson steps x <- x - M^-1 d that start every Krylov-path
+    layer solve (`LayerOperators._stationary`), GMRES taking over where
+    they stall."""
+
+    def test_one_step_solves_a_flat_strip(self, monkeypatch):
+        # delta = A - M vanishes on a flat strip: the first step from zero
+        # is M^-1 b, or M^-T b, and leaves no defect
+        ops = strip(GRID, FLAT, 32)
+        trace = EvenField(0.5 ** np.arange(NX))
+        rhs = np.zeros(NX * 33)
+        rhs[::33] = GRID.even_values_half(trace)
+        block = np.random.default_rng(6).standard_normal((NX, 5, 33))
+        work = counting_work(monkeypatch)
+        got = ops.solve(trace).ravel()
+        assert np.array_equal(got, ops._flat_solve(rhs))
+        got = from_zero(ops, block)
+        assert np.array_equal(got, ops._flat_solve_transpose(block))
+        assert work == [1, 1]
+        assert not ops.factored
+
+    @pytest.mark.parametrize("state, applied", [
+        ("thin", 0), ("strength-3", 0), ("crest", 4)])
+    def test_a_stalled_step_is_not_applied(self, state, applied, strength_3,
+                                           monkeypatch):
+        # thin: min thickness 0.1, where the first step from zero grows
+        # the defect 270-fold and GMRES misses, so LU takes over;
+        # strength-3: the lower layer of the 32x16 solution, whose first
+        # step from zero cuts the defect by less than half; crest: a 0.5
+        # crest, started from the solution under a 0.495 crest, whose
+        # fifth step does; GMRES takes over in both and converges
+        trace = EvenField(0.5 ** np.arange(NX))
+        if state == "thin":
+            ops = strip(GRID, peaked(-0.9), 32)
+        elif state == "crest":
+            ops = strip(GRID, peaked(0.5), 32)
+        else:
+            system, wave = strength_3
+            ops = strip(system.grid, wave.elevation, system.m_vertical)
+            trace = wave.trace_lower
+        nx, mt = ops.grid.n_modes + 1, ops.m_vertical + 1
+        rhs = np.zeros(nx * mt)
+        rhs[::mt] = ops.grid.even_values_half(trace)
+        size = layers._column_norms(ops._block(rhs))
+        solved = np.zeros(rhs.size)
+        if state == "crest":
+            solved = strip(GRID, peaked(0.495), 32).solve(trace).ravel()
+        defect = ops._apply(solved) - rhs
+        steps, handed = [], []
+        real_step, real_gmres = ops._richardson_step, layers.gmres
+
+        def step(defect, transposed=False):
+            u, moved = real_step(defect, transposed)
+            steps.append((solved.copy(), layers._column_norms(
+                ops._block(defect)), layers._column_norms(ops._block(moved))))
+            return u, moved
+
+        def gmres(apply, defect, *args):
+            handed.append((solved.copy(), defect.copy()))
+            return real_gmres(apply, defect, *args)
+
+        ops._richardson_step = step
+        monkeypatch.setattr(layers, "gmres", gmres)
+        converged = ops._stationary(solved, defect, size)
+        assert converged == (state != "thin")
+        # the last step stalled above the floor, and GMRES started from
+        # the iterate before it, on that iterate's defect (the step would
+        # have moved it by half its norm or more; A x carries roundoff of
+        # about 1e-10 |b|)
+        assert len(steps) == applied + 1 and len(handed) == 1
+        before, left, now = steps[-1]
+        assert now > layers.KRYLOV_STALL * left
+        assert now > KRYLOV_FLOOR * size
+        start, defect = handed[0]
+        assert np.array_equal(start, before)
+        assert (np.linalg.norm(defect - (ops._apply(start) - rhs))
+                <= 1e-6 * np.linalg.norm(defect))
+        got = ops.solve(trace).ravel()
+        assert ops.factored == (state == "thin")
+        want = ops._solve_rhs(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_steps_leave_the_true_residual_small(self, side, strength_3,
+                                                 monkeypatch):
+        # a warm trace solve at the 32x16 strength-3 solution, which the
+        # steps finish: the defect they update, -delta u per step, does not
+        # drift from b - A x.  The unpreconditioned b - A x of even the LU
+        # solution is 1e-12 |b| or more, the roundoff of A x itself, whose
+        # interior rows are large; M^-1 (b - A x) is free of it
+        warm = TestWarmStart()
+        near, near_trace = warm.strip_and_trace("strength-3", side,
+                                                strength_3, 1.0 + warm.NEARBY)
+        guess = near.solve(near_trace)
+        ops, trace = warm.strip_and_trace("strength-3", side, strength_3)
+        handed = []
+        monkeypatch.setattr(layers, "gmres", lambda *args: handed.append(1))
+        got = ops.solve(trace, guess).ravel()
+        assert handed == [] and not ops.factored
+        rhs = np.zeros(got.size)
+        rhs[::ops.m_vertical + 1] = ops.grid.even_values_half(trace)
+        left = ops._flat_solve(rhs - ops._apply(got))
+        assert np.linalg.norm(left) <= 1e-13 * np.linalg.norm(
+            ops._flat_solve(rhs))
+        lu = ops._solve_rhs(rhs)
+        assert (np.linalg.norm(rhs - ops._apply(got))
+                <= 2.0 * np.linalg.norm(rhs - ops._apply(lu)))
 
 
 def as_block(v):

@@ -247,17 +247,19 @@ class TestFactorizationCounts:
         # the Dirichlet-to-Neumann matrix, the shape derivatives and the
         # drift row of each layer read one adjoint block: N + 1 interface
         # columns, and on the lower layer the vortex column besides, solved
-        # a panel of at most BLOCK_COLUMNS columns per GMRES call
+        # a panel of at most BLOCK_COLUMNS columns per transposed
+        # `_stationary` call
         panels = {}  # layer operator: its panel widths
-        real_gmres = layers.gmres
+        real_stationary = layers.LayerOperators._stationary
 
-        def counting(apply, rhs, *args):
-            panels.setdefault(apply.__self__, []).append(rhs.shape[1])
-            return real_gmres(apply, rhs, *args)
+        def counting(ops, iterate, defect, size, transposed=False):
+            if transposed:
+                panels.setdefault(ops, []).append(iterate.shape[1])
+            return real_stationary(ops, iterate, defect, size, transposed)
 
         system = WaveSystem(PARAMS, 32, 16)
         prep = system.prepare(decayed_state(np.random.default_rng(3), 32))
-        monkeypatch.setattr(layers, "gmres", counting)
+        monkeypatch.setattr(layers.LayerOperators, "_stationary", counting)
         system.jacobian_prepared(prep, 0.02)
         assert list(panels) == [prep.lower.ops, prep.upper.ops]
         assert [sum(widths) for widths in panels.values()] == [34, 33]
