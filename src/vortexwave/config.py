@@ -128,6 +128,12 @@ def load_config(text: str) -> RunConfig:
         raise ValidationError("n_modes must be even and at least 8")
     if disc["m_vertical"] < 8:
         raise ValidationError("m_vertical must be at least 8")
+    # numpy raises ValueError, not MemoryError, for an array whose bytes it
+    # cannot index, such as a layer's dense u x u operator
+    unknowns = (disc["n_modes"] + 1) * (disc["m_vertical"] + 1)
+    if 8 * unknowns**2 > np.iinfo(np.intp).max:
+        raise ValidationError(f"n_modes and m_vertical give {unknowns} "
+                              "unknowns, too many for a numpy array")
 
     vortex_y = phys["vortex_y"]
     phantom_y = -vortex_y if phys["phantom_y"] is None else phys["phantom_y"]

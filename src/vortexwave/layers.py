@@ -40,12 +40,15 @@ saving in a split preconditioner).  Under that split a Richardson step x <-
 x - M^-1 d on the defect d = A x - b is exact bookkeeping: the defect it
 leaves is -delta(M^-1 d), so a step costs the two products of one Krylov
 vector and none of GMRES's basis, orthogonalization, rotations or closing
-flat solve.  So every solve starts with such steps (`_stationary`), each
-column stopping at GMRES's own rule, and only where a step would cut a
-running column's defect by less than KRYLOV_STALL above the floor, or turn
-it non-finite, does GMRES (Saad & Schultz 1986) take over from the last
-iterate, on v + delta(M^-1 v), one x product and the Dirichlet rows cheaper
-than A(M^-1 v), adding M^-1 of its result.  A trace solve, the only solve a
+flat solve.  Every trace solve and adjoint panel runs one loop,
+`_stationary`: such steps, each column stopping at GMRES's own rule; where
+a step would cut a running column's defect by less than KRYLOV_STALL above
+the floor, or turn it non-finite, GMRES (Saad & Schultz 1986) from the
+last iterate, on v + delta(M^-1 v), one x product and the Dirichlet rows
+cheaper than A(M^-1 v), adding M^-1 of its result; and where GMRES misses,
+one LU step x <- x - A^-1 d from the iterate GMRES started from.  Below
+KRYLOV_MIN_UNKNOWNS, or once factored, an operator takes the LU step
+alone.  A trace solve, the only solve a
 residual needs, solves with A, not its transpose.  It may start from a
 guess u0, the same strip's nodal values at a nearby state, to the same
 absolute stopping rule as a solve from zero (GMRES's stop scaled by
@@ -92,11 +95,8 @@ derivative at the probe, are closed forms in (h, h_x, h_xx) and h at the
 probe, so no difference step enters the Jacobian.  One row helper,
 `_point_rows`, computed once for the probe, gives the vertical derivative
 there to its evaluation, its adjoint column and its shape derivative.
-LU is the one direct path: a dense factorization of the assembled operator,
-made the first time a solve needs it and kept, serves operators below
-KRYLOV_MIN_UNKNOWNS, any solve whose GMRES misses after its steps stall
-on one of its panels, and every later solve on an operator already
-factored.  The GMRES loop
+The LU step factors the assembled operator densely the first time it is
+taken and keeps the factors.  The GMRES loop
 itself, `gmres`, takes the apply, into which each caller folds its right
 preconditioner, the stop and the caller's buffers, and one right-hand
 side or a block of them; the continuation corrector runs it on the
@@ -134,8 +134,8 @@ from .spectral import CollocationGrid, EvenField
 #: two runs each)
 KRYLOV_MIN_UNKNOWNS = 500
 
-#: Krylov vectors a GMRES solve may build per column before it falls back
-#: to LU
+#: Krylov vectors a GMRES solve may build per column before the LU step
+#: finishes it
 KRYLOV_MAX = 40
 
 #: columns of one panel solve: `LayerOperators._adjoint_block` runs its
@@ -408,14 +408,12 @@ class LayerOperators:
     the interior point whose vertical derivative the operator reports
     (`eval_interior_dy`, `interior_dy_row`, `shape_batch`); its rows are
     computed on first use, which raises PointOutsideLayer for a point
-    outside the strip.  A trace solve (`solve`) and the adjoint block
-    behind `dno_matrix`, `shape_batch` and `interior_dy_row` run
-    flat-preconditioned Richardson steps, and GMRES where those stall,
-    on matrix-free applies (`_stationary`), so neither a residual nor a
-    Jacobian factors anything.  The dense operator is assembled and
-    LU-factored only when the operator has fewer than KRYLOV_MIN_UNKNOWNS
-    unknowns or a GMRES solve does not converge within KRYLOV_MAX vectors;
-    every later solve on it then back-substitutes through the factors.
+    outside the strip.  A trace solve (`solve`) and each panel of the
+    adjoint block behind `dno_matrix`, `shape_batch` and
+    `interior_dy_row` run one loop on matrix-free applies, `_stationary`,
+    which factors the operator only when it has fewer than
+    KRYLOV_MIN_UNKNOWNS unknowns or GMRES misses within KRYLOV_MAX
+    vectors; every later solve on it is then one LU step.
     The applies, the steps and the GMRES solves write into
     `work`, the buffers shared with the caller's other operators, or into
     buffers of the operator's own when none are given.
@@ -744,32 +742,11 @@ class LayerOperators:
         return out
 
     @property
-    def _krylov(self) -> bool:
-        """Whether solves take the Krylov path, Richardson steps and GMRES
-        (`_stationary`): enough unknowns and no LU factors."""
+    def _direct(self) -> bool:
+        """Whether `_stationary` solves by its LU step alone: fewer than
+        KRYLOV_MIN_UNKNOWNS unknowns, or LU factors already made."""
         unknowns = (self.grid.n_modes + 1) * (self.m_vertical + 1)
-        return unknowns >= KRYLOV_MIN_UNKNOWNS and not self.factored
-
-    def _correction(self, residual: np.ndarray, relax: float | np.ndarray,
-                    transposed: bool = False) -> np.ndarray | None:
-        """M^-1 y for GMRES's y on A M^-1 y = residual (`_preconditioned`),
-        or M^-T y on A^T M^-T y = residual, a vector or a panel of columns:
-        the GMRES that takes over where `_stationary`'s steps stall.
-
-        Column c stops at `relax` (a number or one entry per column) times
-        KRYLOV_TOL and KRYLOV_FLOOR.  Returns a view of the work buffer
-        "precondition", or None when GMRES misses or its result is not
-        finite.
-        """
-        preconditioned, precondition = (
-            (self._preconditioned_transpose, self._flat_solve_transpose)
-            if transposed else (self._preconditioned, self._flat_solve))
-        solved = gmres(preconditioned, residual, KRYLOV_MAX,
-                       relax * KRYLOV_TOL, relax * KRYLOV_FLOOR, self._work)
-        if solved is None:
-            return None
-        solved = precondition(solved)
-        return solved if np.all(np.isfinite(solved)) else None
+        return unknowns < KRYLOV_MIN_UNKNOWNS or self.factored
 
     def _richardson_step(self, defect: np.ndarray, transposed: bool = False
                          ) -> tuple[np.ndarray, np.ndarray]:
@@ -786,26 +763,32 @@ class LayerOperators:
         return u, self._deviation(u, transposed)
 
     def _stationary(self, iterate: np.ndarray, defect: np.ndarray,
-                    size: np.ndarray, transposed: bool = False) -> bool:
+                    size: np.ndarray | None, transposed: bool = False
+                    ) -> None:
         """Solve A x = b, or A^T x = b, in place from x = `iterate`.
 
         `iterate` is a vector or a contiguous (nx, k, mt) panel, `defect`
-        its A x - b, and `size` the array of |b_c|, one per column.
+        its A x - b, and `size` the array of |b_c|, one per column.  On an
+        operator that solves directly (`_direct`) the loop is one LU step,
+        x <- x - A^-1 d (`_solve_rhs`), and `size` may be None.  Elsewhere
         Richardson steps on the flat-strip split (`_richardson_step`) run
         while they keep cutting the defect, and each column stops at
         GMRES's own rule: |d_c| below KRYLOV_TOL |b_c|, or below
         KRYLOV_FLOOR |b_c| once a step cuts it by less than the factor
         KRYLOV_STALL.  A step that turns a running column's defect
-        non-finite, or cuts it by less than that factor above the floor,
-        is not applied, and GMRES (`_correction`) takes the running columns
-        on from there, each stopping at the same absolute defect
-        (relax = |b_c| / |d_c|); a column that has stopped has its defect
-        zeroed, so GMRES keeps it where it is.  Every step has at least
-        halved the defect of a column still running, so the steps end on
-        their own.  The defect is kept in the work buffer "defect".
-        Returns False when GMRES misses, so that the caller falls back to
-        LU, and True otherwise.
+        non-finite, or cuts it by less than that factor above the floor, is
+        not applied, and GMRES on A M^-1 (`_preconditioned`), or A^T M^-T,
+        takes the running columns on from there, each stopping at the same
+        absolute defect (relax = |b_c| / |d_c|); a column that has stopped
+        has its defect zeroed, so GMRES keeps it where it is.  Every step
+        has at least halved the defect of a column still running, so the
+        steps end on their own.  Where GMRES misses, or its result is not
+        finite, the LU step from the iterate it started from finishes the
+        running columns.  The defect is kept in the work buffer "defect".
         """
+        if self._direct:
+            iterate -= self._solve_rhs(defect, transposed)
+            return
         x = self._block(iterate)
         d = self._work.view("defect", x.shape)
         d[...] = self._block(defect)
@@ -828,27 +811,32 @@ class LayerOperators:
                 running &= ~done
             left = now
         if not running.any():
-            return True
+            return
         relax = np.divide(size, left, where=running, out=np.ones(left.size))
-        solved = self._correction(d.reshape(iterate.shape), relax, transposed)
-        if solved is None:
-            return False
+        d = d.reshape(iterate.shape)
+        preconditioned, precondition = (
+            (self._preconditioned_transpose, self._flat_solve_transpose)
+            if transposed else (self._preconditioned, self._flat_solve))
+        solved = gmres(preconditioned, d, KRYLOV_MAX, relax * KRYLOV_TOL,
+                       relax * KRYLOV_FLOOR, self._work)
+        if solved is not None:
+            solved = precondition(solved)  # M^-1 y for GMRES's y
+        if solved is None or not np.all(np.isfinite(solved)):
+            solved = self._solve_rhs(d, transposed)
         iterate -= solved
-        return True
 
     def solve(self, trace: EvenField, guess: np.ndarray | None = None
               ) -> np.ndarray:
         """Nodal values (x node, tau node) of a trace's harmonic extension.
 
-        A^-1 r, r the trace on the interface rows, by `_stationary`: flat
-        Richardson steps, then GMRES if they stall.  `guess`, nodal values
-        of the same shape, typically this strip's solution at a nearby
-        state, starts the solve from a copy, to the same absolute stopping
-        rule as a solve from zero; a guess that already meets that rule
-        takes no step.  A guess whose residual is no smaller than r is
-        ignored, and so is any guess on the LU path, which serves
-        operators below KRYLOV_MIN_UNKNOWNS, operators already factored,
-        and a solve whose GMRES misses.  The result is a fresh array.
+        A^-1 r, r the trace on the interface rows, by `_stationary` from
+        zero.  `guess`, nodal values of the same shape, typically this
+        strip's solution at a nearby state, starts the solve from a copy,
+        to the same absolute stopping rule as a solve from zero; a guess
+        that already meets that rule takes no step.  A guess whose residual
+        is no smaller than r is ignored, and so is any guess on an operator
+        that solves directly, so that its solves repeat bit for bit.  The
+        result is a fresh array.
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -857,8 +845,8 @@ class LayerOperators:
             raise ValueError("trace band does not match the grid")
         rhs = np.zeros(nx * mt)
         rhs[self._interface_rows] = grid.even_values_half(trace)
-        if self._krylov:
-            out, defect = np.zeros(rhs.shape), -rhs
+        out, defect, size = np.zeros(rhs.shape), -rhs, None
+        if not self._direct:  # the LU step reads no size
             size = _column_norms(self._block(rhs))
             if guess is not None:
                 start = guess.flatten()
@@ -866,9 +854,8 @@ class LayerOperators:
                 # false for r = 0 or a non-finite guess
                 if _column_norms(self._block(started)) < size:
                     out, defect = start, started
-            if self._stationary(out, defect, size):
-                return out.reshape(nx, mt)
-        return self._solve_rhs(rhs).reshape(nx, mt)
+        self._stationary(out, defect, size)
+        return out.reshape(nx, mt)
 
     # -- interface extraction -------------------------------------------------
 
@@ -904,21 +891,12 @@ class LayerOperators:
                                 u_tau_ifc, grid.half_d1_coeffs)
         return grid._cos_inv @ vals
 
-    def _adjoint_columns(self) -> np.ndarray:
-        """[E^T | e] as a fresh (nx, k, mt) block: the right-hand sides of
-        `_adjoint_block` and `flat_adjoint_block`."""
-        nx = self.grid.n_modes + 1
-        k = nx + (self.probe is not None)
-        rhs = np.zeros((nx, k, self.m_vertical + 1))
-        self._add_adjoint_columns(rhs, slice(0, k), 1.0)
-        return rhs
-
     def _add_adjoint_columns(self, out: np.ndarray, panel: slice,
                              factor: float) -> None:
-        """Add `factor` times the columns `panel` of [E^T | e] to the
-        (nx, panel width, mt) block `out`, in closed form: column j < nx
-        is d_tau[0] at x node j, and e the probe's x row times its tau
-        row."""
+        """Add `factor` times the columns `panel` of [E^T | e], the
+        right-hand sides of `_adjoint_block`, to the (nx, panel width, mt)
+        block `out`, in closed form: column j < nx is d_tau[0] at x node j,
+        and e the probe's x row times its tau row."""
         nx = self.grid.n_modes + 1
         nodes = np.arange(panel.start, min(panel.stop, nx))
         out[nodes, nodes - panel.start] += factor * self._d_tau[0]
@@ -927,8 +905,9 @@ class LayerOperators:
             out[:, nx - panel.start] += np.outer(
                 row_x, (2.0 * factor / h) * t_rows[1])
 
+    @cached_property
     def _adjoint_column_norms(self) -> np.ndarray:
-        """The 2-norm of each column of `_adjoint_columns`, in closed form:
+        """The 2-norm of each column of [E^T | e], in closed form:
         |d_tau[0]| for those of E^T, |row_x| |(2/h) t-row| for e."""
         size = np.full(self.grid.n_modes + 1 + (self.probe is not None),
                        np.linalg.norm(self._d_tau[0]))
@@ -948,38 +927,48 @@ class LayerOperators:
         a layer is one of these functionals of a solve A^-1 r, that is
         Z^T r: the Dirichlet-to-Neumann matrix, the shape derivatives and
         the interior-derivative row.  `_stationary` solves the columns a
-        panel at a time, transposed, from `flat_adjoint_block`,
-        Z0 = M^-T [E^T | e], which is exact on a flat strip.  Since
-        M^T Z0 = [E^T | e], the start's defect A^T Z0 - [E^T | e] is
-        delta^T Z0 (`_deviation`); each column stops at the absolute rule
-        of `solve`, |rhs_c| from `_adjoint_column_norms`, and a start no
-        better than zero is kept.  A block given a predicted Z - Z0
-        (`track_adjoint_deviation`) starts from Z0 plus that array
-        instead, and its defect is A^T times the start less the panel of
-        [E^T | e], added in closed form (`_add_adjoint_columns`).  So the
-        Krylov path never forms [E^T | e], and a panel whose every column
-        already meets its rule takes no step.  Each panel's steps, and
-        GMRES if they stall, run on a contiguous copy of the panel (the
-        work buffer "iterate"), written back to Z once; a tracked block
-        writes the panel's Z - Z0 into `adjoint_deviation` too, so that the
-        array ends as its own Z - Z0.  LU serves operators below
-        KRYLOV_MIN_UNKNOWNS, operators already factored, and the whole
-        block once a panel's GMRES misses; it leaves `adjoint_deviation`
-        None.  The block is (nx, k, mt): column c of Z is Z[:, c, :].  It
-        is solved once, on first use, and read-only.
+        panel at a time, transposed, each to the absolute rule of `solve`,
+        |rhs_c| from `_adjoint_column_norms`, on a contiguous copy of the
+        panel (the work buffer "iterate") written back to Z once.  A panel
+        starts from `flat_adjoint_block`, Z0 = M^-T [E^T | e], exact on a
+        flat strip and kept even where no better than zero, whose defect
+        A^T Z0 - [E^T | e] is delta^T Z0 (`_deviation`), since
+        M^T Z0 = [E^T | e]; or, given a predicted Z - Z0
+        (`track_adjoint_deviation`), from Z0 plus that array, whose defect
+        is A^T times the start less the panel of [E^T | e], added in
+        closed form (`_add_adjoint_columns`).  On an operator that solves
+        directly (`_direct`), which includes every panel after one whose
+        GMRES missed and whose LU step factored the operator, a panel
+        starts from zero with the defect -[E^T | e] and takes the LU step
+        alone; the panels solved before are kept.  A tracked block writes
+        each panel's Z - Z0 into `adjoint_deviation`, so that the array
+        ends as its own Z - Z0; one that solves directly from its start
+        has no Z0 and leaves None.  So [E^T | e] is never formed whole.
+        The block is (nx, k, mt), column c of Z being Z[:, c, :], solved
+        once, on first use, and read-only.
         """
-        if self._krylov:
+        nx, mt = self.grid.n_modes + 1, self.m_vertical + 1
+        if self._direct:  # every panel of z is written below
+            z = np.empty((nx, nx + (self.probe is not None), mt))
+            self.adjoint_deviation = None
+        else:
             z = self.flat_adjoint_block()
-            size = self._adjoint_column_norms()
-            kept = self.adjoint_deviation
-            nx, k, mt = z.shape
-            for panel in _panels(k):
-                # the steps run on a contiguous copy of the panel, and Z
-                # and Z - Z0 are written back once: the x product would
-                # copy a strided panel transposed, and a pass over one
-                # costs about three over a contiguous copy
-                staged = self._work.view("iterate",
-                                         (nx, panel.stop - panel.start, mt))
+        kept = self.adjoint_deviation
+        for panel in _panels(z.shape[1]):
+            # the steps run on a contiguous copy of the panel, and Z and
+            # Z - Z0 are written back once: the x product would copy a
+            # strided panel transposed, and a pass over one costs about
+            # three over a contiguous copy
+            staged = self._work.view("iterate",
+                                     (nx, panel.stop - panel.start, mt))
+            if self._direct:  # from zero, whatever z holds
+                size = None  # the LU step reads none
+                staged.fill(0.0)
+                defect = self._work.view("apply", staged.shape)
+                defect.fill(0.0)
+                self._add_adjoint_columns(defect, panel, -1.0)
+            else:
+                size = self._adjoint_column_norms[panel]
                 staged[...] = z[:, panel]
                 if self._predicted:
                     staged += kept[:, panel]
@@ -987,18 +976,11 @@ class LayerOperators:
                     self._add_adjoint_columns(defect, panel, -1.0)
                 else:
                     defect = self._deviation(staged, transposed=True)
-                if not self._stationary(staged, defect, size[panel],
-                                        transposed=True):
-                    break
-                if kept is not None:
-                    np.subtract(staged, z[:, panel], out=kept[:, panel])
-                z[:, panel] = staged
-            else:
-                z.flags.writeable = False  # shared by every caller
-                return z
-        self.adjoint_deviation = None
-        z = self._solve_rhs(self._adjoint_columns(), transposed=True)
-        z.flags.writeable = False
+            self._stationary(staged, defect, size, transposed=True)
+            if kept is not None:
+                np.subtract(staged, z[:, panel], out=kept[:, panel])
+            z[:, panel] = staged
+        z.flags.writeable = False  # shared by every caller
         return z
 
     def track_adjoint_deviation(self, predicted: np.ndarray | None = None
@@ -1011,8 +993,8 @@ class LayerOperators:
         own Z - Z0 is then written over it; without one the block starts
         from Z0, exactly as an untracked one, and writes into fresh zeros.
         float32 suffices, since the array only starts the solve.  Call it
-        before the block's first use; a block that takes the LU path
-        leaves None.
+        before the block's first use; a block that solves directly from
+        its start has no Z0 and leaves None.
         """
         self._predicted = predicted is not None
         self.adjoint_deviation = predicted if self._predicted else np.zeros(
@@ -1049,11 +1031,9 @@ class LayerOperators:
         buffer outgrows a panel; the probe column is one small product
         more.  Read in place of Z, the block gives the Jacobian's layer
         products as if A were the flat strip at the mean thickness,
-        exactly so on a strip of constant thickness.  It is the start Z0 of
-        Z's solve, which then needs no [E^T | e]: M^T Z0 = [E^T | e] up to
-        roundoff, so the start's defect is delta^T Z0 (`_adjoint_block`).
-        The block is a fresh array, computed on every call, and
-        `_adjoint_block` solves into it.
+        exactly so on a strip of constant thickness.  It is the start Z0
+        of `_adjoint_block`, which solves into it: a fresh array, computed
+        on every call.
         """
         grid = self.grid
         nx = grid.n_modes + 1

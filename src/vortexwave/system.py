@@ -333,7 +333,8 @@ class WaveSystem:
         coefficients, and writes its own Z - Z0 over it
         (`layers.LayerOperators.track_adjoint_deviation`).  A block starts
         flat where there is none to scale: after an elevation of zero, or
-        for a side whose last block took the LU path.  A system's first
+        for a side whose last block solved directly from its start.  A
+        block whose GMRES missed keeps its Z - Z0.  A system's first
         analytic Jacobian keeps none, so a run that builds one allocates
         none.  The Jacobian is the same either way, to the solves'
         tolerance.

@@ -78,6 +78,11 @@ def check_strength_derivative(params: PhysicalParameters, seed: int):
 
 
 def check_origin_tangent(params: PhysicalParameters):
+    """The origin tangent against block substitution through the flat
+    linearization.  Vacuous for a mirrored pair (phantom_y = -vortex_y, the
+    default): the flat traces then vanish, the oracle is the pair speed and
+    the gap exactly 0.  Off the mirror it measures the drift row's
+    `interior_dy_row` against `flat_interior_dy_symbol`."""
     system = WaveSystem(params, 16, 16)
     engine = ContinuationEngine(system, ContinuationSettings())
     prep = system.prepare(system.origin())

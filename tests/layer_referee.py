@@ -11,7 +11,9 @@ forms the shape derivatives' right-hand side R (`shape_rhs`) and takes
 products and the unfolded coefficients, the referee of the matrix-free
 applies.  `flat_solve_dense` applies the flat-strip preconditioner through
 dense per-mode inverses; the tests hold `LayerOperators._flat_solve` and
-its transpose against it.
+its transpose against it.  `adjoint_columns` forms the right-hand sides
+[E^T | e] of the adjoint block, which the solver itself only adds a panel
+at a time.
 """
 
 from __future__ import annotations
@@ -66,6 +68,16 @@ def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
     dval = (outs[0][1] - outs[1][1]) / (2.0 * h)
     field = EvenField(grid._cos_inv @ dg)
     return (field, float(dval)) if point is not None else (field, None)
+
+
+def adjoint_columns(ops: LayerOperators) -> np.ndarray:
+    """[E^T | e] of `LayerOperators._adjoint_block` as a fresh (nx, k, mt)
+    block, from the closed-form columns of `_add_adjoint_columns`."""
+    nx = ops.grid.n_modes + 1
+    k = nx + (ops.probe is not None)
+    rhs = np.zeros((nx, k, ops.m_vertical + 1))
+    ops._add_adjoint_columns(rhs, slice(0, k), 1.0)
+    return rhs
 
 
 def flat_solve_dense(ops, rhs: np.ndarray) -> np.ndarray:

@@ -655,6 +655,23 @@ class TestExitCodes:
             assert "numerical failure" in err and "MemoryError" in err
             assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("key", ["n_modes", "m_vertical"])
+    def test_grid_past_numpy_array_sizes_exits_two(self, tmp_path, capsys,
+                                                   key):
+        # at 1e20 the layer operator's byte count, and even the grid's own
+        # arrays, are past what numpy can index: it would raise ValueError,
+        # not MemoryError, so the configuration is rejected before any
+        # array is made
+        cfg = write_config(tmp_path, f"[discretization]\n{key} = {10**20}\n")
+        out = tmp_path / "out"
+        for command in ("continue", "single-solve"):
+            assert cli.main([command, "--config", cfg,
+                             "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error") and key in err
+            assert len(err.splitlines()) == 1
+            assert not out.exists()
+
     @pytest.mark.parametrize("entry, code", [
         ("vortex_y = -0.01", 2),  # inside the 0.05 vortex guard
         ("surface_tension = 1e306", 3),  # the flat Jacobian overflows

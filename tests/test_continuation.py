@@ -1,5 +1,6 @@
 """Arclength driver: tangents, correctors, guards, classification, signs, symmetry."""
 
+import dataclasses
 import warnings
 import weakref
 
@@ -24,6 +25,7 @@ from vortexwave.errors import (
 from vortexwave.layers import LayerOperators, flat_interior_dy_symbol
 from vortexwave.spectral import EvenField
 from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
+from vortexwave.validation import check_origin_tangent
 from vortexwave.vortex import VortexPair, vortex_traces
 
 PARAMS = PhysicalParameters()
@@ -119,6 +121,23 @@ class TestTangent:
         prep = engine.system.prepare(engine.system.origin())
         tang = engine.tangent(prep, 0.0)
         assert np.abs(tang - origin_tangent_oracle(engine)).max() < 1e-8
+
+    @pytest.mark.parametrize("phantom_y", [0.6, 0.8])
+    def test_origin_tangent_check_tests_the_drift_row_off_the_mirror(
+            self, phantom_y):
+        # at the default pair, phantom_y = -vortex_y, the pair's stream
+        # function vanishes on y = 0: the flat traces are exactly 0, the
+        # oracle is the pair speed alone and the check reads a gap of
+        # exactly 0.  Off the mirror the traces are not 0, and the drift
+        # row's interior_dy_row meets flat_interior_dy_symbol (measured
+        # 5.2e-11 at phantom_y = 0.6 and 6.6e-11 at 0.8)
+        assert check_origin_tangent(PARAMS) == (
+            True, "max gap to block substitution 0.00e+00")
+        params = dataclasses.replace(
+            PARAMS, pair=VortexPair((0.0, -0.5), (0.0, phantom_y)))
+        ok, detail = check_origin_tangent(params)
+        gap = float(detail.split()[-1])
+        assert ok and 0.0 < gap < 1e-8
 
     def test_elevation_component_vanishes_at_origin(self):
         engine = small_engine()

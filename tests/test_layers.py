@@ -27,6 +27,7 @@ from vortexwave.spectral import CollocationGrid, EvenField
 from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
 
 from layer_referee import (
+    adjoint_columns,
     assembled_operator,
     explicit_shape_batch,
     flat_solve_dense,
@@ -58,11 +59,14 @@ def strip(grid, eta, m, probe=None):
 
 
 def panelled(ops, rhs):
-    """A^-T rhs for an (nx, k, mt) block rhs, by GMRES from zero: one
-    `_correction` per panel of columns, into a fresh block."""
+    """A^-T rhs for an (nx, k, mt) block rhs, by GMRES from zero on
+    A^T M^-T: one `gmres` per panel of columns, then M^-T of its result,
+    into a fresh block."""
     out = np.zeros(rhs.shape)
     for panel in layers._panels(rhs.shape[1]):
-        out[:, panel] = ops._correction(rhs[:, panel], 1.0, transposed=True)
+        solved = layers.gmres(ops._preconditioned_transpose, rhs[:, panel],
+                              KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR, ops._work)
+        out[:, panel] = ops._flat_solve_transpose(solved)
     return out
 
 
@@ -72,9 +76,8 @@ def from_zero(ops, rhs):
     out = np.zeros(rhs.shape)
     for panel in layers._panels(rhs.shape[1]):
         solved = np.zeros(rhs[:, panel].shape)
-        assert ops._stationary(solved, -rhs[:, panel],
-                               layers._column_norms(rhs[:, panel]),
-                               transposed=True)
+        ops._stationary(solved, -rhs[:, panel],
+                        layers._column_norms(rhs[:, panel]), transposed=True)
         out[:, panel] = solved
     return out
 
@@ -357,11 +360,7 @@ class TestAdjointBlock:
         ops, _ = self.layer(state, side, strength_3)
         got = ops._adjoint_block
         assert not ops.factored
-        rhs = ops._adjoint_columns()
-        nx, k, mt = rhs.shape
-        want = ops._solve_rhs(rhs.transpose(0, 2, 1).reshape(nx * mt, k),
-                              transposed=True)
-        want = want.reshape(nx, mt, k).transpose(0, 2, 1)
+        want = ops._solve_rhs(adjoint_columns(ops), transposed=True)
         assert worst_relative(got, want) <= 1e-12
         if state == "flat":
             assert np.array_equal(got, ops.flat_adjoint_block())
@@ -373,9 +372,9 @@ class TestAdjointBlock:
         # -delta^T Z0, and the columns of [E^T | e] have closed-form norms
         ops, _ = self.layer(state, side, strength_3)
         start = ops.flat_adjoint_block()
-        rhs = ops._adjoint_columns()
+        rhs = adjoint_columns(ops)
         size = layers._column_norms(rhs)
-        assert np.max(np.abs(ops._adjoint_column_norms() - size)
+        assert np.max(np.abs(ops._adjoint_column_norms - size)
                       / size) <= 1e-12
         want = rhs - ops._apply_transpose(start)
         got = -ops._deviation(start, transposed=True)
@@ -412,7 +411,7 @@ class TestAdjointBlock:
         started = list(work)
         work.clear()
         for layer in prep.layers:
-            from_zero(layer.ops, layer.ops._adjoint_columns())
+            from_zero(layer.ops, adjoint_columns(layer.ops))
         assert len(started) == 6 and max(started) <= 4
         assert work == [count + 1 for count in started]
 
@@ -424,7 +423,7 @@ class TestAdjointBlock:
         # formed, on the same adjoint block
         ops, sol = self.layer(state, side, strength_3)
         got = ops.shape_batch(sol)
-        assert ops.factored == (state == "thin")  # the LU path, or GMRES
+        assert ops.factored == (state == "thin")  # the LU step, or GMRES
         for g, w in zip(got, explicit_shape_batch(ops, sol)):
             assert worst_relative(g, w) <= 1e-13
 
@@ -440,7 +439,7 @@ class TestAdjointBlock:
             monkeypatch.setattr(layers, "BLOCK_COLUMNS", columns)
             ops, _ = self.layer(state, side, strength_3)
             blocks.append(ops._adjoint_block)
-            assert ops.factored == (state == "thin")  # the LU path, or GMRES
+            assert ops.factored == (state == "thin")  # the LU step, or GMRES
         assert worst_relative(blocks[0], blocks[1]) <= 1e-13
 
     def test_thin_layer_falls_back_to_lu(self):
@@ -448,13 +447,44 @@ class TestAdjointBlock:
         ops = strip(GRID, peaked(-0.9), 32, (0.0, -0.95))
         assert not ops.factored
         got = ops.dno_matrix()
-        assert ops.factored  # GMRES missed, so the block took the LU path
+        assert ops.factored  # GMRES missed, so the LU step finished the block
         sol = ops.solve(EvenField(0.5 ** np.arange(NX)))
         shape_dno, shape_dy = ops.shape_batch(sol)
         got = (got, shape_dno, shape_dy, ops.interior_dy_row())
         want = forward_lu_products(ops, sol)
         for g, w in zip(got, want):
             assert worst_relative(g, w) <= 1e-12
+
+    def test_a_missed_panel_keeps_the_panels_before_it(self, lu_counter,
+                                                       monkeypatch):
+        # 48x12, min thickness 0.37: of the panels of 16, 17 and 17
+        # columns, GMRES solves the first and misses on the second, which
+        # the LU step finishes from where GMRES started; the third starts
+        # from zero and takes the LU step alone.  So the operator factors
+        # once, the transposed LU solves cover the 34 columns from the
+        # missed panel on, each once, and Z - Z0 is kept for every panel
+        grid = CollocationGrid(np.pi, 48)
+        ops = strip(grid, peaked(-0.63, n=49), 12, (0.0, -0.95))
+        ops.track_adjoint_deviation()
+        missed = []
+        real_gmres = layers.gmres
+
+        def gmres(*args):
+            solved = real_gmres(*args)
+            missed.append(solved is None)
+            return solved
+
+        monkeypatch.setattr(layers, "gmres", gmres)
+        got = ops._adjoint_block
+        assert missed == [False, True]
+        assert lu_counter.factorizations == 1
+        assert [p.stop - p.start for p in layers._panels(50)] == [16, 17, 17]
+        assert sum(lu_counter.transposed_columns) == 34
+        own = got - ops.flat_adjoint_block()
+        kept = ops.adjoint_deviation
+        assert np.linalg.norm(kept - own) <= 1e-7 * np.linalg.norm(own)
+        want = ops._solve_rhs(adjoint_columns(ops), transposed=True)
+        assert worst_relative(got, want) <= 1e-12
 
     @pytest.mark.parametrize("order", [
         ("dno_matrix", "interior_dy_row", "shape_batch"),
@@ -471,7 +501,7 @@ class TestAdjointBlock:
         grid = CollocationGrid(np.pi, 32)
         ops = strip(grid, peaked(0.33, n=33), 16, (0.0, -0.5))
         sol = ops.solve(EvenField(0.5 ** np.arange(33)))
-        sizes = np.linalg.norm(ops._adjoint_columns(), axis=(0, 2))
+        sizes = np.linalg.norm(adjoint_columns(ops), axis=(0, 2))
         panels = []
         real_stationary = ops._stationary
 
@@ -604,16 +634,32 @@ class TestPredictedStart:
         assert work > right_work
 
     @pytest.mark.parametrize("start", ["none", "zero"])
-    def test_lu_fallback_leaves_no_deviation(self, start):
+    def test_lu_step_keeps_the_deviation(self, start):
         # the state of test_thin_layer_falls_back_to_lu, where GMRES misses
+        # on the first panel: the LU step finishes that panel and solves
+        # the later ones from zero, and each still writes its Z - Z0, into
+        # the start array when one is given
         ops = strip(GRID, peaked(-0.9), 32, (0.0, -0.95))
-        ops.track_adjoint_deviation(
-            None if start == "none" else np.zeros((NX, NX + 1, 33),
-                                                  np.float32))
-        assert ops.adjoint_deviation is not None
+        given = None if start == "none" else np.zeros((NX, NX + 1, 33),
+                                                      np.float32)
+        ops.track_adjoint_deviation(given)
         ops.dno_matrix()
         assert ops.factored
-        assert ops.adjoint_deviation is None
+        own = ops._adjoint_block - ops.flat_adjoint_block()
+        kept = ops.adjoint_deviation
+        assert kept is not None and kept.dtype == np.float32
+        assert given is None or kept is given
+        assert np.linalg.norm(kept - own) <= 1e-7 * np.linalg.norm(own)
+
+    def test_a_block_that_solves_directly_keeps_none(self):
+        # below KRYLOV_MIN_UNKNOWNS every panel starts from zero and takes
+        # the LU step: the block has no flat start to keep Z - Z0 against
+        grid = CollocationGrid(np.pi, 16)
+        ops = strip(grid, peaked(0.33, n=17), 8, (0.0, -0.5))
+        assert 17 * 9 < KRYLOV_MIN_UNKNOWNS
+        ops.track_adjoint_deviation()
+        ops.dno_matrix()
+        assert ops.factored and ops.adjoint_deviation is None
 
 
 class TestWarmStart:
@@ -624,7 +670,7 @@ class TestWarmStart:
     def strip_and_trace(self, state, side, strength_3, scale=1.0):
         """(operator, trace) of one strip, its interface and trace times
         `scale`: flat, under a 0.33 crest, thin (min thickness 0.1, where
-        GMRES misses and the solve takes the LU path) or at the 32x16
+        GMRES misses and the LU step finishes the solve) or at the 32x16
         strength-3 solution."""
         if state == "strength-3":
             system, wave = strength_3
@@ -652,8 +698,8 @@ class TestWarmStart:
         cold = ops.solve(trace)
         warm = ops.solve(trace, guess)
         assert ops.factored == (state == "thin")
-        if state == "thin":  # both took the LU path: one miss, no warm solve
-            assert len(work) == 1
+        if state == "thin":  # GMRES missed; the warm solve is the LU step
+            assert len(work) == 2 and work[1] == 0
             assert np.array_equal(warm, cold)
         elif state == "flat":  # A = M: one step solves either exactly
             assert work == [1, 1]
@@ -753,8 +799,9 @@ class TestStationary:
 
         ops._richardson_step = step
         monkeypatch.setattr(layers, "gmres", gmres)
-        converged = ops._stationary(solved, defect, size)
-        assert converged == (state != "thin")
+        ops._stationary(solved, defect, size)
+        # GMRES missed on the thin strip only, and the LU step finished
+        assert ops.factored == (state == "thin")
         # the last step stalled above the floor, and GMRES started from
         # the iterate before it, on that iterate's defect (the step would
         # have moved it by half its norm or more; A x carries roundoff of
@@ -768,9 +815,9 @@ class TestStationary:
         assert (np.linalg.norm(defect - (ops._apply(start) - rhs))
                 <= 1e-6 * np.linalg.norm(defect))
         got = ops.solve(trace).ravel()
-        assert ops.factored == (state == "thin")
         want = ops._solve_rhs(rhs)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for x in (solved, got):
+            assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_steps_leave_the_true_residual_small(self, side, strength_3,
@@ -797,6 +844,52 @@ class TestStationary:
         lu = ops._solve_rhs(rhs)
         assert (np.linalg.norm(rhs - ops._apply(got))
                 <= 2.0 * np.linalg.norm(rhs - ops._apply(lu)))
+
+
+class TestManufacturedSolution:
+    """u = cos(kx) sinh(k(y + d)) is harmonic and zero on the wall y = -d,
+    so on a strip under any interface eta the trace solve of its interface
+    values has the interface derivative u_y - eta' u_x in closed form.
+    Here eta = a exp(-(x/w)^2), k = 4 and M = 16: a 0.4 bump of width 0.4,
+    whose solve GMRES finishes, and a -0.5 dip of width 0.3, whose GMRES
+    misses, so that the LU step finishes it."""
+
+    K, M = 4, 16
+
+    def errors(self, amplitude, width, n):
+        """(max relative error of the interface derivative, max relative
+        gap to the same solve on a pre-factored operator, whether the
+        solve factored) at n modes."""
+        grid = CollocationGrid(np.pi, n)
+        x = grid.half_nodes
+        eta = amplitude * np.exp(-(x / width) ** 2)
+        slope = -2.0 * x / width**2 * eta
+        k, depth = self.K, DEPTH
+        trace = EvenField(grid._cos_inv @ (np.cos(k * x)
+                                           * np.sinh(k * (eta + depth))))
+        want = k * (np.cos(k * x) * np.cosh(k * (eta + depth))
+                    + slope * np.sin(k * x) * np.sinh(k * (eta + depth)))
+        ops = strip(grid, EvenField(grid._cos_inv @ eta), self.M)
+        assert (n + 1) * (self.M + 1) >= KRYLOV_MIN_UNKNOWNS
+        got = ops.dno_values_half(ops.solve(trace))
+        direct = strip(grid, ops.eta, self.M)
+        direct._factors  # pre-factored: its solve is the LU step alone
+        lu = direct.dno_values_half(direct.solve(trace))
+        scale = np.max(np.abs(want))
+        return (np.max(np.abs(got - want)) / scale,
+                np.max(np.abs(got - lu)) / scale, ops.factored)
+
+    @pytest.mark.parametrize("amplitude, width, missed", [
+        (0.4, 0.4, False),  # 4.2e-5 at N = 32, 8.3e-12 at N = 64
+        (-0.5, 0.3, True),  # 1.5e-4, 1.1e-9 (1.5e-13 at N = 128)
+    ])
+    def test_wavy_strip_converges_on_either_path(self, amplitude, width,
+                                                 missed):
+        coarse, fine = (self.errors(amplitude, width, n) for n in (32, 64))
+        assert fine[0] <= 1e-3 * coarse[0]
+        for _, gap, factored in (coarse, fine):
+            assert factored == missed
+            assert gap <= 1e-12
 
 
 def as_block(v):

@@ -18,6 +18,8 @@ from vortexwave.spectral import EvenField
 from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
 from vortexwave.vortex import VortexPair, vortex_traces
 
+from layer_referee import adjoint_columns
+
 PARAMS = PhysicalParameters()
 
 
@@ -396,7 +398,7 @@ class TestFlatJacobian:
         assert np.abs(prep.elevation_half).max() > 0.02  # wavy
         for layer, columns in ((prep.upper, 33), (prep.lower, 34)):
             ops = layer.ops
-            rhs = ops._adjoint_columns()
+            rhs = adjoint_columns(ops)
             want = np.empty_like(rhs)
             for panel in layers._panels(rhs.shape[1]):
                 want[:, panel] = ops._flat_solve_transpose(
