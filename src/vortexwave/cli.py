@@ -125,7 +125,7 @@ def _record(config: RunConfig, out: str, mode: str, run
     code = 0 if termination is None else _TERMINATION_EXIT[termination]
     write_summary(
         os.path.join(out, "summary.json"),
-        {key: repr(value) for key, value in config.resolved().items()},
+        config.resolved(),
         chash, mode, None if termination is None else termination.value,
         len(branch.points), branch.points[-1].strength, code,
     )

@@ -33,25 +33,21 @@ the relative forcing follows the residual, Eisenstat and Walker's
 FORCING_GAMMA (|F_k| / |F_k-1|)^2 capped at FORCING_MAX; on an exact chord
 it is KRYLOV_FORCING.  Either is raised to the floor FORCING_FLOOR
 newton_tol / |F_k|, so no step is solved past what the tolerance can use.
-At 64x32 the strength-3 solve takes 2, 2, 2 and 3 vectors in its four
-Newton-Krylov steps, builds five flat Jacobians and one exact one, and
-the default branches run every Newton-Krylov step at the floor.  The
-analytic Jacobian takes over an iteration whose GMRES misses the forcing
+The analytic Jacobian takes over an iteration whose GMRES misses the forcing
 within KRYLOV_VECTORS or whose difference evaluation raises, and one whose
 layer operators are already factored (small grids, or a trace solve that
 fell back to LU), where its layer solves back-substitute; its bordered
 factors become the chord, which is then exact.  The analytic Jacobian
 factors no layer operator either: it reads each layer through one adjoint
-block solved by GMRES (`layers.LayerOperators._adjoint_block`).  So above
-the Krylov crossover a branch factors no layer operator at all unless a
-GMRES solve misses, and every accepted point still gets the exact Jacobian
-that the tangent and the point diagnostics need.
+block solved iteratively (`layers.LayerOperators._adjoint_block`).  So
+above the Krylov crossover a branch factors no layer operator at all
+unless a GMRES solve misses, and every accepted point still gets the exact
+Jacobian that the tangent and the point diagnostics need.
 
-A miss pays for the vectors it built and then for a Jacobian.  At 64x32
-near strength 3 a Jacobian takes 100-135 ms and a warm difference
-evaluation 3.4-4.5 ms (in-process, 2 cores), so a Jacobian costs about
-25-35 of them, and KRYLOV_VECTORS stays below that: a step that misses
-costs at most about two Jacobians.
+A miss pays for the vectors it built and then for a Jacobian.
+KRYLOV_VECTORS stays below the number of warm difference evaluations that
+one analytic Jacobian costs, so a step that misses costs at most about two
+Jacobians.
 
 Tangents are unit null vectors of the bordered Jacobian under a weighted
 inner product: discrete H^1 weights on the three field blocks and unit
@@ -177,9 +173,8 @@ FORCING_FLOOR = 0.1
 
 #: Krylov vectors a Newton-Krylov step may build before the analytic
 #: Jacobian takes over that iteration.  A miss pays the vectors it built
-#: plus a Jacobian, which costs about 25-35 warm difference evaluations at
-#: 64x32, so the bound stays below that; the strength-3 solve's steps take
-#: 2 or 3 vectors, and those of the default branches 1 to 3
+#: plus a Jacobian, so the bound stays below the number of warm difference
+#: evaluations that one analytic Jacobian costs
 KRYLOV_VECTORS = 20
 
 #: numerical failures of a step: a corrector that raises one is retried at

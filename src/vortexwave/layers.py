@@ -41,38 +41,47 @@ x - M^-1 d on the defect d = A x - b is exact bookkeeping: the defect it
 leaves is -delta(M^-1 d), so a step costs the two products of one Krylov
 vector and none of GMRES's basis, orthogonalization, rotations or closing
 flat solve.  Every trace solve and adjoint panel runs one loop,
-`_stationary`: such steps, each column stopping at GMRES's own rule; where
-a step would cut a running column's defect by less than KRYLOV_STALL above
-the floor, or turn it non-finite, GMRES (Saad & Schultz 1986) from the
-last iterate, on v + delta(M^-1 v), one x product and the Dirichlet rows
-cheaper than A(M^-1 v), adding M^-1 of its result; and where GMRES misses,
-one LU step x <- x - A^-1 d from the iterate GMRES started from.  Below
+`_stationary`: such steps, each column stopping on its defect at GMRES's
+own rule, for as long as each correction M^-1 d is at most KRYLOV_STALL
+times the one before.  The split is far from normal, so a step that
+shrinks the error may still grow the defect; the correction is what is
+judged.  A step whose correction fails that test with its defect above the
+floor, or that turns a defect non-finite, is not applied, and where the
+second correction outgrows the first, the first step is undone too; GMRES
+(Saad & Schultz 1986) then takes the running columns on from the iterate
+left, on v + delta(M^-1 v), one x product and the Dirichlet rows cheaper
+than A(M^-1 v), adding M^-1 of its result; and where GMRES misses, one LU
+step x <- x - A^-1 d from the iterate GMRES started from.  Below
 KRYLOV_MIN_UNKNOWNS, or once factored, an operator takes the LU step
-alone.  A trace solve, the only solve a
-residual needs, solves with A, not its transpose.  It may start from a
-guess u0, the same strip's nodal values at a nearby state, to the same
-absolute stopping rule as a solve from zero (GMRES's stop scaled by
-|r| / |r - A u0|), and a guess no better than zero is ignored.  Everything
-the Jacobian reads from a layer (the Dirichlet-to-Neumann matrix, the
+alone.  A trace solve, the only solve a residual needs, solves with A, not
+its transpose.  It may start from a guess u0, the same strip's nodal
+values at a nearby state, to the same absolute stopping rule as a solve
+from zero, and a guess no better than zero is ignored.  Everything the
+Jacobian reads from a layer (the Dirichlet-to-Neumann matrix, the
 directional shape derivatives and the interior-derivative row) is a
 functional of a solve, either the interface u_tau or the vertical
 derivative at the probe, so one adjoint block Z = A^-T [E^T | e] of N + 1
 columns, and one more with a probe, serves all three; it is solved once per
 operator, on the transposes of delta and of the preconditioner.  Its flat
-counterpart M^-T [E^T | e] is a closed form (`flat_adjoint_block`): each
-column of [E^T | e] is rank one in (x, tau), so M^-T maps it to the cosine
-synthesis times per-mode tau profiles, one product per panel and no solve.
-It is Z on a flat strip and the first step from zero elsewhere, and Z
-starts from it, column by column as a trace solve starts from its guess.
-Since M^T Z0 = [E^T | e] for this start Z0, its residual is -delta^T Z0,
-one `_deviation` per panel, and the norms of [E^T | e] are closed forms, so
-the Krylov path never forms [E^T | e].  Along a branch Z - Z0 grows with
-the elevation, so a block may instead start from Z0 plus the last point's
-Z - Z0, scaled (`track_adjoint_deviation`); its residual is then A^T times
-the start less [E^T | e], whose panels are added in closed form.  Read in
-the place of Z, the flat block gives the Jacobian's layer products of the
-flat strip at the layer's mean thickness, which the continuation corrector
-factors as the chord of its fixed-strength solve.
+counterpart Z0 = M^-T [E^T | e] is a closed form (`flat_adjoint_block`):
+each column of [E^T | e] is rank one in (x, tau), so M^-T maps it to the
+cosine synthesis C times per-mode tau profiles P (`_flat_profiles`), one
+product per panel and no solve.  It is Z on a flat strip and the first
+step from zero elsewhere, and Z starts from it, column by column as a
+trace solve starts from its guess.  Since M^T Z0 = [E^T | e], its residual
+is -delta^T Z0, one `_deviation` per panel, and the norms of [E^T | e] are
+closed forms, so the iterative path never forms [E^T | e].  Along a branch
+Z - Z0 grows with the elevation, so a block may instead start from Z0 plus
+the last point's Z - Z0, scaled (`track_adjoint_deviation`); its residual
+is then A^T times the start less [E^T | e], whose panels are added in
+closed form.  Read in the place of Z, Z0 gives the Jacobian's layer
+products of the flat strip at the layer's mean thickness, which the
+continuation corrector factors as the chord of its fixed-strength solve.
+The chord takes them from P without forming Z0 (the `flat` switch of
+`dno_matrix`, `interior_dy_row` and `shape_batch`): Z0's interface row is
+C^-T diag(P[:, 0]) C^T, and the shape products contract the four tau rows
+of each x node with P before the one product with C^T
+(`_shape_products`).
 
 Both applies and both preconditioners take a vector or an (x node,
 column, tau node) block.  In that layout each x product is one BLAS
@@ -123,15 +132,10 @@ from scipy.linalg.blas import dgemm
 from .errors import DegenerateStrip, LinearSolveFailure, PointOutsideLayer
 from .spectral import CollocationGrid, EvenField
 
-#: unknown count nx * mt below which a layer factors its operator instead
-#: of running GMRES, for trace solves and the adjoint block alike.  On 2 x86
-#: cores with OpenBLAS one GMRES trace solve costs as much as assembly plus
-#: LU near 360 unknowns at 14 Krylov vectors and near 460 at 21 (24x16 has
-#: 425): on grids this small a vector costs about 50 us whatever its
-#: length, so the crossover follows the vector count.  With GMRES at every
-#: size, a continuation to the endpoint at 16x8 (153 unknowns, about 850
-#: points) took 42-46 s instead of 5.5-6.4 s with this switch (in-process,
-#: two runs each)
+#: unknown count nx * mt below which a layer solves by its LU step alone,
+#: for trace solves and the adjoint block alike: on grids this small an
+#: iterative step costs about as much whatever its length, and assembly
+#: plus LU costs less than the steps and vectors of a solve
 KRYLOV_MIN_UNKNOWNS = 500
 
 #: Krylov vectors a GMRES solve may build per column before the LU step
@@ -148,9 +152,10 @@ BLOCK_COLUMNS = 22
 #: GMRES stopping rule on the relative residual estimate: converged below
 #: KRYLOV_TOL, or below KRYLOV_FLOOR once one vector cuts the estimate by
 #: less than the factor KRYLOV_STALL (stagnation at roundoff).  The
-#: Richardson steps before GMRES (`LayerOperators._stationary`) stop by
-#: the same rule, and a step that cuts by less than KRYLOV_STALL above
-#: KRYLOV_FLOOR hands the solve to GMRES
+#: Richardson steps before GMRES (`LayerOperators._stationary`) stop on
+#: their defect by the same rule, with the stagnation judged on their
+#: correction: a step whose correction is more than KRYLOV_STALL times the
+#: last one, above KRYLOV_FLOOR, hands the solve to GMRES
 KRYLOV_TOL = 1e-14
 KRYLOV_FLOOR = 1e-12
 KRYLOV_STALL = 0.5
@@ -772,19 +777,25 @@ class LayerOperators:
         operator that solves directly (`_direct`) the loop is one LU step,
         x <- x - A^-1 d (`_solve_rhs`), and `size` may be None.  Elsewhere
         Richardson steps on the flat-strip split (`_richardson_step`) run
-        while they keep cutting the defect, and each column stops at
-        GMRES's own rule: |d_c| below KRYLOV_TOL |b_c|, or below
-        KRYLOV_FLOOR |b_c| once a step cuts it by less than the factor
-        KRYLOV_STALL.  A step that turns a running column's defect
-        non-finite, or cuts it by less than that factor above the floor, is
-        not applied, and GMRES on A M^-1 (`_preconditioned`), or A^T M^-T,
-        takes the running columns on from there, each stopping at the same
-        absolute defect (relax = |b_c| / |d_c|); a column that has stopped
-        has its defect zeroed, so GMRES keeps it where it is.  Every step
-        has at least halved the defect of a column still running, so the
+        while each correction u = M^-1 d, or M^-T d, is at most
+        KRYLOV_STALL times the last one in every running column, and each
+        column stops at GMRES's own rule on its defect: |d_c| below
+        KRYLOV_TOL |b_c|, or below KRYLOV_FLOOR |b_c| once its correction
+        has stalled so.  A step that turns a running column's defect
+        non-finite, or whose correction stalls with the defect it leaves
+        above the floor, is not applied; if it is the second step, each
+        column whose correction grew has the first step undone, its
+        correction recomputed from the defect before it, which the work
+        buffer "defect" keeps until the second step is judged.  GMRES on
+        A M^-1 (`_preconditioned`), or A^T M^-T, then takes the running
+        columns on, each stopping at the same absolute defect (relax =
+        |b_c| / |d_c|); a column that has stopped has its defect zeroed, so
+        GMRES keeps it where it is.  Every applied step after the first has
+        at least halved the correction of a column still running, so the
         steps end on their own.  Where GMRES misses, or its result is not
         finite, the LU step from the iterate it started from finishes the
-        running columns.  The defect is kept in the work buffer "defect".
+        running columns.  The defect is kept in the work buffer "defect",
+        and after the first step in "apply".
         """
         if self._direct:
             iterate -= self._solve_rhs(defect, transposed)
@@ -792,35 +803,58 @@ class LayerOperators:
         x = self._block(iterate)
         d = self._work.view("defect", x.shape)
         d[...] = self._block(defect)
-        left = _column_norms(d)
+        left = first = _column_norms(d)
         running = left > KRYLOV_TOL * size
         if not running.all():
             d[:, ~running] = 0.0
+        last = np.full(left.size, np.inf)  # the last correction's norms
+        flat_solve = (self._flat_solve_transpose if transposed
+                      else self._flat_solve)
+        # a step's correction is sign M^-1 source.  The first step leaves
+        # its defect -delta u as source = delta u, in "apply", with sign -1,
+        # so that d keeps the defect before it until the second is judged
+        source, sign = d, 1.0
+        steps = 0
         while running.any():
-            u, delta_u = self._richardson_step(d, transposed)
-            now = _column_norms(delta_u)
-            stalled = running & (now > KRYLOV_STALL * left)
+            u, delta_u = self._richardson_step(source, transposed)
+            moved, now = _column_norms(u), _column_norms(delta_u)
+            stalled = running & (moved > KRYLOV_STALL * last)
             if not np.isfinite(now[running]).all() or np.any(
                     now[stalled] > KRYLOV_FLOOR * size[stalled]):
+                if steps == 1:
+                    # undo the first step where the correction grew, and
+                    # elsewhere redo the defect it left
+                    u = flat_solve(d)
+                    grown = running & ~(moved <= last)
+                    x[:, grown] += u[:, grown]
+                    left[grown] = first[grown]
+                    kept = running & ~grown
+                    d[:, kept] = -self._deviation(u, transposed)[:, kept]
+                    d[:, ~running] = 0.0
                 break
-            x -= u
-            np.negative(delta_u, out=d)
+            if sign > 0:
+                x -= u
+            else:
+                x += u
+            if steps == 0:
+                source, sign = delta_u, -1.0
+            else:
+                source, sign = np.multiply(delta_u, -sign, out=d), 1.0
             done = running & ((now <= KRYLOV_TOL * size) | stalled)
             if done.any():
-                d[:, done] = 0.0
+                source[:, done] = 0.0
                 running &= ~done
-            left = now
+            left, last, steps = now, moved, steps + 1
         if not running.any():
             return
         relax = np.divide(size, left, where=running, out=np.ones(left.size))
         d = d.reshape(iterate.shape)
-        preconditioned, precondition = (
-            (self._preconditioned_transpose, self._flat_solve_transpose)
-            if transposed else (self._preconditioned, self._flat_solve))
+        preconditioned = (self._preconditioned_transpose if transposed
+                          else self._preconditioned)
         solved = gmres(preconditioned, d, KRYLOV_MAX, relax * KRYLOV_TOL,
                        relax * KRYLOV_FLOOR, self._work)
         if solved is not None:
-            solved = precondition(solved)  # M^-1 y for GMRES's y
+            solved = flat_solve(solved)  # M^-1 y for GMRES's y
         if solved is None or not np.all(np.isfinite(solved)):
             solved = self._solve_rhs(d, transposed)
         iterate -= solved
@@ -874,22 +908,28 @@ class LayerOperators:
         u_tau_ifc, u_x_ifc = self._interface_tau_x(values)
         return self._extraction(self.eta_half, u_tau_ifc, u_x_ifc)
 
-    def dno_matrix(self, block: np.ndarray | None = None) -> np.ndarray:
+    def dno_matrix(self, flat: bool = False) -> np.ndarray:
         """Trace coefficients -> Dirichlet-to-Neumann coefficients.
 
         A solve keeps the trace as its interface values, so their x
         derivative needs no solve, and the interface u_tau of the solve for
         trace coefficients c is E A^-1 B c = Z^T B c, B placing the trace's
-        half-grid values on the interface rows (Z from `_adjoint_block`, or
-        `block`, such as the `flat_adjoint_block`, in its place).
+        half-grid values on the interface rows (Z from `_adjoint_block`).
+        When `flat`, Z is the `flat_adjoint_block` Z0, whose interface row
+        Z0[:, :N+1, 0] is C^-T diag(P[:, 0]) C^T (`_flat_profiles`), so
+        Z0^T B = C diag(P[:, 0]), C the cosine synthesis, and no block is
+        formed.
         """
         grid = self.grid
         nx = grid.n_modes + 1
-        z = self._adjoint_block if block is None else block
-        u_tau_ifc = z[:, :nx, 0].T @ grid._cos_mat
+        if flat:
+            u_tau_ifc = grid._cos_mat * self._flat_tau_profiles[:, 0]
+        else:
+            u_tau_ifc = _blas_product(self._adjoint_block[:, :nx, 0].T,
+                                      grid._cos_mat)
         vals = self._extraction(self.eta_half[:, None],
                                 u_tau_ifc, grid.half_d1_coeffs)
-        return grid._cos_inv @ vals
+        return _blas_product(grid._cos_inv, vals)
 
     def _add_adjoint_columns(self, out: np.ndarray, panel: slice,
                              factor: float) -> None:
@@ -1017,6 +1057,28 @@ class LayerOperators:
         profiles[:, ::self.m_vertical] += tau_row[::self.m_vertical]
         return profiles
 
+    @cached_property
+    def _flat_tau_profiles(self) -> np.ndarray:
+        """`_flat_profiles` of d_tau[0], the tau row of every column of
+        E^T; read-only."""
+        profiles = self._flat_profiles(self._d_tau[0])
+        profiles.flags.writeable = False
+        return profiles
+
+    @cached_property
+    def _flat_probe_column(self) -> np.ndarray:
+        """The probe column of the flat block, C^-T diag(C^T row_x) P_e
+        for e = row_x (x) (2/h) t-row (`_flat_profiles`), as an (nx, mt)
+        array; read-only."""
+        grid = self.grid
+        row_x, t_rows, h = self._probe_rows
+        x_modes = _blas_product(row_x[None, :], grid._cos_mat)
+        column = _blas_product(
+            grid._cos_inv.T,
+            x_modes.T * self._flat_profiles((2.0 / h) * t_rows[1]))
+        column.flags.writeable = False
+        return column
+
     def flat_adjoint_block(self) -> np.ndarray:
         """M^-T [E^T | e]: `_adjoint_block` with the flat strip M for A.
 
@@ -1028,19 +1090,19 @@ class LayerOperators:
         panel of them is one product of C^-T with the (mode, column, tau)
         block C[j, k] P[k], formed in the work buffer "scratch" and
         multiplied into "precondition", a panel at a time, so that no
-        buffer outgrows a panel; the probe column is one small product
-        more.  Read in place of Z, the block gives the Jacobian's layer
-        products as if A were the flat strip at the mean thickness,
-        exactly so on a strip of constant thickness.  It is the start Z0
-        of `_adjoint_block`, which solves into it: a fresh array, computed
-        on every call.
+        buffer outgrows a panel; the probe column is `_flat_probe_column`.
+        It is the start Z0 of `_adjoint_block`, which solves into it, and
+        exact on a strip of constant thickness: a fresh array, computed on
+        every call.  The flat chord reads its products in closed form
+        (`dno_matrix`, `interior_dy_row` and `shape_batch` with `flat`),
+        not from this block.
         """
         grid = self.grid
         nx = grid.n_modes + 1
         mt = self.m_vertical + 1
         c_inv_t = grid._cos_inv.T
         z = np.empty((nx, nx + (self.probe is not None), mt))
-        profiles = self._flat_profiles(self._d_tau[0])
+        profiles = self._flat_tau_profiles
         for panel in _panels(nx):
             cols = panel.stop - panel.start
             modes = self._work.view("scratch", (nx, cols, mt))
@@ -1051,11 +1113,7 @@ class LayerOperators:
                 out=self._work.view("precondition", (nx, cols * mt)),
             ).reshape(nx, cols, mt)
         if self.probe is not None:
-            row_x, t_rows, h = self._probe_rows
-            x_modes = _blas_product(row_x[None, :], grid._cos_mat)
-            z[:, nx] = _blas_product(
-                c_inv_t,
-                x_modes.T * self._flat_profiles((2.0 / h) * t_rows[1]))
+            z[:, nx] = self._flat_probe_column
         return z
 
     # -- interior evaluation ---------------------------------------------------
@@ -1104,18 +1162,18 @@ class LayerOperators:
                             else self._point_rows(point))
         return float(2.0 * (row_x @ values @ t_rows[1]) / h)
 
-    def interior_dy_row(self, block: np.ndarray | None = None
-                        ) -> np.ndarray:
+    def interior_dy_row(self, flat: bool = False) -> np.ndarray:
         """Row functional: trace coefficients -> vertical derivative at the
-        probe, read from `_adjoint_block` or from `block` in its place."""
+        probe, read from `_adjoint_block`, or, when `flat`, from the flat
+        block's probe column (`_flat_probe_column`)."""
         nx = self.grid.n_modes + 1
-        z = self._adjoint_block if block is None else block
-        return z[:, nx, 0] @ self.grid._cos_mat
+        column = (self._flat_probe_column[:, 0] if flat
+                  else self._adjoint_block[:, nx, 0])
+        return column @ self.grid._cos_mat
 
     # -- directional shape derivatives ----------------------------------------
 
-    def shape_batch(self, values: np.ndarray,
-                    block: np.ndarray | None = None):
+    def shape_batch(self, values: np.ndarray, flat: bool = False):
         """Directional derivatives along every elevation cosine mode.
 
         The operator's coefficients are the `_profiles` of h, h_x and h_xx.
@@ -1137,8 +1195,9 @@ class LayerOperators:
         interior_dy_dirs) where dno_dirs[:, k] holds half-grid values of
         the derivative of the interface extraction and interior_dy_dirs[k]
         the derivative of the vertical derivative at the probe (None
-        without one), for the solution `values`.  `block`, such as the
-        `flat_adjoint_block`, takes the place of Z when given.
+        without one), for the solution `values`.  When `flat`, the
+        `flat_adjoint_block` takes the place of Z, in closed form
+        (`_shape_products`).
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -1158,10 +1217,7 @@ class LayerOperators:
         g = np.stack([one_plus * (grid.half_d1 @ w_d), one_plus**2 * w_dd,
                       w_dd, one_plus * w_d], axis=1)
         g[:, :, ::self.m_vertical] = 0.0  # no geometry on the Dirichlet rows
-        z = self._adjoint_block if block is None else block
-        y = np.empty((nx, 4, z.shape[1]))
-        for j in range(nx):
-            _blas_product(g[j], z[j].T, out=y[j])
+        y = self._shape_products(g, flat)
         moved = -_blas_product(y.reshape(4 * nx, -1).T, f.reshape(4 * nx, nx))
 
         u_tau, u_x = (v[:, None] for v in self._interface_tau_x(values))
@@ -1178,6 +1234,36 @@ class LayerOperators:
         d_dh = -2.0 * (u_t + t_plus_1 * u_tt) / h_p**2
         return dno_dirs, moved[nx] + d_dh * np.cos(
             grid.wavenumbers * float(x_p))
+
+    def _shape_products(self, g: np.ndarray, flat: bool) -> np.ndarray:
+        """Y[j] = G[j] Z[j]^T of `shape_batch` for every x node j, an
+        (nx, 4, columns) array, G the (nx, 4, mt) tau rows.
+
+        When `flat`, Z is the `flat_adjoint_block` Z0, whose E^T columns
+        are Z0[j, c] = sum_k C^-T[j, k] C[c, k] P[k] (`_flat_profiles`), so
+        Y[j, t, c] = sum_k C^-T[j, k] C[c, k] (G[j, t] . P[k]): one product
+        of G with P^T, a scaling by C^-T and one product with C^T, and the
+        probe column is G[j] times `_flat_probe_column`[j].  No block is
+        formed.
+        """
+        grid = self.grid
+        nx, _, mt = g.shape
+        if not flat:
+            z = self._adjoint_block
+            y = np.empty((nx, 4, z.shape[1]))
+            for j in range(nx):
+                _blas_product(g[j], z[j].T, out=y[j])
+            return y
+        y = np.empty((nx, 4, nx + (self.probe is not None)))
+        w = _blas_product(g.reshape(-1, mt), self._flat_tau_profiles.T)
+        w = w.reshape(nx, 4, nx)
+        w *= grid._cos_inv.T[:, None, :]
+        y[:, :, :nx] = _blas_product(w.reshape(-1, nx), grid._cos_mat.T
+                                     ).reshape(nx, 4, nx)
+        if self.probe is not None:
+            y[:, :, nx] = np.sum(g * self._flat_probe_column[:, None, :],
+                                 axis=2)
+        return y
 
 
 def _blas_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,

@@ -26,7 +26,12 @@ from .errors import ConfigError, NonFiniteEntry
 from .spectral import EvenField
 from .system import WaveState
 
+#: format version of branch.csv and the snapshots
 SCHEMA = 1
+
+#: format version of summary.json: 2 echoes the configuration as JSON
+#: values, where 1 wrote the repr string of each
+SUMMARY_SCHEMA = 2
 
 #: BranchPoint attributes recorded as a snapshot's diagnostics
 DIAGNOSTICS = (
@@ -165,9 +170,14 @@ def load_snapshot(path: str) -> tuple[WaveState, float, dict]:
 def write_summary(path: str, config_echo: dict, config_hash: str,
                   mode: str, termination: str | None,
                   n_points: int, final_strength: float, exit_code: int):
+    """Write summary.json; `config_echo` maps "section.key" to a number
+    or None, written as the JSON value it is, or, for a number JSON has
+    none for (such as an infinite ds_max), as the string of its repr."""
     write_snapshot(path, {  # the same JSON layout
-        "schema": SCHEMA,
-        "config": config_echo,
+        "schema": SUMMARY_SCHEMA,
+        "config": {key: repr(value) if isinstance(value, float)
+                   and not np.isfinite(value) else value
+                   for key, value in config_echo.items()},
         "config_hash": config_hash,
         "mode": mode,
         "termination": termination,

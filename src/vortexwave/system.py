@@ -47,9 +47,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from .errors import NonFiniteEntry, SingularEvaluation
-from .layers import LayerOperators, WorkBuffers, flat_interior_dy_symbol
+from .layers import (
+    LayerOperators,
+    WorkBuffers,
+    _blas_product,
+    flat_interior_dy_symbol,
+)
 from .spectral import CollocationGrid, EvenField
 from .vortex import (
     VortexPair,
@@ -359,10 +365,12 @@ class WaveSystem:
     def flat_jacobian(self, prep: PreparedState, strength: float) -> np.ndarray:
         """The analytic Jacobian with each layer's solves on its flat strip.
 
-        Each layer's products come from its `flat_adjoint_block`, M^-T
+        Each layer's products are those of its `flat_adjoint_block`, M^-T
         [E^T | e] with M the flat strip at the layer's mean thickness, in
-        place of A^-T [E^T | e]: no GMRES, and exact where both strips have
-        constant thickness.  Everything else is as in `jacobian_prepared`.
+        place of A^-T [E^T | e], taken in closed form without forming the
+        block (`layers.LayerOperators.shape_batch` with `flat`): no solve,
+        and exact where both strips have constant thickness.  Everything
+        else is as in `jacobian_prepared`.
         """
         return self._jacobian(prep, strength, flat=True)
 
@@ -392,10 +400,9 @@ class WaveSystem:
         for k, layer in ((2, prep.lower), (1, prep.upper)):
             block = slice(k * n, (k + 1) * n)  # its trace columns and row
             gamma = layer.sign * strength
-            z = layer.ops.flat_adjoint_block() if flat else None
-            shape, probe_shape = layer.ops.shape_batch(layer.values, z)
+            shape, probe_shape = layer.ops.shape_batch(layer.values, flat)
             shape = layer.sign * shape  # strip under sign * elevation
-            dno = basis @ layer.ops.dno_matrix(z)
+            dno = _blas_product(basis, layer.ops.dno_matrix(flat))
 
             # its share weight * ((speed + a) a' + b b') of the dynamic
             # block: trace columns, elevation columns (shape, slope and
@@ -410,27 +417,27 @@ class WaveSystem:
             db = (-col(ex / d) * shape
                   + col(-dno_half / d - 2.0 * ex * (b - gamma * tr.phi_x) / d) * dxc
                   + gamma * col(tr.phi_xy) * basis)
-            jac[:n, block] = proj @ (layer.weight * (col(c + a) * a_mat
-                                                      + col(b) * b_mat))
+            jac[:n, block] = _blas_product(
+                proj, layer.weight * (col(c + a) * a_mat + col(b) * b_mat))
             dyn_eta = dyn_eta + layer.weight * (col(c + a) * da + col(b) * db)
             dyn_speed = dyn_speed + layer.weight * a
 
             # its kinematic row
-            jac[block, :n] = proj @ (col(c + gamma * tr.phi_y) * basis)
+            jac[block, :n] = _blas_product(
+                proj, col(c + gamma * tr.phi_y) * basis)
             jac[block, block] = np.eye(n)
             jac[block, -1] = prep.state.elevation.coeffs
 
             if layer.ops.probe is not None:
                 jac[-1, :n] = probe_shape
-                jac[-1, block] = layer.ops.interior_dy_row(z)
-            del z  # a flat block lives for its layer's columns only
+                jac[-1, block] = layer.ops.interior_dy_row(flat)
 
         # buoyancy and the curvature linearization complete the elevation
         # columns
         dyn_eta = dyn_eta + p.buoyancy * basis + p.surface_tension * (
             col(d**-1.5) * dxxc - col(3.0 * exx * ex * d**-2.5) * dxc)
-        jac[:n, :n] = proj @ dyn_eta
-        jac[:n, -1] = proj @ dyn_speed
+        jac[:n, :n] = _blas_product(proj, dyn_eta)
+        jac[:n, -1] = dgemv(1.0, proj.T, dyn_speed, trans=1)
         jac[-1, -1] = 1.0
 
         if not np.all(np.isfinite(jac)):

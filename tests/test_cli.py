@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import vortexwave
 from vortexwave import cli
-from vortexwave.config import _SECTIONS, load_config
+from vortexwave.config import _SECTIONS, load_config, load_config_file
 from vortexwave.continuation import ContinuationEngine
 from vortexwave.errors import (
     NonFiniteEntry,
@@ -21,7 +21,12 @@ from vortexwave.errors import (
     SingularBorderedSystem,
     ValidationError,
 )
-from vortexwave.persistence import SCHEMA, load_branch_table, load_snapshot
+from vortexwave.persistence import (
+    SCHEMA,
+    SUMMARY_SCHEMA,
+    load_branch_table,
+    load_snapshot,
+)
 from vortexwave.system import PhysicalParameters, WaveSystem
 
 SMALL = """
@@ -467,6 +472,25 @@ class TestSingleSolve:
         assert summary["mode"] == "single_solve"
         assert summary["termination"] is None
         assert summary["points"] == 1
+
+    def test_summary_echoes_the_config_as_json_values(self, tmp_path):
+        # numbers as JSON numbers and an unset key as null, not as the
+        # strings of their Python reprs; an infinite ds_max, which JSON
+        # has no number for, as its repr
+        cfg = write_config(tmp_path, SMALL + "ds_max = inf\n")
+        out = tmp_path / "out"
+        assert cli.main(["single-solve", "--config", cfg,
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["schema"] == SUMMARY_SCHEMA == 2
+        config = summary["config"]
+        assert config == {key: "inf" if key == "continuation.ds_max"
+                          else value
+                          for key, value in load_config_file(cfg)
+                          .resolved().items()}
+        assert config["discretization.n_modes"] == 16
+        assert config["continuation.ds0"] == 0.0005
+        assert config["continuation.gap_floor"] is None
 
     def test_rerun_is_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -1,6 +1,7 @@
 """Arclength driver: tangents, correctors, guards, classification, signs, symmetry."""
 
 import dataclasses
+import sys
 import warnings
 import weakref
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, svdvals
 
-from vortexwave import continuation
+from vortexwave import continuation, layers
 from vortexwave.continuation import (
     Alternative,
     ContinuationEngine,
@@ -388,17 +389,43 @@ class TestWorkCounts:
         # solve_at builds one exact Jacobian, its system's first, which
         # starts both blocks from the flat blocks and keeps no Z - Z0: 65
         # panel steps at strength 3 and no GMRES (48 panel-vectors by
-        # GMRES alone); its trace solves take 141 steps and hand 11 of 28
-        # solves to GMRES, for 97 vectors (208 by GMRES alone)
+        # GMRES alone); its trace solves take 248 steps and no GMRES (141
+        # steps and 97 vectors when a step stalled on its defect, 208
+        # vectors by GMRES alone)
         counts = self._vectors(monkeypatch)
         engine = small_engine(n_modes=64, m_vertical=32)
         point = engine.solve_at(3.0)
         assert point.newton_iterations == 5
-        assert counts["panel"] <= 48
-        assert counts["trace"] <= 212
+        assert counts["panel"] == counts["trace"] == 0
         assert counts["panel steps"] <= 67
-        assert counts["trace steps"] <= 145
+        assert counts["trace steps"] <= 252
         assert engine.system._deviations == [None, None]
+
+    def test_fixed_strength_solve_hands_off_nothing(self, monkeypatch):
+        # at strength 3, 64x32, every trace solve's corrections halve
+        # until the solve converges, so none reaches GMRES (11 of them did
+        # when a step was judged by its defect), and the five flat chords
+        # take their layer products in closed form: the only flat blocks
+        # formed are the two that start the exact Jacobian's adjoint blocks
+        handed, formed = [], []
+        real_gmres = layers.gmres
+        real_flat = LayerOperators.flat_adjoint_block
+
+        def gmres(*args):
+            handed.append(args[1].shape)
+            return real_gmres(*args)
+
+        def flat_adjoint_block(ops):
+            formed.append(sys._getframe(1).f_code.co_name)
+            return real_flat(ops)
+
+        monkeypatch.setattr(layers, "gmres", gmres)
+        monkeypatch.setattr(LayerOperators, "flat_adjoint_block",
+                            flat_adjoint_block)
+        point = small_engine(n_modes=64, m_vertical=32).solve_at(3.0)
+        assert point.newton_iterations == 5
+        assert handed == []
+        assert formed == ["_adjoint_block"] * 2
 
 
 class TestNewtonKrylov:

@@ -457,14 +457,14 @@ class TestAdjointBlock:
 
     def test_a_missed_panel_keeps_the_panels_before_it(self, lu_counter,
                                                        monkeypatch):
-        # 48x12, min thickness 0.37: of the panels of 16, 17 and 17
+        # 48x12, min thickness 0.35: of the panels of 16, 17 and 17
         # columns, GMRES solves the first and misses on the second, which
         # the LU step finishes from where GMRES started; the third starts
         # from zero and takes the LU step alone.  So the operator factors
         # once, the transposed LU solves cover the 34 columns from the
         # missed panel on, each once, and Z - Z0 is kept for every panel
         grid = CollocationGrid(np.pi, 48)
-        ops = strip(grid, peaked(-0.63, n=49), 12, (0.0, -0.95))
+        ops = strip(grid, peaked(-0.65, n=49), 12, (0.0, -0.95))
         ops.track_adjoint_deviation()
         missed = []
         real_gmres = layers.gmres
@@ -662,6 +662,51 @@ class TestPredictedStart:
         assert ops.factored and ops.adjoint_deviation is None
 
 
+@pytest.fixture(scope="module")
+def strength_3_64x32():
+    """(system, state) of the fixed-strength solve at strength 3, 64x32."""
+    system = WaveSystem(PhysicalParameters(), 64, 32)
+    engine = ContinuationEngine(system, ContinuationSettings())
+    return system, engine.solve_at(3.0).state
+
+
+class TestFlatProducts:
+    """The flat chord's layer products, taken in closed form, against the
+    same products read from an explicit `flat_adjoint_block`."""
+
+    @staticmethod
+    def products(ops, values, flat):
+        shape_dno, shape_dy = ops.shape_batch(values, flat)
+        return (ops.dno_matrix(flat), shape_dno, shape_dy,
+                ops.interior_dy_row(flat))
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("state", ["crest", "strength-3"])
+    def test_closed_forms_match_the_explicit_block(self, state, side,
+                                                   strength_3_64x32):
+        # both strips probed at the vortex, or the phantom in the
+        # reflected upper strip, so the probe column is covered on either
+        if state == "strength-3":
+            system, wave = strength_3_64x32
+            prep = system.prepare(wave)
+            layer = prep.lower if side == "lower" else prep.upper
+            ops = strip(system.grid, layer.ops.eta, system.m_vertical,
+                        TestAdjointBlock.POINT)
+            values = layer.values
+        else:
+            ops = strip(GRID, on_side(peaked(0.33), side), 32,
+                        TestAdjointBlock.POINT)
+            values = ops.solve(EvenField(0.5 ** np.arange(NX)))
+        closed = self.products(ops, values, True)
+        assert "_adjoint_block" not in vars(ops)  # no block was formed
+        # the explicit flat block in the place of Z
+        vars(ops)["_adjoint_block"] = ops.flat_adjoint_block()
+        explicit = self.products(ops, values, False)
+        for got, want in zip(closed, explicit):
+            assert np.abs(got).max() > 0.0
+            assert worst_relative(got, want) <= 1e-12
+
+
 class TestWarmStart:
     """Trace solves started from the solution at a nearby state."""
 
@@ -711,10 +756,10 @@ class TestWarmStart:
         assert worst_relative(warm, referee) <= 1e-12
         assert worst_relative(warm, cold) <= 1e-12
 
-    @pytest.mark.parametrize("factor", [-1.0, 2.0, np.nan])
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, np.nan])
     def test_a_guess_no_better_than_zero_is_ignored(self, factor):
-        # the residual of -u and of 2u is at least the right-hand side's,
-        # and a non-finite guess has none
+        # the residual of -u is twice the right-hand side's and that of
+        # zero equals it, and a non-finite guess has none
         ops = strip(GRID, peaked(0.33), 32)
         trace = EvenField(0.5 ** np.arange(NX))
         cold = ops.solve(trace)
@@ -758,39 +803,35 @@ class TestStationary:
         assert not ops.factored
 
     @pytest.mark.parametrize("state, applied", [
-        ("thin", 0), ("strength-3", 0), ("crest", 4)])
-    def test_a_stalled_step_is_not_applied(self, state, applied, strength_3,
+        ("thin", 0), ("deep", 1), ("trough", 2), ("crest", 4)])
+    def test_a_stalled_step_is_not_applied(self, state, applied,
                                            monkeypatch):
-        # thin: min thickness 0.1, where the first step from zero grows
-        # the defect 270-fold and GMRES misses, so LU takes over;
-        # strength-3: the lower layer of the 32x16 solution, whose first
-        # step from zero cuts the defect by less than half; crest: a 0.5
-        # crest, started from the solution under a 0.495 crest, whose
-        # fifth step does; GMRES takes over in both and converges
+        # from zero, on strips whose steps stall on their correction:
+        # thin, min thickness 0.1, where the first step grows the defect
+        # 270-fold and the second the correction, so the first is undone;
+        # deep, min thickness 0.2, whose second correction fails to halve
+        # the first without growing, so the first step stays and the
+        # defect it left is formed again; GMRES misses on both and hands
+        # over to LU.  trough, a -0.5 crest, whose third step fails to
+        # halve the correction; crest, a 0.55 crest, whose fifth does;
+        # GMRES takes over in both and converges
         trace = EvenField(0.5 ** np.arange(NX))
-        if state == "thin":
-            ops = strip(GRID, peaked(-0.9), 32)
-        elif state == "crest":
-            ops = strip(GRID, peaked(0.5), 32)
-        else:
-            system, wave = strength_3
-            ops = strip(system.grid, wave.elevation, system.m_vertical)
-            trace = wave.trace_lower
+        crest = {"thin": -0.9, "deep": -0.8, "trough": -0.5,
+                 "crest": 0.55}[state]
+        ops = strip(GRID, peaked(crest), 32)
         nx, mt = ops.grid.n_modes + 1, ops.m_vertical + 1
         rhs = np.zeros(nx * mt)
         rhs[::mt] = ops.grid.even_values_half(trace)
         size = layers._column_norms(ops._block(rhs))
         solved = np.zeros(rhs.size)
-        if state == "crest":
-            solved = strip(GRID, peaked(0.495), 32).solve(trace).ravel()
         defect = ops._apply(solved) - rhs
         steps, handed = [], []
         real_step, real_gmres = ops._richardson_step, layers.gmres
 
         def step(defect, transposed=False):
             u, moved = real_step(defect, transposed)
-            steps.append((solved.copy(), layers._column_norms(
-                ops._block(defect)), layers._column_norms(ops._block(moved))))
+            steps.append((solved.copy(), np.linalg.norm(u),
+                          np.linalg.norm(moved)))
             return u, moved
 
         def gmres(apply, defect, *args):
@@ -800,18 +841,22 @@ class TestStationary:
         ops._richardson_step = step
         monkeypatch.setattr(layers, "gmres", gmres)
         ops._stationary(solved, defect, size)
-        # GMRES missed on the thin strip only, and the LU step finished
-        assert ops.factored == (state == "thin")
-        # the last step stalled above the floor, and GMRES started from
-        # the iterate before it, on that iterate's defect (the step would
-        # have moved it by half its norm or more; A x carries roundoff of
+        # GMRES missed on the two thinnest strips, and the LU step finished
+        assert ops.factored == (state in ("thin", "deep"))
+        # the last step's correction did not halve the one before, its
+        # defect stayed above the floor, and GMRES started from the
+        # iterate before it, or, where the second correction grew, from
+        # the start, on that iterate's defect (A x carries roundoff of
         # about 1e-10 |b|)
-        assert len(steps) == applied + 1 and len(handed) == 1
-        before, left, now = steps[-1]
-        assert now > layers.KRYLOV_STALL * left
+        assert len(steps) == max(applied, 1) + 1 and len(handed) == 1
+        before, moved, now = steps[-1]
+        last = steps[-2][1]
+        assert moved > layers.KRYLOV_STALL * last
         assert now > KRYLOV_FLOOR * size
+        assert moved > last or applied > 0
         start, defect = handed[0]
-        assert np.array_equal(start, before)
+        assert np.array_equal(start, before if applied else np.zeros(
+            rhs.size))
         assert (np.linalg.norm(defect - (ops._apply(start) - rhs))
                 <= 1e-6 * np.linalg.norm(defect))
         got = ops.solve(trace).ravel()

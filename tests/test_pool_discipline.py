@@ -80,13 +80,15 @@ def test_no_numpy_lapack_outside_once_per_resolution_set_up():
 
 #: layers.py applies, the variable terms they share with delta = A - M
 #: (which GMRES applies once per Krylov vector, after the preconditioners'
-#: shared body), and the closed-form flat adjoint block and its tau
-#: profiles, built before every Newton-Krylov step on a flat chord and as
-#: the start of every adjoint block: every product in them goes through
-#: `_blas_product`, which calls scipy.linalg.blas
+#: shared body), the closed-form flat adjoint block, its tau profiles and
+#: probe column, the contraction of the shape derivatives with the adjoint
+#: block or its flat closed form, and the Dirichlet-to-Neumann matrix, all
+#: built on every Jacobian, exact or flat: every product in them goes
+#: through `_blas_product`, which calls scipy.linalg.blas
 BLAS_HELPERS = ("_apply", "_flat_products", "_apply_transpose",
                 "_variable", "_variable_transpose",
-                "_flat_profiles", "flat_adjoint_block")
+                "_flat_profiles", "flat_adjoint_block", "_flat_probe_column",
+                "_shape_products", "dno_matrix")
 
 #: numpy functions that multiply arrays on numpy's own BLAS, or its pool
 NUMPY_PRODUCTS = ("dot", "matmul", "einsum", "tensordot", "inner", "vdot")
@@ -146,29 +148,24 @@ def test_block_products_run_on_scipy_blas():
         assert [p.lineno for p in _numpy_products(helper)] == [], name
         assert "_blas_product" in {_called_name(c) for c in ast.walk(helper)
                                    if isinstance(c, ast.Call)}, name
-    # the shape derivatives' -Z^T R: the adjoint block, or the block passed
-    # in its place, and every array computed from either, is an operand of
+    # the shape derivatives' -Z^T R: `shape_batch` reads the adjoint block
+    # only through `_shape_products`, a helper above, which reads it once;
+    # its result, and every array computed from it, is an operand of
     # `_blas_product` and of no numpy product
     shape = _function(tree, "shape_batch")
-    block_reads = [a for a in ast.walk(shape) if isinstance(a, ast.Attribute)
-                   and a.attr == "_adjoint_block"]
-    assert len(block_reads) == 1
-    passed = {arg.arg for arg in shape.args.args if arg.arg == "block"}
-    assert passed, "shape_batch takes no block in the adjoint block's place"
-
-    def plain(node):  # the operator's block or the passed one, as it is
-        return node is block_reads[0] or (isinstance(node, ast.Name)
-                                          and node.id in passed)
-
+    assert not [a for a in ast.walk(shape) if isinstance(a, ast.Attribute)
+                and a.attr == "_adjoint_block"]
+    products = _function(tree, "_shape_products")
+    assert len([a for a in ast.walk(products)
+                if isinstance(a, ast.Attribute)
+                and a.attr == "_adjoint_block"]) == 1
     derived = {target.id for node in ast.walk(shape)
-               if isinstance(node, ast.Assign) and (
-                   plain(node.value) or (isinstance(node.value, ast.IfExp)
-                                         and plain(node.value.body)
-                                         and plain(node.value.orelse)))
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Call)
+               and _called_name(node.value) == "_shape_products"
                for target in node.targets if isinstance(target, ast.Name)}
-    assert derived, "the adjoint block is not bound to a name"
-    derived |= passed
-    while True:  # names assigned from, or written by a product of, the block
+    assert derived, "shape_batch binds no result of _shape_products"
+    while True:  # names assigned from, or written by a product of, those
         grown = set(derived)
         for node in ast.walk(shape):
             if isinstance(node, ast.Assign) and _reads(node.value, derived):
@@ -182,10 +179,21 @@ def test_block_products_run_on_scipy_blas():
         derived = grown
     assert [p.lineno for p in _numpy_products(shape)
             if _reads(p, derived)] == []
-    # the per-node products Z[j] G[j] and the one product with the factors
-    products = [c for c in ast.walk(shape) if isinstance(c, ast.Call)
-                and _called_name(c) == "_blas_product" and _reads(c, derived)]
-    assert len(products) >= 2
+    # the one product with the coefficient moves
+    assert [c for c in ast.walk(shape) if isinstance(c, ast.Call)
+            and _called_name(c) == "_blas_product" and _reads(c, derived)]
+
+
+def test_jacobian_assembly_runs_on_scipy_blas():
+    # the assembly's (N + 1)^3 products with the cosine synthesis and its
+    # inverse wake numpy's pool once N + 1 reaches about 110, as at 128x48,
+    # so they run on `_blas_product`, and its one matrix-vector product on
+    # scipy's dgemv
+    tree = ast.parse((PACKAGE / "system.py").read_text())
+    assembly = _function(tree, "_jacobian")
+    assert [p.lineno for p in _numpy_products(assembly)] == []
+    assert "_blas_product" in {_called_name(c) for c in ast.walk(assembly)
+                               if isinstance(c, ast.Call)}
 
 
 def test_lanczos_steps_run_on_scipy_blas():
