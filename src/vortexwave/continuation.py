@@ -86,9 +86,8 @@ singular value drops below 1e-12 of the largest; scipy's svdvals decides
 that, and gives the recorded value, only where the factors cannot: at a
 zero pivot, or when sigma_min is below 1e-12 of |J|_F, which bounds the
 largest.  All of it runs on scipy's LAPACK because numpy and scipy each
-bundle their own OpenBLAS: a numpy LAPACK call here left numpy's threads
-spinning while scipy factored the next layer operator, which then took
-50-70% longer.
+bundle their own OpenBLAS: a numpy LAPACK call here leaves numpy's threads
+spinning while scipy factors the next layer operator, which slows it.
 
 The branch leaves the origin towards positive strength.  The map
 (elevation, traces, speed, strength) -> (elevation, -traces, -speed,

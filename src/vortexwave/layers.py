@@ -53,34 +53,33 @@ left, on v + delta(M^-1 v), one x product and the Dirichlet rows cheaper
 than A(M^-1 v), adding M^-1 of its result; and where GMRES misses, one LU
 step x <- x - A^-1 d from the iterate GMRES started from.  Below
 KRYLOV_MIN_UNKNOWNS, or once factored, an operator takes the LU step
-alone.  A trace solve, the only solve a residual needs, solves with A, not
-its transpose.  It may start from a guess u0, the same strip's nodal
-values at a nearby state, to the same absolute stopping rule as a solve
-from zero, and a guess no better than zero is ignored.  Everything the
-Jacobian reads from a layer (the Dirichlet-to-Neumann matrix, the
-directional shape derivatives and the interior-derivative row) is a
-functional of a solve, either the interface u_tau or the vertical
-derivative at the probe, so one adjoint block Z = A^-T [E^T | e] of N + 1
-columns, and one more with a probe, serves all three; it is solved once per
-operator, on the transposes of delta and of the preconditioner.  Its flat
-counterpart Z0 = M^-T [E^T | e] is a closed form (`flat_adjoint_block`):
-each column of [E^T | e] is rank one in (x, tau), so M^-T maps it to the
-cosine synthesis C times per-mode tau profiles P (`_flat_profiles`), one
-product per panel and no solve.  It is Z on a flat strip and the first
-step from zero elsewhere, and Z starts from it, column by column as a
-trace solve starts from its guess.  Since M^T Z0 = [E^T | e], its residual
-is -delta^T Z0, one `_deviation` per panel, and the norms of [E^T | e] are
-closed forms, so the iterative path never forms [E^T | e].  Along a branch
-Z - Z0 grows with the elevation, so a block may instead start from Z0 plus
-the last point's Z - Z0, scaled (`track_adjoint_deviation`); its residual
-is then A^T times the start less [E^T | e], whose panels are added in
-closed form.  Read in the place of Z, Z0 gives the Jacobian's layer
-products of the flat strip at the layer's mean thickness, which the
-continuation corrector factors as the chord of its fixed-strength solve.
-The chord takes them from P without forming Z0 (the `flat` switch of
-`dno_matrix`, `interior_dy_row` and `shape_batch`): Z0's interface row is
-C^-T diag(P[:, 0]) C^T, and the shape products contract the four tau rows
-of each x node with P before the one product with C^T
+alone, from an adjoint panel's start or from zero.  A trace solve, the
+only solve a residual needs, solves with A, not its transpose.  It may
+start from a guess u0, the same strip's nodal values at a nearby state,
+to the same absolute stopping rule as a solve from zero; a guess no
+better than zero is ignored, and so is any on an operator that takes the
+LU step alone.  Everything the Jacobian reads from a layer (the
+Dirichlet-to-Neumann matrix, the directional shape derivatives and the
+interior-derivative row) is a functional of a solve, either the interface
+u_tau or the vertical derivative at the probe, so one adjoint block
+Z = A^-T [E^T | e] of N + 1 columns, and one more with a probe, serves all
+three; it is solved once per operator, on the transposes of delta and of
+the preconditioner.  Its flat counterpart Z0 = M^-T [E^T | e] is a
+closed form (`flat_adjoint_block`): each column of [E^T | e] is rank one
+in (x, tau), so M^-T maps it to the cosine synthesis C times per-mode tau
+profiles P (`_flat_profiles`), one product per panel and no solve.  It is
+Z on a flat strip and the first step from zero elsewhere.  Along a branch
+Z - Z0 grows with the elevation, so every panel of Z starts from Z0 plus
+the last point's Z - Z0, scaled, where the caller hands one over
+(`track_adjoint_deviation`), on every operator alike; the start's defect
+is A^T times it less [E^T | e], whose panels, like their norms, are closed
+forms, so no solve forms [E^T | e] whole.  Read in the place of Z, Z0
+gives the Jacobian's layer products of the flat strip at the layer's mean
+thickness, which the continuation corrector factors as the chord of its
+fixed-strength solve.  The chord takes them from P without forming Z0 (the
+`flat` switch of `dno_matrix`, `interior_dy_row` and `shape_batch`): Z0's
+interface row is C^-T diag(P[:, 0]) C^T, and the shape products contract
+the four tau rows of each x node with P before the one product with C^T
 (`_shape_products`).
 
 Both applies and both preconditioners take a vector or an (x node,
@@ -474,9 +473,8 @@ class LayerOperators:
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
         # Z - Z0 of the adjoint block, kept when the caller asks
-        # (`track_adjoint_deviation`), and whether it starts the block
+        # (`track_adjoint_deviation`)
         self.adjoint_deviation: np.ndarray | None = None
-        self._predicted = False
 
     @cached_property
     def _factors(self):
@@ -781,21 +779,21 @@ class LayerOperators:
         KRYLOV_STALL times the last one in every running column, and each
         column stops at GMRES's own rule on its defect: |d_c| below
         KRYLOV_TOL |b_c|, or below KRYLOV_FLOOR |b_c| once its correction
-        has stalled so.  A step that turns a running column's defect
-        non-finite, or whose correction stalls with the defect it leaves
-        above the floor, is not applied; if it is the second step, each
-        column whose correction grew has the first step undone, its
-        correction recomputed from the defect before it, which the work
-        buffer "defect" keeps until the second step is judged.  GMRES on
-        A M^-1 (`_preconditioned`), or A^T M^-T, then takes the running
-        columns on, each stopping at the same absolute defect (relax =
-        |b_c| / |d_c|); a column that has stopped has its defect zeroed, so
-        GMRES keeps it where it is.  Every applied step after the first has
-        at least halved the correction of a column still running, so the
-        steps end on their own.  Where GMRES misses, or its result is not
-        finite, the LU step from the iterate it started from finishes the
-        running columns.  The defect is kept in the work buffer "defect",
-        and after the first step in "apply".
+        has stalled so.  The defect and the one before the last applied
+        step are kept in the work buffers "defect" and "last defect", which
+        trade places at every applied step.  A step that turns a running
+        column's defect non-finite, or whose correction stalls with the
+        defect it leaves above the floor, is not applied; if it is the
+        second step, each column whose correction grew has the first step
+        undone, its iterate and defect restored from the defect before it.
+        GMRES on A M^-1 (`_preconditioned`), or A^T M^-T, then takes the
+        running columns on, each stopping at the same absolute defect
+        (relax = |b_c| / |d_c|); a column that has stopped has its defect
+        zeroed, so GMRES keeps it where it is.  Every applied step after
+        the first has at least halved the correction of a column still
+        running, so the steps end on their own.  Where GMRES misses, or its
+        result is not finite, the LU step from the iterate it started from
+        finishes the running columns.
         """
         if self._direct:
             iterate -= self._solve_rhs(defect, transposed)
@@ -803,6 +801,7 @@ class LayerOperators:
         x = self._block(iterate)
         d = self._work.view("defect", x.shape)
         d[...] = self._block(defect)
+        previous = self._work.view("last defect", x.shape)
         left = first = _column_norms(d)
         running = left > KRYLOV_TOL * size
         if not running.all():
@@ -810,39 +809,24 @@ class LayerOperators:
         last = np.full(left.size, np.inf)  # the last correction's norms
         flat_solve = (self._flat_solve_transpose if transposed
                       else self._flat_solve)
-        # a step's correction is sign M^-1 source.  The first step leaves
-        # its defect -delta u as source = delta u, in "apply", with sign -1,
-        # so that d keeps the defect before it until the second is judged
-        source, sign = d, 1.0
         steps = 0
         while running.any():
-            u, delta_u = self._richardson_step(source, transposed)
+            u, delta_u = self._richardson_step(d, transposed)
             moved, now = _column_norms(u), _column_norms(delta_u)
             stalled = running & (moved > KRYLOV_STALL * last)
             if not np.isfinite(now[running]).all() or np.any(
                     now[stalled] > KRYLOV_FLOOR * size[stalled]):
-                if steps == 1:
-                    # undo the first step where the correction grew, and
-                    # elsewhere redo the defect it left
-                    u = flat_solve(d)
+                if steps == 1:  # undo the first step where the correction grew
                     grown = running & ~(moved <= last)
-                    x[:, grown] += u[:, grown]
+                    x[:, grown] += flat_solve(previous)[:, grown]
+                    d[:, grown] = previous[:, grown]
                     left[grown] = first[grown]
-                    kept = running & ~grown
-                    d[:, kept] = -self._deviation(u, transposed)[:, kept]
-                    d[:, ~running] = 0.0
                 break
-            if sign > 0:
-                x -= u
-            else:
-                x += u
-            if steps == 0:
-                source, sign = delta_u, -1.0
-            else:
-                source, sign = np.multiply(delta_u, -sign, out=d), 1.0
+            x -= u
+            d, previous = np.negative(delta_u, out=previous), d
             done = running & ((now <= KRYLOV_TOL * size) | stalled)
             if done.any():
-                source[:, done] = 0.0
+                d[:, done] = 0.0
                 running &= ~done
             left, last, steps = now, moved, steps + 1
         if not running.any():
@@ -969,30 +953,22 @@ class LayerOperators:
         the interior-derivative row.  `_stationary` solves the columns a
         panel at a time, transposed, each to the absolute rule of `solve`,
         |rhs_c| from `_adjoint_column_norms`, on a contiguous copy of the
-        panel (the work buffer "iterate") written back to Z once.  A panel
-        starts from `flat_adjoint_block`, Z0 = M^-T [E^T | e], exact on a
-        flat strip and kept even where no better than zero, whose defect
-        A^T Z0 - [E^T | e] is delta^T Z0 (`_deviation`), since
-        M^T Z0 = [E^T | e]; or, given a predicted Z - Z0
-        (`track_adjoint_deviation`), from Z0 plus that array, whose defect
-        is A^T times the start less the panel of [E^T | e], added in
-        closed form (`_add_adjoint_columns`).  On an operator that solves
-        directly (`_direct`), which includes every panel after one whose
-        GMRES missed and whose LU step factored the operator, a panel
-        starts from zero with the defect -[E^T | e] and takes the LU step
-        alone; the panels solved before are kept.  A tracked block writes
-        each panel's Z - Z0 into `adjoint_deviation`, so that the array
-        ends as its own Z - Z0; one that solves directly from its start
-        has no Z0 and leaves None.  So [E^T | e] is never formed whole.
-        The block is (nx, k, mt), column c of Z being Z[:, c, :], solved
-        once, on first use, and read-only.
+        panel (the work buffer "iterate") written back to Z once.  Every
+        panel starts from `flat_adjoint_block`, Z0 = M^-T [E^T | e], exact
+        on a flat strip, plus the panel of `adjoint_deviation` when the
+        block is tracked (`track_adjoint_deviation`), and its defect is
+        A^T times that start less the panel of [E^T | e], added in closed
+        form (`_add_adjoint_columns`); so [E^T | e] is never formed whole.
+        An operator that solves directly (`_direct`), which includes every
+        panel after one whose GMRES missed and whose LU step factored the
+        operator, takes the LU step from that start; the panels solved
+        before are kept.  A tracked block writes each panel's Z - Z0 into
+        `adjoint_deviation`, so that the array ends as its own Z - Z0.  The
+        block is (nx, k, mt), column c of Z being Z[:, c, :], solved once,
+        on first use, and read-only.
         """
         nx, mt = self.grid.n_modes + 1, self.m_vertical + 1
-        if self._direct:  # every panel of z is written below
-            z = np.empty((nx, nx + (self.probe is not None), mt))
-            self.adjoint_deviation = None
-        else:
-            z = self.flat_adjoint_block()
+        z = self.flat_adjoint_block()
         kept = self.adjoint_deviation
         for panel in _panels(z.shape[1]):
             # the steps run on a contiguous copy of the panel, and Z and
@@ -1001,22 +977,13 @@ class LayerOperators:
             # three over a contiguous copy
             staged = self._work.view("iterate",
                                      (nx, panel.stop - panel.start, mt))
-            if self._direct:  # from zero, whatever z holds
-                size = None  # the LU step reads none
-                staged.fill(0.0)
-                defect = self._work.view("apply", staged.shape)
-                defect.fill(0.0)
-                self._add_adjoint_columns(defect, panel, -1.0)
-            else:
-                size = self._adjoint_column_norms[panel]
-                staged[...] = z[:, panel]
-                if self._predicted:
-                    staged += kept[:, panel]
-                    defect = self._apply_transpose(staged)
-                    self._add_adjoint_columns(defect, panel, -1.0)
-                else:
-                    defect = self._deviation(staged, transposed=True)
-            self._stationary(staged, defect, size, transposed=True)
+            staged[...] = z[:, panel]
+            if kept is not None:
+                staged += kept[:, panel]
+            defect = self._apply_transpose(staged)
+            self._add_adjoint_columns(defect, panel, -1.0)
+            self._stationary(staged, defect, self._adjoint_column_norms[panel],
+                             transposed=True)
             if kept is not None:
                 np.subtract(staged, z[:, panel], out=kept[:, panel])
             z[:, panel] = staged
@@ -1033,14 +1000,12 @@ class LayerOperators:
         own Z - Z0 is then written over it; without one the block starts
         from Z0, exactly as an untracked one, and writes into fresh zeros.
         float32 suffices, since the array only starts the solve.  Call it
-        before the block's first use; a block that solves directly from
-        its start has no Z0 and leaves None.
+        before the block's first use.
         """
-        self._predicted = predicted is not None
-        self.adjoint_deviation = predicted if self._predicted else np.zeros(
-            (self.grid.n_modes + 1,
-             self.grid.n_modes + 1 + (self.probe is not None),
-             self.m_vertical + 1), np.float32)
+        self.adjoint_deviation = predicted if predicted is not None else (
+            np.zeros((self.grid.n_modes + 1,
+                      self.grid.n_modes + 1 + (self.probe is not None),
+                      self.m_vertical + 1), np.float32))
 
     def _flat_profiles(self, tau_row: np.ndarray) -> np.ndarray:
         """Per-mode tau profiles of M^-T on a column x-part (x) tau_row.

@@ -337,10 +337,10 @@ class WaveSystem:
         Z - Z0 this system kept from its last analytic Jacobian, scaled by
         lambda = <eta, eta_prev> / <eta_prev, eta_prev> over the elevation
         coefficients, and writes its own Z - Z0 over it
-        (`layers.LayerOperators.track_adjoint_deviation`).  A block starts
-        flat where there is none to scale: after an elevation of zero, or
-        for a side whose last block solved directly from its start.  A
-        block whose GMRES missed keeps its Z - Z0.  A system's first
+        (`layers.LayerOperators.track_adjoint_deviation`), whether its
+        panels take Richardson steps, GMRES or the LU step.  A block starts
+        flat where there is none to scale: at the system's second analytic
+        Jacobian, and after an elevation of zero.  A system's first
         analytic Jacobian keeps none, so a run that builds one allocates
         none.  The Jacobian is the same either way, to the solves'
         tolerance.

@@ -460,9 +460,9 @@ class TestAdjointBlock:
         # 48x12, min thickness 0.35: of the panels of 16, 17 and 17
         # columns, GMRES solves the first and misses on the second, which
         # the LU step finishes from where GMRES started; the third starts
-        # from zero and takes the LU step alone.  So the operator factors
-        # once, the transposed LU solves cover the 34 columns from the
-        # missed panel on, each once, and Z - Z0 is kept for every panel
+        # from its flat block and takes the LU step alone.  So the operator
+        # factors once, the transposed LU solves cover the 34 columns from
+        # the missed panel on, each once, and Z - Z0 is kept for every panel
         grid = CollocationGrid(np.pi, 48)
         ops = strip(grid, peaked(-0.65, n=49), 12, (0.0, -0.95))
         ops.track_adjoint_deviation()
@@ -637,8 +637,8 @@ class TestPredictedStart:
     def test_lu_step_keeps_the_deviation(self, start):
         # the state of test_thin_layer_falls_back_to_lu, where GMRES misses
         # on the first panel: the LU step finishes that panel and solves
-        # the later ones from zero, and each still writes its Z - Z0, into
-        # the start array when one is given
+        # the later ones from their flat blocks, and each writes its
+        # Z - Z0, into the start array when one is given
         ops = strip(GRID, peaked(-0.9), 32, (0.0, -0.95))
         given = None if start == "none" else np.zeros((NX, NX + 1, 33),
                                                       np.float32)
@@ -651,15 +651,31 @@ class TestPredictedStart:
         assert given is None or kept is given
         assert np.linalg.norm(kept - own) <= 1e-7 * np.linalg.norm(own)
 
-    def test_a_block_that_solves_directly_keeps_none(self):
-        # below KRYLOV_MIN_UNKNOWNS every panel starts from zero and takes
-        # the LU step: the block has no flat start to keep Z - Z0 against
+    def test_a_block_that_solves_directly_starts_from_its_prediction(self):
+        # below KRYLOV_MIN_UNKNOWNS every panel takes the LU step alone, from
+        # Z0 plus the prediction like any other block, and writes its own
+        # Z - Z0 over the prediction; so a system there keeps both sides'
         grid = CollocationGrid(np.pi, 16)
         ops = strip(grid, peaked(0.33, n=17), 8, (0.0, -0.5))
         assert 17 * 9 < KRYLOV_MIN_UNKNOWNS
-        ops.track_adjoint_deviation()
-        ops.dno_matrix()
-        assert ops.factored and ops.adjoint_deviation is None
+        want = ops._solve_rhs(adjoint_columns(ops), transposed=True)
+        start = (0.5 * (want - ops.flat_adjoint_block())).astype(np.float32)
+        assert np.abs(start).max() > 0.0
+        ops.track_adjoint_deviation(start)
+        got = ops._adjoint_block
+        assert ops.factored
+        assert worst_relative(got, want) <= 1e-12
+        assert ops.adjoint_deviation is start
+        own = got - ops.flat_adjoint_block()
+        assert np.linalg.norm(start - own) <= 1e-7 * np.linalg.norm(own)
+
+        system = WaveSystem(PhysicalParameters(), 16, 8)
+        flat = EvenField(np.zeros(17))
+        state = WaveState(peaked(0.1, n=17), flat, flat, 0.0)
+        for _ in range(2):
+            system.jacobian_prepared(system.prepare(state), 0.5)
+        assert all(isinstance(kept, np.ndarray)
+                   for kept in system._deviations)
 
 
 @pytest.fixture(scope="module")
@@ -810,11 +826,11 @@ class TestStationary:
         # thin, min thickness 0.1, where the first step grows the defect
         # 270-fold and the second the correction, so the first is undone;
         # deep, min thickness 0.2, whose second correction fails to halve
-        # the first without growing, so the first step stays and the
-        # defect it left is formed again; GMRES misses on both and hands
-        # over to LU.  trough, a -0.5 crest, whose third step fails to
-        # halve the correction; crest, a 0.55 crest, whose fifth does;
-        # GMRES takes over in both and converges
+        # the first without growing, so the first step stays, with the
+        # defect it left; GMRES misses on both and hands over to LU.
+        # trough, a -0.5 crest, whose third step fails to halve the
+        # correction; crest, a 0.55 crest, whose fifth does; GMRES takes
+        # over in both and converges
         trace = EvenField(0.5 ** np.arange(NX))
         crest = {"thin": -0.9, "deep": -0.8, "trough": -0.5,
                  "crest": 0.55}[state]
@@ -854,11 +870,13 @@ class TestStationary:
         assert moved > layers.KRYLOV_STALL * last
         assert now > KRYLOV_FLOOR * size
         assert moved > last or applied > 0
-        start, defect = handed[0]
+        start, handed_defect = handed[0]
         assert np.array_equal(start, before if applied else np.zeros(
             rhs.size))
-        assert (np.linalg.norm(defect - (ops._apply(start) - rhs))
-                <= 1e-6 * np.linalg.norm(defect))
+        if state == "thin":  # restored from the defect kept before step 1
+            assert np.array_equal(handed_defect, defect)
+        assert (np.linalg.norm(handed_defect - (ops._apply(start) - rhs))
+                <= 1e-6 * np.linalg.norm(handed_defect))
         got = ops.solve(trace).ravel()
         want = ops._solve_rhs(rhs)
         for x in (solved, got):
