@@ -131,9 +131,7 @@ SIGN_FLOOR = 1e-12
 
 #: relative residual bound at which the Lanczos estimate of sigma_min
 #: stops (`_smallest_singular`): its eigenvalue of (J^T J)^-1 is then within
-#: this fraction of the largest, so sigma_min within half of it.  The
-#: Jacobians of the default 64x32 branch take 9 steps, the strength-3
-#: solution's 14, and those of a 16x8 branch 8 to 10
+#: this fraction of the largest, so sigma_min within half of it
 SINGULAR_TOL = 1e-13
 
 #: step-growth factor after fast corrector convergence
@@ -146,14 +144,8 @@ FAST_ITERATIONS = 3
 MAX_HALVINGS = 5
 
 #: relative residual a Newton-Krylov step on an exact chord must reach,
-#: unless the floor FORCING_FLOOR * newton_tol / |F_k| is higher, which
-#: it is for every |F_k| below 1e-4 at newton_tol = 1e-10.  The 60-step
-#: default branch starts its Newton-Krylov steps from |F_k| below 2.4e-6,
-#: so all 58 run at the floor (forcing 4e-6 to 0.05) and take 146 vectors
-#: instead of 206 at this bound alone; its states stay within 1.8e-11
-#: (absolute) of the analytic corrector's, with the same iterations and
-#: determinant signs.  Without the floor, 1e-6 here let that branch stray
-#: up to 3.4e-9 (relative) from the analytic corrector's
+#: unless the floor FORCING_FLOOR * newton_tol / |F_k| is higher, as it is
+#: for every |F_k| below 1e-4 at newton_tol = 1e-10
 KRYLOV_FORCING = 1e-7
 
 #: Eisenstat-Walker forcing of a Newton-Krylov step on a flat chord (their
@@ -442,9 +434,7 @@ class ContinuationEngine:
         n = self.system.n_unknowns
         bordered = np.zeros((n + 1, n + 1))
         bordered[:n, :n] = jac
-        bordered[:n, n] = self.system.strength_derivative(
-            prep, strength
-        ).to_vector()
+        bordered[:n, n] = self.system.strength_derivative(prep, strength)
         bordered[n, :] = row
         return bordered
 
@@ -465,7 +455,7 @@ class ContinuationEngine:
         state = WaveState.from_vector(vec[:n], self.system.grid.n_modes)
         strength = float(vec[n])
         prep = self.system.prepare(state)
-        res = self.system.residual_prepared(prep, strength).to_vector()
+        res = self.system.residual_prepared(prep, strength)
         with np.errstate(over="ignore"):  # finite entries may square to inf
             gap = constraint(vec)
             norm = float(np.hypot(np.linalg.norm(res), gap))
@@ -630,16 +620,14 @@ class ContinuationEngine:
 
     # -- tangents -------------------------------------------------------------------
 
-    def tangent(self, prep: PreparedState, strength: float,
-                previous: np.ndarray | None = None,
-                jac: np.ndarray | None = None) -> np.ndarray:
-        """Unit tangent of the branch at a solved point.
+    def tangent(self, prep: PreparedState, strength: float, jac: np.ndarray,
+                previous: np.ndarray | None = None) -> np.ndarray:
+        """Unit tangent of the branch at a solved point, from the caller's
+        Jacobian `jac` there.
 
         The bordered row orients it: row . raw = 1 makes the strength
         component, or the weighted dot with `previous`, positive.
         """
-        if jac is None:
-            jac = self.system.jacobian_prepared(prep, strength)
         row = self._pin_row() if previous is None else self.weights * previous
         raw = lu_solve(self._factor_bordered(prep, strength, jac, row),
                        self._pin_row(), check_finite=False)
@@ -664,7 +652,7 @@ class ContinuationEngine:
         """
         origin = self._flat_start()
         tang = self.tangent(self.system.prepare(origin), 0.0,
-                            jac=self.system.flat_linearization())
+                            self.system.flat_linearization())
         guess_vec = origin.to_vector() + (strength / tang[-1]) * tang[:-1]
         guess = WaveState.from_vector(guess_vec, self.system.grid.n_modes)
         state, iterations, norm, solved = self.newton_correct(guess, strength)
@@ -697,7 +685,7 @@ class ContinuationEngine:
             try:
                 jac = self.system.jacobian_prepared(prep, strength)
                 point = self._point(state, strength, norm, iterations, jac)
-                tang = self.tangent(prep, strength, previous=tang, jac=jac)
+                tang = self.tangent(prep, strength, jac, previous=tang)
             except STEP_FAILURES:
                 if not branch.points:
                     raise

@@ -49,19 +49,20 @@ judged.  A step whose correction fails that test with its defect above the
 floor, or that turns a defect non-finite, is not applied, and where the
 second correction outgrows the first, the first step is undone too; GMRES
 (Saad & Schultz 1986) then takes the running columns on from the iterate
-left, on v + delta(M^-1 v), one x product and the Dirichlet rows cheaper
-than A(M^-1 v), adding M^-1 of its result; and where GMRES misses, one LU
-step x <- x - A^-1 d from the iterate GMRES started from.  Below
-KRYLOV_MIN_UNKNOWNS, or once factored, an operator takes the LU step
-alone, from an adjoint panel's start or from zero.  A trace solve, the
-only solve a residual needs, solves with A, not its transpose.  It may
-start from a guess u0, the same strip's nodal values at a nearby state,
-to the same absolute stopping rule as a solve from zero; a guess no
-better than zero is ignored, and so is any on an operator that takes the
-LU step alone.  Everything the Jacobian reads from a layer (the
-Dirichlet-to-Neumann matrix, the directional shape derivatives and the
-interior-derivative row) is a functional of a solve, either the interface
-u_tau or the vertical derivative at the probe, so one adjoint block
+left, on A M^-1 v = v + delta(M^-1 v), v less the defect that a
+Richardson step on the defect v leaves, adding M^-1 of its result; and
+where GMRES misses, one LU step x <- x - A^-1 d from the iterate GMRES
+started from.  Below KRYLOV_MIN_UNKNOWNS, or once factored, an operator
+takes the LU step alone, from an adjoint panel's start or from zero.  A
+trace solve, the only solve a residual needs, solves with A, not its
+transpose.  It may start from a guess u0, the same strip's nodal values
+at a nearby state, to the same absolute stopping rule as a solve from
+zero; a guess no better than zero is ignored, and so is any on an
+operator that takes the LU step alone.  Everything the Jacobian reads
+from a layer (the Dirichlet-to-Neumann matrix, the directional shape
+derivatives and the interior-derivative row) is a functional of a
+solve, either the interface u_tau or the vertical derivative at the
+probe, so one adjoint block
 Z = A^-T [E^T | e] of N + 1 columns, and one more with a probe, serves all
 three; it is solved once per operator, on the transposes of delta and of
 the preconditioner.  Its flat counterpart Z0 = M^-T [E^T | e] is a
@@ -731,19 +732,6 @@ class LayerOperators:
             raise LinearSolveFailure("layer solve produced non-finite entries")
         return out
 
-    def _preconditioned(self, v: np.ndarray) -> np.ndarray:
-        """A M^-1 v = v + delta M^-1 v (`_deviation`), a view of the work
-        buffer "apply": the operator GMRES runs on."""
-        out = self._deviation(self._flat_solve(v))
-        out += v
-        return out
-
-    def _preconditioned_transpose(self, v: np.ndarray) -> np.ndarray:
-        """A^T M^-T v = v + delta^T M^-T v, as `_preconditioned`."""
-        out = self._deviation(self._flat_solve_transpose(v), transposed=True)
-        out += v
-        return out
-
     @property
     def _direct(self) -> bool:
         """Whether `_stationary` solves by its LU step alone: fewer than
@@ -786,8 +774,9 @@ class LayerOperators:
         defect it leaves above the floor, is not applied; if it is the
         second step, each column whose correction grew has the first step
         undone, its iterate and defect restored from the defect before it.
-        GMRES on A M^-1 (`_preconditioned`), or A^T M^-T, then takes the
-        running columns on, each stopping at the same absolute defect
+        GMRES on A M^-1 v = v + delta M^-1 v, v plus the second output of
+        `_richardson_step` on v, or on A^T M^-T, then takes the running
+        columns on, each stopping at the same absolute defect
         (relax = |b_c| / |d_c|); a column that has stopped has its defect
         zeroed, so GMRES keeps it where it is.  Every applied step after
         the first has at least halved the correction of a column still
@@ -833,8 +822,12 @@ class LayerOperators:
             return
         relax = np.divide(size, left, where=running, out=np.ones(left.size))
         d = d.reshape(iterate.shape)
-        preconditioned = (self._preconditioned_transpose if transposed
-                          else self._preconditioned)
+
+        def preconditioned(v):  # A M^-1 v = v + delta M^-1 v, or transposed
+            out = self._richardson_step(v, transposed)[1]
+            out += v
+            return out
+
         solved = gmres(preconditioned, d, KRYLOV_MAX, relax * KRYLOV_TOL,
                        relax * KRYLOV_FLOOR, self._work)
         if solved is not None:

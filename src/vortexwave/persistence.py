@@ -84,12 +84,31 @@ class BranchWriter:
 
 
 def load_branch_table(path: str) -> dict[str, np.ndarray]:
-    """Columns of a branch table as arrays, keyed by header name."""
+    """Columns of a branch table as arrays, keyed by header name.
+
+    A table without a header line, a row whose field count is not the
+    header's, or a field that is not a number raises ValueError naming
+    the row, counted from 0 after the header, and the column.
+    """
     with open(path, encoding="utf-8") as handle:
         lines = [ln.rstrip("\n") for ln in handle if not ln.startswith("#")]
+    if not lines or not lines[0]:
+        raise ValueError("branch table has no header")
     names = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:] if ln]
-    data = np.array(rows, dtype=float) if rows else np.zeros((0, len(names)))
+    rows = []
+    for k, line in enumerate(ln for ln in lines[1:] if ln):
+        fields = line.split(",")
+        if len(fields) != len(names):
+            raise ValueError(f"branch table row {k} has {len(fields)} "
+                             f"fields, not the header's {len(names)}")
+        rows.append([])
+        for name, field in zip(names, fields):
+            try:
+                rows[-1].append(float(field))
+            except ValueError:
+                raise ValueError(f"branch table row {k} column {name} is "
+                                 f"not a number: {field!r}") from None
+    data = np.array(rows).reshape(len(rows), len(names))
     return {name: data[:, j] for j, name in enumerate(names)}
 
 

@@ -10,25 +10,27 @@ strength as the continuation parameter.  The four residual blocks are
   drift           speed + vertical interior derivative of the lower harmonic
                   extension at the vortex, minus the pair-induced speed term.
 
-All fields live on the even cosine band of a CollocationGrid; residual blocks
-are collocated on the half grid and projected back to coefficients, so parity
-is exact by construction.  Each fluid is one FluidLayer, and every block is
-one per-layer expression over the two: a layer of sign +1 (lower) or -1
-(upper) sees sign * strength and is solved as the lower strip under
+All fields live on the even cosine band of a CollocationGrid; residual
+blocks are collocated on the half grid and projected back to coefficients,
+so parity is exact by construction.  The residual and its strength derivative
+are each one vector of the four blocks' coefficients, the drift last, in the
+order of `WaveState.to_vector`.  Each fluid is one FluidLayer, and every
+block is one per-layer expression over the two: a layer of sign +1 (lower)
+or -1 (upper) sees sign * strength and is solved as the lower strip under
 sign * elevation, so this is the only module that knows which side a layer
-is on.  A FluidLayer holds its strip's one `layers.LayerOperators`, probed
-at the vortex on the lower side, and the nodal values of its trace solve.
+is on.  A FluidLayer holds its strip's one `layers.LayerOperators`, probed at
+the vortex on the lower side, and the nodal values of its trace solve.
 
-A WaveSystem decides where its layer solves start, from arrays it keeps.
-Each prepare starts its trace solves from the nodal values of the last
-state prepared: in the continuation corrector that is a nearby state, the
-last difference point about 1e-7 away, the last damping trial, or a
-branch step's base point.  Each analytic Jacobian after the first starts
-its adjoint blocks from the last one's Z - Z0, scaled by the elevation
-(Allgower & Georg, Numerical Continuation Methods, 1990).  Starts change
-how many Krylov vectors a solve builds, not what it converges to.  The
-system keeps no prepared state and no operator, whose adjoint blocks
-would outlive their point.
+A WaveSystem decides where its layer solves start, from arrays it
+keeps.  Each prepare starts its trace solves from the nodal values of the
+last state prepared: in the continuation corrector that is a nearby state,
+the last difference point about 1e-7 away, the last damping trial, or a
+branch step's base point.  Each analytic Jacobian after the first starts its
+adjoint blocks from the last one's Z - Z0, scaled by the elevation (Allgower
+& Georg, Numerical Continuation Methods, 1990), or from Z0 at the
+second.  Starts change how many Krylov vectors a solve builds, not what it
+converges to.  The system keeps no prepared state and no operator, whose
+adjoint blocks would outlive their point.
 
 The analytic Jacobian assembles the true Fréchet derivative: the quadratic
 velocity terms contribute (state factor) * (derivative factor), and the
@@ -155,24 +157,6 @@ class WaveState:
 
 
 @dataclass(frozen=True)
-class Residual:
-    """The four system blocks evaluated at one (state, strength) pair."""
-
-    dynamic: EvenField
-    kinematic_upper: EvenField
-    kinematic_lower: EvenField
-    drift: float
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([
-            self.dynamic.coeffs,
-            self.kinematic_upper.coeffs,
-            self.kinematic_lower.coeffs,
-            [self.drift],
-        ])
-
-
-@dataclass(frozen=True)
 class FluidLayer:
     """One fluid's side of the interface and its trace solve.
 
@@ -285,15 +269,19 @@ class WaveSystem:
         b = (layer.dxt - ex * layer.dno_half) / d + gamma * tr.phi_x
         return a, b
 
-    def _project(self, values: np.ndarray) -> EvenField:
+    def _project(self, values: np.ndarray) -> np.ndarray:
         coeffs = self.grid._cos_inv @ values
         if not np.all(np.isfinite(coeffs)):  # e.g. squared velocities overflow
             raise NonFiniteEntry("residual block has non-finite entries")
-        return EvenField(coeffs)
+        return coeffs
 
     # -- residual ---------------------------------------------------------------
 
-    def residual_prepared(self, prep: PreparedState, strength: float) -> Residual:
+    def residual_prepared(self, prep: PreparedState, strength: float
+                          ) -> np.ndarray:
+        """The residual vector: the dynamic, upper kinematic and lower
+        kinematic coefficients, then the drift, in the block order of
+        `WaveState.to_vector`."""
         p = self.params
         c = prep.state.speed
         e = prep.elevation_half
@@ -307,15 +295,16 @@ class WaveSystem:
             kinematic.append(self._project(
                 layer.trace_half + layer.sign * strength * tr.phi + c * e))
         drift = c + prep.interior_dy - self.pair_speed * strength
-        return Residual(self._project(dynamic), *kinematic, float(drift))
+        return np.concatenate([self._project(dynamic), *kinematic, [drift]])
 
-    def residual(self, state: WaveState, strength: float) -> Residual:
+    def residual(self, state: WaveState, strength: float) -> np.ndarray:
         return self.residual_prepared(self.prepare(state), strength)
 
     # -- strength derivative ------------------------------------------------------
 
-    def strength_derivative(self, prep: PreparedState, strength: float) -> Residual:
-        """Analytic derivative of the residual in the strength parameter."""
+    def strength_derivative(self, prep: PreparedState, strength: float
+                            ) -> np.ndarray:
+        """Analytic derivative of the residual vector in the strength."""
         c = prep.state.speed
         tr = prep.traces
         dynamic = 0.0
@@ -325,7 +314,8 @@ class WaveSystem:
             dynamic = dynamic + layer.sign * layer.weight * (
                 (c + a) * tr.phi_y + b * tr.phi_x)
             kinematic.append(self._project(layer.sign * tr.phi))
-        return Residual(self._project(dynamic), *kinematic, -self.pair_speed)
+        return np.concatenate([self._project(dynamic), *kinematic,
+                               [-self.pair_speed]])
 
     # -- Jacobian ------------------------------------------------------------------
 
@@ -338,12 +328,13 @@ class WaveSystem:
         lambda = <eta, eta_prev> / <eta_prev, eta_prev> over the elevation
         coefficients, and writes its own Z - Z0 over it
         (`layers.LayerOperators.track_adjoint_deviation`), whether its
-        panels take Richardson steps, GMRES or the LU step.  A block starts
-        flat where there is none to scale: at the system's second analytic
-        Jacobian, and after an elevation of zero.  A system's first
-        analytic Jacobian keeps none, so a run that builds one allocates
-        none.  The Jacobian is the same either way, to the solves'
-        tolerance.
+        panels take Richardson steps, GMRES or the LU step.  lambda is 0
+        when the last elevation is zero, which zeroes the kept Z - Z0, and
+        at the system's second analytic Jacobian there is none to scale:
+        either way the block starts flat.  A system's first analytic
+        Jacobian keeps none, so a run that builds one allocates none.  The
+        start changes how the blocks are solved, not the Jacobian, to the
+        solves' tolerance.
         """
         eta = prep.state.elevation.coeffs
         last, self._elevation = self._elevation, eta
@@ -352,10 +343,8 @@ class WaveSystem:
         square = float(np.dot(last, last))
         scale = float(np.dot(eta, last)) / square if square > 0.0 else 0.0
         for layer, kept in zip(prep.layers, self._deviations):
-            if kept is not None and scale != 0.0:
+            if kept is not None:
                 kept *= scale
-            else:
-                kept = None
             layer.ops.track_adjoint_deviation(kept)
         jac = self._jacobian(prep, strength, flat=False)
         self._deviations = [layer.ops.adjoint_deviation
@@ -456,14 +445,14 @@ class WaveSystem:
                                  strength)
             minus = self.residual(WaveState.from_vector(base - bump, n_modes),
                                   strength)
-            jac[:, j] = (plus.to_vector() - minus.to_vector()) / (2.0 * step)
+            jac[:, j] = (plus - minus) / (2.0 * step)
         return jac
 
     def strength_derivative_fd(self, state: WaveState, strength: float,
                                step: float = EPS_STEP) -> np.ndarray:
         plus = self.residual(state, strength + step)
         minus = self.residual(state, strength - step)
-        return (plus.to_vector() - minus.to_vector()) / (2.0 * step)
+        return (plus - minus) / (2.0 * step)
 
     # -- flat closed form -------------------------------------------------------------
 

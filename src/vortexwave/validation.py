@@ -72,7 +72,7 @@ def check_strength_derivative(params: PhysicalParameters, seed: int):
     system = WaveSystem(params, 16, 12)
     state = _random_state(rng, 16)
     prep = system.prepare(state)
-    gap = np.abs(system.strength_derivative(prep, 0.03).to_vector()
+    gap = np.abs(system.strength_derivative(prep, 0.03)
                  - system.strength_derivative_fd(state, 0.03)).max()
     return gap < 1e-7, f"max entry gap to central difference {gap:.2e}"
 
@@ -86,7 +86,7 @@ def check_origin_tangent(params: PhysicalParameters):
     system = WaveSystem(params, 16, 16)
     engine = ContinuationEngine(system, ContinuationSettings())
     prep = system.prepare(system.origin())
-    tang = engine.tangent(prep, 0.0)
+    tang = engine.tangent(prep, 0.0, system.jacobian_prepared(prep, 0.0))
     g = system.grid
     n = g.n_modes + 1
     tr = vortex_traces(params.pair, g.half_nodes, np.zeros(n),

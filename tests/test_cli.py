@@ -508,7 +508,7 @@ class TestSingleSolve:
                          "--out", str(out)]) == 0
         state, strength, record = load_snapshot(str(out / "snapshot_0000.json"))
         system = WaveSystem(PhysicalParameters(), 16, 12)
-        norm = float(np.linalg.norm(system.residual(state, strength).to_vector()))
+        norm = float(np.linalg.norm(system.residual(state, strength)))
         assert abs(norm - record["diagnostics"]["residual_norm"]) < 1e-13
 
     @pytest.mark.parametrize("key, index", [("elevation", 2),
@@ -610,6 +610,43 @@ class TestSingleSolve:
                              "--out", str(tmp_path / "out")])
         assert code == 3
         assert "NonFiniteEntry" in capsys.readouterr().err
+
+
+class TestLoadBranchTable:
+    """A malformed table raises ValueError naming the problem, as a
+    malformed snapshot does."""
+
+    COMMENTS = "# schema = 1\n# config = 0123\n"
+
+    def load(self, tmp_path, text):
+        path = tmp_path / "branch.csv"
+        path.write_text(text)
+        return load_branch_table(str(path))
+
+    def test_a_well_formed_table_loads(self, tmp_path):
+        table = self.load(tmp_path, self.COMMENTS
+                          + "step,strength\n0,0.0\n\n1,0.25\n")
+        assert list(table) == ["step", "strength"]
+        assert table["strength"].tolist() == [0.0, 0.25]
+        empty = self.load(tmp_path, self.COMMENTS + "step,strength\n")
+        assert empty["step"].shape == (0,)
+
+    @pytest.mark.parametrize("text", ["", COMMENTS], ids=["empty", "comments"])
+    def test_a_table_without_a_header_is_rejected(self, tmp_path, text):
+        with pytest.raises(ValueError, match="no header"):
+            self.load(tmp_path, text)
+
+    def test_a_ragged_row_is_named(self, tmp_path):
+        with pytest.raises(ValueError,
+                           match="row 1 has 2 fields, not the header's 3"):
+            self.load(tmp_path, self.COMMENTS
+                      + "step,strength,speed\n0,0.0,0.0\n1,0.25\n")
+
+    def test_a_field_that_is_not_a_number_is_named(self, tmp_path):
+        with pytest.raises(ValueError,
+                           match="row 1 column speed is not a number"):
+            self.load(tmp_path, self.COMMENTS
+                      + "step,strength,speed\n0,0.0,0.0\n1,0.25,fast\n")
 
 
 class TestValidateMode:

@@ -120,7 +120,8 @@ class TestTangent:
     def test_origin_matches_block_substitution(self):
         engine = small_engine()
         prep = engine.system.prepare(engine.system.origin())
-        tang = engine.tangent(prep, 0.0)
+        tang = engine.tangent(prep, 0.0,
+                              engine.system.jacobian_prepared(prep, 0.0))
         assert np.abs(tang - origin_tangent_oracle(engine)).max() < 1e-8
 
     @pytest.mark.parametrize("phantom_y", [0.6, 0.8])
@@ -143,7 +144,8 @@ class TestTangent:
     def test_elevation_component_vanishes_at_origin(self):
         engine = small_engine()
         prep = engine.system.prepare(engine.system.origin())
-        tang = engine.tangent(prep, 0.0)
+        tang = engine.tangent(prep, 0.0,
+                              engine.system.jacobian_prepared(prep, 0.0))
         n = engine.system.grid.n_modes + 1
         assert np.abs(tang[:n]).max() < 1e-12
         assert tang[-1] > 0
@@ -151,9 +153,10 @@ class TestTangent:
     def test_unit_weighted_norm_and_idempotence(self):
         engine = small_engine()
         prep = engine.system.prepare(engine.system.origin())
-        tang = engine.tangent(prep, 0.0)
+        jac = engine.system.jacobian_prepared(prep, 0.0)
+        tang = engine.tangent(prep, 0.0, jac)
         assert engine.weighted_dot(tang, tang) == pytest.approx(1.0)
-        again = engine.tangent(prep, 0.0, previous=tang)
+        again = engine.tangent(prep, 0.0, jac, previous=tang)
         assert np.abs(again - tang).max() < 1e-12
 
     def test_consecutive_tangents_stay_aligned(self):
@@ -163,7 +166,10 @@ class TestTangent:
         inner = []
         for point in branch.points:
             prep = engine.system.prepare(point.state)
-            new = engine.tangent(prep, point.strength, previous=tang)
+            new = engine.tangent(
+                prep, point.strength,
+                engine.system.jacobian_prepared(prep, point.strength),
+                previous=tang)
             if tang is not None:
                 inner.append(engine.weighted_dot(new, tang))
             tang = new
@@ -220,7 +226,8 @@ class TestBranch:
     def test_speed_ratio_approaches_tangent_limit(self):
         engine = small_engine()
         prep = engine.system.prepare(engine.system.origin())
-        tang = engine.tangent(prep, 0.0)
+        tang = engine.tangent(prep, 0.0,
+                              engine.system.jacobian_prepared(prep, 0.0))
         limit = tang[-2] / tang[-1]
         strength = 1e-4
         guess = WaveState.from_vector(
@@ -348,25 +355,45 @@ class TestWorkCounts:
     @staticmethod
     def _vectors(monkeypatch):
         """Counts the layers' Krylov vectors and Richardson steps: "panel"
-        the vectors of the adjoint blocks' panels, one
-        `_preconditioned_transpose` each, "trace" those of the trace
-        solves, one `_preconditioned` each, and "panel steps" and "trace
-        steps" their `_richardson_step` calls, applied or not."""
+        the vectors of the adjoint blocks' panels and "trace" those of the
+        trace solves, one call each of the apply that `_stationary` hands
+        to `gmres`, and "panel steps" and "trace steps" the
+        `_richardson_step` calls of their loops, applied or not; the step
+        that each apply takes counts as its vector only."""
         counts = {"panel": 0, "trace": 0, "panel steps": 0, "trace steps": 0}
-        for key, name in (("panel", "_preconditioned_transpose"),
-                          ("trace", "_preconditioned")):
-            def counted(ops, v, key=key, real=getattr(LayerOperators, name)):
-                counts[key] += 1
-                return real(ops, v)
+        solving = []  # the `transposed` of each running `_stationary`
+        in_gmres = []  # nonempty while an apply runs
+        real_stationary = LayerOperators._stationary
+        real_step = LayerOperators._richardson_step
+        real_gmres = layers.gmres
 
-            monkeypatch.setattr(LayerOperators, name, counted)
+        def stationary(ops, iterate, defect, size, transposed=False):
+            solving.append(transposed)
+            try:
+                return real_stationary(ops, iterate, defect, size,
+                                       transposed)
+            finally:
+                solving.pop()
 
-        def step(ops, defect, transposed=False,
-                 real=LayerOperators._richardson_step):
-            counts["panel steps" if transposed else "trace steps"] += 1
-            return real(ops, defect, transposed)
+        def step(ops, defect, transposed=False):
+            if not in_gmres:
+                counts["panel steps" if transposed else "trace steps"] += 1
+            return real_step(ops, defect, transposed)
 
+        def gmres(apply, rhs, *args):
+            def counted(v):
+                counts["panel" if solving[-1] else "trace"] += 1
+                in_gmres.append(v)
+                try:
+                    return apply(v)
+                finally:
+                    in_gmres.pop()
+
+            return real_gmres(counted, rhs, *args)
+
+        monkeypatch.setattr(LayerOperators, "_stationary", stationary)
         monkeypatch.setattr(LayerOperators, "_richardson_step", step)
+        monkeypatch.setattr(layers, "gmres", gmres)
         return counts
 
     def test_branch_blocks_start_from_the_last_point(self, monkeypatch):
@@ -606,6 +633,49 @@ class TestNewtonKrylov:
             assert np.abs(a.state.to_vector()
                           - b.state.to_vector()).max() <= 1e-9
 
+    @pytest.mark.parametrize("run", ["branch", "solve"])
+    def test_a_failed_difference_product_builds_the_analytic_jacobian(
+            self, monkeypatch, run):
+        # a layer solve that fails inside the first difference product
+        # ends that Newton-Krylov step as a miss: its iteration builds the
+        # analytic Jacobian at once and solves with it, and the run keeps
+        # the clean run's iterations and, to 1e-9, its states
+        def points():
+            engine = small_engine(n_modes=32, m_vertical=16, max_steps=6)
+            if run == "branch":
+                return engine.continue_branch().points
+            return [engine.solve_at(3.0)]
+
+        events = []
+        real_product = ContinuationEngine._difference_product
+        real_jacobian = WaveSystem.jacobian_prepared
+
+        def product(engine, *args):
+            events.append("product")
+            if events.count("product") == 1:
+                raise LinearSolveFailure("layer solve failed")
+            return real_product(engine, *args)
+
+        def jacobian(system, prep, strength):
+            events.append("jacobian")
+            return real_jacobian(system, prep, strength)
+
+        monkeypatch.setattr(WaveSystem, "jacobian_prepared", jacobian)
+        clean = points()
+        clean_jacobians = events.count("jacobian")
+        events.clear()
+        monkeypatch.setattr(ContinuationEngine, "_difference_product",
+                            product)
+        failed = points()
+        assert events[events.index("product") + 1] == "jacobian"
+        assert events.count("jacobian") > clean_jacobians
+        assert ([p.newton_iterations for p in failed]
+                == [p.newton_iterations for p in clean])
+        for a, b in zip(failed, clean):
+            assert abs(a.strength - b.strength) <= 1e-9
+            assert np.abs(a.state.to_vector()
+                          - b.state.to_vector()).max() <= 1e-9
+
 
 class TestKeptStarts:
     """Where a system's solves start changes no result."""
@@ -620,7 +690,7 @@ class TestKeptStarts:
         results = []
         for system in (engine.system, WaveSystem(PARAMS, 64, 32)):
             prep = system.prepare(point.state)
-            results.append((system.residual_prepared(prep, 3.0).to_vector(),
+            results.append((system.residual_prepared(prep, 3.0),
                             system.jacobian_prepared(prep, 3.0)))
         (res, jac), (fresh_res, fresh_jac) = results
         assert np.abs(res - fresh_res).max() <= 1e-12
@@ -852,9 +922,8 @@ class TestMirrorSymmetry:
 
         prep = system.prepare(state)
         prep_mirror = system.prepare(mirror)
-        res = system.residual_prepared(prep, strength).to_vector()
-        res_mirror = system.residual_prepared(prep_mirror,
-                                              -strength).to_vector()
+        res = system.residual_prepared(prep, strength)
+        res_mirror = system.residual_prepared(prep_mirror, -strength)
         assert np.array_equal(res_mirror, flips * res)
 
         jac = system.jacobian_prepared(prep, strength)

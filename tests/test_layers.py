@@ -60,11 +60,17 @@ def strip(grid, eta, m, probe=None):
 
 def panelled(ops, rhs):
     """A^-T rhs for an (nx, k, mt) block rhs, by GMRES from zero on
-    A^T M^-T: one `gmres` per panel of columns, then M^-T of its result,
-    into a fresh block."""
+    A^T M^-T v = v + delta^T M^-T v, v plus the second output of the
+    transposed Richardson step on v: one `gmres` per panel of columns, then
+    M^-T of its result, into a fresh block."""
+    def preconditioned(v):
+        out = ops._richardson_step(v, transposed=True)[1]
+        out += v
+        return out
+
     out = np.zeros(rhs.shape)
     for panel in layers._panels(rhs.shape[1]):
-        solved = layers.gmres(ops._preconditioned_transpose, rhs[:, panel],
+        solved = layers.gmres(preconditioned, rhs[:, panel],
                               KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR, ops._work)
         out[:, panel] = ops._flat_solve_transpose(solved)
     return out
@@ -84,9 +90,11 @@ def from_zero(ops, rhs):
 
 def counting_work(monkeypatch):
     """The work of each `_stationary` call, in call order: its Richardson
-    steps, applied or not, plus the Krylov vectors of its GMRES, one apply
-    each."""
+    steps, applied or not, plus the Krylov vectors of its GMRES, one call
+    each of the apply that `_stationary` hands to `gmres`.  That apply
+    takes a Richardson step of its own, which counts as the vector only."""
     work = []
+    in_gmres = []  # nonempty while an apply runs
     real_stationary = LayerOperators._stationary
     real_step = LayerOperators._richardson_step
     real_gmres = layers.gmres
@@ -96,13 +104,17 @@ def counting_work(monkeypatch):
         return real_stationary(ops, *args, **kwargs)
 
     def step(ops, *args, **kwargs):
-        work[-1] += 1
+        work[-1] += not in_gmres
         return real_step(ops, *args, **kwargs)
 
     def gmres(apply, rhs, *args):
         def counted(v):
             work[-1] += 1
-            return apply(v)
+            in_gmres.append(v)
+            try:
+                return apply(v)
+            finally:
+                in_gmres.pop()
 
         return real_gmres(counted, rhs, *args)
 
@@ -559,6 +571,26 @@ class TestAdjointBlock:
         assert np.array_equal(solves[0], solves[1].ravel())
 
 
+class TestGmres:
+    @pytest.mark.parametrize("shape", [(40,), (8, 3, 5)],
+                             ids=["vector", "block"])
+    def test_a_non_finite_estimate_misses(self, shape):
+        # a diagonal apply with distinct entries needs more than one
+        # vector, and its second call returns nan: every running column's
+        # estimate turns non-finite, and the solve misses
+        rng = np.random.default_rng(2)
+        weights = 1.0 + rng.random(shape)
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return weights * v if len(calls) == 1 else np.full(shape, np.nan)
+
+        assert gmres(apply, rng.standard_normal(shape), KRYLOV_MAX,
+                     KRYLOV_TOL, KRYLOV_FLOOR, layers.WorkBuffers()) is None
+        assert len(calls) == 2
+
+
 @pytest.fixture(scope="module")
 def consecutive_points():
     """(system, last point, point): the second and third points of the
@@ -590,16 +622,11 @@ class TestPredictedStart:
         one layer at the point, tracked from `start` when one is given."""
         system, _, point = points
         ops = system.prepare(point.state).layers[side].ops
-        work = []
-        for name in ("_richardson_step", "_preconditioned_transpose"):
-            def counted(*args, real=getattr(ops, name)):
-                work.append(name)
-                return real(*args)
-
-            setattr(ops, name, counted)
-        if start is not None:
-            ops.track_adjoint_deviation(start)
-        return ops._adjoint_block, len(work), ops
+        with pytest.MonkeyPatch.context() as patch:
+            work = counting_work(patch)
+            if start is not None:
+                ops.track_adjoint_deviation(start)
+            return ops._adjoint_block, sum(work), ops
 
     @pytest.mark.parametrize("side", [0, 1], ids=["upper", "lower"])
     def test_matches_the_flat_start(self, consecutive_points, side):
@@ -846,8 +873,9 @@ class TestStationary:
 
         def step(defect, transposed=False):
             u, moved = real_step(defect, transposed)
-            steps.append((solved.copy(), np.linalg.norm(u),
-                          np.linalg.norm(moved)))
+            if not handed:  # GMRES's apply takes a step of its own
+                steps.append((solved.copy(), np.linalg.norm(u),
+                              np.linalg.norm(moved)))
             return u, moved
 
         def gmres(apply, defect, *args):

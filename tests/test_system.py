@@ -45,6 +45,13 @@ def mode_state(n_modes, which, k, amplitude):
     )
 
 
+def blocks(vec, n_modes):
+    """(dynamic, kinematic upper, kinematic lower, drift) of a residual
+    vector, which keeps `WaveState.to_vector`'s block order."""
+    split = WaveState.from_vector(vec, n_modes)
+    return split.elevation, split.trace_upper, split.trace_lower, split.speed
+
+
 class TestParameters:
     def test_defaults_are_stably_stratified(self):
         assert PARAMS.buoyancy == pytest.approx(-0.1)
@@ -84,30 +91,30 @@ class TestResidual:
     def test_origin_is_trivial_solution(self):
         system = WaveSystem(PARAMS, 16, 12)
         res = system.residual(system.origin(), 0.0)
-        assert np.all(res.to_vector() == 0.0)
+        assert np.all(res == 0.0)
 
     def test_speed_only_state_leaves_drift(self):
         system = WaveSystem(PARAMS, 16, 12)
         state = WaveState.from_vector(
             np.r_[np.zeros(3 * 17), 0.3], 16
         )
-        res = system.residual(state, 0.0)
-        assert res.drift == pytest.approx(0.3, abs=1e-14)
-        assert np.all(res.dynamic.coeffs == 0.0)
-        assert np.all(res.kinematic_upper.coeffs == 0.0)
+        dynamic, upper, _, drift = blocks(system.residual(state, 0.0), 16)
+        assert drift == pytest.approx(0.3, abs=1e-14)
+        assert np.all(dynamic.coeffs == 0.0)
+        assert np.all(upper.coeffs == 0.0)
 
     def test_flat_lower_trace_matches_hand_assembly(self):
         system = WaveSystem(PARAMS, 64, 32)
         amplitude = 0.3
         state = mode_state(64, "low", 1, amplitude)
-        res = system.residual(state, 0.0)
+        dynamic = blocks(system.residual(state, 0.0), 64)[0]
         g = system.grid
         kappa = g.wavenumbers[1]
         profile = amplitude * np.cos(kappa * g.half_nodes)
         normal = flat_dno_symbol(g, PARAMS.depth)[1] * profile
         tangential = -amplitude * kappa * np.sin(kappa * g.half_nodes)
         oracle = -0.5 * PARAMS.rho_lower * (normal**2 + tangential**2)
-        got = g.even_values_half(res.dynamic)
+        got = g.even_values_half(dynamic)
         assert np.abs(got - oracle).max() < 1e-9
 
     def test_flat_two_layer_hand_assembly(self):
@@ -119,7 +126,7 @@ class TestResidual:
         up[2], low[3] = 0.2, -0.15
         state = WaveState(EvenField(np.zeros(n)), EvenField(up),
                           EvenField(low), 0.4)
-        res = system.residual(state, 0.0)
+        dynamic = blocks(system.residual(state, 0.0), 32)[0]
         sym = flat_dno_symbol(g, PARAMS.depth)
         x = g.half_nodes
         gu = sym[2] * up[2] * np.cos(g.wavenumbers[2] * x)
@@ -131,7 +138,7 @@ class TestResidual:
             + 0.5 * PARAMS.rho_upper * (gu**2 + bu**2)
             - 0.5 * PARAMS.rho_lower * (gl**2 + bl**2)
         )
-        got = g.even_values_half(res.dynamic)
+        got = g.even_values_half(dynamic)
         assert np.abs(got - oracle).max() < 1e-10
 
     def test_drift_block_closed_form(self):
@@ -141,24 +148,24 @@ class TestResidual:
             np.r_[np.zeros(17), np.zeros(17),
                   amplitude * (np.arange(17) == 2), 0.1], 16
         )
-        res = system.residual(state, 0.02)
+        drift = blocks(system.residual(state, 0.02), 16)[3]
         sym = flat_interior_dy_symbol(system.grid, PARAMS.depth,
                                       PARAMS.pair.lower[1])
         expected = 0.1 + amplitude * sym[2] - system.pair_speed * 0.02
-        assert res.drift == pytest.approx(expected, abs=1e-9)
+        assert drift == pytest.approx(expected, abs=1e-9)
 
     def test_kinematic_block_matches_direct_assembly(self):
         rng = np.random.default_rng(3)
         system = WaveSystem(PARAMS, 16, 12)
         state = decayed_state(rng, 16, speed=0.2)
         strength = 0.04
-        res = system.residual(state, strength)
+        upper = blocks(system.residual(state, strength), 16)[1]
         g = system.grid
         e = g.even_values_half(state.elevation)
         tr = vortex_traces(PARAMS.pair, g.half_nodes, e, PARAMS.half_period)
         direct = (g.even_values_half(state.trace_upper)
                   - strength * tr.phi + state.speed * e)
-        got = g.even_values_half(res.kinematic_upper)
+        got = g.even_values_half(upper)
         assert np.abs(got - direct).max() < 1e-13
 
     def test_kinematic_block_agrees_with_full_grid_assembly(self):
@@ -166,7 +173,7 @@ class TestResidual:
         system = WaveSystem(PARAMS, 16, 12)
         state = decayed_state(rng, 16, speed=0.1)
         strength = 0.03
-        res = system.residual(state, strength)
+        lower = blocks(system.residual(state, strength), 16)[2]
         g = system.grid
         x = g.nodes
         e = g.evaluate_even(state.elevation, x)
@@ -174,14 +181,14 @@ class TestResidual:
         full = (g.evaluate_even(state.trace_lower, x)
                 + strength * tr.phi + state.speed * e)
         refolded = g.to_even(full)
-        assert np.abs(refolded.coeffs - res.kinematic_lower.coeffs).max() < 1e-12
+        assert np.abs(refolded.coeffs - lower.coeffs).max() < 1e-12
 
     def test_rerun_is_bitwise_identical(self):
         rng = np.random.default_rng(5)
         system = WaveSystem(PARAMS, 16, 12)
         state = decayed_state(rng, 16)
-        first = system.residual(state, 0.02).to_vector()
-        second = system.residual(state, 0.02).to_vector()
+        first = system.residual(state, 0.02)
+        second = system.residual(state, 0.02)
         assert np.array_equal(first, second)
 
     def test_degenerate_strip_propagates(self):
@@ -218,9 +225,9 @@ class TestResidual:
         base = decayed_state(rng, 8, speed=0.0)
         moved = WaveState(base.elevation, base.trace_upper,
                           base.trace_lower, speed)
-        r0 = system.residual(base, 0.0)
-        r1 = system.residual(moved, 0.0)
-        shift = r1.kinematic_lower.coeffs - r0.kinematic_lower.coeffs
+        r0 = blocks(system.residual(base, 0.0), 8)[2]
+        r1 = blocks(system.residual(moved, 0.0), 8)[2]
+        shift = r1.coeffs - r0.coeffs
         assert np.abs(shift - speed * base.elevation.coeffs).max() < 1e-13
 
 
@@ -438,20 +445,21 @@ class TestStrengthDerivative:
         system = WaveSystem(PARAMS, 16, 12)
         state = decayed_state(rng, 16, speed=0.15)
         prep = system.prepare(state)
-        analytic = system.strength_derivative(prep, 0.03).to_vector()
+        analytic = system.strength_derivative(prep, 0.03)
         fd = system.strength_derivative_fd(state, 0.03)
         assert np.abs(analytic - fd).max() < 1e-9
 
     def test_origin_blocks(self):
         system = WaveSystem(PARAMS, 16, 12)
         prep = system.prepare(system.origin())
-        der = system.strength_derivative(prep, 0.0)
-        assert np.all(der.dynamic.coeffs == 0.0)
-        assert der.drift == pytest.approx(-system.pair_speed)
+        dynamic, _, lower, drift = blocks(
+            system.strength_derivative(prep, 0.0), 16)
+        assert np.all(dynamic.coeffs == 0.0)
+        assert drift == pytest.approx(-system.pair_speed)
         g = system.grid
         tr = vortex_traces(PARAMS.pair, g.half_nodes,
                            np.zeros(g.n_modes + 1), PARAMS.half_period)
-        got = g.even_values_half(der.kinematic_lower)
+        got = g.even_values_half(lower)
         assert np.abs(got - tr.phi).max() < 1e-13
 
 
@@ -472,8 +480,7 @@ class TestDiagnostics:
                                state.trace_lower.coeffs, 0.0)),
             0.1,
         )
-        res = system.residual(limited, 0.02)
-        coeffs = res.dynamic.coeffs
+        coeffs = blocks(system.residual(limited, 0.02), n_modes)[0].coeffs
         total = np.sum(coeffs**2)
         top = np.sum(coeffs[2 * (n_modes + 1) // 3:] ** 2)
         assert top < 1e-8 * total
