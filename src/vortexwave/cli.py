@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -105,7 +106,18 @@ def _record(config: RunConfig, out: str, mode: str, run
 
     `on_point(point)` appends the point's row to branch.csv and writes its
     snapshot; `run` returns the finished Branch, whose summary comes last.
+    The snapshot and summary files of an earlier run into `out` are
+    deleted first, so that the directory holds one snapshot per table row.
     """
+    try:
+        for name in os.listdir(out):
+            path = os.path.join(out, name)
+            if re.fullmatch(r"snapshot_\d+\.json|summary\.json",
+                            name) and os.path.isfile(path):
+                os.remove(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot remove {exc.filename!r}: "
+                          f"{exc.strerror}") from exc
     chash = config.config_hash()
     steps = itertools.count()
     writer = BranchWriter(os.path.join(out, "branch.csv"), chash)

@@ -1,93 +1,23 @@
-"""Pseudo-arclength continuation of the wave branch from the trivial solution.
+"""Pseudo-arclength continuation of the wave branch from the flat state.
 
-One corrector serves both solves: damped Newton on the residual bordered by
-one scalar constraint.  Keller's arclength constraint gives a branch step; a
-row that pins the strength gives the fixed-strength solve.  Each Newton step
-is halved, at most MAX_HALVINGS times, until the bordered residual norm
-drops; the corrector has converged once the residual and the constraint are
-both within newton_tol, after at most newton_max updates.
-
-The corrector keeps a chord: the LU factors of a bordered Jacobian, of
-one of two kinds.  A branch step's chord is exact: the analytic Jacobian
-of its accepted base point.  The fixed-strength solve has no base point,
-and its chord is the flat-strip Jacobian at its guess
-(`system.WaveSystem.flat_jacobian`): the analytic Jacobian with each
-layer solved as the flat strip at its mean thickness, which needs no
-GMRES.  The guess of `solve_at` has zero elevation and traces, so there
-that chord is exact, and the solve builds the analytic Jacobian for its
-converged point alone.  The first iteration solves with the chord.  Each
-later one takes a Newton-Krylov step (Knoll & Keyes 2004): GMRES on the
-bordered system, right-preconditioned by the chord's factors C, with
-Jacobian-vector products from forward differences of the bordered
-residual.  GMRES runs on v -> the difference product at C^-1 v, and the
-step is C^-1 of its result (`_krylov_step`).  The products are
-residual-only evaluations, which factor no layer operator.  A flat chord
-is refactored at the iterate before every Newton-Krylov step, since the
-flat guess's chord does not follow the iterate as its crest grows (to
-0.33 at strength 3); an exact chord, built near the iterate, is kept.
-The products stay exact-Jacobian products, so the chord changes how many
-Krylov vectors a step needs, not the step it converges to.
-
-Each step is solved only as far as it needs (`_forcing`).  On a flat chord
-the relative forcing follows the residual, Eisenstat and Walker's
-FORCING_GAMMA (|F_k| / |F_k-1|)^2 capped at FORCING_MAX; on an exact chord
-it is KRYLOV_FORCING.  Either is raised to the floor FORCING_FLOOR
-newton_tol / |F_k|, so no step is solved past what the tolerance can use.
-The analytic Jacobian takes over an iteration whose GMRES misses the forcing
-within KRYLOV_VECTORS or whose difference evaluation raises, and one whose
-layer operators are already factored (small grids, or a trace solve that
-fell back to LU), where its layer solves back-substitute; its bordered
-factors become the chord, which is then exact.  The analytic Jacobian
-factors no layer operator either: it reads each layer through one adjoint
-block solved iteratively (`layers.LayerOperators._adjoint_block`).  So
-above the Krylov crossover a branch factors no layer operator at all
-unless a GMRES solve misses, and every accepted point still gets the exact
-Jacobian that the tangent and the point diagnostics need.
-
-A miss pays for the vectors it built and then for a Jacobian.
-KRYLOV_VECTORS stays below the number of warm difference evaluations that
-one analytic Jacobian costs, so a step that misses costs at most about two
-Jacobians.
+- `ContinuationEngine._damped_newton` is the one corrector: damped Newton
+  on the residual bordered by one scalar constraint, with Newton-Krylov
+  steps (`_krylov_step`) preconditioned by a chord.  Keller's arclength
+  constraint gives a branch step (`_arclength_correct`), and a row that
+  pins the strength the fixed-strength solve (`newton_correct`).
+- `ContinuationEngine.check_guards` is the one admissibility check: the
+  `Alternative` a converged state violates, or None.
+- `continue_branch` predicts along the `tangent`, corrects, checks and
+  retries, and `classify_termination` names how a failed step ends it;
+  `solve_at` solves once, from the origin tangent.
+- `_point` takes a converged point's diagnostics, the determinant sign
+  and sigma_min from one LU factorization (`_sign_and_sigma`).
 
 Tangents are unit null vectors of the bordered Jacobian under a weighted
 inner product: discrete H^1 weights on the three field blocks and unit
 weights on the speed and the strength, so mode counts do not drown the
-scalars.
-
-check_guards is the one admissibility test.  Both runs run it first on the
-flat state, which solves the system at zero strength by construction, and
-a violation there is a configuration error (`_flat_start`).  Both run it
-again, with the norm cap, on what they converge to (`_termination`):
-continue_branch on each candidate before accepting it, so a finished
-branch, row 0 included, is always a valid prefix, and solve_at on its
-solution, which it then does not return (`Terminated`).  Precedence when
-several guards trip at once: vortex proximity, then boundary contact,
-then norm blowup.
-Inside the corrector, a trial point whose layer strip degenerates
-or whose interface meets or crosses a vortex is damped like a rejected
-trial.  A step whose corrector fails (no convergence, a bordered Jacobian
-with a zero pivot, a guard violation, a failed layer solve, or a
-non-finite entry in a Newton step or at a trial point, where a finite
-residual whose norm overflows counts as one) is retried at half the
-arclength step; once the step falls below ds_min the branch ends as a
-Newton failure.  A numerical failure in the Jacobian, the diagnostics or
-the tangent of a converged point ends the branch as a Newton failure too,
-at the last accepted point.  Only accepted points count against the
-max_steps budget, so a run whose every attempt fails ends as a Newton
-failure, whatever its budget.  Exhausted step budgets and unrecoverable
-Newton failures are reported through the same classification.
-
-The point diagnostics take both the determinant sign and the smallest
-singular value from one LU factorization of the Jacobian: the sign from
-the signs of U's diagonal, flipped once per row swap, and sigma_min from
-Lanczos on (J^T J)^-1, two back-substitutions through the factors per step
-(`_smallest_singular`).  The sign is recorded as 0 when the smallest
-singular value drops below 1e-12 of the largest; scipy's svdvals decides
-that, and gives the recorded value, only where the factors cannot: at a
-zero pivot, or when sigma_min is below 1e-12 of |J|_F, which bounds the
-largest.  All of it runs on scipy's LAPACK because numpy and scipy each
-bundle their own OpenBLAS: a numpy LAPACK call here leaves numpy's threads
-spinning while scipy factors the next layer operator, which slows it.
+scalars.  Every LAPACK and large BLAS call runs on scipy's, not numpy's
+(README, "Threads").
 
 The branch leaves the origin towards positive strength.  The map
 (elevation, traces, speed, strength) -> (elevation, -traces, -speed,
@@ -144,22 +74,18 @@ FAST_ITERATIONS = 3
 MAX_HALVINGS = 5
 
 #: relative residual a Newton-Krylov step on an exact chord must reach,
-#: unless the floor FORCING_FLOOR * newton_tol / |F_k| is higher, as it is
-#: for every |F_k| below 1e-4 at newton_tol = 1e-10
+#: unless the floor FORCING_FLOOR is higher (`_forcing`)
 KRYLOV_FORCING = 1e-7
 
 #: Eisenstat-Walker forcing of a Newton-Krylov step on a flat chord (their
-#: choice 2, SIAM J. Sci. Comput. 17, 1996): FORCING_GAMMA times the square
-#: of the last residual reduction, at most FORCING_MAX.  Their safeguard
-#: max(eta, FORCING_GAMMA eta_prev^2) applies only once FORCING_GAMMA
-#: eta_prev^2 > 0.1, which FORCING_MAX = 0.1 rules out
+#: choice 2, SIAM J. Sci. Comput. 17, 1996).  Their safeguard max(eta,
+#: FORCING_GAMMA eta_prev^2) applies only once FORCING_GAMMA eta_prev^2 >
+#: 0.1, which FORCING_MAX = 0.1 rules out
 FORCING_GAMMA = 0.9
 FORCING_MAX = 0.1
 
-#: no step is solved further than the tolerance can use (Knoll & Keyes
-#: 2004): its forcing is at least FORCING_FLOOR * newton_tol / |F_k|, the
-#: relative residual at which the linearized residual after the step is a
-#: tenth of the tolerance
+#: fraction of newton_tol that the linearized residual after a step
+#: reaches at the forcing floor (Knoll & Keyes 2004)
 FORCING_FLOOR = 0.1
 
 #: Krylov vectors a Newton-Krylov step may build before the analytic
@@ -168,9 +94,7 @@ FORCING_FLOOR = 0.1
 #: evaluations that one analytic Jacobian costs
 KRYLOV_VECTORS = 20
 
-#: numerical failures of a step: a corrector that raises one is retried at
-#: half the arclength step, and one raised at a converged point ends the
-#: branch as a Newton failure
+#: numerical failures of a step (`continue_branch`)
 STEP_FAILURES = (NewtonFailure, SingularBorderedSystem, VortexTooClose,
                  DegenerateStrip, LinearSolveFailure, NonFiniteEntry)
 
@@ -186,10 +110,8 @@ def _smallest_singular(lu: np.ndarray, piv: np.ndarray) -> float:
     beta the next off-diagonal and s the last entry of theta's eigenvector;
     the loop stops once that is at most SINGULAR_TOL theta, or once the
     basis spans the space.  The start is a fixed vector (`_lanczos_start`),
-    so reruns repeat bit for bit.  Both products of the reorthogonalization
-    run on scipy's dgemv and the norm on its dnrm2, so that numpy's thread
-    pool stays asleep (README, "Threads").  Returns 1 / sqrt(theta), not
-    finite when an estimate is not.
+    so reruns repeat bit for bit.  Returns 1 / sqrt(theta), not finite
+    when an estimate is not.
     """
     n = piv.size
     basis = np.empty((n + 1, n))  # row k + 1 takes the vector step k makes
@@ -294,16 +216,16 @@ class Terminated(VortexWaveError):
         self.alternative = alternative
 
 
-def classify_termination(vortex_tripped: bool, boundary_tripped: bool,
-                         newton_failed: bool = False) -> Alternative:
-    """Fixed precedence so simultaneous trips classify deterministically."""
+def classify_termination(vortex_tripped: bool, boundary_tripped: bool
+                         ) -> Alternative:
+    """How a branch whose step failed below ds_min ends: at the vortex when
+    a retry met one, else at a wall when a retry met one, else as a Newton
+    failure."""
     if vortex_tripped:
         return Alternative.VORTEX_NEAR_INTERFACE
     if boundary_tripped:
         return Alternative.INTERFACE_TOUCHES_BOUNDARY
-    if newton_failed:
-        return Alternative.NEWTON_FAILURE
-    return Alternative.MAX_STEPS_REACHED
+    return Alternative.NEWTON_FAILURE
 
 
 class ContinuationEngine:
@@ -346,35 +268,26 @@ class ContinuationEngine:
             g.even_values_half(state.elevation),
         )
 
-    def check_guards(self, state: WaveState):
-        """Raise if a state is outside the admissible set.
+    def check_guards(self, state: WaveState, strength: float
+                     ) -> Alternative | None:
+        """The Alternative a state violates, None inside every guard.
 
-        VortexTooClose when the interface comes within vortex_guard of
-        either vortex or has crossed one (`vortex.min_vortex_distance`),
-        checked first; DegenerateStrip when it comes within gap_floor of a
-        wall.
+        In this order, the first violated one wins: the interface within
+        vortex_guard of either vortex, or past one
+        (`vortex.min_vortex_distance`); the interface within gap_floor of a
+        wall; the `state_norm` above norm_cap.  At the default gap_floor
+        the wall test cannot trip: the layer solver raises DegenerateStrip
+        at the same floor (`layers.GAP_FLOOR_FRACTION`), so every state it
+        solved has depth - sup|eta| above it, and a branch meets the wall
+        through steps that fail until ds < ds_min (`continue_branch`).
         """
         if self.vortex_distance(state) < self.vortex_guard:
-            raise VortexTooClose(
-                "interface violates the vortex distance guard"
-            )
+            return Alternative.VORTEX_NEAR_INTERFACE
         sup = np.abs(
             self.system.grid.even_values_half(state.elevation)
         ).max()
         if self.system.params.depth - sup < self.gap_floor:
-            raise DegenerateStrip(
-                "interface violates the wall gap floor"
-            )
-
-    def _termination(self, state: WaveState, strength: float
-                     ) -> Alternative | None:
-        """The Alternative a converged state ends at, None inside every
-        guard: check_guards in `classify_termination`'s order, then norm_cap."""
-        try:
-            self.check_guards(state)
-        except (VortexTooClose, DegenerateStrip) as exc:
-            return classify_termination(isinstance(exc, VortexTooClose),
-                                        isinstance(exc, DegenerateStrip))
+            return Alternative.INTERFACE_TOUCHES_BOUNDARY
         if self.state_norm(state, strength) > self.settings.norm_cap:
             return Alternative.UNBOUNDED
         return None
@@ -382,14 +295,12 @@ class ContinuationEngine:
     def _sign_and_sigma(self, jac: np.ndarray) -> tuple[int, float]:
         """(determinant sign, smallest singular value) of a Jacobian.
 
-        One LU factorization gives both.  The sign is that of det(P L U):
-        the product of the signs of U's diagonal, flipped once per row swap
-        of the partial pivoting.  The smallest singular value comes from
-        Lanczos on the same factors (`_smallest_singular`).  The sign is 0
-        when sigma_min < SIGN_FLOOR sigma_max, which the factors settle
-        unless they have a zero pivot or sigma_min < SIGN_FLOOR |J|_F, since
-        |J|_F bounds sigma_max; there scipy's svdvals decides, and gives the
-        recorded value.
+        One LU factorization gives both: the sign of det(P L U), the signs
+        of U's diagonal flipped once per row swap, and sigma_min by
+        `_smallest_singular`.  The sign is 0 when sigma_min < SIGN_FLOOR
+        sigma_max; where the factors cannot settle that (a zero pivot, or
+        sigma_min < SIGN_FLOOR |J|_F, which bounds sigma_max) scipy's
+        svdvals decides, and gives the recorded value.
         """
         lu, piv, zero_pivot = dgetrf(jac)
         flips = (np.count_nonzero(piv != np.arange(piv.size))
@@ -496,11 +407,10 @@ class ContinuationEngine:
         """Relative forcing of a Newton-Krylov step at bordered residual
         norm `norm`, the last iterate's being `last_norm`.
 
-        On a flat chord, Eisenstat and Walker's choice 2,
-        min(FORCING_MAX, FORCING_GAMMA (norm / last_norm)^2); on an exact
-        one, KRYLOV_FORCING.  Either is raised to FORCING_FLOOR newton_tol
-        / norm, at which the linearized residual after the step is
-        FORCING_FLOOR newton_tol; that floor is below FORCING_FLOOR < 1,
+        On a flat chord min(FORCING_MAX, FORCING_GAMMA (norm /
+        last_norm)^2), on an exact one KRYLOV_FORCING; either raised to the
+        floor FORCING_FLOOR newton_tol / norm, so no step is solved further
+        than the tolerance can use.  The floor is below FORCING_FLOOR < 1,
         since an iterate that takes a step has not converged.
         """
         eta = (min(FORCING_MAX, FORCING_GAMMA * (norm / last_norm) ** 2)
@@ -522,17 +432,29 @@ class ContinuationEngine:
         """Damped Newton on the residual bordered by one scalar constraint.
 
         `current` is the augmented (state, strength) start, `row` the
-        constraint's gradient and `constraint(vec)` its value.  The first
-        iteration solves with the chord: the factored bordered matrix of
-        the exact Jacobian `chord_jac` when one is given, else of the
-        flat-strip Jacobian at the start
-        (`system.WaveSystem.flat_jacobian`).  Later iterations whose layer
-        operators are not factored take a Newton-Krylov step preconditioned
-        by the chord, to the forcing of `_forcing`; a flat chord is first
-        refactored at the current iterate, an exact one is kept.  An
-        iteration without a usable step builds the analytic Jacobian,
-        solves with its bordered factors and keeps them as the new, exact,
-        chord.  Returns (state, strength, iterations, prep, residual norm).
+        constraint's gradient and `constraint(vec)` its value.  Converged
+        once the residual and the constraint are both within newton_tol,
+        after at most newton_max updates; NewtonFailure otherwise.  Each
+        step is halved, at most MAX_HALVINGS times, until the bordered
+        residual norm drops; a trial whose strip degenerates or whose
+        interface meets a vortex counts as a rejected trial.
+
+        The chord is the LU factors of a bordered Jacobian.  An exact
+        chord, the analytic Jacobian `chord_jac` of a branch step's base
+        point, is kept.  Without one the chord is the system's
+        `flat_jacobian` at the start, refactored at the iterate before
+        every later Newton-Krylov step, since it does not follow the
+        iterate as the crest grows.  The first iteration solves with the
+        chord.  A later one whose layer operators are not factored takes a
+        Newton-Krylov step (`_krylov_step`, Knoll & Keyes 2004) to the
+        forcing of `_forcing`; its products are residual-only evaluations,
+        which factor no layer operator, and exact-Jacobian products, so the
+        chord changes how many Krylov vectors a step needs, not the step.
+        An iteration without a usable step (GMRES missed, a difference
+        evaluation raised, or the operators are factored) builds the
+        analytic Jacobian, solves with its bordered factors and keeps them
+        as the new, exact, chord.  Returns (state, strength, iterations,
+        prep, residual norm).
         """
         tol = self.settings.newton_tol
         newton_max = self.settings.newton_max
@@ -597,11 +519,8 @@ class ContinuationEngine:
 
     def newton_correct(self, guess: WaveState, strength: float
                        ) -> tuple[WaveState, int, float, PreparedState]:
-        """Damped Newton at fixed strength; returns the converged state.
-
-        The first chord is the flat-strip Jacobian at `guess`, exact when
-        the guess's elevation is constant, as that of `solve_at` is.
-        """
+        """Damped Newton at fixed strength from `guess`, on a flat chord
+        (`_damped_newton`); returns the converged state."""
         n = self.system.n_unknowns
         state, _, iterations, prep, norm = self._damped_newton(
             np.r_[guess.to_vector(), strength], self._pin_row(),
@@ -636,19 +555,20 @@ class ContinuationEngine:
         return raw / np.sqrt(self.weighted_dot(raw, raw))
 
     def _flat_start(self) -> WaveState:
-        """The flat state, checked; ValidationError outside a guard."""
+        """The flat state, which solves the system at zero strength;
+        ValidationError, a configuration error, outside a guard."""
         origin = self.system.origin()
-        try:
-            self.check_guards(origin)
-        except (VortexTooClose, DegenerateStrip) as exc:
-            raise ValidationError(f"flat state: {exc}") from exc
+        violated = self.check_guards(origin, 0.0)
+        if violated is not None:
+            raise ValidationError(f"flat state violates a guard: "
+                                  f"{violated.value}")
         return origin
 
     def solve_at(self, strength: float) -> BranchPoint:
         """One fixed-strength solve seeded by the first-order origin predictor.
 
-        Raises Terminated when the solution lies outside a guard or the
-        norm cap (`_termination`), before its Jacobian is built.
+        Raises Terminated when the solution violates `check_guards`, before
+        its Jacobian is built.
         """
         origin = self._flat_start()
         tang = self.tangent(self.system.prepare(origin), 0.0,
@@ -656,7 +576,7 @@ class ContinuationEngine:
         guess_vec = origin.to_vector() + (strength / tang[-1]) * tang[:-1]
         guess = WaveState.from_vector(guess_vec, self.system.grid.n_modes)
         state, iterations, norm, solved = self.newton_correct(guess, strength)
-        termination = self._termination(state, strength)
+        termination = self.check_guards(state, strength)
         if termination is not None:
             raise Terminated(termination)
         return self._point(state, strength, norm, iterations,
@@ -665,14 +585,17 @@ class ContinuationEngine:
     # -- branch driver -----------------------------------------------------------------
 
     def continue_branch(self, on_point=None) -> Branch:
-        """Predict, correct, classify; returns the finished branch.
+        """Predict, correct, check; returns the finished branch.
 
-        A converged point is accepted once its Jacobian, diagnostics and
-        tangent are computed; a STEP_FAILURES error among them ends the
-        branch at the last accepted point as a Newton failure; at the flat
-        state, with none before it, it propagates.  An accepted point's
-        prepared state is dropped before the next step: its operators hold
-        the Jacobian's adjoint blocks.
+        The flat state must pass `check_guards` (`_flat_start`), and a
+        later candidate that does not ends the branch before it is
+        accepted, so a finished branch is always a valid prefix.  A step
+        whose corrector raises one of STEP_FAILURES is retried at half the
+        arclength step; below ds_min the branch ends as
+        `classify_termination` names it.  A STEP_FAILURES error in a
+        converged point's Jacobian, diagnostics or tangent ends the branch
+        at the last accepted point as a Newton failure, and propagates at
+        the flat state.  Only accepted points count against max_steps.
         """
         settings = self.settings
         branch = Branch()
@@ -696,7 +619,7 @@ class ContinuationEngine:
                 on_point(point)
             # the budget counts accepted points; halving ds bounds the retries
             if len(branch.points) > settings.max_steps:
-                branch.termination = classify_termination(False, False)
+                branch.termination = Alternative.MAX_STEPS_REACHED
                 return branch
             base = np.r_[state.to_vector(), strength]
             del prep  # the system keeps its arrays, never its operators
@@ -714,11 +637,10 @@ class ContinuationEngine:
                     ds *= 0.5
                     if ds < settings.ds_min:
                         branch.termination = classify_termination(
-                            vortex_block, boundary_block, newton_failed=True,
-                        )
+                            vortex_block, boundary_block)
                         return branch
 
-            branch.termination = self._termination(state, strength)
+            branch.termination = self.check_guards(state, strength)
             if branch.termination is not None:
                 return branch
             if iterations <= FAST_ITERATIONS:

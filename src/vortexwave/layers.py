@@ -1,122 +1,32 @@
-"""Harmonic solves in the two fluid strips via a sigma-mapped collocation grid.
+"""Harmonic solves in the two fluid strips on a sigma-mapped collocation grid.
 
 Every strip here is a lower one: fluid between a rigid wall at y = -d and
-the interface eta above it, pulled back to a fixed rectangle by the vertical
-map
+the interface eta above it, pulled back to tau in [-1, 0] by y = -d +
+(1 + tau) h(x), h = eta + d, tau = 0 on the interface.  The upper fluid
+is the lower strip under -eta, reflected through y -> -y
+(`system.WaveSystem.prepare`); negation is exact in floating point, so
+only its shape derivatives change sign.  Cosine collocation in x on the
+half grid and Chebyshev collocation in tau, Dirichlet data on the
+interface and a zero-Dirichlet gauge on the wall, which gives the k = 0
+Dirichlet-to-Neumann multiplier the value 1/d on a flat strip.
 
-    y = -d + (1 + tau) h(x),      h = eta + d > 0,      tau in [-1, 0],
-
-with tau = 0 the interface and tau = -1 the wall.  The upper fluid over eta
-is the lower strip under -eta, reflected through y -> -y, and
-`system.WaveSystem.prepare` builds it that way.  Negation is exact in
-floating point, so that strip's operator, LU factors and Dirichlet-to-Neumann
-map are bit-identical to those of the upper fluid itself, while its shape
-derivatives, taken in -eta, change sign.  One `LayerOperators` checks,
-solves and differentiates a strip.  Laplace's equation becomes
-
-    u_xx + 2 tau_x u_xtau + (tau_x^2 + 1/h^2) u_tautau + tau_xx u_tau = 0,
-    tau_x  = -(1 + tau) h'(x) / h,
-    tau_xx = -(1 + tau) (h'' h - 2 h'^2) / h^2.
-
-Discretization: cosine collocation in x on the half grid (everything here is
-even), Chebyshev collocation in tau, Dirichlet data on the interface, and a
-zero-Dirichlet gauge on the rigid wall.  The gauge fixes the additive constant
-of the stream function and gives the k = 0 Dirichlet-to-Neumann multiplier
-the value 1/d on a flat strip.
-
-Every solve is matrix-free and built on the flat strip M at the layer's
-mean thickness.  The flat strip separates into one Chebyshev boundary-value
-problem per cosine mode, and all of them share the interior block of
-d^2/dtau^2, which is diagonalized once per vertical resolution; so an
-operator keeps only its per-mode denominators and Dirichlet coupling, and
-applying the preconditioner costs two products with the eigenvector
-matrices, padded to whole tau rows, besides the cosine transforms.  Since
-the cosine synthesis turns -k^2 into the collocated d^2/dx^2, M shares A's
-u_xx term, its Dirichlet rows and, with 1/h^2 for c_tt, its u_tautau term;
-so A M^-1 = I + delta M^-1, with delta = A - M the first-order terms and
-(c_tt - 1/h^2) u_tautau on the interior rows and zero on the Dirichlet rows
-(`_deviation`; Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981, for the same
-saving in a split preconditioner).  Under that split a Richardson step x <-
-x - M^-1 d on the defect d = A x - b is exact bookkeeping: the defect it
-leaves is -delta(M^-1 d), so a step costs the two products of one Krylov
-vector and none of GMRES's basis, orthogonalization, rotations or closing
-flat solve.  Every trace solve and adjoint panel runs one loop,
-`_stationary`: such steps, each column stopping on its defect at GMRES's
-own rule, for as long as each correction M^-1 d is at most KRYLOV_STALL
-times the one before.  The split is far from normal, so a step that
-shrinks the error may still grow the defect; the correction is what is
-judged.  A step whose correction fails that test with its defect above the
-floor, or that turns a defect non-finite, is not applied, and where the
-second correction outgrows the first, the first step is undone too; GMRES
-(Saad & Schultz 1986) then takes the running columns on from the iterate
-left, on A M^-1 v = v + delta(M^-1 v), v less the defect that a
-Richardson step on the defect v leaves, adding M^-1 of its result; and
-where GMRES misses, one LU step x <- x - A^-1 d from the iterate GMRES
-started from.  Below KRYLOV_MIN_UNKNOWNS, or once factored, an operator
-takes the LU step alone, from an adjoint panel's start or from zero.  A
-trace solve, the only solve a residual needs, solves with A, not its
-transpose.  It may start from a guess u0, the same strip's nodal values
-at a nearby state, to the same absolute stopping rule as a solve from
-zero; a guess no better than zero is ignored, and so is any on an
-operator that takes the LU step alone.  Everything the Jacobian reads
-from a layer (the Dirichlet-to-Neumann matrix, the directional shape
-derivatives and the interior-derivative row) is a functional of a
-solve, either the interface u_tau or the vertical derivative at the
-probe, so one adjoint block
-Z = A^-T [E^T | e] of N + 1 columns, and one more with a probe, serves all
-three; it is solved once per operator, on the transposes of delta and of
-the preconditioner.  Its flat counterpart Z0 = M^-T [E^T | e] is a
-closed form (`flat_adjoint_block`): each column of [E^T | e] is rank one
-in (x, tau), so M^-T maps it to the cosine synthesis C times per-mode tau
-profiles P (`_flat_profiles`), one product per panel and no solve.  It is
-Z on a flat strip and the first step from zero elsewhere.  Along a branch
-Z - Z0 grows with the elevation, so every panel of Z starts from Z0 plus
-the last point's Z - Z0, scaled, where the caller hands one over
-(`track_adjoint_deviation`), on every operator alike; the start's defect
-is A^T times it less [E^T | e], whose panels, like their norms, are closed
-forms, so no solve forms [E^T | e] whole.  Read in the place of Z, Z0
-gives the Jacobian's layer products of the flat strip at the layer's mean
-thickness, which the continuation corrector factors as the chord of its
-fixed-strength solve.  The chord takes them from P without forming Z0 (the
-`flat` switch of `dno_matrix`, `interior_dy_row` and `shape_batch`): Z0's
-interface row is C^-T diag(P[:, 0]) C^T, and the shape products contract
-the four tau rows of each x node with P before the one product with C^T
-(`_shape_products`).
-
-Both applies and both preconditioners take a vector or an (x node,
-column, tau node) block.  In that layout each x product is one BLAS
-product on the (nx, k mt) view and each tau product one on the (nx k, mt)
-view, and the Dirichlet rows are the first and last tau nodes; so an apply
-transposes and copies no block.  The operator's first-order coefficients
-are rank one in (x, tau), so those terms are one x product and one tau
-product, X w M^T (`_profiles`), with the tau factor M zero on the
-Dirichlet rows; only the coefficient of u_tautau multiplies a block.  The
-products run on scipy's BLAS and write into `WorkBuffers`: one kept array
-per role, shared by the layer operators of one `system.WaveSystem`, which
-also hold the iterate and defect of the steps and the Krylov basis of
-GMRES, so that neither a step nor a Krylov vector allocates a block.  A
-block is solved a panel of at most BLOCK_COLUMNS columns at a time, so
-every role holds at most one panel.
-
-The explicit terms of the shape derivatives, those of the operator's
-coefficient profiles, of the interface extraction and of the vertical
-derivative at the probe, are closed forms in (h, h_x, h_xx) and h at the
-probe, so no difference step enters the Jacobian.  One row helper,
-`_point_rows`, computed once for the probe, gives the vertical derivative
-there to its evaluation, its adjoint column and its shape derivative.
-The LU step factors the assembled operator densely the first time it is
-taken and keeps the factors.  The GMRES loop
-itself, `gmres`, takes the apply, into which each caller folds its right
-preconditioner, the stop and the caller's buffers, and one right-hand
-side or a block of them; the continuation corrector runs it on the
-bordered Newton system, the factors of its chord folded into the
-difference products.
-
-The factorized operator carries its Dirichlet rows scaled to the largest
-diagonal entry of the interior rows (the Dirichlet entries of every
-right-hand side are scaled to match), so that partial pivoting keeps those
-rows exact; with unit Dirichlet rows the flat-strip DNO matrix picked up
-off-diagonal roundoff that grew with the resolution.
+- `LayerOperators` is one strip's mapped Laplacian A (`_profiles`), with
+  matrix-free applies and the flat strip M at its mean thickness, whose
+  closed-form solves precondition them (`_flat_solve`; A = M + delta,
+  `_deviation`).
+- `LayerOperators._stationary` is the one layer-solve loop: Richardson
+  steps, then GMRES, then one LU step.  `solve` runs it on a trace, and
+  `_adjoint_block` on the panels of the adjoint block Z = A^-T [E^T | e],
+  from a predicted start; Z gives every layer product of the Jacobian
+  (`dno_matrix`, `shape_batch`, `interior_dy_row`).
+- `flat_adjoint_block` is Z's closed-form flat counterpart Z0, and the
+  layer products take a `flat` switch that reads them from Z0's profiles.
+- `gmres` is the one GMRES loop, which the continuation corrector runs
+  too; `WorkBuffers` keeps the scratch of every apply, step and Krylov
+  vector, one array per role; `_blas_product` keeps products on scipy's
+  BLAS (README, "Threads").
+- `flat_dno_symbol` and `flat_interior_dy_symbol` are the flat strip's
+  closed forms, for the validation checks.
 """
 
 from __future__ import annotations
@@ -132,30 +42,24 @@ from scipy.linalg.blas import dgemm
 from .errors import DegenerateStrip, LinearSolveFailure, PointOutsideLayer
 from .spectral import CollocationGrid, EvenField
 
-#: unknown count nx * mt below which a layer solves by its LU step alone,
-#: for trace solves and the adjoint block alike: on grids this small an
-#: iterative step costs about as much whatever its length, and assembly
-#: plus LU costs less than the steps and vectors of a solve
+#: unknown count nx * mt below which a layer solves by its LU step alone
+#: (`LayerOperators._stationary`): on grids this small assembly plus LU
+#: costs less than the steps and vectors of an iterative solve
 KRYLOV_MIN_UNKNOWNS = 500
 
 #: Krylov vectors a GMRES solve may build per column before the LU step
 #: finishes it
 KRYLOV_MAX = 40
 
-#: columns of one panel solve: `LayerOperators._adjoint_block` runs its
-#: block as near-equal panels of at most this many, and so does
-#: `LayerOperators.flat_adjoint_block`, so every `WorkBuffers` role, the
-#: Krylov basis and the Hessenberg and rotation arrays among them, holds
-#: one panel, not the block
+#: columns of one panel: an adjoint block, exact or flat, is formed as
+#: near-equal panels of at most this many, so every `WorkBuffers` role
+#: holds one panel, not the block
 BLOCK_COLUMNS = 22
 
 #: GMRES stopping rule on the relative residual estimate: converged below
 #: KRYLOV_TOL, or below KRYLOV_FLOOR once one vector cuts the estimate by
-#: less than the factor KRYLOV_STALL (stagnation at roundoff).  The
-#: Richardson steps before GMRES (`LayerOperators._stationary`) stop on
-#: their defect by the same rule, with the stagnation judged on their
-#: correction: a step whose correction is more than KRYLOV_STALL times the
-#: last one, above KRYLOV_FLOOR, hands the solve to GMRES
+#: less than the factor KRYLOV_STALL (stagnation at roundoff); the
+#: Richardson steps of `LayerOperators._stationary` stop by the same rule
 KRYLOV_TOL = 1e-14
 KRYLOV_FLOOR = 1e-12
 KRYLOV_STALL = 0.5
@@ -166,30 +70,23 @@ GAP_FLOOR_FRACTION = 0.02
 
 def gmres(apply, rhs: np.ndarray, max_vectors: int, tol: float | np.ndarray,
           floor: float | np.ndarray, work: WorkBuffers) -> np.ndarray | None:
-    """GMRES for apply(x) = rhs; None when it misses.
+    """GMRES (Saad & Schultz 1986) for apply(x) = rhs; None when it misses.
 
     `rhs` is one vector (n,) or a block (a, k, b) of k independent
     right-hand sides, column c being rhs[:, c, :], and apply maps arrays of
     its shape to arrays of its shape; it may return a view of its own
     buffers, consumed before its next call.  A caller folds any right
-    preconditioner M^-1 into `apply` and applies it to the result.  Each
-    column builds at most `max_vectors` Krylov vectors and stops on its
-    own Arnoldi estimate of the relative residual: below `tol`, or below
-    `floor` once one more vector cuts the estimate by less than the factor
-    KRYLOV_STALL (numbers, or one entry per column).  A zero column, and
-    one whose `tol` is at least 1, the estimate before any vector, starts
-    and stays at the zero vector and takes no rotation: its result is
-    exactly zero.  Every column joins every Arnoldi step until the last
-    one stops; a column that stops keeps its back-substituted coefficients
-    ("coefficients"), and one combination of the basis ("krylov i") forms
-    every column ("combined") at the end.  The Gram-Schmidt scratch, the
-    Hessenberg matrix, the rotations and the rotated right-hand side are
-    the `work` roles "gram-schmidt", "hessenberg", "rotations" and "givens
-    rhs", sized by the call's column count.  `rhs` is read before the first
-    `apply`, so it may be a view of a buffer that `apply` overwrites, and a
-    one-column block runs exactly as the vector does.  Returns the solution
-    in the layout of `rhs`, a view of "combined", or None when a running
-    column's estimate turns non-finite or a column runs out of vectors.
+    preconditioner into `apply`.  Each column builds at most `max_vectors`
+    Krylov vectors and stops on its own Arnoldi estimate of the relative
+    residual: below `tol`, or below `floor` once one more vector cuts the
+    estimate by less than the factor KRYLOV_STALL (numbers, or one entry
+    per column).  A zero column, and one whose `tol` is at least 1, stays
+    exactly zero.  All scratch is `work` roles.  `rhs` is read before the
+    first `apply`, so it may be a view of a buffer that `apply`
+    overwrites, and a one-column block runs exactly as the vector does.
+    Returns the solution in the layout of `rhs`, a view of the role
+    "combined", or None when a running column's estimate turns non-finite
+    or a column runs out of vectors.
     """
     b = rhs.reshape(1, 1, -1) if rhs.ndim == 1 or rhs.shape[1] == 1 else rhs
     k = b.shape[1]
@@ -334,12 +231,12 @@ def _interior_eigen(m: int):
 
     The block of rows and columns 1..m-1 of the collocated second
     derivative D (Dirichlet values eliminated) has real, distinct,
-    negative eigenvalues, and V is well conditioned: cond(V) grows from
-    1.4 at m = 8 to 2.7 at m = 128.  Returns lam and V and V^-1 padded
-    for the flat-strip solves on whole tau rows: V with a zero row above
-    and below, (m+1) x (m-1), and [-V^-1 D_ib[:, 0] | V^-1 | -V^-1
-    D_ib[:, 1]], (m-1) x (m+1), whose end columns carry the coupling D_ib
-    of the interior rows to the two Dirichlet values, at unit thickness.
+    negative eigenvalues, and V is well conditioned.  Returns lam and V
+    and V^-1 padded for the flat-strip solves on whole tau rows: V with a
+    zero row above and below, (m+1) x (m-1), and [-V^-1 D_ib[:, 0] | V^-1
+    | -V^-1 D_ib[:, 1]], (m-1) x (m+1), whose end columns carry the
+    coupling D_ib of the interior rows to the two Dirichlet values, at
+    unit thickness.
     """
     d_tau2 = _vertical(m)[2]
     lam, vecs = np.linalg.eig(d_tau2[1:-1, 1:-1])
@@ -359,14 +256,10 @@ class WorkBuffers:
 
     Each role keeps one flat buffer, grown to the largest size asked of it
     and never shrunk, and `view` carves a C-ordered view of any shape from
-    its front; so blocks of every column count share one buffer, and a
-    Krylov vector allocates no block.  The layer operators ask for at most
-    one panel of BLOCK_COLUMNS columns (`LayerOperators._adjoint_block`).  A
-    freshly allocated block costs more than its arithmetic: the allocator
-    returns one of a megabyte to the kernel when it is freed, and the
-    kernel zeroes its pages again on the next touch (README, "Memory").  A
-    view is overwritten by the next request for its role, so a caller
-    consumes it before then, and one set of buffers serves one thread.
+    its front; so no step or Krylov vector allocates a block (README,
+    "Memory").  A view is overwritten by the next request for its role, so
+    a caller consumes it before then, and one set of buffers serves one
+    thread.
     """
 
     def __init__(self):
@@ -405,23 +298,13 @@ class LayerOperators:
     """Mapped-Laplace operator of one strip: wall at y = -depth, interface eta.
 
     Construction raises DegenerateStrip once the thickness eta + depth falls
-    to GAP_FLOOR_FRACTION * depth at a half-grid node, the solver's
-    degeneracy floor; an interface below the wall has negative thickness.
-    It keeps only the variable coefficients, folded as `_profiles`
-    describes: the x factor X of the first-order terms and the coefficient
-    c_tt of u_tautau, zero on the Dirichlet rows.  `probe`, when given, is
-    the interior point whose vertical derivative the operator reports
-    (`eval_interior_dy`, `interior_dy_row`, `shape_batch`); its rows are
+    to GAP_FLOOR_FRACTION * depth at a half-grid node; an interface below
+    the wall has negative thickness.  It keeps only the variable
+    coefficients of `_profiles`.  `probe`, when given, is the interior
+    point whose vertical derivative the operator reports; its rows are
     computed on first use, which raises PointOutsideLayer for a point
-    outside the strip.  A trace solve (`solve`) and each panel of the
-    adjoint block behind `dno_matrix`, `shape_batch` and
-    `interior_dy_row` run one loop on matrix-free applies, `_stationary`,
-    which factors the operator only when it has fewer than
-    KRYLOV_MIN_UNKNOWNS unknowns or GMRES misses within KRYLOV_MAX
-    vectors; every later solve on it is then one LU step.
-    The applies, the steps and the GMRES solves write into
-    `work`, the buffers shared with the caller's other operators, or into
-    buffers of the operator's own when none are given.
+    outside the strip.  Every solve writes into `work`, the buffers shared
+    with the caller's other operators, or into buffers of its own.
     """
 
     def __init__(self, grid: CollocationGrid, depth: float, eta: EvenField,
@@ -473,8 +356,7 @@ class LayerOperators:
         self._c_tt_deviation[:, ::mt - 1] = 0.0
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
-        # Z - Z0 of the adjoint block, kept when the caller asks
-        # (`track_adjoint_deviation`)
+        # kept when the caller asks (`track_adjoint_deviation`)
         self.adjoint_deviation: np.ndarray | None = None
 
     @cached_property
@@ -520,19 +402,20 @@ class LayerOperators:
     # -- solves -------------------------------------------------------------
 
     def _block(self, u: np.ndarray) -> np.ndarray:
-        """u as an (nx, k, mt) block; a vector (n,) is the block k = 1."""
+        """u as an (nx, k, mt) block; a vector (n,) is the block k = 1.
+
+        Every apply takes this layout (x node, column, tau node): each x
+        product is one BLAS product on the (nx, k mt) view and each tau
+        product one on the (nx k, mt) view, so no apply copies a block.
+        """
         return u.reshape(self.grid.n_modes + 1, -1,
                          self.m_vertical + 1)
 
     def _apply(self, u: np.ndarray) -> np.ndarray:
-        """Matrix-free operator apply, Dirichlet rows replaced by identity.
-
-        `u` is one vector (n,) or an (nx, k, mt) block (x node, column, tau
-        node); the result has its shape and is a view of the work buffer
-        "apply".  On each column w (x rows, tau columns) the interior rows
-        are D2x w plus the variable terms of `_variable`, the x product on
-        the (nx, k mt) view on scipy's BLAS.
-        """
+        """Matrix-free operator apply, Dirichlet rows replaced by identity:
+        D2x w plus `_variable` on the interior rows.  `u` is a vector or a
+        block (`_block`); the result, of its shape, is a view of the work
+        buffer "apply"."""
         w = self._block(u)
         nx = w.shape[0]
         out = self._work.view("apply", w.shape)
@@ -553,9 +436,8 @@ class LayerOperators:
             L^T w = D2x^T w + X^T w M + (c_tt w) D2tau.
 
         M and c_tt vanish on the Dirichlet rows, so they read P v as v, and
-        D2x^T P v vanishes there, where Q v puts v itself.  The x product
-        runs on the (nx, k mt) view, and `_variable_transpose` adds the
-        rest; the result is a view of the work buffer "apply".
+        D2x^T P v vanishes there, where Q v puts v itself.  The result is a
+        view of the work buffer "apply".
         """
         w = self._block(v)
         nx = w.shape[0]
@@ -569,15 +451,13 @@ class LayerOperators:
 
     def _variable(self, w: np.ndarray, c_tt: np.ndarray, out: np.ndarray,
                   accumulate: bool = False) -> None:
-        """X w M^T + c_tt (w D2tau^T) on an (nx, k, mt) block w, into out.
+        """X w M^T + c_tt (w D2tau^T) on an (nx, k, mt) block w, into out,
+        or added to it when `accumulate`.
 
-        The first-order terms of `_profiles`, M their tau factor, and a
-        u_tautau coefficient c_tt, zero on the Dirichlet rows, as both are:
-        `_apply` passes the operator's own and `_deviation` the part that
-        differs from the flat strip's.  The tau products run on the
-        (nx k, mt) view and the x product on the (nx, k mt) view, on
-        scipy's BLAS; c_tt broadcasts over the columns, and the result is
-        written into `out`, or added to it when `accumulate`.
+        The first-order terms of `_profiles` and a u_tautau coefficient
+        c_tt, zero on the Dirichlet rows, as both are: `_apply` passes the
+        operator's own and `_deviation` the part that differs from the flat
+        strip's.
         """
         nx, _, mt = w.shape
         part = self._work.view("scratch", w.shape)
@@ -593,12 +473,8 @@ class LayerOperators:
     def _variable_transpose(self, w: np.ndarray, c_tt: np.ndarray,
                             out: np.ndarray, accumulate: bool = False
                             ) -> None:
-        """Transpose of `_variable`: X^T w M + (c_tt w) D2tau, into out.
-
-        The x product runs on the (nx, k mt) view and both tau products on
-        the (nx k, mt) view, on scipy's BLAS, written into `out`, or added
-        to it when `accumulate`.
-        """
+        """Transpose of `_variable`: X^T w M + (c_tt w) D2tau, into out,
+        or added to it when `accumulate`."""
         nx, _, mt = w.shape
         part = self._work.view("scratch", w.shape)
         _blas_product(self._mixed_x.T, w.reshape(nx, -1),
@@ -617,9 +493,8 @@ class LayerOperators:
         interior rows D2x w + (w D2tau^T) / h^2, h the mean thickness, since
         the cosine synthesis turns -k^2 into D2x, and the identity on the
         Dirichlet rows.  So delta is `_variable` with the coefficient
-        c_tt - 1/h^2, zero on the Dirichlet rows, and A M^-1 = I +
-        delta M^-1.  Shapes are as in `_apply`; the result is a view of the
-        work buffer "apply".
+        c_tt - 1/h^2, zero on the Dirichlet rows.  Shapes are as in
+        `_apply`; the result is a view of the work buffer "apply".
         """
         w = self._block(u)
         out = self._work.view("apply", w.shape)
@@ -629,13 +504,10 @@ class LayerOperators:
 
     @cached_property
     def _flat_strip(self):
-        """(lam / h^2 - k^2, padded V^-1, padded V) of the flat strip.
-
-        The per-mode denominators of the diagonalized interior blocks at
-        the mean thickness h, one row per cosine mode k, the padded V^-1 of
-        `_interior_eigen` with its two coupling columns divided by h^2, and
-        its padded V; both preconditioner applies read them.
-        """
+        """(lam / h^2 - k^2, padded V^-1, padded V) of the flat strip at
+        the mean thickness h: the per-mode denominators, one row per cosine
+        mode k, and `_interior_eigen`'s padded matrices, the coupling
+        columns of V^-1 divided by h^2."""
         h2 = self._mean_h2
         lam, vecs_pad, inv_pad = _interior_eigen(self.m_vertical)
         inv_pad = inv_pad.copy()
@@ -653,11 +525,8 @@ class LayerOperators:
         its two Dirichlet values and solves its interior rows by
         diagonalizing the interior block (`_interior_eigen`):
         u_i = V diag(1 / (lam / h^2 - k^2)) V^-1 (r_i - D_ib r_b / h^2).
-        On whole tau rows these are the products with the transposes of
-        the padded V^-1, whose end columns hold the coupling, and of the
-        padded V.  `rhs` and the result are as in `_apply`; the result is a
-        view of the work buffer "precondition".  The products run on
-        scipy's BLAS.
+        `rhs` and the result are as in `_apply`; the result is a view of
+        the work buffer "precondition".
         """
         grid = self.grid
         _, inv_pad, vecs_pad = self._flat_strip
@@ -673,10 +542,8 @@ class LayerOperators:
         rows b and the interior rows [D_ib / h^2, S], S = D_ii / h^2 - k^2
         with D the collocated d^2/dtau^2; so T^-T r has the interior part
         S^-T r_i = V^-T diag(1 / (lam / h^2 - k^2)) V^T r_i and the
-        Dirichlet part r_b - D_ib^T (S^-T r_i) / h^2.  On whole tau rows
-        these are the products with the padded V and with the padded V^-1,
-        whose end columns give the Dirichlet part.  The result is a view of
-        the work buffer "precondition"; the products run on scipy's BLAS.
+        Dirichlet part r_b - D_ib^T (S^-T r_i) / h^2.  The result is a view
+        of the work buffer "precondition".
         """
         grid = self.grid
         _, inv_pad, vecs_pad = self._flat_strip
@@ -741,13 +608,9 @@ class LayerOperators:
 
     def _richardson_step(self, defect: np.ndarray, transposed: bool = False
                          ) -> tuple[np.ndarray, np.ndarray]:
-        """(u, delta u) for u = M^-1 d, or (u, delta^T u) for u = M^-T d.
-
-        An iterate x with the defect d = A x - b moves to x - u, whose
-        defect is d - (M + delta) u = -delta u, exactly: one step costs the
-        two products of a GMRES vector.  The two are views of the work
-        buffers "precondition" and "apply".
-        """
+        """(u, delta u) for u = M^-1 d, or (u, delta^T u) for u = M^-T d:
+        one Richardson step of `_stationary`, as views of the work buffers
+        "precondition" and "apply"."""
         flat_solve = (self._flat_solve_transpose if transposed
                       else self._flat_solve)
         u = flat_solve(defect)
@@ -756,33 +619,40 @@ class LayerOperators:
     def _stationary(self, iterate: np.ndarray, defect: np.ndarray,
                     size: np.ndarray | None, transposed: bool = False
                     ) -> None:
-        """Solve A x = b, or A^T x = b, in place from x = `iterate`.
+        """Solve A x = b, or A^T x = b, in place from x = `iterate`: the
+        one layer-solve loop, Richardson steps, then GMRES, then one LU
+        step, each taking the running columns on from where the last left.
 
         `iterate` is a vector or a contiguous (nx, k, mt) panel, `defect`
-        its A x - b, and `size` the array of |b_c|, one per column.  On an
-        operator that solves directly (`_direct`) the loop is one LU step,
-        x <- x - A^-1 d (`_solve_rhs`), and `size` may be None.  Elsewhere
-        Richardson steps on the flat-strip split (`_richardson_step`) run
-        while each correction u = M^-1 d, or M^-T d, is at most
-        KRYLOV_STALL times the last one in every running column, and each
-        column stops at GMRES's own rule on its defect: |d_c| below
-        KRYLOV_TOL |b_c|, or below KRYLOV_FLOOR |b_c| once its correction
-        has stalled so.  The defect and the one before the last applied
-        step are kept in the work buffers "defect" and "last defect", which
-        trade places at every applied step.  A step that turns a running
-        column's defect non-finite, or whose correction stalls with the
-        defect it leaves above the floor, is not applied; if it is the
-        second step, each column whose correction grew has the first step
-        undone, its iterate and defect restored from the defect before it.
-        GMRES on A M^-1 v = v + delta M^-1 v, v plus the second output of
-        `_richardson_step` on v, or on A^T M^-T, then takes the running
-        columns on, each stopping at the same absolute defect
-        (relax = |b_c| / |d_c|); a column that has stopped has its defect
-        zeroed, so GMRES keeps it where it is.  Every applied step after
-        the first has at least halved the correction of a column still
-        running, so the steps end on their own.  Where GMRES misses, or its
-        result is not finite, the LU step from the iterate it started from
-        finishes the running columns.
+        its A x - b, and `size` the array of |b_c|, one per column.  Each
+        column stops at GMRES's rule on its defect: |d_c| below KRYLOV_TOL
+        |b_c|, or below KRYLOV_FLOOR |b_c| once its correction has stalled.
+
+        Richardson steps on the flat-strip split A = M + delta
+        (`_richardson_step`; Eisenstat, SIAM J. Sci. Stat. Comput. 2,
+        1981): x <- x - u, u = M^-1 d, leaves the defect -delta u exactly,
+        so a step costs the two products of one Krylov vector and none of
+        GMRES's basis, orthogonalization or rotations.  The split is far
+        from normal, so a step that shrinks the error may grow the defect:
+        the correction u is what is judged.  Steps run while each
+        correction is at most KRYLOV_STALL times the last in every running
+        column.  A step that turns a running defect non-finite, or whose
+        correction stalls with its defect above the floor, is not applied;
+        if it is the second, each column whose correction grew has the
+        first step undone from the defect before it (the work buffers
+        "defect" and "last defect", which trade places at every applied
+        step).  Every applied step after the first has at least halved a
+        running column's correction, so the steps end on their own.
+
+        GMRES on A M^-1 v = v + delta M^-1 v, or the transposes, then takes
+        the running columns on, each to the same absolute defect
+        (relax = |b_c| / |d_c|); a stopped column's defect is zeroed, so
+        GMRES keeps it where it is.  Where GMRES misses within KRYLOV_MAX
+        vectors, or its result is not finite, one LU step x <- x - A^-1 d
+        (`_solve_rhs`) from the iterate GMRES started from finishes the
+        running columns.  That factors the operator, which from then on
+        solves directly (`_direct`), as one below KRYLOV_MIN_UNKNOWNS
+        does: the loop is the LU step alone, and `size` may be None.
         """
         if self._direct:
             iterate -= self._solve_rhs(defect, transposed)
@@ -841,13 +711,11 @@ class LayerOperators:
         """Nodal values (x node, tau node) of a trace's harmonic extension.
 
         A^-1 r, r the trace on the interface rows, by `_stationary` from
-        zero.  `guess`, nodal values of the same shape, typically this
-        strip's solution at a nearby state, starts the solve from a copy,
-        to the same absolute stopping rule as a solve from zero; a guess
-        that already meets that rule takes no step.  A guess whose residual
-        is no smaller than r is ignored, and so is any guess on an operator
-        that solves directly, so that its solves repeat bit for bit.  The
-        result is a fresh array.
+        zero, or from a copy of `guess`, nodal values typically of this
+        strip at a nearby state, to the same absolute stopping rule.  A
+        guess whose residual is no smaller than r is ignored, and so is any
+        on an operator that solves directly, so that its solves repeat bit
+        for bit.  The result is a fresh array.
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -888,14 +756,11 @@ class LayerOperators:
     def dno_matrix(self, flat: bool = False) -> np.ndarray:
         """Trace coefficients -> Dirichlet-to-Neumann coefficients.
 
-        A solve keeps the trace as its interface values, so their x
-        derivative needs no solve, and the interface u_tau of the solve for
-        trace coefficients c is E A^-1 B c = Z^T B c, B placing the trace's
-        half-grid values on the interface rows (Z from `_adjoint_block`).
-        When `flat`, Z is the `flat_adjoint_block` Z0, whose interface row
-        Z0[:, :N+1, 0] is C^-T diag(P[:, 0]) C^T (`_flat_profiles`), so
-        Z0^T B = C diag(P[:, 0]), C the cosine synthesis, and no block is
-        formed.
+        The x derivative of the trace needs no solve, and the interface
+        u_tau of the solve for trace coefficients c is E A^-1 B c = Z^T B c,
+        B placing the trace's half-grid values on the interface rows.  When
+        `flat`, Z is Z0, whose interface row C^-T diag(P[:, 0]) C^T
+        (`flat_adjoint_block`) gives Z0^T B = C diag(P[:, 0]).
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -910,10 +775,8 @@ class LayerOperators:
 
     def _add_adjoint_columns(self, out: np.ndarray, panel: slice,
                              factor: float) -> None:
-        """Add `factor` times the columns `panel` of [E^T | e], the
-        right-hand sides of `_adjoint_block`, to the (nx, panel width, mt)
-        block `out`, in closed form: column j < nx is d_tau[0] at x node j,
-        and e the probe's x row times its tau row."""
+        """Add `factor` times the columns `panel` of [E^T | e] to the
+        (nx, panel width, mt) block `out`, in closed form."""
         nx = self.grid.n_modes + 1
         nodes = np.arange(panel.start, min(panel.stop, nx))
         out[nodes, nodes - panel.start] += factor * self._d_tau[0]
@@ -945,20 +808,25 @@ class LayerOperators:
         Z^T r: the Dirichlet-to-Neumann matrix, the shape derivatives and
         the interior-derivative row.  `_stationary` solves the columns a
         panel at a time, transposed, each to the absolute rule of `solve`,
-        |rhs_c| from `_adjoint_column_norms`, on a contiguous copy of the
-        panel (the work buffer "iterate") written back to Z once.  Every
-        panel starts from `flat_adjoint_block`, Z0 = M^-T [E^T | e], exact
-        on a flat strip, plus the panel of `adjoint_deviation` when the
-        block is tracked (`track_adjoint_deviation`), and its defect is
-        A^T times that start less the panel of [E^T | e], added in closed
-        form (`_add_adjoint_columns`); so [E^T | e] is never formed whole.
-        An operator that solves directly (`_direct`), which includes every
-        panel after one whose GMRES missed and whose LU step factored the
-        operator, takes the LU step from that start; the panels solved
-        before are kept.  A tracked block writes each panel's Z - Z0 into
-        `adjoint_deviation`, so that the array ends as its own Z - Z0.  The
-        block is (nx, k, mt), column c of Z being Z[:, c, :], solved once,
-        on first use, and read-only.
+        |rhs_c| from `_adjoint_column_norms`; the panels solved before one
+        whose LU step factors the operator are kept.
+
+        Every panel starts from a prediction: the flat block Z0 =
+        `flat_adjoint_block` plus the panel of `adjoint_deviation` when the
+        block is tracked (`track_adjoint_deviation`).  Along a branch
+        Z - Z0 grows with the elevation, so the last point's Z - Z0, scaled
+        by lambda = <eta, eta_prev> / <eta_prev, eta_prev> over the
+        elevation coefficients (`system.WaveSystem.jacobian_prepared`),
+        predicts this point's to first order (Allgower & Georg, Numerical
+        Continuation Methods, 1990); with none kept, or lambda = 0, the
+        start is Z0.  Its defect is A^T times it less the panel of [E^T |
+        e], added in closed form (`_add_adjoint_columns`).  A tracked block
+        writes each solved panel's Z - Z0 into `adjoint_deviation`, the
+        next point's prediction.  The start changes how many vectors a
+        panel needs, not what it converges to.
+
+        The block is (nx, k, mt), column c of Z being Z[:, c, :], solved
+        once, on first use, and read-only.
         """
         nx, mt = self.grid.n_modes + 1, self.m_vertical + 1
         z = self.flat_adjoint_block()
@@ -985,29 +853,20 @@ class LayerOperators:
 
     def track_adjoint_deviation(self, predicted: np.ndarray | None = None
                                 ) -> None:
-        """Have `_adjoint_block` leave its Z - Z0 in `adjoint_deviation`.
-
-        Z0 is the `flat_adjoint_block`.  `predicted`, a float32 array of
-        the block's shape, typically a nearby block's Z - Z0 scaled to
-        this state, starts the solve from Z0 + predicted, and the block's
-        own Z - Z0 is then written over it; without one the block starts
-        from Z0, exactly as an untracked one, and writes into fresh zeros.
-        float32 suffices, since the array only starts the solve.  Call it
-        before the block's first use.
-        """
+        """Have `_adjoint_block` leave its Z - Z0 in `adjoint_deviation`,
+        starting from Z0 + `predicted`, a float32 array of the block's
+        shape that it overwrites, or from Z0 into fresh zeros.  float32
+        suffices, since the array only starts the solve.  Call it before the
+        block's first use."""
         self.adjoint_deviation = predicted if predicted is not None else (
             np.zeros((self.grid.n_modes + 1,
                       self.grid.n_modes + 1 + (self.probe is not None),
                       self.m_vertical + 1), np.float32))
 
     def _flat_profiles(self, tau_row: np.ndarray) -> np.ndarray:
-        """Per-mode tau profiles of M^-T on a column x-part (x) tau_row.
-
-        `_flat_solve_transpose` maps a rank-one column a (x) b to C^-T
-        diag(C^T a) P, whose row k, P[k] = T_k^-T b, is the transposed
-        solve of mode k (same notation): its interior part
-        (b V / (lam / h^2 - k^2)) V^-1 on whole tau rows, plus b's two
-        Dirichlet entries.  Returns P as a fresh (nx, mt) array.
+        """The per-mode tau profiles P of M^-T on a column a (x) tau_row,
+        row k the transposed solve of mode k (`_flat_solve_transpose`), as
+        a fresh (nx, mt) array; M^-T maps the column to C^-T diag(C^T a) P.
         """
         den, inv_pad, vecs_pad = self._flat_strip
         inner = _blas_product(tau_row[None, :], vecs_pad) / den
@@ -1025,9 +884,8 @@ class LayerOperators:
 
     @cached_property
     def _flat_probe_column(self) -> np.ndarray:
-        """The probe column of the flat block, C^-T diag(C^T row_x) P_e
-        for e = row_x (x) (2/h) t-row (`_flat_profiles`), as an (nx, mt)
-        array; read-only."""
+        """The probe column of the flat block, as a read-only (nx, mt)
+        array."""
         grid = self.grid
         row_x, t_rows, h = self._probe_rows
         x_modes = _blas_product(row_x[None, :], grid._cos_mat)
@@ -1038,22 +896,19 @@ class LayerOperators:
         return column
 
     def flat_adjoint_block(self) -> np.ndarray:
-        """M^-T [E^T | e]: `_adjoint_block` with the flat strip M for A.
+        """Z0 = M^-T [E^T | e]: `_adjoint_block` with the flat strip M for
+        A, exact on a strip of constant thickness, in closed form.
 
         Column j of E^T is the x unit vector j times the tau row d_tau[0],
         and e is the probe's x row times its tau row, so each column is
         rank one in (x, tau) and M^-T maps it to C^-T diag(C^T a) P
         (`_flat_profiles`), C the cosine synthesis: the columns of E^T
         share one P, and their x parts C^T e_j are the rows of C.  So a
-        panel of them is one product of C^-T with the (mode, column, tau)
-        block C[j, k] P[k], formed in the work buffer "scratch" and
-        multiplied into "precondition", a panel at a time, so that no
-        buffer outgrows a panel; the probe column is `_flat_probe_column`.
-        It is the start Z0 of `_adjoint_block`, which solves into it, and
-        exact on a strip of constant thickness: a fresh array, computed on
-        every call.  The flat chord reads its products in closed form
-        (`dno_matrix`, `interior_dy_row` and `shape_batch` with `flat`),
-        not from this block.
+        panel of them is one product of C^-T with the block C[j, k] P[k].
+        The flat chord's layer products read the same closed form without
+        forming Z0 (`flat` of `dno_matrix`, `interior_dy_row`,
+        `shape_batch`).  Returns a fresh array, which `_adjoint_block`
+        solves into.
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -1122,8 +977,7 @@ class LayerOperators:
 
     def interior_dy_row(self, flat: bool = False) -> np.ndarray:
         """Row functional: trace coefficients -> vertical derivative at the
-        probe, read from `_adjoint_block`, or, when `flat`, from the flat
-        block's probe column (`_flat_probe_column`)."""
+        probe, read from Z's probe column, or Z0's when `flat`."""
         nx = self.grid.n_modes + 1
         column = (self._flat_probe_column[:, 0] if flat
                   else self._adjoint_block[:, nx, 0])
@@ -1149,13 +1003,12 @@ class LayerOperators:
         Y[j] = Z[j] G[j], G[j] holding the g_t[j] as columns: nx small
         products, then one.  The interface extraction and the probe
         functional 2 u_t / h, whose t = 2 (y + d) / h - 1 moves with h, add
-        their own derivatives in closed form.  Returns (dno_dirs,
-        interior_dy_dirs) where dno_dirs[:, k] holds half-grid values of
-        the derivative of the interface extraction and interior_dy_dirs[k]
-        the derivative of the vertical derivative at the probe (None
-        without one), for the solution `values`.  When `flat`, the
-        `flat_adjoint_block` takes the place of Z, in closed form
-        (`_shape_products`).
+        their own derivatives in closed form, so no difference step enters
+        the Jacobian.  Returns (dno_dirs, interior_dy_dirs) where
+        dno_dirs[:, k] holds half-grid values of the derivative of the
+        interface extraction and interior_dy_dirs[k] the derivative of the
+        vertical derivative at the probe (None without one), for the
+        solution `values`.  When `flat`, Z0 takes the place of Z.
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -1197,12 +1050,10 @@ class LayerOperators:
         """Y[j] = G[j] Z[j]^T of `shape_batch` for every x node j, an
         (nx, 4, columns) array, G the (nx, 4, mt) tau rows.
 
-        When `flat`, Z is the `flat_adjoint_block` Z0, whose E^T columns
-        are Z0[j, c] = sum_k C^-T[j, k] C[c, k] P[k] (`_flat_profiles`), so
-        Y[j, t, c] = sum_k C^-T[j, k] C[c, k] (G[j, t] . P[k]): one product
-        of G with P^T, a scaling by C^-T and one product with C^T, and the
-        probe column is G[j] times `_flat_probe_column`[j].  No block is
-        formed.
+        When `flat`, Z0's columns Z0[j, c] = sum_k C^-T[j, k] C[c, k] P[k]
+        (`flat_adjoint_block`) give Y[j, t, c] = sum_k C^-T[j, k] C[c, k]
+        (G[j, t] . P[k]): one product of G with P^T, a scaling by C^-T and
+        one product with C^T.
         """
         grid = self.grid
         nx, _, mt = g.shape
@@ -1226,15 +1077,13 @@ class LayerOperators:
 
 def _blas_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
                   accumulate: bool = False) -> np.ndarray:
-    """a @ b on scipy's BLAS; C- or Fortran-ordered operands are not copied.
+    """a @ b on scipy's BLAS, not numpy's (README, "Threads"); C- or
+    Fortran-ordered operands are not copied.
 
     With `out`, a C-ordered array of the product's shape, the product is
-    written into it, or added to it when `accumulate` (dgemm's beta = 1),
-    and `out` is returned.  numpy's products run on numpy's own OpenBLAS
-    pool, whose threads, once woken, keep spinning against scipy's LAPACK
-    calls (README, "Threads").  Fortran BLAS computes the transposed
-    product b^T a^T, in which a C-ordered operand's transpose is
-    Fortran-ordered, and so is that of `out`.
+    written into it, or added to it when `accumulate`, and `out` is
+    returned.  Fortran BLAS computes the transposed product b^T a^T, in
+    which a C-ordered operand's transpose is Fortran-ordered.
     """
     at, trans_a = (a.T, 0) if a.flags.c_contiguous else (a, 1)
     bt, trans_b = (b.T, 0) if b.flags.c_contiguous else (b, 1)

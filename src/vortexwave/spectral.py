@@ -1,17 +1,13 @@
 """Cosine/sine pseudo-spectral machinery on a symmetric periodic grid.
 
 Everything in the solver lives on one period (-L, L] sampled at the 2N
-equispaced nodes x_j = -L + j L/N.  Fields split by parity: even fields are
-cosine series a_k cos(k pi x / L) for k = 0..N, odd fields are sine series
-b_k sin(k pi x / L) for k = 1..N.  Coefficient arrays always have length
-N + 1 with the index equal to the mode number; slot 0 of an odd field is
-fixed at zero.
-
-Nodes are constructed so that the second half of the grid is the exact
-floating-point mirror of the first half.  Nodal arrays of even fields are
-produced by evaluating on the half grid and unfolding symmetrically, which
-keeps parity exact in floating point; the parity check in to_even then only
-trips on genuinely asymmetric data.
+equispaced nodes x_j = -L + j L/N.  Even fields are cosine series
+a_k cos(k pi x / L), k = 0..N, and odd fields sine series b_k sin(k pi x
+/ L); a coefficient array has length N + 1, indexed by mode number, with
+slot 0 of an odd field zero.  The second half of the grid mirrors the
+first exactly in floating point, and even fields are evaluated on the half
+grid and unfolded, so parity is exact and the parity check of `to_even`
+trips only on genuinely asymmetric data.
 """
 
 from __future__ import annotations
@@ -45,10 +41,6 @@ class EvenField:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.size - 1
-
 
 @dataclass(frozen=True)
 class OddField:
@@ -67,10 +59,6 @@ class OddField:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.size - 1
-
 
 class CollocationGrid:
     """2N-point periodic grid on (-L, L] with parity-aware transforms.
@@ -87,9 +75,6 @@ class CollocationGrid:
             raise ValueError("n_modes must be even and >= 4")
         self.half_period = float(half_period)
         self.n_modes = n_modes
-
-    def __repr__(self):
-        return f"CollocationGrid(half_period={self.half_period!r}, n_modes={self.n_modes})"
 
     # -- geometry ---------------------------------------------------------
 

@@ -12,36 +12,19 @@ strength as the continuation parameter.  The four residual blocks are
 
 All fields live on the even cosine band of a CollocationGrid; residual
 blocks are collocated on the half grid and projected back to coefficients,
-so parity is exact by construction.  The residual and its strength derivative
-are each one vector of the four blocks' coefficients, the drift last, in the
-order of `WaveState.to_vector`.  Each fluid is one FluidLayer, and every
-block is one per-layer expression over the two: a layer of sign +1 (lower)
-or -1 (upper) sees sign * strength and is solved as the lower strip under
-sign * elevation, so this is the only module that knows which side a layer
-is on.  A FluidLayer holds its strip's one `layers.LayerOperators`, probed at
-the vortex on the lower side, and the nodal values of its trace solve.
+so parity is exact by construction.  The residual and its strength
+derivative are each one vector in the order of `WaveState.to_vector`.
+Each fluid is one FluidLayer, which holds its strip's one
+`layers.LayerOperators`, and every block is one per-layer expression over
+the two, so this is the only module that knows which side a layer is on.
 
-A WaveSystem decides where its layer solves start, from arrays it
-keeps.  Each prepare starts its trace solves from the nodal values of the
-last state prepared: in the continuation corrector that is a nearby state,
-the last difference point about 1e-7 away, the last damping trial, or a
-branch step's base point.  Each analytic Jacobian after the first starts its
-adjoint blocks from the last one's Z - Z0, scaled by the elevation (Allgower
-& Georg, Numerical Continuation Methods, 1990), or from Z0 at the
-second.  Starts change how many Krylov vectors a solve builds, not what it
-converges to.  The system keeps no prepared state and no operator, whose
-adjoint blocks would outlive their point.
-
-The analytic Jacobian assembles the true Fréchet derivative: the quadratic
-velocity terms contribute (state factor) * (derivative factor), and the
-composition of the vortex traces with the moving interface contributes
-strength-weighted second-derivative terms in the elevation block.
-flat_jacobian is the same assembly with each layer's solves replaced by
-its flat strip's, cheap and exact on strips of constant thickness, which
-the continuation corrector factors as the chord of its fixed-strength
-solve, at the guess and before each Newton-Krylov step.
-jacobian_fd is a literal central difference of the residual and serves as
-the referee for the analytic assembly.
+- `WaveSystem.prepare` solves both layers for a state's traces, from the
+  last state's nodal values; `residual_prepared` reads them.
+- `jacobian_prepared` is the analytic Jacobian, the true Fréchet
+  derivative, its adjoint blocks predicted from the last one's;
+  `flat_jacobian` is the flat chord; `flat_linearization` is the origin
+  Jacobian from multipliers alone; `jacobian_fd` and
+  `strength_derivative_fd` are central-difference referees.
 """
 
 from __future__ import annotations
@@ -162,9 +145,9 @@ class FluidLayer:
 
     sign is +1 for the lower fluid and -1 for the upper: the layer sees
     sign * strength, and its strip lies under sign * elevation.  weight is
-    its signed density in the dynamic block.  The operator's probe is the
-    interior point whose vertical derivative enters the drift row (None:
-    no drift row), and values the nodal values of the trace solve.
+    its signed density in the dynamic block, values the nodal values of
+    the trace solve, and the operator's probe, when set, the point whose
+    vertical derivative enters the drift row.
     """
 
     sign: float
@@ -206,10 +189,9 @@ class WaveSystem:
         self.pair_speed = pair_induced_speed(params.pair, params.half_period)
         # scratch of every layer operator this system builds
         self._work = WorkBuffers()
-        # what the last solves leave to start the next: the (upper, lower)
-        # nodal values of the last state prepared, and the elevation
-        # coefficients and (upper, lower) float32 Z - Z0 of the last
-        # analytic Jacobian
+        # the starts of the next solves: the (upper, lower) nodal values of
+        # the last state prepared, and the elevation and (upper, lower)
+        # float32 Z - Z0 of the last analytic Jacobian
         self._values = (None, None)
         self._elevation: np.ndarray | None = None
         self._deviations: list[np.ndarray | None] = [None, None]
@@ -228,7 +210,9 @@ class WaveSystem:
 
         Each layer's trace solve starts from its nodal values at the last
         state this system prepared (`layers.LayerOperators.solve`), which
-        it keeps in their place.
+        it keeps in their place: in the continuation corrector that is a
+        nearby state.  The system keeps no prepared state and no operator,
+        whose adjoint blocks would outlive their point.
         """
         g = self.grid
         p = self.params
@@ -323,18 +307,13 @@ class WaveSystem:
                           ) -> np.ndarray:
         """Analytic Jacobian over (elevation, upper trace, lower trace, speed).
 
-        Each layer's adjoint block starts from its flat block plus the
-        Z - Z0 this system kept from its last analytic Jacobian, scaled by
-        lambda = <eta, eta_prev> / <eta_prev, eta_prev> over the elevation
-        coefficients, and writes its own Z - Z0 over it
-        (`layers.LayerOperators.track_adjoint_deviation`), whether its
-        panels take Richardson steps, GMRES or the LU step.  lambda is 0
-        when the last elevation is zero, which zeroes the kept Z - Z0, and
-        at the system's second analytic Jacobian there is none to scale:
-        either way the block starts flat.  A system's first analytic
-        Jacobian keeps none, so a run that builds one allocates none.  The
-        start changes how the blocks are solved, not the Jacobian, to the
-        solves' tolerance.
+        The quadratic velocity terms contribute (state factor) *
+        (derivative factor), and the vortex traces, composed with the
+        moving interface, strength-weighted second derivatives in the
+        elevation block.  Each layer's adjoint block starts from the
+        prediction of `layers.LayerOperators._adjoint_block`, whose Z - Z0
+        this system keeps and scales in place; the first analytic Jacobian
+        keeps none, so a run that builds one allocates none.
         """
         eta = prep.state.elevation.coeffs
         last, self._elevation = self._elevation, eta
@@ -352,14 +331,16 @@ class WaveSystem:
         return jac
 
     def flat_jacobian(self, prep: PreparedState, strength: float) -> np.ndarray:
-        """The analytic Jacobian with each layer's solves on its flat strip.
+        """The flat chord: the analytic Jacobian with each layer's solves on
+        its flat strip.
 
-        Each layer's products are those of its `flat_adjoint_block`, M^-T
-        [E^T | e] with M the flat strip at the layer's mean thickness, in
-        place of A^-T [E^T | e], taken in closed form without forming the
-        block (`layers.LayerOperators.shape_batch` with `flat`): no solve,
-        and exact where both strips have constant thickness.  Everything
-        else is as in `jacobian_prepared`.
+        Each layer's adjoint block A^-T [E^T | e] is replaced by its
+        closed-form flat block Z0 = M^-T [E^T | e], M the flat strip at the
+        layer's mean thickness (`layers.LayerOperators.flat_adjoint_block`),
+        which the layer products read without forming it: no solve, and
+        exact where both strips have constant thickness, as at a guess of
+        zero elevation.  The continuation corrector factors it as the chord
+        of its fixed-strength solve.
         """
         return self._jacobian(prep, strength, flat=True)
 

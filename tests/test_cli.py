@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import vortexwave
-from vortexwave import cli
+from vortexwave import cli, validation
 from vortexwave.config import _SECTIONS, load_config, load_config_file
 from vortexwave.continuation import ContinuationEngine
 from vortexwave.errors import (
@@ -123,6 +123,18 @@ class TestConfig:
     def test_unknown_section_rejected(self, text):
         with pytest.raises(ParseError, match="unknown section"):
             load_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "ds0 = 0.5\n",
+        "[physical]\ndepth = 1.0\ndepth = 2.0\n",
+    ], ids=["no section header", "duplicate key"])
+    def test_unparseable_text_exits_two(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["continue", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: unparseable configuration")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError, match="unknown key"):
@@ -246,6 +258,38 @@ class TestContinueMode:
         assert cli.main(["continue", "--config", cfg, "--out", str(first)]) == 0
         assert cli.main(["continue", "--config", cfg, "--out", str(second)]) == 0
         assert read_files(first) == read_files(second)
+
+    def test_rerun_with_fewer_points_keeps_one_snapshot_per_row(self,
+                                                               tmp_path):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        for steps in ("5", "2"):
+            assert cli.main(["continue", "--config", cfg, "--out", str(out),
+                             "--max-steps", steps]) == 0
+        rows = load_branch_table(str(out / "branch.csv"))["step"].size
+        snapshots = [name for name in os.listdir(out)
+                     if name.startswith("snapshot_")]
+        assert rows == 3
+        assert sorted(snapshots) == [f"snapshot_{k:04d}.json"
+                                     for k in range(rows)]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["points"] == rows
+
+    def test_stale_record_that_cannot_be_removed_exits_two(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text("{}")
+
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(os, "remove", refuse)
+        cfg = write_config(tmp_path, SMALL)
+        assert cli.main(["continue", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot remove")
+        assert "summary.json" in err and len(err.splitlines()) == 1
 
     def test_guard_termination_exits_four_with_valid_prefix(self, tmp_path):
         cfg = write_config(
@@ -551,6 +595,44 @@ class TestSingleSolve:
         with pytest.raises(ValueError, match=key):
             load_snapshot(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[0.0, 0.01, 0.002]", "not a JSON object"),
+        (json.dumps({"schema": SCHEMA + 1, "strength": 0.5, "speed": -0.1,
+                     "grid": {"n_modes": 2},
+                     "elevation": [0.0, 0.01, 0.002],
+                     "trace_upper": [0.0, 0.3, 0.1],
+                     "trace_lower": [0.0, -0.3, -0.1]}),
+         f"schema {SCHEMA + 1} is not {SCHEMA}"),
+    ], ids=["list", "schema"])
+    def test_a_record_of_another_kind_is_rejected(self, tmp_path, text,
+                                                   message):
+        path = tmp_path / "snapshot_0000.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_snapshot(str(path))
+
+    def test_newton_cap_exits_three(self, tmp_path, capsys, monkeypatch):
+        # one update cannot reach strength 3 from the origin predictor; the
+        # corrector stops at the cap, before a second iteration builds the
+        # analytic Jacobian
+        cfg = write_config(
+            tmp_path,
+            "[discretization]\nn_modes = 16\nm_vertical = 8\n"
+            "[continuation]\ntarget_strength = 3.0\nnewton_max = 1\n",
+        )
+        built = []
+        analytic = WaveSystem.jacobian_prepared
+        monkeypatch.setattr(
+            WaveSystem, "jacobian_prepared",
+            lambda self, *args: built.append(1) or analytic(self, *args))
+        code = cli.main(["single-solve", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: NewtonFailure: no convergence in 1 "
+            "iterations\n")
+        assert built == []
+
     def test_cut_coefficient_list_is_rejected(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "out"
@@ -656,6 +738,27 @@ class TestValidateMode:
         assert code == 0
         assert len(lines) == 5
         assert all(ln.startswith("PASS") for ln in lines)
+
+    def test_a_check_that_raises_fails_its_line(self, capsys, monkeypatch):
+        def raising(params):
+            raise RuntimeError("no layer today")
+
+        for name in ("check_origin_linearization", "check_origin_tangent"):
+            monkeypatch.setattr(validation, name,
+                                lambda params: (True, "skipped"))
+        for name in ("check_jacobian_referee", "check_strength_derivative"):
+            monkeypatch.setattr(validation, name,
+                                lambda params, seed: (True, "skipped"))
+        monkeypatch.setattr(validation, "check_flat_dno", raising)
+        assert cli.main(["validate"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "FAIL flat_dno_multipliers: raised RuntimeError: no layer today",
+            "PASS origin_linearization: skipped",
+            "PASS jacobian_fd_referee: skipped",
+            "PASS strength_derivative_fd: skipped",
+            "PASS origin_tangent_oracle: skipped",
+        ]
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         # numpy's generators reject it, which a check would report as FAIL

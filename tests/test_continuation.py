@@ -110,8 +110,8 @@ class TestNewtonCorrect:
         coeffs[0] = height
         zero = EvenField(np.zeros(17))
         state = WaveState(EvenField(coeffs), zero, zero, 0.0)
-        with pytest.raises(VortexTooClose):
-            engine.check_guards(state)
+        assert engine.check_guards(state, 0.0) is (
+            Alternative.VORTEX_NEAR_INTERFACE)
         with pytest.raises(VortexTooClose):
             engine.system.prepare(state)
 
@@ -736,18 +736,33 @@ class TestTermination:
                    for p in branch.points)
 
     def test_precedence_order(self):
-        assert classify_termination(True, True, True) is (
+        assert classify_termination(True, True) is (
             Alternative.VORTEX_NEAR_INTERFACE
         )
-        assert classify_termination(False, True, True) is (
+        assert classify_termination(False, True) is (
             Alternative.INTERFACE_TOUCHES_BOUNDARY
         )
-        assert classify_termination(False, False, True) is (
+        assert classify_termination(False, False) is (
             Alternative.NEWTON_FAILURE
         )
-        assert classify_termination(False, False) is (
-            Alternative.MAX_STEPS_REACHED
-        )
+
+    @pytest.mark.parametrize("height, alternative", [
+        (0.7, Alternative.VORTEX_NEAR_INTERFACE),
+        (0.3, Alternative.INTERFACE_TOUCHES_BOUNDARY),
+        (0.01, Alternative.UNBOUNDED),
+        (0.0, None),
+    ])
+    def test_guards_trip_in_order(self, height, alternative):
+        # a flat interface at `height`: past the phantom at 0.7, within the
+        # 0.8 gap floor of the upper wall from 0.2 on, and above the 1e-3
+        # norm cap at any height but 0; the first guard it violates is
+        # returned
+        engine = small_engine(gap_floor=0.8, norm_cap=1e-3)
+        coeffs = np.zeros(17)
+        coeffs[0] = height
+        zero = EvenField(np.zeros(17))
+        state = WaveState(EvenField(coeffs), zero, zero, 0.0)
+        assert engine.check_guards(state, 0.0) is alternative
 
 
 class TestParity:

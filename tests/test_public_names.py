@@ -16,16 +16,11 @@ PACKAGE = ROOT / "src" / "vortexwave"
 
 #: referees and readers kept although nothing in src/ calls them
 KEPT = (
-    "jacobian_fd",              # finite-difference referee of the Jacobian
-    "strength_derivative_fd",   # ... and of the strength derivative
     "eval_interior",            # interior value; referee of eval_interior_dy
     "to_even",                  # parity-checked inverse of even_values
     "nodes",                    # the full grid that even_values samples
     "load_snapshot",            # readers of the output files
     "load_branch_table",
-    # wrapped by perfbench/tracer.py until the benchmark drops them
-    "ddx",
-    "evaluate_odd",
 )
 
 
