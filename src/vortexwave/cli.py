@@ -13,7 +13,9 @@ flat state outside a guard), 3 numerical failure (running out of memory
 or a failure at the flat state among them) or a failed validation, 4 a
 guard-triggered termination, of a branch or of a single solve, which then
 writes no file.  Codes 2, 3 and 4 leave the files written so far on disk;
-the table is written through per point.
+the table is written through per point.  A run first deletes an earlier
+run's records from its output directory, so a failed single solve leaves
+none there.
 """
 
 from __future__ import annotations
@@ -95,8 +97,19 @@ def _make_engine(config: RunConfig) -> ContinuationEngine:
 
 
 def _out_dir(args, config: RunConfig) -> str:
+    """The output directory, made if missing, less an earlier run's
+    records: branch.csv, its snapshots and summary.json."""
     out = args.out if args.out is not None else config.out_dir
     ensure_dir(out)
+    try:
+        for name in os.listdir(out):
+            path = os.path.join(out, name)
+            if re.fullmatch(r"branch\.csv|snapshot_\d+\.json|summary\.json",
+                            name) and os.path.isfile(path):
+                os.remove(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot remove {exc.filename!r}: "
+                          f"{exc.strerror}") from exc
     return out
 
 
@@ -106,18 +119,7 @@ def _record(config: RunConfig, out: str, mode: str, run
 
     `on_point(point)` appends the point's row to branch.csv and writes its
     snapshot; `run` returns the finished Branch, whose summary comes last.
-    The snapshot and summary files of an earlier run into `out` are
-    deleted first, so that the directory holds one snapshot per table row.
     """
-    try:
-        for name in os.listdir(out):
-            path = os.path.join(out, name)
-            if re.fullmatch(r"snapshot_\d+\.json|summary\.json",
-                            name) and os.path.isfile(path):
-                os.remove(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot remove {exc.filename!r}: "
-                          f"{exc.strerror}") from exc
     chash = config.config_hash()
     steps = itertools.count()
     writer = BranchWriter(os.path.join(out, "branch.csv"), chash)
@@ -170,6 +172,7 @@ def _run_single(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
     # solved before any record is opened, so a failed solve writes nothing
+    # and leaves no earlier run's records (`_out_dir`)
     point = _make_engine(config).solve_at(config.target_strength)
 
     def run(on_point):

@@ -16,11 +16,11 @@ Dirichlet-to-Neumann multiplier the value 1/d on a flat strip.
   `_deviation`).
 - `LayerOperators._stationary` is the one layer-solve loop: Richardson
   steps, then GMRES, then one LU step.  `solve` runs it on a trace, and
-  `_adjoint_block` on the panels of the adjoint block Z = A^-T [E^T | e],
-  from a predicted start; Z gives every layer product of the Jacobian
-  (`dno_matrix`, `shape_batch`, `interior_dy_row`).
-- `flat_adjoint_block` is Z's closed-form flat counterpart Z0, and the
-  layer products take a `flat` switch that reads them from Z0's profiles.
+  `adjoint_block` on the panels of the adjoint block Z = A^-T [E^T | e],
+  from a predicted start, into a fresh array; the Jacobian's layer
+  products (`dno_matrix`, `shape_batch`, `interior_dy_row`) read the Z
+  they are given, or Z0's profiles when given none.
+- `flat_adjoint_block` is Z's closed-form flat counterpart Z0.
 - `gmres` is the one GMRES loop, which the continuation corrector runs
   too; `WorkBuffers` keeps the scratch of every apply, step and Krylov
   vector, one array per role; `_blas_product` keeps products on scipy's
@@ -356,8 +356,6 @@ class LayerOperators:
         self._c_tt_deviation[:, ::mt - 1] = 0.0
         self._d_tau = d_tau
         self._d_tau2 = d_tau2
-        # kept when the caller asks (`track_adjoint_deviation`)
-        self.adjoint_deviation: np.ndarray | None = None
 
     @cached_property
     def _factors(self):
@@ -753,22 +751,22 @@ class LayerOperators:
         u_tau_ifc, u_x_ifc = self._interface_tau_x(values)
         return self._extraction(self.eta_half, u_tau_ifc, u_x_ifc)
 
-    def dno_matrix(self, flat: bool = False) -> np.ndarray:
-        """Trace coefficients -> Dirichlet-to-Neumann coefficients.
+    def dno_matrix(self, z: np.ndarray | None) -> np.ndarray:
+        """Trace coefficients -> Dirichlet-to-Neumann coefficients, read
+        from the adjoint block `z` (`adjoint_block`).
 
         The x derivative of the trace needs no solve, and the interface
         u_tau of the solve for trace coefficients c is E A^-1 B c = Z^T B c,
-        B placing the trace's half-grid values on the interface rows.  When
-        `flat`, Z is Z0, whose interface row C^-T diag(P[:, 0]) C^T
+        B placing the trace's half-grid values on the interface rows.  With
+        `z` None, Z is Z0, whose interface row C^-T diag(P[:, 0]) C^T
         (`flat_adjoint_block`) gives Z0^T B = C diag(P[:, 0]).
         """
         grid = self.grid
         nx = grid.n_modes + 1
-        if flat:
+        if z is None:
             u_tau_ifc = grid._cos_mat * self._flat_tau_profiles[:, 0]
         else:
-            u_tau_ifc = _blas_product(self._adjoint_block[:, :nx, 0].T,
-                                      grid._cos_mat)
+            u_tau_ifc = _blas_product(z[:, :nx, 0].T, grid._cos_mat)
         vals = self._extraction(self.eta_half[:, None],
                                 u_tau_ifc, grid.half_d1_coeffs)
         return _blas_product(grid._cos_inv, vals)
@@ -797,8 +795,7 @@ class LayerOperators:
                         * np.linalg.norm((2.0 / h) * t_rows[1]))
         return size
 
-    @cached_property
-    def _adjoint_block(self) -> np.ndarray:
+    def adjoint_block(self, kept: np.ndarray | None = None) -> np.ndarray:
         """Z = A^-T [E^T | e]: the transposed solves behind the Jacobian.
 
         E maps a solution to its interface u_tau (row j: d_tau[0] on the
@@ -806,31 +803,30 @@ class LayerOperators:
         its vertical derivative there.  Everything the Jacobian reads from
         a layer is one of these functionals of a solve A^-1 r, that is
         Z^T r: the Dirichlet-to-Neumann matrix, the shape derivatives and
-        the interior-derivative row.  `_stationary` solves the columns a
-        panel at a time, transposed, each to the absolute rule of `solve`,
-        |rhs_c| from `_adjoint_column_norms`; the panels solved before one
-        whose LU step factors the operator are kept.
+        the interior-derivative row (`dno_matrix`, `shape_batch`,
+        `interior_dy_row`).  `_stationary` solves the columns a panel at a
+        time, transposed, each to the absolute rule of `solve`, |rhs_c|
+        from `_adjoint_column_norms`; the panels solved before one whose
+        LU step factors the operator are kept.
 
         Every panel starts from a prediction: the flat block Z0 =
-        `flat_adjoint_block` plus the panel of `adjoint_deviation` when the
-        block is tracked (`track_adjoint_deviation`).  Along a branch
-        Z - Z0 grows with the elevation, so the last point's Z - Z0, scaled
-        by lambda = <eta, eta_prev> / <eta_prev, eta_prev> over the
-        elevation coefficients (`system.WaveSystem.jacobian_prepared`),
-        predicts this point's to first order (Allgower & Georg, Numerical
-        Continuation Methods, 1990); with none kept, or lambda = 0, the
-        start is Z0.  Its defect is A^T times it less the panel of [E^T |
-        e], added in closed form (`_add_adjoint_columns`).  A tracked block
-        writes each solved panel's Z - Z0 into `adjoint_deviation`, the
-        next point's prediction.  The start changes how many vectors a
-        panel needs, not what it converges to.
+        `flat_adjoint_block` plus the panel of `kept`, when given, a
+        float32 array of the block's shape.  Along a branch Z - Z0 grows
+        with the elevation, so the last point's Z - Z0, scaled by lambda =
+        <eta, eta_prev> / <eta_prev, eta_prev> over the elevation
+        coefficients (`system.WaveSystem.jacobian_prepared`), predicts this
+        point's to first order (Allgower & Georg, Numerical Continuation
+        Methods, 1990); with none kept, or lambda = 0, the start is Z0.
+        Its defect is A^T times it less the panel of [E^T | e], added in
+        closed form (`_add_adjoint_columns`).  Each solved panel's Z - Z0
+        is written over its panel of `kept`, the next point's prediction;
+        float32 suffices, since the array only starts the solve.  The start
+        changes how many vectors a panel needs, not what it converges to.
 
-        The block is (nx, k, mt), column c of Z being Z[:, c, :], solved
-        once, on first use, and read-only.
+        Returns a fresh (nx, k, mt) block, column c of Z being Z[:, c, :].
         """
         nx, mt = self.grid.n_modes + 1, self.m_vertical + 1
         z = self.flat_adjoint_block()
-        kept = self.adjoint_deviation
         for panel in _panels(z.shape[1]):
             # the steps run on a contiguous copy of the panel, and Z and
             # Z - Z0 are written back once: the x product would copy a
@@ -848,20 +844,7 @@ class LayerOperators:
             if kept is not None:
                 np.subtract(staged, z[:, panel], out=kept[:, panel])
             z[:, panel] = staged
-        z.flags.writeable = False  # shared by every caller
         return z
-
-    def track_adjoint_deviation(self, predicted: np.ndarray | None = None
-                                ) -> None:
-        """Have `_adjoint_block` leave its Z - Z0 in `adjoint_deviation`,
-        starting from Z0 + `predicted`, a float32 array of the block's
-        shape that it overwrites, or from Z0 into fresh zeros.  float32
-        suffices, since the array only starts the solve.  Call it before the
-        block's first use."""
-        self.adjoint_deviation = predicted if predicted is not None else (
-            np.zeros((self.grid.n_modes + 1,
-                      self.grid.n_modes + 1 + (self.probe is not None),
-                      self.m_vertical + 1), np.float32))
 
     def _flat_profiles(self, tau_row: np.ndarray) -> np.ndarray:
         """The per-mode tau profiles P of M^-T on a column a (x) tau_row,
@@ -896,7 +879,7 @@ class LayerOperators:
         return column
 
     def flat_adjoint_block(self) -> np.ndarray:
-        """Z0 = M^-T [E^T | e]: `_adjoint_block` with the flat strip M for
+        """Z0 = M^-T [E^T | e]: `adjoint_block` with the flat strip M for
         A, exact on a strip of constant thickness, in closed form.
 
         Column j of E^T is the x unit vector j times the tau row d_tau[0],
@@ -906,9 +889,9 @@ class LayerOperators:
         share one P, and their x parts C^T e_j are the rows of C.  So a
         panel of them is one product of C^-T with the block C[j, k] P[k].
         The flat chord's layer products read the same closed form without
-        forming Z0 (`flat` of `dno_matrix`, `interior_dy_row`,
-        `shape_batch`).  Returns a fresh array, which `_adjoint_block`
-        solves into.
+        forming Z0 (`dno_matrix`, `interior_dy_row` and `shape_batch` given
+        no block).  Returns a fresh array, which `adjoint_block` solves
+        into.
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -975,17 +958,17 @@ class LayerOperators:
                             else self._point_rows(point))
         return float(2.0 * (row_x @ values @ t_rows[1]) / h)
 
-    def interior_dy_row(self, flat: bool = False) -> np.ndarray:
+    def interior_dy_row(self, z: np.ndarray | None) -> np.ndarray:
         """Row functional: trace coefficients -> vertical derivative at the
-        probe, read from Z's probe column, or Z0's when `flat`."""
+        probe, read from the probe column of the adjoint block `z`, or of
+        Z0 when `z` is None."""
         nx = self.grid.n_modes + 1
-        column = (self._flat_probe_column[:, 0] if flat
-                  else self._adjoint_block[:, nx, 0])
+        column = self._flat_probe_column[:, 0] if z is None else z[:, nx, 0]
         return column @ self.grid._cos_mat
 
     # -- directional shape derivatives ----------------------------------------
 
-    def shape_batch(self, values: np.ndarray, flat: bool = False):
+    def shape_batch(self, values: np.ndarray, z: np.ndarray | None):
         """Directional derivatives along every elevation cosine mode.
 
         The operator's coefficients are the `_profiles` of h, h_x and h_xx.
@@ -995,11 +978,12 @@ class LayerOperators:
         du = -A^-1 R, R the differentiated operator applied to the solution.
         R has zero Dirichlet rows, so du keeps zero interface values, and
         both its interface u_tau and its interior derivative at the probe
-        are columns of -Z^T R (`_adjoint_block`).  R is never formed: at x
-        node j and tau node i, R[j, i, k] = sum_t f_t[j, k] g_t[j, i] over
-        the four terms, f_t the coefficient moves along direction k and g_t
-        the solution derivatives they multiply, times their tau profiles
-        and zero on the Dirichlet rows.  So -Z^T R is -sum_t Y_t^T f_t with
+        are columns of -Z^T R, Z the adjoint block `z` (`adjoint_block`),
+        or Z0 when `z` is None.  R is never formed: at x node j and tau
+        node i, R[j, i, k] = sum_t f_t[j, k] g_t[j, i] over the four terms,
+        f_t the coefficient moves along direction k and g_t the solution
+        derivatives they multiply, times their tau profiles and zero on
+        the Dirichlet rows.  So -Z^T R is -sum_t Y_t^T f_t with
         Y[j] = Z[j] G[j], G[j] holding the g_t[j] as columns: nx small
         products, then one.  The interface extraction and the probe
         functional 2 u_t / h, whose t = 2 (y + d) / h - 1 moves with h, add
@@ -1008,7 +992,7 @@ class LayerOperators:
         dno_dirs[:, k] holds half-grid values of the derivative of the
         interface extraction and interior_dy_dirs[k] the derivative of the
         vertical derivative at the probe (None without one), for the
-        solution `values`.  When `flat`, Z0 takes the place of Z.
+        solution `values`.
         """
         grid = self.grid
         nx = grid.n_modes + 1
@@ -1028,7 +1012,7 @@ class LayerOperators:
         g = np.stack([one_plus * (grid.half_d1 @ w_d), one_plus**2 * w_dd,
                       w_dd, one_plus * w_d], axis=1)
         g[:, :, ::self.m_vertical] = 0.0  # no geometry on the Dirichlet rows
-        y = self._shape_products(g, flat)
+        y = self._shape_products(g, z)
         moved = -_blas_product(y.reshape(4 * nx, -1).T, f.reshape(4 * nx, nx))
 
         u_tau, u_x = (v[:, None] for v in self._interface_tau_x(values))
@@ -1046,19 +1030,19 @@ class LayerOperators:
         return dno_dirs, moved[nx] + d_dh * np.cos(
             grid.wavenumbers * float(x_p))
 
-    def _shape_products(self, g: np.ndarray, flat: bool) -> np.ndarray:
+    def _shape_products(self, g: np.ndarray, z: np.ndarray | None
+                        ) -> np.ndarray:
         """Y[j] = G[j] Z[j]^T of `shape_batch` for every x node j, an
         (nx, 4, columns) array, G the (nx, 4, mt) tau rows.
 
-        When `flat`, Z0's columns Z0[j, c] = sum_k C^-T[j, k] C[c, k] P[k]
+        With `z` None, Z0's columns Z0[j, c] = sum_k C^-T[j, k] C[c, k] P[k]
         (`flat_adjoint_block`) give Y[j, t, c] = sum_k C^-T[j, k] C[c, k]
         (G[j, t] . P[k]): one product of G with P^T, a scaling by C^-T and
         one product with C^T.
         """
         grid = self.grid
         nx, _, mt = g.shape
-        if not flat:
-            z = self._adjoint_block
+        if z is not None:
             y = np.empty((nx, 4, z.shape[1]))
             for j in range(nx):
                 _blas_product(g[j], z[j].T, out=y[j])

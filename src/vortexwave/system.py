@@ -212,7 +212,7 @@ class WaveSystem:
         state this system prepared (`layers.LayerOperators.solve`), which
         it keeps in their place: in the continuation corrector that is a
         nearby state.  The system keeps no prepared state and no operator,
-        whose adjoint blocks would outlive their point.
+        whose LU factors would outlive their point.
         """
         g = self.grid
         p = self.params
@@ -311,24 +311,24 @@ class WaveSystem:
         (derivative factor), and the vortex traces, composed with the
         moving interface, strength-weighted second derivatives in the
         elevation block.  Each layer's adjoint block starts from the
-        prediction of `layers.LayerOperators._adjoint_block`, whose Z - Z0
+        prediction of `layers.LayerOperators.adjoint_block`, whose Z - Z0
         this system keeps and scales in place; the first analytic Jacobian
         keeps none, so a run that builds one allocates none.
         """
         eta = prep.state.elevation.coeffs
         last, self._elevation = self._elevation, eta
-        if last is None:
-            return self._jacobian(prep, strength, flat=False)
-        square = float(np.dot(last, last))
-        scale = float(np.dot(eta, last)) / square if square > 0.0 else 0.0
-        for layer, kept in zip(prep.layers, self._deviations):
-            if kept is not None:
-                kept *= scale
-            layer.ops.track_adjoint_deviation(kept)
-        jac = self._jacobian(prep, strength, flat=False)
-        self._deviations = [layer.ops.adjoint_deviation
-                            for layer in prep.layers]
-        return jac
+        if last is not None:
+            square = float(np.dot(last, last))
+            scale = float(np.dot(eta, last)) / square if square > 0.0 else 0.0
+            n = self.grid.n_modes + 1
+            for i, layer in enumerate(prep.layers):
+                if self._deviations[i] is None:  # the second starts from Z0
+                    self._deviations[i] = np.zeros(
+                        (n, n + (layer.ops.probe is not None),
+                         self.m_vertical + 1), np.float32)
+                else:
+                    self._deviations[i] *= scale
+        return self._jacobian(prep, strength, self._deviations)
 
     def flat_jacobian(self, prep: PreparedState, strength: float) -> np.ndarray:
         """The flat chord: the analytic Jacobian with each layer's solves on
@@ -342,12 +342,15 @@ class WaveSystem:
         zero elevation.  The continuation corrector factors it as the chord
         of its fixed-strength solve.
         """
-        return self._jacobian(prep, strength, flat=True)
+        return self._jacobian(prep, strength, None)
 
-    def _jacobian(self, prep: PreparedState, strength: float, flat: bool
-                  ) -> np.ndarray:
-        """The Jacobian assembly of `jacobian_prepared` and, when `flat`,
-        of `flat_jacobian`."""
+    def _jacobian(self, prep: PreparedState, strength: float,
+                  kept: list[np.ndarray | None] | None) -> np.ndarray:
+        """The Jacobian assembly of `jacobian_prepared`, whose adjoint
+        blocks start from the (upper, lower) `kept`, and, when `kept` is
+        None, of `flat_jacobian`.  Each layer's block is solved, read by
+        its three layer products and dropped before the next layer's, so
+        one block is alive at a time."""
         g = self.grid
         p = self.params
         n = g.n_modes + 1
@@ -370,9 +373,11 @@ class WaveSystem:
         for k, layer in ((2, prep.lower), (1, prep.upper)):
             block = slice(k * n, (k + 1) * n)  # its trace columns and row
             gamma = layer.sign * strength
-            shape, probe_shape = layer.ops.shape_batch(layer.values, flat)
+            # k - 1 is the layer's place in (upper, lower)
+            z = None if kept is None else layer.ops.adjoint_block(kept[k - 1])
+            shape, probe_shape = layer.ops.shape_batch(layer.values, z)
             shape = layer.sign * shape  # strip under sign * elevation
-            dno = _blas_product(basis, layer.ops.dno_matrix(flat))
+            dno = _blas_product(basis, layer.ops.dno_matrix(z))
 
             # its share weight * ((speed + a) a' + b b') of the dynamic
             # block: trace columns, elevation columns (shape, slope and
@@ -400,7 +405,8 @@ class WaveSystem:
 
             if layer.ops.probe is not None:
                 jac[-1, :n] = probe_shape
-                jac[-1, block] = layer.ops.interior_dy_row(flat)
+                jac[-1, block] = layer.ops.interior_dy_row(z)
+            del z
 
         # buoyancy and the curvature linearization complete the elevation
         # columns

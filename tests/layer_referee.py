@@ -71,7 +71,7 @@ def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
 
 
 def adjoint_columns(ops: LayerOperators) -> np.ndarray:
-    """[E^T | e] of `LayerOperators._adjoint_block` as a fresh (nx, k, mt)
+    """[E^T | e] of `LayerOperators.adjoint_block` as a fresh (nx, k, mt)
     block, from the closed-form columns of `_add_adjoint_columns`."""
     nx = ops.grid.n_modes + 1
     k = nx + (ops.probe is not None)
@@ -150,14 +150,14 @@ def shape_rhs(ops, u: np.ndarray, moves: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def explicit_shape_batch(ops, u):
-    """`LayerOperators.shape_batch` of the nodal values u, with its
-    right-hand side R formed.
+def explicit_shape_batch(ops, u, z):
+    """`LayerOperators.shape_batch` of the nodal values u and the adjoint
+    block z, with its right-hand side R formed.
 
     Builds R, (nx, mt, nx), from the closed-form moves of the profiles and
-    takes -Z^T R with the operator's own adjoint block, on numpy; every
-    other term is as in `shape_batch`.  Only the order of the contraction
-    differs, so the two agree to roundoff.
+    takes -Z^T R with the block z, on numpy; every other term is as in
+    `shape_batch`.  Only the order of the contraction differs, so the two
+    agree to roundoff.
     """
     grid = ops.grid
     nx = grid.n_modes + 1
@@ -172,7 +172,6 @@ def explicit_shape_batch(ops, u):
     moves = np.stack([-2.0 * dp, 2.0 * p * dp, -2.0 * dh / h**3,
                       (hxx * dh / h - dhxx) / h + 4.0 * p * dp])
     rhs = shape_rhs(ops, u, moves)
-    z = ops._adjoint_block
     moved = -(z.transpose(1, 0, 2).reshape(-1, nx * mt)
               @ rhs.reshape(nx * mt, nx))
 

@@ -666,6 +666,28 @@ class TestSingleSolve:
         assert capsys.readouterr().err == f"terminated: {alternative}\n"
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("failing, code", [("newton_max = 1", 3),
+                                               ("gap_floor = 0.9", 4)],
+                             ids=["newton cap", "wall guard"])
+    def test_a_failed_rerun_leaves_no_earlier_records(self, tmp_path, failing,
+                                                      code):
+        # a 16x8 branch of three points, then a solve at strength 3 into the
+        # same directory that stops at the Newton cap, or whose solution
+        # trips the wall guard: the branch's table, snapshots and summary
+        # are gone, so nothing there reads as this run's, and other files
+        # stay
+        grid = "[discretization]\nn_modes = 16\nm_vertical = 8\n"
+        out = tmp_path / "out"
+        assert cli.main(["continue", "--config", write_config(tmp_path, grid),
+                         "--out", str(out), "--max-steps", "2"]) == 0
+        assert len(os.listdir(out)) == 5
+        (out / "notes.txt").write_text("not a record")
+        cfg = write_config(tmp_path, grid + "[continuation]\n"
+                           f"target_strength = 3.0\n{failing}\n", "solve.ini")
+        assert cli.main(["single-solve", "--config", cfg,
+                         "--out", str(out)]) == code
+        assert os.listdir(out) == ["notes.txt"]
+
     def test_unreachable_strength_exits_three(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -198,6 +198,19 @@ class TestBranch:
         assert all(a < b for a, b in zip(sups[1:], sups[2:]))
         assert max(p.newton_iterations for p in branch.points) <= 6
 
+    def test_single_solve_lands_on_the_branch(self):
+        # the default 16x8 branch passes strength 1 at its 71st row; the row
+        # nearest 1, corrected at strength 1, is the fixed-strength solve's
+        # solution to the corrector's tolerance (1.2e-10 apart)
+        engine = small_engine(m_vertical=8, max_steps=70)
+        points = engine.continue_branch().points
+        assert points[-2].strength < 1.0 < points[-1].strength
+        near = min(points, key=lambda p: abs(p.strength - 1.0))
+        corrected = engine.newton_correct(near.state, 1.0)[0].to_vector()
+        solved = small_engine(m_vertical=8).solve_at(1.0).state.to_vector()
+        assert (np.abs(corrected - solved).max()
+                <= 1e-9 * np.abs(solved).max())
+
     def test_quadratic_elevation_growth(self):
         engine = small_engine(max_steps=12)
         branch = engine.continue_branch()
@@ -452,7 +465,7 @@ class TestWorkCounts:
         point = small_engine(n_modes=64, m_vertical=32).solve_at(3.0)
         assert point.newton_iterations == 5
         assert handed == []
-        assert formed == ["_adjoint_block"] * 2
+        assert formed == ["adjoint_block"] * 2
 
 
 class TestNewtonKrylov:

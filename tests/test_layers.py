@@ -199,7 +199,8 @@ class TestFlatDno:
     def test_multipliers_both_layers(self):
         # criterion floor: k <= N/4 at relative 1e-10, k = 0 gives 1/d
         for side in ("lower", "upper"):
-            mat = strip(GRID, on_side(FLAT, side), 32).dno_matrix()
+            ops = strip(GRID, on_side(FLAT, side), 32)
+            mat = ops.dno_matrix(ops.adjoint_block())
             sym = flat_dno_symbol(GRID, DEPTH)
             for k in range(17):
                 assert mat[k, k] == pytest.approx(sym[k], rel=1e-10)
@@ -216,7 +217,7 @@ class TestFlatDno:
     def test_self_adjoint_in_l2(self):
         rng = np.random.default_rng(11)
         ops = strip(GRID, FLAT, 32)
-        mat = ops.dno_matrix()
+        mat = ops.dno_matrix(ops.adjoint_block())
         w = GRID.sobolev_weights(0)
         f = rng.standard_normal(NX) * np.exp(-0.3 * np.arange(NX))
         g = rng.standard_normal(NX) * np.exp(-0.3 * np.arange(NX))
@@ -231,7 +232,8 @@ class TestFlatDno:
         grid = CollocationGrid(np.pi, n_modes)
         flat = EvenField(np.zeros(n_modes + 1))
         for side in ("lower", "upper"):
-            mat = strip(grid, on_side(flat, side), m_vertical).dno_matrix()
+            ops = strip(grid, on_side(flat, side), m_vertical)
+            mat = ops.dno_matrix(ops.adjoint_block())
             off = mat - np.diag(np.diag(mat))
             assert np.max(np.abs(off)) < 1e-11
 
@@ -240,7 +242,7 @@ class TestFlatDno:
         tr = mode(4, 0.6)
         sol = ops.solve(tr)
         via_values = GRID._cos_inv @ ops.dno_values_half(sol)
-        via_matrix = ops.dno_matrix() @ tr.coeffs
+        via_matrix = ops.dno_matrix(ops.adjoint_block()) @ tr.coeffs
         assert np.max(np.abs(via_values - via_matrix)) < 1e-9
 
 
@@ -356,8 +358,9 @@ class TestAdjointBlock:
         ops, sol = self.layer(state, side, strength_3)
         nx = ops.grid.n_modes + 1
         assert nx * (ops.m_vertical + 1) >= KRYLOV_MIN_UNKNOWNS
-        shape_dno, shape_dy = ops.shape_batch(sol)
-        got = (ops.dno_matrix(), shape_dno, shape_dy, ops.interior_dy_row())
+        z = ops.adjoint_block()
+        shape_dno, shape_dy = ops.shape_batch(sol, z)
+        got = (ops.dno_matrix(z), shape_dno, shape_dy, ops.interior_dy_row(z))
         assert not ops.factored  # GMRES solved the block
         want = forward_lu_products(ops, sol)
         for g, w in zip(got, want):
@@ -370,7 +373,7 @@ class TestAdjointBlock:
         # GMRES starts from the flat block, which is the block itself on a
         # flat strip: there it builds no vector
         ops, _ = self.layer(state, side, strength_3)
-        got = ops._adjoint_block
+        got = ops.adjoint_block()
         assert not ops.factored
         want = ops._solve_rhs(adjoint_columns(ops), transposed=True)
         assert worst_relative(got, want) <= 1e-12
@@ -401,7 +404,7 @@ class TestAdjointBlock:
 
         monkeypatch.setattr(layers, "gmres", unexpected)
         ops._flat_solve_transpose = unexpected
-        block = ops._adjoint_block
+        block = ops.adjoint_block()
         assert not ops.factored
         assert np.array_equal(block, ops.flat_adjoint_block())
 
@@ -419,7 +422,7 @@ class TestAdjointBlock:
         prep = system.prepare(wave)
         work = counting_work(monkeypatch)
         for layer in prep.layers:
-            layer.ops._adjoint_block
+            layer.ops.adjoint_block()
         started = list(work)
         work.clear()
         for layer in prep.layers:
@@ -434,9 +437,10 @@ class TestAdjointBlock:
         # the contraction through the factors of R against -Z^T R with R
         # formed, on the same adjoint block
         ops, sol = self.layer(state, side, strength_3)
-        got = ops.shape_batch(sol)
+        z = ops.adjoint_block()
+        got = ops.shape_batch(sol, z)
         assert ops.factored == (state == "thin")  # the LU step, or GMRES
-        for g, w in zip(got, explicit_shape_batch(ops, sol)):
+        for g, w in zip(got, explicit_shape_batch(ops, sol, z)):
             assert worst_relative(g, w) <= 1e-13
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -450,7 +454,7 @@ class TestAdjointBlock:
         for columns in (5, 1000):
             monkeypatch.setattr(layers, "BLOCK_COLUMNS", columns)
             ops, _ = self.layer(state, side, strength_3)
-            blocks.append(ops._adjoint_block)
+            blocks.append(ops.adjoint_block())
             assert ops.factored == (state == "thin")  # the LU step, or GMRES
         assert worst_relative(blocks[0], blocks[1]) <= 1e-13
 
@@ -458,11 +462,11 @@ class TestAdjointBlock:
         # min thickness 0.1, probed halfway down the thinnest column
         ops = strip(GRID, peaked(-0.9), 32, (0.0, -0.95))
         assert not ops.factored
-        got = ops.dno_matrix()
+        z = ops.adjoint_block()
         assert ops.factored  # GMRES missed, so the LU step finished the block
         sol = ops.solve(EvenField(0.5 ** np.arange(NX)))
-        shape_dno, shape_dy = ops.shape_batch(sol)
-        got = (got, shape_dno, shape_dy, ops.interior_dy_row())
+        shape_dno, shape_dy = ops.shape_batch(sol, z)
+        got = (ops.dno_matrix(z), shape_dno, shape_dy, ops.interior_dy_row(z))
         want = forward_lu_products(ops, sol)
         for g, w in zip(got, want):
             assert worst_relative(g, w) <= 1e-12
@@ -477,7 +481,7 @@ class TestAdjointBlock:
         # the missed panel on, each once, and Z - Z0 is kept for every panel
         grid = CollocationGrid(np.pi, 48)
         ops = strip(grid, peaked(-0.65, n=49), 12, (0.0, -0.95))
-        ops.track_adjoint_deviation()
+        kept = np.zeros((49, 50, 13), np.float32)
         missed = []
         real_gmres = layers.gmres
 
@@ -487,13 +491,12 @@ class TestAdjointBlock:
             return solved
 
         monkeypatch.setattr(layers, "gmres", gmres)
-        got = ops._adjoint_block
+        got = ops.adjoint_block(kept)
         assert missed == [False, True]
         assert lu_counter.factorizations == 1
         assert [p.stop - p.start for p in layers._panels(50)] == [16, 17, 17]
         assert sum(lu_counter.transposed_columns) == 34
         own = got - ops.flat_adjoint_block()
-        kept = ops.adjoint_deviation
         assert np.linalg.norm(kept - own) <= 1e-7 * np.linalg.norm(own)
         want = ops._solve_rhs(adjoint_columns(ops), transposed=True)
         assert worst_relative(got, want) <= 1e-12
@@ -506,10 +509,11 @@ class TestAdjointBlock:
                                                      monkeypatch):
         # the Dirichlet-to-Neumann matrix, the drift row and the shape
         # derivatives of a probed 32x16 lower layer read one transposed
-        # block of N + 1 interface columns and the probe column: one
-        # `_stationary` solve for each of its two panels of 17 columns,
-        # each started from the flat block, so that every residual is
-        # smaller than its right-hand side
+        # block of N + 1 interface columns and the probe column, solved
+        # once before them: one `_stationary` solve for each of its two
+        # panels of 17 columns, each started from the flat block, so that
+        # every residual is smaller than its right-hand side; the products
+        # solve nothing, in either order
         grid = CollocationGrid(np.pi, 32)
         ops = strip(grid, peaked(0.33, n=33), 16, (0.0, -0.5))
         sol = ops.solve(EvenField(0.5 ** np.arange(33)))
@@ -523,9 +527,10 @@ class TestAdjointBlock:
             return real_stationary(iterate, defect, size, transposed)
 
         monkeypatch.setattr(ops, "_stationary", counting)
-        calls = {"dno_matrix": ops.dno_matrix,
-                 "interior_dy_row": ops.interior_dy_row,
-                 "shape_batch": lambda: ops.shape_batch(sol)}
+        z = ops.adjoint_block()
+        calls = {"dno_matrix": lambda: ops.dno_matrix(z),
+                 "interior_dy_row": lambda: ops.interior_dy_row(z),
+                 "shape_batch": lambda: ops.shape_batch(sol, z)}
         for name in order:
             calls[name]()
         assert [panel[:2] for panel in panels] == [((33, 17, 17), True)] * 2
@@ -547,7 +552,7 @@ class TestAdjointBlock:
         # a zero column and one whose tol admits the estimate 1 take no
         # rotation and raise no floating-point exception
         ops = strip(GRID, peaked(0.33), 32)
-        ops.dno_matrix()  # leaves another solve's values in the kept buffers
+        ops.adjoint_block()  # leaves another solve's values in the buffers
         d_tau0 = ops._d_tau[0]
         rhs = np.zeros((NX, 4, 33))  # (x node, column, tau node)
         rhs[3, 0] = d_tau0
@@ -603,8 +608,8 @@ def consecutive_points():
 
 class TestPredictedStart:
     """An adjoint block started from the last point's Z - Z0, scaled by the
-    elevation (`LayerOperators.track_adjoint_deviation`), against the same
-    block started from its flat block."""
+    elevation (`LayerOperators.adjoint_block`), against the same block
+    started from its flat block."""
 
     @staticmethod
     def predicted(points):
@@ -619,14 +624,13 @@ class TestPredictedStart:
     @staticmethod
     def solved(points, side, start=None):
         """(block, steps and Krylov vectors its panels took, operator) of
-        one layer at the point, tracked from `start` when one is given."""
+        one layer at the point, started from Z0 plus `start` when one is
+        given."""
         system, _, point = points
         ops = system.prepare(point.state).layers[side].ops
         with pytest.MonkeyPatch.context() as patch:
             work = counting_work(patch)
-            if start is not None:
-                ops.track_adjoint_deviation(start)
-            return ops._adjoint_block, sum(work), ops
+            return ops.adjoint_block(start), sum(work), ops
 
     @pytest.mark.parametrize("side", [0, 1], ids=["upper", "lower"])
     def test_matches_the_flat_start(self, consecutive_points, side):
@@ -638,7 +642,6 @@ class TestPredictedStart:
         assert (np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want))
         assert work < flat_work
         # the start array now holds this block's own Z - Z0
-        assert ops.adjoint_deviation is start
         own = got - ops.flat_adjoint_block()
         assert (np.linalg.norm(start - own)
                 <= 1e-7 * np.linalg.norm(own))
@@ -665,17 +668,16 @@ class TestPredictedStart:
         # the state of test_thin_layer_falls_back_to_lu, where GMRES misses
         # on the first panel: the LU step finishes that panel and solves
         # the later ones from their flat blocks, and each writes its
-        # Z - Z0, into the start array when one is given
-        ops = strip(GRID, peaked(-0.9), 32, (0.0, -0.95))
-        given = None if start == "none" else np.zeros((NX, NX + 1, 33),
-                                                      np.float32)
-        ops.track_adjoint_deviation(given)
-        ops.dno_matrix()
-        assert ops.factored
-        own = ops._adjoint_block - ops.flat_adjoint_block()
-        kept = ops.adjoint_deviation
-        assert kept is not None and kept.dtype == np.float32
-        assert given is None or kept is given
+        # Z - Z0 into the start array; a block given none keeps nothing
+        # and is the same block
+        kept = np.zeros((NX, NX + 1, 33), np.float32)
+        blocks = []
+        for given in (None, kept) if start == "none" else (kept,):
+            ops = strip(GRID, peaked(-0.9), 32, (0.0, -0.95))
+            blocks.append(ops.adjoint_block(given))
+            assert ops.factored
+        assert np.array_equal(blocks[0], blocks[-1])
+        own = blocks[-1] - ops.flat_adjoint_block()
         assert np.linalg.norm(kept - own) <= 1e-7 * np.linalg.norm(own)
 
     def test_a_block_that_solves_directly_starts_from_its_prediction(self):
@@ -688,11 +690,9 @@ class TestPredictedStart:
         want = ops._solve_rhs(adjoint_columns(ops), transposed=True)
         start = (0.5 * (want - ops.flat_adjoint_block())).astype(np.float32)
         assert np.abs(start).max() > 0.0
-        ops.track_adjoint_deviation(start)
-        got = ops._adjoint_block
+        got = ops.adjoint_block(start)
         assert ops.factored
         assert worst_relative(got, want) <= 1e-12
-        assert ops.adjoint_deviation is start
         own = got - ops.flat_adjoint_block()
         assert np.linalg.norm(start - own) <= 1e-7 * np.linalg.norm(own)
 
@@ -718,15 +718,15 @@ class TestFlatProducts:
     same products read from an explicit `flat_adjoint_block`."""
 
     @staticmethod
-    def products(ops, values, flat):
-        shape_dno, shape_dy = ops.shape_batch(values, flat)
-        return (ops.dno_matrix(flat), shape_dno, shape_dy,
-                ops.interior_dy_row(flat))
+    def products(ops, values, z):
+        shape_dno, shape_dy = ops.shape_batch(values, z)
+        return (ops.dno_matrix(z), shape_dno, shape_dy, ops.interior_dy_row(z))
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("state", ["crest", "strength-3"])
     def test_closed_forms_match_the_explicit_block(self, state, side,
-                                                   strength_3_64x32):
+                                                   strength_3_64x32,
+                                                   monkeypatch):
         # both strips probed at the vortex, or the phantom in the
         # reflected upper strip, so the probe column is covered on either
         if state == "strength-3":
@@ -740,11 +740,15 @@ class TestFlatProducts:
             ops = strip(GRID, on_side(peaked(0.33), side), 32,
                         TestAdjointBlock.POINT)
             values = ops.solve(EvenField(0.5 ** np.arange(NX)))
-        closed = self.products(ops, values, True)
-        assert "_adjoint_block" not in vars(ops)  # no block was formed
+        formed = []  # no block is formed
+        with monkeypatch.context() as patch:
+            for name in ("adjoint_block", "flat_adjoint_block"):
+                patch.setattr(ops, name, lambda *args, name=name:
+                              formed.append(name))
+            closed = self.products(ops, values, None)
+        assert formed == []
         # the explicit flat block in the place of Z
-        vars(ops)["_adjoint_block"] = ops.flat_adjoint_block()
-        explicit = self.products(ops, values, False)
+        explicit = self.products(ops, values, ops.flat_adjoint_block())
         for got, want in zip(closed, explicit):
             assert np.abs(got).max() > 0.0
             assert worst_relative(got, want) <= 1e-12
@@ -1224,7 +1228,7 @@ class TestInteriorFunctionals:
     def test_row_functional_matches_direct_eval(self):
         p = (0.0, -0.5)
         ops = strip(GRID, wavy(), 32, p)
-        row = ops.interior_dy_row()
+        row = ops.interior_dy_row(ops.adjoint_block())
         for k in (0, 3, 11):
             sol = ops.solve(mode(k, 0.9))
             direct = ops.eval_interior_dy(sol, p)
@@ -1233,7 +1237,7 @@ class TestInteriorFunctionals:
     def test_row_matches_flat_symbol_when_resolved(self):
         # vertical truncation of high-mode boundary layers dies out by M = 48
         ops = strip(GRID, FLAT, 48, (0.0, -0.5))
-        row = ops.interior_dy_row()
+        row = ops.interior_dy_row(ops.adjoint_block())
         sym = flat_interior_dy_symbol(GRID, DEPTH, -0.5)
         assert np.max(np.abs(row - sym)) < 1e-9
 
@@ -1273,7 +1277,7 @@ class TestShapeDerivatives:
         p = (0.0, -0.5)
         ops = strip(grid, eta, 24, p)
         sol = ops.solve(trace)
-        dno_dirs, int_dirs = ops.shape_batch(sol)
+        dno_dirs, int_dirs = ops.shape_batch(sol, ops.adjoint_block())
         k = 7
         ref = grid._cos_inv @ dno_dirs[:, k]
         errs, int_errs = [], []
@@ -1300,7 +1304,7 @@ class TestShapeDerivatives:
         eta = on_side(EvenField(c), "upper")
         trace = mode(3, 1.0, 25)
         ops = strip(grid, eta, 20)
-        dno_dirs, _ = ops.shape_batch(ops.solve(trace))
+        dno_dirs, _ = ops.shape_batch(ops.solve(trace), ops.adjoint_block())
         for k in (0, 2, 5):
             fld, _ = shape_derivative(
                 grid, eta, trace, mode(k, 1.0, 25), DEPTH, 20, step=1e-4,
@@ -1312,7 +1316,7 @@ class TestShapeDerivatives:
         # the solve map is linear in the trace, so at trace = 0 it is flat
         ops = strip(GRID, FLAT, 24, (0.0, -0.5))
         sol = ops.solve(mode(0, 0.0))
-        dno_dirs, int_dirs = ops.shape_batch(sol)
+        dno_dirs, int_dirs = ops.shape_batch(sol, ops.adjoint_block())
         assert np.max(np.abs(dno_dirs)) == 0.0
         assert np.max(np.abs(int_dirs)) == 0.0
 

@@ -148,17 +148,24 @@ def test_block_products_run_on_scipy_blas():
         assert [p.lineno for p in _numpy_products(helper)] == [], name
         assert "_blas_product" in {_called_name(c) for c in ast.walk(helper)
                                    if isinstance(c, ast.Call)}, name
-    # the shape derivatives' -Z^T R: `shape_batch` reads the adjoint block
-    # only through `_shape_products`, a helper above, which reads it once;
-    # its result, and every array computed from it, is an operand of
-    # `_blas_product` and of no numpy product
+    # the shape derivatives' -Z^T R: `shape_batch` hands its adjoint block
+    # z only to `_shape_products`, a helper above, which reads its entries
+    # once, in one `_blas_product` and no numpy product; its result, and
+    # every array computed from it, is an operand of `_blas_product` and of
+    # no numpy product
     shape = _function(tree, "shape_batch")
-    assert not [a for a in ast.walk(shape) if isinstance(a, ast.Attribute)
-                and a.attr == "_adjoint_block"]
+    uses = [n for n in ast.walk(shape) if isinstance(n, ast.Name)
+            and n.id == "z"]
+    handed = [c for c in ast.walk(shape) if isinstance(c, ast.Call)
+              and _called_name(c) == "_shape_products" and _reads(c, {"z"})]
+    assert len(uses) == len(handed) == 1
     products = _function(tree, "_shape_products")
-    assert len([a for a in ast.walk(products)
-                if isinstance(a, ast.Attribute)
-                and a.attr == "_adjoint_block"]) == 1
+    assert len([a for a in ast.walk(products) if isinstance(a, ast.Subscript)
+                and isinstance(a.value, ast.Name) and a.value.id == "z"]) == 1
+    assert len([c for c in ast.walk(products) if isinstance(c, ast.Call)
+                and _called_name(c) == "_blas_product"
+                and _reads(c, {"z"})]) == 1
+    assert not [p for p in _numpy_products(products) if _reads(p, {"z"})]
     derived = {target.id for node in ast.walk(shape)
                if isinstance(node, ast.Assign)
                and isinstance(node.value, ast.Call)

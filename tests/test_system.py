@@ -1,6 +1,7 @@
 """Residual blocks, analytic Jacobian, strength derivative, flat closed form."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -334,6 +335,27 @@ class TestJacobian:
         rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
         assert rel < 1e-7
 
+    def test_one_adjoint_block_is_alive_at_a_time(self, monkeypatch):
+        # the assembly drops each layer's block before it solves the next
+        # layer's, and keeps neither: at each solve, and after the
+        # Jacobian, no earlier block is alive
+        system = WaveSystem(PARAMS, 32, 16)
+        prep = system.prepare(decayed_state(np.random.default_rng(7), 32))
+        blocks, alive = [], []
+        real = layers.LayerOperators.adjoint_block
+
+        def tracked(ops, kept=None):
+            alive.append(sum(block() is not None for block in blocks))
+            z = real(ops, kept)
+            blocks.append(weakref.ref(z))
+            return z
+
+        monkeypatch.setattr(layers.LayerOperators, "adjoint_block", tracked)
+        for _ in range(2):
+            system.jacobian_prepared(prep, 0.3)
+            alive.append(sum(block() is not None for block in blocks))
+        assert alive == [0, 0, 0] * 2
+
 
 class TestFlatJacobian:
     """The analytic Jacobian read through each layer's flat-strip block."""
@@ -370,8 +392,8 @@ class TestFlatJacobian:
         # elevation columns, on their own
         for layer in prep.layers if raised else ():
             ops = layer.ops
-            want = ops.shape_batch(layer.values)
-            got = ops.shape_batch(layer.values, flat=True)
+            want = ops.shape_batch(layer.values, ops.adjoint_block())
+            got = ops.shape_batch(layer.values, None)
             for exact_part, flat_part in zip(want, got):
                 if exact_part is not None:
                     scale = np.abs(exact_part).max()
@@ -379,15 +401,18 @@ class TestFlatJacobian:
                     assert np.abs(flat_part - exact_part).max() <= (
                         1e-12 * scale)
 
-    def test_leaves_the_exact_jacobian_as_it_was(self):
-        # the flat blocks are never kept: the exact Jacobian of a prepared
-        # state equals, bit for bit, that of a fresh system
+    def test_leaves_the_exact_jacobian_as_it_was(self, monkeypatch):
+        # the flat chord solves no adjoint block: the exact Jacobian of a
+        # prepared state equals, bit for bit, that of a fresh system
         system = WaveSystem(PARAMS, 32, 16)
         state = decayed_state(np.random.default_rng(7), 32, eta_scale=0.05)
         prep = system.prepare(state)
-        flat = system.flat_jacobian(prep, 0.3)
-        assert not any("_adjoint_block" in vars(layer.ops)
-                       for layer in prep.layers)
+        solved = []
+        with monkeypatch.context() as patch:
+            patch.setattr(layers.LayerOperators, "adjoint_block",
+                          lambda *args: solved.append(args))
+            flat = system.flat_jacobian(prep, 0.3)
+        assert solved == []
         exact = system.jacobian_prepared(prep, 0.3)
         fresh = WaveSystem(PARAMS, 32, 16)
         assert np.array_equal(
