@@ -21,7 +21,6 @@ none there.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import re
 import sys
@@ -30,8 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import RunConfig, load_config, load_config_file
-from .continuation import (Alternative, Branch, ContinuationEngine,
-                           Terminated)
+from .continuation import Alternative, Branch, ContinuationEngine
 from .errors import ConfigError, VortexWaveError
 from .persistence import (
     BranchWriter,
@@ -121,18 +119,15 @@ def _record(config: RunConfig, out: str, mode: str, run
     snapshot; `run` returns the finished Branch, whose summary comes last.
     """
     chash = config.config_hash()
-    steps = itertools.count()
     writer = BranchWriter(os.path.join(out, "branch.csv"), chash)
 
     def on_point(point):
-        writer.write(point)
+        step = writer.write(point)
         record = snapshot_record(
             point, config.n_modes, config.m_vertical,
             config.params.half_period, config.params.depth, chash,
         )
-        write_snapshot(
-            os.path.join(out, f"snapshot_{next(steps):04d}.json"), record
-        )
+        write_snapshot(os.path.join(out, f"snapshot_{step:04d}.json"), record)
 
     branch = run(on_point)
     termination = branch.termination  # None after a single solve
@@ -173,11 +168,15 @@ def _run_single(args) -> int:
     out = _out_dir(args, config)
     # solved before any record is opened, so a failed solve writes nothing
     # and leaves no earlier run's records (`_out_dir`)
-    point = _make_engine(config).solve_at(config.target_strength)
+    branch = _make_engine(config).solve_at(config.target_strength)
+    if branch.termination is not None:  # the solution is outside a guard
+        print(f"terminated: {branch.termination.value}", file=sys.stderr)
+        return _TERMINATION_EXIT[branch.termination]
+    point = branch.points[0]
 
     def run(on_point):
         on_point(point)
-        return Branch([point])
+        return branch
 
     _record(config, out, "single_solve", run)
     print(f"solved at strength {point.strength!r} "
@@ -206,9 +205,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except Terminated as exc:  # a single solve's solution outside a guard
-        print(f"terminated: {exc.alternative.value}", file=sys.stderr)
-        return _TERMINATION_EXIT[exc.alternative]
     except (VortexWaveError, MemoryError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)

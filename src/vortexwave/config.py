@@ -143,11 +143,6 @@ def load_config(text: str) -> RunConfig:
             pair=VortexPair((0.0, vortex_y), (0.0, phantom_y)),
         )
     except ValueError as exc:
-        if "upper density" in str(exc):
-            raise ValidationError(
-                "(rho_upper - rho_lower) * gravity < 0 required: "
-                "need rho_upper < rho_lower"
-            ) from exc
         raise ValidationError(str(exc)) from exc
 
     try:

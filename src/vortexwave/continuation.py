@@ -8,8 +8,8 @@
 - `ContinuationEngine.check_guards` is the one admissibility check: the
   `Alternative` a converged state violates, or None.
 - `continue_branch` predicts along the `tangent`, corrects, checks and
-  retries, and `classify_termination` names how a failed step ends it;
-  `solve_at` solves once, from the origin tangent.
+  retries; `solve_at` solves once, from the origin tangent.  Either
+  returns a `Branch`, whose `termination` is how the run ended.
 - `_point` takes a converged point's diagnostics, the determinant sign
   and sigma_min from one LU factorization (`_sign_and_sigma`).
 
@@ -203,29 +203,11 @@ class BranchPoint:
 
 @dataclass
 class Branch:
+    """The accepted points of a run, and the Alternative that ended it;
+    None for a fixed-strength solve that found its point."""
+
     points: list[BranchPoint] = field(default_factory=list)
     termination: Alternative | None = None
-
-
-class Terminated(VortexWaveError):
-    """A fixed-strength solve converged outside the admissible set;
-    `alternative` names the guard, as a branch's termination would."""
-
-    def __init__(self, alternative: Alternative):
-        super().__init__(alternative.value)
-        self.alternative = alternative
-
-
-def classify_termination(vortex_tripped: bool, boundary_tripped: bool
-                         ) -> Alternative:
-    """How a branch whose step failed below ds_min ends: at the vortex when
-    a retry met one, else at a wall when a retry met one, else as a Newton
-    failure."""
-    if vortex_tripped:
-        return Alternative.VORTEX_NEAR_INTERFACE
-    if boundary_tripped:
-        return Alternative.INTERFACE_TOUCHES_BOUNDARY
-    return Alternative.NEWTON_FAILURE
 
 
 class ContinuationEngine:
@@ -564,11 +546,12 @@ class ContinuationEngine:
                                   f"{violated.value}")
         return origin
 
-    def solve_at(self, strength: float) -> BranchPoint:
+    def solve_at(self, strength: float) -> Branch:
         """One fixed-strength solve seeded by the first-order origin predictor.
 
-        Raises Terminated when the solution violates `check_guards`, before
-        its Jacobian is built.
+        The Branch of its one point, or of no point and the Alternative
+        that the solution violates (`check_guards`), decided before its
+        Jacobian is built.
         """
         origin = self._flat_start()
         tang = self.tangent(self.system.prepare(origin), 0.0,
@@ -578,9 +561,10 @@ class ContinuationEngine:
         state, iterations, norm, solved = self.newton_correct(guess, strength)
         termination = self.check_guards(state, strength)
         if termination is not None:
-            raise Terminated(termination)
-        return self._point(state, strength, norm, iterations,
-                           self.system.jacobian_prepared(solved, strength))
+            return Branch(termination=termination)
+        return Branch([self._point(
+            state, strength, norm, iterations,
+            self.system.jacobian_prepared(solved, strength))])
 
     # -- branch driver -----------------------------------------------------------------
 
@@ -591,11 +575,13 @@ class ContinuationEngine:
         later candidate that does not ends the branch before it is
         accepted, so a finished branch is always a valid prefix.  A step
         whose corrector raises one of STEP_FAILURES is retried at half the
-        arclength step; below ds_min the branch ends as
-        `classify_termination` names it.  A STEP_FAILURES error in a
-        converged point's Jacobian, diagnostics or tangent ends the branch
-        at the last accepted point as a Newton failure, and propagates at
-        the flat state.  Only accepted points count against max_steps.
+        arclength step; below ds_min the branch ends at the vortex when a
+        retry met one (VortexTooClose), else at a wall when a retry met one
+        (DegenerateStrip), else as a Newton failure.  A STEP_FAILURES error
+        in a converged point's Jacobian, diagnostics or tangent ends the
+        branch at the last accepted point as a Newton failure, and
+        propagates at the flat state.  Only accepted points count against
+        max_steps.
         """
         settings = self.settings
         branch = Branch()
@@ -624,7 +610,7 @@ class ContinuationEngine:
             base = np.r_[state.to_vector(), strength]
             del prep  # the system keeps its arrays, never its operators
 
-            vortex_block = boundary_block = False
+            ending = Alternative.NEWTON_FAILURE
             while True:
                 try:
                     state, strength, iterations, prep, norm = (
@@ -632,12 +618,14 @@ class ContinuationEngine:
                     )
                     break
                 except STEP_FAILURES as exc:
-                    vortex_block |= isinstance(exc, VortexTooClose)
-                    boundary_block |= isinstance(exc, DegenerateStrip)
+                    if isinstance(exc, VortexTooClose):
+                        ending = Alternative.VORTEX_NEAR_INTERFACE
+                    elif (isinstance(exc, DegenerateStrip)
+                          and ending is Alternative.NEWTON_FAILURE):
+                        ending = Alternative.INTERFACE_TOUCHES_BOUNDARY
                     ds *= 0.5
                     if ds < settings.ds_min:
-                        branch.termination = classify_termination(
-                            vortex_block, boundary_block)
+                        branch.termination = ending
                         return branch
 
             branch.termination = self.check_guards(state, strength)

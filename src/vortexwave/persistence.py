@@ -75,12 +75,14 @@ class BranchWriter:
                          + ",".join(CSV_COLUMNS) + "\n")
         self._step = 0
 
-    def write(self, point: BranchPoint):
-        row = (self._step,
-               *(getattr(point, name) for name in CSV_COLUMNS[1:]))
+    def write(self, point: BranchPoint) -> int:
+        """Append the point's row; returns its step, the row's number."""
+        step = self._step
+        row = (step, *(getattr(point, name) for name in CSV_COLUMNS[1:]))
         with _writing(self.path, "a") as handle:
             handle.write(",".join(_fmt(v) for v in row) + "\n")
         self._step += 1
+        return step
 
 
 def load_branch_table(path: str) -> dict[str, np.ndarray]:

@@ -75,8 +75,12 @@ class PhysicalParameters:
                 raise ValueError(f"{name} must be finite")
         if not self.rho_lower > 0:
             raise ValueError("lower density must be positive")
-        if not 0 < self.rho_upper < self.rho_lower:
-            raise ValueError("need 0 < upper density < lower density")
+        if not self.rho_upper > 0:
+            raise ValueError("upper density must be positive")
+        if not self.rho_upper < self.rho_lower:
+            raise ValueError("upper density must be below the lower: "
+                             "(rho_upper - rho_lower) * gravity < 0 "
+                             "required")
         if not (self.gravity > 0 and self.surface_tension > 0):
             raise ValueError("gravity and surface tension must be positive")
         if not (self.depth > 0 and self.half_period > 0):

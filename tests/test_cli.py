@@ -145,6 +145,14 @@ class TestConfig:
                            match=r"\(rho_upper - rho_lower\) \* gravity < 0"):
             load_config("[physical]\nrho_upper = 1.2\nrho_lower = 1.0\n")
 
+    @pytest.mark.parametrize("value", ["-0.5", "0"])
+    def test_nonpositive_upper_density_names_positivity(self, value):
+        # below the lower density, so the ordering holds; the message names
+        # the condition that fails
+        with pytest.raises(ValidationError) as info:
+            load_config(f"[physical]\nrho_upper = {value}\n")
+        assert str(info.value) == "upper density must be positive"
+
     def test_odd_mode_count_rejected(self):
         with pytest.raises(ValidationError, match="even and at least 8"):
             load_config("[discretization]\nn_modes = 7\n")

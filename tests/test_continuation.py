@@ -1,6 +1,7 @@
 """Arclength driver: tangents, correctors, guards, classification, signs, symmetry."""
 
 import dataclasses
+import itertools
 import sys
 import warnings
 import weakref
@@ -14,9 +15,9 @@ from vortexwave.continuation import (
     Alternative,
     ContinuationEngine,
     ContinuationSettings,
-    classify_termination,
 )
 from vortexwave.errors import (
+    DegenerateStrip,
     LinearSolveFailure,
     NewtonFailure,
     NonFiniteEntry,
@@ -207,7 +208,8 @@ class TestBranch:
         assert points[-2].strength < 1.0 < points[-1].strength
         near = min(points, key=lambda p: abs(p.strength - 1.0))
         corrected = engine.newton_correct(near.state, 1.0)[0].to_vector()
-        solved = small_engine(m_vertical=8).solve_at(1.0).state.to_vector()
+        solved = (small_engine(m_vertical=8).solve_at(1.0).points[0]
+                  .state.to_vector())
         assert (np.abs(corrected - solved).max()
                 <= 1e-9 * np.abs(solved).max())
 
@@ -434,7 +436,7 @@ class TestWorkCounts:
         # vectors by GMRES alone)
         counts = self._vectors(monkeypatch)
         engine = small_engine(n_modes=64, m_vertical=32)
-        point = engine.solve_at(3.0)
+        point = engine.solve_at(3.0).points[0]
         assert point.newton_iterations == 5
         assert counts["panel"] == counts["trace"] == 0
         assert counts["panel steps"] <= 67
@@ -462,7 +464,8 @@ class TestWorkCounts:
         monkeypatch.setattr(layers, "gmres", gmres)
         monkeypatch.setattr(LayerOperators, "flat_adjoint_block",
                             flat_adjoint_block)
-        point = small_engine(n_modes=64, m_vertical=32).solve_at(3.0)
+        point = small_engine(n_modes=64,
+                             m_vertical=32).solve_at(3.0).points[0]
         assert point.newton_iterations == 5
         assert handed == []
         assert formed == ["adjoint_block"] * 2
@@ -507,7 +510,8 @@ class TestNewtonKrylov:
         # before its Newton-Krylov step, and the solution's Jacobian is the
         # only exact one: it solves adjoint blocks by GMRES, the flat ones
         # solve none, and none factors anything
-        point = small_engine(n_modes=32, m_vertical=16).solve_at(3.0)
+        point = small_engine(n_modes=32,
+                             m_vertical=16).solve_at(3.0).points[0]
         assert point.newton_iterations == 5
         assert lu_counter.factorizations == 0
 
@@ -542,7 +546,7 @@ class TestNewtonKrylov:
         monkeypatch.setattr(WaveSystem, "jacobian_prepared", counting)
         monkeypatch.setattr(WaveSystem, "flat_jacobian", counting_flat)
         monkeypatch.setattr(continuation, "gmres", counting_vectors)
-        return engine.solve_at(strength), jacobians, flat, steps
+        return engine.solve_at(strength).points[0], jacobians, flat, steps
 
     def test_fixed_strength_solve_builds_one_jacobian(self, monkeypatch):
         # at 64x32 the flat guess's chord is the flat-strip Jacobian, exact
@@ -620,10 +624,12 @@ class TestNewtonKrylov:
                              [(1.0, 4), (3.0, 5), (5.0, 6)])
     def test_fixed_strength_solve_matches_the_analytic_corrector(
             self, monkeypatch, strength, iterations):
-        krylov = small_engine(n_modes=32, m_vertical=16).solve_at(strength)
+        krylov = small_engine(n_modes=32, m_vertical=16).solve_at(
+            strength).points[0]
         monkeypatch.setattr(ContinuationEngine, "_krylov_step",
                             lambda *args: None)
-        analytic = small_engine(n_modes=32, m_vertical=16).solve_at(strength)
+        analytic = small_engine(n_modes=32, m_vertical=16).solve_at(
+            strength).points[0]
         assert krylov.newton_iterations == analytic.newton_iterations == (
             iterations)
         assert np.abs(krylov.state.to_vector()
@@ -657,7 +663,7 @@ class TestNewtonKrylov:
             engine = small_engine(n_modes=32, m_vertical=16, max_steps=6)
             if run == "branch":
                 return engine.continue_branch().points
-            return [engine.solve_at(3.0)]
+            return [engine.solve_at(3.0).points[0]]
 
         events = []
         real_product = ContinuationEngine._difference_product
@@ -699,7 +705,7 @@ class TestKeptStarts:
         # starts from zero and from the flat blocks
         engine = small_engine(n_modes=64, m_vertical=32)
         engine.solve_at(1.0)
-        point = engine.solve_at(3.0)
+        point = engine.solve_at(3.0).points[0]
         results = []
         for system in (engine.system, WaveSystem(PARAMS, 64, 32)):
             prep = system.prepare(point.state)
@@ -748,16 +754,90 @@ class TestTermination:
         assert all(p.vortex_distance >= engine.vortex_guard
                    for p in branch.points)
 
-    def test_precedence_order(self):
-        assert classify_termination(True, True) is (
-            Alternative.VORTEX_NEAR_INTERFACE
-        )
-        assert classify_termination(False, True) is (
-            Alternative.INTERFACE_TOUCHES_BOUNDARY
-        )
-        assert classify_termination(False, False) is (
-            Alternative.NEWTON_FAILURE
-        )
+    @staticmethod
+    def _scripted_steps(monkeypatch, script):
+        """Make the k-th `_arclength_correct` call raise script(k), or
+        correct when that is None; returns the call counter."""
+        real = ContinuationEngine._arclength_correct
+        calls = itertools.count()
+
+        def scripted(engine, *args):
+            failure = script(next(calls))
+            if failure is None:
+                return real(engine, *args)
+            raise failure("scripted step failure")
+
+        monkeypatch.setattr(ContinuationEngine, "_arclength_correct",
+                            scripted)
+        return calls
+
+    @pytest.mark.parametrize("failures, alternative", [
+        ((VortexTooClose, DegenerateStrip),
+         Alternative.VORTEX_NEAR_INTERFACE),
+        ((DegenerateStrip, VortexTooClose),
+         Alternative.VORTEX_NEAR_INTERFACE),
+        ((NewtonFailure, DegenerateStrip),
+         Alternative.INTERFACE_TOUCHES_BOUNDARY),
+        ((NewtonFailure,), Alternative.NEWTON_FAILURE),
+    ], ids=["vortex then wall", "wall then vortex", "wall over newton",
+            "newton"])
+    def test_failed_step_precedence(self, monkeypatch, failures,
+                                    alternative):
+        # the first step is corrected; every retry of the second raises the
+        # next of `failures`, cycling, until ds < ds_min: a retry that met
+        # a vortex ends the branch there, else one that met the wall, else
+        # it ends as a Newton failure
+        calls = self._scripted_steps(
+            monkeypatch,
+            lambda k: None if k == 0 else failures[(k - 1) % len(failures)])
+        branch = small_engine().continue_branch()
+        assert branch.termination is alternative
+        assert len(branch.points) == 2
+        assert next(calls) - 1 > len(failures)  # every failure was met
+
+    def test_each_step_starts_its_own_ending(self, monkeypatch):
+        # the second step's first try meets a vortex and its retry
+        # corrects; every retry of the third fails to converge, which ends
+        # the branch as a Newton failure, not at the vortex
+        self._scripted_steps(monkeypatch, lambda k: (
+            None if k in (0, 2) else
+            VortexTooClose if k == 1 else NewtonFailure))
+        branch = small_engine().continue_branch()
+        assert branch.termination is Alternative.NEWTON_FAILURE
+        assert len(branch.points) == 3
+
+    def test_guarded_solution_builds_no_point_jacobian(self, monkeypatch):
+        # the 16x8 solution at strength 3 has sup eta 0.331, within the 0.9
+        # gap floor of the upper wall.  Its corrector builds analytic
+        # Jacobians, since a 16x8 layer operator is factored, but once it
+        # has converged the solve checks the guards and ends with no point,
+        # before the Jacobian that a point's diagnostics would need
+        events = []
+
+        def recording(cls, name):
+            real = getattr(cls, name)
+
+            def wrapper(*args):
+                result = real(*args)
+                events.append(name)
+                return result
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        recording(WaveSystem, "jacobian_prepared")
+        recording(ContinuationEngine, "newton_correct")
+        recording(ContinuationEngine, "check_guards")
+        solved = small_engine(m_vertical=8).solve_at(3.0)
+        assert len(solved.points) == 1 and solved.termination is None
+        after = events[events.index("newton_correct") + 1:]
+        assert after == ["check_guards", "jacobian_prepared"]
+        events.clear()
+        branch = small_engine(m_vertical=8, gap_floor=0.9).solve_at(3.0)
+        assert branch.points == []
+        assert branch.termination is Alternative.INTERFACE_TOUCHES_BOUNDARY
+        assert "jacobian_prepared" in events  # the corrector's
+        after = events[events.index("newton_correct") + 1:]
+        assert after == ["check_guards"]
 
     @pytest.mark.parametrize("height, alternative", [
         (0.7, Alternative.VORTEX_NEAR_INTERFACE),
@@ -853,7 +933,7 @@ def jacobians_64x32():
     system = WaveSystem(PARAMS, 64, 32)
     engine = ContinuationEngine(system, ContinuationSettings(max_steps=12))
     points = {"branch": engine.continue_branch().points[-1],
-              "strength-3": engine.solve_at(3.0)}
+              "strength-3": engine.solve_at(3.0).points[0]}
     jacobians = {name: system.jacobian_prepared(
         system.prepare(point.state), point.strength)
         for name, point in points.items()}

@@ -323,7 +323,7 @@ def strength_3():
     """(system, state) of the fixed-strength solve at strength 3, 32x16."""
     system = WaveSystem(PhysicalParameters(), 32, 16)
     engine = ContinuationEngine(system, ContinuationSettings())
-    return system, engine.solve_at(3.0).state
+    return system, engine.solve_at(3.0).points[0].state
 
 
 class TestAdjointBlock:
@@ -416,7 +416,7 @@ class TestAdjointBlock:
         # flat block
         system = WaveSystem(PhysicalParameters(), 64, 32)
         wave = ContinuationEngine(system, ContinuationSettings()).solve_at(
-            0.0366).state
+            0.0366).points[0].state
         sup = np.max(np.abs(system.grid.even_values_half(wave.elevation)))
         assert 1.1e-3 < sup < 1.3e-3
         prep = system.prepare(wave)
@@ -710,7 +710,7 @@ def strength_3_64x32():
     """(system, state) of the fixed-strength solve at strength 3, 64x32."""
     system = WaveSystem(PhysicalParameters(), 64, 32)
     engine = ContinuationEngine(system, ContinuationSettings())
-    return system, engine.solve_at(3.0).state
+    return system, engine.solve_at(3.0).points[0].state
 
 
 class TestFlatProducts:
