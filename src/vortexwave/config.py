@@ -176,6 +176,6 @@ def load_config_file(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from exc
     return load_config(text)

@@ -513,8 +513,10 @@ class LayerOperators:
         return (lam / h2 - self.grid.wavenumbers[:, None] ** 2, inv_pad,
                 vecs_pad)
 
-    def _flat_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the flat-strip preconditioner to a vector or a block.
+    def _flat_solve(self, rhs: np.ndarray, transposed: bool = False
+                    ) -> np.ndarray:
+        """Apply the flat-strip preconditioner M^-1, or M^-T, to a vector or
+        a block.
 
         On a flat strip of thickness h, here the mean thickness, the mapped
         operator is u_xx + u_tautau / h^2, which the cosine transform in x
@@ -523,30 +525,24 @@ class LayerOperators:
         its two Dirichlet values and solves its interior rows by
         diagonalizing the interior block (`_interior_eigen`):
         u_i = V diag(1 / (lam / h^2 - k^2)) V^-1 (r_i - D_ib r_b / h^2).
-        `rhs` and the result are as in `_apply`; the result is a view of
-        the work buffer "precondition".
+
+        So M^-1 = (C x I) T^-1 (C^-1 x I), C the cosine synthesis in x and
+        T the per-mode blocks, and M^-T = (C^-T x I) T^-T (C^T x I).  Mode
+        k's block has identity Dirichlet rows b and the interior rows
+        [D_ib / h^2, S], S = D_ii / h^2 - k^2 with D the collocated
+        d^2/dtau^2; so T^-T r has the interior part
+        S^-T r_i = V^-T diag(1 / (lam / h^2 - k^2)) V^T r_i and the
+        Dirichlet part r_b - D_ib^T (S^-T r_i) / h^2.  `rhs` and the result
+        are as in `_apply`; the result is a view of the work buffer
+        "precondition".
         """
         grid = self.grid
         _, inv_pad, vecs_pad = self._flat_strip
+        if transposed:
+            return self._flat_products(rhs, grid._cos_mat.T, vecs_pad,
+                                       inv_pad, grid._cos_inv.T)
         return self._flat_products(rhs, grid._cos_inv, inv_pad.T,
                                    vecs_pad.T, grid._cos_mat)
-
-    def _flat_solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        """Transpose of `_flat_solve`, on the same shapes.
-
-        `_flat_solve` is (C x I) T^-1 (C^-1 x I), C the cosine synthesis in
-        x and T the per-mode blocks, so its transpose is
-        (C^-T x I) T^-T (C^T x I).  Mode k's block has identity Dirichlet
-        rows b and the interior rows [D_ib / h^2, S], S = D_ii / h^2 - k^2
-        with D the collocated d^2/dtau^2; so T^-T r has the interior part
-        S^-T r_i = V^-T diag(1 / (lam / h^2 - k^2)) V^T r_i and the
-        Dirichlet part r_b - D_ib^T (S^-T r_i) / h^2.  The result is a view
-        of the work buffer "precondition".
-        """
-        grid = self.grid
-        _, inv_pad, vecs_pad = self._flat_strip
-        return self._flat_products(rhs, grid._cos_mat.T, vecs_pad, inv_pad,
-                                   grid._cos_inv.T)
 
     def _flat_products(self, rhs: np.ndarray, first: np.ndarray,
                        to_modes: np.ndarray, from_modes: np.ndarray,
@@ -609,9 +605,7 @@ class LayerOperators:
         """(u, delta u) for u = M^-1 d, or (u, delta^T u) for u = M^-T d:
         one Richardson step of `_stationary`, as views of the work buffers
         "precondition" and "apply"."""
-        flat_solve = (self._flat_solve_transpose if transposed
-                      else self._flat_solve)
-        u = flat_solve(defect)
+        u = self._flat_solve(defect, transposed)
         return u, self._deviation(u, transposed)
 
     def _stationary(self, iterate: np.ndarray, defect: np.ndarray,
@@ -664,8 +658,6 @@ class LayerOperators:
         if not running.all():
             d[:, ~running] = 0.0
         last = np.full(left.size, np.inf)  # the last correction's norms
-        flat_solve = (self._flat_solve_transpose if transposed
-                      else self._flat_solve)
         steps = 0
         while running.any():
             u, delta_u = self._richardson_step(d, transposed)
@@ -675,7 +667,8 @@ class LayerOperators:
                     now[stalled] > KRYLOV_FLOOR * size[stalled]):
                 if steps == 1:  # undo the first step where the correction grew
                     grown = running & ~(moved <= last)
-                    x[:, grown] += flat_solve(previous)[:, grown]
+                    undo = self._flat_solve(previous, transposed)
+                    x[:, grown] += undo[:, grown]
                     d[:, grown] = previous[:, grown]
                     left[grown] = first[grown]
                 break
@@ -699,7 +692,8 @@ class LayerOperators:
         solved = gmres(preconditioned, d, KRYLOV_MAX, relax * KRYLOV_TOL,
                        relax * KRYLOV_FLOOR, self._work)
         if solved is not None:
-            solved = flat_solve(solved)  # M^-1 y for GMRES's y
+            # M^-1 y, or M^-T y, for GMRES's y
+            solved = self._flat_solve(solved, transposed)
         if solved is None or not np.all(np.isfinite(solved)):
             solved = self._solve_rhs(d, transposed)
         iterate -= solved
@@ -848,7 +842,7 @@ class LayerOperators:
 
     def _flat_profiles(self, tau_row: np.ndarray) -> np.ndarray:
         """The per-mode tau profiles P of M^-T on a column a (x) tau_row,
-        row k the transposed solve of mode k (`_flat_solve_transpose`), as
+        row k the transposed solve of mode k (`_flat_solve`), as
         a fresh (nx, mt) array; M^-T maps the column to C^-T diag(C^T a) P.
         """
         den, inv_pad, vecs_pad = self._flat_strip

@@ -215,3 +215,6 @@ def ensure_dir(path: str):
     except OSError as exc:
         raise ConfigError(f"cannot use output directory {path!r}: "
                           f"{exc.strerror}") from exc
+    except ValueError as exc:  # a path with a null byte
+        raise ConfigError(f"cannot use output directory {path!r}: "
+                          f"{exc}") from exc

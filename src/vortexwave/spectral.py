@@ -164,13 +164,14 @@ class CollocationGrid:
         bad = 0.5 * np.linalg.norm(v - refl)
         return half, bad
 
-    def to_even(self, values: np.ndarray, tol: float = PARITY_TOL) -> EvenField:
+    def to_even(self, values: np.ndarray) -> EvenField:
         """Project nodal values onto the cosine basis, checking parity."""
         half, bad = self._fold_even(values)
         scale = np.linalg.norm(np.asarray(values, dtype=float))
-        if bad > tol * max(scale, np.finfo(float).tiny):
+        if bad > PARITY_TOL * max(scale, np.finfo(float).tiny):
             raise ParityViolation(
-                f"odd-part energy {bad:.3e} exceeds {tol:.1e} of |values| = {scale:.3e}"
+                f"odd-part energy {bad:.3e} exceeds {PARITY_TOL:.1e} of "
+                f"|values| = {scale:.3e}"
             )
         return EvenField(self._cos_inv @ half)
 

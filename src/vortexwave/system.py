@@ -424,26 +424,25 @@ class WaveSystem:
             raise NonFiniteEntry("Jacobian assembly produced non-finite entries")
         return jac
 
-    def jacobian_fd(self, state: WaveState, strength: float,
-                    step: float = FD_STEP) -> np.ndarray:
+    def jacobian_fd(self, state: WaveState, strength: float) -> np.ndarray:
         base = state.to_vector()
         n_modes = self.grid.n_modes
         jac = np.empty((self.n_unknowns, self.n_unknowns))
         for j in range(base.size):
             bump = np.zeros_like(base)
-            bump[j] = step
+            bump[j] = FD_STEP
             plus = self.residual(WaveState.from_vector(base + bump, n_modes),
                                  strength)
             minus = self.residual(WaveState.from_vector(base - bump, n_modes),
                                   strength)
-            jac[:, j] = (plus - minus) / (2.0 * step)
+            jac[:, j] = (plus - minus) / (2.0 * FD_STEP)
         return jac
 
-    def strength_derivative_fd(self, state: WaveState, strength: float,
-                               step: float = EPS_STEP) -> np.ndarray:
-        plus = self.residual(state, strength + step)
-        minus = self.residual(state, strength - step)
-        return (plus - minus) / (2.0 * step)
+    def strength_derivative_fd(self, state: WaveState, strength: float
+                               ) -> np.ndarray:
+        plus = self.residual(state, strength + EPS_STEP)
+        minus = self.residual(state, strength - EPS_STEP)
+        return (plus - minus) / (2.0 * EPS_STEP)
 
     # -- flat closed form -------------------------------------------------------------
 

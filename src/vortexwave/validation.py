@@ -19,17 +19,16 @@ from .system import PhysicalParameters, WaveState, WaveSystem
 from .vortex import vortex_traces
 
 
-def _random_state(rng, n_modes, eta_scale=0.02, trace_scale=0.05,
-                  speed=0.1) -> WaveState:
+def _random_state(rng, n_modes) -> WaveState:
     n = n_modes + 1
     decay = np.exp(-0.4 * np.arange(n))
-    eta = eta_scale * rng.standard_normal(n) * decay
+    eta = 0.02 * rng.standard_normal(n) * decay
     eta[0] = 0.0
     return WaveState(
         EvenField(eta),
-        EvenField(trace_scale * rng.standard_normal(n) * decay),
-        EvenField(trace_scale * rng.standard_normal(n) * decay),
-        speed,
+        EvenField(0.05 * rng.standard_normal(n) * decay),
+        EvenField(0.05 * rng.standard_normal(n) * decay),
+        0.1,
     )
 
 
@@ -47,12 +46,15 @@ def check_flat_dno(params: PhysicalParameters):
 def check_origin_linearization(params: PhysicalParameters):
     system = WaveSystem(params, 64, 48)
     origin = system.prepare(system.origin())
-    gap = np.abs(system.jacobian_prepared(origin, 0.0)
-                 - system.flat_linearization()).max()
+    flat = system.flat_linearization()
+    gap = np.abs(system.jacobian_prepared(origin, 0.0) - flat).max()
     singulars = np.linalg.svd(
         WaveSystem(params, 64, 32).flat_linearization(), compute_uv=False
     )
-    ok = gap < 1e-9 and singulars[-1] > 1e-6
+    # 1e-9 absolute while the entries stay below 1e3, as at the defaults;
+    # relative beyond, where surface tension scales the elevation block
+    bound = 1e-12 * max(1e3, np.abs(flat).max())
+    ok = gap < bound and singulars[-1] > 1e-6
     return ok, (f"elementwise gap {gap:.2e}, "
                 f"smallest singular value {singulars[-1]:.2e}")
 

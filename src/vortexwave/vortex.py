@@ -101,14 +101,14 @@ class VortexTraces:
     """Vortex stream function and derivatives sampled along the interface.
 
     These are the lower layer's fields; the upper layer's are their exact
-    negatives.  Second derivatives feed the elevation block of the analytic
-    Jacobian.
+    negatives.  The residual reads phi, phi_x and phi_y, and the elevation
+    block of the analytic Jacobian phi_xy and phi_yy; the second x
+    derivative is -phi_yy, the kernel being harmonic, and is not kept.
     """
 
     phi: np.ndarray
     phi_x: np.ndarray
     phi_y: np.ndarray
-    phi_xx: np.ndarray
     phi_xy: np.ndarray
     phi_yy: np.ndarray
 
@@ -136,17 +136,10 @@ def vortex_traces(pair: VortexPair, x, eta,
             f"interface passes within {SINGULAR_RADIUS:.1e} of a vortex, "
             "or crosses one"
         )
-    dxl, dyl = x - pair.lower[0], eta - pair.lower[1]
-    dxu, dyu = x - pair.upper[0], eta - pair.upper[1]
-
-    def diff(fn):
-        low = fn(dxl, dyl, half_period)
-        up = fn(dxu, dyu, half_period)
-        if isinstance(low, tuple):
-            return tuple(lo - hi for lo, hi in zip(low, up))
-        return low - up
-
-    phi = diff(gamma)
-    gx, gy = diff(gamma_grad)
-    gxx, gxy, gyy = diff(gamma_hess)
-    return VortexTraces(phi=phi, phi_x=gx, phi_y=gy, phi_xx=gxx, phi_xy=gxy, phi_yy=gyy)
+    low = (x - pair.lower[0], eta - pair.lower[1], half_period)
+    up = (x - pair.upper[0], eta - pair.upper[1], half_period)
+    (low_x, low_y), (up_x, up_y) = gamma_grad(*low), gamma_grad(*up)
+    (_, low_xy, low_yy), (_, up_xy, up_yy) = gamma_hess(*low), gamma_hess(*up)
+    return VortexTraces(phi=gamma(*low) - gamma(*up), phi_x=low_x - up_x,
+                        phi_y=low_y - up_y, phi_xy=low_xy - up_xy,
+                        phi_yy=low_yy - up_yy)

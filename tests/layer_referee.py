@@ -10,8 +10,8 @@ forms the shape derivatives' right-hand side R (`shape_rhs`) and takes
 `shape_batch`.  `assembled_operator` builds the operator from Kronecker
 products and the unfolded coefficients, the referee of the matrix-free
 applies.  `flat_solve_dense` applies the flat-strip preconditioner through
-dense per-mode inverses; the tests hold `LayerOperators._flat_solve` and
-its transpose against it.  `adjoint_columns` forms the right-hand sides
+dense per-mode inverses; the tests hold `LayerOperators._flat_solve`,
+plain and transposed, against it.  `adjoint_columns` forms the right-hand sides
 [E^T | e] of the adjoint block, which the solver itself only adds a panel
 at a time.
 """

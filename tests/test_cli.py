@@ -376,6 +376,16 @@ m_vertical = 8
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"\xff\xfe[physical]\n")
+        for command in ("continue", "single-solve", "validate"):
+            assert cli.main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: cannot read config "
+                                  f"file {path}: ")
+            assert err.count("\n") == 1
+
     def test_invalid_config_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "[physical]\nrho_upper = 2.0\n")
         assert cli.main(["continue", "--config", cfg]) == 2
@@ -453,19 +463,22 @@ m_vertical = 8
         assert done.returncode == 2
         assert "ds0" in done.stderr
 
-    @pytest.mark.parametrize("output, out", [
-        ("[output]\ndirectory =\n", []),
-        ("", ["--out", "file"]),
-        ("", ["--out", os.path.join("file", "out")]),
-    ], ids=["empty name", "a file", "under a file"])
+    @pytest.mark.parametrize("output, out, name", [
+        ("[output]\ndirectory =\n", [], ""),
+        ("", ["--out", "file"], "file"),
+        ("", ["--out", os.path.join("file", "out")],
+         os.path.join("file", "out")),
+        ("[output]\ndirectory = o\0x\n", [], "o\0x"),
+    ], ids=["empty name", "a file", "under a file", "null byte"])
     def test_unusable_output_directory_exits_two(self, tmp_path, monkeypatch,
-                                                 capsys, output, out):
+                                                 capsys, output, out, name):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "file").write_text("")
         cfg = write_config(tmp_path, f"{SMALL}\n{output}")
         for command in ("continue", "single-solve"):
             assert cli.main([command, "--config", cfg, *out]) == 2
-            assert "configuration error" in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith(
+                f"configuration error: cannot use output directory {name!r}")
 
     @pytest.mark.parametrize("command", ["continue", "single-solve"])
     @pytest.mark.parametrize("name, kept", [
@@ -766,6 +779,15 @@ class TestValidateMode:
         code = cli.main(["validate", "--seed", "1"])
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
         assert code == 0
+        assert len(lines) == 5
+        assert all(ln.startswith("PASS") for ln in lines)
+
+    def test_suite_passes_at_high_surface_tension(self, tmp_path, capsys):
+        # the flat linearization's entries reach 4.1e6, and the origin
+        # Jacobian meets it to roundoff relative to them (3.1e-9 absolute)
+        cfg = write_config(tmp_path, "[physical]\nsurface_tension = 1000\n")
+        assert cli.main(["validate", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 5
         assert all(ln.startswith("PASS") for ln in lines)
 

@@ -72,7 +72,7 @@ def panelled(ops, rhs):
     for panel in layers._panels(rhs.shape[1]):
         solved = layers.gmres(preconditioned, rhs[:, panel],
                               KRYLOV_MAX, KRYLOV_TOL, KRYLOV_FLOOR, ops._work)
-        out[:, panel] = ops._flat_solve_transpose(solved)
+        out[:, panel] = ops._flat_solve(solved, transposed=True)
     return out
 
 
@@ -399,11 +399,11 @@ class TestAdjointBlock:
         # on a flat strip delta = 0: the start is the block
         ops, _ = self.layer("flat", "lower", None)
 
-        def unexpected(*args):
+        def unexpected(*args, **kwargs):
             raise AssertionError("a solve ran on the flat strip")
 
         monkeypatch.setattr(layers, "gmres", unexpected)
-        ops._flat_solve_transpose = unexpected
+        ops._flat_solve = unexpected
         block = ops.adjoint_block()
         assert not ops.factored
         assert np.array_equal(block, ops.flat_adjoint_block())
@@ -543,9 +543,10 @@ class TestAdjointBlock:
         """A^-T rhs by GMRES on A^T M^-T, a vector or a block, as a fresh
         array."""
         solved = gmres(
-            lambda v: ops._apply_transpose(ops._flat_solve_transpose(v)),
+            lambda v: ops._apply_transpose(
+                ops._flat_solve(v, transposed=True)),
             rhs, KRYLOV_MAX, tol, KRYLOV_FLOOR, ops._work)
-        return ops._flat_solve_transpose(solved).copy()
+        return ops._flat_solve(solved, transposed=True).copy()
 
     def test_block_columns_match_single_solves(self):
         # every column joins every Arnoldi step until the last one stops;
@@ -845,7 +846,7 @@ class TestStationary:
         got = ops.solve(trace).ravel()
         assert np.array_equal(got, ops._flat_solve(rhs))
         got = from_zero(ops, block)
-        assert np.array_equal(got, ops._flat_solve_transpose(block))
+        assert np.array_equal(got, ops._flat_solve(block, transposed=True))
         assert work == [1, 1]
         assert not ops.factored
 
@@ -1028,7 +1029,7 @@ class TestTransposes:
         ops = strip(self.GRID32, on_side(peaked(crest, n=33), side), 16)
         dense = flat_solve_dense(ops, np.eye(33 * 17))
         v = np.random.default_rng(9).standard_normal((33 * 17, 3))
-        got = as_columns(ops._flat_solve_transpose(as_block(v)))
+        got = as_columns(ops._flat_solve(as_block(v), transposed=True))
         assert worst_relative(got, dense.T @ v) <= 1e-12
 
     @pytest.mark.parametrize("a_order", ["C", "F"])
@@ -1057,10 +1058,11 @@ class TestTransposes:
         # block trace less than half a block of memory
         ops = strip(self.GRID32, peaked(0.33, n=33), 16)
         v = np.random.default_rng(13).standard_normal((33, 34, 17))
-        want = ops._apply_transpose(ops._flat_solve_transpose(v)).copy()
+        want = ops._apply_transpose(
+            ops._flat_solve(v, transposed=True)).copy()
         tracemalloc.start()
         try:
-            got = ops._apply_transpose(ops._flat_solve_transpose(v))
+            got = ops._apply_transpose(ops._flat_solve(v, transposed=True))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1083,18 +1085,18 @@ class TestTransposes:
         rhs[:, 33] = np.outer(row_x, (2.0 / h) * t_rows[1])
         panels = []  # per GMRES call, the widths of its preconditioner calls
         real_gmres = layers.gmres
-        precondition = ops._flat_solve_transpose
+        precondition = ops._flat_solve
 
         def calling(*args):
             panels.append([])
             return real_gmres(*args)
 
-        def counting(v):
+        def counting(v, transposed=False):
             panels[-1].append(v.shape[1])
-            return precondition(v)
+            return precondition(v, transposed)
 
         monkeypatch.setattr(layers, "gmres", calling)
-        ops._flat_solve_transpose = counting
+        ops._flat_solve = counting
         want = panelled(ops, rhs)
         panels.clear()
         tracemalloc.start()

@@ -433,8 +433,8 @@ class TestFlatJacobian:
             rhs = adjoint_columns(ops)
             want = np.empty_like(rhs)
             for panel in layers._panels(rhs.shape[1]):
-                want[:, panel] = ops._flat_solve_transpose(
-                    np.ascontiguousarray(rhs[:, panel]))
+                want[:, panel] = ops._flat_solve(
+                    np.ascontiguousarray(rhs[:, panel]), transposed=True)
             got = ops.flat_adjoint_block()
             assert got.shape == want.shape == (33, columns, 17)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -178,7 +178,7 @@ class TestTraces:
         eta = 0.1 * np.cos(np.pi * g.nodes / g.half_period)
         tr = vortex_traces(PAIR, g.nodes, eta)
         refl = g._reflect
-        for even in (tr.phi, tr.phi_y, tr.phi_xx, tr.phi_yy):
+        for even in (tr.phi, tr.phi_y, tr.phi_yy):
             gap = np.max(np.abs(even - even[refl]))
             assert gap < 1e-12 * max(np.max(np.abs(even)), 1e-30)
         for odd in (tr.phi_x, tr.phi_xy):
