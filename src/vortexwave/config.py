@@ -174,7 +174,7 @@ def load_config(text: str) -> RunConfig:
 
 def load_config_file(path: str) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from exc

@@ -5,10 +5,6 @@ class VortexWaveError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ParityViolation(VortexWaveError):
-    """Nodal data fed to a parity-tagged transform has the wrong symmetry."""
-
-
 class SingularEvaluation(VortexWaveError):
     """Kernel evaluated inside the singularity exclusion radius."""
 

@@ -919,7 +919,9 @@ class LayerOperators:
         For nodal values u, row_x @ u @ t_rows[n] is the n-th derivative in
         t = 2 tau + 1 at the point, n = 0, 1, 2; h is the layer thickness
         above x.  Raises PointOutsideLayer unless the point lies strictly
-        inside the layer.
+        inside the layer.  The package reads it at the probe only
+        (`_probe_rows`); the tests' referees evaluate solutions at other
+        points through it.
         """
         x, y = float(point[0]), float(point[1])
         grid = self.grid
@@ -940,16 +942,10 @@ class LayerOperators:
         t_rows = np.array([t0, t1, t2]) @ _vertical(self.m_vertical)[3]
         return np.cos(grid.wavenumbers * x) @ grid._cos_inv, t_rows, h
 
-    def eval_interior(self, values: np.ndarray, point) -> float:
-        """Solution value at an interior point."""
-        row_x, t_rows, _ = self._point_rows(point)
-        return float(row_x @ values @ t_rows[0])
-
-    def eval_interior_dy(self, values: np.ndarray, point=None) -> float:
-        """Vertical derivative of a solution at an interior point, by
-        default the probe."""
-        row_x, t_rows, h = (self._probe_rows if point is None
-                            else self._point_rows(point))
+    def eval_interior_dy(self, values: np.ndarray) -> float:
+        """Vertical derivative of a solution at the probe, which
+        `system.WaveSystem.prepare` reads for the drift row."""
+        row_x, t_rows, h = self._probe_rows
         return float(2.0 * (row_x @ values @ t_rows[1]) / h)
 
     def interior_dy_row(self, z: np.ndarray | None) -> np.ndarray:

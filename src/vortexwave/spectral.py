@@ -6,8 +6,7 @@ a_k cos(k pi x / L), k = 0..N, and odd fields sine series b_k sin(k pi x
 / L); a coefficient array has length N + 1, indexed by mode number, with
 slot 0 of an odd field zero.  The second half of the grid mirrors the
 first exactly in floating point, and even fields are evaluated on the half
-grid and unfolded, so parity is exact and the parity check of `to_even`
-trips only on genuinely asymmetric data.
+grid and unfolded, so their parity is exact by construction.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .errors import ParityViolation
-
-PARITY_TOL = 1e-10
 
 
 def _as_coeffs(obj) -> np.ndarray:
@@ -78,10 +73,6 @@ class CollocationGrid:
 
     # -- geometry ---------------------------------------------------------
 
-    @property
-    def n_nodes(self) -> int:
-        return 2 * self.n_modes
-
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """k pi / L for k = 0..N."""
@@ -103,12 +94,6 @@ class CollocationGrid:
         x = np.concatenate([h, -h[-2:0:-1]])
         x.flags.writeable = False
         return x
-
-    @cached_property
-    def _reflect(self) -> np.ndarray:
-        """Index map j -> (2N - j) mod 2N realizing x -> -x."""
-        n2 = self.n_nodes
-        return (-np.arange(n2)) % n2
 
     # -- transform matrices (half grid) ------------------------------------
 
@@ -154,26 +139,6 @@ class CollocationGrid:
         return self.half_d2 @ self._cos_mat
 
     # -- values <-> coefficients -------------------------------------------
-
-    def _fold_even(self, values: np.ndarray) -> tuple[np.ndarray, float]:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.n_nodes,):
-            raise ValueError(f"expected {self.n_nodes} nodal values, got {v.shape}")
-        refl = v[self._reflect]
-        half = 0.5 * (v + refl)[: self.n_modes + 1]
-        bad = 0.5 * np.linalg.norm(v - refl)
-        return half, bad
-
-    def to_even(self, values: np.ndarray) -> EvenField:
-        """Project nodal values onto the cosine basis, checking parity."""
-        half, bad = self._fold_even(values)
-        scale = np.linalg.norm(np.asarray(values, dtype=float))
-        if bad > PARITY_TOL * max(scale, np.finfo(float).tiny):
-            raise ParityViolation(
-                f"odd-part energy {bad:.3e} exceeds {PARITY_TOL:.1e} of "
-                f"|values| = {scale:.3e}"
-            )
-        return EvenField(self._cos_inv @ half)
 
     def unfold_even(self, half: np.ndarray) -> np.ndarray:
         """Extend half-grid values of an even function to all 2N nodes."""

@@ -103,12 +103,8 @@ def check_origin_tangent(params: PhysicalParameters):
     return gap < 1e-8, f"max gap to block substitution {gap:.2e}"
 
 
-def run_validation(params: PhysicalParameters, seed: int = 0,
-                   stream=None) -> bool:
+def run_validation(params: PhysicalParameters, seed: int = 0) -> bool:
     """Run every check, print one line each, return overall pass."""
-    import sys
-
-    stream = stream if stream is not None else sys.stdout
     checks = [
         ("flat_dno_multipliers", lambda: check_flat_dno(params)),
         ("origin_linearization", lambda: check_origin_linearization(params)),
@@ -124,5 +120,5 @@ def run_validation(params: PhysicalParameters, seed: int = 0,
         except Exception as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok
-        stream.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return all_ok

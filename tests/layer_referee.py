@@ -1,19 +1,22 @@
 """Referees of the layer operators' solves, shape derivatives and preconditioner.
 
-`shape_derivative` re-solves the layer on two perturbed geometries; the
-tests hold `LayerOperators.shape_batch` against it.  `forward_lu_products`
-computes the Jacobian's layer products through forward LU solves and the
-explicit shape terms by complex step; the tests hold the adjoint block and
-the closed-form shape derivatives against it.  `explicit_shape_batch`
-forms the shape derivatives' right-hand side R (`shape_rhs`) and takes
--Z^T R as it stands, the referee of the factored contraction in
-`shape_batch`.  `assembled_operator` builds the operator from Kronecker
-products and the unfolded coefficients, the referee of the matrix-free
-applies.  `flat_solve_dense` applies the flat-strip preconditioner through
-dense per-mode inverses; the tests hold `LayerOperators._flat_solve`,
-plain and transposed, against it.  `adjoint_columns` forms the right-hand sides
-[E^T | e] of the adjoint block, which the solver itself only adds a panel
-at a time.
+`eval_interior` and `eval_interior_dy` read a solution's value and
+vertical derivative at any interior point through
+`LayerOperators._point_rows`; the package reads the derivative at the
+probe only.  `shape_derivative` re-solves the layer on two perturbed
+geometries; the tests hold `LayerOperators.shape_batch` against it.
+`forward_lu_products` computes the Jacobian's layer products through
+forward LU solves and the explicit shape terms by complex step; the tests
+hold the adjoint block and the closed-form shape derivatives against it.
+`explicit_shape_batch` forms the shape derivatives' right-hand side R
+(`shape_rhs`) and takes -Z^T R as it stands, the referee of the factored
+contraction in `shape_batch`.  `assembled_operator` builds the operator
+from Kronecker products and the unfolded coefficients, the referee of the
+matrix-free applies.  `flat_solve_dense` applies the flat-strip
+preconditioner through dense per-mode inverses; the tests hold
+`LayerOperators._flat_solve`, plain and transposed, against it.
+`adjoint_columns` forms the right-hand sides [E^T | e] of the adjoint
+block, which the solver itself only adds a panel at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +38,18 @@ SHAPE_STEP = 1e-6
 #: ACM TOMS 29, 2003): no difference is taken, so any step far below the
 #: scale of the function is exact to roundoff
 COMPLEX_STEP = 1e-30
+
+
+def eval_interior(ops: LayerOperators, values: np.ndarray, point) -> float:
+    """Solution value at an interior point."""
+    row_x, t_rows, _ = ops._point_rows(point)
+    return float(row_x @ values @ t_rows[0])
+
+
+def eval_interior_dy(ops: LayerOperators, values: np.ndarray, point) -> float:
+    """Vertical derivative of a solution at an interior point."""
+    row_x, t_rows, h = ops._point_rows(point)
+    return float(2.0 * (row_x @ values @ t_rows[1]) / h)
 
 
 def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
@@ -62,7 +77,7 @@ def shape_derivative(grid: CollocationGrid, eta: EvenField, trace: EvenField,
         ops = LayerOperators(grid, depth, shifted, m_vertical)
         values = ops.solve(trace)
         g = ops.dno_values_half(values)
-        val = ops.eval_interior_dy(values, point) if point is not None else 0.0
+        val = eval_interior_dy(ops, values, point) if point is not None else 0.0
         outs.append((g, val))
     dg = (outs[0][0] - outs[1][0]) / (2.0 * h)
     dval = (outs[0][1] - outs[1][1]) / (2.0 * h)
@@ -220,7 +235,7 @@ def forward_lu_products(ops, u):
         return ops._extraction(eta_half, u_tau_ifc, u_x_ifc)
 
     def interior_dy(u_all):
-        return np.array([ops.eval_interior_dy(u_all[:, :, k], point)
+        return np.array([eval_interior_dy(ops, u_all[:, :, k], point)
                          for k in range(u_all.shape[2])])
 
     rhs = np.zeros((nx * mt, nx))

@@ -386,6 +386,17 @@ m_vertical = 8
                                   f"file {path}: ")
             assert err.count("\n") == 1
 
+    def test_config_file_with_a_byte_order_mark_runs(self, tmp_path, capsys):
+        # some Windows editors save UTF-8 with a leading byte-order mark
+        text = "[physical]\nsurface_tension = 1000\n"
+        plain = write_config(tmp_path, text)
+        marked = tmp_path / "marked.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert cli.main(["validate", "--config", str(marked)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (load_config_file(str(marked)).config_hash()
+                == load_config_file(plain).config_hash())
+
     def test_invalid_config_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "[physical]\nrho_upper = 2.0\n")
         assert cli.main(["continue", "--config", cfg]) == 2

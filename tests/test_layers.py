@@ -29,6 +29,7 @@ from vortexwave.system import PhysicalParameters, WaveState, WaveSystem
 from layer_referee import (
     adjoint_columns,
     assembled_operator,
+    eval_interior,
     explicit_shape_batch,
     flat_solve_dense,
     forward_lu_products,
@@ -158,7 +159,7 @@ class TestFlatSolves:
         ops = strip(GRID, FLAT, 32)
         sol = ops.solve(mode(0))
         for x, y in [(0.3, -0.9), (1.1, -0.5), (-2.0, -0.1)]:
-            assert ops.eval_interior(sol, (x, y)) == pytest.approx(
+            assert eval_interior(ops, sol, (x, y)) == pytest.approx(
                 (y + DEPTH) / DEPTH, abs=1e-10
             )
 
@@ -172,7 +173,7 @@ class TestFlatSolves:
         sol = ops.solve(mode(k))
         for x, y in [(0.4, -0.35), (0.0, -0.7), (1.5, -0.2)]:
             exact = np.cos(kap * x) * np.sinh(kap * (y + DEPTH)) / np.sinh(kap)
-            assert ops.eval_interior(sol, (x, y)) == pytest.approx(exact, abs=1e-10)
+            assert eval_interior(ops, sol, (x, y)) == pytest.approx(exact, abs=1e-10)
 
     def test_upper_layer_mirrors_lower(self):
         k, kap = 2, 2.0
@@ -181,7 +182,7 @@ class TestFlatSolves:
         ops = prep.upper.ops
         for x, y in [(0.4, 0.35), (0.0, 0.7)]:
             exact = np.cos(kap * x) * np.sinh(kap * (DEPTH - y)) / np.sinh(kap)
-            got = ops.eval_interior(prep.upper.values, (x, -y))
+            got = eval_interior(ops, prep.upper.values, (x, -y))
             assert got == pytest.approx(exact, abs=1e-10)
 
     def test_interface_trace_reproduced(self):
@@ -1179,22 +1180,22 @@ class TestCurvedGeometry:
         for p in [(0.3, -0.5), (-1.0, -0.4), (2.0, -0.75)]:
             x, y = p
             lap = (
-                ops.eval_interior(sol, (x + h, y))
-                + ops.eval_interior(sol, (x - h, y))
-                + ops.eval_interior(sol, (x, y + h))
-                + ops.eval_interior(sol, (x, y - h))
-                - 4.0 * ops.eval_interior(sol, p)
+                eval_interior(ops, sol, (x + h, y))
+                + eval_interior(ops, sol, (x - h, y))
+                + eval_interior(ops, sol, (x, y + h))
+                + eval_interior(ops, sol, (x, y - h))
+                - 4.0 * eval_interior(ops, sol, p)
             ) / h**2
             assert abs(lap) < 1e-5
 
     def test_interior_derivatives_match_bivariate_fd(self):
-        ops = strip(GRID, on_side(wavy(), "upper"), 32)
-        sol = ops.solve(mode(3, 0.7))
         p = (0.6, -0.45)
+        ops = strip(GRID, on_side(wavy(), "upper"), 32, p)
+        sol = ops.solve(mode(3, 0.7))
         h = 1e-5
-        fd_y = (ops.eval_interior(sol, (p[0], p[1] + h))
-                - ops.eval_interior(sol, (p[0], p[1] - h))) / (2 * h)
-        assert ops.eval_interior_dy(sol, p) == pytest.approx(fd_y, abs=1e-6)
+        fd_y = (eval_interior(ops, sol, (p[0], p[1] + h))
+                - eval_interior(ops, sol, (p[0], p[1] - h))) / (2 * h)
+        assert ops.eval_interior_dy(sol) == pytest.approx(fd_y, abs=1e-6)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -1215,15 +1216,15 @@ class TestCurvedGeometry:
 class TestInteriorFunctionals:
     def test_flat_interior_dy_oracle(self):
         k, kap, y0 = 4, 4.0, -0.5
-        ops = strip(GRID, FLAT, 32)
+        ops = strip(GRID, FLAT, 32, (0.0, y0))
         sol = ops.solve(mode(k))
         exact = kap * np.cosh(kap * (y0 + DEPTH)) / np.sinh(kap * DEPTH)
-        assert ops.eval_interior_dy(sol, (0.0, y0)) == pytest.approx(exact, rel=1e-10)
+        assert ops.eval_interior_dy(sol) == pytest.approx(exact, rel=1e-10)
 
     def test_constant_trace_dy_is_inverse_depth(self):
-        ops = strip(GRID, FLAT, 32)
+        ops = strip(GRID, FLAT, 32, (0.9, -0.3))
         sol = ops.solve(mode(0))
-        assert ops.eval_interior_dy(sol, (0.9, -0.3)) == pytest.approx(
+        assert ops.eval_interior_dy(sol) == pytest.approx(
             1.0 / DEPTH, rel=1e-10
         )
 
@@ -1233,7 +1234,7 @@ class TestInteriorFunctionals:
         row = ops.interior_dy_row(ops.adjoint_block())
         for k in (0, 3, 11):
             sol = ops.solve(mode(k, 0.9))
-            direct = ops.eval_interior_dy(sol, p)
+            direct = ops.eval_interior_dy(sol)
             assert row[k] * 0.9 == pytest.approx(direct, abs=1e-12)
 
     def test_row_matches_flat_symbol_when_resolved(self):
@@ -1343,7 +1344,7 @@ class TestGuards:
         sol = ops.solve(mode(1))
         for bad in [(0.0, 0.5), (0.0, -1.5), (0.0, 0.0), (0.0, -1.0)]:
             with pytest.raises(PointOutsideLayer):
-                ops.eval_interior(sol, bad)
+                eval_interior(ops, sol, bad)
             with pytest.raises(PointOutsideLayer):  # as the probe
                 strip(GRID, FLAT, 16, bad).eval_interior_dy(sol)
 

@@ -16,8 +16,6 @@ PACKAGE = ROOT / "src" / "vortexwave"
 
 #: referees and readers kept although nothing in src/ calls them
 KEPT = (
-    "eval_interior",            # interior value; referee of eval_interior_dy
-    "to_even",                  # parity-checked inverse of even_values
     "nodes",                    # the full grid that even_values samples
     "load_snapshot",            # readers of the output files
     "load_branch_table",
