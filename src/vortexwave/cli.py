@@ -168,7 +168,7 @@ def _run_single(args) -> int:
     out = _out_dir(args, config)
     # solved before any record is opened, so a failed solve writes nothing
     # and leaves no earlier run's records (`_out_dir`)
-    branch = _make_engine(config).solve_at(config.target_strength)
+    branch = _make_engine(config).solve_at(config.settings.target_strength)
     if branch.termination is not None:  # the solution is outside a guard
         print(f"terminated: {branch.termination.value}", file=sys.stderr)
         return _TERMINATION_EXIT[branch.termination]

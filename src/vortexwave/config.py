@@ -5,9 +5,9 @@ optional; missing keys fill in from the desk-scale defaults.  Unknown
 sections, [DEFAULT] among them, and unknown keys are rejected so typos
 never silently fall back to a default.  The [physical] keys are the scalar
 fields of `PhysicalParameters` plus the vortex pair's heights vortex_y and
-phantom_y; the [continuation] keys are the fields of
-`ContinuationSettings` plus target_strength.  Both take their defaults
-from those dataclasses.  The resolved configuration canonicalizes to
+phantom_y; the [continuation] keys are exactly the fields of
+`ContinuationSettings`.  Both take their defaults from those
+dataclasses.  The resolved configuration canonicalizes to
 sorted key=value lines whose hash stamps every output file of a run; the
 output directory is not part of it.
 """
@@ -41,8 +41,7 @@ _SECTIONS = {
                  "vortex_y": PhysicalParameters.pair.lower[1],
                  "phantom_y": None},  # None mirrors vortex_y
     "discretization": {"n_modes": 64, "m_vertical": 32},
-    "continuation": {**_scalars(ContinuationSettings),
-                     "target_strength": 1e-3},
+    "continuation": _scalars(ContinuationSettings),
     "output": {"directory": "out"},
 }
 
@@ -53,7 +52,6 @@ class RunConfig:
     n_modes: int
     m_vertical: int
     settings: ContinuationSettings
-    target_strength: float
     out_dir: str
 
     def resolved(self) -> dict:
@@ -64,8 +62,7 @@ class RunConfig:
                          "phantom_y": pair.upper[1]},
             "discretization": {"n_modes": self.n_modes,
                                "m_vertical": self.m_vertical},
-            "continuation": {**_scalars(self.settings),
-                             "target_strength": self.target_strength},
+            "continuation": _scalars(self.settings),
         }
         return {f"{section}.{key}": value
                 for section, values in sections.items()
@@ -159,15 +156,11 @@ def load_config(text: str) -> RunConfig:
             "below that the layer solver's own floor fires first"
         )
 
-    if not np.isfinite(cont["target_strength"]):
-        raise ValidationError("target_strength must be finite")
-
     return RunConfig(
         params=params,
         n_modes=disc["n_modes"],
         m_vertical=disc["m_vertical"],
         settings=settings,
-        target_strength=cont["target_strength"],
         out_dir=values["output"]["directory"],
     )
 

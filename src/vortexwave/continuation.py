@@ -165,6 +165,7 @@ class ContinuationSettings:
     norm_cap: float = 1e3
     vortex_guard: float | None = None
     gap_floor: float | None = None
+    target_strength: float = 1e-3  # of a fixed-strength solve
 
     def __post_init__(self):
         # an infinite ds0 would survive every halving, so a failing step
@@ -181,6 +182,8 @@ class ContinuationSettings:
             value = getattr(self, name)
             if value is not None and not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if not np.isfinite(self.target_strength):
+            raise ValueError("target_strength must be finite")
 
 
 @dataclass(frozen=True)

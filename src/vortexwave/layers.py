@@ -13,7 +13,7 @@ Dirichlet-to-Neumann multiplier the value 1/d on a flat strip.
 - `LayerOperators` is one strip's mapped Laplacian A (`_profiles`), with
   matrix-free applies and the flat strip M at its mean thickness, whose
   closed-form solves precondition them (`_flat_solve`; A = M + delta,
-  `_deviation`).
+  `_richardson_step`).
 - `LayerOperators._stationary` is the one layer-solve loop: Richardson
   steps, then GMRES, then one LU step.  `solve` runs it on a trace, and
   `adjoint_block` on the panels of the adjoint block Z = A^-T [E^T | e],
@@ -350,7 +350,7 @@ class LayerOperators:
         self._c_tt = np.outer(q_tt_quad, one_plus**2) + q_tt_flat[:, None]
         self._c_tt[:, ::mt - 1] = 0.0
         # the preconditioner's flat strip has the mean thickness; its
-        # u_tautau coefficient is 1/h^2 (`_deviation`)
+        # u_tautau coefficient is 1/h^2 (`_richardson_step`)
         self._mean_h2 = (eta.coeffs[0] + depth) ** 2
         self._c_tt_deviation = self._c_tt - 1.0 / self._mean_h2
         self._c_tt_deviation[:, ::mt - 1] = 0.0
@@ -409,43 +409,30 @@ class LayerOperators:
         return u.reshape(self.grid.n_modes + 1, -1,
                          self.m_vertical + 1)
 
-    def _apply(self, u: np.ndarray) -> np.ndarray:
-        """Matrix-free operator apply, Dirichlet rows replaced by identity:
-        D2x w plus `_variable` on the interior rows.  `u` is a vector or a
-        block (`_block`); the result, of its shape, is a view of the work
-        buffer "apply"."""
+    def _apply(self, u: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """Matrix-free operator apply A u, or A^T u, on a vector or a block
+        (`_block`); the result, of its shape, is a view of the work buffer
+        "apply".
+
+        A = P L + Q: the mapped operator L on the interior rows (projection
+        P) and the identity on the Dirichlet rows (projection Q), so A^T v =
+        L^T P v + Q v.  L is D2x plus `_variable`, L^T is D2x^T plus
+        `_variable_transpose`, and their M and c_tt vanish on the Dirichlet
+        rows: `_variable` adds exact zeros there, `_variable_transpose`
+        reads P v as v, and D2x^T P v vanishes there, where Q v puts v.  So
+        both orientations take the x product, set the Dirichlet rows to the
+        input and then add the variable terms.
+        """
         w = self._block(u)
         nx = w.shape[0]
         out = self._work.view("apply", w.shape)
-        _blas_product(self.grid.half_d2, w.reshape(nx, -1),
-                      out=out.reshape(nx, -1))
-        self._variable(w, self._c_tt, out, accumulate=True)
+        d2x = self.grid.half_d2.T if transposed else self.grid.half_d2
+        _blas_product(d2x, w.reshape(nx, -1), out=out.reshape(nx, -1))
         out[:, :, 0] = w[:, :, 0]  # the interface
         out[:, :, -1] = w[:, :, -1]  # the wall
+        terms = self._variable_transpose if transposed else self._variable
+        terms(w, self._c_tt, out, accumulate=True)
         return out.reshape(u.shape)
-
-    def _apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        """Transpose of `_apply`, matrix-free, on the same shapes.
-
-        `_apply` is A = P L + Q: the mapped operator L on the interior rows
-        (projection P) and the identity on the Dirichlet rows (projection
-        Q).  So A^T v = L^T P v + Q v, with, for a field w on the grid,
-
-            L^T w = D2x^T w + X^T w M + (c_tt w) D2tau.
-
-        M and c_tt vanish on the Dirichlet rows, so they read P v as v, and
-        D2x^T P v vanishes there, where Q v puts v itself.  The result is a
-        view of the work buffer "apply".
-        """
-        w = self._block(v)
-        nx = w.shape[0]
-        out = self._work.view("apply", w.shape)
-        _blas_product(self.grid.half_d2.T, w.reshape(nx, -1),
-                      out=out.reshape(nx, -1))
-        out[:, :, 0] = w[:, :, 0]
-        out[:, :, -1] = w[:, :, -1]
-        self._variable_transpose(w, self._c_tt, out, accumulate=True)
-        return out.reshape(v.shape)
 
     def _variable(self, w: np.ndarray, c_tt: np.ndarray, out: np.ndarray,
                   accumulate: bool = False) -> None:
@@ -454,8 +441,8 @@ class LayerOperators:
 
         The first-order terms of `_profiles` and a u_tautau coefficient
         c_tt, zero on the Dirichlet rows, as both are: `_apply` passes the
-        operator's own and `_deviation` the part that differs from the flat
-        strip's.
+        operator's own and `_richardson_step` the part that differs from the
+        flat strip's.
         """
         nx, _, mt = w.shape
         part = self._work.view("scratch", w.shape)
@@ -482,23 +469,6 @@ class LayerOperators:
         np.multiply(w, c_tt[:, None, :], out=part)
         _blas_product(part.reshape(-1, mt), self._d_tau2,
                       out=out.reshape(-1, mt), accumulate=True)
-
-    def _deviation(self, u: np.ndarray, transposed: bool = False
-                   ) -> np.ndarray:
-        """delta = A - M, or its transpose, on a vector or a block.
-
-        M is the flat strip of the preconditioner (`_flat_solve`): on the
-        interior rows D2x w + (w D2tau^T) / h^2, h the mean thickness, since
-        the cosine synthesis turns -k^2 into D2x, and the identity on the
-        Dirichlet rows.  So delta is `_variable` with the coefficient
-        c_tt - 1/h^2, zero on the Dirichlet rows.  Shapes are as in
-        `_apply`; the result is a view of the work buffer "apply".
-        """
-        w = self._block(u)
-        out = self._work.view("apply", w.shape)
-        terms = self._variable_transpose if transposed else self._variable
-        terms(w, self._c_tt_deviation, out)
-        return out.reshape(u.shape)
 
     @cached_property
     def _flat_strip(self):
@@ -537,19 +507,14 @@ class LayerOperators:
         "precondition".
         """
         grid = self.grid
-        _, inv_pad, vecs_pad = self._flat_strip
+        denominators, inv_pad, vecs_pad = self._flat_strip
+        # `first` and `last` act in x, `to_modes` and `from_modes` in tau
         if transposed:
-            return self._flat_products(rhs, grid._cos_mat.T, vecs_pad,
-                                       inv_pad, grid._cos_inv.T)
-        return self._flat_products(rhs, grid._cos_inv, inv_pad.T,
-                                   vecs_pad.T, grid._cos_mat)
-
-    def _flat_products(self, rhs: np.ndarray, first: np.ndarray,
-                       to_modes: np.ndarray, from_modes: np.ndarray,
-                       last: np.ndarray) -> np.ndarray:
-        """The flat-strip solve or its transpose, given its four operands.
-
-        `first` and `last` act in x, `to_modes` and `from_modes` in tau."""
+            first, to_modes = grid._cos_mat.T, vecs_pad
+            from_modes, last = inv_pad, grid._cos_inv.T
+        else:
+            first, to_modes = grid._cos_inv, inv_pad.T
+            from_modes, last = vecs_pad.T, grid._cos_mat
         r = self._block(rhs)
         nx, k, mt = r.shape
         out = self._work.view("precondition", r.shape)
@@ -558,7 +523,7 @@ class LayerOperators:
         _blas_product(first, r.reshape(nx, -1), out=out.reshape(nx, -1))
         _blas_product(out.reshape(-1, mt), to_modes,
                       out=inner.reshape(-1, mt - 2))
-        inner /= self._flat_strip[0][:, None, :]
+        inner /= denominators[:, None, :]
         _blas_product(inner.reshape(-1, mt - 2), from_modes,
                       out=u.reshape(-1, mt))
         u[:, :, 0] += out[:, :, 0]
@@ -604,9 +569,21 @@ class LayerOperators:
                          ) -> tuple[np.ndarray, np.ndarray]:
         """(u, delta u) for u = M^-1 d, or (u, delta^T u) for u = M^-T d:
         one Richardson step of `_stationary`, as views of the work buffers
-        "precondition" and "apply"."""
+        "precondition" and "apply", of the shape of `defect`.
+
+        M is the flat strip of the preconditioner (`_flat_solve`): on the
+        interior rows D2x w + (w D2tau^T) / h^2, h the mean thickness, since
+        the cosine synthesis turns -k^2 into D2x, and the identity on the
+        Dirichlet rows.  So delta = A - M is `_variable` with the
+        coefficient c_tt - 1/h^2, zero on the Dirichlet rows, and delta^T
+        is `_variable_transpose` with it.
+        """
         u = self._flat_solve(defect, transposed)
-        return u, self._deviation(u, transposed)
+        w = self._block(u)
+        delta_u = self._work.view("apply", w.shape)
+        terms = self._variable_transpose if transposed else self._variable
+        terms(w, self._c_tt_deviation, delta_u)
+        return u, delta_u.reshape(u.shape)
 
     def _stationary(self, iterate: np.ndarray, defect: np.ndarray,
                     size: np.ndarray | None, transposed: bool = False
@@ -831,7 +808,7 @@ class LayerOperators:
             staged[...] = z[:, panel]
             if kept is not None:
                 staged += kept[:, panel]
-            defect = self._apply_transpose(staged)
+            defect = self._apply(staged, transposed=True)
             self._add_adjoint_columns(defect, panel, -1.0)
             self._stationary(staged, defect, self._adjoint_column_norms[panel],
                              transposed=True)

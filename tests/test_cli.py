@@ -98,7 +98,7 @@ class TestConfig:
         assert config.m_vertical == 32
         assert config.settings.ds0 == 5e-4
         assert config.settings.max_steps == 200
-        assert config.target_strength == 1e-3
+        assert config.settings.target_strength == 1e-3
         assert config.out_dir == "out"
         assert config.params.pair.lower == (0.0, -0.5)
         assert config.params.pair.upper == (0.0, 0.5)
@@ -794,13 +794,18 @@ class TestValidateMode:
         assert all(ln.startswith("PASS") for ln in lines)
 
     def test_suite_passes_at_high_surface_tension(self, tmp_path, capsys):
-        # the flat linearization's entries reach 4.1e6, and the origin
-        # Jacobian meets it to roundoff relative to them (3.1e-9 absolute)
-        cfg = write_config(tmp_path, "[physical]\nsurface_tension = 1000\n")
-        assert cli.main(["validate", "--config", cfg]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 5
-        assert all(ln.startswith("PASS") for ln in lines)
+        # at 1000 the flat linearization's entries reach 4.1e6, and the
+        # origin Jacobian meets it to roundoff relative to them (3.1e-9
+        # absolute); at 1e6 the residual's roundoff, which the strength
+        # derivative's central difference divides by its step, read 5.9e-6
+        # against the check's 1e-7 with a step of 1e-6
+        for tension in ("1000", "1e6"):
+            cfg = write_config(tmp_path,
+                               f"[physical]\nsurface_tension = {tension}\n")
+            assert cli.main(["validate", "--config", cfg]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 5
+            assert all(ln.startswith("PASS") for ln in lines)
 
     def test_a_check_that_raises_fails_its_line(self, capsys, monkeypatch):
         def raising(params):
@@ -822,6 +827,19 @@ class TestValidateMode:
             "PASS strength_derivative_fd: skipped",
             "PASS origin_tangent_oracle: skipped",
         ]
+
+    def test_package_runs_as_a_module(self):
+        # `python -m vortexwave`, as from a checkout with src on the path
+        src = os.path.dirname(os.path.dirname(vortexwave.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "vortexwave", "validate"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 5
+        assert all(ln.startswith("PASS") for ln in lines)
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         # numpy's generators reject it, which a check would report as FAIL

@@ -385,15 +385,19 @@ class TestAdjointBlock:
     @pytest.mark.parametrize("state", ["flat", "crest", "strength-3"])
     def test_start_residual_in_closed_form(self, state, side, strength_3):
         # M^T Z0 = [E^T | e] for the flat block Z0, so its residual is
-        # -delta^T Z0, and the columns of [E^T | e] have closed-form norms
+        # -delta^T Z0, and the columns of [E^T | e] have closed-form norms;
+        # a transposed Richardson step on [E^T | e] takes M^-T of it, Z0,
+        # and delta^T of that
         ops, _ = self.layer(state, side, strength_3)
         start = ops.flat_adjoint_block()
         rhs = adjoint_columns(ops)
         size = layers._column_norms(rhs)
         assert np.max(np.abs(ops._adjoint_column_norms - size)
                       / size) <= 1e-12
-        want = rhs - ops._apply_transpose(start)
-        got = -ops._deviation(start, transposed=True)
+        flat, delta_flat = ops._richardson_step(rhs, transposed=True)
+        assert worst_relative(flat, start) <= 1e-12
+        got = -delta_flat
+        want = rhs - ops._apply(flat, transposed=True)
         assert np.max(layers._column_norms(got - want) / size) <= 1e-12
 
     def test_flat_block_runs_no_gmres_and_no_flat_solve(self, monkeypatch):
@@ -544,8 +548,8 @@ class TestAdjointBlock:
         """A^-T rhs by GMRES on A^T M^-T, a vector or a block, as a fresh
         array."""
         solved = gmres(
-            lambda v: ops._apply_transpose(
-                ops._flat_solve(v, transposed=True)),
+            lambda v: ops._apply(ops._flat_solve(v, transposed=True),
+                                 transposed=True),
             rhs, KRYLOV_MAX, tol, KRYLOV_FLOOR, ops._work)
         return ops._flat_solve(solved, transposed=True).copy()
 
@@ -1018,8 +1022,9 @@ class TestTransposes:
         got = ops._apply(v[:, 0])
         assert got.shape == (33 * 17,)
         assert worst_relative(got, mat @ v[:, 0]) <= 1e-13
-        assert worst_relative(as_columns(ops._apply_transpose(as_block(v))),
-                              mat.T @ v) <= 1e-13
+        assert worst_relative(
+            as_columns(ops._apply(as_block(v), transposed=True)),
+            mat.T @ v) <= 1e-13
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("crest", [0.0, 0.33, -0.9])  # flat, crest, thin
@@ -1059,11 +1064,12 @@ class TestTransposes:
         # block trace less than half a block of memory
         ops = strip(self.GRID32, peaked(0.33, n=33), 16)
         v = np.random.default_rng(13).standard_normal((33, 34, 17))
-        want = ops._apply_transpose(
-            ops._flat_solve(v, transposed=True)).copy()
+        want = ops._apply(ops._flat_solve(v, transposed=True),
+                          transposed=True).copy()
         tracemalloc.start()
         try:
-            got = ops._apply_transpose(ops._flat_solve(v, transposed=True))
+            got = ops._apply(ops._flat_solve(v, transposed=True),
+                             transposed=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1135,7 +1141,8 @@ class TestTransposes:
 
 class TestDeviation:
     """delta = A - M, the part of the operator that the preconditioner's
-    flat strip M leaves out; GMRES runs on A M^-1 = I + delta M^-1."""
+    flat strip M leaves out, which a Richardson step applies to its
+    correction; GMRES runs on A M^-1 = I + delta M^-1."""
 
     GRID32 = CollocationGrid(np.pi, 32)
 
@@ -1152,10 +1159,11 @@ class TestDeviation:
         delta = full - assembled_operator(strip(self.GRID32, EvenField(mean),
                                                 16))
         v = np.random.default_rng(15).standard_normal((33 * 17, 3))
-        scale = np.max(np.abs(full)) * np.max(np.abs(v))
-        for transposed, want in ((False, delta @ v), (True, delta.T @ v)):
-            got = as_columns(ops._deviation(as_block(v), transposed))
-            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        for transposed, op in ((False, delta), (True, delta.T)):
+            u, delta_u = ops._richardson_step(as_block(v), transposed)
+            u, got = as_columns(u), as_columns(delta_u)
+            scale = np.max(np.abs(full)) * np.max(np.abs(u))
+            assert np.max(np.abs(got - op @ u)) <= 1e-13 * scale
             if state == "flat":  # the flat strip is M itself
                 assert not got.any()
 

@@ -78,15 +78,14 @@ def test_no_numpy_lapack_outside_once_per_resolution_set_up():
     assert not stale, f"set-up that calls no numpy.linalg: {sorted(stale)}"
 
 
-#: layers.py applies, the variable terms they share with delta = A - M
-#: (which GMRES applies once per Krylov vector, after the preconditioners'
-#: shared body), the closed-form flat adjoint block, its tau profiles and
+#: layers.py's apply, the variable terms it shares with delta = A - M
+#: (which a Richardson step applies once per Krylov vector, after the
+#: flat-strip solve), the closed-form flat adjoint block, its tau profiles and
 #: probe column, the contraction of the shape derivatives with the adjoint
 #: block or its flat closed form, and the Dirichlet-to-Neumann matrix, all
 #: built on every Jacobian, exact or flat: every product in them goes
 #: through `_blas_product`, which calls scipy.linalg.blas
-BLAS_HELPERS = ("_apply", "_flat_products", "_apply_transpose",
-                "_variable", "_variable_transpose",
+BLAS_HELPERS = ("_apply", "_flat_solve", "_variable", "_variable_transpose",
                 "_flat_profiles", "flat_adjoint_block", "_flat_probe_column",
                 "_shape_products", "dno_matrix")
 
